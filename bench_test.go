@@ -8,7 +8,6 @@ package prdrb
 // full-scale renditions live in cmd/experiments.
 
 import (
-	"fmt"
 	"testing"
 
 	"prdrb/internal/phase"
@@ -423,19 +422,3 @@ func BenchmarkAblPlacement(b *testing.B) {
 	b.ReportMetric(optLat, "optimized_us")
 	b.ReportMetric(GainPct(idLat, optLat), "gain_%")
 }
-
-// BenchmarkEngineThroughput measures raw simulator performance: events per
-// second on a saturated fat-tree (an engineering metric, not a paper
-// figure).
-func BenchmarkEngineThroughput(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		s := MustNewSim(Experiment{Topology: FatTree(4, 3), Policy: PolicyAdaptive, Seed: uint64(i + 1)})
-		if err := s.InstallPattern(PatternSpec{Pattern: "uniform", RateMbps: 800, Start: 0, End: 500 * Microsecond}); err != nil {
-			b.Fatal(err)
-		}
-		s.Execute(Second)
-		b.ReportMetric(float64(s.Eng.Processed), "events")
-	}
-}
-
-var _ = fmt.Sprintf // reserved for debug formatting in benches

@@ -20,8 +20,9 @@ import (
 // through a bounded worker pool. Campaigns are keyed by the manifest's
 // content hash: each cell's result JSON is committed atomically when the
 // cell finishes, so re-running a killed or interrupted campaign skips
-// every completed cell and resumes in-flight cells from their periodic
-// simulation checkpoints instead of starting over.
+// every completed cell and re-runs only the rest. Resume is cell-granular
+// on purpose: checkpoint restore is replay-verify (it costs a fresh run),
+// so a mid-cell checkpoint could never save work.
 
 // campaignManifest is the parameter grid, decoded from JSON. Every list
 // axis cross-products with the others; scalar fields apply to all cells.
@@ -65,7 +66,6 @@ type cellResult struct {
 	Recoveries      int64   `json:"recoveries"`
 	Events          uint64  `json:"events"`
 	WallSec         float64 `json:"wall_sec"`
-	Resumed         bool    `json:"resumed,omitempty"`
 }
 
 // campaignOpts carries the harness flags into the scheduler.
@@ -73,18 +73,9 @@ type campaignOpts struct {
 	manifestPath string
 	dir          string
 	workers      int
-	ckptEvery    time.Duration
 	shards       int
 	board        *telemetry.Board
 	live         *telemetry.LiveStats
-}
-
-// cellState is the scheduler's live view of one cell, folded into the
-// /fleet snapshot.
-type cellState struct {
-	state     string // queued | running | done | failed | skipped
-	virtualNs int64
-	horizonNs int64
 }
 
 // expand cross-products the manifest axes into named cells. Cell names
@@ -124,7 +115,7 @@ func (m *campaignManifest) validate() (prdrb.Time, error) {
 
 // runCampaign executes the manifest grid and returns the number of failed
 // cells. Completed cells (result JSON present in the campaign directory)
-// are skipped; cells with a checkpoint resume mid-simulation.
+// are skipped.
 func runCampaign(opts campaignOpts) int {
 	raw, err := os.ReadFile(opts.manifestPath)
 	if err != nil {
@@ -154,8 +145,8 @@ func runCampaign(opts campaignOpts) int {
 		return 1
 	}
 	// Sweep temp files a killed run left behind: every committed artifact
-	// and checkpoint was renamed into place, so anything still named .tmp*
-	// is an abandoned partial write.
+	// was renamed into place, so anything still named .tmp* is an abandoned
+	// partial write.
 	if stale, err := filepath.Glob(filepath.Join(dir, "*.tmp*")); err == nil {
 		for _, p := range stale {
 			os.Remove(p)
@@ -172,23 +163,21 @@ func runCampaign(opts campaignOpts) int {
 	cells := m.expand()
 	fmt.Printf("campaign %s: %d cells, %d workers, dir %s\n", key, len(cells), opts.workers, dir)
 
+	// states is the scheduler's live view, folded into the /fleet snapshot:
+	// cell name -> queued | running | done | failed | skipped.
 	states := struct {
 		sync.Mutex
-		m map[string]*cellState
-	}{m: make(map[string]*cellState, len(cells))}
-	horizon := duration + prdrb.Second
+		m map[string]string
+	}{m: make(map[string]string, len(cells))}
 	for _, c := range cells {
-		states.m[c.Name] = &cellState{state: "queued", horizonNs: int64(horizon)}
+		states.m[c.Name] = "queued"
 	}
-	setState := func(name, st string, vns int64) {
+	setState := func(name, st string) {
 		states.Lock()
-		cs := states.m[name]
-		cs.state = st
-		if vns >= 0 {
-			cs.virtualNs = vns
-		}
+		states.m[name] = st
 		states.Unlock()
 	}
+	horizon := int64(duration + prdrb.Second)
 	publishFleet := func() {
 		if opts.board == nil {
 			return
@@ -198,21 +187,21 @@ func runCampaign(opts campaignOpts) int {
 			f.EventsProcessed = opts.live.Events.Load()
 		}
 		states.Lock()
-		for name, cs := range states.m {
-			switch cs.state {
+		for name, st := range states.m {
+			cell := telemetry.FleetCellStatus{Cell: name, State: st, HorizonNs: horizon}
+			switch st {
 			case "running":
 				f.Running++
-			case "done":
-				f.Done++
 			case "failed":
 				f.Failed++
+			case "done":
+				f.Done++
+				cell.VirtualNs = horizon
 			case "skipped":
 				f.Skipped++
+				cell.VirtualNs = horizon
 			}
-			f.Cells = append(f.Cells, telemetry.FleetCellStatus{
-				Cell: name, State: cs.state,
-				VirtualNs: cs.virtualNs, HorizonNs: cs.horizonNs,
-			})
+			f.Cells = append(f.Cells, cell)
 		}
 		states.Unlock()
 		sort.Slice(f.Cells, func(i, j int) bool { return f.Cells[i].Cell < f.Cells[j].Cell })
@@ -240,7 +229,6 @@ func runCampaign(opts campaignOpts) int {
 	type outcome struct {
 		cell    campaignCell
 		status  string // done | failed | skipped
-		resumed bool
 		err     error
 		elapsed float64
 	}
@@ -255,29 +243,22 @@ func runCampaign(opts campaignOpts) int {
 				start := time.Now()
 				resultPath := filepath.Join(dir, c.Name+".json")
 				if _, err := os.Stat(resultPath); err == nil {
-					setState(c.Name, "skipped", int64(horizon))
+					setState(c.Name, "skipped")
 					results <- outcome{cell: c, status: "skipped"}
 					continue
 				}
-				setState(c.Name, "running", 0)
-				res, resumed, err := runCampaignCell(c, &m, duration, dir, opts,
-					func(vns int64) { setState(c.Name, "running", vns) })
-				if err != nil {
-					setState(c.Name, "failed", -1)
-					results <- outcome{cell: c, status: "failed", err: err, elapsed: time.Since(start).Seconds()}
-					continue
-				}
+				setState(c.Name, "running")
+				res, err := runCampaignCell(c, &m, duration)
 				res.WallSec = time.Since(start).Seconds()
-				res.Resumed = resumed
-				if err := writeCellResult(resultPath, res); err != nil {
-					setState(c.Name, "failed", -1)
-					results <- outcome{cell: c, status: "failed", err: err, elapsed: res.WallSec}
-					continue
+				if err == nil {
+					err = writeCellResult(resultPath, res)
 				}
-				// The cell is committed: its checkpoint is no longer needed.
-				os.Remove(filepath.Join(dir, c.Name+".ckpt"))
-				setState(c.Name, "done", int64(horizon))
-				results <- outcome{cell: c, status: "done", resumed: resumed, elapsed: res.WallSec}
+				status := "done"
+				if err != nil {
+					status = "failed"
+				}
+				setState(c.Name, status)
+				results <- outcome{cell: c, status: status, err: err, elapsed: res.WallSec}
 			}
 		}()
 	}
@@ -295,9 +276,6 @@ func runCampaign(opts campaignOpts) int {
 			opts.live.AddRun()
 		}
 		note := o.status
-		if o.resumed {
-			note += " (resumed from checkpoint)"
-		}
 		if o.err != nil {
 			note = "FAILED: " + o.err.Error()
 			failed++
@@ -315,11 +293,8 @@ func runCampaign(opts campaignOpts) int {
 	return failed
 }
 
-// runCampaignCell executes one grid point, checkpointing every
-// opts.ckptEvery of simulated time and resuming from a leftover
-// checkpoint when one is present and verifies.
-func runCampaignCell(c campaignCell, m *campaignManifest, duration prdrb.Time,
-	dir string, opts campaignOpts, progress func(int64)) (res cellResult, resumed bool, err error) {
+// runCampaignCell executes one grid point to its horizon.
+func runCampaignCell(c campaignCell, m *campaignManifest, duration prdrb.Time) (res cellResult, err error) {
 	defer func() {
 		// Topology/pattern/policy construction reports bad specs by panic;
 		// a campaign cell turns that into a failed cell, not a dead harness.
@@ -329,62 +304,30 @@ func runCampaignCell(c campaignCell, m *campaignManifest, duration prdrb.Time,
 	}()
 	topo, err := prdrb.TopologyByName(c.Topology)
 	if err != nil {
-		return res, false, err
+		return res, err
 	}
 	s, err := prdrb.NewSim(prdrb.Experiment{
 		Topology: topo, Policy: prdrb.Policy(c.Policy), Seed: c.Seed, Shards: m.Shards,
 	})
 	if err != nil {
-		return res, false, err
+		return res, err
 	}
 	if m.Faults != "" {
 		plan, err := s.ParseFaults(m.Faults)
 		if err != nil {
-			return res, false, err
+			return res, err
 		}
 		if _, err := s.InstallFaults(plan); err != nil {
-			return res, false, err
+			return res, err
 		}
 	}
 	if err := s.InstallPattern(prdrb.PatternSpec{
 		Pattern: c.Pattern, RateMbps: c.RateMbps, Start: 0, End: duration,
 	}); err != nil {
-		return res, false, err
+		return res, err
 	}
-
-	horizon := duration + prdrb.Second
-	ckptPath := filepath.Join(dir, c.Name+".ckpt")
-	start := prdrb.Time(0)
-	if _, statErr := os.Stat(ckptPath); statErr == nil {
-		mta, rerr := s.Resume(ckptPath)
-		if rerr != nil {
-			// A checkpoint from an older manifest or binary: start over.
-			fmt.Fprintf(os.Stderr, "campaign: %s: ignoring stale checkpoint: %v\n", c.Name, rerr)
-			os.Remove(ckptPath)
-		} else {
-			start, resumed = mta.At, true
-			progress(int64(start))
-		}
-	}
-
-	every := prdrb.Time(opts.ckptEvery.Nanoseconds())
-	var r prdrb.Results
-	if every > 0 {
-		for t := start; t < horizon; {
-			t = s.AlignCheckpoint(t + every)
-			if t > horizon {
-				t = horizon
-			}
-			s.Execute(t)
-			if _, err := s.WriteCheckpoint(ckptPath); err != nil {
-				return res, resumed, err
-			}
-			progress(int64(t))
-		}
-	}
-	r = s.Execute(horizon)
-
-	res = cellResult{
+	r := s.Execute(duration + prdrb.Second)
+	return cellResult{
 		campaignCell:    c,
 		GlobalLatencyUs: r.GlobalLatencyUs,
 		P99Us:           r.P99Us,
@@ -393,8 +336,7 @@ func runCampaignCell(c campaignCell, m *campaignManifest, duration prdrb.Time,
 		DroppedPkts:     r.DroppedPkts,
 		Recoveries:      r.Recoveries,
 		Events:          s.Processed(),
-	}
-	return res, resumed, nil
+	}, nil
 }
 
 // writeCellResult commits the per-cell JSON through the atomic artifact

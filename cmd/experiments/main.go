@@ -90,7 +90,6 @@ func main() {
 	campaignPath := flag.String("campaign", "", "run a campaign: a manifest JSON describing a parameter grid (see EXPERIMENTS.md); completed cells are skipped on re-run")
 	campaignDir := flag.String("campaign-dir", "campaigns", "root directory for campaign results (one subdirectory per manifest hash)")
 	campaignWorkers := flag.Int("campaign-workers", 4, "concurrent cell simulations in campaign mode")
-	campaignCkptEvery := flag.Duration("campaign-checkpoint-every", time.Millisecond, "simulated-time interval between per-cell checkpoints (0 = no mid-cell checkpoints)")
 	flag.Parse()
 	wallStart := time.Now()
 	installInterruptCleanup()
@@ -179,8 +178,7 @@ func main() {
 		// completion record.
 		failed := runCampaign(campaignOpts{
 			manifestPath: *campaignPath, dir: *campaignDir,
-			workers: *campaignWorkers, ckptEvery: *campaignCkptEvery,
-			shards: *shards, board: board, live: live,
+			workers: *campaignWorkers, shards: *shards, board: board, live: live,
 		})
 		if failed > 0 {
 			os.Exit(1)

@@ -1,32 +1,6 @@
 package prdrb
 
-import (
-	"runtime"
-	"testing"
-)
-
-// BenchmarkHotPath drives a saturated 64-node fat-tree under uniform traffic
-// and reports raw simulator performance (engineering metrics). scripts/
-// bench.sh turns its output into BENCH_hotpath.json; scripts/verify.sh runs
-// it once as a smoke test.
-func BenchmarkHotPath(b *testing.B) {
-	var events, pkts uint64
-	for i := 0; i < b.N; i++ {
-		s := MustNewSim(Experiment{Topology: FatTree(4, 3), Policy: PolicyAdaptive, Seed: uint64(i + 1)})
-		if err := s.InstallPattern(PatternSpec{Pattern: "uniform", RateMbps: 800, Start: 0, End: Millisecond}); err != nil {
-			b.Fatal(err)
-		}
-		s.Execute(2 * Second)
-		events += s.Eng.Processed
-		pkts += uint64(s.Collector.Throughput.AcceptedPkts)
-	}
-	b.ReportMetric(float64(events)/float64(b.N), "events/op")
-	b.ReportMetric(float64(pkts)/float64(b.N), "pkts/op")
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
-	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/sec")
-	b.ReportMetric(float64(pkts)/b.Elapsed().Seconds(), "pkts/sec")
-	b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "gomaxprocs")
-}
+import "testing"
 
 // TestHotPathZeroAlloc is the allocation guard for the typed-event core:
 // once a saturated run is warmed up (event records recycled through the

@@ -41,11 +41,12 @@ type Options struct {
 	Trace bool
 }
 
-// ShardSpan is one shard's share of a traced window.
+// ShardSpan is one shard's share of a traced window: it executed Events
+// events for BusyNs from wall offset StartNs (from the profiler's origin).
 type ShardSpan struct {
-	BusyNs int64
-	IdleNs int64
-	Events uint64
+	StartNs int64
+	BusyNs  int64
+	Events  uint64
 }
 
 // WindowSpan is one traced barrier window. All *Ns offsets are wall
@@ -66,13 +67,13 @@ type WindowSpan struct {
 
 // Profiler accumulates wall-clock accounting across one or more runs.
 //
-// Concurrency: ShardDone is the only method invoked off the coordinator
-// goroutine; it touches only its shard's slot in doneWall/doneEvents
-// (distinct elements, ordered against the coordinator by the group's
-// spawn/join edges). Everything else — including Snapshot and Report —
-// must run on the coordinator goroutine or happen-after the run, which
-// is exactly the contract of barrier hooks, sampler actors and
-// post-Execute artifact writers.
+// Concurrency: ShardStart and ShardDone are the only methods invoked off
+// the coordinator goroutine; they touch only their shard's slot in
+// startWall/doneWall/doneEvents (distinct elements, ordered against the
+// coordinator by the group's spawn/join edges). Everything else —
+// including Snapshot and Report — must run on the coordinator goroutine
+// or happen-after the run, which is exactly the contract of barrier
+// hooks, sampler actors and post-Execute artifact writers.
 type Profiler struct {
 	opts Options
 
@@ -90,13 +91,14 @@ type Profiler struct {
 	runStart time.Time
 	wallNs   int64
 
-	// Per-window marks (coordinator), plus per-shard done marks written
-	// concurrently by shard worker goroutines.
+	// Per-window marks (coordinator), plus per-shard start/done marks
+	// written concurrently by shard worker goroutines.
 	winStartWall time.Time
 	execWall     time.Time
 	barrierWall  time.Time
 	flushWall    time.Time
 	vStart, vEnd sim.Time
+	startWall    []time.Time
 	doneWall     []time.Time
 	doneEvents   []uint64
 
@@ -132,6 +134,7 @@ func (p *Profiler) grow(n int) {
 		p.winHist = append(p.winHist, metrics.NewHistogram())
 	}
 	for len(p.doneWall) < n {
+		p.startWall = append(p.startWall, time.Time{})
 		p.doneWall = append(p.doneWall, time.Time{})
 		p.doneEvents = append(p.doneEvents, 0)
 	}
@@ -234,6 +237,12 @@ func (p *Profiler) WindowExec() {
 	p.ctrlNs += p.execWall.Sub(p.winStartWall).Nanoseconds()
 }
 
+// ShardStart implements sim.ShardStartProbe. Safe concurrently across
+// shards: each call touches only its own slot.
+func (p *Profiler) ShardStart(shard int) {
+	p.startWall[shard] = time.Now()
+}
+
 // ShardDone implements sim.GroupProbe. Safe concurrently across shards:
 // each call touches only its own slot.
 func (p *Profiler) ShardDone(shard int, events uint64) {
@@ -242,9 +251,12 @@ func (p *Profiler) ShardDone(shard int, events uint64) {
 }
 
 // BarrierStart implements sim.GroupProbe: all shards have joined, so the
-// per-shard done marks are visible and the window's busy/idle split is
-// final. Busy is exec-start → shard done; idle is shard done → barrier
-// (waiting for the slowest shard — the imbalance cost).
+// per-shard marks are visible and the window's busy/idle split is final.
+// Busy is the shard's own start → done; idle is the rest of the exec
+// phase (exec-start → barrier): waiting for its turn when windows run one
+// shard after another on the coordinator, and for the slowest shard — the
+// imbalance cost — when they run in parallel. Σ busy therefore never
+// exceeds the cores actually used times the exec phase.
 func (p *Profiler) BarrierStart(winEnd sim.Time) {
 	now := time.Now()
 	p.barrierWall = now
@@ -266,21 +278,17 @@ func (p *Profiler) BarrierStart(winEnd sim.Time) {
 		}
 		p.spanOpen = span != nil
 	}
+	exec := now.Sub(p.execWall).Nanoseconds()
 	for i := 0; i < p.curShards; i++ {
-		busy := p.doneWall[i].Sub(p.execWall).Nanoseconds()
-		if busy < 0 {
-			busy = 0
-		}
-		idle := now.Sub(p.doneWall[i]).Nanoseconds()
-		if idle < 0 {
-			idle = 0
-		}
+		// Monotonic readings nested exec ≤ start ≤ done ≤ now: both ≥ 0.
+		busy := p.doneWall[i].Sub(p.startWall[i]).Nanoseconds()
+		idle := exec - busy
 		p.busyNs[i] += busy
 		p.idleNs[i] += idle
 		p.events[i] += p.doneEvents[i]
 		p.winHist[i].Observe(sim.Time(busy))
 		if span != nil {
-			span.Shards[i] = ShardSpan{BusyNs: busy, IdleNs: idle, Events: p.doneEvents[i]}
+			span.Shards[i] = ShardSpan{StartNs: p.sinceOrigin(p.startWall[i]), BusyNs: busy, Events: p.doneEvents[i]}
 		}
 	}
 }

@@ -3,6 +3,7 @@ package perf
 import (
 	"bytes"
 	"encoding/json"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -75,6 +76,67 @@ func TestProfilerShardedAggregation(t *testing.T) {
 	}
 	if evs != r.TotalEvents {
 		t.Fatalf("per-shard events sum %d != total %d", evs, r.TotalEvents)
+	}
+}
+
+// spin burns a measurable stretch of wall time per event and re-arms
+// itself until virtual time 5000, so every window has work on its shard.
+type spin struct{ sink int }
+
+func (s *spin) HandleEvent(e *sim.Engine, _ uint8, _ uint64) {
+	for i := 0; i < 20000; i++ {
+		s.sink ^= i
+	}
+	if e.Now() < 5000 {
+		e.ScheduleEvent(e.Now()+10, s, 0, 0)
+	}
+}
+
+// TestProfilerSerialLoopBusyIsPerShard pins the per-shard start mark: on
+// one core the window loop runs the shards one after another, so a
+// shard's busy time must not include the shards that ran before it —
+// Σ busy ≤ wall and the effective speedup cannot exceed 1.
+func TestProfilerSerialLoopBusyIsPerShard(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	g := sim.NewShardGroup(4, 100)
+	for _, e := range g.Engines {
+		e.ScheduleEvent(0, &spin{}, 0, 0)
+	}
+	p := New(Options{Trace: true})
+	p.BindGroup(g)
+	p.RunStart()
+	g.RunAll()
+	p.RunEnd()
+	r := p.Report()
+	if r.Windows == 0 || len(r.PerShard) != 4 {
+		t.Fatalf("expected a profiled 4-shard run: %+v", r)
+	}
+	var busy int64
+	for _, s := range r.PerShard {
+		if s.BusyNs <= 0 {
+			t.Fatalf("shard %d recorded no busy time", s.Shard)
+		}
+		busy += s.BusyNs
+	}
+	if busy != r.BusyNs || busy > r.WallNs {
+		t.Fatalf("Σ per-shard busy %d (report %d) exceeds wall %d on one core", busy, r.BusyNs, r.WallNs)
+	}
+	if r.EffectiveSpeedup > 1 {
+		t.Fatalf("effective speedup %.3f > 1 on one core", r.EffectiveSpeedup)
+	}
+	// The same holds window by window in the trace: execution slices of
+	// one window never overlap on the serial loop.
+	for wi, sp := range p.spans {
+		end := sp.ExecNs
+		for si, ss := range sp.Shards {
+			if ss.StartNs < end {
+				t.Fatalf("window %d shard %d starts at %d, before the previous shard finished at %d", wi, si, ss.StartNs, end)
+			}
+			end = ss.StartNs + ss.BusyNs
+		}
+		if end > sp.BarrierNs {
+			t.Fatalf("window %d: shards ran past the barrier (%d > %d)", wi, end, sp.BarrierNs)
+		}
 	}
 }
 

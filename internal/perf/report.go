@@ -21,8 +21,9 @@ type ShardReport struct {
 	FarMigrations uint64 `json:"far_migrations"`
 	BusyNs        int64  `json:"busy_ns"`
 	IdleNs        int64  `json:"idle_ns"`
-	// IdleFraction is IdleNs / (BusyNs + IdleNs): the share of this
-	// shard's window wall time spent waiting at barriers.
+	// IdleFraction is IdleNs / (BusyNs + IdleNs): the share of the
+	// windows' exec phase this shard spent not executing — waiting for
+	// its turn (one core) or at the barrier (load imbalance).
 	IdleFraction float64 `json:"idle_fraction"`
 	EventsPerSec float64 `json:"events_per_sec"`
 	// WindowP50Ns/WindowP99Ns are per-window wall execution-time
@@ -50,8 +51,9 @@ type Report struct {
 	CtrlNs  int64 `json:"ctrl_ns"`
 	HookNs  int64 `json:"hook_ns"`
 	FlushNs int64 `json:"flush_ns"`
-	// Critical-path vs idle breakdown: BusyNs sums shard execution,
-	// IdleNs sums barrier waits.
+	// Critical-path vs idle breakdown: BusyNs sums each shard's own
+	// execution time (start mark → done mark), IdleNs the rest of every
+	// window's exec phase.
 	BusyNs int64 `json:"busy_ns"`
 	IdleNs int64 `json:"idle_ns"`
 	// ImbalanceRatio is max per-shard busy over the mean; IdleFraction

@@ -71,12 +71,13 @@ func (p *Profiler) TraceEvents() []telemetry.ChromeEvent {
 				Args: map[string]any{"window": wi, "remote_records": sp.Remote},
 			})
 		}
-		// Shard tracks: execution slice, then the barrier wait.
+		// Shard tracks: the execution slice where it really ran (a gap before
+		// it is the wait for the shard's turn), then the barrier wait.
 		for si, ss := range sp.Shards {
 			if ss.BusyNs > 0 {
 				events = append(events, telemetry.ChromeEvent{
 					Name: fmt.Sprintf("win@%dns", sp.VStartNs), Cat: "window", Ph: "X",
-					Ts: telemetry.Us(sp.ExecNs), Dur: telemetry.Us(ss.BusyNs),
+					Ts: telemetry.Us(ss.StartNs), Dur: telemetry.Us(ss.BusyNs),
 					Pid: chromePidEngine, Tid: si + 1,
 					Args: map[string]any{
 						"window":       wi,
@@ -86,10 +87,10 @@ func (p *Profiler) TraceEvents() []telemetry.ChromeEvent {
 					},
 				})
 			}
-			if ss.IdleNs > 0 {
+			if done := ss.StartNs + ss.BusyNs; sp.BarrierNs > done {
 				events = append(events, telemetry.ChromeEvent{
 					Name: "barrier-wait", Cat: "idle", Ph: "X",
-					Ts: telemetry.Us(sp.ExecNs + ss.BusyNs), Dur: telemetry.Us(ss.IdleNs),
+					Ts: telemetry.Us(done), Dur: telemetry.Us(sp.BarrierNs - done),
 					Pid: chromePidEngine, Tid: si + 1,
 					Args: map[string]any{"window": wi},
 				})

@@ -800,7 +800,10 @@ type Results struct {
 	Recoveries    int64
 	RecoveryP50Us float64
 	RecoveryP99Us float64
-	// Elapsed is the simulated time consumed.
+	// Elapsed is the simulation clock when the summary was taken. A serial
+	// engine parks its clock at the last executed event, so this is the
+	// drain time; a shard group advances its barrier clock to the Execute
+	// horizon, so on sharded runs it is the horizon, not the drain time.
 	Elapsed sim.Time
 }
 

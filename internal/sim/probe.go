@@ -16,7 +16,7 @@ package sim
 // All methods except ShardDone are invoked on the coordinator goroutine
 // (the one that called Run), strictly ordered within each window:
 //
-//	WindowStart → WindowExec → ShardDone×N → BarrierStart → FlushStart → WindowEnd
+//	WindowStart → WindowExec → (ShardStart → ShardDone)×N → BarrierStart → FlushStart → WindowEnd
 //
 // ShardDone is invoked once per shard per window, from the shard's worker
 // goroutine when windows run in parallel (or the coordinator when serial).
@@ -46,9 +46,23 @@ type GroupProbe interface {
 	WindowEnd(remoteRecords int)
 }
 
+// ShardStartProbe is the optional per-shard start mark of a GroupProbe. A
+// probe that also implements it gets ShardStart(i) immediately before
+// shard i executes its window, on the same goroutine as the matching
+// ShardDone — so done − start is the shard's own execution time even when
+// windows run one shard after another on the coordinator. Same contract
+// as ShardDone: only per-shard state may be touched; WindowExec
+// happens-before it and it happens-before BarrierStart.
+type ShardStartProbe interface {
+	ShardStart(shard int)
+}
+
 // SetProbe attaches (or with nil detaches) the run-loop probe. Must be
 // called while the group is quiescent (before Run, or at a barrier).
-func (g *ShardGroup) SetProbe(p GroupProbe) { g.probe = p }
+func (g *ShardGroup) SetProbe(p GroupProbe) {
+	g.probe = p
+	g.startProbe, _ = p.(ShardStartProbe)
+}
 
 // EngineStats is a point-in-time snapshot of one engine's counters,
 // taken while the engine is quiescent.

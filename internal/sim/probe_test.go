@@ -8,8 +8,8 @@ import (
 )
 
 // recordingProbe checks the GroupProbe phase protocol: strict per-window
-// ordering of the coordinator phases and one ShardDone per shard between
-// WindowExec and BarrierStart.
+// ordering of the coordinator phases and one ShardStart → ShardDone pair
+// per shard between WindowExec and BarrierStart.
 type recordingProbe struct {
 	windows     int
 	execs       int
@@ -19,6 +19,7 @@ type recordingProbe struct {
 	inExec      bool
 	shardEvents []uint64
 	shardCalls  []int32 // atomics: ShardDone may run concurrently per shard
+	shardStarts []int32 // own-slot writes from the shard's goroutine
 	remote      int
 	lastStart   Time
 	lastEnd     Time
@@ -41,9 +42,19 @@ func (p *recordingProbe) WindowExec() {
 	p.inExec = true
 }
 
+func (p *recordingProbe) ShardStart(shard int) {
+	if !p.inExec {
+		p.fail("ShardStart outside the exec phase")
+	}
+	p.shardStarts[shard]++
+}
+
 func (p *recordingProbe) ShardDone(shard int, events uint64) {
 	if !p.inExec {
 		p.fail("ShardDone outside the exec phase")
+	}
+	if got, want := p.shardStarts[shard], atomic.LoadInt32(&p.shardCalls[shard])+1; got != want {
+		p.fail("shard %d: ShardDone #%d after %d ShardStart marks", shard, want, got)
 	}
 	atomic.AddInt32(&p.shardCalls[shard], 1)
 	atomic.AddUint64(&p.shardEvents[shard], events)
@@ -79,6 +90,7 @@ func TestGroupProbeSequencing(t *testing.T) {
 			probe := &recordingProbe{
 				shardEvents: make([]uint64, 2),
 				shardCalls:  make([]int32, 2),
+				shardStarts: make([]int32, 2),
 				fail:        t.Errorf,
 			}
 			g.SetProbe(probe)

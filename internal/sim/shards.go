@@ -112,6 +112,9 @@ type ShardGroup struct {
 	// probe, when non-nil, observes the phases of the window/barrier loop
 	// (see GroupProbe). Nil costs one pointer comparison per window.
 	probe GroupProbe
+	// startProbe is probe's optional ShardStartProbe side, resolved once
+	// in SetProbe.
+	startProbe ShardStartProbe
 }
 
 // NewShardGroup builds n wheel-mode engines synchronized every window
@@ -330,24 +333,16 @@ func (g *ShardGroup) Run(horizon Time) uint64 {
 		if parallel {
 			var wg sync.WaitGroup
 			wg.Add(len(g.Engines))
-			for i, e := range g.Engines {
-				go func(i int, e *Engine) {
+			for i := range g.Engines {
+				go func(i int) {
 					defer wg.Done()
-					before := e.Processed
-					e.Run(winEnd)
-					if g.probe != nil {
-						g.probe.ShardDone(i, e.Processed-before)
-					}
-				}(i, e)
+					g.runShard(i, winEnd)
+				}(i)
 			}
 			wg.Wait()
 		} else {
-			for i, e := range g.Engines {
-				before := e.Processed
-				e.Run(winEnd)
-				if g.probe != nil {
-					g.probe.ShardDone(i, e.Processed-before)
-				}
+			for i := range g.Engines {
+				g.runShard(i, winEnd)
 			}
 		}
 		g.now = winEnd
@@ -366,6 +361,21 @@ func (g *ShardGroup) Run(horizon Time) uint64 {
 		}
 	}
 	return g.Processed() - startProcessed
+}
+
+// runShard executes shard i's share of the window ending at winEnd,
+// bracketed by the probe's per-shard marks. It runs on the shard's worker
+// goroutine when windows are parallel, on the coordinator otherwise.
+func (g *ShardGroup) runShard(i int, winEnd Time) {
+	e := g.Engines[i]
+	if g.startProbe != nil {
+		g.startProbe.ShardStart(i)
+	}
+	before := e.Processed
+	e.Run(winEnd)
+	if g.probe != nil {
+		g.probe.ShardDone(i, e.Processed-before)
+	}
 }
 
 // RunAll executes until the group fully drains.

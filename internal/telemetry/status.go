@@ -39,8 +39,9 @@ type PerfShardStatus struct {
 	// Events is the number of events the shard executed inside profiled
 	// windows (deterministic, unlike the times below).
 	Events uint64 `json:"events"`
-	// BusyNs is wall time spent executing window events; IdleNs is wall
-	// time spent waiting at barriers for slower shards (≈ imbalance).
+	// BusyNs is wall time the shard itself spent executing window events;
+	// IdleNs is the rest of the windows' exec phase: waiting for its turn
+	// when shards share a core, for slower shards otherwise (≈ imbalance).
 	BusyNs int64 `json:"busy_ns"`
 	IdleNs int64 `json:"idle_ns"`
 	// EventsPerSec is the shard's execution rate over its busy time.
@@ -67,7 +68,7 @@ type PerfStatus struct {
 	// RemoteRecords counts cross-shard handoffs flushed (deterministic).
 	RemoteRecords uint64 `json:"remote_records"`
 	// ImbalanceRatio is max per-shard busy time over the mean (1 =
-	// perfectly balanced); IdleFraction is total barrier-wait over total
+	// perfectly balanced); IdleFraction is total idle time over total
 	// shard wall time; EffectiveSpeedup is total busy time over the
 	// windowed wall time (the parallelism actually realized).
 	ImbalanceRatio   float64           `json:"imbalance_ratio"`
@@ -123,8 +124,8 @@ type FleetCellStatus struct {
 	// State is "running", "done", "failed" or "skipped" (already complete
 	// when the campaign started).
 	State string `json:"state"`
-	// VirtualNs is the cell simulation's clock at the last checkpoint or
-	// progress tick; HorizonNs is where the run ends.
+	// VirtualNs is the cell's committed simulated time: 0 until the cell
+	// finishes, HorizonNs (where the run ends) once it is done or skipped.
 	VirtualNs int64 `json:"virtual_ns"`
 	HorizonNs int64 `json:"horizon_ns"`
 }

@@ -24,10 +24,16 @@ type Pattern interface {
 	Destination(src topology.NodeID, rng *sim.RNG) topology.NodeID
 }
 
+// powerOfTwo reports whether n is a node count the bit permutations of
+// Table 4.1 are defined on.
+func powerOfTwo(n int) bool { return n > 1 && n&(n-1) == 0 }
+
 // nodeBits returns log2(n), panicking unless n is a power of two — the
-// permutations of Table 4.1 are defined on bit representations.
+// permutations of Table 4.1 are defined on bit representations. ByName
+// rejects such counts with an error; the panic is the invariant check for
+// hand-built pattern literals.
 func nodeBits(n int) int {
-	if n <= 1 || n&(n-1) != 0 {
+	if !powerOfTwo(n) {
 		panic(fmt.Sprintf("traffic: permutation patterns need a power-of-two node count, got %d", n))
 	}
 	return bits.TrailingZeros(uint(n))
@@ -139,19 +145,26 @@ func (p *Fixed) Destination(src topology.NodeID, _ *sim.RNG) topology.NodeID {
 }
 
 // ByName builds a Table 4.1 pattern for the given node count:
-// "shuffle", "bitreversal", "transpose", "uniform".
+// "shuffle", "bitreversal", "transpose", "uniform". The three bit
+// permutations need a power-of-two node count.
 func ByName(name string, nodes int) (Pattern, error) {
+	var p Pattern
 	switch name {
-	case "shuffle":
-		return PerfectShuffle{Nodes: nodes}, nil
-	case "bitreversal":
-		return BitReversal{Nodes: nodes}, nil
-	case "transpose":
-		return MatrixTranspose{Nodes: nodes}, nil
 	case "uniform":
 		return Uniform{Nodes: nodes}, nil
+	case "shuffle":
+		p = PerfectShuffle{Nodes: nodes}
+	case "bitreversal":
+		p = BitReversal{Nodes: nodes}
+	case "transpose":
+		p = MatrixTranspose{Nodes: nodes}
+	default:
+		return nil, fmt.Errorf("traffic: unknown pattern %q", name)
 	}
-	return nil, fmt.Errorf("traffic: unknown pattern %q", name)
+	if !powerOfTwo(nodes) {
+		return nil, fmt.Errorf("traffic: pattern %q needs a power-of-two node count, got %d", name, nodes)
+	}
+	return p, nil
 }
 
 // Spec schedules open-loop packet injection: every participating node sends

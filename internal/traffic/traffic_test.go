@@ -134,6 +134,29 @@ func TestByNameUnknown(t *testing.T) {
 	}
 }
 
+// ByName is the boundary where a node count arrives from outside (a CLI
+// flag, a campaign manifest): the bit permutations reject a count they
+// are not defined on with an error, before any event runs; uniform takes
+// any count.
+func TestByNameNodeCounts(t *testing.T) {
+	for _, name := range []string{"shuffle", "bitreversal", "transpose", "uniform"} {
+		for _, nodes := range []int{9, 48, 64} {
+			p, err := ByName(name, nodes)
+			wantErr := name != "uniform" && nodes != 64
+			if (err != nil) != wantErr {
+				t.Errorf("ByName(%q, %d): err = %v, want error: %v", name, nodes, err, wantErr)
+			}
+			if (p == nil) != wantErr {
+				t.Errorf("ByName(%q, %d): pattern = %v alongside err = %v", name, nodes, p, err)
+			}
+			if err == nil {
+				// Must not trip the in-pattern invariant panic.
+				p.Destination(0, sim.NewRNG(1))
+			}
+		}
+	}
+}
+
 func TestNodeBitsPanicsOnNonPowerOfTwo(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -19,9 +19,6 @@ go test -race "$@" ./...
 echo "==> zero-alloc guard (TestHotPathZeroAlloc)"
 go test -run TestHotPathZeroAlloc -count=1 .
 
-echo "==> bench smoke (BenchmarkHotPath, 1 iteration)"
-go test -run '^$' -bench BenchmarkHotPath -benchtime 1x .
-
 echo "==> telemetry smoke (traced run, schema-validated artifacts)"
 teldir=$(mktemp -d)
 trap 'rm -rf "$teldir"' EXIT
@@ -176,7 +173,7 @@ echo "==> congestion observability smoke (weather map, FCT, flight recorder)"
 # 'prdrbtrace congestion' with its CSV side-products, and any anomaly
 # flight-recorder dumps must validate. The disabled hot path is gated
 # above: TestHotPathZeroAlloc fails if a default build attaches any
-# congestion state, and the bench smoke covers its throughput.
+# congestion state.
 "$teldir/prdrbsim" -topology ft-4-3 -policy pr-drb -heavytail websearch \
     -ht-maxflow 65536 -rate 300 -duration 300us -shards 2 \
     -congestion-out "$teldir/cong-a.json" -flight "$teldir/flight-a.jsonl" \
