@@ -25,14 +25,19 @@ func TestHotPathZeroAlloc(t *testing.T) {
 			t.Fatal("flight recorder attached without Experiment.Congestion")
 		}
 	}
+	// The guard must cover the scheduler production runs use.
+	if !s.Eng.WheelEnabled() {
+		t.Fatal("runner built a serial engine off the windowed wheel")
+	}
 	// Sustained load, stable queues: the measurement runs against this.
 	if err := s.InstallPattern(PatternSpec{Pattern: "uniform", RateMbps: 400, Start: 0, End: Second}); err != nil {
 		t.Fatal(err)
 	}
 	// Priming overlay: 2 ms of additional supersaturating traffic pushes
-	// every high-water mark (packet pool, per-port queues, event heap and
-	// freelist) far above anything the stable load will reach, so the
-	// measured window sees no capacity growth — only recycling.
+	// every high-water mark (packet pool, per-port queues, the engine's
+	// event-record freelist and far-overflow heap) far above anything the
+	// stable load will reach, so the measured window sees no capacity
+	// growth — only recycling.
 	if err := s.InstallPattern(PatternSpec{Pattern: "uniform", RateMbps: 800, Start: 0, End: 2 * Millisecond}); err != nil {
 		t.Fatal(err)
 	}

@@ -288,6 +288,7 @@ func (b *builder) build() (*Sim, error) {
 		s.Collector = metrics.MergeCollectors(cols)
 	} else {
 		eng := sim.NewEngine()
+		eng.EnableWheel()
 		col := metrics.NewCollector(terms, routers, b.exp.SeriesWindow)
 		net, err := network.New(eng, b.exp.Topology, b.netCfg, b.rp, col)
 		if err != nil {

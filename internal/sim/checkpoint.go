@@ -43,7 +43,7 @@ type PendingEvent struct {
 
 // PendingEvents snapshots every scheduled, non-cancelled event in
 // deterministic (time, seq) order. In wheel mode this walks the slot
-// array and the far-overflow heap; in heap mode the queue alone.
+// lists and the far-overflow heap; in heap mode the queue alone.
 func (e *Engine) PendingEvents() []PendingEvent {
 	out := make([]PendingEvent, 0, e.pending)
 	add := func(ev *event) {
@@ -51,7 +51,7 @@ func (e *Engine) PendingEvents() []PendingEvent {
 			return
 		}
 		name := "closure"
-		if ev.actor != nil {
+		if _, ok := ev.actor.(Handler); !ok {
 			name = fmt.Sprintf("%T", ev.actor)
 		}
 		out = append(out, PendingEvent{At: ev.at, Seq: ev.seq, Kind: ev.kind, Arg: ev.arg, Actor: name})
@@ -60,9 +60,15 @@ func (e *Engine) PendingEvents() []PendingEvent {
 		add(ev)
 	}
 	if w := e.wheel; w != nil {
-		for i := range w.slots {
-			for _, ev := range w.slots[i] {
+		for _, tail := range w.slots {
+			if tail == nil {
+				continue
+			}
+			for ev := tail.next; ; ev = ev.next {
 				add(ev)
+				if ev == tail {
+					break
+				}
 			}
 		}
 	}
@@ -85,7 +91,6 @@ func (e *Engine) EncodeState(enc *ckpt.Enc) {
 	enc.Int(len(e.free))
 	enc.Bool(e.wheel != nil)
 	if e.wheel != nil {
-		enc.I64(int64(e.wheel.base))
 		over, migr := e.FarStats()
 		enc.U64(over)
 		enc.U64(migr)

@@ -6,6 +6,12 @@
 // are modelled as callbacks scheduled on the engine, mirroring OPNET's
 // finite-state-machine processes.
 //
+// The queue has two interchangeable schedulers with one contract (same
+// (time, seq) firing order, same Now/Len/Step/Run/Cancel behaviour): the
+// windowed wheel (wheel.go, EnableWheel), which every engine built by the
+// runner uses, and the plain binary heap of a bare NewEngine, kept as the
+// wheel's reference implementation and far-overflow store.
+//
 // Two scheduling APIs coexist:
 //
 //   - The typed-event (actor) API — ScheduleEvent/AfterEvent — delivers a
@@ -61,18 +67,24 @@ type Actor interface {
 	HandleEvent(e *Engine, kind uint8, arg uint64)
 }
 
+// HandleEvent makes a closure an Actor, so Schedule/After events ride the
+// same record layout and dispatch as typed ones (a func value is
+// pointer-shaped: storing it in the interface does not allocate).
+func (h Handler) HandleEvent(e *Engine, _ uint8, _ uint64) { h(e) }
+
 // event is a queue entry. seq breaks timestamp ties deterministically.
-// Exactly one of fn / actor is set.
 type event struct {
 	at  Time
 	seq uint64
-	fn  Handler
-	// actor-dispatch fields; used when actor != nil.
-	actor     Actor
-	arg       uint64
+	// actor receives (kind, arg) when the event fires; a closure scheduled
+	// through Schedule/After is stored here as a Handler.
+	actor Actor
+	arg   uint64
+	// next links ring-resident events into their wheel slot's list.
+	next      *event
 	kind      uint8
 	cancelled bool
-	index     int32 // heap index; -1 once popped
+	index     int32 // heap index when >= 0; idxPopped / idxWheel otherwise
 	// gen guards recycled records: an EventID from a previous life of this
 	// record must not cancel its current occupant.
 	gen uint32
@@ -99,18 +111,18 @@ type Engine struct {
 	// pending counts scheduled, not-yet-fired, not-cancelled events; the
 	// queue itself may additionally hold cancelled records awaiting pop.
 	pending int
-	// peakQueue tracks the high-water mark of the queue so the free list can
-	// be sized to the simulation's observed depth (a saturated 64-node run
-	// keeps tens of thousands of events in flight).
+	// peakQueue tracks the high-water mark of the queue (heap length in heap
+	// mode, live pending events in wheel mode) so the free list can be sized
+	// to the simulation's observed depth (a saturated 64-node run keeps tens
+	// of thousands of events in flight).
 	peakQueue int
 	// free recycles fired event records; a saturated simulation schedules
 	// millions of events and the heap entries dominate allocation churn.
 	free []*event
 	// Processed counts events executed, useful for perf accounting.
 	Processed uint64
-	// wheel, when non-nil, switches the scheduler to the windowed-wheel
-	// mode used by shard engines (see wheel.go). The heap then only holds
-	// far-future overflow events.
+	// wheel, when non-nil, switches the scheduler to windowed-wheel mode
+	// (see wheel.go). The heap then only holds far-future overflow events.
 	wheel *wheel
 }
 
@@ -241,7 +253,7 @@ func (e *Engine) Schedule(at Time, fn Handler) EventID {
 		panic("sim: nil handler")
 	}
 	ev := e.alloc(at)
-	ev.fn = fn
+	ev.actor = fn
 	return EventID{ev: ev, gen: ev.gen}
 }
 
@@ -294,33 +306,61 @@ func (e *Engine) Cancel(id EventID) bool {
 // Stop halts the run loop after the current event completes.
 func (e *Engine) Stop() { e.stopped = true }
 
-// Step executes the single next event. It returns false when the queue is
-// empty or the engine is stopped.
-func (e *Engine) Step() bool {
-	if e.wheel != nil {
-		panic("sim: Step is not supported in wheel mode; use Run")
-	}
+// heapPeek returns the heap's earliest live event without removing it,
+// recycling the cancelled records above it; nil when the heap is empty.
+// Recycle, not just pop: cancel-heavy runs (watchdog timers, fault repair)
+// would otherwise leak every cancelled record past the free list.
+func (e *Engine) heapPeek() *event {
 	for len(e.queue) > 0 {
-		ev := e.heapPop()
-		if ev.cancelled {
-			e.recycle(ev)
-			continue
+		top := e.queue[0]
+		if !top.cancelled {
+			return top
 		}
-		e.now = ev.at
-		e.Processed++
-		e.pending--
-		if a := ev.actor; a != nil {
-			kind, arg := ev.kind, ev.arg
-			e.recycle(ev)
-			a.HandleEvent(e, kind, arg)
-		} else {
-			fn := ev.fn
-			e.recycle(ev)
-			fn(e)
-		}
-		return true
+		e.recycle(e.heapPop())
 	}
-	return false
+	return nil
+}
+
+// peek returns the earliest pending event without removing it or moving
+// the clock, or nil when nothing is pending.
+func (e *Engine) peek() *event {
+	if e.wheel != nil {
+		return e.wheelPeek()
+	}
+	return e.heapPeek()
+}
+
+// fire executes ev, which must be the event peek just returned: the clock
+// moves to it, the record is removed and recycled, and its actor runs.
+func (e *Engine) fire(ev *event) {
+	e.now = ev.at
+	if w := e.wheel; w != nil {
+		// The clock moved, so the ring span did: pull far events in. When
+		// ev itself was the far top the ring was empty, so it lands at the
+		// head of its slot like any ring-resident earliest event.
+		if len(e.queue) > 0 {
+			e.migrateFar()
+		}
+		w.slotPop(slotFor(ev.at))
+	} else {
+		e.heapPop()
+	}
+	e.Processed++
+	e.pending--
+	a, kind, arg := ev.actor, ev.kind, ev.arg
+	e.recycle(ev)
+	a.HandleEvent(e, kind, arg)
+}
+
+// Step executes the single next event, leaving the clock at its time. It
+// returns false when nothing is pending.
+func (e *Engine) Step() bool {
+	ev := e.peek()
+	if ev == nil {
+		return false
+	}
+	e.fire(ev)
+	return true
 }
 
 // recycle returns a popped event record to the free list. Outstanding
@@ -334,7 +374,6 @@ func (e *Engine) Step() bool {
 // events pending, and recycling must keep up with that churn for the typed
 // path to stay allocation-free.
 func (e *Engine) recycle(ev *event) {
-	ev.fn = nil
 	ev.actor = nil
 	limit := e.peakQueue + 64
 	if limit < 1024 {
@@ -345,29 +384,20 @@ func (e *Engine) recycle(ev *event) {
 	}
 }
 
-// Run executes events until the queue drains, Stop is called, or the clock
-// passes horizon (exclusive). Events scheduled at exactly horizon do not run.
+// Run executes events until the queue drains, Stop is called, or the next
+// event lies at or past horizon (exclusive: events scheduled at exactly
+// horizon do not run). The clock is left at the last executed event, so
+// anything at or after Now() may still be scheduled before the next Run.
 // It returns the number of events executed.
 func (e *Engine) Run(horizon Time) uint64 {
-	if e.wheel != nil {
-		return e.runWheel(horizon)
-	}
 	start := e.Processed
 	e.stopped = false
-	for !e.stopped && len(e.queue) > 0 {
-		// Peek: stop before executing events at/after the horizon.
-		next := e.queue[0]
-		if next.cancelled {
-			// Recycle, not just pop: cancel-heavy runs (watchdog timers,
-			// fault repair) would otherwise leak every cancelled record
-			// past the free list.
-			e.recycle(e.heapPop())
-			continue
-		}
-		if next.at >= horizon {
+	for !e.stopped {
+		ev := e.peek()
+		if ev == nil || ev.at >= horizon {
 			break
 		}
-		e.Step()
+		e.fire(ev)
 	}
 	return e.Processed - start
 }

@@ -54,24 +54,38 @@ func (s *stormActor) HandleEvent(e *Engine, kind uint8, arg uint64) {
 	}
 }
 
-func runStorm(t *testing.T, wheelMode bool, seed uint64) []string {
-	t.Helper()
+// newStorm returns a heap- or wheel-mode engine seeded with the storm's
+// initial events; log receives the firing order.
+func newStorm(wheelMode bool, seed uint64, log *[]string) *Engine {
 	e := NewEngine()
 	if wheelMode {
 		e.EnableWheel()
 	}
+	for i := 0; i < 8; i++ {
+		a := &stormActor{id: i, rng: NewRNG(seed + uint64(i)), log: log, depth: 40}
+		e.ScheduleEvent(Time(i*13), a, 0, 0)
+	}
+	return e
+}
+
+func runStorm(t *testing.T, wheelMode bool, seed uint64) []string {
+	t.Helper()
 	var log []string
-	actors := make([]*stormActor, 8)
-	for i := range actors {
-		actors[i] = &stormActor{id: i, rng: NewRNG(seed + uint64(i)), log: &log, depth: 40}
-		e.ScheduleEvent(Time(i*13), actors[i], 0, 0)
-	}
-	if wheelMode {
-		e.runWheel(Infinity)
-	} else {
-		e.Run(Infinity)
-	}
+	newStorm(wheelMode, seed, &log).Run(Infinity)
 	return log
+}
+
+// diffLogs fails the test at the first line where two transcripts differ.
+func diffLogs(t *testing.T, what string, want, got []string) {
+	t.Helper()
+	for i := 0; i < len(want) && i < len(got); i++ {
+		if want[i] != got[i] {
+			t.Fatalf("%s: divergence at line %d: heap %q, wheel %q", what, i, want[i], got[i])
+		}
+	}
+	if len(want) != len(got) {
+		t.Fatalf("%s: heap transcript has %d lines, wheel %d", what, len(want), len(got))
+	}
 }
 
 // TestWheelMatchesHeap pins that the windowed-wheel scheduler fires
@@ -81,18 +95,114 @@ func TestWheelMatchesHeap(t *testing.T) {
 	for seed := uint64(1); seed <= 5; seed++ {
 		heapLog := runStorm(t, false, seed)
 		wheelLog := runStorm(t, true, seed)
-		if len(heapLog) != len(wheelLog) {
-			t.Fatalf("seed %d: heap fired %d events, wheel fired %d", seed, len(heapLog), len(wheelLog))
-		}
-		for i := range heapLog {
-			if heapLog[i] != wheelLog[i] {
-				t.Fatalf("seed %d: divergence at event %d: heap %q, wheel %q", seed, i, heapLog[i], wheelLog[i])
-			}
-		}
+		diffLogs(t, fmt.Sprintf("seed %d", seed), heapLog, wheelLog)
 		if len(heapLog) < 100 {
 			t.Fatalf("seed %d: storm too small to be meaningful (%d events)", seed, len(heapLog))
 		}
 	}
+}
+
+// slotNs is the ring's slot width; the contract tests place their corner
+// cases relative to it so they stay on the corners if the geometry moves.
+const slotNs = Time(1) << wheelSlotShift
+
+// slicedHorizons chops the storm into Run calls whose horizons land
+// mid-slot, exactly on slot boundaries, inside regions the storm leaves
+// empty, one ring span apart, and — the last three — past a full drain.
+var slicedHorizons = []Time{
+	slotNs - 1, slotNs, slotNs + 1, 100, 32 * slotNs, 64*slotNs + 3, 128 * slotNs, 129 * slotNs, 5000,
+	wheelSpan, wheelSpan + 1, 2*wheelSpan - 1, 20_000, 20_000 + slotNs, 60_000, 100_000,
+	1_000_000, 1_000_001, 50_000_000,
+}
+
+// runSliced drives the storm through slicedHorizons and returns a
+// transcript of everything the engine contract makes observable: the
+// firing order, and after every slice Run's count, Now, Len and
+// NextEventTime. Between slices it schedules at Now(), Now()+1 and past
+// the ring span, and cancels a ring-resident, a far-heap and an
+// already-fired ID, recording what Cancel reported.
+func runSliced(wheelMode bool, seed uint64) []string {
+	var log []string
+	e := newStorm(wheelMode, seed, &log)
+	probe := &stormActor{id: 99, log: &log}
+	var firedID EventID
+	for i, h := range slicedHorizons {
+		n := e.Run(h)
+		log = append(log, fmt.Sprintf("slice %d: ran=%d now=%d len=%d next=%d", h, n, e.Now(), e.Len(), e.NextEventTime()))
+		arg := uint64(i)
+		atNow := e.ScheduleEvent(e.Now(), probe, 20, arg)
+		e.ScheduleEvent(e.Now()+1, probe, 21, arg)
+		e.ScheduleEvent(e.Now()+wheelSpan+5, probe, 22, arg)
+		ring := e.ScheduleEvent(e.Now()+40, probe, 23, arg)
+		far := e.ScheduleEvent(e.Now()+3*wheelSpan, probe, 24, arg)
+		log = append(log, fmt.Sprintf("cancel ring=%v far=%v fired=%v again=%v len=%d next=%d",
+			e.Cancel(ring), e.Cancel(far), e.Cancel(firedID), e.Cancel(ring), e.Len(), e.NextEventTime()))
+		firedID = atNow
+	}
+	e.RunAll()
+	log = append(log, fmt.Sprintf("drained: now=%d len=%d next=%d", e.Now(), e.Len(), e.NextEventTime()))
+	return log
+}
+
+// TestWheelMatchesHeapSliced pins the whole serial-engine contract, not
+// only event order: run in slices, the wheel must report the same clock
+// (the last executed event, never the horizon), pending count and next
+// event time as the heap, and must accept scheduling at any time >= Now()
+// between slices — including after a full drain.
+func TestWheelMatchesHeapSliced(t *testing.T) {
+	for seed := uint64(1); seed <= 5; seed++ {
+		diffLogs(t, fmt.Sprintf("seed %d", seed), runSliced(false, seed), runSliced(true, seed))
+	}
+}
+
+// stepActor exercises the corners Step and Run must agree on: events
+// inserted into the slot being drained (same time, and 3 ns ahead — the
+// chain starts on a slot boundary, so that lands inside the same slot),
+// and Stop called from a handler.
+type stepActor struct {
+	log   *[]string
+	depth int
+}
+
+func (s *stepActor) HandleEvent(e *Engine, kind uint8, arg uint64) {
+	*s.log = append(*s.log, fmt.Sprintf("step@%d k%d a%d", e.Now(), kind, arg))
+	if s.depth <= 0 {
+		return
+	}
+	s.depth--
+	e.AfterEvent(0, s, 1, arg+1)
+	e.AfterEvent(3, s, 2, arg+1)
+	e.AfterEvent(Time(wheelSpan+arg), s, 3, arg+1)
+	if arg%3 == 0 {
+		e.Stop()
+	}
+}
+
+// TestStepMatchesRun pins that a wheel engine stepped event by event
+// executes exactly what the same engine does under Run (re-entered after
+// every Stop), and that both match the heap.
+func TestStepMatchesRun(t *testing.T) {
+	drive := func(wheelMode, step bool) []string {
+		var log []string
+		e := newStorm(wheelMode, 3, &log)
+		e.ScheduleEvent(slotNs, &stepActor{log: &log, depth: 30}, 0, 0)
+		if step {
+			for e.Step() {
+			}
+		} else {
+			for e.Len() > 0 {
+				e.Run(Infinity)
+			}
+		}
+		return append(log, fmt.Sprintf("end: now=%d processed=%d len=%d", e.Now(), e.Processed, e.Len()))
+	}
+	want := drive(false, false)
+	if len(want) < 200 {
+		t.Fatalf("workload too small to be meaningful (%d lines)", len(want))
+	}
+	diffLogs(t, "heap Step", want, drive(false, true))
+	diffLogs(t, "wheel Run", want, drive(true, false))
+	diffLogs(t, "wheel Step", want, drive(true, true))
 }
 
 // TestWheelHorizon pins Run's exclusive-horizon semantics in wheel mode.
@@ -110,6 +220,9 @@ func TestWheelHorizon(t *testing.T) {
 	}
 	if e.Len() != 3 {
 		t.Fatalf("pending after Run(100) = %d, want 3", e.Len())
+	}
+	if e.Now() != 99 {
+		t.Fatalf("Now after Run(100) = %v, want the last executed event (99)", e.Now())
 	}
 	e.Run(Infinity)
 	if len(fired) != 5 || fired[4] != 20000 {

@@ -26,6 +26,9 @@ type KAryNTree struct {
 	K, N     int
 	switches int // per level: K^(N-1)
 	terms    int // K^N
+	// pow[i] = K^i for i in [0, N): digit arithmetic without a division
+	// loop (IsAncestor runs on every adaptive routing decision).
+	pow []int
 	// dist caches per-source router-distance rows, BFS-computed on first
 	// use. Routing never consults it — only Distance() does (metapath cost
 	// accounting, provisioning reports) — so at datacenter scale (clos-32
@@ -47,11 +50,13 @@ func NewKAryNTree(k, n int) *KAryNTree {
 	if k < 2 || n < 2 {
 		panic(fmt.Sprintf("topology: invalid %d-ary %d-tree", k, n))
 	}
-	per := 1
-	for i := 0; i < n-1; i++ {
-		per *= k
+	pow := make([]int, n)
+	pow[0] = 1
+	for i := 1; i < n; i++ {
+		pow[i] = pow[i-1] * k
 	}
-	t := &KAryNTree{K: k, N: n, switches: per, terms: per * k}
+	per := pow[n-1]
+	t := &KAryNTree{K: k, N: n, switches: per, terms: per * k, pow: pow}
 	t.upPorts = make([]int, k)
 	for i := range t.upPorts {
 		t.upPorts[i] = k + i
@@ -117,21 +122,11 @@ func (t *KAryNTree) Switch(level, word int) RouterID {
 }
 
 // digit extracts base-k digit i of word w.
-func (t *KAryNTree) digit(w, i int) int {
-	for ; i > 0; i-- {
-		w /= t.K
-	}
-	return w % t.K
-}
+func (t *KAryNTree) digit(w, i int) int { return w / t.pow[i] % t.K }
 
 // setDigit returns w with base-k digit i replaced by v.
 func (t *KAryNTree) setDigit(w, i, v int) int {
-	pow := 1
-	for j := 0; j < i; j++ {
-		pow *= t.K
-	}
-	old := (w / pow) % t.K
-	return w + (v-old)*pow
+	return w + (v-t.digit(w, i))*t.pow[i]
 }
 
 // Radix implements Topology.
@@ -188,27 +183,15 @@ func (t *KAryNTree) LinkDim(r RouterID, p int) (int, bool) {
 	return 1, false // down
 }
 
-// ancestorLevelNeeded returns the lowest level at which router r (level l,
-// word w) has a common ancestor with terminal dst: the smallest level j >= l
-// such that the digits of w at positions j..n-2 match dst digits j+1..n-1.
-// If r is already an ancestor of dst it returns l itself.
-func (t *KAryNTree) ancestorLevelNeeded(r RouterID, dst NodeID) int {
-	l, w := t.Level(r), t.Word(r)
-	dw := int(dst) / t.K // destination's leaf word = digits n-1..1
-	need := l
-	for i := t.N - 2; i >= l; i-- {
-		if t.digit(w, i) != t.digit(dw, i) {
-			need = i + 1
-			break
-		}
-	}
-	return need
-}
-
 // IsAncestor reports whether router r is an ancestor of terminal dst (i.e.
-// dst is reachable going only down from r).
+// dst is reachable going only down from r): the digits of r's word at
+// positions l..n-2 (l = r's level) must equal those of dst's leaf word.
+// Dividing by K^l drops the digits below l; the leaf word is first reduced
+// mod K^(n-1) so that, as in a digit-by-digit comparison, nothing above
+// digit n-2 takes part (a root is an ancestor of every dst).
 func (t *KAryNTree) IsAncestor(r RouterID, dst NodeID) bool {
-	return t.ancestorLevelNeeded(r, dst) == t.Level(r)
+	p := t.pow[t.Level(r)]
+	return t.Word(r)/p == int(dst)/t.K%t.switches/p
 }
 
 // downPort returns the down port at ancestor router r toward terminal dst.

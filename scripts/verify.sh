@@ -19,6 +19,18 @@ go test -race "$@" ./...
 echo "==> zero-alloc guard (TestHotPathZeroAlloc)"
 go test -run TestHotPathZeroAlloc -count=1 .
 
+echo "==> simulated-statistics digests (benchmark smoke vs results/bench.smoke.digests.txt)"
+# The benchmark's sim_digest hashes every Results field of every cell and
+# is deterministic for the default seed, so a host-speed change proves
+# "simulated output bit-identical" here rather than by assertion. A change
+# that means to alter simulated behaviour regenerates the file with
+#   go run ./benchmark -smoke | grep '^sim_digest' > results/bench.smoke.digests.txt
+go run ./benchmark -smoke 2>/dev/null | grep '^sim_digest' | diff results/bench.smoke.digests.txt - || {
+    echo "verify: benchmark smoke digests differ from results/bench.smoke.digests.txt" >&2
+    exit 1
+}
+echo "    seven workload digests identical"
+
 echo "==> telemetry smoke (traced run, schema-validated artifacts)"
 teldir=$(mktemp -d)
 trap 'rm -rf "$teldir"' EXIT
