@@ -3,6 +3,7 @@ package prdrb
 import (
 	"fmt"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"prdrb/internal/faults"
@@ -221,8 +222,8 @@ func TestCheckpointAllPolicies(t *testing.T) {
 // TestResumeRefusesMismatch pins the refusal paths: wrong seed (config
 // digest), wrong shard count, and a corrupted file.
 func TestResumeRefusesMismatch(t *testing.T) {
-	build := func(seed uint64, shards int) *Sim {
-		s := MustNewSim(Experiment{Topology: FatTree(4, 3), Policy: PolicyPRDRB, Seed: seed, Shards: shards})
+	build := func(topo Topology, seed uint64, shards int) *Sim {
+		s := MustNewSim(Experiment{Topology: topo, Policy: PolicyPRDRB, Seed: seed, Shards: shards})
 		if err := s.InstallPattern(PatternSpec{
 			Pattern: "shuffle", RateMbps: 400, Start: 0, End: 200 * Microsecond,
 		}); err != nil {
@@ -230,17 +231,28 @@ func TestResumeRefusesMismatch(t *testing.T) {
 		}
 		return s
 	}
-	w := build(42, 1)
-	w.Execute(w.AlignCheckpoint(100 * Microsecond))
 	path := filepath.Join(t.TempDir(), "run.ckpt")
-	if _, err := w.WriteCheckpoint(path); err != nil {
-		t.Fatal(err)
+	checkpoint := func(topo Topology) {
+		w := build(topo, 42, 1)
+		w.Execute(w.AlignCheckpoint(100 * Microsecond))
+		if _, err := w.WriteCheckpoint(path); err != nil {
+			t.Fatal(err)
+		}
 	}
 
-	if _, err := build(43, 1).Resume(path); err == nil {
+	checkpoint(FatTree(4, 3))
+	if _, err := build(FatTree(4, 3), 43, 1).Resume(path); err == nil {
 		t.Fatalf("resume accepted a different seed")
 	}
-	if _, err := build(42, 2).Resume(path); err == nil {
+	if _, err := build(FatTree(4, 3), 42, 2).Resume(path); err == nil {
 		t.Fatalf("resume accepted a different shard count")
+	}
+
+	// Same Go type, router and terminal counts: only the topology's name
+	// tells a mesh from a torus, and the config check must catch it before
+	// any replay.
+	checkpoint(Mesh(8, 8))
+	if _, err := build(Torus(8, 8), 42, 1).Resume(path); err == nil || !strings.Contains(err.Error(), "config digest") {
+		t.Fatalf("torus-8x8 resume of a mesh-8x8 checkpoint: err = %v, want the config-digest refusal", err)
 	}
 }

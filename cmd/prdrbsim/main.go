@@ -21,7 +21,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"strings"
 	"time"
@@ -30,6 +29,7 @@ import (
 	"prdrb/internal/perf"
 	"prdrb/internal/runner"
 	"prdrb/internal/sim"
+	"prdrb/internal/stats"
 	"prdrb/internal/telemetry"
 )
 
@@ -164,7 +164,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "prdrbsim: status on http://%s/status\n", addr)
 	}
 
-	topo, err := parseTopology(*topoSpec)
+	topo, err := prdrb.TopologyByName(*topoSpec)
 	if err != nil {
 		fatal(err)
 	}
@@ -332,16 +332,15 @@ func main() {
 			}
 			last, lastRes = s, res
 		}
-		lat, latCI := summarize(latencies)
-		fmt.Printf("%-14s globalLatency=%8.2fus", policy, lat)
+		lat := stats.Summarize(latencies)
+		fmt.Printf("%-14s globalLatency=%8.2fus", policy, lat.Mean)
 		if *seeds > 1 {
-			fmt.Printf(" ±%5.2f", latCI)
+			fmt.Printf(" ±%5.2f", lat.CI95)
 		}
 		fmt.Printf("  peak=%8.2fus@%-8s accepted=%.3f pkts=%d",
 			lastRes.PeakContentionUs, lastRes.PeakRouter, lastRes.AcceptedRatio, lastRes.DeliveredPkts)
 		if len(execs) > 0 {
-			e, _ := summarize(execs)
-			fmt.Printf(" exec=%10.1fus", e)
+			fmt.Printf(" exec=%10.1fus", stats.Summarize(execs).Mean)
 		}
 		fmt.Println()
 		if *faultSpec != "" {
@@ -661,37 +660,6 @@ func runOnce(topo prdrb.Topology, policy prdrb.Policy, seed uint64, spec runSpec
 	}
 	res, err := runToHorizon(s, spec.duration+prdrb.Second, spec)
 	return s, res, 0, err
-}
-
-// parseTopology resolves the spec through the topology registry,
-// converting constructor panics (bad dimensions) into CLI errors.
-func parseTopology(spec string) (t prdrb.Topology, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			t, err = nil, fmt.Errorf("%v", r)
-		}
-	}()
-	return prdrb.TopologyByName(spec)
-}
-
-func summarize(xs []float64) (mean, ci float64) {
-	if len(xs) == 0 {
-		return 0, 0
-	}
-	for _, x := range xs {
-		mean += x
-	}
-	mean /= float64(len(xs))
-	if len(xs) > 1 {
-		var ss float64
-		for _, x := range xs {
-			d := x - mean
-			ss += d * d
-		}
-		sd := math.Sqrt(ss / float64(len(xs)-1))
-		ci = 1.96 * sd / math.Sqrt(float64(len(xs)))
-	}
-	return mean, ci
 }
 
 func fatal(err error) {

@@ -1,8 +1,9 @@
 package main
 
 import (
-	"math"
 	"testing"
+
+	"prdrb"
 )
 
 func TestParseTopology(t *testing.T) {
@@ -22,7 +23,7 @@ func TestParseTopology(t *testing.T) {
 		"ring-9":    {0, false},
 	}
 	for spec, want := range cases {
-		topo, err := parseTopology(spec)
+		topo, err := prdrb.TopologyByName(spec)
 		if want.ok != (err == nil) {
 			t.Errorf("%q: err = %v, want ok=%v", spec, err, want.ok)
 			continue
@@ -33,29 +34,8 @@ func TestParseTopology(t *testing.T) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	mean, ci := summarize(nil)
-	if mean != 0 || ci != 0 {
-		t.Fatal("empty summarize wrong")
-	}
-	mean, ci = summarize([]float64{10})
-	if mean != 10 || ci != 0 {
-		t.Fatal("single-sample summarize wrong")
-	}
-	mean, ci = summarize([]float64{8, 12})
-	if mean != 10 || ci <= 0 {
-		t.Fatal("two-sample summarize wrong")
-	}
-	// CI formula: 1.96 * sd / sqrt(n); sd for {8,12} = 2*sqrt(2)... sd =
-	// sqrt(((8-10)^2+(12-10)^2)/1) = sqrt(8).
-	want := 1.96 * math.Sqrt(8) / math.Sqrt(2)
-	if math.Abs(ci-want) > 1e-9 {
-		t.Fatalf("ci = %v, want %v", ci, want)
-	}
-}
-
 func TestRunOnceSmoke(t *testing.T) {
-	topo, err := parseTopology("mesh-4x4")
+	topo, err := prdrb.TopologyByName("mesh-4x4")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +60,7 @@ func TestRunOnceSmoke(t *testing.T) {
 		t.Fatal("continuous mode delivered nothing")
 	}
 	// Workload mode with execution time (16 ranks fit the 4x4 mesh).
-	ft, err := parseTopology("ft-4-3")
+	ft, err := prdrb.TopologyByName("ft-4-3")
 	if err != nil {
 		t.Fatal(err)
 	}

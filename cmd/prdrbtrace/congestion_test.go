@@ -18,7 +18,7 @@ import (
 func congFixture() *runner.CongArtifact {
 	return &runner.CongArtifact{
 		Schema: runner.CongArtifactSchema,
-		Policy: "pr-drb", Seed: 7, Shards: 2, Topology: "*topology.Dragonfly/r36/t72",
+		Policy: "pr-drb", Seed: 7, Shards: 2, Topology: "df-4-9-2-2/r36/t72",
 		AtNs: 500_000, WindowNs: 10_000,
 		Classes: []telemetry.CongClassStatus{
 			{Class: "local", Links: 100, Utilization: 0.21, TxBytes: 9_000_000, AvgWaitNs: 310.5, AvgQueueBytes: 420.25, StallNs: 1000},

@@ -230,6 +230,18 @@ func TestPercentilesAndSurface(t *testing.T) {
 	if !strings.Contains(surf, "scale:") {
 		t.Fatalf("mesh surface render missing: %q", surf)
 	}
+	// A torus is the same 2-D grid type and renders its W x H surface:
+	// one row per y, two characters per x.
+	tor := MustNewSim(Experiment{Topology: Torus(5, 3), Policy: PolicyDeterministic, Seed: 9})
+	if err := tor.InstallPattern(PatternSpec{Pattern: "uniform", RateMbps: 1500, Start: 0, End: 200 * Microsecond}); err != nil {
+		t.Fatal(err)
+	}
+	tor.Execute(Second)
+	rows := strings.Split(tor.MapSurface(), "\n")
+	if len(rows) != 5 || !strings.HasPrefix(rows[0], "y=2 |") || len(rows[0]) != len("y=2 |")+2*5 ||
+		!strings.HasPrefix(rows[3], "scale:") {
+		t.Fatalf("torus surface is not a 5x3 grid: %q", rows)
+	}
 	// Non-mesh falls back to the tabular map.
 	ft := MustNewSim(Experiment{Topology: FatTree(2, 2), Policy: PolicyDeterministic, Seed: 9})
 	if strings.Contains(ft.MapSurface(), "scale:") {

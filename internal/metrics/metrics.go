@@ -8,7 +8,6 @@ package metrics
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 
@@ -455,27 +454,4 @@ func (c *Collector) PathRecovered(d sim.Time) { c.Recovery.Observe(d) }
 // QueueWait records output-buffer contention at router r.
 func (c *Collector) QueueWait(r int, wait, now sim.Time) {
 	c.Contention.Observe(r, wait, now)
-}
-
-// CI95 returns the mean and the 95% confidence half-interval of xs using
-// the normal approximation, the §4.3 multi-seed methodology.
-func CI95(xs []float64) (mean, half float64) {
-	n := len(xs)
-	if n == 0 {
-		return 0, 0
-	}
-	for _, x := range xs {
-		mean += x
-	}
-	mean /= float64(n)
-	if n == 1 {
-		return mean, 0
-	}
-	var ss float64
-	for _, x := range xs {
-		d := x - mean
-		ss += d * d
-	}
-	sd := math.Sqrt(ss / float64(n-1))
-	return mean, 1.96 * sd / math.Sqrt(float64(n))
 }

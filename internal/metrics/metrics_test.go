@@ -161,23 +161,6 @@ func TestCollector(t *testing.T) {
 	}
 }
 
-func TestCI95(t *testing.T) {
-	mean, half := CI95([]float64{10, 10, 10, 10})
-	if mean != 10 || half != 0 {
-		t.Fatalf("CI95 constant = (%v, %v)", mean, half)
-	}
-	mean, half = CI95([]float64{8, 12})
-	if mean != 10 || half <= 0 {
-		t.Fatalf("CI95 = (%v, %v)", mean, half)
-	}
-	if m, h := CI95(nil); m != 0 || h != 0 {
-		t.Fatal("CI95 empty should be zero")
-	}
-	if m, h := CI95([]float64{5}); m != 5 || h != 0 {
-		t.Fatal("CI95 single sample")
-	}
-}
-
 // Property: Series mean over all samples weighted by N equals the plain mean.
 func TestSeriesPreservesMeanProperty(t *testing.T) {
 	f := func(vals []uint8) bool {

@@ -40,10 +40,10 @@ func TestDeadlockFreedomAllTopologies(t *testing.T) {
 // datelessTorus wraps a torus but hides its wrap links, reproducing the
 // classical single-VC torus: the checker must find the ring cycle. This
 // guards the checker itself against false negatives.
-type datelessTorus struct{ *topology.Mesh }
+type datelessTorus struct{ *topology.Grid }
 
 func (d datelessTorus) LinkDim(r topology.RouterID, p int) (int, bool) {
-	dim, _ := d.Mesh.LinkDim(r, p)
+	dim, _ := d.Grid.LinkDim(r, p)
 	return dim, false // pretend there are no datelines
 }
 

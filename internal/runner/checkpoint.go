@@ -76,7 +76,7 @@ func (s *Sim) ConfigDigest() uint64 {
 		fmt.Sprintf("seed=%d", s.Exp.Seed),
 		fmt.Sprintf("shards=%d", s.Exp.Shards),
 		fmt.Sprintf("serieswindow=%d", s.Exp.SeriesWindow),
-		fmt.Sprintf("topo=%T/%d/%d", s.Exp.Topology, s.Exp.Topology.NumRouters(), s.Exp.Topology.NumTerminals()),
+		fmt.Sprintf("topo=%s/%d/%d", s.Exp.Topology.Name(), s.Exp.Topology.NumRouters(), s.Exp.Topology.NumTerminals()),
 		fmt.Sprintf("net=%+v", s.Net.Cfg),
 		fmt.Sprintf("drb=%+v", s.Exp.DRB),
 	}

@@ -13,7 +13,7 @@ import (
 
 // Congestion observability sampling. Like the live-status plane
 // (status.go), everything runs at quiescent points on the goroutines that
-// own the state: a sampler actor on the serial engine, or the ShardGroup
+// own the state: a tickActor on the serial engine, or the ShardGroup
 // barrier hook when sharded. Each closed window folds the fabric's
 // per-port congestion accounts (network/congestion.go) into one weather
 // map record — per-class utilization, the hottest link, drop and
@@ -95,31 +95,18 @@ func (s *Sim) attachCongestion(board *telemetry.Board) {
 	if !s.Net.CongestionEnabled() {
 		return
 	}
-	w := s.Exp.CongestionWindow
-	if w <= 0 {
-		w = defaultCongestionWindow
-	}
+	w := s.Exp.CongestionWindow // newBuilder has applied the default
 	cs := &congState{sim: s, board: board, window: w, next: w}
 	s.cong = cs
 	if g := s.Net.Group(); g != nil {
 		g.OnBarrier(cs.onBarrier)
 		return
 	}
-	s.Eng.ScheduleEvent(s.Eng.Now()+w, (*congSampler)(cs), 0, 0)
-}
-
-// congSampler is the serial-engine window actor: it fires exactly on
-// window boundaries and re-arms while other work remains.
-type congSampler congState
-
-// HandleEvent implements sim.Actor.
-func (c *congSampler) HandleEvent(e *sim.Engine, _ uint8, _ uint64) {
-	cs := (*congState)(c)
-	cs.closeWindow(e.Now())
-	cs.publish(e.Now())
-	if e.Len() > 0 {
-		e.AfterEvent(cs.window, c, 0, 0)
-	}
+	// Serial: fire exactly on window boundaries.
+	(&tickActor{every: w, fn: func(e *sim.Engine) {
+		cs.closeWindow(e.Now())
+		cs.publish(e.Now())
+	}}).start(s.Eng)
 }
 
 // onBarrier closes windows from the sharded side. Barriers land on the
@@ -412,7 +399,7 @@ func (s *Sim) CongestionArtifact() (*CongArtifact, error) {
 		Policy: string(s.Exp.Policy),
 		Seed:   s.Exp.Seed,
 		Shards: s.Exp.Shards,
-		Topology: fmt.Sprintf("%T/r%d/t%d", s.Net.Topo,
+		Topology: fmt.Sprintf("%s/r%d/t%d", s.Net.Topo.Name(),
 			s.Net.Topo.NumRouters(), s.Net.Topo.NumTerminals()),
 		AtNs:         int64(now),
 		WindowNs:     int64(cs.window),

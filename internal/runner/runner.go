@@ -906,15 +906,15 @@ func (s *Sim) Map() *metrics.LatencyMap {
 	})
 }
 
-// MapSurface renders the latency surface as a 2-D intensity grid for mesh
-// and torus topologies (the textual form of Figs 4.10/4.11); other
+// MapSurface renders the latency surface as a 2-D intensity grid for 2-D
+// mesh and torus topologies (the textual form of Figs 4.10/4.11); other
 // topologies fall back to the tabular map.
 func (s *Sim) MapSurface() string {
 	s.refresh()
-	if m, ok := s.Net.Topo.(*topology.Mesh); ok {
-		return metrics.RenderSurface(s.Collector.Contention, m.W, m.H, func(r int) (int, int, bool) {
-			x, y := m.Coord(topology.RouterID(r))
-			return x, y, true
+	if g, ok := s.Net.Topo.(*topology.Grid); ok && len(g.Dims) == 2 {
+		return metrics.RenderSurface(s.Collector.Contention, g.Dims[0], g.Dims[1], func(r int) (int, int, bool) {
+			c := g.CoordOf(topology.RouterID(r))
+			return c[0], c[1], true
 		})
 	}
 	return s.Map().String()

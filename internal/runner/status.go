@@ -13,8 +13,8 @@ import (
 // goroutine that owns the state — and publishes plain-data snapshots into
 // a telemetry.Board the status server reads.
 //
-// Serial mode: one sampler actor on the engine collects the full status
-// each tick. Sharded mode splits the work along the ownership boundary:
+// Serial mode: one tickActor on the engine collects the full status each
+// tick. Sharded mode splits the work along the ownership boundary:
 // a per-shard sampler actor records that shard's window position
 // (shard-local engine state plus the group's window bounds, which the
 // coordinator writes before spawning window goroutines — race-free by the
@@ -82,20 +82,31 @@ func (s *Sim) AttachStatus(board *telemetry.Board, every sim.Time) {
 		g.OnBarrier(st.onBarrier)
 		return
 	}
-	sam := &serialSampler{st: st}
-	s.Eng.ScheduleEvent(s.Eng.Now()+every, sam, 0, 0)
+	(&tickActor{every: every, fn: st.sampleSerial}).start(s.Eng)
 }
 
-// serialSampler is the single-engine sampler actor: each tick collects
-// the full snapshot and re-arms while other work remains (so a draining
-// engine still terminates).
-type serialSampler struct {
-	st *statusState
+// tickActor is the serial-engine sampler actor both observability planes
+// share: it runs fn on the engine's goroutine every `every` of virtual
+// time and re-arms only while other work remains, so a draining engine
+// still terminates.
+type tickActor struct {
+	every sim.Time
+	fn    func(*sim.Engine)
 }
+
+// start schedules the first tick one interval from now.
+func (t *tickActor) start(e *sim.Engine) { e.ScheduleEvent(e.Now()+t.every, t, 0, 0) }
 
 // HandleEvent implements sim.Actor.
-func (ss *serialSampler) HandleEvent(e *sim.Engine, _ uint8, _ uint64) {
-	st := ss.st
+func (t *tickActor) HandleEvent(e *sim.Engine, _ uint8, _ uint64) {
+	t.fn(e)
+	if e.Len() > 0 {
+		e.AfterEvent(t.every, t, 0, 0)
+	}
+}
+
+// sampleSerial collects and publishes the full snapshot of a serial run.
+func (st *statusState) sampleSerial(e *sim.Engine) {
 	now := e.Now()
 	status := st.sim.collectStatus(int64(now))
 	status.Shards = []telemetry.ShardStatus{{
@@ -113,9 +124,6 @@ func (ss *serialSampler) HandleEvent(e *sim.Engine, _ uint8, _ uint64) {
 	st.board.PublishStatus(status)
 	st.sim.publishMetrics(st.board)
 	st.sim.syncLive(int64(e.Processed), int64(now))
-	if e.Len() > 0 {
-		e.AfterEvent(st.interval, ss, 0, 0)
-	}
 }
 
 // shardSampler records one shard's window position. It runs on the shard

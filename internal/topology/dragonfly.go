@@ -52,19 +52,26 @@ type dfLink struct {
 // remainder links (when a*h is not a multiple of g-1) are distributed as
 // a circulant so every group keeps exactly a*h global endpoints.
 func NewDragonfly(a, g, h, p int) *Dragonfly {
-	if a < 2 || g < 2 || h < 1 || p < 1 {
-		panic(fmt.Sprintf("topology: invalid dragonfly a=%d g=%d h=%d p=%d", a, g, h, p))
-	}
-	if a*h < g-1 {
-		panic(fmt.Sprintf("topology: dragonfly a=%d h=%d cannot connect %d groups (need a*h >= g-1)", a, h, g))
-	}
-	rem := (a * h) % (g - 1)
-	if rem%2 == 1 && g%2 == 1 {
-		panic(fmt.Sprintf("topology: dragonfly a=%d g=%d h=%d leaves an odd remainder %d on an odd group count; adjust h", a, g, h, rem))
+	if err := checkDragonfly(a, g, h, p); err != nil {
+		panic(err)
 	}
 	d := &Dragonfly{A: a, G: g, H: h, P: p}
 	d.wireGlobals()
 	return d
+}
+
+// checkDragonfly reports why the parameters cannot form a Dragonfly.
+func checkDragonfly(a, g, h, p int) error {
+	if a < 2 || g < 2 || h < 1 || p < 1 {
+		return fmt.Errorf("topology: invalid dragonfly a=%d g=%d h=%d p=%d", a, g, h, p)
+	}
+	if a*h < g-1 {
+		return fmt.Errorf("topology: dragonfly a=%d h=%d cannot connect %d groups (need a*h >= g-1)", a, h, g)
+	}
+	if rem := (a * h) % (g - 1); rem%2 == 1 && g%2 == 1 {
+		return fmt.Errorf("topology: dragonfly a=%d g=%d h=%d leaves an odd remainder %d on an odd group count; adjust h", a, g, h, rem)
+	}
+	return nil
 }
 
 // linkCount returns the number of global links between distinct groups i
@@ -110,9 +117,13 @@ func (d *Dragonfly) wireGlobals() {
 	// endpoint index each link consumes.
 	type linkRef struct{ peer, copy int }
 	order := make([][]linkRef, d.G)
+	// first[i*G+j] is where group i's links to group j start in order[i];
+	// the copies follow contiguously.
+	first := make([]int, d.G*d.G)
 	for i := 0; i < d.G; i++ {
 		for diff := 1; diff < d.G; diff++ {
 			j := (i + diff) % d.G
+			first[i*d.G+j] = len(order[i])
 			for c := 0; c < d.linkCount(i, j); c++ {
 				order[i] = append(order[i], linkRef{peer: j, copy: c})
 			}
@@ -122,22 +133,10 @@ func (d *Dragonfly) wireGlobals() {
 		}
 	}
 	// Match the c-th link of pair (i, j) on both sides.
-	find := func(group, peer, copy int) int {
-		n := 0
-		for e, ref := range order[group] {
-			if ref.peer == peer {
-				if n == copy {
-					return e
-				}
-				n++
-			}
-		}
-		panic("topology: dragonfly link matching failed")
-	}
 	for i := 0; i < d.G; i++ {
 		for e, ref := range order[i] {
 			r, c := endpoint(i, e)
-			pe := find(ref.peer, i, ref.copy)
+			pe := first[ref.peer*d.G+i] + ref.copy
 			pr, pc := endpoint(ref.peer, pe)
 			d.globalPeer[r][c] = Peer{Router: pr, Port: d.globalPort(pc), Terminal: -1}
 			d.pair[i*d.G+ref.peer] = append(d.pair[i*d.G+ref.peer],

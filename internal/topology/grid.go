@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -8,38 +9,86 @@ import (
 
 // Grid is an n-dimensional mesh or torus (the general "k-ary n-cube"
 // family of §2.1.1: meshes "in a 2D or 3D configuration", hypercubes,
-// tori). One terminal attaches to every router. Routing is
+// tori) and the only grid-family implementation: the paper's 8x8 mesh
+// with 64 processing nodes (§4.6.2, Table 4.2) is NewMesh(8, 8), its n=2
+// member. One terminal attaches to every router. Routing is
 // dimension-ordered (dimension 0 first), the standard deadlock-free
-// scheme; wrap links carry datelines exactly as in the 2-D torus.
+// deterministic baseline (§2.1.4); on a torus the edge closing each ring
+// (from the last coordinate back to 0 and vice versa) is a dateline.
 //
-// Port layout: ports 2d and 2d+1 are the +/- directions of dimension d;
-// the last port is the terminal.
+// Port layout: ports 2d and 2d+1 are the +/- directions of dimension d
+// (in 2-D: 0=+X east, 1=-X west, 2=+Y north, 3=-Y south); the last port
+// is the terminal.
 type Grid struct {
 	Dims []int
 	Wrap bool
 
 	stride []int // stride[d] = product of Dims[:d]
 	size   int
+	// coord[r*len(Dims)+d] is router r's coordinate in dimension d. The
+	// per-hop routing methods index it instead of dividing r down, so they
+	// allocate nothing; it is read-only after NewGrid.
+	coord []int32
+	rings int // waypoint rings AlternativePaths searches, see ringDepth
 }
 
 // NewGrid builds an n-dimensional mesh (wrap=false) or torus (wrap=true).
 // Tori need every dimension >= 3 so wrap links are distinct.
 func NewGrid(dims []int, wrap bool) *Grid {
-	if len(dims) == 0 {
-		panic("topology: grid needs at least one dimension")
+	if err := checkGrid(dims, wrap); err != nil {
+		panic(err)
 	}
-	g := &Grid{Dims: append([]int(nil), dims...), Wrap: wrap}
+	g := &Grid{Dims: append([]int(nil), dims...), Wrap: wrap, rings: ringDepth(dims)}
 	g.stride = make([]int, len(dims))
 	g.size = 1
 	for d, k := range dims {
-		if k <= 0 || (wrap && k < 3) {
-			panic(fmt.Sprintf("topology: invalid grid dimension %d (wrap=%v)", k, wrap))
-		}
 		g.stride[d] = g.size
 		g.size *= k
 	}
+	n := len(dims)
+	g.coord = make([]int32, g.size*n)
+	for r := 0; r < g.size; r++ {
+		v := r
+		for d, k := range dims {
+			g.coord[r*n+d] = int32(v % k)
+			v /= k
+		}
+	}
 	return g
 }
+
+// checkGrid reports why dims cannot form a mesh or (wrap) a torus.
+func checkGrid(dims []int, wrap bool) error {
+	if len(dims) == 0 {
+		return errors.New("topology: grid needs at least one dimension")
+	}
+	for _, k := range dims {
+		if k <= 0 || (wrap && k < 3) {
+			return fmt.Errorf("topology: invalid grid dimension %d (wrap=%v)", k, wrap)
+		}
+	}
+	return nil
+}
+
+// ringDepth is how many rings of waypoints AlternativePaths searches
+// around the source and destination routers: two, and a third on 2-D grids
+// larger than 4+4, where requests past 8 paths (core asks for 2*MaxPaths)
+// outrun the first two rings on some pairs. It is a function of the shape,
+// not a setting, so two grids of one shape cannot answer differently; the
+// committed goldens and TestGrid2DMatchesLegacyMesh pin its answers.
+func ringDepth(dims []int) int {
+	if len(dims) == 2 && dims[0]+dims[1] > 8 {
+		return 3
+	}
+	return 2
+}
+
+// NewMesh returns a w x h mesh.
+func NewMesh(w, h int) *Grid { return NewGrid([]int{w, h}, false) }
+
+// NewTorus returns a w x h torus (closed mesh, §2.1.1); dimensions must be
+// at least 3.
+func NewTorus(w, h int) *Grid { return NewGrid([]int{w, h}, true) }
 
 // NewMesh3D returns an x*y*z mesh.
 func NewMesh3D(x, y, z int) *Grid { return NewGrid([]int{x, y, z}, false) }
@@ -71,13 +120,14 @@ func (g *Grid) Radix(RouterID) int { return 2*len(g.Dims) + 1 }
 
 func (g *Grid) termPort() int { return 2 * len(g.Dims) }
 
+// pos returns router r's coordinate in dimension d.
+func (g *Grid) pos(r RouterID, d int) int { return int(g.coord[int(r)*len(g.Dims)+d]) }
+
 // CoordOf returns router r's coordinates.
 func (g *Grid) CoordOf(r RouterID) []int {
 	c := make([]int, len(g.Dims))
-	v := int(r)
-	for d := range g.Dims {
-		c[d] = v % g.Dims[d]
-		v /= g.Dims[d]
+	for d := range c {
+		c[d] = g.pos(r, d)
 	}
 	return c
 }
@@ -107,24 +157,19 @@ func (g *Grid) PortPeer(r RouterID, p int) Peer {
 		return Peer{Router: None, Terminal: NodeID(r)}
 	}
 	d, dir := p/2, p%2 // dir 0 = +, 1 = -
-	c := g.CoordOf(r)
-	step := 1
-	if dir == 1 {
-		step = -1
-	}
-	nx := c[d] + step
+	x, k := g.pos(r, d), g.Dims[d]
+	nx := x + 1 - 2*dir
 	if g.Wrap {
-		nx = (nx + g.Dims[d]) % g.Dims[d]
-	} else if nx < 0 || nx >= g.Dims[d] {
+		nx = (nx + k) % k
+	} else if nx < 0 || nx >= k {
 		return Peer{Router: None, Terminal: -1}
 	}
-	c[d] = nx
 	// Peer's port back toward us is the opposite direction of dimension d.
 	back := 2*d + (1 - dir)
-	return Peer{Router: g.At(c), Port: back, Terminal: -1}
+	return Peer{Router: r + RouterID((nx-x)*g.stride[d]), Port: back, Terminal: -1}
 }
 
-// TerminalAttach implements Topology.
+// TerminalAttach implements Topology: terminal i lives on router i.
 func (g *Grid) TerminalAttach(t NodeID) (RouterID, int) {
 	return RouterID(t), g.termPort()
 }
@@ -138,7 +183,7 @@ func (g *Grid) LinkDim(r RouterID, p int) (int, bool) {
 	if !g.Wrap {
 		return d, false
 	}
-	x := g.CoordOf(r)[d]
+	x := g.pos(r, d)
 	// The + wrap leaves the last coordinate; the - wrap leaves coordinate 0.
 	wrap := (dir == 0 && x == g.Dims[d]-1) || (dir == 1 && x == 0)
 	return d, wrap
@@ -146,8 +191,8 @@ func (g *Grid) LinkDim(r RouterID, p int) (int, bool) {
 
 // delta returns the signed displacement from a to b in dimension d, the
 // short way around on a torus.
-func (g *Grid) delta(a, b []int, d int) int {
-	dd := b[d] - a[d]
+func (g *Grid) delta(a, b RouterID, d int) int {
+	dd := g.pos(b, d) - g.pos(a, d)
 	if g.Wrap {
 		k := g.Dims[d]
 		if dd > k/2 {
@@ -161,10 +206,9 @@ func (g *Grid) delta(a, b []int, d int) int {
 
 // Distance implements Topology (Manhattan, wrapped on tori).
 func (g *Grid) Distance(a, b RouterID) int {
-	ca, cb := g.CoordOf(a), g.CoordOf(b)
 	total := 0
 	for d := range g.Dims {
-		total += abs(g.delta(ca, cb, d))
+		total += abs(g.delta(a, b, d))
 	}
 	return total
 }
@@ -174,9 +218,8 @@ func (g *Grid) NextHopToRouter(r, target RouterID) int {
 	if r == target {
 		panic("topology: NextHopToRouter with r == target")
 	}
-	ca, cb := g.CoordOf(r), g.CoordOf(target)
 	for d := range g.Dims {
-		dd := g.delta(ca, cb, d)
+		dd := g.delta(r, target, d)
 		if dd > 0 {
 			return 2 * d
 		}
@@ -196,20 +239,25 @@ func (g *Grid) NextHop(r RouterID, dst NodeID) int {
 	return g.NextHopToRouter(r, tr)
 }
 
-// MinimalPorts implements Topology: dimension-ordered, single productive
-// port (see Mesh.MinimalPorts for why free dimension interleaving is not
-// offered under this VC scheme).
+// MinimalPorts implements Topology. On meshes and tori the productive
+// ports are restricted to dimension order: free dimension interleaving
+// under single-VC-per-class flow control has the classic adaptive-routing
+// deadlock (it needs Duato-style escape channels the paper's router does
+// not have), and the paper only exercises per-hop adaptive/oblivious
+// choice on the fat tree, where ascent choice is structurally safe. Within
+// a dimension there is exactly one minimal direction, so grid adaptivity
+// degenerates to the deterministic route — path diversity on grids comes
+// from DRB's multistep paths instead.
 func (g *Grid) MinimalPorts(r RouterID, dst NodeID, buf []int) []int {
-	tr, tp := g.TerminalAttach(dst)
-	if r == tr {
-		return append(buf[:0], tp)
-	}
-	return append(buf[:0], g.NextHopToRouter(r, tr))
+	return append(buf[:0], g.NextHop(r, dst))
 }
 
-// AlternativePaths implements Topology: two-waypoint MSPs through routers
-// adjacent to the source and destination routers, rings of growing radius
-// — the n-dimensional generalization of the 2-D construction (§3.2.3).
+// AlternativePaths implements Topology. Candidate MSPs use two waypoint
+// routers, one near the source router and one near the destination router
+// (IN1, IN2 of §3.2.3, Fig 3.6), taken from rings of increasing distance
+// so path expansion is gradual: ring-1 detours first, then ring-2, etc.
+// Within a ring, candidates are ordered by total routed length (Eq 3.2) so
+// the cheapest detours open first.
 func (g *Grid) AlternativePaths(src, dst NodeID, max int) []Path {
 	sr, _ := g.TerminalAttach(src)
 	dr, _ := g.TerminalAttach(dst)
@@ -222,7 +270,7 @@ func (g *Grid) AlternativePaths(src, dst NodeID, max int) []Path {
 		p    Path
 		cost int
 	}
-	for ring := 1; ring <= 2 && len(out) < max; ring++ {
+	for ring := 1; ring <= g.rings && len(out) < max; ring++ {
 		srcSide := g.ring(sr, ring)
 		dstSide := g.ring(dr, ring)
 		var cands []cand
@@ -238,6 +286,9 @@ func (g *Grid) AlternativePaths(src, dst NodeID, max int) []Path {
 					p = Path{a, b}
 				}
 				cost := g.Distance(sr, a) + g.Distance(a, b) + g.Distance(b, dr)
+				// Reject detours that more than double the direct length:
+				// the paper selects shorter paths to bound transmission
+				// time (§3.2.6).
 				if cost > 2*direct+2 {
 					continue
 				}
@@ -299,4 +350,41 @@ func (g *Grid) ring(r RouterID, dist int) []RouterID {
 	}
 	rec(0, dist, make([]int, len(g.Dims)))
 	return dedupeRouters(out)
+}
+
+func dedupeRouters(in []RouterID) []RouterID {
+	seen := make(map[RouterID]bool, len(in))
+	out := in[:0]
+	for _, r := range in {
+		if !seen[r] {
+			seen[r] = true
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+func containsPath(ps []Path, p Path) bool {
+	for _, q := range ps {
+		if q.Equal(p) {
+			return true
+		}
+	}
+	return false
+}
+
+func lessPath(a, b Path) bool {
+	for i := 0; i < len(a) && i < len(b); i++ {
+		if a[i] != b[i] {
+			return a[i] < b[i]
+		}
+	}
+	return len(a) < len(b)
+}
+
+func abs(v int) int {
+	if v < 0 {
+		return -v
+	}
+	return v
 }

@@ -24,86 +24,116 @@ import (
 // A clos-K is the K/2-ary 3-tree: radix-K switches (K/2 down, K/2 up),
 // (K/2)^3 hosts, full bisection — the standard three-tier datacenter
 // folded-Clos stated in switch-radix terms.
+//
+// Specs come from flags and manifests, so every bad one is an error, never
+// a constructor panic, and shapes past maxSize routers or terminals are
+// refused before anything is allocated.
 func ByName(spec string) (Topology, error) {
 	kind, rest, _ := strings.Cut(spec, "-")
-	dims := func(want int) ([]int, error) {
-		parts := strings.Split(rest, "x")
+	// params parses want sep-separated integers. None may exceed maxSize,
+	// so the size products below cannot overflow.
+	params := func(sep string, want int) ([]int, error) {
+		parts := strings.Split(rest, sep)
 		if len(parts) != want {
-			return nil, fmt.Errorf("topology: want %s-%s, got %q", kind, strings.Repeat("Nx", want-1)+"N", spec)
+			return nil, fmt.Errorf("topology: %q wants %d parameters separated by %q", spec, want, sep)
 		}
 		out := make([]int, want)
 		for i, p := range parts {
 			v, err := strconv.Atoi(p)
-			if err != nil {
-				return nil, fmt.Errorf("topology: bad dimension %q in %q", p, spec)
+			if err != nil || v > maxSize {
+				return nil, fmt.Errorf("topology: parameter %q in %q is not an integer <= %d", p, spec, maxSize)
 			}
 			out[i] = v
 		}
 		return out, nil
 	}
-	ints := func(want int) ([]int, error) {
-		parts := strings.Split(rest, "-")
-		if len(parts) != want {
-			return nil, fmt.Errorf("topology: %q wants %d dash-separated parameters", spec, want)
+	// tree builds a k-ary n-tree: k^n terminals under n*k^(n-1) switches.
+	tree := func(k, n int) (Topology, error) {
+		if err := checkTree(k, n); err != nil {
+			return nil, err
 		}
-		out := make([]int, want)
-		for i, p := range parts {
-			v, err := strconv.Atoi(p)
-			if err != nil {
-				return nil, fmt.Errorf("topology: bad parameter %q in %q", p, spec)
-			}
-			out[i] = v
+		perLevel := 1
+		for i := 1; i < n && perLevel <= maxSize; i++ {
+			perLevel *= k
 		}
-		return out, nil
+		if err := checkSize(spec, product(perLevel, n), product(perLevel, k)); err != nil {
+			return nil, err
+		}
+		return NewKAryNTree(k, n), nil
 	}
 	switch kind {
-	case "mesh":
-		d, err := dims(2)
+	case "mesh", "torus", "mesh3d", "torus3d":
+		n, wrap := 2, strings.HasPrefix(kind, "torus")
+		if strings.HasSuffix(kind, "3d") {
+			n = 3
+		}
+		d, err := params("x", n)
+		if err == nil {
+			err = checkGrid(d, wrap)
+		}
+		if err == nil {
+			err = checkSize(spec, product(d...))
+		}
 		if err != nil {
 			return nil, err
 		}
-		return NewMesh(d[0], d[1]), nil
-	case "torus":
-		d, err := dims(2)
-		if err != nil {
-			return nil, err
-		}
-		return NewTorus(d[0], d[1]), nil
-	case "mesh3d":
-		d, err := dims(3)
-		if err != nil {
-			return nil, err
-		}
-		return NewMesh3D(d[0], d[1], d[2]), nil
-	case "torus3d":
-		d, err := dims(3)
-		if err != nil {
-			return nil, err
-		}
-		return NewTorus3D(d[0], d[1], d[2]), nil
+		return NewGrid(d, wrap), nil
 	case "ft":
-		v, err := ints(2)
+		v, err := params("-", 2)
 		if err != nil {
 			return nil, err
 		}
-		return NewKAryNTree(v[0], v[1]), nil
+		return tree(v[0], v[1])
 	case "clos":
-		v, err := ints(1)
+		v, err := params("-", 1)
 		if err != nil {
 			return nil, err
 		}
 		if v[0] < 4 || v[0]%2 != 0 {
 			return nil, fmt.Errorf("topology: clos switch radix must be even and >= 4, got %d", v[0])
 		}
-		return NewKAryNTree(v[0]/2, 3), nil
+		return tree(v[0]/2, 3)
 	case "df":
-		v, err := ints(4)
+		v, err := params("-", 4)
+		if err == nil {
+			err = checkDragonfly(v[0], v[1], v[2], v[3])
+		}
+		if err == nil { // terminals, and the global channels the wiring tables hold
+			err = checkSize(spec, product(v[0], v[1], v[3]), product(v[0], v[1], v[2]))
+		}
 		if err != nil {
 			return nil, err
 		}
 		return NewDragonfly(v[0], v[1], v[2], v[3]), nil
 	}
 	return nil, fmt.Errorf("topology: unknown spec %q (want %s)", spec, strings.Join(SpecForms(), ", "))
+}
+
+// maxSize caps the routers, terminals and dragonfly global channels a spec
+// may ask for. Construction is linear in those counts, so an absurd spec
+// from a flag or manifest must fail here rather than exhaust memory.
+const maxSize = 1 << 20
+
+// product multiplies positive factors of at most maxSize each, saturating
+// just past maxSize so no step overflows.
+func product(factors ...int) int {
+	n := 1
+	for _, f := range factors {
+		if n *= f; n > maxSize {
+			return maxSize + 1
+		}
+	}
+	return n
+}
+
+// checkSize rejects a spec any of whose element counts exceeds maxSize.
+func checkSize(spec string, counts ...int) error {
+	for _, c := range counts {
+		if c > maxSize {
+			return fmt.Errorf("topology: %q exceeds the size cap of %d routers or terminals", spec, maxSize)
+		}
+	}
+	return nil
 }
 
 // SpecForms lists the spec grammars ByName accepts, for CLI usage lines.

@@ -39,15 +39,49 @@ func TestByNameSpecs(t *testing.T) {
 	}
 }
 
+// panickingSpecs made the constructors panic through ByName before it
+// validated parameters itself.
+var panickingSpecs = []string{
+	"mesh-0x3", "torus-2x2", "mesh--1x4", "mesh3d-0x1x1", "ft-0-0", "ft-1-3", "df-0-0-0-0",
+}
+
 func TestByNameErrors(t *testing.T) {
-	for _, spec := range []string{
+	for _, spec := range append([]string{
 		"", "ring-8", "mesh-4", "mesh-4x4x4", "torus-ax4", "ft-4", "ft-4-3-2",
 		"clos-15", "clos-2", "df-4-5-1", "df-x-5-1-2",
-	} {
+		"ft-4-1", "df-4-9-1-2", "df-3-3-1-1", // constructor preconditions
+		// Size cap: per-parameter, then routers, terminals, global channels.
+		"mesh-4294967296x4294967296", "mesh-1048577x1", "torus3d-128x128x128",
+		"ft-2-20", "ft-2-4294967296", "clos-2048", "df-1024-1025-1-1",
+		"df-2-2-1-1048576", "df-2-524288-262144-1",
+	}, panickingSpecs...) {
 		if _, err := ByName(spec); err == nil {
 			t.Errorf("ByName(%q) succeeded, want error", spec)
 		}
 	}
+}
+
+// FuzzTopologyByName: no spec panics ByName, and what it accepts is wired
+// consistently. The checks are bounded to keep each input cheap: Validate
+// walks every port, and Describe on a tree runs one BFS per router.
+func FuzzTopologyByName(f *testing.F) {
+	for _, spec := range append([]string{
+		"mesh-8x8", "torus-4x4", "mesh3d-2x3x4", "torus3d-4x4x4", "ft-4-3", "clos-8", "df-4-5-1-2",
+	}, panickingSpecs...) {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		topo, err := ByName(spec)
+		if err != nil || topo.NumRouters() > 4096 || topo.NumTerminals() > 4096 {
+			return
+		}
+		if err := Validate(topo); err != nil {
+			t.Fatalf("ByName(%q): %v", spec, err)
+		}
+		if topo.NumRouters() <= 128 {
+			Describe(spec, topo)
+		}
+	})
 }
 
 func TestByNameErrorListsForms(t *testing.T) {

@@ -317,7 +317,7 @@ func TestDistanceSymmetricProperty(t *testing.T) {
 func TestTorusWrapsShorter(t *testing.T) {
 	tor := NewTorus(8, 8)
 	// Corner to corner on a torus is 2 hops, not 14.
-	if d := tor.Distance(tor.At(0, 0), tor.At(7, 7)); d != 2 {
+	if d := tor.Distance(tor.At([]int{0, 0}), tor.At([]int{7, 7})); d != 2 {
 		t.Fatalf("torus corner distance = %d, want 2", d)
 	}
 	if hops := walk(tor, 0, 63); hops != 2 {
@@ -327,7 +327,7 @@ func TestTorusWrapsShorter(t *testing.T) {
 
 func TestMeshRing(t *testing.T) {
 	m := NewMesh(8, 8)
-	center := m.At(4, 4)
+	center := m.At([]int{4, 4})
 	ring1 := m.ring(center, 1)
 	if len(ring1) != 4 {
 		t.Fatalf("ring 1 around center has %d routers, want 4", len(ring1))
@@ -336,7 +336,7 @@ func TestMeshRing(t *testing.T) {
 	if len(ring2) != 8 {
 		t.Fatalf("ring 2 around center has %d routers, want 8", len(ring2))
 	}
-	corner := m.At(0, 0)
+	corner := m.At([]int{0, 0})
 	if got := len(m.ring(corner, 1)); got != 2 {
 		t.Fatalf("ring 1 around corner has %d routers, want 2", got)
 	}
@@ -344,7 +344,7 @@ func TestMeshRing(t *testing.T) {
 
 func TestRouterLabels(t *testing.T) {
 	m := NewMesh(8, 8)
-	if got := m.RouterLabel(m.At(3, 1)); got != "(3,1)" {
+	if got := m.RouterLabel(m.At([]int{3, 1})); got != "(3,1)" {
 		t.Fatalf("mesh label = %q", got)
 	}
 	ft := NewKAryNTree(4, 3)

@@ -47,8 +47,8 @@ type KAryNTree struct {
 
 // NewKAryNTree builds a k-ary n-tree. It panics unless k >= 2 and n >= 2.
 func NewKAryNTree(k, n int) *KAryNTree {
-	if k < 2 || n < 2 {
-		panic(fmt.Sprintf("topology: invalid %d-ary %d-tree", k, n))
+	if err := checkTree(k, n); err != nil {
+		panic(err)
 	}
 	pow := make([]int, n)
 	pow[0] = 1
@@ -63,6 +63,14 @@ func NewKAryNTree(k, n int) *KAryNTree {
 	}
 	t.dist = make([]atomic.Pointer[[]int16], t.NumRouters())
 	return t
+}
+
+// checkTree reports why k and n cannot form a k-ary n-tree.
+func checkTree(k, n int) error {
+	if k < 2 || n < 2 {
+		return fmt.Errorf("topology: invalid %d-ary %d-tree (need k >= 2, n >= 2)", k, n)
+	}
+	return nil
 }
 
 // distRow returns the BFS distance row from src, computing and caching it

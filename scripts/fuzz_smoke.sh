@@ -15,6 +15,7 @@ for entry in \
     FuzzReadGOAL:./internal/trace \
     FuzzDecodeHeader:./internal/network \
     FuzzReadCheckpoint:./internal/ckpt \
+    FuzzTopologyByName:./internal/topology \
 ; do
     target=${entry%%:*}
     pkg=${entry#*:}
