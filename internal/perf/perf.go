@@ -70,7 +70,7 @@ type WindowSpan struct {
 // Concurrency: ShardStart and ShardDone are the only methods invoked off
 // the coordinator goroutine; they touch only their shard's slot in
 // startWall/doneWall/doneEvents (distinct elements, ordered against the
-// coordinator by the group's spawn/join edges). Everything else —
+// coordinator by the group's window release/join atomics). Everything else —
 // including Snapshot and Report — must run on the coordinator goroutine
 // or happen-after the run, which is exactly the contract of barrier
 // hooks, sampler actors and post-Execute artifact writers.
@@ -92,7 +92,7 @@ type Profiler struct {
 	wallNs   int64
 
 	// Per-window marks (coordinator), plus per-shard start/done marks
-	// written concurrently by shard worker goroutines.
+	// written concurrently by the window loop's workers.
 	winStartWall time.Time
 	execWall     time.Time
 	barrierWall  time.Time
@@ -253,10 +253,11 @@ func (p *Profiler) ShardDone(shard int, events uint64) {
 // BarrierStart implements sim.GroupProbe: all shards have joined, so the
 // per-shard marks are visible and the window's busy/idle split is final.
 // Busy is the shard's own start → done; idle is the rest of the exec
-// phase (exec-start → barrier): waiting for its turn when windows run one
-// shard after another on the coordinator, and for the slowest shard — the
-// imbalance cost — when they run in parallel. Σ busy therefore never
-// exceeds the cores actually used times the exec phase.
+// phase (exec-start → barrier): the shard's wait for its turn on a worker
+// that runs several shards back to back, plus that worker's wait — spent
+// polling the barrier, not parked — for the slowest worker, the imbalance
+// cost. Σ busy therefore never exceeds W × the exec phase, W =
+// min(GOMAXPROCS, shards) being the workers of the window loop.
 func (p *Profiler) BarrierStart(winEnd sim.Time) {
 	now := time.Now()
 	p.barrierWall = now

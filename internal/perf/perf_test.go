@@ -3,6 +3,7 @@ package perf
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -92,51 +93,68 @@ func (s *spin) HandleEvent(e *sim.Engine, _ uint8, _ uint64) {
 	}
 }
 
-// TestProfilerSerialLoopBusyIsPerShard pins the per-shard start mark: on
-// one core the window loop runs the shards one after another, so a
-// shard's busy time must not include the shards that ran before it —
-// Σ busy ≤ wall and the effective speedup cannot exceed 1.
+// TestProfilerSerialLoopBusyIsPerShard pins the per-shard start mark: a
+// worker of the window loop runs its shards one after another, so a shard's
+// busy time must not include the shards that ran before it on the same
+// worker — Σ busy ≤ W × wall and the effective speedup cannot exceed W, the
+// number of workers (1 on one core; 2 for four shards at GOMAXPROCS=2).
 func TestProfilerSerialLoopBusyIsPerShard(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	g := sim.NewShardGroup(4, 100)
-	for _, e := range g.Engines {
-		e.ScheduleEvent(0, &spin{}, 0, 0)
-	}
-	p := New(Options{Trace: true})
-	p.BindGroup(g)
-	p.RunStart()
-	g.RunAll()
-	p.RunEnd()
-	r := p.Report()
-	if r.Windows == 0 || len(r.PerShard) != 4 {
-		t.Fatalf("expected a profiled 4-shard run: %+v", r)
-	}
-	var busy int64
-	for _, s := range r.PerShard {
-		if s.BusyNs <= 0 {
-			t.Fatalf("shard %d recorded no busy time", s.Shard)
-		}
-		busy += s.BusyNs
-	}
-	if busy != r.BusyNs || busy > r.WallNs {
-		t.Fatalf("Σ per-shard busy %d (report %d) exceeds wall %d on one core", busy, r.BusyNs, r.WallNs)
-	}
-	if r.EffectiveSpeedup > 1 {
-		t.Fatalf("effective speedup %.3f > 1 on one core", r.EffectiveSpeedup)
-	}
-	// The same holds window by window in the trace: execution slices of
-	// one window never overlap on the serial loop.
-	for wi, sp := range p.spans {
-		end := sp.ExecNs
-		for si, ss := range sp.Shards {
-			if ss.StartNs < end {
-				t.Fatalf("window %d shard %d starts at %d, before the previous shard finished at %d", wi, si, ss.StartNs, end)
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
+			g := sim.NewShardGroup(4, 100)
+			for _, e := range g.Engines {
+				e.ScheduleEvent(0, &spin{}, 0, 0)
 			}
-			end = ss.StartNs + ss.BusyNs
-		}
-		if end > sp.BarrierNs {
-			t.Fatalf("window %d: shards ran past the barrier (%d > %d)", wi, end, sp.BarrierNs)
-		}
+			p := New(Options{Trace: true})
+			p.BindGroup(g)
+			p.RunStart()
+			g.RunAll()
+			p.RunEnd()
+			r := p.Report()
+			if r.Windows == 0 || len(r.PerShard) != 4 {
+				t.Fatalf("expected a profiled 4-shard run: %+v", r)
+			}
+			var busy int64
+			for _, s := range r.PerShard {
+				if s.BusyNs <= 0 {
+					t.Fatalf("shard %d recorded no busy time", s.Shard)
+				}
+				if s.IdleNs < 0 {
+					t.Fatalf("shard %d: negative idle %d", s.Shard, s.IdleNs)
+				}
+				busy += s.BusyNs
+			}
+			if busy != r.BusyNs || busy > int64(workers)*r.WallNs {
+				t.Fatalf("Σ per-shard busy %d (report %d) exceeds %d × wall %d", busy, r.BusyNs, workers, r.WallNs)
+			}
+			if r.EffectiveSpeedup > float64(workers) {
+				t.Fatalf("effective speedup %.3f > %d workers", r.EffectiveSpeedup, workers)
+			}
+			// The same holds window by window in the trace: worker w runs
+			// shards w, w+W, … back to back inside the exec phase, so their
+			// execution slices never overlap and Σ busy ≤ W × exec.
+			for wi, sp := range p.spans {
+				var winBusy int64
+				for w := 0; w < workers; w++ {
+					end := sp.ExecNs
+					for si := w; si < len(sp.Shards); si += workers {
+						ss := sp.Shards[si]
+						if ss.StartNs < end {
+							t.Fatalf("window %d shard %d starts at %d, before its worker was free at %d", wi, si, ss.StartNs, end)
+						}
+						end = ss.StartNs + ss.BusyNs
+						winBusy += ss.BusyNs
+					}
+					if end > sp.BarrierNs {
+						t.Fatalf("window %d: worker %d ran past the barrier (%d > %d)", wi, w, end, sp.BarrierNs)
+					}
+				}
+				if exec := sp.BarrierNs - sp.ExecNs; winBusy > int64(workers)*exec {
+					t.Fatalf("window %d: Σ busy %d > %d × exec %d", wi, winBusy, workers, exec)
+				}
+			}
+		})
 	}
 }
 

@@ -17,10 +17,11 @@ import (
 // tick. Sharded mode splits the work along the ownership boundary:
 // a per-shard sampler actor records that shard's window position
 // (shard-local engine state plus the group's window bounds, which the
-// coordinator writes before spawning window goroutines — race-free by the
-// goroutine-spawn happens-before), and a group barrier hook — where every
-// shard is quiescent — assembles the group-level snapshot: network
-// totals, controller state, ring depths, registry metrics.
+// coordinator writes before releasing the window to its workers —
+// race-free by the release's atomic happens-before), and a group barrier
+// hook — where every shard is quiescent — assembles the group-level
+// snapshot: network totals, controller state, ring depths, registry
+// metrics.
 //
 // A simulation built without a board schedules no sampler events and
 // touches none of this code: disabled observability is exactly free, and
@@ -128,7 +129,7 @@ func (st *statusState) sampleSerial(e *sim.Engine) {
 
 // shardSampler records one shard's window position. It runs on the shard
 // engine during windows and touches only shard-owned state plus the
-// group's window bounds (written before the window goroutines spawn).
+// group's window bounds (written before the window is released).
 type shardSampler struct {
 	st    *statusState
 	g     *sim.ShardGroup

@@ -18,13 +18,13 @@ package sim
 //
 //	WindowStart → WindowExec → (ShardStart → ShardDone)×N → BarrierStart → FlushStart → WindowEnd
 //
-// ShardDone is invoked once per shard per window, from the shard's worker
-// goroutine when windows run in parallel (or the coordinator when serial).
-// Calls for distinct shards may be concurrent with each other but never
+// ShardDone is invoked once per shard per window, on the worker that owns
+// the shard (the coordinator itself for worker 0's shards). Calls for
+// shards of different workers may be concurrent with each other but never
 // with the coordinator phases: WindowExec happens-before every ShardDone
-// (goroutine spawn), and every ShardDone happens-before BarrierStart
-// (WaitGroup join). Implementations must only touch per-shard state from
-// ShardDone.
+// (the epoch bump that releases the window), and every ShardDone
+// happens-before BarrierStart (the workers' done bumps). Implementations
+// must only touch per-shard state from ShardDone.
 type GroupProbe interface {
 	// WindowStart opens a window spanning [winStart, winEnd) of virtual
 	// time, before engines align and barrier tasks run.
@@ -50,7 +50,7 @@ type GroupProbe interface {
 // probe that also implements it gets ShardStart(i) immediately before
 // shard i executes its window, on the same goroutine as the matching
 // ShardDone — so done − start is the shard's own execution time even when
-// windows run one shard after another on the coordinator. Same contract
+// one worker runs several shards one after another. Same contract
 // as ShardDone: only per-shard state may be touched; WindowExec
 // happens-before it and it happens-before BarrierStart.
 type ShardStartProbe interface {
@@ -100,7 +100,7 @@ func (e *Engine) Stats() EngineStats {
 
 // Stats snapshots every shard engine's counters. Quiescent-only: call it
 // between Run calls, from an OnBarrier hook, or from a GroupProbe method
-// other than ShardDone — never while shard goroutines may be mid-window.
+// other than ShardStart/ShardDone — never while workers may be mid-window.
 // This is the race-free bulk alternative to reading Len/Processed from a
 // sampler (see their doc comments for the per-method contract).
 func (g *ShardGroup) Stats() []EngineStats {

@@ -1,15 +1,15 @@
 package sim
 
 import (
-	"fmt"
 	"runtime"
 	"sync/atomic"
 	"testing"
 )
 
 // recordingProbe checks the GroupProbe phase protocol: strict per-window
-// ordering of the coordinator phases and one ShardStart → ShardDone pair
-// per shard between WindowExec and BarrierStart.
+// ordering of the coordinator phases, one ShardStart → ShardDone pair per
+// shard between WindowExec and BarrierStart, and never more than
+// maxInFlight shard bodies between their marks at once.
 type recordingProbe struct {
 	windows     int
 	execs       int
@@ -19,7 +19,9 @@ type recordingProbe struct {
 	inExec      bool
 	shardEvents []uint64
 	shardCalls  []int32 // atomics: ShardDone may run concurrently per shard
-	shardStarts []int32 // own-slot writes from the shard's goroutine
+	shardStarts []int32 // own-slot writes from the shard's worker
+	inFlight    atomic.Int32
+	maxInFlight int32
 	remote      int
 	lastStart   Time
 	lastEnd     Time
@@ -47,6 +49,9 @@ func (p *recordingProbe) ShardStart(shard int) {
 		p.fail("ShardStart outside the exec phase")
 	}
 	p.shardStarts[shard]++
+	if n := p.inFlight.Add(1); n > p.maxInFlight {
+		p.fail("%d shard bodies in flight, want at most %d", n, p.maxInFlight)
+	}
 }
 
 func (p *recordingProbe) ShardDone(shard int, events uint64) {
@@ -58,10 +63,14 @@ func (p *recordingProbe) ShardDone(shard int, events uint64) {
 	}
 	atomic.AddInt32(&p.shardCalls[shard], 1)
 	atomic.AddUint64(&p.shardEvents[shard], events)
+	p.inFlight.Add(-1)
 }
 
 func (p *recordingProbe) BarrierStart(winEnd Time) {
 	p.inExec = false
+	if n := p.inFlight.Load(); n != 0 {
+		p.fail("BarrierStart with %d shard bodies still in flight", n)
+	}
 	if winEnd != p.lastEnd {
 		p.fail("BarrierStart at %v, window ended at %v", winEnd, p.lastEnd)
 	}
@@ -81,22 +90,28 @@ func (p *recordingProbe) WindowEnd(remoteRecords int) {
 }
 
 // TestGroupProbeSequencing pins the probe phase protocol and its counts
-// against an observable workload, serial and parallel.
+// against an observable workload at every worker/shard ratio: one worker,
+// a worker per shard, and two workers running two shards each.
 func TestGroupProbeSequencing(t *testing.T) {
-	for _, procs := range []int{1, 4} {
-		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
-			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-			g := NewShardGroup(2, 100)
+	for _, c := range []struct {
+		name          string
+		shards, procs int
+	}{{"procs=1", 2, 1}, {"procs=4", 2, 4}, {"shards=4,procs=2", 4, 2}} {
+		t.Run(c.name, func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(c.procs))
+			g := NewShardGroup(c.shards, 100)
 			probe := &recordingProbe{
-				shardEvents: make([]uint64, 2),
-				shardCalls:  make([]int32, 2),
-				shardStarts: make([]int32, 2),
+				shardEvents: make([]uint64, c.shards),
+				shardCalls:  make([]int32, c.shards),
+				shardStarts: make([]int32, c.shards),
+				maxInFlight: int32(min(c.shards, c.procs)),
 				fail:        t.Errorf,
 			}
 			g.SetProbe(probe)
 			var log []string
+			last := c.shards - 1
 			a := &pingActor{g: g, shard: 0, latency: 100, log: &log, hops: 20}
-			b := &pingActor{g: g, shard: 1, latency: 150, log: &log, hops: 20}
+			b := &pingActor{g: g, shard: last, latency: 150, log: &log, hops: 20}
 			a.peer, b.peer = b, a
 			g.Engines[0].ScheduleEvent(0, a, 0, 0)
 			g.RunAll()
@@ -108,7 +123,10 @@ func TestGroupProbeSequencing(t *testing.T) {
 				t.Fatalf("phase counts diverge: start=%d exec=%d barrier=%d flush=%d end=%d",
 					probe.windows, probe.execs, probe.barriers, probe.flushes, probe.ends)
 			}
-			total := probe.shardEvents[0] + probe.shardEvents[1]
+			var total uint64
+			for _, n := range probe.shardEvents {
+				total += n
+			}
 			if total != g.Processed() {
 				t.Fatalf("ShardDone events sum to %d, group processed %d", total, g.Processed())
 			}

@@ -2,9 +2,12 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 	"runtime"
+	"runtime/debug"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // Conservative parallel execution (shard group).
@@ -25,7 +28,96 @@ import (
 // drains rings in fixed (dst, src, FIFO) order on one goroutine, and
 // barrier tasks run in (time, submission) order — so the execution is a
 // pure function of (configuration, seed, shard count), independent of
-// GOMAXPROCS and of whether windows run serially or on worker goroutines.
+// GOMAXPROCS and of how many workers share the shards.
+//
+// Window loop: Run executes every window on W = min(GOMAXPROCS, shards)
+// workers that live for that one Run call. The calling goroutine is
+// worker 0 (and the coordinator: barrier tasks, hooks and the ring flush
+// run on it); worker w owns the static shard set {i : i mod W == w} and
+// runs it in ascending order. A window is released and joined through two
+// atomic words, each on its own cache line: the coordinator writes the
+// window bounds and bumps the epoch, every worker runs its shards and
+// bumps the done count, and the coordinator — after running its own
+// shards — waits for done == W-1. Those two atomics carry every
+// happens-before edge between coordinator and workers; with W = 1 no
+// goroutine is started and the loop is a plain serial one.
+
+const (
+	// cacheLine is the padding unit that keeps words written by different
+	// workers off each other's cache lines (64 B on every host we run on).
+	// What it buys, measured on the handoff rings (two goroutines each
+	// Send-ing on their own source row, 2 vCPUs, median of five): 11.5 ns a
+	// Send with the rows on one line, 5.6 ns with a line between them.
+	cacheLine = 64
+	// spinPolls and yieldPolls bound the first two stages of gate.await.
+	// Sizing (2-vCPU host, benchmark of record at -seconds 3, six seeds a
+	// cell, median wall_s_per_sim_ms; (spin, yield) → ft64-uniform-shards2 /
+	// df4096-heavytail-shards2, parent 0.0203 / 1.30): (512, 1024) 0.0165 /
+	// 0.94, (512, 4096) 0.0164 / 0.90, (256, 16384) 0.0162 / 0.87,
+	// (4096, 1024) 0.0161 / 0.89 — one plateau, which is why these are
+	// constants and not options. Below it, sleeping early gives the 4096-node
+	// gain back: yield 512 → 0.99, 256 → 1.09, 64 → 1.56 s/ms. The spin is
+	// the short end of the plateau because a race-detector build polls
+	// through a non-preemptible runtime call, and a long spin then holds up
+	// every GC stop-the-world: 4096 polls cost the -race barrier stress
+	// 250 µs a window against 20 µs at 512 and below.
+	spinPolls  = 256
+	yieldPolls = 1024
+)
+
+// gate is one word of the window barrier — a counter alone on its cache
+// line — plus what its waiters need to sleep. A patient waiter escalates
+// the way the runtime's own locks do: spinPolls plain polls (the other side
+// is usually within a microsecond of its bump, and no scheduler gets
+// involved), then yieldPolls polls with a runtime.Gosched in between (when
+// more goroutines are runnable than there are Ps — several sharded cells of
+// one campaign — the others get the P), then a sleep on the condition
+// variable, so a waiter whose peer has lost its CPU to another process
+// stops competing with it. An impatient waiter sleeps at once: Run uses
+// that when it has more workers than the host has CPUs, where no amount of
+// polling can see a bump from a worker that is not running.
+type gate struct {
+	_ [cacheLine]byte
+	v atomic.Uint64
+	_ [cacheLine - 8]byte
+	// sleepers counts waiters in the sleep stage. bump reads it after
+	// changing v and a sleeper re-reads v after raising it, so one of the
+	// two always notices the other.
+	sleepers atomic.Int32
+	mu       sync.Mutex
+	wake     sync.Cond // L is &mu, set by NewShardGroup
+}
+
+// bump increments the word and wakes sleeping waiters.
+func (b *gate) bump() {
+	b.v.Add(1)
+	if b.sleepers.Load() != 0 {
+		b.mu.Lock()
+		b.wake.Broadcast()
+		b.mu.Unlock()
+	}
+}
+
+// await returns once the word equals want.
+func (b *gate) await(want uint64, patient bool) {
+	if patient {
+		for i := 0; i < spinPolls+yieldPolls; i++ {
+			if b.v.Load() == want {
+				return
+			}
+			if i >= spinPolls {
+				runtime.Gosched()
+			}
+		}
+	}
+	b.mu.Lock()
+	b.sleepers.Add(1)
+	for b.v.Load() != want {
+		b.wake.Wait()
+	}
+	b.sleepers.Add(-1)
+	b.mu.Unlock()
+}
 
 // RemoteReceiver is implemented by components that accept cross-shard
 // payload handoff (packets, loss notifications). Credit-style events with
@@ -49,8 +141,11 @@ type RemoteEvent struct {
 
 // mailbox redelivers ring records on the destination engine. One per
 // shard; the slab+freelist keeps barrier delivery allocation-free in
-// steady state.
+// steady state. The leading pad keeps two shards' mailboxes (allocated
+// back to back, each written by its own worker on every delivery) off one
+// cache line.
 type mailbox struct {
+	_    [cacheLine]byte
 	slab []RemoteEvent
 	free []uint32
 }
@@ -93,17 +188,37 @@ type ShardGroup struct {
 	// Window is the barrier interval = cross-shard lookahead.
 	Window Time
 	// now is the barrier clock: every shard has fully executed below it.
-	now     Time
-	rings   [][]RemoteEvent // (src*N + dst) SPSC handoff rings
-	boxes   []*mailbox
-	ctrl    []barrierTask
-	ctrlSeq int
-	sorted  bool
+	now Time
+	// rings holds the (src, dst) SPSC handoff rings at src*ringStride + dst.
+	// Send appends from src's worker, which rewrites the slice header, so
+	// the stride leaves at least a cache line between two sources' rows.
+	rings      [][]RemoteEvent
+	ringStride int
+	boxes      []*mailbox
+	ctrl       []barrierTask
+	ctrlSeq    int
+	sorted     bool
 	// winStart/winEnd bound the window currently (or last) executed. The
-	// coordinator writes them before spawning window goroutines, so shard
-	// goroutines read them race-free (happens-before via go statement).
+	// coordinator writes them before it bumps epoch, and a worker reads them
+	// only after it has observed that bump, so the reads are race-free
+	// (happens-before via the epoch atomic).
 	winStart Time
 	winEnd   Time
+	// epoch counts window releases (and the one stop release that ends each
+	// Run); done counts the workers that finished the released window. halt
+	// is written before the stop release; patient (see gate) is fixed before
+	// the workers start. running tracks the workers of the Run in progress
+	// so Run returns only once they have exited.
+	epoch   gate
+	done    gate
+	halt    bool
+	patient bool
+	running sync.WaitGroup
+	// fault is the lowest-shard panic captured in the window being joined:
+	// workers record it under faultMu before they arrive, the coordinator
+	// reads it after the join.
+	faultMu sync.Mutex
+	fault   *shardFault
 	// barrierFns run single-threaded at every barrier, after all shards
 	// have finished the window and before rings flush — the one point
 	// where group-wide state (rings, all shards' engines, shared wiring)
@@ -127,12 +242,18 @@ func NewShardGroup(n int, window Time) *ShardGroup {
 	if window <= 0 {
 		panic("sim: shard window must be positive")
 	}
+	// A slice header is three words; round the pad up to a whole header.
+	const headerBytes = 3 * bits.UintSize / 8
+	stride := n + (cacheLine+headerBytes-1)/headerBytes
 	g := &ShardGroup{
-		Engines: make([]*Engine, n),
-		Window:  window,
-		rings:   make([][]RemoteEvent, n*n),
-		boxes:   make([]*mailbox, n),
+		Engines:    make([]*Engine, n),
+		Window:     window,
+		rings:      make([][]RemoteEvent, n*stride),
+		ringStride: stride,
+		boxes:      make([]*mailbox, n),
 	}
+	g.epoch.wake.L = &g.epoch.mu
+	g.done.wake.L = &g.done.mu
 	for i := range g.Engines {
 		e := NewEngine()
 		e.EnableWheel()
@@ -150,13 +271,15 @@ func (g *ShardGroup) Now() Time { return g.now }
 
 // Processed sums executed events across shards.
 //
-// Concurrency: each shard's Processed counter is written only by that
-// shard's goroutine during a window. Summing from the coordinator (or any
-// other goroutine) mid-window is a data race; call it only while the
-// group is quiescent — between Run calls, from an OnBarrier hook, or from
-// a barrier task. A shard sampler actor may read its *own* engine's
-// counter during a window (it runs on that engine). For a bulk race-free
-// snapshot at barriers use Stats.
+// Concurrency: each shard's Processed counter is written only by the
+// worker that owns the shard, during a window. Summing from the
+// coordinator (or any other goroutine) mid-window is a data race; call it
+// only while the group is quiescent — between Run calls, from an
+// OnBarrier hook, or from a barrier task: the done count every worker
+// bumps after its last shard orders those reads after the writes. A shard
+// sampler actor may read its *own* engine's counter during a window (it
+// runs on that engine). For a bulk race-free snapshot at barriers use
+// Stats.
 func (g *ShardGroup) Processed() uint64 {
 	var total uint64
 	for _, e := range g.Engines {
@@ -177,13 +300,14 @@ func (g *ShardGroup) Len() int {
 }
 
 // Send enqueues a cross-shard handoff from shard src to shard dst. Safe
-// to call from shard src's goroutine during a window; the record is
-// delivered on dst's engine at the next barrier. ev.At must be at or
-// after the end of the current window — guaranteed by construction when
-// the event rides a physical link (latency >= lookahead), and verified at
-// the barrier.
+// to call from shard src's handlers during a window (one worker runs all
+// of src's events, and only row src of the rings is written); the record
+// is delivered on dst's engine at the next barrier, which the worker's
+// done bump orders after the append. ev.At must be at or after the end of
+// the current window — guaranteed by construction when the event rides a
+// physical link (latency >= lookahead), and verified at the barrier.
 func (g *ShardGroup) Send(src, dst int, ev RemoteEvent) {
-	i := src*len(g.Engines) + dst
+	i := src*g.ringStride + dst
 	g.rings[i] = append(g.rings[i], ev)
 }
 
@@ -207,8 +331,9 @@ func (g *ShardGroup) OnBarrier(fn func(winEnd Time)) {
 }
 
 // CurrentWindow returns the bounds of the window currently (or most
-// recently) executed. Safe to call from a shard goroutine during a
-// window: the coordinator writes the bounds before spawning workers.
+// recently) executed. Safe to call from a shard's handlers during a
+// window: the coordinator writes the bounds before the epoch bump that
+// releases the window to the workers.
 func (g *ShardGroup) CurrentWindow() (start, end Time) {
 	return g.winStart, g.winEnd
 }
@@ -218,9 +343,12 @@ func (g *ShardGroup) CurrentWindow() (start, end Time) {
 // hook, before the flush empties them); between Run calls all depths are
 // zero.
 func (g *ShardGroup) RingDepths() []int {
-	depths := make([]int, len(g.rings))
-	for i, r := range g.rings {
-		depths[i] = len(r)
+	n := len(g.Engines)
+	depths := make([]int, 0, n*n)
+	for src := 0; src < n; src++ {
+		for _, r := range g.rings[src*g.ringStride:][:n] {
+			depths = append(depths, len(r))
+		}
 	}
 	return depths
 }
@@ -260,7 +388,7 @@ func (g *ShardGroup) flushRings() int {
 		box := g.boxes[dst]
 		eng := g.Engines[dst]
 		for src := 0; src < n; src++ {
-			ring := &g.rings[src*n+dst]
+			ring := &g.rings[src*g.ringStride+dst]
 			for _, ev := range *ring {
 				if ev.At < g.now {
 					panic(fmt.Sprintf(
@@ -278,10 +406,20 @@ func (g *ShardGroup) flushRings() int {
 
 // Run executes the group until no work remains below horizon (exclusive),
 // mirroring Engine.Run. It returns the number of events executed across
-// all shards.
+// all shards. Run starts its W-1 extra workers, and stops and waits for
+// them before it returns or panics, so no goroutine outlives the call and
+// repeated or sliced Run calls are legal. A panic on any worker is
+// re-raised here, on the caller, naming the shard.
 func (g *ShardGroup) Run(horizon Time) uint64 {
 	startProcessed := g.Processed()
-	parallel := runtime.GOMAXPROCS(0) > 1 && len(g.Engines) > 1
+	workers := min(runtime.GOMAXPROCS(0), len(g.Engines))
+	g.halt = false
+	g.patient = workers <= runtime.NumCPU()
+	g.running.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go g.work(w, workers, g.epoch.v.Load())
+	}
+	defer g.stopWorkers()
 	for {
 		if !g.sorted {
 			// Re-sorted inside the loop because barrier tasks may register
@@ -330,20 +468,16 @@ func (g *ShardGroup) Run(horizon Time) uint64 {
 		if g.probe != nil {
 			g.probe.WindowExec()
 		}
-		if parallel {
-			var wg sync.WaitGroup
-			wg.Add(len(g.Engines))
-			for i := range g.Engines {
-				go func(i int) {
-					defer wg.Done()
-					g.runShard(i, winEnd)
-				}(i)
-			}
-			wg.Wait()
-		} else {
-			for i := range g.Engines {
-				g.runShard(i, winEnd)
-			}
+		// Release: everything written above happens-before the workers'
+		// reads through the epoch bump. Join: everything the workers wrote
+		// happens-before the code below through their done bumps.
+		g.done.v.Store(0)
+		g.epoch.bump()
+		g.runShards(0, workers)
+		g.done.await(uint64(workers-1), g.patient)
+		if f := g.fault; f != nil {
+			g.fault = nil
+			panic(fmt.Sprintf("sim: panic on shard %d: %v\n\n%s", f.shard, f.value, f.stack))
 		}
 		g.now = winEnd
 		if g.probe != nil {
@@ -363,16 +497,69 @@ func (g *ShardGroup) Run(horizon Time) uint64 {
 	return g.Processed() - startProcessed
 }
 
-// runShard executes shard i's share of the window ending at winEnd,
-// bracketed by the probe's per-shard marks. It runs on the shard's worker
-// goroutine when windows are parallel, on the coordinator otherwise.
-func (g *ShardGroup) runShard(i int, winEnd Time) {
+// work is the body of worker w ≥ 1 of a Run with the given worker count:
+// wait for the release after epoch seen, run the owned shards, arrive.
+func (g *ShardGroup) work(w, workers int, seen uint64) {
+	defer g.running.Done()
+	for {
+		seen++
+		g.epoch.await(seen, g.patient)
+		if g.halt {
+			return
+		}
+		g.runShards(w, workers)
+		g.done.bump()
+	}
+}
+
+// stopWorkers releases the workers one last time with halt set and waits
+// for them to exit. Whenever it runs — normal return, or a panic unwinding
+// Run from coordinator code — every worker is waiting on the epoch.
+func (g *ShardGroup) stopWorkers() {
+	g.halt = true
+	g.epoch.bump()
+	g.running.Wait()
+}
+
+// shardFault is a panic captured on a worker, to be re-raised by Run.
+type shardFault struct {
+	shard int
+	value any
+	stack []byte
+}
+
+// runShards executes worker w's shards for the current window in
+// ascending order. A panic in a shard (handler, probe) is captured instead
+// of killing the process from a bare goroutine: the worker abandons the
+// rest of its set and still arrives at the barrier, and Run re-raises the
+// lowest-numbered shard's panic — the same one for every worker count,
+// since every shard below it ran to completion on whichever worker owns it.
+func (g *ShardGroup) runShards(w, workers int) {
+	i := w
+	defer func() {
+		if r := recover(); r != nil {
+			stack := debug.Stack()
+			g.faultMu.Lock()
+			if g.fault == nil || i < g.fault.shard {
+				g.fault = &shardFault{shard: i, value: r, stack: stack}
+			}
+			g.faultMu.Unlock()
+		}
+	}()
+	for ; i < len(g.Engines); i += workers {
+		g.runShard(i)
+	}
+}
+
+// runShard executes shard i's share of the current window, bracketed by
+// the probe's per-shard marks, on the worker that owns i.
+func (g *ShardGroup) runShard(i int) {
 	e := g.Engines[i]
 	if g.startProbe != nil {
 		g.startProbe.ShardStart(i)
 	}
 	before := e.Processed
-	e.Run(winEnd)
+	e.Run(g.winEnd)
 	if g.probe != nil {
 		g.probe.ShardDone(i, e.Processed-before)
 	}

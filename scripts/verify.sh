@@ -16,6 +16,12 @@ go build ./...
 echo "==> go test -race ./... $*"
 go test -race "$@" ./...
 
+echo "==> window-barrier stress (race, GOMAXPROCS 1/2/4 x10)"
+# The shard group's epoch/done barrier is hand-rolled: one -race pass at
+# the host's GOMAXPROCS neither hits fewer workers than shards nor
+# repeats enough interleavings to trust it.
+go test -race -count=10 -cpu 1,2,4 -timeout 5m -run 'ShardGroup|GroupProbe' ./internal/sim
+
 echo "==> zero-alloc guard (TestHotPathZeroAlloc)"
 go test -run TestHotPathZeroAlloc -count=1 .
 
