@@ -71,6 +71,16 @@ func TestRunOnceSmoke(t *testing.T) {
 	if exec <= 0 || res3.DeliveredPkts == 0 {
 		t.Fatal("workload mode broken")
 	}
+	// -nodes beyond the fabric is an error in both traffic modes, not
+	// packets addressed to terminals that do not exist.
+	for _, spec := range []runSpec{
+		{pattern: "shuffle", rate: 300, bursts: 1, burstLen: 1000, burstGap: 1000, nodes: 32},
+		{pattern: "shuffle", rate: 300, duration: 1000, nodes: 32},
+	} {
+		if _, _, _, err := runOnce(topo, "deterministic", 1, spec); err == nil {
+			t.Fatalf("a 32-node pattern space on a 16-terminal mesh was accepted (%+v)", spec)
+		}
+	}
 	// Unknown policy errors.
 	if _, _, _, err := runOnce(topo, "bogus", 1, runSpec{pattern: "uniform", rate: 1, bursts: 1, burstLen: 1000, burstGap: 1000}); err == nil {
 		t.Fatal("unknown policy accepted")

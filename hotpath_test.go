@@ -57,3 +57,31 @@ func TestHotPathZeroAlloc(t *testing.T) {
 		t.Fatalf("hot path allocates %.2f allocs per 20k events, want 0", avg)
 	}
 }
+
+// TestEventsPerHop pins how many events a delivered packet costs on a
+// light and on a saturated ft-4-3 cell, exactly: a hop is one deliver
+// event, plus a link-free event only when a packet was waiting for the
+// link, plus the source's injection events. An event creeping back onto
+// the hop moves these counts (before link-free events were materialised
+// lazily the same cells executed 3814 and 29641 events).
+func TestEventsPerHop(t *testing.T) {
+	for _, c := range []struct {
+		name         string
+		rateMbps     float64
+		events, pkts uint64
+	}{
+		{"light", 100, 2162, 314},
+		{"saturated", 800, 19547, 2497},
+	} {
+		s := MustNewSim(Experiment{Topology: FatTree(4, 3), Policy: PolicyAdaptive, Seed: 7})
+		if err := s.InstallPattern(PatternSpec{Pattern: "uniform", RateMbps: c.rateMbps, Start: 0, End: 400 * Microsecond}); err != nil {
+			t.Fatal(err)
+		}
+		res := s.Execute(Second)
+		if got := s.Processed(); got != c.events || uint64(res.DeliveredPkts) != c.pkts {
+			t.Errorf("%s: %d events for %d packets (%.3f per packet), want %d for %d (%.3f)",
+				c.name, got, res.DeliveredPkts, float64(got)/float64(res.DeliveredPkts),
+				c.events, c.pkts, float64(c.events)/float64(c.pkts))
+		}
+	}
+}

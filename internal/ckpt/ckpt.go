@@ -36,7 +36,10 @@ const Magic = "PRDRBCP1"
 // Version is the current format version. Readers reject other versions:
 // the format carries simulator-internal state whose meaning is pinned to
 // the code that wrote it (see DESIGN.md for the compatibility policy).
-const Version uint32 = 1
+// Version 2: the engine section carries curSeq and the network section the
+// ports' lazy link-free state (lazyFree, freeSeq), with the VC credit set
+// as one byte.
+const Version uint32 = 2
 
 // Section identifiers. New sections append; ids are never reused.
 const (

@@ -3,6 +3,7 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"strings"
 
 	"prdrb/internal/sim"
@@ -32,7 +33,9 @@ func NewHistogram() *Histogram {
 	return &Histogram{counts: make([]int64, histBuckets), min: math.MaxInt64}
 }
 
-func bucketOf(v sim.Time) int {
+// logBucket is the bucket formula: floor(24 * log10 v), clamped to the
+// bucket range.
+func logBucket(v sim.Time) int {
 	if v < 1 {
 		v = 1
 	}
@@ -42,6 +45,47 @@ func bucketOf(v sim.Time) int {
 	}
 	if b >= histBuckets {
 		b = histBuckets - 1
+	}
+	return b
+}
+
+// bucketTable answers logBucket without the logarithm — a log10 per
+// delivered packet was a measurable slice of a saturated run. min[b] is the
+// smallest latency logBucket puts in bucket b or above; first[n] is the
+// bucket of the smallest latency n bits long.
+var bucketTable = func() (t struct {
+	min   [histBuckets]sim.Time
+	first [65]uint8
+}) {
+	for b := range t.min {
+		// logBucket is monotone, so the smallest such latency is found by
+		// bisection over the formula itself.
+		lo, hi := sim.Time(1), sim.Time(1)<<62
+		for lo < hi {
+			if mid := lo + (hi-lo)/2; logBucket(mid) >= b {
+				hi = mid
+			} else {
+				lo = mid + 1
+			}
+		}
+		t.min[b] = lo
+	}
+	for n := 1; n < len(t.first); n++ {
+		t.first[n] = uint8(logBucket(sim.Time(1) << (n - 1)))
+	}
+	return t
+}()
+
+// bucketOf is logBucket by table: start at the bucket of v's power of two
+// and step (an octave spans seven or eight buckets) to the last bucket
+// whose smallest latency does not exceed v.
+func bucketOf(v sim.Time) int {
+	if v < 1 {
+		v = 1
+	}
+	b := int(bucketTable.first[bits.Len64(uint64(v))])
+	for b+1 < histBuckets && bucketTable.min[b+1] <= v {
+		b++
 	}
 	return b
 }

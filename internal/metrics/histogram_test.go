@@ -88,6 +88,37 @@ func TestHistogramBucketEdges(t *testing.T) {
 	}
 }
 
+// TestBucketOfMatchesLogFormula pins the table lookup to the logarithm it
+// replaced: at every bucket boundary ±2 ns, every power of ten (where the
+// floating-point log is most delicate), the clamps, and a million random
+// latencies spread evenly over the bit lengths.
+func TestBucketOfMatchesLogFormula(t *testing.T) {
+	check := func(v sim.Time) {
+		t.Helper()
+		if got, want := bucketOf(v), logBucket(v); got != want {
+			t.Fatalf("bucketOf(%d) = %d, log formula says %d", v, got, want)
+		}
+	}
+	for b := 0; b < histBuckets; b++ {
+		for d := sim.Time(-2); d <= 2; d++ {
+			check(bucketTable.min[b] + d)
+			check(sim.Time(bucketLow(b)) + d)
+		}
+	}
+	for p := sim.Time(1); p > 0 && p <= 1e18; p *= 10 {
+		for d := sim.Time(-2); d <= 2; d++ {
+			check(p + d)
+		}
+	}
+	for _, v := range []sim.Time{-5, 0, 1, 2, 1<<62 - 1, 1 << 62, math.MaxInt64} {
+		check(v)
+	}
+	rng := sim.NewRNG(99)
+	for i := 0; i < 1_000_000; i++ {
+		check(sim.Time(rng.Uint64() >> uint(1+rng.Intn(63))))
+	}
+}
+
 func TestRenderSurface(t *testing.T) {
 	c := NewContention(4, 0)
 	// Routers on a 2x2 grid; router 3 hottest.

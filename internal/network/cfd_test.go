@@ -1,0 +1,173 @@
+package network
+
+import (
+	"fmt"
+	"sort"
+	"testing"
+
+	"prdrb/internal/sim"
+	"prdrb/internal/topology"
+)
+
+// refTopContendingFlows is the Contending Flows Detection as first written
+// — a byte tally per flow in a map, the flows above ContendShare sorted by
+// (bytes descending, Src, Dst) and capped — kept as the oracle for the
+// allocation-free ranking in port.go.
+func refTopContendingFlows(o *outPort, departing *Packet) []FlowKey {
+	counts := map[FlowKey]int{departing.Flow(): departing.SizeBytes}
+	total := departing.SizeBytes
+	for vc := range o.vcs {
+		if o.net.isAckVC(vc) {
+			continue
+		}
+		for _, p := range o.vcs[vc].pkts() {
+			counts[p.Flow()] += p.SizeBytes
+			total += p.SizeBytes
+		}
+	}
+	type fc struct {
+		f FlowKey
+		b int
+	}
+	var ranked []fc
+	for f, b := range counts {
+		if float64(b) >= o.net.Cfg.ContendShare*float64(total) {
+			ranked = append(ranked, fc{f, b})
+		}
+	}
+	sort.Slice(ranked, func(i, j int) bool {
+		if ranked[i].b != ranked[j].b {
+			return ranked[i].b > ranked[j].b
+		}
+		if ranked[i].f.Src != ranked[j].f.Src {
+			return ranked[i].f.Src < ranked[j].f.Src
+		}
+		return ranked[i].f.Dst < ranked[j].f.Dst
+	})
+	if len(ranked) > o.net.Cfg.MaxContending {
+		ranked = ranked[:o.net.Cfg.MaxContending]
+	}
+	var out []FlowKey
+	for _, r := range ranked {
+		out = append(out, r.f)
+	}
+	return out
+}
+
+// refMergeFlows is mergeFlows with its original set-based membership.
+func refMergeFlows(have, add []FlowKey, max int) []FlowKey {
+	seen := make(map[FlowKey]bool, len(have))
+	for _, f := range have {
+		seen[f] = true
+	}
+	for _, f := range add {
+		if len(have) >= max {
+			break
+		}
+		if !seen[f] {
+			seen[f] = true
+			have = append(have, f)
+		}
+	}
+	return have
+}
+
+// fillPort replaces the port's queues with the given packets, one list per
+// VC.
+func fillPort(o *outPort, perVC [][]*Packet) {
+	for vc := range o.vcs {
+		o.vcs[vc] = vcQueue{}
+		if vc < len(perVC) {
+			for _, p := range perVC[vc] {
+				o.vcs[vc].push(p)
+			}
+		}
+	}
+}
+
+func cfdPkt(src, dst, size int) *Packet {
+	return &Packet{Type: DataPacket, Src: topology.NodeID(src), Dst: topology.NodeID(dst), SizeBytes: size}
+}
+
+func TestContendingFlowsRanking(t *testing.T) {
+	n := testNet(t, topology.NewTorus(4, 4), nil) // 8 VCs, two of them ACK
+	o := n.Routers[5].out[0]
+	ackVC := n.vcIndex(ackClass, false)
+
+	table := []struct {
+		name      string
+		share     float64
+		max       int
+		departing *Packet
+		queued    [][]*Packet
+		want      []FlowKey
+	}{
+		{"lone departing flow is reported", 0.10, 8, cfdPkt(1, 2, 1024), nil,
+			[]FlowKey{{1, 2}}},
+		{"bytes descending", 0.10, 8, cfdPkt(1, 2, 64),
+			[][]*Packet{{cfdPkt(3, 4, 1024), cfdPkt(5, 6, 512)}, {cfdPkt(5, 6, 1024)}},
+			[]FlowKey{{5, 6}, {3, 4}}},
+		{"ties by source then destination", 0, 8, cfdPkt(9, 1, 512),
+			[][]*Packet{{cfdPkt(2, 7, 512), cfdPkt(2, 3, 512)}, {cfdPkt(1, 8, 512)}},
+			[]FlowKey{{1, 8}, {2, 3}, {2, 7}, {9, 1}}},
+		{"share floor drops the small flow", 0.25, 8, cfdPkt(1, 2, 1024),
+			[][]*Packet{{cfdPkt(3, 4, 1024), cfdPkt(5, 6, 64)}},
+			[]FlowKey{{1, 2}, {3, 4}}},
+		{"capacity cap keeps the heaviest", 0, 2, cfdPkt(1, 2, 100),
+			[][]*Packet{{cfdPkt(3, 4, 300), cfdPkt(5, 6, 200), cfdPkt(7, 8, 400)}},
+			[]FlowKey{{7, 8}, {3, 4}}},
+		{"ACK channels do not count", 0.10, 8, cfdPkt(1, 2, 1024),
+			func() [][]*Packet {
+				q := make([][]*Packet, ackVC+1)
+				q[ackVC] = []*Packet{cfdPkt(3, 4, 4096)}
+				return q
+			}(),
+			[]FlowKey{{1, 2}}},
+	}
+	for _, c := range table {
+		n.Cfg.ContendShare, n.Cfg.MaxContending = c.share, c.max
+		fillPort(o, c.queued)
+		got := o.topContendingFlows(c.departing)
+		if fmt.Sprint(got) != fmt.Sprint(c.want) {
+			t.Errorf("%s: got %v, want %v", c.name, got, c.want)
+		}
+		if ref := refTopContendingFlows(o, c.departing); fmt.Sprint(ref) != fmt.Sprint(c.want) {
+			t.Errorf("%s: the reference itself gives %v, want %v", c.name, ref, c.want)
+		}
+	}
+
+	// Random ports against the reference, and the merge against its own.
+	rng := sim.NewRNG(5)
+	for trial := 0; trial < 3000; trial++ {
+		n.Cfg.ContendShare = []float64{0, 0.05, 0.10, 0.34}[rng.Intn(4)]
+		n.Cfg.MaxContending = 1 + rng.Intn(8)
+		perVC := make([][]*Packet, n.numVC)
+		for vc := range perVC {
+			for k := rng.Intn(5); k > 0; k-- {
+				perVC[vc] = append(perVC[vc], cfdPkt(rng.Intn(4), rng.Intn(4), 64<<uint(rng.Intn(5))))
+			}
+		}
+		fillPort(o, perVC)
+		dep := cfdPkt(rng.Intn(4), rng.Intn(4), 64<<uint(rng.Intn(5)))
+		want := refTopContendingFlows(o, dep)
+		got := o.topContendingFlows(dep)
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("trial %d (share %v, max %d): got %v, reference %v", trial, n.Cfg.ContendShare, n.Cfg.MaxContending, got, want)
+		}
+		var have []FlowKey
+		for k := rng.Intn(4); k > 0; k-- {
+			have = append(have, FlowKey{topology.NodeID(rng.Intn(4)), topology.NodeID(rng.Intn(4))})
+		}
+		max := 1 + rng.Intn(8)
+		wantMerged := refMergeFlows(append([]FlowKey(nil), have...), got, max)
+		if merged := mergeFlows(append([]FlowKey(nil), have...), got, max); fmt.Sprint(merged) != fmt.Sprint(wantMerged) {
+			t.Fatalf("trial %d: mergeFlows(%v, %v, %d) = %v, reference %v", trial, have, got, max, merged, wantMerged)
+		}
+	}
+
+	// The ranking itself allocates nothing once the shard scratch has grown.
+	dep := cfdPkt(1, 2, 1024)
+	if avg := testing.AllocsPerRun(100, func() { o.topContendingFlows(dep) }); avg != 0 {
+		t.Errorf("topContendingFlows allocates %.1f times per call, want 0", avg)
+	}
+}

@@ -64,6 +64,13 @@ func encodePacket(e *ckpt.Enc, p *Packet) {
 // occupancy accounting, and every queued, parked and in-flight packet.
 func (op *outPort) encodeState(e *ckpt.Enc) {
 	e.Bool(op.busy)
+	// The lazy link-free state decides the future like a pending event
+	// does: its key is the event the port may yet schedule. The ready and
+	// queued summaries are derived from the queues below.
+	e.Bool(op.lazyFree)
+	if op.lazyFree {
+		e.U64(op.freeSeq)
+	}
 	e.Bool(op.down)
 	e.F64(op.rate)
 	e.I64(int64(op.serEnd))
@@ -77,22 +84,21 @@ func (op *outPort) encodeState(e *ckpt.Enc) {
 	for vc := range op.vcs {
 		q := &op.vcs[vc]
 		e.Int(q.bytes)
-		e.Int(len(q.q))
-		for _, p := range q.q {
+		e.Int(len(q.pkts()))
+		for _, p := range q.pkts() {
 			encodePacket(e, p)
 		}
 	}
-	e.Int(len(op.parkedOut))
-	for _, b := range op.parkedOut {
-		e.Bool(b)
-	}
-	e.Int(len(op.parked))
-	for vc := range op.parked {
-		e.Int(len(op.parked[vc]))
-		for i := range op.parked[vc] {
-			pd := &op.parked[vc][i]
-			encodePacket(e, pd.pkt)
-			e.Int(pd.fromVC)
+	e.U8(op.parkedOut)
+	e.Int(op.parkedN)
+	if op.parkedN > 0 { // else nil, or allocated by an earlier park and empty again
+		for vc := range op.parked {
+			e.Int(len(op.parked[vc]))
+			for i := range op.parked[vc] {
+				pd := &op.parked[vc][i]
+				encodePacket(e, pd.pkt)
+				e.Int(pd.fromVC)
+			}
 		}
 	}
 	if cp := op.cong; cp == nil {

@@ -39,6 +39,19 @@ type Network struct {
 	vcsPerClass int
 	numVC       int
 
+	// serHeader, serPacket and serAck are the serialization times of the
+	// three sizes the fabric moves almost exclusively (the cut-through
+	// header, a full data packet, an ACK), computed once: Cfg does not
+	// change after construction.
+	serHeader, serPacket, serAck sim.Time
+	// attach is TerminalAttach for every terminal, the route memo's index:
+	// routes are memoised per destination attach router (router.go).
+	attach []attachPoint
+
+	// controlPending counts the fabric-control barrier tasks a sharded
+	// network has registered and not yet run (ScheduleControl). Like
+	// faultEpoch it only changes at barriers or between runs.
+	controlPending int
 	// faultEpoch increments on every link up/down transition; zero means
 	// the fabric has always been healthy and health checks short-circuit.
 	// Sharded runs only mutate it inside barrier tasks, so mid-window
@@ -120,10 +133,13 @@ func build(topo topology.Topology, cfg Config, policy RouterPolicy, shards []*Sh
 		return nil, fmt.Errorf("network: nil routing policy")
 	}
 	n := &Network{
-		Topo:   topo,
-		Cfg:    cfg,
-		Policy: policy,
-		Shards: shards,
+		Topo:      topo,
+		Cfg:       cfg,
+		Policy:    policy,
+		Shards:    shards,
+		serHeader: cfg.SerializationTime(cfg.HeaderBytes),
+		serPacket: cfg.SerializationTime(cfg.PacketBytes),
+		serAck:    cfg.SerializationTime(cfg.AckBytes),
 	}
 	for _, sh := range shards {
 		sh.net = n
@@ -148,14 +164,12 @@ func build(topo topology.Topology, cfg Config, policy RouterPolicy, shards []*Sh
 
 	newPort := func(sh *Shard, router topology.RouterID, port, capBytes int) *outPort {
 		op := &outPort{
-			net:       n,
-			sh:        sh,
-			router:    router,
-			port:      port,
-			vcCap:     capBytes,
-			vcs:       make([]vcQueue, n.numVC),
-			parked:    make([][]parkedDelivery, n.numVC),
-			parkedOut: make([]bool, n.numVC),
+			net:    n,
+			sh:     sh,
+			router: router,
+			port:   port,
+			vcCap:  capBytes,
+			vcs:    make([]vcQueue, n.numVC),
 		}
 		if sh.Collector != nil && router >= 0 {
 			// Resolve the contention-metrics handle once, at wiring time.
@@ -181,8 +195,10 @@ func build(topo topology.Topology, cfg Config, policy RouterPolicy, shards []*Sh
 	}
 	// NICs, co-located with their attach router's shard.
 	n.NICs = make([]*NIC, topo.NumTerminals())
+	n.attach = make([]attachPoint, topo.NumTerminals())
 	for t := range n.NICs {
-		r, _ := topo.TerminalAttach(topology.NodeID(t))
+		r, p := topo.TerminalAttach(topology.NodeID(t))
+		n.attach[t] = attachPoint{router: int32(r), port: int16(p)}
 		sh := shardOf(r)
 		nic := &NIC{
 			ID:    topology.NodeID(t),
@@ -229,6 +245,17 @@ func build(topo topology.Topology, cfg Config, policy RouterPolicy, shards []*Sh
 		n.NICs[t].out.txExtra = cfg.LinkDelay + cfg.RoutingDelay
 	}
 	return n, nil
+}
+
+// serTime is Cfg.SerializationTime through the precomputed sizes.
+func (n *Network) serTime(bytes int) sim.Time {
+	switch bytes {
+	case n.Cfg.PacketBytes:
+		return n.serPacket
+	case n.Cfg.AckBytes:
+		return n.serAck
+	}
+	return n.Cfg.SerializationTime(bytes)
 }
 
 // vcIndex maps (class, dateline) to a physical virtual channel.
@@ -349,7 +376,44 @@ func (n *Network) Drain(horizon sim.Time) uint64 {
 	if n.group != nil {
 		return n.group.Run(horizon)
 	}
-	return n.Eng.Run(horizon)
+	ran := n.Eng.Run(horizon)
+	n.settleLinks(horizon)
+	return ran
+}
+
+// settleLinks leaves the serial clock where it would stand had every
+// link-free event been scheduled: such an event below the horizon fires
+// even when it has nothing to start, and the last of them — the tail of the
+// last packet leaving its link — is what a drained run's Elapsed reports.
+// Links whose reserved key lies below the horizon are settled and the clock
+// moves to the latest of them. (A shard group parks at the horizon anyway.)
+func (n *Network) settleLinks(horizon sim.Time) {
+	if n.Eng.NextEventTime() < horizon {
+		return // stopped early: those keys are still ahead of the firing order
+	}
+	last := n.Eng.Now()
+	n.eachPort(func(o *outPort) {
+		if o.lazyFree && o.serEnd < horizon {
+			o.lazyFree, o.busy = false, false
+			if o.serEnd > last {
+				last = o.serEnd
+			}
+		}
+	})
+	n.Eng.AdvanceTo(last)
+}
+
+// eachPort visits every output port: the routers' in (router, port) order,
+// then the NIC injection ports.
+func (n *Network) eachPort(visit func(*outPort)) {
+	for _, rt := range n.Routers {
+		for _, op := range rt.out {
+			visit(op)
+		}
+	}
+	for _, nic := range n.NICs {
+		visit(nic.out)
+	}
 }
 
 // LinkStat reports one output port's link occupancy over the run.
@@ -402,9 +466,7 @@ func (n *Network) TotalQueuedBytes() int {
 	total := 0
 	for _, rt := range n.Routers {
 		for _, op := range rt.out {
-			for vc := range op.vcs {
-				total += op.vcs[vc].bytes
-			}
+			total += op.queued
 		}
 	}
 	return total

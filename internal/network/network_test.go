@@ -294,6 +294,20 @@ func TestSelfSendPanics(t *testing.T) {
 	n.Eng.RunAll()
 }
 
+func TestSendBeyondFabricPanics(t *testing.T) {
+	for _, dst := range []topology.NodeID{-1, 16, 4096} {
+		n := testNet(t, topology.NewMesh(4, 4), nil)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("send to node %d of a 16-terminal mesh did not panic", dst)
+				}
+			}()
+			n.NICs[0].Send(n.Eng, dst, 100, MPISend, 0)
+		}()
+	}
+}
+
 func TestConfigValidation(t *testing.T) {
 	bad := []func(*Config){
 		func(c *Config) { c.LinkBandwidthBps = 0 },

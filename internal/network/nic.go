@@ -1,6 +1,8 @@
 package network
 
 import (
+	"fmt"
+
 	"prdrb/internal/metrics"
 	"prdrb/internal/sim"
 	"prdrb/internal/telemetry"
@@ -68,6 +70,10 @@ type reassembly struct {
 func (n *NIC) Send(e *sim.Engine, dst topology.NodeID, bytes int, mpiType uint8, mpiSeq uint32) uint64 {
 	if dst == n.ID {
 		panic("network: self-send reached the NIC; loopback is the host's job")
+	}
+	if dst < 0 || int(dst) >= len(n.net.NICs) {
+		// The fabric would wrap the address and deliver to some other node.
+		panic(fmt.Sprintf("network: node %d sends to node %d, outside the fabric's %d terminals", n.ID, dst, len(n.net.NICs)))
 	}
 	cfg := &n.net.Cfg
 	msgID := n.sh.nextMsgID
@@ -241,10 +247,4 @@ func (n *NIC) reassemble(e *sim.Engine, pkt *Packet) {
 }
 
 // QueuedBytes reports the NIC injection-queue occupancy (all VCs).
-func (n *NIC) QueuedBytes() int {
-	total := 0
-	for vc := range n.out.vcs {
-		total += n.out.vcs[vc].bytes
-	}
-	return total
-}
+func (n *NIC) QueuedBytes() int { return n.out.queued }

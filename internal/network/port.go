@@ -1,7 +1,7 @@
 package network
 
 import (
-	"sort"
+	"math/bits"
 
 	"prdrb/internal/metrics"
 	"prdrb/internal/sim"
@@ -28,11 +28,48 @@ type parkedDelivery struct {
 	fromVC int
 }
 
-// vcQueue is one virtual channel's FIFO within an output port.
+// vcQueue is one virtual channel's FIFO within an output port: q[head:]
+// holds the queued packets. Dequeuing advances head instead of shifting the
+// slice down — NIC injection queues are unbounded and tens of packets deep
+// on a saturated cell.
 type vcQueue struct {
 	q     []*Packet
+	head  int
 	bytes int
 }
+
+// pkts returns the queued packets in FIFO order, valid until the next
+// push or pop.
+func (q *vcQueue) pkts() []*Packet { return q.q[q.head:] }
+
+func (q *vcQueue) push(p *Packet) {
+	if q.head > 0 && len(q.q) == cap(q.q) && 4*q.head >= len(q.q) {
+		// Full, and at least a quarter of it is popped prefix: reclaim
+		// that instead of growing. Waiting for a quarter keeps the copy
+		// amortised O(1) per packet at any steady depth (at most three
+		// moves per push) while the array stays within 4/3 of the depth
+		// that filled it.
+		n := copy(q.q, q.q[q.head:])
+		for i := n; i < len(q.q); i++ {
+			q.q[i] = nil
+		}
+		q.q, q.head = q.q[:n], 0
+	}
+	q.q = append(q.q, p)
+}
+
+func (q *vcQueue) pop() *Packet {
+	p := q.q[q.head]
+	q.q[q.head] = nil
+	q.head++
+	if q.head == len(q.q) {
+		q.q, q.head = q.q[:0], 0
+	}
+	return p
+}
+
+// The per-port VC sets below are bitmasks in one byte.
+var _ [8 - maxVCs]struct{}
 
 // outPort is an output port with per-VC buffering, round-robin VC
 // arbitration (Fig 4.6) and a single serializing link.
@@ -50,31 +87,53 @@ type outPort struct {
 	// router peers, the routing pipeline delay.
 	txExtra sim.Time
 
-	vcCap  int // capacity per VC in bytes
-	vcs    []vcQueue
-	parked [][]parkedDelivery
-	// parkedOut[vc] is true while a packet of this VC sits in the
+	vcCap int // capacity per VC in bytes
+	vcs   []vcQueue
+	// queued is the byte total over all VC queues (the sum of vcs[].bytes).
+	queued int
+	// parked[vc] holds upstream deliveries waiting for space in VC vc,
+	// parkedN their total count; the per-VC lists are allocated with the
+	// first parked delivery (a NIC port never has one).
+	parked  [][]parkedDelivery
+	parkedN int
+	// nonEmpty has bit vc set while VC vc's queue holds a packet.
+	nonEmpty uint8
+	// parkedOut has bit vc set while a packet of this VC sits in the
 	// downstream input latch awaiting buffer admission: the VC is blocked
 	// (one credit per link and VC) but the physical link stays available
 	// to the other VCs — without this, one full VC would couple every
 	// class and void the per-segment deadlock freedom.
-	parkedOut []bool
+	parkedOut uint8
 	rr        int // round-robin arbitration pointer
 	// linkDim / linkWrap classify the attached link for dateline VC
 	// assignment (topology.LinkDim of the wired port).
 	linkDim  int
 	linkWrap bool
-	busy     bool
+	// busy is raised when a packet starts serializing and cleared once the
+	// link has freed and somebody looked: by the portEvFree event, by
+	// freeLink when the delivery outlasted the serialization, or — when
+	// the event was never scheduled (lazyFree) — by the first pump or
+	// load that finds its key passed. Read it through linkBusy.
+	busy bool
+	// lazyFree is set while the link-free event of the current
+	// transmission exists only as its reserved key (serEnd, freeSeq): at
+	// the moment it was due to be scheduled no VC was eligible to send, so
+	// firing it would have done nothing but clear busy.
+	lazyFree bool
 	// down marks a failed link: the queue is not served, no credits are
 	// emitted, and the in-flight packet is dropped on delivery (health.go).
 	down bool
 	// rate scales the link bandwidth when the link is degraded; 0 or 1
 	// means nominal rate.
 	rate float64
-	// serEnd is when the in-flight packet's tail leaves the link; the port
-	// cannot start the next packet before it even if the downstream
-	// accepted the (cut-through) header earlier.
+	// serEnd is when the link frees: the in-flight packet's tail has left
+	// it (and, on a boundary link, its header has landed — see
+	// sendRemote). The port cannot start the next packet before it even if
+	// the downstream accepted the (cut-through) header earlier.
 	serEnd sim.Time
+	// freeSeq is the sequence number reserved for the link-free event
+	// while lazyFree is set.
+	freeSeq uint64
 
 	// lastRouterAck rate-limits router-based predictive notifications.
 	lastRouterAck sim.Time
@@ -108,8 +167,11 @@ type outPort struct {
 const (
 	// portEvDeliver hands the inflight packet to the peer; arg is the VC.
 	portEvDeliver uint8 = iota
-	// portEvFree releases the link at serialization end; arg carries the
-	// expected serEnd so a superseding transmission invalidates the event.
+	// portEvFree releases the link at serEnd and starts the next packet;
+	// arg carries the expected serEnd so a superseding transmission
+	// invalidates the event. It is only ever scheduled when a VC is
+	// eligible to send (at once, or later under its reserved key: see
+	// scheduleFree and pump).
 	portEvFree
 	// portEvCredit returns a VC credit from the downstream receiver; arg is
 	// the VC whose parked-out latch freed.
@@ -153,49 +215,70 @@ func (o *outPort) enqueue(e *sim.Engine, pkt *Packet, vc int) {
 	if o.cong != nil {
 		o.cong.enqueued(e.Now(), pkt.SizeBytes)
 	}
-	o.vcs[vc].q = append(o.vcs[vc].q, pkt)
+	o.vcs[vc].push(pkt)
 	o.vcs[vc].bytes += pkt.SizeBytes
+	o.queued += pkt.SizeBytes
+	o.nonEmpty |= 1 << uint(vc)
 	o.pump(e)
 }
 
-// pickVC round-robins over the non-empty virtual channels, skipping VCs
-// whose downstream latch is occupied (no credit). The wrap is a compare,
-// not a modulo: this runs once per transmitted packet and the hardware
-// divide was a measurable slice of the whole simulation.
-func (o *outPort) pickVC() int {
-	n := len(o.vcs)
-	vc := o.rr
-	for i := 0; i < n; i++ {
-		if vc >= n {
-			vc -= n
-		}
-		if len(o.vcs[vc].q) > 0 && !o.parkedOut[vc] {
-			o.rr = vc + 1
-			if o.rr >= n {
-				o.rr = 0
-			}
-			return vc
-		}
-		vc++
+// ready returns the VCs eligible to send: queue non-empty and credit held.
+func (o *outPort) ready() uint8 { return o.nonEmpty &^ o.parkedOut }
+
+// pickVC round-robins over the ready (non-zero) set: the first eligible VC
+// at or after the arbitration pointer, wrapping.
+func (o *outPort) pickVC(ready uint8) int {
+	m := ready >> uint(o.rr) << uint(o.rr)
+	if m == 0 {
+		m = ready
 	}
-	return -1
+	vc := bits.TrailingZeros8(m)
+	o.rr = vc + 1
+	if o.rr >= len(o.vcs) {
+		o.rr = 0
+	}
+	return vc
+}
+
+// linkBusy reports whether the link is still occupied, settling a lazily
+// freed link whose reserved event key has passed.
+func (o *outPort) linkBusy(e *sim.Engine) bool {
+	if o.lazyFree && e.Passed(o.serEnd, o.freeSeq) {
+		o.lazyFree, o.busy = false, false
+	}
+	return o.busy
+}
+
+// materialiseFree creates the link-free event of a lazily busy link under
+// the key it always had; the key must not have passed (linkBusy).
+func (o *outPort) materialiseFree(e *sim.Engine) {
+	if o.lazyFree {
+		o.lazyFree = false
+		e.ScheduleReserved(o.serEnd, o.freeSeq, o, portEvFree, uint64(o.serEnd))
+	}
 }
 
 // pump starts transmitting the next queued packet if the link is idle. A
 // down link is never pumped: its queue survives, frozen, until repair.
 func (o *outPort) pump(e *sim.Engine) {
-	if o.busy || o.down {
+	ready := o.ready()
+	if ready == 0 || o.down {
 		return
 	}
-	vc := o.pickVC()
-	if vc < 0 {
+	if o.linkBusy(e) {
+		// Somebody waits now, so a reserved link-free event has work to
+		// do after all.
+		o.materialiseFree(e)
 		return
 	}
+	vc := o.pickVC(ready)
 	q := &o.vcs[vc]
-	pkt := q.q[0]
-	copy(q.q, q.q[1:])
-	q.q = q.q[:len(q.q)-1]
+	pkt := q.pop()
 	q.bytes -= pkt.SizeBytes
+	o.queued -= pkt.SizeBytes
+	if len(q.q) == 0 {
+		o.nonEmpty &^= 1 << uint(vc)
+	}
 	o.busy = true
 
 	wait := e.Now() - pkt.enqueuedAt
@@ -223,8 +306,7 @@ func (o *outPort) pump(e *sim.Engine) {
 	// after just the header time, while this link stays occupied for the
 	// full serialization. Backpressure holds the VC, not the link: see
 	// deliver/creditReturned.
-	ser := o.net.Cfg.SerializationTime(pkt.SizeBytes)
-	cut := o.net.Cfg.SerializationTime(o.net.Cfg.HeaderBytes)
+	ser, cut := o.net.serTime(pkt.SizeBytes), o.net.serHeader
 	if o.rate > 0 && o.rate < 1 {
 		// Transient bandwidth degradation stretches serialization.
 		ser = sim.Time(float64(ser) / o.rate)
@@ -260,10 +342,12 @@ func (o *outPort) pump(e *sim.Engine) {
 // receiver returns the credit, one lookahead after arrival. Data packets
 // serialize for longer than that round trip, so only the narrow ACK
 // channel feels the throttle. The physical link itself frees at the same
-// instant the local path would have freed it.
+// instant the local path would have freed it — the later of serialization
+// end and header arrival — which serEnd is moved to, so the link-free
+// event follows the same schedule-or-reserve rule as on a local port.
 func (o *outPort) sendRemote(e *sim.Engine, pkt *Packet, vc int, cut sim.Time) {
 	arrive := e.Now() + cut + o.txExtra
-	o.parkedOut[vc] = true
+	o.parkedOut |= 1 << uint(vc)
 	o.net.group.Send(o.sh.Idx, o.remote.shard, sim.RemoteEvent{
 		At:     arrive,
 		Target: o.remote.target,
@@ -272,11 +356,28 @@ func (o *outPort) sendRemote(e *sim.Engine, pkt *Packet, vc int, cut sim.Time) {
 		Ptr:    pkt,
 		Aux:    o,
 	})
-	free := o.serEnd
-	if arrive > free {
-		free = arrive
+	if arrive > o.serEnd {
+		o.serEnd = arrive
 	}
-	e.ScheduleEvent(free, o, portEvFree, uint64(o.serEnd))
+	o.scheduleFree(e)
+}
+
+// scheduleFree arranges for the busy link to free at serEnd. One rule: if a
+// VC is eligible to send, the event is scheduled, because it will start
+// that packet; if none is, the event would only clear busy, so the port
+// takes its sequence number and keeps the key instead. Whoever next asks
+// (pump, load) either finds the key passed — the link is free — or, having
+// made a VC eligible, schedules the event under that key. Every other
+// event keeps its (time, seq) key either way, so nothing else moves. The
+// one observer of pending events as such, a shard group about to run a
+// fabric-control task, gets them all (Network.ScheduleControl).
+func (o *outPort) scheduleFree(e *sim.Engine) {
+	if o.ready() != 0 || o.net.controlPending > 0 {
+		e.ScheduleEvent(o.serEnd, o, portEvFree, uint64(o.serEnd))
+		return
+	}
+	o.lazyFree = true
+	o.freeSeq = e.ReserveSeq()
 }
 
 // monitorDeparture drives CFD (§3.3.2) and any attached PortMonitor. The
@@ -286,6 +387,7 @@ func (o *outPort) sendRemote(e *sim.Engine, pkt *Packet, vc int, cut sim.Time) {
 func (o *outPort) monitorDeparture(e *sim.Engine, pkt *Packet, wait sim.Time) {
 	cfg := &o.net.Cfg
 	if cfg.GenerateAcks && wait > cfg.CongestionThreshold && pkt.Type == DataPacket {
+		// flows is shard scratch: whatever outlives this call copies it.
 		flows := o.topContendingFlows(pkt)
 		if len(flows) > 0 {
 			switch cfg.NotifyMode {
@@ -297,7 +399,7 @@ func (o *outPort) monitorDeparture(e *sim.Engine, pkt *Packet, wait sim.Time) {
 			case RouterBased:
 				if e.Now()-o.lastRouterAck >= cfg.RouterAckInterval {
 					o.lastRouterAck = e.Now()
-					o.net.injectPredictiveAcks(e, o, flows, wait)
+					o.net.injectPredictiveAcks(e, o, append([]FlowKey(nil), flows...), wait)
 				}
 				// P bit: tell the destination a predictive ACK was already
 				// sent, so it replies with a latency-only ACK (§3.4.2).
@@ -311,7 +413,7 @@ func (o *outPort) monitorDeparture(e *sim.Engine, pkt *Packet, wait sim.Time) {
 		queued := o.queuedScratch[:0]
 		for vc := range o.vcs {
 			if !o.net.isAckVC(vc) {
-				queued = append(queued, o.vcs[vc].q...)
+				queued = append(queued, o.vcs[vc].pkts()...)
 			}
 		}
 		o.queuedScratch = queued
@@ -319,69 +421,89 @@ func (o *outPort) monitorDeparture(e *sim.Engine, pkt *Packet, wait sim.Time) {
 	}
 }
 
+// flowBytes is one entry of the CFD ranking: a flow and the bytes it holds
+// in the port's buffers.
+type flowBytes struct {
+	f FlowKey
+	b int
+}
+
+// before is the ranking's total order: bytes descending, then Src and Dst
+// ascending.
+func (a flowBytes) before(b flowBytes) bool {
+	if a.b != b.b {
+		return a.b > b.b
+	}
+	if a.f.Src != b.f.Src {
+		return a.f.Src < b.f.Src
+	}
+	return a.f.Dst < b.f.Dst
+}
+
 // topContendingFlows implements the §3.2.7 selection: rank the flows
 // currently occupying this port's buffers by byte share and keep those
 // above ContendShare, capped at MaxContending. The departing packet's own
-// flow is included — it is, by definition, contending here.
+// flow is included — it is, by definition, contending here — and a port
+// holding a single flow still reports it, so the source can identify
+// self-induced congestion. The result lives in shard scratch and is valid
+// until the shard's next call. A port buffers a handful of packets, so
+// the tally is a linear find-or-append and the ranking an insertion sort.
 func (o *outPort) topContendingFlows(departing *Packet) []FlowKey {
-	counts := map[FlowKey]int{departing.Flow(): departing.SizeBytes}
+	rank := append(o.sh.flowRank[:0], flowBytes{departing.Flow(), departing.SizeBytes})
 	total := departing.SizeBytes
 	for vc := range o.vcs {
 		if o.net.isAckVC(vc) {
 			continue
 		}
-		for _, p := range o.vcs[vc].q {
-			counts[p.Flow()] += p.SizeBytes
+		for _, p := range o.vcs[vc].pkts() {
 			total += p.SizeBytes
+			f, i := p.Flow(), 0
+			for i < len(rank) && rank[i].f != f {
+				i++
+			}
+			if i == len(rank) {
+				rank = append(rank, flowBytes{f: f})
+			}
+			rank[i].b += p.SizeBytes
 		}
 	}
-	if len(counts) < 2 {
-		// A single flow is not "contention between flows"; still useful to
-		// report so the source can identify self-induced congestion.
-		// The paper's examples always involve >= 2 flows; keep singletons.
-	}
-	type fc struct {
-		f FlowKey
-		b int
-	}
-	ranked := make([]fc, 0, len(counts))
-	for f, b := range counts {
-		if float64(b) >= o.net.Cfg.ContendShare*float64(total) {
-			ranked = append(ranked, fc{f, b})
+	floor := o.net.Cfg.ContendShare * float64(total)
+	top := o.sh.flowTop[:0]
+	kept := rank[:0] // filtered and sorted in place, behind the read index
+	for _, r := range rank {
+		if float64(r.b) < floor {
+			continue
+		}
+		kept = append(kept, r)
+		for j := len(kept) - 1; j > 0 && kept[j].before(kept[j-1]); j-- {
+			kept[j], kept[j-1] = kept[j-1], kept[j]
 		}
 	}
-	sort.Slice(ranked, func(i, j int) bool {
-		if ranked[i].b != ranked[j].b {
-			return ranked[i].b > ranked[j].b
-		}
-		if ranked[i].f.Src != ranked[j].f.Src {
-			return ranked[i].f.Src < ranked[j].f.Src
-		}
-		return ranked[i].f.Dst < ranked[j].f.Dst
-	})
-	if len(ranked) > o.net.Cfg.MaxContending {
-		ranked = ranked[:o.net.Cfg.MaxContending]
+	if len(kept) > o.net.Cfg.MaxContending {
+		kept = kept[:o.net.Cfg.MaxContending]
 	}
-	out := make([]FlowKey, len(ranked))
-	for i, r := range ranked {
-		out[i] = r.f
+	for _, r := range kept {
+		top = append(top, r.f)
 	}
-	return out
+	o.sh.flowRank, o.sh.flowTop = rank[:0], top[:0]
+	return top
 }
 
 // mergeFlows merges new flows into an existing predictive header, keeping
 // order and the capacity cap.
 func mergeFlows(have, add []FlowKey, max int) []FlowKey {
-	seen := make(map[FlowKey]bool, len(have))
-	for _, f := range have {
-		seen[f] = true
-	}
 	for _, f := range add {
 		if len(have) >= max {
 			break
 		}
-		if !seen[f] {
-			seen[f] = true
+		known := false
+		for _, h := range have {
+			if h == f {
+				known = true
+				break
+			}
+		}
+		if !known {
 			have = append(have, f)
 		}
 	}
@@ -409,7 +531,7 @@ func (o *outPort) deliver(e *sim.Engine, pkt *Packet, vc int) {
 		pkt.dateline = true
 	}
 	if !o.peer.accept(e, pkt, o, vc) {
-		o.parkedOut[vc] = true
+		o.parkedOut |= 1 << uint(vc)
 		o.sh.creditsStalled++
 		if o.cong != nil && o.cong.stallFrom[vc] < 0 {
 			o.cong.stallFrom[vc] = e.Now()
@@ -428,7 +550,7 @@ func (o *outPort) deliver(e *sim.Engine, pkt *Packet, vc int) {
 // creditReturned runs when the downstream admits a previously parked
 // packet: the VC's credit comes back.
 func (o *outPort) creditReturned(e *sim.Engine, vc int) {
-	o.parkedOut[vc] = false
+	o.parkedOut &^= 1 << uint(vc)
 	if o.cong != nil {
 		if s := o.cong.stallFrom[vc]; s >= 0 {
 			o.cong.vcStallNs[vc] += int64(e.Now() - s)
@@ -441,23 +563,34 @@ func (o *outPort) creditReturned(e *sim.Engine, vc int) {
 // freeLink releases the physical link once the packet's tail has left it.
 func (o *outPort) freeLink(e *sim.Engine) {
 	if e.Now() < o.serEnd {
-		// The serEnd guard travels in the event payload: a later
-		// transmission moves serEnd and thereby invalidates this event.
-		e.ScheduleEvent(o.serEnd, o, portEvFree, uint64(o.serEnd))
+		o.scheduleFree(e)
 		return
 	}
 	o.busy = false
 	o.pump(e)
 }
 
+// park holds a refused delivery until VC vc has room for it.
+func (o *outPort) park(pd parkedDelivery, vc int) {
+	if o.parked == nil {
+		o.parked = make([][]parkedDelivery, len(o.vcs))
+	}
+	o.parked[vc] = append(o.parked[vc], pd)
+	o.parkedN++
+}
+
 // admitParked moves waiting upstream deliveries into freed buffer space,
 // fairly across VCs, and resumes their senders.
 func (o *outPort) admitParked(e *sim.Engine) {
+	if o.parkedN == 0 {
+		return
+	}
 	for vc := range o.vcs {
 		for len(o.parked[vc]) > 0 && o.free(vc) >= o.parked[vc][0].pkt.SizeBytes {
 			pd := o.parked[vc][0]
 			copy(o.parked[vc], o.parked[vc][1:])
 			o.parked[vc] = o.parked[vc][:len(o.parked[vc])-1]
+			o.parkedN--
 			o.enqueue(e, pd.pkt, vc)
 			if pd.from.sh != o.sh {
 				// The sender lives on another shard: its pessimistic
@@ -474,12 +607,8 @@ func (o *outPort) admitParked(e *sim.Engine) {
 // load returns the total queued bytes (a congestion signal for adaptive
 // routing policies), including a nominal in-flight packet when busy.
 func (o *outPort) load() int {
-	total := 0
-	for vc := range o.vcs {
-		total += o.vcs[vc].bytes
+	if o.linkBusy(o.sh.Eng) {
+		return o.queued + o.net.Cfg.PacketBytes
 	}
-	if o.busy {
-		total += o.net.Cfg.PacketBytes
-	}
-	return total
+	return o.queued
 }

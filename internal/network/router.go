@@ -31,17 +31,91 @@ type Router struct {
 	// per-router scratch is race-free under parallel shards while keeping
 	// the per-decision call allocation-free.
 	mpBuf []int
+
+	// Route memo. The topology's NextHop and MinimalPorts are pure, and at
+	// any router other than the destination's own they depend on the
+	// destination only through its attach router (the Topology contract),
+	// so one entry per destination router answers for all its terminals;
+	// at the attach router itself the answer is the terminal's port, read
+	// from Network.attach. Rows are indexed by destination router, made on
+	// the router's first decision (a router that never routes, or a policy
+	// that never asks for port sets, pays nothing) and filled on first
+	// visit. Like mpBuf they are touched only from the owning shard.
+	//
+	// nextHop[d] is the baseline port toward router d, plus one (0 =
+	// unknown).
+	nextHop []int16
+	// minPorts[d] indexes portSets, plus one (0 = unknown); portSets are
+	// the distinct minimal-port sets seen at this router, shared by every
+	// destination with the same answer.
+	minPorts []int16
+	portSets [][]int
+}
+
+// attachPoint is one terminal's attach router and port.
+type attachPoint struct {
+	router int32
+	port   int16
 }
 
 // Net returns the owning network (topology, config and RNG access for
 // policies).
 func (r *Router) Net() *Network { return r.net }
 
-// MinimalPorts returns the minimal output ports at r toward dst, using the
-// router's private scratch buffer. The result is valid until this router's
-// next MinimalPorts call and must not be mutated.
+// NextHop returns the topology's baseline deterministic output port at r
+// toward terminal dst, memoised.
+func (r *Router) NextHop(dst topology.NodeID) int {
+	at := r.net.attach[dst]
+	if topology.RouterID(at.router) == r.ID {
+		return int(at.port)
+	}
+	if r.nextHop == nil {
+		r.nextHop = make([]int16, len(r.net.Routers))
+	}
+	p := r.nextHop[at.router]
+	if p == 0 {
+		p = int16(r.net.Topo.NextHop(r.ID, dst)) + 1
+		r.nextHop[at.router] = p
+	}
+	return int(p) - 1
+}
+
+// MinimalPorts returns the minimal output ports at r toward dst, memoised.
+// The result must not be mutated and, for a terminal of r itself, is valid
+// only until this router's next MinimalPorts call.
 func (r *Router) MinimalPorts(dst topology.NodeID) []int {
-	return r.net.Topo.MinimalPorts(r.ID, dst, r.mpBuf)
+	at := r.net.attach[dst]
+	if topology.RouterID(at.router) == r.ID {
+		return append(r.mpBuf[:0], int(at.port))
+	}
+	if r.minPorts == nil {
+		r.minPorts = make([]int16, len(r.net.Routers))
+	}
+	i := r.minPorts[at.router]
+	if i == 0 {
+		i = r.internPorts(r.net.Topo.MinimalPorts(r.ID, dst, r.mpBuf))
+		r.minPorts[at.router] = i
+	}
+	return r.portSets[i-1]
+}
+
+// internPorts returns the 1-based index of ports among this router's
+// distinct minimal-port sets, adding a copy when it is new.
+func (r *Router) internPorts(ports []int) int16 {
+next:
+	for i, set := range r.portSets {
+		if len(set) != len(ports) {
+			continue
+		}
+		for j := range set {
+			if set[j] != ports[j] {
+				continue next
+			}
+		}
+		return int16(i + 1)
+	}
+	r.portSets = append(r.portSets, append([]int(nil), ports...))
+	return int16(len(r.portSets))
 }
 
 // OutLoad returns the queued bytes at output port p — the congestion signal
@@ -67,7 +141,7 @@ func (r *Router) accept(e *sim.Engine, pkt *Packet, from *outPort, fromVC int) b
 		op.enqueue(e, pkt, vc)
 		return true
 	}
-	op.parked[vc] = append(op.parked[vc], parkedDelivery{pkt: pkt, from: from, fromVC: fromVC})
+	op.park(parkedDelivery{pkt: pkt, from: from, fromVC: fromVC}, vc)
 	return false
 }
 

@@ -67,6 +67,12 @@ type Shard struct {
 	creditsStalled        int64
 	detouredAcks          int64
 
+	// flowRank and flowTop are the Contending Flows Detection scratch
+	// (outPort.topContendingFlows): one per shard, since a shard's ports
+	// never run concurrently.
+	flowRank []flowBytes
+	flowTop  []FlowKey
+
 	// Health caches (health.go), valid until the next fault epoch. Kept
 	// per shard because they are written on the hot path; the underlying
 	// link state they derive from only changes at window barriers.
@@ -200,12 +206,29 @@ func (n *Network) ShardCollectors() []*metrics.Collector {
 // mode it runs as a group barrier task at the last barrier before the
 // window containing `at` (at most one lookahead early), where mutating
 // link state shared by all shards is race-free.
+//
+// The shard group starts a window at the earliest pending event, and a
+// barrier task sees the clocks at that start — so while one is pending,
+// which events exist decides when a repaired link resumes. For that span
+// every link-free event is scheduled (scheduleFree), the ones reserved so
+// far included.
 func (n *Network) ScheduleControl(at sim.Time, fn func()) {
-	if n.group != nil {
-		n.group.ScheduleBarrier(at, fn)
+	if n.group == nil {
+		n.Eng.Schedule(at, func(*sim.Engine) { fn() })
 		return
 	}
-	n.Eng.Schedule(at, func(*sim.Engine) { fn() })
+	if n.controlPending == 0 {
+		n.eachPort(func(o *outPort) {
+			if o.linkBusy(o.sh.Eng) {
+				o.materialiseFree(o.sh.Eng)
+			}
+		})
+	}
+	n.controlPending++
+	n.group.ScheduleBarrier(at, func() {
+		fn()
+		n.controlPending--
+	})
 }
 
 // Aggregate counter accessors. Each sums the per-shard counters; with one

@@ -25,8 +25,12 @@ func waypointPort(r *network.Router, pkt *network.Packet) (int, bool) {
 // minimal-port candidate set down to ports whose links are in service. When
 // every candidate is dead it returns the original set — the packet then
 // queues at a dead port instead of being misrouted, keeping each policy's
-// minimality (and so its deadlock-freedom argument) intact.
+// minimality (and so its deadlock-freedom argument) intact. On a fabric
+// where no link has ever failed the input is the answer.
 func UpPorts(r *network.Router, ports []int) []int {
+	if r.Net().FaultEpoch() == 0 {
+		return ports
+	}
 	for i, p := range ports {
 		if !r.PortUp(p) {
 			// First dead port found: build the filtered copy from here.
@@ -47,8 +51,8 @@ func UpPorts(r *network.Router, ports []int) []int {
 
 // HealthyMinimalPorts returns the live minimal ports at r toward dst,
 // falling back to the full minimal set when the failure cut them all off.
-// It routes through the router's private scratch buffer, so concurrent
-// shards deciding at different routers never share topology state.
+// It reads the router's private route memo, so concurrent shards deciding
+// at different routers never share state.
 func HealthyMinimalPorts(r *network.Router, dst topology.NodeID) []int {
 	return UpPorts(r, r.MinimalPorts(dst))
 }
@@ -67,7 +71,7 @@ func (Deterministic) OutputPort(r *network.Router, pkt *network.Packet) int {
 	if p, ok := waypointPort(r, pkt); ok {
 		return p
 	}
-	return r.Net().Topo.NextHop(r.ID, pkt.Dst)
+	return r.NextHop(pkt.Dst)
 }
 
 // Random is the oblivious random policy: among the minimal ports toward the
@@ -141,10 +145,12 @@ func (Adaptive) OutputPort(r *network.Router, pkt *network.Packet) int {
 	if p, ok := waypointPort(r, pkt); ok {
 		return p
 	}
-	topo := r.Net().Topo
 	ports := HealthyMinimalPorts(r, pkt.Dst)
+	if len(ports) == 1 {
+		return ports[0]
+	}
 	best, bestLoad := -1, 0
-	base := topo.NextHop(r.ID, pkt.Dst)
+	base := r.NextHop(pkt.Dst)
 	for _, p := range ports {
 		l := r.OutLoad(p)
 		// Ties break deterministically toward the baseline port.

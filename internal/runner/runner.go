@@ -506,11 +506,26 @@ type PatternSpec struct {
 	PacketBytes int
 }
 
+// patternSpace resolves a PatternNodes field: 0 means every terminal, and a
+// space larger than the fabric is an error — its permutation would address
+// nodes that do not exist.
+func (s *Sim) patternSpace(patternNodes int) (int, error) {
+	terminals := s.Net.Topo.NumTerminals()
+	switch {
+	case patternNodes == 0:
+		return terminals, nil
+	case patternNodes < 0 || patternNodes > terminals:
+		return 0, fmt.Errorf("prdrb: PatternNodes %d outside [0, %d], the terminals of %s",
+			patternNodes, terminals, s.Net.Topo.Name())
+	}
+	return patternNodes, nil
+}
+
 // InstallPattern schedules the synthetic traffic on the simulation.
 func (s *Sim) InstallPattern(spec PatternSpec) error {
-	space := spec.PatternNodes
-	if space == 0 {
-		space = s.Net.Topo.NumTerminals()
+	space, err := s.patternSpace(spec.PatternNodes)
+	if err != nil {
+		return err
 	}
 	p, err := traffic.ByName(spec.Pattern, space)
 	if err != nil {
@@ -573,9 +588,9 @@ type BurstSpec struct {
 
 // burstFor resolves one spec into a traffic.Burst.
 func (s *Sim) burstFor(spec BurstSpec) (traffic.Burst, error) {
-	space := spec.PatternNodes
-	if space == 0 {
-		space = s.Net.Topo.NumTerminals()
+	space, err := s.patternSpace(spec.PatternNodes)
+	if err != nil {
+		return traffic.Burst{}, err
 	}
 	p, err := traffic.ByName(spec.Pattern, space)
 	if err != nil {

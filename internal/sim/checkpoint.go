@@ -10,8 +10,10 @@ import (
 // Checkpoint capture for the engine layer.
 //
 // The encoders here serialize everything that determines future engine
-// behavior — the virtual clock, the tie-breaking sequence counter, and
-// every pending event in (time, seq) order — plus the bookkeeping
+// behavior — the virtual clock, the tie-breaking sequence counter, the
+// firing order's position within the current instant (curSeq, which
+// decides Passed for reserved keys), and every pending event in
+// (time, seq) order — plus the bookkeeping
 // counters (Processed, peak queue depth, freelist length) that appear in
 // run summaries. Free-list *contents* are recycled records whose identity
 // never affects execution, so only the length is captured.
@@ -86,6 +88,7 @@ func (e *Engine) PendingEvents() []PendingEvent {
 func (e *Engine) EncodeState(enc *ckpt.Enc) {
 	enc.I64(int64(e.now))
 	enc.U64(e.seq)
+	enc.U64(e.curSeq)
 	enc.U64(e.Processed)
 	enc.Int(e.peakQueue)
 	enc.Int(len(e.free))

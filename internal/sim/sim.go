@@ -26,6 +26,18 @@
 // Determinism: events at equal timestamps fire in scheduling order (a
 // monotonically increasing sequence number breaks ties), so a simulation is
 // a pure function of its configuration and RNG seed.
+//
+// Reserved sequence numbers: a component that knows an event will most
+// likely be a no-op (a link-free event nobody waits for) need not pay for
+// it. ReserveSeq consumes the sequence number the event would have had
+// without creating a record, so every other event keeps its (time, seq)
+// key; Passed tells whether the event would already have fired — the key
+// lies before the event being executed, whose sequence number fire keeps
+// in curSeq; and ScheduleReserved creates the record late, under the
+// reserved key, once somebody does wait. The schedulers order by key, not
+// by insertion, so the late record fires exactly where the early one
+// would have, and a firing order with the elided no-ops removed is the
+// firing order of everything else, unchanged.
 package sim
 
 import "fmt"
@@ -104,8 +116,12 @@ func (id EventID) Valid() bool { return id.ev != nil }
 //
 // The zero value is not usable; construct with NewEngine.
 type Engine struct {
-	now     Time
-	seq     uint64
+	now Time
+	seq uint64
+	// curSeq is the sequence number of the event being (or last) executed
+	// at now — with now, the position the firing order has reached. Zero
+	// when no event has fired at now (fresh engine, after AdvanceTo).
+	curSeq  uint64
 	queue   []*event
 	stopped bool
 	// pending counts scheduled, not-yet-fired, not-cancelled events; the
@@ -219,18 +235,17 @@ func (e *Engine) siftDown(ev *event, i int) {
 
 // alloc takes an event record from the free list (or the heap allocator),
 // stamps it with the scheduling metadata, and enqueues it.
-func (e *Engine) alloc(at Time) *event {
+func (e *Engine) alloc(at Time, seq uint64) *event {
 	var ev *event
 	if n := len(e.free); n > 0 {
 		ev = e.free[n-1]
 		e.free[n-1] = nil
 		e.free = e.free[:n-1]
 		gen := ev.gen + 1
-		*ev = event{at: at, seq: e.seq, gen: gen}
+		*ev = event{at: at, seq: seq, gen: gen}
 	} else {
-		ev = &event{at: at, seq: e.seq}
+		ev = &event{at: at, seq: seq}
 	}
-	e.seq++
 	e.pending++
 	if e.wheel != nil {
 		e.wheelPush(ev)
@@ -252,7 +267,7 @@ func (e *Engine) Schedule(at Time, fn Handler) EventID {
 	if fn == nil {
 		panic("sim: nil handler")
 	}
-	ev := e.alloc(at)
+	ev := e.alloc(at, e.ReserveSeq())
 	ev.actor = fn
 	return EventID{ev: ev, gen: ev.gen}
 }
@@ -271,14 +286,45 @@ func (e *Engine) ScheduleEvent(at Time, a Actor, kind uint8, arg uint64) EventID
 	if at < e.now {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, e.now))
 	}
+	return e.scheduleKeyed(at, e.ReserveSeq(), a, kind, arg)
+}
+
+// scheduleKeyed enqueues a typed event under the key (at, seq).
+func (e *Engine) scheduleKeyed(at Time, seq uint64, a Actor, kind uint8, arg uint64) EventID {
 	if a == nil {
 		panic("sim: nil actor")
 	}
-	ev := e.alloc(at)
+	ev := e.alloc(at, seq)
 	ev.actor = a
 	ev.kind = kind
 	ev.arg = arg
 	return EventID{ev: ev, gen: ev.gen}
+}
+
+// ReserveSeq consumes and returns the sequence number the next scheduled
+// event would get, without scheduling anything. The caller remembers the
+// event's (time, seq) key and either lets it lapse (Passed) or creates it
+// later with ScheduleReserved.
+func (e *Engine) ReserveSeq() uint64 {
+	s := e.seq
+	e.seq++
+	return s
+}
+
+// Passed reports whether an event keyed (at, seq) would already have
+// fired: its key lies before the firing order's current position.
+func (e *Engine) Passed(at Time, seq uint64) bool {
+	return at < e.now || at == e.now && seq < e.curSeq
+}
+
+// ScheduleReserved delivers (kind, arg) to a at time at under a sequence
+// number taken earlier with ReserveSeq. The key must not have passed: an
+// event cannot fire in the past of the firing order.
+func (e *Engine) ScheduleReserved(at Time, seq uint64, a Actor, kind uint8, arg uint64) EventID {
+	if e.Passed(at, seq) {
+		panic(fmt.Sprintf("sim: reserved event (%v, %d) already passed at (%v, %d)", at, seq, e.now, e.curSeq))
+	}
+	return e.scheduleKeyed(at, seq, a, kind, arg)
 }
 
 // AfterEvent delivers (kind, arg) to a after delay d.
@@ -334,6 +380,7 @@ func (e *Engine) peek() *event {
 // moves to it, the record is removed and recycled, and its actor runs.
 func (e *Engine) fire(ev *event) {
 	e.now = ev.at
+	e.curSeq = ev.seq
 	if w := e.wheel; w != nil {
 		// The clock moved, so the ring span did: pull far events in. When
 		// ev itself was the far top the ring was empty, so it lands at the

@@ -34,6 +34,16 @@ import "math/bits"
 // (time, seq) order — the property TestWheelMatchesHeap pins. Heap mode
 // (a bare NewEngine without EnableWheel) remains as that test's reference
 // implementation and as the far-overflow store.
+//
+// Keys need not arrive in order. ScheduleReserved inserts a record whose
+// sequence number was taken earlier (ReserveSeq), so its key may sort
+// before records already in its slot — even into the slot being drained,
+// behind the head that is executing. slotInsert walks to the sorted
+// position whenever the new key is not a tail append, the far heap orders
+// by key alone, and fire unlinks the head before its handler runs; the
+// only requirement, checked by ScheduleReserved, is that the key has not
+// passed (Engine.Passed: it lies after (now, curSeq), the key of the event
+// being executed).
 
 const (
 	// wheelSlotShift sets the slot width. A linked slot is walked from its
@@ -229,6 +239,7 @@ func (e *Engine) AdvanceTo(at Time) {
 		return
 	}
 	e.now = at
+	e.curSeq = 0 // nothing has fired at the new instant
 	if e.wheel != nil {
 		e.migrateFar()
 	}

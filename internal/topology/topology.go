@@ -81,6 +81,12 @@ type Topology interface {
 	TerminalAttach(t NodeID) (RouterID, int)
 	// NextHop returns the output port at r for the topology's baseline
 	// deterministic minimal routing toward terminal dst.
+	//
+	// NextHop and MinimalPorts are pure functions of their arguments. At
+	// dst's attach router the answer is dst's attach port; at any other
+	// router it depends on dst only through its attach router. The
+	// network memoises routes per destination router on the strength of
+	// this (network.Router.NextHop, TestRouteMemoMatchesTopology).
 	NextHop(r RouterID, dst NodeID) int
 	// MinimalPorts returns every output port at r that lies on a minimal
 	// continuation toward dst. Adaptive policies choose among these.

@@ -232,6 +232,30 @@ func TestPatternNodesRestriction(t *testing.T) {
 	}
 }
 
+// TestPatternNodesBeyondFabricRejected: a permutation space larger than the
+// fabric would address terminals that do not exist (the tree's digit
+// arithmetic wraps them onto real ones), so every Install entry point
+// refuses it.
+func TestPatternNodesBeyondFabricRejected(t *testing.T) {
+	s := MustNewSim(Experiment{Topology: FatTree(2, 3), Policy: PolicyDeterministic, Seed: 1})
+	burst := BurstSpec{Pattern: "shuffle", RateMbps: 400, Len: Microsecond, Gap: Microsecond, Count: 1, PatternNodes: 16}
+	if err := s.InstallPattern(PatternSpec{Pattern: "shuffle", RateMbps: 400, End: Microsecond, PatternNodes: 16}); err == nil {
+		t.Error("InstallPattern accepted 16 pattern nodes on 8 terminals")
+	}
+	if _, err := s.InstallBursts(burst); err == nil {
+		t.Error("InstallBursts accepted 16 pattern nodes on 8 terminals")
+	}
+	if _, err := s.InstallVariableBursts([]BurstSpec{burst}, 1); err == nil {
+		t.Error("InstallVariableBursts accepted 16 pattern nodes on 8 terminals")
+	}
+	if err := s.InstallPattern(PatternSpec{Pattern: "shuffle", RateMbps: 400, End: Microsecond, PatternNodes: -1}); err == nil {
+		t.Error("InstallPattern accepted a negative pattern space")
+	}
+	if err := s.InstallPattern(PatternSpec{Pattern: "shuffle", RateMbps: 400, End: Microsecond, PatternNodes: 8}); err != nil {
+		t.Errorf("the full fabric as pattern space was refused: %v", err)
+	}
+}
+
 func TestTraceBuilderFacade(t *testing.T) {
 	b := NewTraceBuilder("facade", 2)
 	b.Send(0, 1, 2048)

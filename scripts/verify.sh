@@ -25,6 +25,13 @@ go test -race -count=10 -cpu 1,2,4 -timeout 5m -run 'ShardGroup|GroupProbe' ./in
 echo "==> zero-alloc guard (TestHotPathZeroAlloc)"
 go test -run TestHotPathZeroAlloc -count=1 .
 
+echo "==> one-event-per-hop guards (race, GOMAXPROCS 1/2/4)"
+# Reserved sequence numbers, the lazy link-free state machine, sequence
+# conservation against the constants of the eager build, the route memo
+# against the topologies, and the pinned events per packet.
+go test -race -cpu 1,2,4 -count=1 -run 'Reserved|LazyFree|SeqConservation|RouteMemo|EventsPerHop' \
+    ./internal/sim ./internal/network ./internal/routing .
+
 echo "==> simulated-statistics digests (benchmark smoke vs results/bench.smoke.digests.txt)"
 # The benchmark's sim_digest hashes every Results field of every cell and
 # is deterministic for the default seed, so a host-speed change proves
@@ -33,6 +40,7 @@ echo "==> simulated-statistics digests (benchmark smoke vs results/bench.smoke.d
 #   go run ./benchmark -smoke | grep '^sim_digest' > results/bench.smoke.digests.txt
 go run ./benchmark -smoke 2>/dev/null | grep '^sim_digest' | diff results/bench.smoke.digests.txt - || {
     echo "verify: benchmark smoke digests differ from results/bench.smoke.digests.txt" >&2
+    echo "verify: run 'go test -v -run SeqConservation .' first: it names the cell and shard count that moved and prints every Results field" >&2
     exit 1
 }
 echo "    seven workload digests identical"

@@ -67,10 +67,16 @@ func runShardScenario(t *testing.T, sc shardScenario, shards int, tel *Telemetry
 			t.Fatal(err)
 		}
 	}
+	// Sixteen communicating nodes, or the whole fabric when it is smaller
+	// (the 8-terminal ft-2-3 preset).
+	nodes := 16
+	if n := s.Net.Topo.NumTerminals(); n < nodes {
+		nodes = n
+	}
 	end, err := s.InstallBursts(BurstSpec{
 		Pattern: "shuffle", RateMbps: 900,
 		Len: 150 * Microsecond, Gap: 150 * Microsecond,
-		Count: 2, PatternNodes: 16,
+		Count: 2, PatternNodes: nodes,
 	})
 	if err != nil {
 		t.Fatal(err)
