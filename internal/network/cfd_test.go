@@ -73,8 +73,9 @@ func refMergeFlows(have, add []FlowKey, max int) []FlowKey {
 }
 
 // fillPort replaces the port's queues with the given packets, one list per
-// VC.
+// VC, behind the back of any tally the port keeps.
 func fillPort(o *outPort, perVC [][]*Packet) {
+	o.dropTally()
 	for vc := range o.vcs {
 		o.vcs[vc] = vcQueue{}
 		if vc < len(perVC) {
@@ -169,5 +170,133 @@ func TestContendingFlowsRanking(t *testing.T) {
 	dep := cfdPkt(1, 2, 1024)
 	if avg := testing.AllocsPerRun(100, func() { o.topContendingFlows(dep) }); avg != 0 {
 		t.Errorf("topContendingFlows allocates %.1f times per call, want 0", avg)
+	}
+}
+
+// TestContendingFlowsSaturatedPort pins the incremental tally on the regime
+// it exists for (and, at the end, that a shallow port stays out of it): a
+// port holding over 512 packets of over 60 flows, with packets entering
+// (enqueue) and leaving (pump, one at a time: the test holds the link busy
+// in between) between departures that rank. Every ranking must equal the
+// reference's recount of the queues, and the tally must be discarded — and
+// rebuilt by the next trigger — when a departure waits no longer than the
+// threshold and when the data VCs drain.
+func TestContendingFlowsSaturatedPort(t *testing.T) {
+	n := testNet(t, topology.NewTorus(4, 4), func(c *Config) {
+		c.GenerateAcks = true
+		c.CongestionThreshold = 2 * sim.Microsecond
+		c.ContendShare = 0.02
+		c.MaxContending = 8
+	})
+	e := n.Eng
+	o := n.Routers[5].out[0]
+	o.busy = true // nothing leaves on its own; depart opens the link
+	rng := sim.NewRNG(77)
+	flows := make(map[FlowKey]bool)
+	newPkt := func() *Packet {
+		p := cfdPkt(rng.Intn(16), 16+rng.Intn(5), 64<<uint(rng.Intn(5)))
+		if rng.Intn(10) == 0 {
+			p.Type = AckPacket
+		}
+		return p
+	}
+	dataQueued := func() (data int) {
+		for vc := range o.vcs {
+			if !n.isAckVC(vc) {
+				data += len(o.vcs[vc].pkts())
+			}
+		}
+		return data
+	}
+	for dataQueued() < 600 {
+		p := newPkt()
+		flows[p.Flow()] = true
+		o.enqueue(e, p, rng.Intn(n.numVC))
+	}
+	if len(flows) < 60 {
+		t.Fatalf("only %d flows queued", len(flows))
+	}
+	if o.cfd != nil {
+		t.Fatal("a tally exists before any departure triggered one")
+	}
+
+	// depart lets pump send one packet that has waited wait (whichever VC
+	// the arbiter picks: every head is back-dated) and checks what
+	// monitorDeparture, called by pump, made of it.
+	depart := func(wait sim.Time) {
+		t.Helper()
+		for vc := range o.vcs {
+			if q := o.vcs[vc].pkts(); len(q) > 0 {
+				q[0].enqueuedAt = e.Now() - wait
+				q[0].Contending = nil
+			}
+		}
+		before := o.queued
+		o.busy = false
+		o.pump(e)
+		pkt := o.inflight
+		if !o.busy || o.queued != before-pkt.SizeBytes {
+			t.Fatalf("pump sent nothing (queued %d -> %d)", before, o.queued)
+		}
+		deep := before-pkt.SizeBytes >= tallyDepth*n.Cfg.PacketBytes
+		switch {
+		case pkt.Type != DataPacket:
+			if pkt.Contending != nil {
+				t.Fatalf("an ACK departure was given a predictive header")
+			}
+		case wait <= n.Cfg.CongestionThreshold:
+			if o.cfd != nil || pkt.Contending != nil {
+				t.Fatalf("a departure within the threshold kept the tally (%v) or ranked (%v)", o.cfd != nil, pkt.Contending)
+			}
+		default:
+			if got, want := fmt.Sprint(pkt.Contending), fmt.Sprint(refTopContendingFlows(o, pkt)); got != want {
+				t.Fatalf("ranking %v, recount of the queues gives %v", got, want)
+			}
+			if data := dataQueued(); deep && (o.cfd != nil) != (data > 0) {
+				t.Fatalf("deep port: tally kept=%v with %d data packets queued", o.cfd != nil, data)
+			}
+		}
+	}
+	long, short := 10*sim.Microsecond, sim.Microsecond
+	triggers := 0
+	for step := 0; step < 4000; step++ {
+		switch k := rng.Intn(10); {
+		case k < 4:
+			o.enqueue(e, newPkt(), rng.Intn(n.numVC))
+		case k < 9:
+			depart(long)
+			triggers++
+		default:
+			depart(short) // ends the episode; the next long wait rebuilds
+		}
+		if dataQueued() < 520 {
+			o.enqueue(e, newPkt(), rng.Intn(n.numVC))
+			o.enqueue(e, newPkt(), rng.Intn(n.numVC))
+		}
+	}
+	if data := dataQueued(); triggers < 1500 || data < 512 {
+		t.Fatalf("%d ranking departures, %d data packets still queued: the port did not stay saturated", triggers, data)
+	}
+	// Drain: the last data packet out takes the tally with it.
+	for o.nonEmpty != 0 {
+		depart(long)
+	}
+	if o.cfd != nil {
+		t.Fatal("the drained port still holds a tally")
+	}
+	if len(o.sh.tallyFree) != 1 || len(o.sh.tallyFree[0].at) != 0 || len(o.sh.tallyFree[0].flows) != 0 {
+		t.Fatalf("the shard got back %d tallies, or a non-empty one", len(o.sh.tallyFree))
+	}
+	// A shallow port recounts and never takes a tally.
+	for round := 0; round < 50; round++ {
+		for k := 1 + rng.Intn(tallyDepth-2); k > 0; k-- {
+			o.enqueue(e, newPkt(), rng.Intn(n.numVC))
+		}
+		for o.nonEmpty != 0 {
+			depart(long)
+			if o.cfd != nil {
+				t.Fatalf("a port holding %d bytes took a tally", o.queued)
+			}
+		}
 	}
 }

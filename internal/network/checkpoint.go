@@ -11,7 +11,7 @@ import (
 // link occupancy, packets in flight (wire fields and VC bookkeeping),
 // NIC reassembly progress, per-shard counters and packet-pool cursors —
 // in a deterministic order: shards, routers and ports by index, map walks
-// sorted by key. Derived caches (health reach-sets, ACK detours, monitor
+// sorted by key. Derived caches (health reach-sets, ACK detours, CFD tallies and
 // scratch) are recomputed on demand from encoded state and are skipped.
 //
 // Pool freelist contents are recycled records with no behavioral

@@ -325,15 +325,6 @@ func (n *Network) SetSourceController(build func(node topology.NodeID) SourceCon
 	}
 }
 
-// SetPortMonitor attaches a PortMonitor to every router output port.
-func (n *Network) SetPortMonitor(m PortMonitor) {
-	for _, rt := range n.Routers {
-		for _, op := range rt.out {
-			op.monitor = m
-		}
-	}
-}
-
 // injectPredictiveAcks is the GPA module's network half (§3.3.2, §3.4.1):
 // originate one predictive ACK per contending flow, addressed to the flow's
 // source, carrying the full contending set and the reporting router.

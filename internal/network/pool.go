@@ -20,8 +20,8 @@ package network
 //     backing arrays may still be shared with live packets (an ACK copies
 //     the data packet's Contending slice; detoured ACKs share the cached
 //     detour path) and are never scrubbed or reused by the pool.
-//   - Callbacks that receive a *Packet (HandleAck, OnAck, HandlePacketLoss,
-//     PortMonitor) must copy what they need and not retain the pointer.
+//   - Callbacks that receive a *Packet (HandleAck, OnAck, HandlePacketLoss)
+//     must copy what they need and not retain the pointer.
 //   - A packet that crosses a shard boundary changes pools: the receiving
 //     shard becomes its final owner and releases it into its own freelist.
 //     Records are interchangeable (identity is reassigned at issue), so

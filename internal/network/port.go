@@ -142,9 +142,10 @@ type outPort struct {
 	// analyses (§5.2 open lines).
 	busyNs  sim.Time
 	txBytes int64
-	// monitor hooks into the DRB/PR-DRB machinery at this router's ports.
-	// Nil for baselines and NIC ports.
-	monitor PortMonitor
+	// cfd is the per-flow byte tally of the data VCs, kept only while the
+	// port is deep and congested (see flowTally); nil otherwise, so any
+	// other port pays one predictable branch in enqueue and pump.
+	cfd *flowTally
 
 	// inflight is the packet between pump and deliver. At most one packet is
 	// ever in that window per port — busy is raised by pump and only cleared
@@ -159,8 +160,6 @@ type outPort struct {
 	// congestion accounting is off, so disabled runs pay one predictable
 	// branch per hook and allocate nothing.
 	cong *congPort
-	// queuedScratch backs the monitor callback's queued list between calls.
-	queuedScratch []*Packet
 }
 
 // Typed event kinds delivered to an outPort (sim.Actor).
@@ -197,16 +196,6 @@ func (o *outPort) HandleEvent(e *sim.Engine, kind uint8, arg uint64) {
 	}
 }
 
-// PortMonitor receives the Latency Update / Contending Flows Detection
-// callbacks of the PR-DRB router (§3.3.2). Implementations live in
-// internal/core.
-type PortMonitor interface {
-	// PacketDeparting is called when a packet starts transmission after
-	// having waited `wait` in the port's buffers. queued lists the packets
-	// still occupying the port (the contending candidates).
-	PacketDeparting(e *sim.Engine, r topology.RouterID, pkt *Packet, wait sim.Time, queued []*Packet)
-}
-
 func (o *outPort) free(vc int) int { return o.vcCap - o.vcs[vc].bytes }
 
 // enqueue admits pkt into VC vc; the caller has verified space.
@@ -219,6 +208,9 @@ func (o *outPort) enqueue(e *sim.Engine, pkt *Packet, vc int) {
 	o.vcs[vc].bytes += pkt.SizeBytes
 	o.queued += pkt.SizeBytes
 	o.nonEmpty |= 1 << uint(vc)
+	if o.cfd != nil && !o.net.isAckVC(vc) {
+		o.cfd.add(pkt)
+	}
 	o.pump(e)
 }
 
@@ -254,6 +246,7 @@ func (o *outPort) linkBusy(e *sim.Engine) bool {
 func (o *outPort) materialiseFree(e *sim.Engine) {
 	if o.lazyFree {
 		o.lazyFree = false
+		o.sh.events.LinkFree++
 		e.ScheduleReserved(o.serEnd, o.freeSeq, o, portEvFree, uint64(o.serEnd))
 	}
 }
@@ -278,6 +271,9 @@ func (o *outPort) pump(e *sim.Engine) {
 	o.queued -= pkt.SizeBytes
 	if len(q.q) == 0 {
 		o.nonEmpty &^= 1 << uint(vc)
+	}
+	if o.cfd != nil && !o.net.isAckVC(vc) {
+		o.cfd.remove(pkt)
 	}
 	o.busy = true
 
@@ -348,6 +344,7 @@ func (o *outPort) pump(e *sim.Engine) {
 func (o *outPort) sendRemote(e *sim.Engine, pkt *Packet, vc int, cut sim.Time) {
 	arrive := e.Now() + cut + o.txExtra
 	o.parkedOut |= 1 << uint(vc)
+	o.sh.events.Handoffs++
 	o.net.group.Send(o.sh.Idx, o.remote.shard, sim.RemoteEvent{
 		At:     arrive,
 		Target: o.remote.target,
@@ -373,6 +370,7 @@ func (o *outPort) sendRemote(e *sim.Engine, pkt *Packet, vc int, cut sim.Time) {
 // fabric-control task, gets them all (Network.ScheduleControl).
 func (o *outPort) scheduleFree(e *sim.Engine) {
 	if o.ready() != 0 || o.net.controlPending > 0 {
+		o.sh.events.LinkFree++
 		e.ScheduleEvent(o.serEnd, o, portEvFree, uint64(o.serEnd))
 		return
 	}
@@ -380,13 +378,21 @@ func (o *outPort) scheduleFree(e *sim.Engine) {
 	o.freeSeq = e.ReserveSeq()
 }
 
-// monitorDeparture drives CFD (§3.3.2) and any attached PortMonitor. The
-// CFD machinery is gated on GenerateAcks: the predictive header it writes
-// is only ever read back through the ACK path, so runs without ACKs
-// (the oblivious baselines) skip the contending-flows bookkeeping entirely.
+// monitorDeparture drives CFD (§3.3.2). The machinery is gated on
+// GenerateAcks: the predictive header it writes is only ever read back
+// through the ACK path, so runs without ACKs (the oblivious baselines) skip
+// the contending-flows bookkeeping entirely.
 func (o *outPort) monitorDeparture(e *sim.Engine, pkt *Packet, wait sim.Time) {
 	cfg := &o.net.Cfg
-	if cfg.GenerateAcks && wait > cfg.CongestionThreshold && pkt.Type == DataPacket {
+	if !cfg.GenerateAcks {
+		return
+	}
+	if pkt.Type == DataPacket {
+		if wait <= cfg.CongestionThreshold {
+			// The data VCs are keeping up again: the episode is over.
+			o.dropTally()
+			return
+		}
 		// flows is shard scratch: whatever outlives this call copies it.
 		flows := o.topContendingFlows(pkt)
 		if len(flows) > 0 {
@@ -407,17 +413,8 @@ func (o *outPort) monitorDeparture(e *sim.Engine, pkt *Packet, wait sim.Time) {
 			}
 		}
 	}
-	if o.monitor != nil {
-		// queuedScratch is reused between calls; the monitor contract is
-		// that the slice is only valid during the callback.
-		queued := o.queuedScratch[:0]
-		for vc := range o.vcs {
-			if !o.net.isAckVC(vc) {
-				queued = append(queued, o.vcs[vc].pkts()...)
-			}
-		}
-		o.queuedScratch = queued
-		o.monitor.PacketDeparting(e, o.router, pkt, wait, queued)
+	if o.cfd != nil && o.cfd.total == 0 {
+		o.dropTally() // the data VCs drained
 	}
 }
 
@@ -440,17 +437,123 @@ func (a flowBytes) before(b flowBytes) bool {
 	return a.f.Dst < b.f.Dst
 }
 
+// flowTally is the bytes each flow holds in a port's data VCs, kept
+// incrementally while a deep port is congested. A congested port ranks at
+// every data departure; recounting its queues each time (recountFlows) is
+// cheap while it holds a handful of packets, and quadratic once it holds
+// hundreds of packets of dozens of flows. From tallyDepth packets' worth of
+// bytes up, the first departure that waited longer than CongestionThreshold
+// therefore counts the queues once into a tally, which enqueue (add) and
+// pump (remove) keep current until a data departure waits no longer than
+// the threshold or the data VCs drain, when it goes back to the shard.
+type flowTally struct {
+	// flows is dense and unordered, so that ranking is a slice walk; at
+	// finds a flow's entry in it by tallyKey (one word hashes in half the
+	// time of the two-word FlowKey, and the lookups are all a shallow
+	// congested port pays).
+	flows []flowBytes
+	at    map[uint64]int
+	total int
+}
+
+// tallyDepth is the queue depth, in data packets' worth of bytes, from which
+// a congested port keeps a tally instead of recounting: two map operations a
+// packet against a recount of depth × flows/2 comparisons a departure break
+// even at a few dozen packets.
+const tallyDepth = 32
+
+// tallyKey packs a flow into one word; terminals number far below 2^32
+// (topology.ByName caps them at 2^20).
+func tallyKey(f FlowKey) uint64 { return uint64(f.Src)<<32 | uint64(uint32(f.Dst)) }
+
+func (t *flowTally) add(p *Packet) {
+	f := p.Flow()
+	if i, ok := t.at[tallyKey(f)]; ok {
+		t.flows[i].b += p.SizeBytes
+	} else {
+		t.at[tallyKey(f)] = len(t.flows)
+		t.flows = append(t.flows, flowBytes{f, p.SizeBytes})
+	}
+	t.total += p.SizeBytes
+}
+
+// remove takes out a packet that add (or the building scan) counted; a flow
+// left without bytes gives its entry to the last one.
+func (t *flowTally) remove(p *Packet) {
+	k := tallyKey(p.Flow())
+	i := t.at[k]
+	t.total -= p.SizeBytes
+	if t.flows[i].b -= p.SizeBytes; t.flows[i].b > 0 {
+		return
+	}
+	delete(t.at, k)
+	last := len(t.flows) - 1
+	if i != last {
+		t.flows[i] = t.flows[last]
+		t.at[tallyKey(t.flows[i].f)] = i
+	}
+	t.flows = t.flows[:last]
+}
+
+// buildTally starts a congestion episode: count what the data VCs hold.
+func (o *outPort) buildTally() *flowTally {
+	sh := o.sh
+	var t *flowTally
+	if k := len(sh.tallyFree); k > 0 {
+		t, sh.tallyFree = sh.tallyFree[k-1], sh.tallyFree[:k-1]
+	} else {
+		t = &flowTally{at: make(map[uint64]int)}
+	}
+	for vc := range o.vcs {
+		if o.net.isAckVC(vc) {
+			continue
+		}
+		for _, p := range o.vcs[vc].pkts() {
+			t.add(p)
+		}
+	}
+	o.cfd = t
+	return t
+}
+
+// dropTally ends the congestion episode, if one is open; the emptied tally
+// goes back to the shard for the next port that needs one.
+func (o *outPort) dropTally() {
+	if t := o.cfd; t != nil {
+		clear(t.at)
+		t.flows, t.total = t.flows[:0], 0
+		o.sh.tallyFree = append(o.sh.tallyFree, t)
+		o.cfd = nil
+	}
+}
+
 // topContendingFlows implements the §3.2.7 selection: rank the flows
 // currently occupying this port's buffers by byte share and keep those
 // above ContendShare, capped at MaxContending. The departing packet's own
 // flow is included — it is, by definition, contending here — and a port
 // holding a single flow still reports it, so the source can identify
 // self-induced congestion. The result lives in shard scratch and is valid
-// until the shard's next call. A port buffers a handful of packets, so
-// the tally is a linear find-or-append and the ranking an insertion sort.
+// until the shard's next call.
 func (o *outPort) topContendingFlows(departing *Packet) []FlowKey {
-	rank := append(o.sh.flowRank[:0], flowBytes{departing.Flow(), departing.SizeBytes})
-	total := departing.SizeBytes
+	t := o.cfd
+	if t == nil {
+		if o.queued < tallyDepth*o.net.Cfg.PacketBytes {
+			flows, total := o.recountFlows(departing)
+			return o.rankFlows(flows, total)
+		}
+		t = o.buildTally()
+	}
+	t.add(departing)
+	top := o.rankFlows(t.flows, t.total)
+	t.remove(departing)
+	return top
+}
+
+// recountFlows tallies the departing packet and the data VCs' queues by a
+// linear find-or-append into shard scratch: the shallow port's way.
+func (o *outPort) recountFlows(departing *Packet) (flows []flowBytes, total int) {
+	flows = append(o.sh.flowRank[:0], flowBytes{departing.Flow(), departing.SizeBytes})
+	total = departing.SizeBytes
 	for vc := range o.vcs {
 		if o.net.isAckVC(vc) {
 			continue
@@ -458,34 +561,46 @@ func (o *outPort) topContendingFlows(departing *Packet) []FlowKey {
 		for _, p := range o.vcs[vc].pkts() {
 			total += p.SizeBytes
 			f, i := p.Flow(), 0
-			for i < len(rank) && rank[i].f != f {
+			for i < len(flows) && flows[i].f != f {
 				i++
 			}
-			if i == len(rank) {
-				rank = append(rank, flowBytes{f: f})
+			if i == len(flows) {
+				flows = append(flows, flowBytes{f: f})
 			}
-			rank[i].b += p.SizeBytes
+			flows[i].b += p.SizeBytes
 		}
 	}
+	o.sh.flowRank = flows[:0]
+	return flows, total
+}
+
+// rankFlows is the selection proper: one pass over the per-flow bytes with
+// an insertion into the at most MaxContending flows kept. before is a total
+// order, so the order of flows does not show in the result.
+func (o *outPort) rankFlows(flows []flowBytes, total int) []FlowKey {
 	floor := o.net.Cfg.ContendShare * float64(total)
-	top := o.sh.flowTop[:0]
-	kept := rank[:0] // filtered and sorted in place, behind the read index
-	for _, r := range rank {
+	limit := o.net.Cfg.MaxContending
+	kept := o.sh.flowKept[:0]
+	for _, r := range flows {
 		if float64(r.b) < floor {
 			continue
+		}
+		if len(kept) == limit {
+			if limit == 0 || !r.before(kept[limit-1]) {
+				continue
+			}
+			kept = kept[:limit-1]
 		}
 		kept = append(kept, r)
 		for j := len(kept) - 1; j > 0 && kept[j].before(kept[j-1]); j-- {
 			kept[j], kept[j-1] = kept[j-1], kept[j]
 		}
 	}
-	if len(kept) > o.net.Cfg.MaxContending {
-		kept = kept[:o.net.Cfg.MaxContending]
-	}
+	top := o.sh.flowTop[:0]
 	for _, r := range kept {
 		top = append(top, r.f)
 	}
-	o.sh.flowRank, o.sh.flowTop = rank[:0], top[:0]
+	o.sh.flowKept, o.sh.flowTop = kept[:0], top[:0]
 	return top
 }
 
@@ -599,6 +714,7 @@ func (o *outPort) admitParked(e *sim.Engine) {
 				continue
 			}
 			// Return the credit via a fresh event to bound recursion depth.
+			o.sh.events.LocalCredits++
 			e.AfterEvent(0, pd.from, portEvCredit, uint64(pd.fromVC))
 		}
 	}

@@ -66,12 +66,19 @@ type Shard struct {
 	unreachableMsgs       int64
 	creditsStalled        int64
 	detouredAcks          int64
+	// events counts, by kind, the events this shard's ports put on an
+	// engine for reasons other than moving a packet one hop (EventKinds).
+	events EventKinds
 
-	// flowRank and flowTop are the Contending Flows Detection scratch
-	// (outPort.topContendingFlows): one per shard, since a shard's ports
-	// never run concurrently.
-	flowRank []flowBytes
-	flowTop  []FlowKey
+	// flowRank, flowKept and flowTop are the Contending Flows Detection
+	// scratch (a shallow port's recount, the flows kept, the result of
+	// outPort.topContendingFlows): one per shard, since a shard's ports
+	// never run concurrently. tallyFree holds the emptied flow tallies of
+	// ports that are no longer congested (outPort.dropTally).
+	flowRank  []flowBytes
+	flowKept  []flowBytes
+	flowTop   []FlowKey
+	tallyFree []*flowTally
 
 	// Health caches (health.go), valid until the next fault epoch. Kept
 	// per shard because they are written on the hot path; the underlying
@@ -104,6 +111,7 @@ const (
 // lookahead later — the credit-return wire latency of the conservative
 // protocol.
 func (sh *Shard) sendCredit(e *sim.Engine, to *outPort, vc int) {
+	sh.events.RemoteCredits++
 	sh.net.group.Send(sh.Idx, to.sh.Idx, sim.RemoteEvent{
 		At:     e.Now() + sh.net.group.Window,
 		Target: to,
@@ -229,6 +237,38 @@ func (n *Network) ScheduleControl(at sim.Time, fn func()) {
 		fn()
 		n.controlPending--
 	})
+}
+
+// EventKinds attributes a shard's scheduled events. Moving a packet one hop
+// costs one event whatever the engine: a deliver event on a local link, a
+// mailbox delivery (Handoffs) on a boundary link. What differs between a
+// serial and a sharded run of the same traffic is the flow-control and
+// link bookkeeping around it, which these counters single out; the rest of
+// Engine.Processed is hops, injections and timers.
+type EventKinds struct {
+	// Handoffs counts packets sent over a boundary link, each delivered by
+	// one mailbox event on the receiving shard.
+	Handoffs uint64
+	// RemoteCredits counts the credit returns of the pessimistic boundary
+	// protocol: one per hand-off, also when the receiver had room — a local
+	// link returns no credit at all in that case.
+	RemoteCredits uint64
+	// LocalCredits counts credit events on local links: one per delivery
+	// that found the downstream VC full and parked.
+	LocalCredits uint64
+	// LinkFree counts link-free events that were actually scheduled
+	// (outPort.scheduleFree).
+	LinkFree uint64
+}
+
+// EventKinds returns every shard's event attribution, in shard order.
+// Quiescent-only, like the other counters.
+func (n *Network) EventKinds() []EventKinds {
+	out := make([]EventKinds, len(n.Shards))
+	for i, sh := range n.Shards {
+		out[i] = sh.events
+	}
+	return out
 }
 
 // Aggregate counter accessors. Each sums the per-shard counters; with one

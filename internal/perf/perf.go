@@ -14,10 +14,11 @@
 // off — pinned by test.
 //
 // Determinism taxonomy, which the renderer and prdrbtrace honor: event
-// counts, window counts, remote-record counts and far-heap
-// overflow/migration counts are pure functions of (configuration, seed,
-// shard count); every *Ns field and everything derived from one (rates,
-// fractions, speedups, histograms) is wall-derived and varies run to run.
+// counts, window counts, window-mode counts (inline, released, flips),
+// remote-record counts and far-heap overflow/migration counts are pure
+// functions of (configuration, seed, shard count); every *Ns field and
+// everything derived from one (rates, fractions, speedups, histograms) is
+// wall-derived and varies run to run.
 package perf
 
 import (
@@ -86,6 +87,10 @@ type Profiler struct {
 	curShards int
 	statsFn   func() []sim.EngineStats
 	lastStats []sim.EngineStats
+	// modesFn reads the bound group's window-mode counters (nil for serial
+	// binds); lastModes is the reading already folded into modes.
+	modesFn   func() sim.WindowModes
+	lastModes sim.WindowModes
 
 	running  bool
 	runStart time.Time
@@ -104,6 +109,7 @@ type Profiler struct {
 
 	// Aggregates. Per-shard slices are sized to the widest bind seen.
 	windows                 uint64
+	modes                   sim.WindowModes
 	ctrlNs, hookNs, flushNs int64
 	remote                  uint64
 	busyNs, idleNs          []int64
@@ -152,6 +158,8 @@ func (p *Profiler) BindGroup(g *sim.ShardGroup) {
 	p.grow(p.curShards)
 	p.statsFn = g.Stats
 	p.lastStats = nil
+	p.modesFn = g.WindowModes
+	p.lastModes = g.WindowModes()
 	g.SetProbe(p)
 }
 
@@ -167,6 +175,7 @@ func (p *Profiler) BindSerial(statsFn func() []sim.EngineStats) {
 	p.grow(1)
 	p.statsFn = statsFn
 	p.lastStats = nil
+	p.modesFn = nil
 }
 
 // Bound reports whether the profiler has a simulation attached.
@@ -216,6 +225,13 @@ func (p *Profiler) RunEnd() {
 			}
 		}
 		p.lastStats = stats
+	}
+	if p.modesFn != nil {
+		m := p.modesFn()
+		p.modes.Inline += m.Inline - p.lastModes.Inline
+		p.modes.Released += m.Released - p.lastModes.Released
+		p.modes.Flips += m.Flips - p.lastModes.Flips
+		p.lastModes = m
 	}
 	if !p.sharded {
 		p.busyNs[0] += seg

@@ -62,6 +62,11 @@ func TestProfilerShardedAggregation(t *testing.T) {
 	if r.RemoteRecords != 40 {
 		t.Fatalf("remote records %d, want 40", r.RemoteRecords)
 	}
+	if m := g.WindowModes(); r.InlineWindows+r.ReleasedWindows != r.Windows ||
+		r.InlineWindows != m.Inline || r.ReleasedWindows != m.Released || r.ModeFlips != m.Flips {
+		t.Fatalf("window modes %d inline + %d released (%d flips) for %d windows, group says %+v",
+			r.InlineWindows, r.ReleasedWindows, r.ModeFlips, r.Windows, m)
+	}
 	if r.WallNs <= 0 || r.BusyNs < 0 || r.IdleNs < 0 {
 		t.Fatalf("wall accounting wrong: %+v", r)
 	}

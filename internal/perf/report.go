@@ -42,9 +42,15 @@ type Report struct {
 	Sharded bool `json:"sharded"`
 	Shards  int  `json:"shards"`
 	// Deterministic totals.
-	Windows       uint64 `json:"windows"`
-	RemoteRecords uint64 `json:"remote_records"`
-	TotalEvents   uint64 `json:"total_events"`
+	Windows uint64 `json:"windows"`
+	// InlineWindows ran every shard on the coordinator, ReleasedWindows
+	// were handed to the group's workers, ModeFlips counts the changes
+	// between the two (sim.WindowModes; all zero for a serial run).
+	InlineWindows   uint64 `json:"inline_windows"`
+	ReleasedWindows uint64 `json:"released_windows"`
+	ModeFlips       uint64 `json:"mode_flips"`
+	RemoteRecords   uint64 `json:"remote_records"`
+	TotalEvents     uint64 `json:"total_events"`
 	// Wall-clock breakdown (non-deterministic): total profiled wall time
 	// and the single-threaded barrier components.
 	WallNs  int64 `json:"wall_ns"`
@@ -84,6 +90,9 @@ func (p *Profiler) Report() Report {
 		Sharded:          p.sharded,
 		Shards:           shardsN,
 		Windows:          p.windows,
+		InlineWindows:    p.modes.Inline,
+		ReleasedWindows:  p.modes.Released,
+		ModeFlips:        p.modes.Flips,
 		RemoteRecords:    p.remote,
 		TotalEvents:      events,
 		WallNs:           p.curWallNs(),
@@ -180,6 +189,9 @@ func (r Report) WriteText(w io.Writer, detOnly bool) {
 	fmt.Fprintf(w, "mode=%s shards=%d\n", mode, r.Shards)
 	fmt.Fprintf(w, "\n## deterministic counters (byte-stable for fixed seed/shards)\n")
 	fmt.Fprintf(w, "windows=%d remote_records=%d events=%d\n", r.Windows, r.RemoteRecords, r.TotalEvents)
+	if r.Sharded {
+		fmt.Fprintf(w, "inline_windows=%d released_windows=%d mode_flips=%d\n", r.InlineWindows, r.ReleasedWindows, r.ModeFlips)
+	}
 	fmt.Fprintf(w, "%6s %12s %14s %14s\n", "shard", "events", "far_overflows", "far_migrations")
 	shards := append([]ShardReport(nil), r.PerShard...)
 	sort.Slice(shards, func(i, j int) bool { return shards[i].Shard < shards[j].Shard })

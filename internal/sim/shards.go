@@ -30,17 +30,34 @@ import (
 // pure function of (configuration, seed, shard count), independent of
 // GOMAXPROCS and of how many workers share the shards.
 //
-// Window loop: Run executes every window on W = min(GOMAXPROCS, shards)
-// workers that live for that one Run call. The calling goroutine is
-// worker 0 (and the coordinator: barrier tasks, hooks and the ring flush
+// Window loop: Run has W = min(GOMAXPROCS, shards) workers at its disposal
+// and decides window by window whether to use them. The calling goroutine
+// is worker 0 (and the coordinator: barrier tasks, hooks and the ring flush
 // run on it); worker w owns the static shard set {i : i mod W == w} and
-// runs it in ascending order. A window is released and joined through two
+// runs it in ascending order.
+//
+// A *released* window is handed to all W workers and joined through two
 // atomic words, each on its own cache line: the coordinator writes the
 // window bounds and bumps the epoch, every worker runs its shards and
 // bumps the done count, and the coordinator — after running its own
 // shards — waits for done == W-1. Those two atomics carry every
-// happens-before edge between coordinator and workers; with W = 1 no
-// goroutine is started and the loop is a plain serial one.
+// happens-before edge between coordinator and workers. An *inline* window
+// runs every shard on the coordinator, in ascending order, and touches
+// neither word: it is the W = 1 loop. Releasing and joining costs a few
+// microseconds more than a perfect split saves on a window of a few dozen
+// events (the 64-node fabrics: 18–24 events per 316 ns lookahead), so a
+// window is released only when recent windows held enough work to pay for
+// it (chooseMode; the constants below). The extra workers are started by
+// the first released window of a Run and stopped before it returns; a Run
+// whose windows all stay inline starts no goroutine, and while a stretch of
+// inline windows lasts the workers of an earlier released stretch poll the
+// epoch, then yield, then sleep (gate.await).
+//
+// Everything after the join — barrier tasks, hooks, ring flush, lookahead
+// check, panic capture — is the same code for both kinds of window, and the
+// choice reads nothing but executed-event counts, so results and the mode
+// sequence itself are the same pure function of (configuration, seed, shard
+// count) for every GOMAXPROCS.
 
 const (
 	// cacheLine is the padding unit that keeps words written by different
@@ -63,6 +80,30 @@ const (
 	// 250 µs a window against 20 µs at 512 and below.
 	spinPolls  = 256
 	yieldPolls = 1024
+	// releaseEvents, inlineEvents and loadShift are the window-mode rule
+	// (ShardGroup.chooseMode): windows are released while the executed
+	// events per window, averaged with weight 2^-loadShift, are at least
+	// releaseEvents, and inline again once they are below inlineEvents. A
+	// release costs ≈ 3.4 µs over a perfect two-way split (2-vCPU host,
+	// ft-4-3 saturated: 4.6 µs a released window against 2.4 µs inline at
+	// 17.7 events), so it pays from ≈ 50 events a window at that fabric's
+	// 135 ns an event and from ≈ 14 at the 4096-node dragonfly's 500 ns; the
+	// rule cannot read the clock, so one count serves both. Sizing (same
+	// host, benchmark of record at -seconds 3, seeds 41–46, median
+	// wall_s_per_sim_ms; releaseEvents → ft64-uniform-shards2 /
+	// df4096-heavytail-shards2, every window released 0.0155 / 0.87):
+	// 16 → 0.0146 / 0.82, 32 → 0.0084 / 0.86, 64 → 0.0096 / 0.90,
+	// 128 → 0.0084 / 0.93. At 16 the 64-node cell (18–24 events a window)
+	// still releases 90 % of its windows; from 32 up it releases none, so
+	// those three readings are one execution. The 4096-node cell releases
+	// the 30–50 % of its windows that hold nearly all of its events at every
+	// setting and its readings differ by less than its seeds do. 64 keeps
+	// 64-node cells with ACK traffic (35–40 events a window, under their
+	// break-even) inline; 128 starts to give up windows a 500 ns event would
+	// have paid for. Constants, not options, for the reason spinPolls is.
+	releaseEvents = 64
+	inlineEvents  = releaseEvents / 2
+	loadShift     = 3
 )
 
 // gate is one word of the window barrier — a counter alone on its cache
@@ -205,15 +246,28 @@ type ShardGroup struct {
 	winStart Time
 	winEnd   Time
 	// epoch counts window releases (and the one stop release that ends each
-	// Run); done counts the workers that finished the released window. halt
-	// is written before the stop release; patient (see gate) is fixed before
-	// the workers start. running tracks the workers of the Run in progress
-	// so Run returns only once they have exited.
+	// Run that started workers); done counts the workers that finished the
+	// released window. halt is written before the stop release; patient (see
+	// gate) is fixed before the workers start. started says the Run in
+	// progress has started its workers, and running tracks them so Run
+	// returns only once they have exited.
 	epoch   gate
 	done    gate
 	halt    bool
 	patient bool
+	started bool
 	running sync.WaitGroup
+	// load is the smoothed executed-event count per window, scaled by
+	// 1<<loadShift; released is the mode of the last window chosen; modes
+	// counts the choices (see chooseMode). All three live across Run calls,
+	// so a sliced run chooses like an uninterrupted one.
+	load     uint64
+	released bool
+	modes    WindowModes
+	// forceMode, when non-nil, overrules the rule: it is given the number of
+	// windows chosen so far and returns whether to release the next one.
+	// Tests only; nothing outside this package's tests can reach it.
+	forceMode func(window uint64) bool
 	// fault is the lowest-shard panic captured in the window being joined:
 	// workers record it under faultMu before they arrive, the coordinator
 	// reads it after the join.
@@ -404,21 +458,62 @@ func (g *ShardGroup) flushRings() int {
 	return delivered
 }
 
+// WindowModes counts how a group's windows were executed. The counts are a
+// pure function of (configuration, seed, shard count): they describe what
+// the rule chose, also when Run had a single worker and a released window
+// therefore ran like an inline one.
+type WindowModes struct {
+	// Inline windows ran on the coordinator alone; Released windows were
+	// handed to every worker of the Run.
+	Inline, Released uint64
+	// Flips counts changes of mode between consecutive windows (a group
+	// starts inline).
+	Flips uint64
+}
+
+// WindowModes returns the mode counters. Quiescent-only, like Stats.
+func (g *ShardGroup) WindowModes() WindowModes { return g.modes }
+
+// chooseMode decides whether the next window is released, and counts the
+// choice. The rule compares the smoothed events per window with two
+// thresholds: the average keeps one odd window — a burst landing among idle
+// ones, a lull under load — from changing the mode, and the gap between the
+// thresholds keeps a load that sits on one of them from changing it every
+// few windows, so a stretch of either mode is long against the cost of
+// ending it (a worker that has gone to sleep takes tens of microseconds to
+// wake; one that is still polling takes none).
+func (g *ShardGroup) chooseMode() bool {
+	threshold := uint64(releaseEvents)
+	if g.released {
+		threshold = inlineEvents
+	}
+	release := g.load >= threshold<<loadShift
+	if g.forceMode != nil {
+		release = g.forceMode(g.modes.Inline + g.modes.Released)
+	}
+	if release != g.released {
+		g.released = release
+		g.modes.Flips++
+	}
+	if release {
+		g.modes.Released++
+	} else {
+		g.modes.Inline++
+	}
+	return release
+}
+
 // Run executes the group until no work remains below horizon (exclusive),
 // mirroring Engine.Run. It returns the number of events executed across
-// all shards. Run starts its W-1 extra workers, and stops and waits for
-// them before it returns or panics, so no goroutine outlives the call and
-// repeated or sliced Run calls are legal. A panic on any worker is
-// re-raised here, on the caller, naming the shard.
+// all shards. Run starts its W-1 extra workers at the first window it
+// releases, and stops and waits for them before it returns or panics, so no
+// goroutine outlives the call and repeated or sliced Run calls are legal. A
+// panic in any shard, on a worker or inline, is re-raised here, on the
+// caller, naming the shard.
 func (g *ShardGroup) Run(horizon Time) uint64 {
 	startProcessed := g.Processed()
+	processed := startProcessed
 	workers := min(runtime.GOMAXPROCS(0), len(g.Engines))
-	g.halt = false
-	g.patient = workers <= runtime.NumCPU()
-	g.running.Add(workers - 1)
-	for w := 1; w < workers; w++ {
-		go g.work(w, workers, g.epoch.v.Load())
-	}
 	defer g.stopWorkers()
 	for {
 		if !g.sorted {
@@ -468,17 +563,27 @@ func (g *ShardGroup) Run(horizon Time) uint64 {
 		if g.probe != nil {
 			g.probe.WindowExec()
 		}
-		// Release: everything written above happens-before the workers'
-		// reads through the epoch bump. Join: everything the workers wrote
-		// happens-before the code below through their done bumps.
-		g.done.v.Store(0)
-		g.epoch.bump()
-		g.runShards(0, workers)
-		g.done.await(uint64(workers-1), g.patient)
+		if g.chooseMode() && workers > 1 {
+			if !g.started {
+				g.startWorkers(workers)
+			}
+			// Release: everything written above happens-before the workers'
+			// reads through the epoch bump. Join: everything the workers
+			// wrote happens-before the code below through their done bumps.
+			g.done.v.Store(0)
+			g.epoch.bump()
+			g.runShards(0, workers)
+			g.done.await(uint64(workers-1), g.patient)
+		} else {
+			g.runShards(0, 1)
+		}
 		if f := g.fault; f != nil {
 			g.fault = nil
 			panic(fmt.Sprintf("sim: panic on shard %d: %v\n\n%s", f.shard, f.value, f.stack))
 		}
+		total := g.Processed()
+		g.load += total - processed - g.load>>loadShift
+		processed = total
 		g.now = winEnd
 		if g.probe != nil {
 			g.probe.BarrierStart(winEnd)
@@ -494,7 +599,19 @@ func (g *ShardGroup) Run(horizon Time) uint64 {
 			g.probe.WindowEnd(flushed)
 		}
 	}
-	return g.Processed() - startProcessed
+	return processed - startProcessed
+}
+
+// startWorkers starts workers 1 … workers-1 of the Run in progress; they
+// wait for the next epoch bump.
+func (g *ShardGroup) startWorkers(workers int) {
+	g.halt = false
+	g.patient = workers <= runtime.NumCPU()
+	g.started = true
+	g.running.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go g.work(w, workers, g.epoch.v.Load())
+	}
 }
 
 // work is the body of worker w ≥ 1 of a Run with the given worker count:
@@ -512,10 +629,15 @@ func (g *ShardGroup) work(w, workers int, seen uint64) {
 	}
 }
 
-// stopWorkers releases the workers one last time with halt set and waits
-// for them to exit. Whenever it runs — normal return, or a panic unwinding
-// Run from coordinator code — every worker is waiting on the epoch.
+// stopWorkers, if the Run in progress started its workers, releases them
+// one last time with halt set and waits for them to exit. Whenever it runs —
+// normal return, or a panic unwinding Run from coordinator code — every
+// worker is waiting on the epoch.
 func (g *ShardGroup) stopWorkers() {
+	if !g.started {
+		return
+	}
+	g.started = false
 	g.halt = true
 	g.epoch.bump()
 	g.running.Wait()

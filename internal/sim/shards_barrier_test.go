@@ -12,7 +12,16 @@ import (
 // Stress and equivalence tests for the persistent-worker window loop: the
 // epoch/done barrier is hand-rolled, so it is exercised over many tiny
 // windows at every worker/shard ratio (W = 1, W < N, W = N) and compared
-// record by record with the one-worker run.
+// record by record with the one-worker run. Windows this small would all
+// run inline under the mode rule, so the tests force them released (or
+// whatever the case at hand needs) through forceMode.
+
+// Forced window modes.
+var (
+	allReleased = func(uint64) bool { return true }
+	allInline   = func(uint64) bool { return false }
+	flipEvery   = func(window uint64) bool { return window%2 == 1 }
+)
 
 const (
 	stressWindow Time = 100
@@ -78,14 +87,16 @@ type stressResult struct {
 // runStress builds the workload — stressTokens tokens hopping hops times
 // each, 200 barrier tasks spread over the expected span (every fourth one
 // registering a follow-up task) and an OnBarrier hook that reads group-wide
-// state — and executes it under procs, slicing Run at the given horizons
-// before draining. Along the way it checks the probe protocol, the in-flight
-// bound and the goroutine baseline after every Run call.
-func runStress(t *testing.T, shards, procs, hops int, horizons []Time) *stressResult {
+// state — and executes it under procs with the window modes force dictates,
+// slicing Run at the given horizons before draining. Along the way it checks
+// the probe protocol, the in-flight bound and the goroutine baseline after
+// every Run call.
+func runStress(t *testing.T, shards, procs, hops int, horizons []Time, force func(uint64) bool) *stressResult {
 	t.Helper()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	res := &stressResult{}
 	g := NewShardGroup(shards, stressWindow)
+	g.forceMode = force
 	root := NewRNG(uint64(shards)*1_000_003 + uint64(hops))
 	nodes := make([]*stressNode, shards)
 	for i := range nodes {
@@ -166,7 +177,7 @@ func TestShardGroupBarrierStress(t *testing.T) {
 	const hops = 6_000 // ≈ 1.48 windows a hop, the tokens hop side by side: ≈ 8.8k windows a cell
 	windows := 0
 	for _, shards := range []int{2, 3, 4, 7} {
-		ref := runStress(t, shards, 1, hops, nil)
+		ref := runStress(t, shards, 1, hops, nil, allReleased)
 		windows += ref.windows
 		var events uint64
 		for _, st := range ref.stats {
@@ -178,7 +189,7 @@ func TestShardGroupBarrierStress(t *testing.T) {
 		for _, procs := range []int{2, 4} {
 			windows += ref.windows
 			t.Run(fmt.Sprintf("shards=%d/procs=%d", shards, procs), func(t *testing.T) {
-				got := runStress(t, shards, procs, hops, nil)
+				got := runStress(t, shards, procs, hops, nil, allReleased)
 				if !reflect.DeepEqual(got, ref) {
 					t.Fatalf("run differs from GOMAXPROCS=1: %s", stressDiff(got, ref))
 				}
@@ -230,9 +241,9 @@ func TestShardGroupSlicedRun(t *testing.T) {
 		horizons = append(horizons, h)
 	}
 	for _, shards := range []int{2, 3, 4, 7} {
-		ref := runStress(t, shards, 1, hops, nil)
+		ref := runStress(t, shards, 1, hops, nil, allReleased)
 		for _, procs := range []int{1, 2, 4} {
-			got := runStress(t, shards, procs, hops, horizons)
+			got := runStress(t, shards, procs, hops, horizons, allReleased)
 			if !reflect.DeepEqual(got.logs, ref.logs) {
 				t.Fatalf("shards=%d procs=%d: sliced run differs: %s", shards, procs,
 					stressDiff(&stressResult{logs: got.logs}, &stressResult{logs: ref.logs}))
@@ -246,9 +257,10 @@ type bomb struct{ msg string }
 
 func (b *bomb) HandleEvent(*Engine, uint8, uint64) { panic(b.msg) }
 
-// TestShardGroupWorkerPanic pins panic propagation: a handler panic on a
-// worker goroutine surfaces as a panic of Run on the caller, names the
-// lowest panicking shard whatever the worker count, and leaves no goroutine
+// TestShardGroupWorkerPanic pins panic propagation: a handler panic — on a
+// worker goroutine in a released window, on the coordinator in an inline
+// one — surfaces as a panic of Run on the caller, names the lowest panicking
+// shard whatever the mode and the worker count, and leaves no goroutine
 // behind; the coordinator-side lookahead panic keeps its message and also
 // stops the workers.
 func TestShardGroupWorkerPanic(t *testing.T) {
@@ -262,27 +274,36 @@ func TestShardGroupWorkerPanic(t *testing.T) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 			baseline := runtime.NumGoroutine()
 
-			g := NewShardGroup(4, 100)
-			var log []string
-			a := &pingActor{g: g, shard: 0, latency: 100, log: &log, hops: 1000}
-			b := &pingActor{g: g, shard: 1, latency: 100, log: &log, hops: 1000}
-			a.peer, b.peer = b, a
-			g.Engines[0].ScheduleEvent(0, a, 0, 0)
-			// Shards 3 and 2 blow up in the same window, 50 windows in.
-			g.Engines[3].ScheduleEvent(5010, &bomb{"boom-three"}, 0, 0)
-			g.Engines[2].ScheduleEvent(5020, &bomb{"boom-two"}, 0, 0)
-			msg := runAndRecover(g)
-			if !strings.Contains(msg, "shard 2") || !strings.Contains(msg, "boom-two") {
-				t.Errorf("panic does not name shard 2 and its value: %.200q", msg)
+			for _, mode := range []struct {
+				name  string
+				force func(uint64) bool
+			}{{"released", allReleased}, {"inline", allInline}, {"flipping", flipEvery}} {
+				name := mode.name
+				g := NewShardGroup(4, 100)
+				g.forceMode = mode.force
+				var log []string
+				a := &pingActor{g: g, shard: 0, latency: 100, log: &log, hops: 1000}
+				b := &pingActor{g: g, shard: 1, latency: 100, log: &log, hops: 1000}
+				a.peer, b.peer = b, a
+				g.Engines[0].ScheduleEvent(0, a, 0, 0)
+				// Shards 3 and 2 blow up in the same window, 50 windows in.
+				g.Engines[3].ScheduleEvent(5010, &bomb{"boom-three"}, 0, 0)
+				g.Engines[2].ScheduleEvent(5020, &bomb{"boom-two"}, 0, 0)
+				msg := runAndRecover(g)
+				if !strings.Contains(msg, "shard 2") || !strings.Contains(msg, "boom-two") {
+					t.Errorf("%s: panic does not name shard 2 and its value: %.200q", name, msg)
+				}
+				if !strings.Contains(msg, "(*bomb).HandleEvent") {
+					t.Errorf("%s: panic carries no stack of the panicking handler: %.400q", name, msg)
+				}
+				waitGoroutines(t, baseline)
 			}
-			if !strings.Contains(msg, "(*bomb).HandleEvent") {
-				t.Errorf("panic carries no stack of the panicking handler: %.400q", msg)
-			}
-			waitGoroutines(t, baseline)
 
-			g = NewShardGroup(2, 100)
-			a = &pingActor{g: g, shard: 0, latency: 10, log: &log, hops: 3} // latency < window
-			b = &pingActor{g: g, shard: 1, latency: 10, log: &log, hops: 3}
+			g := NewShardGroup(2, 100)
+			g.forceMode = allReleased
+			var log []string
+			a := &pingActor{g: g, shard: 0, latency: 10, log: &log, hops: 3} // latency < window
+			b := &pingActor{g: g, shard: 1, latency: 10, log: &log, hops: 3}
 			a.peer, b.peer = b, a
 			g.Engines[0].ScheduleEvent(0, a, 0, 0)
 			if msg := runAndRecover(g); !strings.HasPrefix(msg, "sim: lookahead violation") {

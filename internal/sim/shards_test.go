@@ -33,6 +33,7 @@ func runPingPong(t *testing.T, procs int) []string {
 	t.Helper()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	g := NewShardGroup(2, 100)
+	g.forceMode = allReleased
 	var log []string
 	a := &pingActor{g: g, shard: 0, latency: 100, log: &log, hops: 20}
 	b := &pingActor{g: g, shard: 1, latency: 150, log: &log, hops: 20}

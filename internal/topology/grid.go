@@ -3,7 +3,7 @@ package topology
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -266,24 +266,16 @@ func (g *Grid) AlternativePaths(src, dst NodeID, max int) []Path {
 	}
 	direct := g.Distance(sr, dr)
 	var out []Path
-	type cand struct {
-		p    Path
-		cost int
-	}
+	var srcSide, dstSide []RouterID
+	var cands []waypointPair
 	for ring := 1; ring <= g.rings && len(out) < max; ring++ {
-		srcSide := g.ring(sr, ring)
-		dstSide := g.ring(dr, ring)
-		var cands []cand
+		srcSide = g.ring(srcSide[:0], sr, ring)
+		dstSide = g.ring(dstSide[:0], dr, ring)
+		cands = slices.Grow(cands[:0], len(srcSide)*len(dstSide))
 		for _, a := range srcSide {
 			for _, b := range dstSide {
 				if a == dr || b == sr || a == sr || b == dr {
 					continue
-				}
-				var p Path
-				if a == b {
-					p = Path{a}
-				} else {
-					p = Path{a, b}
 				}
 				cost := g.Distance(sr, a) + g.Distance(a, b) + g.Distance(b, dr)
 				// Reject detours that more than double the direct length:
@@ -292,20 +284,16 @@ func (g *Grid) AlternativePaths(src, dst NodeID, max int) []Path {
 				if cost > 2*direct+2 {
 					continue
 				}
-				cands = append(cands, cand{p: p, cost: cost})
+				cands = append(cands, waypointPair{a: a, b: b, cost: cost})
 			}
 		}
-		sort.SliceStable(cands, func(i, j int) bool {
-			if cands[i].cost != cands[j].cost {
-				return cands[i].cost < cands[j].cost
-			}
-			return lessPath(cands[i].p, cands[j].p)
-		})
+		slices.SortStableFunc(cands, waypointPair.compare)
 		for _, c := range cands {
-			if containsPath(out, c.p) {
+			p := c.path()
+			if containsPath(out, p) {
 				continue
 			}
-			out = append(out, c.p)
+			out = append(out, p)
 			if len(out) >= max {
 				break
 			}
@@ -314,52 +302,70 @@ func (g *Grid) AlternativePaths(src, dst NodeID, max int) []Path {
 	return out
 }
 
-// ring lists routers at exactly Manhattan distance dist from r.
-func (g *Grid) ring(r RouterID, dist int) []RouterID {
-	base := g.CoordOf(r)
-	var out []RouterID
-	// Enumerate displacement vectors with |v|_1 == dist via DFS over
-	// dimensions.
-	var rec func(d, remaining int, cur []int)
-	rec = func(d, remaining int, cur []int) {
-		if d == len(g.Dims) {
-			if remaining != 0 {
-				return
-			}
-			c := make([]int, len(base))
-			for i := range base {
-				x := base[i] + cur[i]
-				if g.Wrap {
-					x = (x%g.Dims[i] + g.Dims[i]) % g.Dims[i]
-				} else if x < 0 || x >= g.Dims[i] {
-					return
-				}
-				c[i] = x
-			}
-			rr := g.At(c)
-			if rr != r {
-				out = append(out, rr)
-			}
-			return
-		}
-		for v := -remaining; v <= remaining; v++ {
-			cur[d] = v
-			rec(d+1, remaining-abs(v), cur)
-		}
-		cur[d] = 0
-	}
-	rec(0, dist, make([]int, len(g.Dims)))
-	return dedupeRouters(out)
+// waypointPair is an AlternativePaths candidate: the MSP through a, near
+// the source, then b, near the destination — or through the one router
+// when they coincide — and its routed length.
+type waypointPair struct {
+	a, b RouterID
+	cost int
 }
 
-func dedupeRouters(in []RouterID) []RouterID {
-	seen := make(map[RouterID]bool, len(in))
-	out := in[:0]
-	for _, r := range in {
-		if !seen[r] {
-			seen[r] = true
-			out = append(out, r)
+func (c waypointPair) path() Path {
+	if c.a == c.b {
+		return Path{c.a}
+	}
+	return Path{c.a, c.b}
+}
+
+// compare orders candidates by cost, then by their paths, waypoint by
+// waypoint: a one-waypoint path is a prefix of, so sorts before, every
+// two-waypoint path that starts with it.
+func (c waypointPair) compare(d waypointPair) int {
+	if c.cost != d.cost {
+		return c.cost - d.cost
+	}
+	if c.a != d.a {
+		return int(c.a) - int(d.a)
+	}
+	switch {
+	case c.a == c.b:
+		if d.a == d.b {
+			return 0
 		}
+		return -1
+	case d.a == d.b:
+		return 1
+	}
+	return int(c.b) - int(d.b)
+}
+
+// ring appends to out the routers at displacement vectors of Manhattan
+// length exactly dist from r (on a torus some wrap onto closer routers, and
+// onto each other: each router is listed once, r itself never), dimension 0
+// varying slowest and each dimension from its negative end.
+func (g *Grid) ring(out []RouterID, r RouterID, dist int) []RouterID {
+	return g.ringFrom(out, r, 0, dist, 0)
+}
+
+// ringFrom extends a displacement chosen for dimensions below d, which
+// lands on linear index at, by every choice for the rest that spends
+// exactly remaining more hops.
+func (g *Grid) ringFrom(out []RouterID, r RouterID, d, remaining, at int) []RouterID {
+	if d == len(g.Dims) {
+		if rr := RouterID(at); remaining == 0 && rr != r && !slices.Contains(out, rr) {
+			out = append(out, rr)
+		}
+		return out
+	}
+	k := g.Dims[d]
+	for v := -remaining; v <= remaining; v++ {
+		x := g.pos(r, d) + v
+		if g.Wrap {
+			x = (x%k + k) % k
+		} else if x < 0 || x >= k {
+			continue
+		}
+		out = g.ringFrom(out, r, d+1, remaining-abs(v), at+x*g.stride[d])
 	}
 	return out
 }
@@ -371,15 +377,6 @@ func containsPath(ps []Path, p Path) bool {
 		}
 	}
 	return false
-}
-
-func lessPath(a, b Path) bool {
-	for i := 0; i < len(a) && i < len(b); i++ {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return len(a) < len(b)
 }
 
 func abs(v int) int {

@@ -79,11 +79,11 @@ func TestGridRing3D(t *testing.T) {
 	g := NewMesh3D(5, 5, 5)
 	center := g.At([]int{2, 2, 2})
 	// Ring 1 in 3-D: 6 face neighbours.
-	if got := len(g.ring(center, 1)); got != 6 {
+	if got := len(g.ring(nil, center, 1)); got != 6 {
 		t.Fatalf("3-D ring 1 = %d routers, want 6", got)
 	}
 	// Ring 2: 18 (6 at distance 2 straight + 12 diagonal).
-	if got := len(g.ring(center, 2)); got != 18 {
+	if got := len(g.ring(nil, center, 2)); got != 18 {
 		t.Fatalf("3-D ring 2 = %d routers, want 18", got)
 	}
 }

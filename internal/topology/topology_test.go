@@ -328,16 +328,16 @@ func TestTorusWrapsShorter(t *testing.T) {
 func TestMeshRing(t *testing.T) {
 	m := NewMesh(8, 8)
 	center := m.At([]int{4, 4})
-	ring1 := m.ring(center, 1)
+	ring1 := m.ring(nil, center, 1)
 	if len(ring1) != 4 {
 		t.Fatalf("ring 1 around center has %d routers, want 4", len(ring1))
 	}
-	ring2 := m.ring(center, 2)
+	ring2 := m.ring(nil, center, 2)
 	if len(ring2) != 8 {
 		t.Fatalf("ring 2 around center has %d routers, want 8", len(ring2))
 	}
 	corner := m.At([]int{0, 0})
-	if got := len(m.ring(corner, 1)); got != 2 {
+	if got := len(m.ring(nil, corner, 1)); got != 2 {
 		t.Fatalf("ring 1 around corner has %d routers, want 2", got)
 	}
 }

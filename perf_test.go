@@ -47,17 +47,23 @@ func TestProfilerDoesNotPerturbResults(t *testing.T) {
 }
 
 // TestProfilerDeterministicCountersStable pins that the deterministic
-// section of the report (events, windows, remote records, far-heap
-// counters) is identical across two runs of the same configuration —
-// the byte-stability `prdrbtrace perf -det` relies on.
+// section of the report (events, windows and their modes, remote records,
+// far-heap counters) is identical across two runs of the same
+// configuration, whatever GOMAXPROCS — the byte-stability `prdrbtrace perf
+// -det` relies on.
 func TestProfilerDeterministicCountersStable(t *testing.T) {
-	run := func() perf.Report {
-		p := perf.New(perf.Options{})
-		runWithProfiler(t, 4, p)
-		return p.Report()
+	run := func(procs int) (r perf.Report) {
+		withGOMAXPROCS(procs, func() {
+			p := perf.New(perf.Options{})
+			runWithProfiler(t, 4, p)
+			r = p.Report()
+		})
+		return r
 	}
-	a, b := run(), run()
-	if a.Windows != b.Windows || a.RemoteRecords != b.RemoteRecords || a.TotalEvents != b.TotalEvents {
+	a, b := run(1), run(4)
+	if a.Windows != b.Windows || a.RemoteRecords != b.RemoteRecords || a.TotalEvents != b.TotalEvents ||
+		a.InlineWindows != b.InlineWindows || a.ReleasedWindows != b.ReleasedWindows || a.ModeFlips != b.ModeFlips ||
+		a.InlineWindows+a.ReleasedWindows != a.Windows {
 		t.Fatalf("deterministic totals drifted:\n%+v\nvs\n%+v", a, b)
 	}
 	for i := range a.PerShard {

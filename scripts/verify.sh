@@ -32,6 +32,14 @@ echo "==> one-event-per-hop guards (race, GOMAXPROCS 1/2/4)"
 go test -race -cpu 1,2,4 -count=1 -run 'Reserved|LazyFree|SeqConservation|RouteMemo|EventsPerHop' \
     ./internal/sim ./internal/network ./internal/routing .
 
+echo "==> window-mode, CFD-tally and path-enumeration guards (race, GOMAXPROCS 1/2/4)"
+# The mode rule and its equivalence cells (inline, released and alternating
+# windows give one result), the sharded determinism matrix, the incremental
+# contending-flows tally against the recount, and the grid path enumeration
+# against the reflection-sorted one.
+go test -race -cpu 1,2,4 -count=1 -run 'ShardGroup|WindowMode|ShardedDeterminism|ContendingFlows|AlternativePaths' \
+    ./internal/sim ./internal/network ./internal/topology .
+
 echo "==> simulated-statistics digests (benchmark smoke vs results/bench.smoke.digests.txt)"
 # The benchmark's sim_digest hashes every Results field of every cell and
 # is deterministic for the default seed, so a host-speed change proves
@@ -191,7 +199,20 @@ grep -q '^perf trace: .* ok' "$teldir/perf-a.det" || {
     echo "verify: Perfetto perf trace failed validation" >&2
     exit 1
 }
-echo "    -perf run byte-identical to profiler-off; det counters stable; trace ok"
+# The window-mode counters belong to the deterministic section (so the cmp
+# above covers them) and must account for every window.
+modes=$(grep '^inline_windows=' "$teldir/perf-b.det") || {
+    echo "verify: deterministic perf section carries no window-mode counters" >&2
+    exit 1
+}
+windows=$(sed -n 's/^windows=\([0-9]*\) .*/\1/p' "$teldir/perf-b.det")
+inline=$(printf '%s\n' "$modes" | sed -n 's/^inline_windows=\([0-9]*\) .*/\1/p')
+released=$(printf '%s\n' "$modes" | sed -n 's/.* released_windows=\([0-9]*\) .*/\1/p')
+[ -n "$windows" ] && [ "$((inline + released))" = "$windows" ] || {
+    echo "verify: window modes do not add up: windows=$windows, $modes" >&2
+    exit 1
+}
+echo "    -perf run byte-identical to profiler-off; det counters stable ($modes); trace ok"
 
 echo "==> congestion observability smoke (weather map, FCT, flight recorder)"
 # A heavy-tailed run with the congestion plane on: the artifact must be
