@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"prdrb"
+	"prdrb/cmd/internal/obsflags"
 	"prdrb/internal/ckpt"
 	"prdrb/internal/telemetry"
 )
@@ -154,10 +155,7 @@ func runCampaign(opts campaignOpts) int {
 	}
 	// Keep a copy of the manifest next to the results for provenance.
 	if _, err := os.Stat(filepath.Join(dir, "manifest.json")); err != nil {
-		if a, err := createArtifact(filepath.Join(dir, "manifest.json")); err == nil {
-			a.Write(raw)
-			a.Commit()
-		}
+		obsflags.WriteArtifactBytes(filepath.Join(dir, "manifest.json"), raw)
 	}
 
 	cells := m.expand()
@@ -347,13 +345,5 @@ func writeCellResult(path string, res cellResult) error {
 	if err != nil {
 		return err
 	}
-	a, err := createArtifact(path)
-	if err != nil {
-		return err
-	}
-	if _, err := a.Write(append(buf, '\n')); err != nil {
-		a.Abort()
-		return err
-	}
-	return a.Commit()
+	return obsflags.WriteArtifactBytes(path, append(buf, '\n'))
 }

@@ -1,17 +1,18 @@
-package main
+package obsflags
 
 import (
+	"io"
 	"os"
 	"os/signal"
 	"sync"
 )
 
-// artifact is a run output written atomically: bytes go to a ".tmp"
+// Artifact is a run output written atomically: bytes go to a ".tmp"
 // sibling and the final name appears only on Commit. An interrupted
-// harness therefore never leaves truncated reports, CSVs or JSON
+// tool therefore never leaves truncated reports, CSVs or JSON
 // artifacts behind — a partial file is either still named ".tmp" (and
 // removed by the signal handler) or was never created at all.
-type artifact struct {
+type Artifact struct {
 	f     *os.File
 	final string
 }
@@ -20,25 +21,45 @@ type artifact struct {
 // can sweep them. Workers create artifacts concurrently, hence the lock.
 var openArtifacts = struct {
 	sync.Mutex
-	m map[*artifact]struct{}
-}{m: map[*artifact]struct{}{}}
+	m map[*Artifact]struct{}
+}{m: map[*Artifact]struct{}{}}
 
-func createArtifact(path string) (*artifact, error) {
+// CreateArtifact opens the temp sibling of path.
+func CreateArtifact(path string) (*Artifact, error) {
 	f, err := os.Create(path + ".tmp")
 	if err != nil {
 		return nil, err
 	}
-	a := &artifact{f: f, final: path}
+	a := &Artifact{f: f, final: path}
 	openArtifacts.Lock()
 	openArtifacts.m[a] = struct{}{}
 	openArtifacts.Unlock()
 	return a, nil
 }
 
-func (a *artifact) Write(p []byte) (int, error) { return a.f.Write(p) }
+// WriteArtifact publishes what write produces at path, or nothing at all
+// when it fails.
+func WriteArtifact(path string, write func(io.Writer) error) error {
+	a, err := CreateArtifact(path)
+	if err != nil {
+		return err
+	}
+	if err := write(a); err != nil {
+		a.Abort()
+		return err
+	}
+	return a.Commit()
+}
+
+// WriteArtifactBytes publishes data at path.
+func WriteArtifactBytes(path string, data []byte) error {
+	return WriteArtifact(path, func(w io.Writer) error { _, err := w.Write(data); return err })
+}
+
+func (a *Artifact) Write(p []byte) (int, error) { return a.f.Write(p) }
 
 // Commit closes the temp file and renames it into place.
-func (a *artifact) Commit() error {
+func (a *Artifact) Commit() error {
 	openArtifacts.Lock()
 	delete(openArtifacts.m, a)
 	openArtifacts.Unlock()
@@ -50,7 +71,7 @@ func (a *artifact) Commit() error {
 }
 
 // Abort closes and removes the temp file without publishing it.
-func (a *artifact) Abort() {
+func (a *Artifact) Abort() {
 	openArtifacts.Lock()
 	delete(openArtifacts.m, a)
 	openArtifacts.Unlock()
@@ -59,8 +80,8 @@ func (a *artifact) Abort() {
 }
 
 // installInterruptCleanup makes ^C safe: on SIGINT every in-flight temp
-// artifact is closed and removed, then the harness exits 130. Committed
-// outputs are untouched — the results directory only ever holds complete
+// artifact is closed and removed, then the tool exits 130. Committed
+// outputs are untouched — an output directory only ever holds complete
 // files.
 func installInterruptCleanup() {
 	ch := make(chan os.Signal, 1)

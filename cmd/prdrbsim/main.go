@@ -21,14 +21,13 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
 
 	"prdrb"
-	"prdrb/internal/perf"
-	"prdrb/internal/runner"
-	"prdrb/internal/sim"
+	"prdrb/cmd/internal/obsflags"
 	"prdrb/internal/stats"
 	"prdrb/internal/telemetry"
 )
@@ -70,18 +69,7 @@ func main() {
 		provision = flag.Bool("provision", false, "print the offline link-demand analysis for the workload")
 		verbose   = flag.Bool("v", false, "print controller statistics")
 
-		teleOut     = flag.String("trace", "", "write a JSONL telemetry event trace to this file (a Chrome trace for Perfetto is written alongside)")
-		teleSample  = flag.Int("trace-sample", 1, "keep 1-in-N packets in the telemetry trace (control events are always kept)")
-		manifestOut = flag.String("manifest", "", "write a run-manifest JSON (config, seed, code version, metrics) to this file")
-		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
-		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-
-		perfOut   = flag.String("perf", "", "write an engine perf report JSON to this file (render with 'prdrbtrace perf')")
-		perfTrace = flag.String("perf-trace", "", "write a wall-clock Perfetto trace of the engine (per-shard window/barrier-wait spans) to this file")
-
-		statusAddr     = flag.String("status", "", "serve the live status plane (/metrics, /status, /events) on this address (e.g. localhost:6061 or 127.0.0.1:0)")
-		statusInterval = flag.Duration("status-interval", 100*time.Microsecond, "virtual-time sampling interval for the status plane")
-		statusLinger   = flag.Duration("status-linger", 0, "keep serving the status endpoints this long after the run completes")
+		statusLinger = flag.Duration("status-linger", 0, "keep serving the status endpoints this long after the run completes")
 
 		checkTrace    = flag.String("validate-trace", "", "validate a JSONL telemetry trace against its schema and exit")
 		checkManifest = flag.String("validate-manifest", "", "validate a run-manifest file against its schema and exit")
@@ -100,8 +88,8 @@ func main() {
 		htMaxFlow = flag.Int("ht-maxflow", 0, "truncate the flow-size CDF at this many bytes (0 = no cap)")
 	)
 	flag.StringVar(topoSpec, "topo", "ft-4-3", "alias for -topology")
+	obs := obsflags.Register(flag.CommandLine, "prdrbsim")
 	flag.Parse()
-	wallStart := time.Now()
 
 	if *checkTrace != "" || *checkManifest != "" {
 		if *checkTrace != "" {
@@ -119,50 +107,14 @@ func main() {
 		}
 		return
 	}
-	if *pprofAddr != "" {
-		addr, err := telemetry.ServePprof(*pprofAddr)
-		if err != nil {
-			fatal(err)
+	if err := obs.Start(); err != nil {
+		fatal(err)
+	}
+	defer func() {
+		if err := obs.StopProfile(); err != nil {
+			fmt.Fprintln(os.Stderr, "prdrbsim:", err)
 		}
-		fmt.Fprintf(os.Stderr, "prdrbsim: pprof on http://%s/debug/pprof/\n", addr)
-	}
-	if *cpuProfile != "" {
-		stop, err := telemetry.StartCPUProfile(*cpuProfile)
-		if err != nil {
-			fatal(err)
-		}
-		defer func() {
-			if err := stop(); err != nil {
-				fmt.Fprintln(os.Stderr, "prdrbsim:", err)
-			}
-		}()
-	}
-	var tel *prdrb.Telemetry
-	if *teleOut != "" || *manifestOut != "" || *statusAddr != "" {
-		// The status plane's /metrics endpoint needs a registry even when
-		// no trace or manifest was requested.
-		tel = prdrb.NewTelemetry(prdrb.TelemetryOptions{Trace: *teleOut != "", Sample: *teleSample})
-	}
-	var prof *perf.Profiler
-	if *perfOut != "" || *perfTrace != "" {
-		// One profiler accumulates across every policy/seed run of this
-		// invocation; the report's deterministic counters therefore cover
-		// the whole command, not just the last run.
-		prof = perf.New(perf.Options{Trace: *perfTrace != ""})
-		runner.DefaultPerf = prof
-	}
-	if *statusAddr != "" {
-		board := telemetry.NewBoard()
-		live := &telemetry.LiveStats{}
-		runner.DefaultStatus = board
-		runner.DefaultLive = live
-		runner.DefaultStatusEvery = sim.Time((*statusInterval).Nanoseconds())
-		addr, err := telemetry.ServeStatus(*statusAddr, board, live)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "prdrbsim: status on http://%s/status\n", addr)
-	}
+	}()
 
 	topo, err := prdrb.TopologyByName(*topoSpec)
 	if err != nil {
@@ -313,7 +265,7 @@ func main() {
 				duration: prdrb.Time((*duration).Nanoseconds()),
 				workload: *workload, iters: *iters,
 				trace: loadedTrace, goal: loadedGoal, knowledge: knowledge,
-				faults: *faultSpec, telemetry: tel, shards: *shards,
+				faults: *faultSpec, shards: *shards,
 				heavytail: *heavytail, htPattern: *htPattern,
 				htPLocal: *htPLocal, htGroup: *htGroup,
 				htOn:      prdrb.Time((*htOn).Nanoseconds()),
@@ -387,78 +339,18 @@ func main() {
 		}
 	}
 
-	if tel != nil {
-		if err := writeTelemetryArtifacts(tel, *teleOut, *manifestOut, *seed, time.Since(wallStart), map[string]any{
-			"topology": *topoSpec, "policy": *policies, "seeds": *seeds,
-			"pattern": *pattern, "rate_mbps": *rate, "bursts": *bursts,
-			"duration_ns": (*duration).Nanoseconds(),
-			"workload":    *workload, "iters": *iters, "faults": *faultSpec,
-		}); err != nil {
-			fatal(err)
-		}
+	if err := obs.Finish(*seed, map[string]any{
+		"topology": *topoSpec, "policy": *policies, "seeds": *seeds,
+		"pattern": *pattern, "rate_mbps": *rate, "bursts": *bursts,
+		"duration_ns": (*duration).Nanoseconds(),
+		"workload":    *workload, "iters": *iters, "faults": *faultSpec,
+	}); err != nil {
+		fatal(err)
 	}
-	if prof != nil {
-		if err := writePerfArtifacts(prof, *perfOut, *perfTrace); err != nil {
-			fatal(err)
-		}
-	}
-	if *statusAddr != "" && *statusLinger > 0 {
+	if obs.Board != nil && *statusLinger > 0 {
 		fmt.Fprintf(os.Stderr, "prdrbsim: lingering %s for status scrapes\n", *statusLinger)
 		time.Sleep(*statusLinger)
 	}
-}
-
-// writePerfArtifacts serializes the engine profiler's report and Perfetto
-// timeline and prints a one-line wall-clock summary.
-func writePerfArtifacts(prof *perf.Profiler, reportPath, tracePath string) error {
-	r := prof.Report()
-	if reportPath != "" {
-		if err := prof.WriteReportFile(reportPath); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "prdrbsim: wrote perf report %s\n", reportPath)
-	}
-	if tracePath != "" {
-		if err := prof.WriteTraceFile(tracePath); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "prdrbsim: wrote perf trace %s (%d window spans)\n", tracePath, r.TraceSpans)
-	}
-	fmt.Fprintf(os.Stderr, "prdrbsim: perf: %d events, %d windows, wall=%.3fms busy=%.3fms idle=%.1f%% imbalance=%.2f speedup=%.2fx\n",
-		r.TotalEvents, r.Windows, float64(r.WallNs)/1e6, float64(r.BusyNs)/1e6,
-		100*r.IdleFraction, r.ImbalanceRatio, r.EffectiveSpeedup)
-	return nil
-}
-
-// writeTelemetryArtifacts serializes the trace (JSONL + Chrome) and the
-// run manifest after all runs complete.
-func writeTelemetryArtifacts(tel *prdrb.Telemetry, tracePath, manifestPath string, seed uint64, wall time.Duration, config map[string]any) error {
-	var chromePath string
-	if tracePath != "" {
-		var err error
-		if chromePath, err = tel.Tracer.WriteTraceFiles(tracePath); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "prdrbsim: wrote %d events to %s and %s\n", tel.Tracer.Len(), tracePath, chromePath)
-	}
-	if manifestPath == "" {
-		return nil
-	}
-	m := telemetry.NewManifest("prdrbsim", config)
-	m.Seed = seed
-	m.WallTimeSec = wall.Seconds()
-	m.Metrics = tel.Registry.Snapshot()
-	if tracePath != "" {
-		m.Trace = &telemetry.TraceInfo{
-			File: tracePath, Chrome: chromePath,
-			Events: tel.Tracer.Len(), Sample: tel.Tracer.Sample(),
-		}
-	}
-	if err := m.WriteFile(manifestPath); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "prdrbsim: wrote manifest %s\n", manifestPath)
-	return nil
 }
 
 type runSpec struct {
@@ -474,7 +366,6 @@ type runSpec struct {
 	goal               *prdrb.Goal
 	knowledge          *prdrb.Knowledge
 	faults             string
-	telemetry          *prdrb.Telemetry
 	shards             int
 	heavytail          string
 	htPattern          string
@@ -502,8 +393,7 @@ func writeCongestionArtifact(s *prdrb.Sim, path string) error {
 	if err != nil {
 		return err
 	}
-	data = append(data, '\n')
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	if err := obsflags.WriteArtifactBytes(path, append(data, '\n')); err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "prdrbsim: wrote congestion artifact %s (%d windows, %d flight dumps)\n",
@@ -514,16 +404,8 @@ func writeCongestionArtifact(s *prdrb.Sim, path string) error {
 // writeFlightDumps serializes the anomaly flight-recorder dumps as JSONL
 // (an empty file when no trigger fired).
 func writeFlightDumps(s *prdrb.Sim, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
 	dumps := s.FlightDumps()
-	if err := telemetry.WriteFlightDumps(f, dumps); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
+	if err := obsflags.WriteArtifact(path, func(w io.Writer) error { return telemetry.WriteFlightDumps(w, dumps) }); err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "prdrbsim: wrote %d flight dumps to %s\n", len(dumps), path)
@@ -569,7 +451,7 @@ func runToHorizon(s *prdrb.Sim, horizon prdrb.Time, spec runSpec) (prdrb.Results
 }
 
 func runOnce(topo prdrb.Topology, policy prdrb.Policy, seed uint64, spec runSpec) (*prdrb.Sim, prdrb.Results, prdrb.Time, error) {
-	exp := prdrb.Experiment{Topology: topo, Policy: policy, Seed: seed, Telemetry: spec.telemetry, Shards: spec.shards,
+	exp := prdrb.Experiment{Topology: topo, Policy: policy, Seed: seed, Shards: spec.shards,
 		Congestion: spec.congestion, CongestionWindow: spec.congWindow}
 	if spec.goal != nil {
 		// Goal replay drives the serial engine directly (like trace replay),

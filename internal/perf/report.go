@@ -144,17 +144,7 @@ func (p *Profiler) WriteReport(w io.Writer) error {
 	return err
 }
 
-// WriteReportFile writes the report as indented JSON.
-func (p *Profiler) WriteReportFile(path string) error {
-	r := p.Report()
-	b, err := json.MarshalIndent(&r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
-}
-
-// ReadReport loads a report written by WriteReportFile.
+// ReadReport loads a report written by WriteReport.
 func ReadReport(path string) (Report, error) {
 	var r Report
 	b, err := os.ReadFile(path)

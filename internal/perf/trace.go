@@ -3,7 +3,6 @@ package perf
 import (
 	"fmt"
 	"io"
-	"os"
 
 	"prdrb/internal/telemetry"
 )
@@ -105,17 +104,4 @@ func (p *Profiler) TraceEvents() []telemetry.ChromeEvent {
 // valid empty trace.
 func (p *Profiler) WriteTrace(w io.Writer) error {
 	return telemetry.WriteChromeEvents(w, p.TraceEvents())
-}
-
-// WriteTraceFile writes the Perfetto timeline to path.
-func (p *Profiler) WriteTraceFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := p.WriteTrace(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

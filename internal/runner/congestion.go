@@ -11,15 +11,16 @@ import (
 	"prdrb/internal/topology"
 )
 
-// Congestion observability sampling. Like the live-status plane
-// (status.go), everything runs at quiescent points on the goroutines that
-// own the state: a tickActor on the serial engine, or the ShardGroup
-// barrier hook when sharded. Each closed window folds the fabric's
-// per-port congestion accounts (network/congestion.go) into one weather
-// map record — per-class utilization, the hottest link, drop and
+// Congestion observability sampling. Like the live-status plane, it is one
+// body under sampleEvery (status.go): it runs once per window of virtual
+// time at a quiescent point — exactly on the boundary of a serial run, at
+// the first barrier at or past it of a sharded one, where the deltas cover
+// the exact span since the previous close. Each closed window folds the
+// fabric's per-port congestion accounts (network/congestion.go) into one
+// weather map record — per-class utilization, the hottest link, drop and
 // credit-stall deltas — then evaluates the anomaly triggers that dump the
 // flight-recorder rings. A simulation built without Experiment.Congestion
-// schedules no sampler events and allocates none of this state.
+// attaches no sampler and allocates none of this state.
 
 // DefaultCongestion, when set, switches on congestion observability for
 // every simulation built without an explicit Experiment.Congestion — the
@@ -57,7 +58,6 @@ type congState struct {
 	sim    *Sim
 	board  *telemetry.Board
 	window sim.Time
-	next   sim.Time
 
 	// Window-delta baselines, updated at each close.
 	lastClose     sim.Time
@@ -95,32 +95,12 @@ func (s *Sim) attachCongestion(board *telemetry.Board) {
 	if !s.Net.CongestionEnabled() {
 		return
 	}
-	w := s.Exp.CongestionWindow // newBuilder has applied the default
-	cs := &congState{sim: s, board: board, window: w, next: w}
+	cs := &congState{sim: s, board: board, window: s.Exp.CongestionWindow} // newBuilder has applied the default
 	s.cong = cs
-	if g := s.Net.Group(); g != nil {
-		g.OnBarrier(cs.onBarrier)
-		return
-	}
-	// Serial: fire exactly on window boundaries.
-	(&tickActor{every: w, fn: func(e *sim.Engine) {
-		cs.closeWindow(e.Now())
-		cs.publish(e.Now())
-	}}).start(s.Eng)
-}
-
-// onBarrier closes windows from the sharded side. Barriers land on the
-// lookahead grid, so a window closes at the first barrier at or past its
-// boundary; the deltas cover the exact span since the previous close.
-func (cs *congState) onBarrier(winEnd sim.Time) {
-	if winEnd < cs.next {
-		return
-	}
-	cs.closeWindow(winEnd)
-	cs.publish(winEnd)
-	for cs.next <= winEnd {
-		cs.next += cs.window
-	}
+	s.sampleEvery(cs.window, func(now sim.Time) {
+		cs.closeWindow(now)
+		cs.publish(now)
+	})
 }
 
 // linkLabel names one link row: "r<router>.p<port>" for router ports,

@@ -2,6 +2,8 @@ package runner
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"path/filepath"
 	"reflect"
@@ -192,5 +194,35 @@ func TestCongestionStatusPublished(t *testing.T) {
 	}
 	if len(st.Recent) == 0 {
 		t.Fatal("no recent windows in snapshot")
+	}
+}
+
+// TestCongestionArtifactPinned pins the window-close rule across the move
+// into sampleEvery: the artifact `prdrbsim -congestion-out` writes for the
+// scripts/verify.sh congestion cell (ft-4-3, pr-drb, websearch capped at
+// 64 KiB, 300 Mb/s for 300µs, seed 1) hashes to what it did before the
+// move, serial and on 2 shards. A change that means to alter when windows
+// close re-records these from that command's output.
+func TestCongestionArtifactPinned(t *testing.T) {
+	want := map[int]string{
+		1: "0d95e2476296c5dce031cc43ad7c2a48c9901a845728e125db97366888480e87",
+		2: "ee6374bf38fcd5a9784edbd326570e04f23c3602ccaf4f46926f554ddbcfb7e7",
+	}
+	for shards, sum := range want {
+		s := MustNew(Experiment{
+			Policy: PolicyPRDRB, Seed: 1, Shards: shards,
+			Congestion: true, CongestionWindow: 10_000,
+		})
+		if err := s.InstallHeavyTail(HeavyTailSpec{
+			CDF: "websearch", MaxFlowBytes: 64 << 10, Pattern: "uniform", PLocal: 0.5,
+			LoadMbps: 300, OnMean: 200_000, End: 300_000,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		s.Execute(300_000 + sim.Second)
+		got := sha256.Sum256(append(artifactJSON(t, s), '\n'))
+		if hex.EncodeToString(got[:]) != sum {
+			t.Errorf("shards=%d: congestion artifact sha256 %x, want %s", shards, got, sum)
+		}
 	}
 }

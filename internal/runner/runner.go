@@ -133,9 +133,9 @@ type Sim struct {
 	Telemetry *telemetry.Telemetry
 	rng       *sim.RNG
 
-	// Live-status plane (status.go): the sampler state when a board is
-	// attached, and the cross-goroutine progress feed. Both nil-safe.
-	status         *statusState
+	// Live-status plane (status.go): the board the sampler publishes into
+	// (nil when off), and the cross-goroutine progress feed (nil-safe).
+	status         *telemetry.Board
 	live           *telemetry.LiveStats
 	lastLiveEvents int64
 
@@ -835,6 +835,11 @@ func (s *Sim) Execute(horizon sim.Time) Results {
 		s.executedTo = horizon
 	}
 	s.syncLive(int64(s.Processed()), int64(s.Now()))
+	if s.status != nil {
+		// Closing snapshot: /status after a run is final in both modes (a
+		// drained engine fires no further tick or barrier).
+		s.sampleStatus(s.Now())
+	}
 	return s.Summarize()
 }
 

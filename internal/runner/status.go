@@ -7,25 +7,20 @@ import (
 	"prdrb/internal/telemetry"
 )
 
-// Live status sampling. The observability plane never reads simulation
-// state from the HTTP goroutine: a sampler actor scheduled on the engine
-// evaluates everything at deterministic virtual-time intervals — on the
-// goroutine that owns the state — and publishes plain-data snapshots into
-// a telemetry.Board the status server reads.
+// Quiescent-point sampling. The observability planes never read simulation
+// state from the HTTP goroutine, and never from a goroutine that does not
+// own it: sampleEvery runs a body once per period of virtual time at a
+// point where every engine is quiescent — on the serial engine's own
+// goroutine, or at a shard group's window barrier — and the body publishes
+// plain-data snapshots into a telemetry.Board the status server reads.
+// The live-status plane (below) and the congestion plane (congestion.go)
+// each pass one body and share this one cadence rule.
 //
-// Serial mode: one tickActor on the engine collects the full status each
-// tick. Sharded mode splits the work along the ownership boundary:
-// a per-shard sampler actor records that shard's window position
-// (shard-local engine state plus the group's window bounds, which the
-// coordinator writes before releasing the window to its workers —
-// race-free by the release's atomic happens-before), and a group barrier
-// hook — where every shard is quiescent — assembles the group-level
-// snapshot: network totals, controller state, ring depths, registry
-// metrics.
-//
-// A simulation built without a board schedules no sampler events and
-// touches none of this code: disabled observability is exactly free, and
-// fixed-seed results stay byte-identical.
+// A simulation built without a board attaches no sampler and touches none
+// of this code: disabled observability is exactly free, and fixed-seed
+// results stay byte-identical. On a sharded run an attached sampler is
+// free of side effects too — it schedules no events, so event counts and
+// the window-mode sequence equal the unobserved run's.
 
 // DefaultStatus, when set, attaches a live-status sampler publishing into
 // this board to every simulation built without an explicit attach — the
@@ -46,20 +41,52 @@ var DefaultStatusEvery sim.Time
 // of virtual time, ~20 samples over a typical millisecond-scale run.
 const defaultStatusInterval sim.Time = 100_000
 
-// statusState is the per-simulation sampling state.
-type statusState struct {
-	sim      *Sim
-	board    *telemetry.Board
-	interval sim.Time
-	// shardStats holds one slot per shard, written by that shard's
-	// sampler during windows and read only at barriers.
-	shardStats []telemetry.ShardStatus
-	samplers   []*shardSampler
+// sampleEvery runs fn at quiescent points one period of virtual time
+// apart, the first one period after the current time. It is the only place
+// the samplers fork on the engine kind. Serial: a tickActor fires exactly
+// on the period grid. Sharded: barriers land on the lookahead grid, so fn
+// runs at the first barrier at or past each grid point — on the
+// coordinator, single-threaded, with every shard synchronized at winEnd
+// and the cross-shard rings not yet flushed — and a barrier that skipped
+// several grid points samples once.
+func (s *Sim) sampleEvery(period sim.Time, fn func(now sim.Time)) {
+	g := s.Net.Group()
+	if g == nil {
+		s.Eng.ScheduleEvent(s.Eng.Now()+period, &tickActor{every: period, fn: fn}, 0, 0)
+		return
+	}
+	next := g.Now() + period
+	g.OnBarrier(func(winEnd sim.Time) {
+		if winEnd < next {
+			return
+		}
+		fn(winEnd)
+		for next <= winEnd {
+			next += period
+		}
+	})
+}
+
+// tickActor is sampleEvery on the serial engine: it runs fn on the
+// engine's goroutine every `every` of virtual time and re-arms only while
+// other work remains, so a draining engine still terminates.
+type tickActor struct {
+	every sim.Time
+	fn    func(now sim.Time)
+}
+
+// HandleEvent implements sim.Actor.
+func (t *tickActor) HandleEvent(e *sim.Engine, _ uint8, _ uint64) {
+	t.fn(e.Now())
+	if e.Len() > 0 {
+		e.AfterEvent(t.every, t, 0, 0)
+	}
 }
 
 // AttachStatus wires a live-status sampler publishing into board every
-// `every` nanoseconds of virtual time (0 selects the default). Must be
-// called before the simulation runs. No-op on a nil board.
+// `every` nanoseconds of virtual time (0 selects the default), starting
+// one interval after the current time; Execute adds a closing snapshot.
+// Must be called before the simulation runs. No-op on a nil board.
 func (s *Sim) AttachStatus(board *telemetry.Board, every sim.Time) {
 	if board == nil {
 		return
@@ -67,129 +94,20 @@ func (s *Sim) AttachStatus(board *telemetry.Board, every sim.Time) {
 	if every <= 0 {
 		every = defaultStatusInterval
 	}
-	st := &statusState{sim: s, board: board, interval: every}
-	s.status = st
-	if g := s.Net.Group(); g != nil {
-		st.shardStats = make([]telemetry.ShardStatus, g.Shards())
-		for i := range st.shardStats {
-			st.shardStats[i].Shard = i
-		}
-		st.samplers = make([]*shardSampler, g.Shards())
-		for i, e := range g.Engines {
-			sam := &shardSampler{st: st, g: g, idx: i, armed: true}
-			st.samplers[i] = sam
-			e.ScheduleEvent(every, sam, 0, 0)
-		}
-		g.OnBarrier(st.onBarrier)
-		return
-	}
-	(&tickActor{every: every, fn: st.sampleSerial}).start(s.Eng)
+	s.status = board
+	s.sampleEvery(every, s.sampleStatus)
 }
 
-// tickActor is the serial-engine sampler actor both observability planes
-// share: it runs fn on the engine's goroutine every `every` of virtual
-// time and re-arms only while other work remains, so a draining engine
-// still terminates.
-type tickActor struct {
-	every sim.Time
-	fn    func(*sim.Engine)
-}
-
-// start schedules the first tick one interval from now.
-func (t *tickActor) start(e *sim.Engine) { e.ScheduleEvent(e.Now()+t.every, t, 0, 0) }
-
-// HandleEvent implements sim.Actor.
-func (t *tickActor) HandleEvent(e *sim.Engine, _ uint8, _ uint64) {
-	t.fn(e)
-	if e.Len() > 0 {
-		e.AfterEvent(t.every, t, 0, 0)
-	}
-}
-
-// sampleSerial collects and publishes the full snapshot of a serial run.
-func (st *statusState) sampleSerial(e *sim.Engine) {
-	now := e.Now()
-	status := st.sim.collectStatus(int64(now))
-	status.Shards = []telemetry.ShardStatus{{
-		Shard: 0,
-		AtNs:  int64(now),
-		// The serial engine has no barrier windows; the degenerate window
-		// [at, at] keeps the start <= at <= end invariant trivially true.
-		WindowStartNs: int64(now),
-		WindowEndNs:   int64(now),
-		Processed:     e.Processed,
-		Pending:       e.Len(),
-	}}
-	status.EventsProcessed = e.Processed
-	status.Perf = st.sim.perf.Snapshot()
-	st.board.PublishStatus(status)
-	st.sim.publishMetrics(st.board)
-	st.sim.syncLive(int64(e.Processed), int64(now))
-}
-
-// shardSampler records one shard's window position. It runs on the shard
-// engine during windows and touches only shard-owned state plus the
-// group's window bounds (written before the window is released).
-type shardSampler struct {
-	st    *statusState
-	g     *sim.ShardGroup
-	idx   int
-	armed bool
-}
-
-// HandleEvent implements sim.Actor.
-func (ss *shardSampler) HandleEvent(e *sim.Engine, _ uint8, _ uint64) {
-	start, end := ss.g.CurrentWindow()
-	ss.st.shardStats[ss.idx] = telemetry.ShardStatus{
-		Shard:         ss.idx,
-		AtNs:          int64(e.Now()),
-		WindowStartNs: int64(start),
-		WindowEndNs:   int64(end),
-		Processed:     e.Processed,
-		Pending:       e.Len(),
-	}
-	if e.Len() > 0 {
-		e.AfterEvent(ss.st.interval, ss, 0, 0)
-	} else {
-		ss.armed = false
-	}
-}
-
-// onBarrier assembles and publishes the group-level snapshot. It runs
-// single-threaded at every window barrier with all shards quiescent, so
-// cross-shard reads (network totals, controllers, registry gauges, ring
-// depths — sampled before the flush empties them) are race-free.
-func (st *statusState) onBarrier(winEnd sim.Time) {
-	g := st.sim.Net.Group()
-	// Re-arm samplers that ran out of local work mid-window but whose
-	// shard has pending events again.
-	for i, sam := range st.samplers {
-		if !sam.armed && g.Engines[i].Len() > 0 {
-			g.Engines[i].ScheduleEvent(winEnd+st.interval, sam, 0, 0)
-			sam.armed = true
-		}
-	}
-	processed := g.Processed()
-	status := st.sim.collectStatus(int64(winEnd))
-	status.EventsProcessed = processed
-	status.Shards = append([]telemetry.ShardStatus(nil), st.shardStats...)
-	status.RingDepths = g.RingDepths()
-	// The profiler's BarrierStart ran before these hooks, so its
-	// aggregates already cover the window that just closed.
-	status.Perf = st.sim.perf.Snapshot()
-	st.board.PublishStatus(status)
-	st.sim.publishMetrics(st.board)
-	st.sim.syncLive(int64(processed), int64(winEnd))
-}
-
-// collectStatus evaluates the simulation-wide status fields. Callers must
-// hold the quiescence this package's samplers guarantee.
-func (s *Sim) collectStatus(virtualNs int64) telemetry.Status {
+// sampleStatus collects and publishes the full snapshot at the quiescent
+// point now: network totals, controller state, one row per shard (ring
+// depths too when sharded — sampled before the flush empties them), and
+// the registry's scalars and histograms for /metrics.
+func (s *Sim) sampleStatus(now sim.Time) {
 	offered, delivered, dropped := s.Net.ThroughputTotals()
 	down, degraded := s.Net.LinkHealthCounts()
 	openMPs, extra := core.OpenPathCounts(s.Controllers)
-	return telemetry.Status{
-		VirtualNs:      virtualNs,
+	status := telemetry.Status{
+		VirtualNs:      int64(now),
 		OfferedPkts:    offered,
 		DeliveredPkts:  delivered,
 		DroppedPkts:    dropped,
@@ -200,15 +118,36 @@ func (s *Sim) collectStatus(virtualNs int64) telemetry.Status {
 		OpenExtraPaths: extra,
 		QueuedBytes:    int64(s.Net.TotalQueuedBytes()),
 	}
-}
-
-// publishMetrics snapshots the registry (scalars and histograms) into the
-// board for /metrics. No-op without telemetry.
-func (s *Sim) publishMetrics(board *telemetry.Board) {
-	if s.Telemetry == nil {
-		return
+	// A serial engine has no barrier windows, and after Execute a shard
+	// group is parked at the horizon, past its last window: both report the
+	// degenerate window [now, now], which keeps start <= at <= end true.
+	start, end := now, now
+	if g := s.Net.Group(); g != nil {
+		if ws, we := g.CurrentWindow(); we == now {
+			start, end = ws, we
+		}
+		status.RingDepths = g.RingDepths()
 	}
-	board.PublishMetrics(s.Telemetry.Registry.Snapshot(), s.Telemetry.Registry.SnapshotHistograms())
+	status.Shards = make([]telemetry.ShardStatus, 0, len(s.Net.Shards))
+	for i, sh := range s.Net.Shards {
+		status.Shards = append(status.Shards, telemetry.ShardStatus{
+			Shard:         i,
+			AtNs:          int64(sh.Eng.Now()),
+			WindowStartNs: int64(start),
+			WindowEndNs:   int64(end),
+			Processed:     sh.Eng.Processed,
+			Pending:       sh.Eng.Len(),
+		})
+		status.EventsProcessed += sh.Eng.Processed
+	}
+	// At a barrier the profiler's BarrierStart ran before the hooks, so its
+	// aggregates already cover the window that just closed.
+	status.Perf = s.perf.Snapshot()
+	s.status.PublishStatus(status)
+	if s.Telemetry != nil {
+		s.status.PublishMetrics(s.Telemetry.Registry.Snapshot(), s.Telemetry.Registry.SnapshotHistograms())
+	}
+	s.syncLive(int64(status.EventsProcessed), int64(now))
 }
 
 // syncLive folds progress into the cross-goroutine feed: the delta of

@@ -330,10 +330,8 @@ func (g *ShardGroup) Now() Time { return g.now }
 // coordinator (or any other goroutine) mid-window is a data race; call it
 // only while the group is quiescent — between Run calls, from an
 // OnBarrier hook, or from a barrier task: the done count every worker
-// bumps after its last shard orders those reads after the writes. A shard
-// sampler actor may read its *own* engine's counter during a window (it
-// runs on that engine). For a bulk race-free snapshot at barriers use
-// Stats.
+// bumps after its last shard orders those reads after the writes. For a
+// bulk race-free snapshot at barriers use Stats.
 func (g *ShardGroup) Processed() uint64 {
 	var total uint64
 	for _, e := range g.Engines {
@@ -377,17 +375,23 @@ func (g *ShardGroup) ScheduleBarrier(at Time, fn func()) {
 
 // OnBarrier registers fn to run at every window barrier, after all
 // shards have synchronized at winEnd and before cross-shard rings flush.
-// Hooks run single-threaded in registration order and may read any
-// shard's state; they must not schedule events in the past. Multiple
-// hooks chain (sampling and tests can observe the same barriers).
+// Hooks run single-threaded on the coordinator (workers may be parked, not
+// running) in registration order and may read any shard's state; they must
+// not schedule events in the past. A hook runs on every window of the run,
+// so one that wants a coarser cadence returns early on the barriers it
+// skips. Multiple hooks chain (sampling and tests can observe the same
+// barriers).
 func (g *ShardGroup) OnBarrier(fn func(winEnd Time)) {
 	g.barrierFns = append(g.barrierFns, fn)
 }
 
 // CurrentWindow returns the bounds of the window currently (or most
-// recently) executed. Safe to call from a shard's handlers during a
-// window: the coordinator writes the bounds before the epoch bump that
-// releases the window to the workers.
+// recently) executed: inside an OnBarrier hook, the window that hook's
+// winEnd closed; between Run calls, the last window of the previous Run,
+// which the barrier clock (Now) has moved past when Run parked at a later
+// horizon. Also safe to call from a shard's handlers during a window: the
+// coordinator writes the bounds before the epoch bump that releases the
+// window to the workers.
 func (g *ShardGroup) CurrentWindow() (start, end Time) {
 	return g.winStart, g.winEnd
 }

@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"encoding/json"
-	"os"
 	"os/exec"
 	"runtime"
 	"strings"
@@ -79,13 +78,4 @@ func (m *Manifest) MarshalIndent() ([]byte, error) {
 		return nil, err
 	}
 	return append(b, '\n'), nil
-}
-
-// WriteFile writes the manifest to path.
-func (m *Manifest) WriteFile(path string) error {
-	b, err := m.MarshalIndent()
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, b, 0o644)
 }

@@ -45,33 +45,3 @@ func StartCPUProfile(path string) (func() error, error) {
 func ChromeTracePath(jsonlPath string) string {
 	return strings.TrimSuffix(jsonlPath, ".jsonl") + ".chrome.json"
 }
-
-// WriteTraceFiles writes the event log as JSONL to jsonlPath and as a
-// Chrome trace next to it, returning the Chrome trace path. No-op on a
-// nil tracer.
-func (t *Tracer) WriteTraceFiles(jsonlPath string) (chromePath string, err error) {
-	if t == nil {
-		return "", nil
-	}
-	chromePath = ChromeTracePath(jsonlPath)
-	f, err := os.Create(jsonlPath)
-	if err != nil {
-		return "", err
-	}
-	if err := t.WriteJSONL(f); err != nil {
-		f.Close()
-		return "", err
-	}
-	if err := f.Close(); err != nil {
-		return "", err
-	}
-	g, err := os.Create(chromePath)
-	if err != nil {
-		return "", err
-	}
-	if err := t.WriteChromeTrace(g); err != nil {
-		g.Close()
-		return "", err
-	}
-	return chromePath, g.Close()
-}

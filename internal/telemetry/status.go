@@ -6,23 +6,25 @@ import (
 )
 
 // Live status plane. The simulation never serves HTTP from its own
-// goroutines: sampler actors (wired by the runner) evaluate simulation
-// state at deterministic virtual-time intervals, on the goroutine that
-// owns that state, and publish plain-data snapshots into a mutex-guarded
+// goroutines: the runner's quiescent-point sampler evaluates simulation
+// state once per sampling interval of virtual time, on the goroutine that
+// owns that state, and publishes plain-data snapshots into a mutex-guarded
 // Board. HTTP handlers read only the Board, never live simulation state —
 // so the status server cannot race the hot path, and a simulation built
 // without a Board carries a nil handle and pays nothing.
 
 // ShardStatus is one shard engine's position within the conservative
-// parallel execution: its local virtual clock and the bounds of the
-// lookahead window it was last observed in. For a serial run there is a
-// single entry whose window spans the whole horizon.
+// parallel execution, read at the window barrier that published the
+// snapshot: its local virtual clock and the bounds of the window that
+// barrier closed. A serial run has a single entry, and a run parked at its
+// horizon one per shard, whose window is the degenerate [AtNs, AtNs].
 type ShardStatus struct {
 	Shard int `json:"shard"`
-	// AtNs is the shard's local virtual clock at sample time.
+	// AtNs is the shard's local virtual clock at sample time: the time of
+	// the last event it executed in the window (the window start if none).
 	AtNs int64 `json:"at_ns"`
-	// WindowStartNs/WindowEndNs bound the barrier window the sample was
-	// taken in; WindowStartNs <= AtNs <= WindowEndNs always holds.
+	// WindowStartNs/WindowEndNs bound the barrier window the sample closed;
+	// WindowStartNs <= AtNs <= WindowEndNs always holds.
 	WindowStartNs int64 `json:"window_start_ns"`
 	WindowEndNs   int64 `json:"window_end_ns"`
 	// Processed is the shard's cumulative executed-event count.

@@ -32,13 +32,15 @@ echo "==> one-event-per-hop guards (race, GOMAXPROCS 1/2/4)"
 go test -race -cpu 1,2,4 -count=1 -run 'Reserved|LazyFree|SeqConservation|RouteMemo|EventsPerHop' \
     ./internal/sim ./internal/network ./internal/routing .
 
-echo "==> window-mode, CFD-tally and path-enumeration guards (race, GOMAXPROCS 1/2/4)"
+echo "==> window-mode, CFD-tally, path-enumeration and sampler guards (race, GOMAXPROCS 1/2/4)"
 # The mode rule and its equivalence cells (inline, released and alternating
 # windows give one result), the sharded determinism matrix, the incremental
-# contending-flows tally against the recount, and the grid path enumeration
-# against the reflection-sorted one.
-go test -race -cpu 1,2,4 -count=1 -run 'ShardGroup|WindowMode|ShardedDeterminism|ContendingFlows|AlternativePaths' \
-    ./internal/sim ./internal/network ./internal/topology .
+# contending-flows tally against the recount, the grid path enumeration
+# against the reflection-sorted one, and the quiescent-point sampler: its
+# barrier hook runs on the coordinator while workers may be parked, reads
+# every shard, and must neither race nor change what the run executes.
+go test -race -cpu 1,2,4 -count=1 -run 'ShardGroup|WindowMode|ShardedDeterminism|ContendingFlows|AlternativePaths|ShardedStatus|SampleEvery' \
+    ./internal/sim ./internal/network ./internal/topology ./internal/runner .
 
 echo "==> simulated-statistics digests (benchmark smoke vs results/bench.smoke.digests.txt)"
 # The benchmark's sim_digest hashes every Results field of every cell and
@@ -156,6 +158,20 @@ grep -q '"delivered_pkts"' "$teldir/obs-status.json" || {
     echo "verify: /status missing throughput totals" >&2
     exit 1
 }
+# One publish per sampling interval (100us by default) plus the closing
+# snapshot, not one per window barrier. seq and virtual_ns come from the
+# same JSON; the closing snapshot carries the parked horizon clock (load
+# end + 1s), which alone would let thousands of publishes through, so the
+# bound that bites is taken from the time of the trace's last event.
+obs_seq=$(sed -n 's/.*"seq": *\([0-9]*\).*/\1/p' "$teldir/obs-status.json" | head -n 1)
+obs_vns=$(sed -n 's/.*"virtual_ns": *\([0-9]*\).*/\1/p' "$teldir/obs-status.json" | head -n 1)
+obs_last=$(tail -n 1 "$teldir/obs.jsonl" | sed -n 's/.*"at": *\([0-9]*\).*/\1/p')
+[ -n "$obs_seq" ] && [ -n "$obs_vns" ] && [ -n "$obs_last" ] && [ "$obs_seq" -ge 2 ] &&
+    [ "$obs_seq" -le $((obs_vns / 100000 + 2)) ] && [ "$obs_seq" -le $((obs_last / 100000 + 2)) ] || {
+    echo "verify: /status seq=$obs_seq, virtual_ns=$obs_vns, last traced event at ${obs_last}ns:" \
+        "want 2 <= seq <= t/100000 + 2 for both times (publishing per barrier again?)" >&2
+    exit 1
+}
 "$teldir/prdrbtrace" validate -trace "$teldir/obs.jsonl" -manifest "$teldir/obs-manifest.json"
 "$teldir/prdrbtrace" report -trace "$teldir/obs.jsonl" -manifest "$teldir/obs-manifest.json" \
     -heatmap-dir "$teldir/obs-heat" >"$teldir/obs-report.txt"
@@ -163,7 +179,7 @@ grep -q '## causal decision summary' "$teldir/obs-report.txt" || {
     echo "verify: report missing causal summary" >&2
     exit 1
 }
-echo "    status scraped from $status_addr; exposition, trace and report validated"
+echo "    status scraped from $status_addr (seq=$obs_seq, last event at ${obs_last}ns); exposition, trace and report validated"
 
 echo "==> engine-profiler smoke (-perf artifacts, deterministic-section stability)"
 # Two identical-seed 4-shard runs with the profiler on: the Perfetto
