@@ -1,6 +1,12 @@
 package prdrb
 
-import "testing"
+import (
+	"testing"
+
+	"prdrb/internal/core"
+	"prdrb/internal/network"
+	"prdrb/internal/topology"
+)
 
 // TestHotPathZeroAlloc is the allocation guard for the typed-event core:
 // once a saturated run is warmed up (event records recycled through the
@@ -56,6 +62,83 @@ func TestHotPathZeroAlloc(t *testing.T) {
 	if avg != 0 {
 		t.Fatalf("hot path allocates %.2f allocs per 20k events, want 0", avg)
 	}
+}
+
+// TestHotPathZeroAllocPRDRB extends the guard to the PR-DRB control plane
+// on a shuffle cell of ft-4-3.
+//
+// steady: a supersaturating overlay opens paths (and saves and re-applies
+// solutions) for 2 ms, then the cell settles into a load under which some
+// metapaths stay open. Injections over those paths, their ACKs and the
+// zone evaluations and path closings they drive — PrepareInjection,
+// HandleAck, evaluate, maybeClose, observeTrend — must allocate nothing:
+// metapaths, their evidence maps and path slices are at their high-water
+// marks, and a packet's waypoints alias its path's record instead of
+// copying it. (Saving and re-applying a solution copy on purpose, see
+// metapath.snapshot, and are absent from a window this quiet.)
+//
+// cold-open: the bill of the first congestion toward a destination the
+// source has never used — metapath, path-cache entry, the enumeration's two
+// slices, the first growth of the path slice and what the three maps they
+// go into need now and then — printed, and pinned so a per-open temporary
+// cannot creep back in.
+func TestHotPathZeroAllocPRDRB(t *testing.T) {
+	s := MustNewSim(Experiment{Topology: FatTree(4, 3), Policy: PolicyPRDRB, Seed: 7})
+	if err := s.InstallPattern(PatternSpec{Pattern: "shuffle", RateMbps: 350, Start: 0, End: Second}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.InstallPattern(PatternSpec{Pattern: "shuffle", RateMbps: 800, Start: 0, End: 2 * Millisecond}); err != nil {
+		t.Fatal(err)
+	}
+	s.Eng.Run(8 * Millisecond)
+
+	t.Run("steady", func(t *testing.T) {
+		primed := core.AggregateStats(s.Controllers)
+		if primed.PathsOpened < 64 || primed.ReuseApplications == 0 {
+			t.Fatalf("priming opened %d paths and re-applied %d solutions; the overlay no longer congests the cell",
+				primed.PathsOpened, primed.ReuseApplications)
+		}
+		avg := testing.AllocsPerRun(5, func() {
+			for i := 0; i < 20000; i++ {
+				if !s.Eng.Step() {
+					t.Fatal("engine drained mid-measurement")
+				}
+			}
+		})
+		after := core.AggregateStats(s.Controllers)
+		if open, _ := core.OpenPathCounts(s.Controllers); open == 0 || after.AcksSeen-primed.AcksSeen < 5000 {
+			t.Fatalf("measured window ended with %d open metapaths after %d ACKs; it no longer exercises multipath injection",
+				open, after.AcksSeen-primed.AcksSeen)
+		}
+		if avg != 0 {
+			t.Fatalf("pr-drb steady state allocates %.2f allocs per 20k events, want 0 (opened %d, saved %d, re-applied %d in the window)",
+				avg, after.PathsOpened-primed.PathsOpened, after.PatternsSaved-primed.PatternsSaved,
+				after.ReuseApplications-primed.ReuseApplications)
+		}
+	})
+
+	t.Run("cold-open", func(t *testing.T) {
+		// Node 0 sends to 0 under shuffle, so it has no metapath yet: every
+		// run reports congestion toward one more destination.
+		ctl, dst := s.Controllers[0], topology.NodeID(0)
+		ack := &network.Packet{Type: network.AckPacket, Dst: 0, PathLatency: 50 * Microsecond}
+		const runs = 40
+		avg := testing.AllocsPerRun(runs, func() {
+			dst++
+			if ctl.PathCount(dst) != 1 {
+				t.Fatalf("destination %d already has an open metapath", dst)
+			}
+			ack.Src = dst
+			ctl.HandleAck(s.Eng, ack)
+			if ctl.PathCount(dst) != 2 {
+				t.Fatalf("congestion toward %d opened no path", dst)
+			}
+		})
+		t.Logf("cold path-open: %.2f allocations (mean of %d destinations)", avg, runs)
+		if avg > 5 {
+			t.Fatalf("cold path-open allocates %.2f times, want <= 5", avg)
+		}
+	})
 }
 
 // TestEventsPerHop pins how many events a delivered packet costs on a

@@ -63,20 +63,27 @@ type Controller struct {
 	eng  *sim.Engine
 	rng  *sim.RNG
 
-	mps map[topology.NodeID]*metapath
-	db  *SolutionDB
+	// mps is made by the first metapath; slab, when set, is the shard's
+	// metapath storage (Install).
+	mps  map[topology.NodeID]*metapath
+	slab *metapathSlab
+	db   *SolutionDB
+	// sigBuf is evidence's scratch: the signature it returns lives here
+	// until the next call.
+	sigBuf []network.FlowKey
 
 	// PathCheck, when set, is the fabric's link-health feasibility
 	// predicate: it reports whether a multistep path currently traverses
 	// only live links. Path selection, opening and solution reuse filter
 	// through it. Nil means "always feasible" (healthy fabric).
 	PathCheck func(src, dst topology.NodeID, p topology.Path) bool
-	// PathSource, when set, supplies alternative-path enumerations in
-	// place of direct topology calls — assembled simulations point it at
-	// a shared per-shard topology.PathCache so repeated congestion
-	// episodes across a shard's controllers reuse one bounded enumeration
-	// instead of re-deriving (and re-allocating) the same path sets.
-	PathSource func(src, dst topology.NodeID, max int) []topology.Path
+	// PathCache, when set, supplies the alternative-path enumerations in
+	// place of direct topology calls: assembled simulations share one per
+	// shard, so repeated congestion episodes across a shard's controllers
+	// reuse one bounded enumeration instead of re-deriving (and
+	// re-allocating) the same path sets. Its per-pair budget must be the
+	// 2 × Cfg.MaxPaths a controller enumerates.
+	PathCache *topology.PathCache
 	// OnRecovery, when set, observes each failure-to-recovery latency
 	// (loss notification -> next successful ACK for that destination).
 	OnRecovery func(d sim.Time)
@@ -102,7 +109,6 @@ func New(node topology.NodeID, topo topology.Topology, eng *sim.Engine, cfg Conf
 		topo: topo,
 		eng:  eng,
 		rng:  rng,
-		mps:  make(map[topology.NodeID]*metapath),
 	}
 	if cfg.Predictive {
 		c.db = NewSolutionDB()
@@ -130,7 +136,10 @@ func (c *Controller) DB() *SolutionDB { return c.db }
 func (c *Controller) metapathFor(dst topology.NodeID) *metapath {
 	mp := c.mps[dst]
 	if mp == nil {
-		mp = newMetapath(dst, c.Cfg.LatencyFloor)
+		if c.mps == nil {
+			c.mps = make(map[topology.NodeID]*metapath)
+		}
+		mp = c.slab.new(dst, c.Cfg.LatencyFloor)
 		c.mps[dst] = mp
 	}
 	return mp
@@ -155,7 +164,9 @@ func (c *Controller) PrepareInjection(e *sim.Engine, pkt *network.Packet) {
 		c.pathLost(e, mp)
 		p = mp.selectPath(&c.Cfg, c.rng, c.usableFilter(mp))
 	}
-	pkt.Waypoints = append(topology.Path(nil), p.path...)
+	// No copy: a path's waypoints are immutable once it is open (see
+	// pathState.path), for as long as any packet carries them.
+	pkt.Waypoints = p.path
 	pkt.MSPIndex = p.id
 	mp.outstanding++
 	if c.Cfg.Watchdog > 0 {
@@ -182,6 +193,9 @@ func (c *Controller) HandleAck(e *sim.Engine, ack *network.Packet) {
 	}
 	// Fold in contending-flow evidence (§3.2.7).
 	for _, f := range ack.Contending {
+		if mp.flowSeen == nil {
+			mp.flowSeen = make(map[network.FlowKey]sim.Time)
+		}
 		mp.flowSeen[f] = e.Now()
 	}
 
@@ -394,6 +408,7 @@ func (c *Controller) maybeOpen(e *sim.Engine, mp *metapath) {
 	if !mp.poolInit {
 		mp.pool = c.enumeratePaths(mp.dst)
 		mp.poolInit = true
+		mp.directLen = topology.PathLength(c.topo, c.Node, mp.dst, nil)
 	}
 	// Skip candidates already open or currently infeasible (failed links).
 	for len(mp.pool) > 0 {
@@ -405,12 +420,11 @@ func (c *Controller) maybeOpen(e *sim.Engine, mp *metapath) {
 		if c.PathCheck != nil && !c.PathCheck(c.Node, mp.dst, cand) {
 			continue
 		}
-		direct := topology.PathLength(c.topo, c.Node, mp.dst, nil)
 		mp.paths = append(mp.paths, pathState{
 			id:        mp.nextPathID,
 			path:      cand,
 			latNs:     c.currentBest(mp), // optimistic: probe the new path
-			extraHops: topology.PathLength(c.topo, c.Node, mp.dst, cand) - direct,
+			extraHops: topology.PathLength(c.topo, c.Node, mp.dst, cand) - mp.directLen,
 		})
 		mp.nextPathID++
 		mp.lastOpen = e.Now()
@@ -422,15 +436,15 @@ func (c *Controller) maybeOpen(e *sim.Engine, mp *metapath) {
 }
 
 // enumeratePaths fetches the alternative-path pool for dst, through the
-// shared PathSource cache when one is wired, else straight from the
-// topology. Both return shared immutable slices: the pool is consumed by
-// re-slicing (mp.pool[1:]) and selected paths are copied before mutation,
-// so aliasing the cache's storage is safe.
+// shared PathCache when one is wired, else straight from the topology.
+// Both return shared immutable slices: the pool is consumed by re-slicing
+// (mp.pool[1:]) and an opened path is only ever read, so aliasing the
+// cache's storage is safe.
 func (c *Controller) enumeratePaths(dst topology.NodeID) []topology.Path {
-	if c.PathSource != nil {
-		return c.PathSource(c.Node, dst, 2*c.Cfg.MaxPaths)
+	if c.PathCache == nil {
+		return c.topo.AlternativePaths(c.Node, dst, 2*c.Cfg.MaxPaths)
 	}
-	return c.topo.AlternativePaths(c.Node, dst, 2*c.Cfg.MaxPaths)
+	return c.PathCache.Paths(c.Node, dst)
 }
 
 // currentBest returns the lowest path latency in the metapath, the
@@ -511,7 +525,7 @@ func (c *Controller) maybeClose(mp *metapath) {
 // evidence builds the current contending-flow signature for a destination
 // from reports within the evidence window.
 func (c *Controller) evidence(e *sim.Engine, mp *metapath) Signature {
-	var flows []network.FlowKey
+	flows := c.sigBuf[:0]
 	for f, seen := range mp.flowSeen {
 		if e.Now()-seen <= c.Cfg.EvidenceWindow {
 			flows = append(flows, f)
@@ -519,6 +533,7 @@ func (c *Controller) evidence(e *sim.Engine, mp *metapath) Signature {
 			delete(mp.flowSeen, f)
 		}
 	}
+	c.sigBuf = flows
 	return NewSignature(flows, c.Cfg.MaxSignature)
 }
 
@@ -595,7 +610,8 @@ func (c *Controller) MetapathLatency(dst topology.NodeID) float64 {
 }
 
 // Paths returns a copy of the current waypoint sets toward dst, direct
-// path first.
+// path first — a copy on purpose: the originals are shared with the path
+// cache and with in-flight packets (pathState.path).
 func (c *Controller) Paths(dst topology.NodeID) []topology.Path {
 	mp := c.mps[dst]
 	if mp == nil {
@@ -615,12 +631,17 @@ func (c *Controller) Paths(dst topology.NodeID) []topology.Path {
 func Install(net *network.Network, cfg Config, rngSeed uint64) []*Controller {
 	ctls := make([]*Controller, net.Topo.NumTerminals())
 	root := sim.NewRNG(rngSeed)
-	// One bounded path cache per shard: every controller on a shard runs on
-	// that shard's engine goroutine, so the (non-thread-safe) cache sees
-	// strictly serial access, and hot destination sets are shared across
-	// the shard's sources instead of enumerated per controller. The bound
-	// keeps resident pairs O(active flows), not O(N^2).
-	caches := make(map[*sim.Engine]*topology.PathCache)
+	// One bounded path cache and one metapath slab per shard: every
+	// controller on a shard runs on that shard's engine goroutine, so the
+	// (non-thread-safe) pair sees strictly serial access, and hot
+	// destination sets are shared across the shard's sources instead of
+	// enumerated per controller. The bound keeps resident pairs O(active
+	// flows), not O(N^2).
+	type shardState struct {
+		paths *topology.PathCache
+		slab  metapathSlab
+	}
+	shards := make(map[*sim.Engine]*shardState)
 	capacity := 4 * net.Topo.NumTerminals()
 	if capacity < 256 {
 		capacity = 256
@@ -637,17 +658,12 @@ func Install(net *network.Network, cfg Config, rngSeed uint64) []*Controller {
 		if col := net.CollectorForNode(node); col != nil {
 			ctl.OnRecovery = col.PathRecovered
 		}
-		pc := caches[eng]
-		if pc == nil {
-			pc = topology.NewPathCache(net.Topo, 2*cfg.MaxPaths, capacity)
-			caches[eng] = pc
+		sh := shards[eng]
+		if sh == nil {
+			sh = &shardState{paths: topology.NewPathCache(net.Topo, 2*cfg.MaxPaths, capacity)}
+			shards[eng] = sh
 		}
-		ctl.PathSource = func(src, dst topology.NodeID, max int) []topology.Path {
-			if max != pc.PerPair() {
-				return net.Topo.AlternativePaths(src, dst, max)
-			}
-			return pc.Paths(src, dst)
-		}
+		ctl.PathCache, ctl.slab = sh.paths, &sh.slab
 		ctls[node] = ctl
 		return ctl
 	})

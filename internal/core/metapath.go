@@ -32,8 +32,15 @@ func (z Zone) String() string {
 
 // pathState is one multistep path of a metapath with its estimated latency.
 type pathState struct {
-	id   int           // stable identifier carried in packets as MSPIndex
-	path topology.Path // waypoints; empty = the original path
+	id int // stable identifier carried in packets as MSPIndex
+	// path holds the waypoints; empty = the original path. The backing
+	// array is immutable from the moment the path is opened: it may be
+	// PathCache storage shared by every controller of the shard, and every
+	// in-flight packet injected on this path aliases it
+	// (Packet.Waypoints, see PrepareInjection). What hands a path set to
+	// another owner copies instead: snapshot and restore for the solution
+	// database, Controller.Paths for callers.
+	path topology.Path
 	// latNs is the EWMA of ACK-reported path latency in ns, floored.
 	latNs float64
 	// extraHops is the length excess over the direct path (Eq 3.2), charged
@@ -43,22 +50,30 @@ type pathState struct {
 }
 
 // metapath is the per-destination path set of §3.2.3 plus the predictive
-// evidence the PR- layer collects for it.
+// evidence the PR- layer collects for it. Metapaths live in a metapathSlab
+// and point into themselves (paths starts as direct[:]), so they are
+// handed out by pointer and never copied.
 type metapath struct {
 	dst   topology.NodeID
 	paths []pathState // index 0 is always the direct path
-	zone  Zone
+	// direct is the storage paths starts with: most metapaths never open
+	// an alternative, and the first one opened moves paths to the heap.
+	direct [1]pathState
+
+	zone     Zone
+	poolInit bool
+	// directLen is the routed length of the direct path, set with the pool.
+	directLen int
 
 	nextPathID int
 	// pool holds the topology's alternative-path candidates not yet opened.
-	pool     []topology.Path
-	poolInit bool
+	pool []topology.Path
 
 	lastOpen   sim.Time
 	lastInject sim.Time
 
 	// flowSeen timestamps the contending flows reported for this
-	// destination (the pattern evidence, §3.2.7).
+	// destination (the pattern evidence, §3.2.7); made by the first report.
 	flowSeen map[network.FlowKey]sim.Time
 
 	// outstanding data packets without ACK, for the FR-DRB watchdog.
@@ -73,17 +88,38 @@ type metapath struct {
 	trend trendTracker
 }
 
-func newMetapath(dst topology.NodeID, floor sim.Time) *metapath {
-	return &metapath{
-		dst: dst,
-		paths: []pathState{{
-			id:    0,
-			path:  nil,
-			latNs: float64(floor),
-		}},
-		nextPathID: 1,
-		flowSeen:   make(map[network.FlowKey]sim.Time),
+// metapathSlab hands out metapaths from chunks, so opening the Nth
+// destination costs no allocation of its own. One slab serves all
+// controllers of a shard (Install): a slab per controller would strand a
+// mostly empty chunk on each of thousands of sources. A nil slab allocates
+// metapaths one by one (controllers built by New alone).
+type metapathSlab struct{ chunk []metapath }
+
+// metapathChunk metapaths of 224 bytes fill a 14 KiB size class exactly;
+// a 64-node fabric strands at most that much per shard.
+const metapathChunk = 64
+
+// new returns the direct-path-only metapath toward dst.
+func (s *metapathSlab) new(dst topology.NodeID, floor sim.Time) *metapath {
+	var mp *metapath
+	if s == nil {
+		mp = new(metapath)
+	} else {
+		if len(s.chunk) == cap(s.chunk) {
+			s.chunk = make([]metapath, 0, metapathChunk)
+		}
+		s.chunk = s.chunk[:len(s.chunk)+1]
+		mp = &s.chunk[len(s.chunk)-1]
 	}
+	mp.dst = dst
+	mp.direct[0].latNs = float64(floor)
+	mp.paths = mp.direct[:]
+	mp.nextPathID = 1
+	return mp
+}
+
+func newMetapath(dst topology.NodeID, floor sim.Time) *metapath {
+	return (*metapathSlab)(nil).new(dst, floor)
 }
 
 // latency returns the metapath latency L(MP) of Eq 3.4 in ns: the inverse

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 
 	"prdrb/internal/network"
 	"prdrb/internal/sim"
@@ -12,22 +12,20 @@ import (
 // — the key of the saved-solutions database (§3.2.8).
 type Signature []network.FlowKey
 
-// NewSignature normalizes a flow set into a signature, capped at max flows.
-func NewSignature(flows []network.FlowKey, max int) Signature {
-	seen := make(map[network.FlowKey]bool, len(flows))
-	out := make(Signature, 0, len(flows))
-	for _, f := range flows {
-		if !seen[f] {
-			seen[f] = true
-			out = append(out, f)
-		}
+func compareFlows(a, b network.FlowKey) int {
+	if a.Src != b.Src {
+		return int(a.Src) - int(b.Src)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Src != out[j].Src {
-			return out[i].Src < out[j].Src
-		}
-		return out[i].Dst < out[j].Dst
-	})
+	return int(a.Dst) - int(b.Dst)
+}
+
+// NewSignature normalizes a flow set into a signature, capped at max
+// flows. It works in place: flows is reordered and the result aliases it,
+// so a caller that reuses the buffer must be done with the signature first
+// (SolutionDB.Save copies what it keeps).
+func NewSignature(flows []network.FlowKey, max int) Signature {
+	slices.SortFunc(flows, compareFlows)
+	out := Signature(slices.Compact(flows))
 	if max > 0 && len(out) > max {
 		out = out[:max]
 	}
@@ -36,22 +34,23 @@ func NewSignature(flows []network.FlowKey, max int) Signature {
 
 // Similarity returns the Dice coefficient of two signatures:
 // 2|A∩B| / (|A|+|B|), in [0,1]. The paper requires >= 0.80 for a pattern to
-// count as "already analyzed" (§3.2.8 approximation matching).
+// count as "already analyzed" (§3.2.8 approximation matching). Signatures
+// are sorted sets, so the intersection is one merge pass.
 func Similarity(a, b Signature) float64 {
 	if len(a) == 0 && len(b) == 0 {
 		return 1
 	}
-	if len(a) == 0 || len(b) == 0 {
-		return 0
-	}
-	set := make(map[network.FlowKey]bool, len(a))
-	for _, f := range a {
-		set[f] = true
-	}
 	common := 0
-	for _, f := range b {
-		if set[f] {
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		switch c := compareFlows(a[i], b[j]); {
+		case c < 0:
+			i++
+		case c > 0:
+			j++
+		default:
 			common++
+			i++
+			j++
 		}
 	}
 	return 2 * float64(common) / float64(len(a)+len(b))
@@ -70,14 +69,14 @@ type Solution struct {
 // SolutionDB is a source node's memory of analyzed congestion situations,
 // scoped per destination (each metapath saves its own solutions).
 type SolutionDB struct {
-	perDst map[int][]*Solution
+	perDst map[int][]*Solution // made by the first Save
 	// MaxPerDst bounds memory; oldest entries are evicted.
 	MaxPerDst int
 }
 
 // NewSolutionDB returns an empty database.
 func NewSolutionDB() *SolutionDB {
-	return &SolutionDB{perDst: make(map[int][]*Solution), MaxPerDst: 32}
+	return &SolutionDB{MaxPerDst: 32}
 }
 
 // Lookup returns the best-matching saved solution for dst whose signature
@@ -86,6 +85,11 @@ func (db *SolutionDB) Lookup(dst int, sig Signature, minSim float64) *Solution {
 	var best *Solution
 	bestSim := 0.0
 	for _, s := range db.perDst[dst] {
+		// At most the shorter signature is shared, which bounds the Dice
+		// coefficient from the lengths alone.
+		if la, lb := len(sig), len(s.Sig); 2*float64(min(la, lb))/float64(la+lb) < minSim {
+			continue
+		}
 		sim := Similarity(sig, s.Sig)
 		if sim < minSim {
 			continue
@@ -99,18 +103,22 @@ func (db *SolutionDB) Lookup(dst int, sig Signature, minSim float64) *Solution {
 
 // Save stores (or refreshes) the solution for dst under sig. When an
 // existing entry matches sig at minSim it is updated in place — the paper's
-// "best solution saved may be further updated" (§3.2).
+// "best solution saved may be further updated" (§3.2). paths becomes the
+// database's; sig is copied (it may live in a caller's reused buffer).
 func (db *SolutionDB) Save(dst int, sig Signature, paths []pathState, minSim float64, now sim.Time) *Solution {
 	if len(sig) == 0 {
 		return nil
 	}
 	if existing := db.Lookup(dst, sig, minSim); existing != nil {
 		existing.paths = paths
-		existing.Sig = sig
+		existing.Sig = append(existing.Sig[:0], sig...)
 		existing.Updates++
 		return existing
 	}
-	s := &Solution{Sig: sig, paths: paths, SavedAt: now}
+	if db.perDst == nil {
+		db.perDst = make(map[int][]*Solution)
+	}
+	s := &Solution{Sig: slices.Clone(sig), paths: paths, SavedAt: now}
 	lst := append(db.perDst[dst], s)
 	if len(lst) > db.MaxPerDst {
 		lst = lst[1:]

@@ -200,12 +200,7 @@ func build(topo topology.Topology, cfg Config, policy RouterPolicy, shards []*Sh
 		r, p := topo.TerminalAttach(topology.NodeID(t))
 		n.attach[t] = attachPoint{router: int32(r), port: int16(p)}
 		sh := shardOf(r)
-		nic := &NIC{
-			ID:    topology.NodeID(t),
-			net:   n,
-			sh:    sh,
-			reasm: make(map[uint64]*reassembly),
-		}
+		nic := &NIC{ID: topology.NodeID(t), net: n, sh: sh}
 		if sh.Collector != nil {
 			nic.deliv = sh.Collector.DeliveryObserver(t)
 		}

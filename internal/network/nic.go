@@ -48,7 +48,7 @@ type NIC struct {
 	// FR-DRB watchdog).
 	OnAck func(e *sim.Engine, ack *Packet)
 
-	reasm map[uint64]*reassembly // keyed by MsgID
+	reasm map[uint64]*reassembly // keyed by MsgID; made by the first fragmented message
 
 	// Delivered counts complete messages received.
 	Delivered int64
@@ -226,6 +226,9 @@ func (n *NIC) reassemble(e *sim.Engine, pkt *Packet) {
 	ra := n.reasm[pkt.MsgID]
 	if ra == nil {
 		ra = &reassembly{total: pkt.FragCount}
+		if n.reasm == nil {
+			n.reasm = make(map[uint64]*reassembly)
+		}
 		n.reasm[pkt.MsgID] = ra
 	}
 	ra.got++

@@ -19,7 +19,11 @@ package network
 //     (Waypoints, Contending) only have the reference dropped — their
 //     backing arrays may still be shared with live packets (an ACK copies
 //     the data packet's Contending slice; detoured ACKs share the cached
-//     detour path) and are never scrubbed or reused by the pool.
+//     detour path) and are never scrubbed or reused by the pool. Nor may
+//     anyone else write through them: a data packet's Waypoints is the
+//     source controller's own path record, shared with every other packet
+//     on that path (core.Controller.PrepareInjection does not copy), so
+//     the waypoint array of a packet is immutable for its whole life.
 //   - Callbacks that receive a *Packet (HandleAck, OnAck, HandlePacketLoss)
 //     must copy what they need and not retain the pointer.
 //   - A packet that crosses a shard boundary changes pools: the receiving

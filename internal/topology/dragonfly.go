@@ -2,7 +2,7 @@ package topology
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Dragonfly is the canonical hierarchical direct network of datacenter
@@ -366,6 +366,12 @@ func (d *Dragonfly) MinimalPorts(r RouterID, dst NodeID, buf []int) []int {
 // multistep paths need here. Candidates are cost-ordered (Eq 3.2) with a
 // source-rotated tie-break so neighbouring sources do not all open the
 // same detour first.
+//
+// Candidates are collected in a scratch array on this call's stack — the
+// topology is shared by every shard and holds no scratch of its own — and
+// only the chosen paths are allocated: one slice of paths over one backing
+// array, each path capped at its own length so that an append to it copies
+// instead of overwriting its neighbour.
 func (d *Dragonfly) AlternativePaths(src, dst NodeID, max int) []Path {
 	sr, _ := d.TerminalAttach(src)
 	dr, _ := d.TerminalAttach(dst)
@@ -373,32 +379,16 @@ func (d *Dragonfly) AlternativePaths(src, dst NodeID, max int) []Path {
 		return nil
 	}
 	gs, gd := d.Group(sr), d.Group(dr)
-	direct := d.Distance(sr, dr)
-	type cand struct {
-		p    Path
-		cost int
-		tie  int
-	}
-	var cands []cand
-	add := func(p Path, tie int) {
-		cost := 0
-		at := sr
-		for _, w := range append(append(Path{}, p...), dr) {
-			cost += d.Distance(at, w)
-			at = w
-		}
-		if cost > 2*direct+2 {
-			return
-		}
-		cands = append(cands, cand{p: p, cost: cost, tie: tie})
-	}
+	limit := 2*d.Distance(sr, dr) + 2
+	var scratch [dfScratch]dfCand
+	cands := scratch[:0]
 	if gs == gd {
 		for i := 0; i < d.A; i++ {
 			w := d.RouterAt(gs, (i+int(src))%d.A)
 			if w == sr || w == dr {
 				continue
 			}
-			add(Path{w}, i)
+			cands = d.addCand(cands, sr, dr, limit, dfCand{w: [2]RouterID{w}, n: 1, tie: i})
 		}
 	} else {
 		ls := d.links(gs, gd)
@@ -408,11 +398,11 @@ func (d *Dragonfly) AlternativePaths(src, dst NodeID, max int) []Path {
 			if l == chosen {
 				continue
 			}
+			c := dfCand{w: [2]RouterID{l.src, l.dst}, n: 2, tie: i}
 			if l.src == sr {
-				add(Path{l.dst}, i)
-			} else {
-				add(Path{l.src, l.dst}, i)
+				c = dfCand{w: [2]RouterID{l.dst}, n: 1, tie: i}
 			}
+			cands = d.addCand(cands, sr, dr, limit, c)
 		}
 		for i := 0; i < d.G; i++ {
 			gv := (gd + 1 + i + int(src)) % d.G
@@ -421,26 +411,63 @@ func (d *Dragonfly) AlternativePaths(src, dst NodeID, max int) []Path {
 			}
 			vls := d.links(gs, gv)
 			w := vls[int(src)%len(vls)].dst
-			add(Path{w}, len(ls)+i)
+			cands = d.addCand(cands, sr, dr, limit, dfCand{w: [2]RouterID{w}, n: 1, tie: len(ls) + i})
 		}
 	}
-	sort.SliceStable(cands, func(i, j int) bool {
-		if cands[i].cost != cands[j].cost {
-			return cands[i].cost < cands[j].cost
+	slices.SortStableFunc(cands, func(x, y dfCand) int {
+		if x.cost != y.cost {
+			return x.cost - y.cost
 		}
-		return cands[i].tie < cands[j].tie
+		return x.tie - y.tie
 	})
-	var out []Path
+	// The first max distinct candidates, compacted to the front in place.
+	kept, waypoints := cands[:0], 0
 	for _, c := range cands {
-		if containsPath(out, c.p) {
-			continue
+		if slices.ContainsFunc(kept, func(k dfCand) bool { return k.n == c.n && k.w == c.w }) {
+			continue // a one-waypoint candidate leaves w[1] zero
 		}
-		out = append(out, c.p)
-		if len(out) >= max {
+		kept = append(kept, c)
+		waypoints += c.n
+		if len(kept) >= max {
 			break
 		}
 	}
+	if len(kept) == 0 {
+		return nil
+	}
+	out, backing := make([]Path, len(kept)), make([]RouterID, 0, waypoints)
+	for i, c := range kept {
+		at := len(backing)
+		backing = append(backing, c.w[:c.n]...)
+		out[i] = backing[at:len(backing):len(backing)]
+	}
 	return out
+}
+
+// dfScratch is how many candidates AlternativePaths collects on the stack:
+// df-16-32-8-8 offers at most 5 parallel links and 30 third groups to a
+// pair; a shape with more lets append move the slice to the heap.
+const dfScratch = 64
+
+// dfCand is an AlternativePaths candidate: the MSP through w[:n], its
+// routed length and its position in the source-rotated enumeration.
+type dfCand struct {
+	w            [2]RouterID
+	n, cost, tie int
+}
+
+// addCand appends c with its routed length (Eq 3.2: the per-segment
+// distances of sr → c.w[:c.n] → dr) unless that exceeds limit.
+func (d *Dragonfly) addCand(cands []dfCand, sr, dr RouterID, limit int, c dfCand) []dfCand {
+	at := sr
+	for _, w := range c.w[:c.n] {
+		c.cost += d.Distance(at, w)
+		at = w
+	}
+	if c.cost += d.Distance(at, dr); c.cost > limit {
+		return cands
+	}
+	return append(cands, c)
 }
 
 var _ Topology = (*Dragonfly)(nil)

@@ -30,7 +30,9 @@ type pathEntry struct {
 }
 
 // NewPathCache builds a cache enumerating up to pathsPerPair alternatives
-// per (src, dst) and holding at most capacity pairs.
+// per (src, dst) and holding at most capacity pairs. capacity is an
+// eviction bound, not a size hint: the map grows with the pairs actually
+// enumerated, which on a short run is a small fraction of the bound.
 func NewPathCache(topo Topology, pathsPerPair, capacity int) *PathCache {
 	if pathsPerPair <= 0 {
 		panic("topology: PathCache needs a positive per-pair path budget")
@@ -42,16 +44,13 @@ func NewPathCache(topo Topology, pathsPerPair, capacity int) *PathCache {
 		topo:    topo,
 		max:     pathsPerPair,
 		cap:     capacity,
-		entries: make(map[pathKey]*pathEntry, capacity),
+		entries: make(map[pathKey]*pathEntry),
 	}
 }
 
-// PerPair returns the per-pair enumeration budget the cache was built with.
-func (c *PathCache) PerPair() int { return c.max }
-
 // Paths returns the alternative-path enumeration for (src, dst), from
 // cache when resident. The result is byte-for-byte what
-// topo.AlternativePaths(src, dst, c.PerPair()) returns.
+// topo.AlternativePaths(src, dst, pathsPerPair) returns.
 func (c *PathCache) Paths(src, dst NodeID) []Path {
 	k := pathKey{src, dst}
 	if e := c.entries[k]; e != nil {

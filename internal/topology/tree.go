@@ -2,7 +2,6 @@ package topology
 
 import (
 	"fmt"
-	"sort"
 	"sync/atomic"
 )
 
@@ -268,81 +267,79 @@ func (t *KAryNTree) Distance(a, b RouterID) int {
 // deterministic baseline uses exactly one of them; the others are the
 // natural DRB alternatives (§3.2.3 applied to k-ary n-trees).
 func (t *KAryNTree) CommonAncestors(src, dst NodeID) []RouterID {
-	sw, dw := int(src)/t.K, int(dst)/t.K
 	if src == dst {
 		return nil
 	}
-	// NCA level: highest differing digit position between the full terminal
-	// numbers determines how far up we must go.
-	lvl := 0
-	for i := t.N - 2; i >= 0; i-- {
-		if t.digit(sw, i) != t.digit(dw, i) {
-			lvl = i + 1
-			break
-		}
-	}
-	return t.ancestorsAt(src, lvl)
-}
-
-// ancestorsAt lists every ancestor switch of terminal n at the given level:
-// digits level..n-2 are fixed to the terminal's, digits 0..level-1 range
-// over all k values.
-func (t *KAryNTree) ancestorsAt(n NodeID, level int) []RouterID {
-	base := int(n) / t.K
-	count := 1
-	for i := 0; i < level; i++ {
-		count *= t.K
-	}
-	fixed := base / count * count
-	out := make([]RouterID, 0, count)
-	for low := 0; low < count; low++ {
-		out = append(out, t.Switch(level, fixed+low))
+	first, count := t.ancestorsAt(src, t.ncaLevel(src, dst))
+	out := make([]RouterID, count)
+	for i := range out {
+		out[i] = first + RouterID(i)
 	}
 	return out
+}
+
+// ncaLevel is the level of the nearest common ancestors of two distinct
+// terminals: one above the highest digit in which their leaf switches
+// differ, 0 when they share a leaf switch.
+func (t *KAryNTree) ncaLevel(src, dst NodeID) int {
+	sw, dw := int(src)/t.K, int(dst)/t.K
+	for i := t.N - 2; i >= 0; i-- {
+		if t.digit(sw, i) != t.digit(dw, i) {
+			return i + 1
+		}
+	}
+	return 0
+}
+
+// ancestorsAt describes the ancestor switches of terminal n at the given
+// level: digits level..n-2 are fixed to the terminal's and digits
+// 0..level-1 range over all k values, so they are the count = k^level
+// consecutive routers from first, in ascending order.
+func (t *KAryNTree) ancestorsAt(n NodeID, level int) (first RouterID, count int) {
+	count = t.pow[level]
+	return t.Switch(level, int(n)/t.K/count*count), count
 }
 
 // AlternativePaths implements Topology. Alternatives are single-waypoint
 // MSPs through (1) the non-default NCA switches at the minimal level, then
 // (2) ancestors one level higher (a controlled non-minimal expansion, the
-// tree analogue of widening the mesh detour ring).
+// tree analogue of widening the mesh detour ring). The two runs never
+// share a switch, so nothing needs deduplicating, and the paths of one call
+// are one-element windows, capped at that length, of one waypoint array.
 func (t *KAryNTree) AlternativePaths(src, dst NodeID, max int) []Path {
 	if src == dst || max <= 0 {
 		return nil
 	}
-	ncas := t.CommonAncestors(src, dst)
-	if len(ncas) == 0 {
+	lvl := t.ncaLevel(src, dst)
+	ncas, n := t.ancestorsAt(src, lvl)
+	// One level of controlled over-ascent, if the tree allows it.
+	var higher RouterID
+	h := 0
+	if lvl+1 <= t.N-1 {
+		higher, h = t.ancestorsAt(src, lvl+1)
+	}
+	// The deterministic route's NCA (digits fixed by dst along the ascent)
+	// is one of the n; every other switch is an alternative.
+	defaultNCA := t.deterministicNCA(src, dst)
+	total := min(max, n-1+h)
+	if total == 0 {
 		return nil
 	}
-	// The deterministic route's NCA: digits fixed by dst along the ascent.
-	defaultNCA := t.deterministicNCA(src, dst)
-	var out []Path
-	add := func(r RouterID) {
-		if r == defaultNCA || len(out) >= max {
-			return
-		}
-		p := Path{r}
-		if !containsPath(out, p) {
-			out = append(out, p)
+	// NCA alternatives in ascending order but rotated by source, so
+	// different flows prefer different switches; the higher ancestors
+	// rotated by destination.
+	waypoints := make([]RouterID, 0, total)
+	for i := 0; i < n && len(waypoints) < total; i++ {
+		if r := ncas + RouterID((int(src)+i)%n); r != defaultNCA {
+			waypoints = append(waypoints, r)
 		}
 	}
-	// Order NCA alternatives deterministically but spread by source so
-	// different flows prefer different switches.
-	sorted := append([]RouterID(nil), ncas...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	off := int(src) % len(sorted)
-	for range sorted {
-		add(sorted[off])
-		off = (off + 1) % len(sorted)
+	for i := 0; i < h && len(waypoints) < total; i++ {
+		waypoints = append(waypoints, higher+RouterID((int(dst)+i)%h))
 	}
-	// One level of controlled over-ascent, if the tree allows it.
-	lvl := t.Level(ncas[0])
-	if lvl+1 <= t.N-1 && len(out) < max {
-		higher := t.ancestorsAt(src, lvl+1)
-		off = int(dst) % len(higher)
-		for range higher {
-			add(higher[off])
-			off = (off + 1) % len(higher)
-		}
+	out := make([]Path, len(waypoints))
+	for i := range out {
+		out[i] = waypoints[i : i+1 : i+1]
 	}
 	return out
 }

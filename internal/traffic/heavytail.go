@@ -248,64 +248,96 @@ func InstallHeavyTail(net *network.Network, spec HeavyTail, rng *sim.RNG) *Sourc
 	if spec.End <= spec.Start {
 		panic("traffic: empty injection window")
 	}
-	mpiType := spec.MPIType
-	if mpiType == 0 {
-		mpiType = network.MPISend
+	if spec.MPIType == 0 {
+		spec.MPIType = network.MPISend
 	}
-	nodes := spec.Nodes
-	if nodes == nil {
-		for i := 0; i < net.Topo.NumTerminals(); i++ {
-			nodes = append(nodes, topology.NodeID(i))
-		}
+	n := len(spec.Nodes)
+	if spec.Nodes == nil {
+		n = net.Topo.NumTerminals()
 	}
-	ivf := 1e9 / spec.FlowRate // mean ns between flow starts while ON
+	g := &heavyTailGen{net: net, spec: spec, ivf: 1e9 / spec.FlowRate}
 	base := rng.Uint64()
-	src := &Sources{Label: "heavytail:" + spec.Pattern.Name()}
-	for _, node := range nodes {
-		node := node
-		r := sim.NewRNG(base ^ (uint64(node)+1)*0x9e3779b97f4a7c15)
-		src.add(node, r)
-		var onEnd sim.Time
-		var flow func(e *sim.Engine)
-		var cycle func(e *sim.Engine)
-		flow = func(e *sim.Engine) {
-			if e.Now() >= spec.End || e.Now() >= onEnd {
-				return
-			}
-			dst := spec.Pattern.Destination(node, r)
-			if dst >= 0 && dst != node {
-				net.NICs[node].Send(e, dst, spec.Sizes.Sample(r), mpiType, 0)
-			}
-			next := sim.Time(r.Exp(ivf))
-			if next <= 0 {
-				next = 1
-			}
-			e.After(next, flow)
+	src := &Sources{
+		Label: "heavytail:" + spec.Pattern.Name(),
+		nodes: make([]topology.NodeID, 0, n), rngs: make([]*sim.RNG, 0, n),
+	}
+	sources := make([]heavyTailSource, n)
+	for i := range sources {
+		node := topology.NodeID(i)
+		if spec.Nodes != nil {
+			node = spec.Nodes[i]
 		}
-		cycle = func(e *sim.Engine) {
-			if e.Now() >= spec.End {
-				return
-			}
-			on := sim.Time(r.Exp(float64(spec.OnMean)))
-			if on <= 0 {
-				on = 1
-			}
-			onEnd = e.Now() + on
-			flow(e)
-			gap := on
-			if spec.OffMean > 0 {
-				off := sim.Time(r.Exp(float64(spec.OffMean)))
-				if off <= 0 {
-					off = 1
-				}
-				gap += off
-			}
-			e.After(gap, cycle)
-		}
+		s := &sources[i]
+		*s = heavyTailSource{g: g, node: node, rng: sim.NewRNG(base ^ (uint64(node)+1)*0x9e3779b97f4a7c15)}
+		src.add(node, s.rng)
 		// Spread cycle phases across one mean flow interval so sources do
 		// not all burst in lockstep at Start.
-		first := spec.Start + sim.Time(r.Float64()*ivf)
-		net.EngineForNode(node).Schedule(first, cycle)
+		first := spec.Start + sim.Time(s.rng.Float64()*g.ivf)
+		net.EngineForNode(node).ScheduleEvent(first, s, htCycle, 0)
 	}
 	return src
+}
+
+// heavyTailGen is what the sources of one InstallHeavyTail call share,
+// read-only once they run (they run on every shard's goroutine).
+type heavyTailGen struct {
+	net  *network.Network
+	spec HeavyTail // MPIType defaulted
+	ivf  float64   // mean ns between flow starts while ON
+}
+
+// heavyTailSource is one node's ON/OFF generator: a typed actor (a flow
+// start and a cycle start are its two event kinds) whose whole state is
+// here, so a run's sources are one allocation and scheduling their events
+// allocates nothing.
+type heavyTailSource struct {
+	g     *heavyTailGen
+	node  topology.NodeID
+	rng   *sim.RNG
+	onEnd sim.Time // end of the current ON period
+}
+
+const (
+	htFlow uint8 = iota
+	htCycle
+)
+
+// HandleEvent implements sim.Actor.
+func (s *heavyTailSource) HandleEvent(e *sim.Engine, kind uint8, _ uint64) {
+	spec := &s.g.spec
+	if e.Now() >= spec.End {
+		return
+	}
+	if kind == htFlow {
+		s.flow(e)
+		return
+	}
+	// A cycle: draw the ON period, start its flows now, and meet again
+	// after the OFF period that follows it.
+	on := s.expTime(float64(spec.OnMean))
+	s.onEnd = e.Now() + on
+	s.flow(e)
+	gap := on
+	if spec.OffMean > 0 {
+		gap += s.expTime(float64(spec.OffMean))
+	}
+	e.AfterEvent(gap, s, htCycle, 0)
+}
+
+// expTime draws an exponential duration of the given mean, at least 1 ns.
+func (s *heavyTailSource) expTime(mean float64) sim.Time {
+	return max(1, sim.Time(s.rng.Exp(mean)))
+}
+
+// flow starts one flow and schedules the next, while the ON period lasts.
+func (s *heavyTailSource) flow(e *sim.Engine) {
+	g := s.g
+	if e.Now() >= s.onEnd {
+		return
+	}
+	dst := g.spec.Pattern.Destination(s.node, s.rng)
+	if dst >= 0 && dst != s.node {
+		g.net.NICs[s.node].Send(e, dst, g.spec.Sizes.Sample(s.rng), g.spec.MPIType, 0)
+	}
+	e.AfterEvent(s.expTime(g.ivf), s, htFlow, 0)
 }

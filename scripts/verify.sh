@@ -22,8 +22,11 @@ echo "==> window-barrier stress (race, GOMAXPROCS 1/2/4 x10)"
 # repeats enough interleavings to trust it.
 go test -race -count=10 -cpu 1,2,4 -timeout 5m -run 'ShardGroup|GroupProbe' ./internal/sim
 
-echo "==> zero-alloc guard (TestHotPathZeroAlloc)"
-go test -run TestHotPathZeroAlloc -count=1 .
+echo "==> zero-alloc guards (TestHotPathZeroAlloc, TestHotPathZeroAllocPRDRB/steady and /cold-open)"
+# The adaptive hot path, the PR-DRB control plane in steady state (both 0
+# allocations per 20k events) and the pinned bill of a cold path-open.
+# -v prints the cold-open count.
+go test -run 'TestHotPathZeroAlloc(PRDRB)?$' -count=1 -v .
 
 echo "==> one-event-per-hop guards (race, GOMAXPROCS 1/2/4)"
 # Reserved sequence numbers, the lazy link-free state machine, sequence
@@ -35,10 +38,12 @@ go test -race -cpu 1,2,4 -count=1 -run 'Reserved|LazyFree|SeqConservation|RouteM
 echo "==> window-mode, CFD-tally, path-enumeration and sampler guards (race, GOMAXPROCS 1/2/4)"
 # The mode rule and its equivalence cells (inline, released and alternating
 # windows give one result), the sharded determinism matrix, the incremental
-# contending-flows tally against the recount, the grid path enumeration
-# against the reflection-sorted one, and the quiescent-point sampler: its
-# barrier hook runs on the coordinator while workers may be parked, reads
-# every shard, and must neither race nor change what the run executes.
+# contending-flows tally against the recount, the grid, dragonfly and tree
+# path enumerations against the reflection-sorted ones (with their
+# allocation bounds, and two goroutines enumerating on one topology value),
+# and the quiescent-point sampler: its barrier hook runs on the coordinator
+# while workers may be parked, reads every shard, and must neither race nor
+# change what the run executes.
 go test -race -cpu 1,2,4 -count=1 -run 'ShardGroup|WindowMode|ShardedDeterminism|ContendingFlows|AlternativePaths|ShardedStatus|SampleEvery' \
     ./internal/sim ./internal/network ./internal/topology ./internal/runner .
 
@@ -54,6 +59,19 @@ go run ./benchmark -smoke 2>/dev/null | grep '^sim_digest' | diff results/bench.
     exit 1
 }
 echo "    seven workload digests identical"
+
+echo "==> allocation gate (df4096-heavytail-serial alloc_bytes_per_pkt <= 700 B)"
+# The 4096-node cell allocated 798-805 B per delivered packet while opening
+# a metapath built temporaries per candidate path; it reads ~640 B now and
+# repeats to < 1 % across seeds, so a per-open temporary creeping back in
+# fails here rather than at the next re-anchor.
+alloc=$(go run ./benchmark -workload df4096-heavytail-serial -seconds 3 2>/dev/null |
+    sed -n 's/^e2e df4096-heavytail-serial alloc_bytes_per_pkt \([0-9.]*\) .*/\1/p')
+[ -n "$alloc" ] && awk -v a="$alloc" 'BEGIN { exit !(a <= 700) }' || {
+    echo "verify: df4096-heavytail-serial allocates ${alloc:-?} B per packet, want <= 700" >&2
+    exit 1
+}
+echo "    alloc_bytes_per_pkt = $alloc"
 
 echo "==> telemetry smoke (traced run, schema-validated artifacts)"
 teldir=$(mktemp -d)
