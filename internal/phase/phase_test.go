@@ -119,7 +119,7 @@ func TestSignatureIgnoresMinorSizeJitter(t *testing.T) {
 // repeated phases, and the paper's TDC claims hold (LAMMPS Chain ~7,
 // Sweep3D ~4, POP <= 11).
 func TestWorkloadPhaseAndTDCShapes(t *testing.T) {
-	chain, err := workloads.LammpsChain(workloads.Options{})
+	chain, err := workloads.ByName("lammps-chain", workloads.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestWorkloadPhaseAndTDCShapes(t *testing.T) {
 		t.Errorf("LAMMPS Chain TDC = %.1f, paper says ~7", avg)
 	}
 
-	sw, err := workloads.Sweep3D(workloads.Options{})
+	sw, err := workloads.ByName("sweep3d", workloads.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestWorkloadPhaseAndTDCShapes(t *testing.T) {
 		t.Errorf("Sweep3D TDC = %.1f, paper says ~4", avgS)
 	}
 
-	pop, err := workloads.POP(workloads.Options{})
+	pop, err := workloads.ByName("pop", workloads.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -155,7 +155,7 @@ func TestOptimizeErrors(t *testing.T) {
 // volume versus identity placement on the fat tree.
 func TestOptimizeRealWorkload(t *testing.T) {
 	topo := topology.NewKAryNTree(4, 3)
-	tr, err := workloads.LammpsChain(workloads.Options{Iterations: 4})
+	tr, err := workloads.ByName("lammps-chain", workloads.Options{Iterations: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

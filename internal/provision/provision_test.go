@@ -74,7 +74,7 @@ func TestAnalyzeWithMapping(t *testing.T) {
 
 func TestBottlenecksAndFootprint(t *testing.T) {
 	topo := topology.NewKAryNTree(4, 3)
-	tr, err := workloads.POP(workloads.Options{Iterations: 4})
+	tr, err := workloads.ByName("pop", workloads.Options{Iterations: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,8 +106,8 @@ func TestNeighborWorkloadSmallFootprint(t *testing.T) {
 	// the §2.2.6 "not suitable for optimization" observation in
 	// provisioning terms.
 	topo := topology.NewKAryNTree(4, 3)
-	sw, _ := workloads.Sweep3D(workloads.Options{Iterations: 2})
-	pop, _ := workloads.POP(workloads.Options{Iterations: 2})
+	sw, _ := workloads.ByName("sweep3d", workloads.Options{Iterations: 2})
+	pop, _ := workloads.ByName("pop", workloads.Options{Iterations: 2})
 	dsw, err := Analyze(topo, sw, nil)
 	if err != nil {
 		t.Fatal(err)

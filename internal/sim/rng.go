@@ -14,6 +14,13 @@ type RNG struct {
 // NewRNG returns a generator seeded from seed via SplitMix64.
 func NewRNG(seed uint64) *RNG {
 	r := &RNG{}
+	r.Seed(seed)
+	return r
+}
+
+// Seed (re)starts r from seed via SplitMix64, for generators that live by
+// value inside their owner.
+func (r *RNG) Seed(seed uint64) {
 	sm := seed
 	next := func() uint64 {
 		sm += 0x9e3779b97f4a7c15
@@ -29,7 +36,6 @@ func NewRNG(seed uint64) *RNG {
 	if r.s[0]|r.s[1]|r.s[2]|r.s[3] == 0 {
 		r.s[0] = 1
 	}
-	return r
 }
 
 // Split derives an independent stream; streams with distinct labels are

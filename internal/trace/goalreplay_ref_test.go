@@ -1,4 +1,4 @@
-package trace
+package trace_test
 
 import (
 	"fmt"
@@ -6,48 +6,49 @@ import (
 	"prdrb/internal/network"
 	"prdrb/internal/sim"
 	"prdrb/internal/topology"
+	"prdrb/internal/trace"
 )
 
-// GoalReplay drives the network from a dependency-graph schedule. It is
+// The GOAL replay as it was with its three closure events (start, calc
+// completion, dependent release): the oracle for the typed events. Kept
+// verbatim but for the ref prefix.
+
+// refGoalReplay drives the network from a dependency-graph schedule. It is
 // the graph analogue of Replay: a node fires the moment every node it
 // requires has completed — no program counter, no posting-order request
 // queue — and sends keep the rendezvous semantics (a send node completes
 // when its message is fully delivered), so execution time still reflects
 // network latency end to end. Receives match arrivals by (source rank,
 // tag), with out-of-order arrivals parked in an eager inbox.
-type GoalReplay struct {
+type refGoalReplay struct {
 	Net  *network.Network
-	Goal *Goal
+	Goal *trace.Goal
 	// Mapping maps rank -> terminal node; nil means identity placement.
 	Mapping []topology.NodeID
 
-	ranks []*goalRankState
-	// rankOf maps a terminal to the rank placed on it, -1 for none.
-	rankOf    []int32
-	sendOwner map[uint64]goalSendRef
+	ranks     []*refGoalRankState
+	nodeRank  map[topology.NodeID]int
+	sendOwner map[uint64]refGoalSendRef
 
 	startAt       sim.Time
 	finishedCount int
 	started       bool
 }
 
-type goalSendRef struct {
+type refGoalSendRef struct {
 	rank int
 	id   int
 }
 
-// goalKey matches messages to posted receives.
-type goalKey struct {
+// refGoalKey matches messages to posted receives.
+type refGoalKey struct {
 	src, tag int
 }
 
-// goalRankState is one rank's dependency-firing state, and the actor its
-// events are delivered to: the start of the replay, a node firing and a
-// calc node completing, the last two with the node's id as the argument.
-type goalRankState struct {
-	replay *GoalReplay
-	rank   int
-	nodes  []GoalNode
+// refGoalRankState is one rank's dependency-firing state.
+type refGoalRankState struct {
+	rank  int
+	nodes []trace.GoalNode
 
 	pending    []int   // unmet dependency count per node
 	dependents [][]int // reverse edges
@@ -55,43 +56,44 @@ type goalRankState struct {
 
 	// posted queues fired-but-unmatched receives per (src,tag); inbox
 	// counts arrived-but-unmatched messages (eager buffering).
-	posted map[goalKey][]int
-	inbox  map[goalKey]int
+	posted map[refGoalKey][]int
+	inbox  map[refGoalKey]int
 
 	remaining  int
 	finished   bool
 	finishedAt sim.Time
 }
 
-// NewGoalReplay prepares a replay of g over net. The schedule is
+// newRefGoalReplay prepares a replay of g over net. The schedule is
 // validated; its rank count must not exceed the network's terminals.
-func NewGoalReplay(net *network.Network, g *Goal, mapping []topology.NodeID) (*GoalReplay, error) {
+func newRefGoalReplay(net *network.Network, g *trace.Goal, mapping []topology.NodeID) (*refGoalReplay, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	rankOf, err := placement("goal", net.Topo.NumTerminals(), g.Ranks, mapping)
-	if err != nil {
-		return nil, err
+	if g.Ranks > net.Topo.NumTerminals() {
+		return nil, fmt.Errorf("goal: %d ranks exceed %d terminals", g.Ranks, net.Topo.NumTerminals())
 	}
-	r := &GoalReplay{
+	if mapping != nil && len(mapping) != g.Ranks {
+		return nil, fmt.Errorf("goal: mapping has %d entries for %d ranks", len(mapping), g.Ranks)
+	}
+	r := &refGoalReplay{
 		Net:       net,
 		Goal:      g,
 		Mapping:   mapping,
-		rankOf:    rankOf,
-		sendOwner: make(map[uint64]goalSendRef),
+		nodeRank:  make(map[topology.NodeID]int, g.Ranks),
+		sendOwner: make(map[uint64]refGoalSendRef),
 	}
-	r.ranks = make([]*goalRankState, g.Ranks)
+	r.ranks = make([]*refGoalRankState, g.Ranks)
 	for i := range r.ranks {
 		prog := g.Progs[i]
-		rs := &goalRankState{
-			replay:     r,
+		rs := &refGoalRankState{
 			rank:       i,
 			nodes:      prog,
 			pending:    make([]int, len(prog)),
 			dependents: make([][]int, len(prog)),
 			done:       make([]bool, len(prog)),
-			posted:     make(map[goalKey][]int),
-			inbox:      make(map[goalKey]int),
+			posted:     make(map[refGoalKey][]int),
+			inbox:      make(map[refGoalKey]int),
 			remaining:  len(prog),
 		}
 		for id, nd := range prog {
@@ -101,6 +103,7 @@ func NewGoalReplay(net *network.Network, g *Goal, mapping []topology.NodeID) (*G
 			}
 		}
 		r.ranks[i] = rs
+		r.nodeRank[r.node(i)] = i
 	}
 	for i := 0; i < g.Ranks; i++ {
 		net.NICs[r.node(i)].OnMessage = r.makeOnMessage(i)
@@ -109,7 +112,7 @@ func NewGoalReplay(net *network.Network, g *Goal, mapping []topology.NodeID) (*G
 }
 
 // node maps a rank to its terminal.
-func (r *GoalReplay) node(rank int) topology.NodeID {
+func (r *refGoalReplay) node(rank int) topology.NodeID {
 	if r.Mapping != nil {
 		return r.Mapping[rank]
 	}
@@ -117,50 +120,33 @@ func (r *GoalReplay) node(rank int) topology.NodeID {
 }
 
 // Start begins replay at time at: every node with no dependencies fires.
-func (r *GoalReplay) Start(at sim.Time) {
+func (r *refGoalReplay) Start(at sim.Time) {
 	if r.started {
 		panic("goal: replay started twice")
 	}
 	r.started = true
 	r.startAt = at
 	for _, rs := range r.ranks {
-		r.Net.Eng.ScheduleEvent(at, rs, goalStart, 0)
-	}
-}
-
-// A goalRankState's event kinds.
-const (
-	goalStart uint8 = iota // fire every node without dependencies
-	goalFire               // fire node arg, released by its last dependency
-	goalDone               // calc node arg has run its duration
-)
-
-// HandleEvent implements sim.Actor.
-func (rs *goalRankState) HandleEvent(e *sim.Engine, kind uint8, arg uint64) {
-	r := rs.replay
-	switch kind {
-	case goalStart:
-		if len(rs.nodes) == 0 {
-			r.finishRank(e, rs)
-			return
-		}
-		for id := range rs.nodes {
-			if rs.pending[id] == 0 {
-				r.fire(e, rs, id)
+		rs := rs
+		r.Net.Eng.Schedule(at, func(e *sim.Engine) {
+			if len(rs.nodes) == 0 {
+				r.finishRank(e, rs)
+				return
 			}
-		}
-	case goalFire:
-		r.fire(e, rs, int(arg))
-	case goalDone:
-		r.complete(e, rs, int(arg))
+			for id := range rs.nodes {
+				if rs.pending[id] == 0 {
+					r.fire(e, rs, id)
+				}
+			}
+		})
 	}
 }
 
 // Finished reports whether every rank completed its graph.
-func (r *GoalReplay) Finished() bool { return r.finishedCount == len(r.ranks) }
+func (r *refGoalReplay) Finished() bool { return r.finishedCount == len(r.ranks) }
 
 // ExecutionTime returns the wall time from Start to the last rank's finish.
-func (r *GoalReplay) ExecutionTime() sim.Time {
+func (r *refGoalReplay) ExecutionTime() sim.Time {
 	var end sim.Time
 	for _, rs := range r.ranks {
 		if rs.finishedAt > end {
@@ -172,7 +158,7 @@ func (r *GoalReplay) ExecutionTime() sim.Time {
 
 // Err reports stuck ranks after the engine has drained — an unmatched
 // receive or a dependency that can never be met shows up here.
-func (r *GoalReplay) Err() error {
+func (r *refGoalReplay) Err() error {
 	if r.Finished() {
 		return nil
 	}
@@ -187,7 +173,7 @@ func (r *GoalReplay) Err() error {
 			why := "in flight"
 			if rs.pending[id] > 0 {
 				why = fmt.Sprintf("%d unmet deps", rs.pending[id])
-			} else if nd.Op == GoalRecv {
+			} else if nd.Op == trace.GoalRecv {
 				why = fmt.Sprintf("unmatched recv from %d tag %d", nd.Peer, nd.Tag)
 			}
 			return fmt.Errorf("goal: rank %d stuck: node %d (%s) %s; %d of %d nodes incomplete",
@@ -198,18 +184,18 @@ func (r *GoalReplay) Err() error {
 }
 
 // fire executes a node whose dependencies are all met.
-func (r *GoalReplay) fire(e *sim.Engine, rs *goalRankState, id int) {
+func (r *refGoalReplay) fire(e *sim.Engine, rs *refGoalRankState, id int) {
 	nd := &rs.nodes[id]
 	switch nd.Op {
-	case GoalCalc:
-		e.AfterEvent(nd.Dur, rs, goalDone, uint64(id))
+	case trace.GoalCalc:
+		e.After(nd.Dur, func(e *sim.Engine) { r.complete(e, rs, id) })
 
-	case GoalSend:
+	case trace.GoalSend:
 		msgID := r.Net.NICs[r.node(rs.rank)].Send(e, r.node(nd.Peer), nd.Bytes, nd.MPIType, uint32(nd.Tag))
-		r.sendOwner[msgID] = goalSendRef{rank: rs.rank, id: id}
+		r.sendOwner[msgID] = refGoalSendRef{rank: rs.rank, id: id}
 
-	case GoalRecv:
-		key := goalKey{src: nd.Peer, tag: nd.Tag}
+	case trace.GoalRecv:
+		key := refGoalKey{src: nd.Peer, tag: nd.Tag}
 		if rs.inbox[key] > 0 {
 			rs.inbox[key]--
 			r.complete(e, rs, id)
@@ -223,7 +209,7 @@ func (r *GoalReplay) fire(e *sim.Engine, rs *goalRankState, id int) {
 // Dependents are scheduled as fresh engine events: complete runs inside
 // delivery callbacks, and a long chain of zero-cost releases would
 // otherwise recurse.
-func (r *GoalReplay) complete(e *sim.Engine, rs *goalRankState, id int) {
+func (r *refGoalReplay) complete(e *sim.Engine, rs *refGoalRankState, id int) {
 	if rs.done[id] {
 		panic(fmt.Sprintf("goal: rank %d node %d completed twice", rs.rank, id))
 	}
@@ -232,7 +218,8 @@ func (r *GoalReplay) complete(e *sim.Engine, rs *goalRankState, id int) {
 	for _, d := range rs.dependents[id] {
 		rs.pending[d]--
 		if rs.pending[d] == 0 {
-			e.AfterEvent(0, rs, goalFire, uint64(d))
+			d := d
+			e.After(0, func(e *sim.Engine) { r.fire(e, rs, d) })
 		}
 	}
 	if rs.remaining == 0 {
@@ -240,7 +227,7 @@ func (r *GoalReplay) complete(e *sim.Engine, rs *goalRankState, id int) {
 	}
 }
 
-func (r *GoalReplay) finishRank(e *sim.Engine, rs *goalRankState) {
+func (r *refGoalReplay) finishRank(e *sim.Engine, rs *refGoalRankState) {
 	if rs.finished {
 		return
 	}
@@ -252,18 +239,18 @@ func (r *GoalReplay) finishRank(e *sim.Engine, rs *goalRankState) {
 // makeOnMessage builds the delivery hook for one receiving rank: it
 // completes the sender's node (rendezvous completion) and matches the
 // receiver's posted receives by (source rank, tag).
-func (r *GoalReplay) makeOnMessage(dstRank int) network.MessageHandler {
+func (r *refGoalReplay) makeOnMessage(dstRank int) network.MessageHandler {
 	return func(e *sim.Engine, srcNode topology.NodeID, msgID uint64, bytes int, mpiType uint8, seq uint32) {
 		if ref, ok := r.sendOwner[msgID]; ok {
 			delete(r.sendOwner, msgID)
 			r.complete(e, r.ranks[ref.rank], ref.id)
 		}
-		srcRank := r.rankOf[srcNode]
-		if srcRank < 0 {
+		srcRank, ok := r.nodeRank[srcNode]
+		if !ok {
 			return
 		}
 		rs := r.ranks[dstRank]
-		key := goalKey{src: int(srcRank), tag: int(seq)}
+		key := refGoalKey{src: srcRank, tag: int(seq)}
 		if q := rs.posted[key]; len(q) > 0 {
 			id := q[0]
 			if len(q) == 1 {

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -38,8 +39,8 @@ func WriteTrace(w io.Writer, tr *Trace) error {
 	fmt.Fprintln(bw, traceMagic)
 	fmt.Fprintf(bw, "name %s\n", tr.Name)
 	fmt.Fprintf(bw, "ranks %d\n", tr.Ranks)
-	for ty := uint8(0); ty < 32; ty++ {
-		if n := tr.CallMix[ty]; n > 0 {
+	for ty := 0; ty <= math.MaxUint8; ty++ {
+		if n := tr.CallMix[uint8(ty)]; n > 0 {
 			fmt.Fprintf(bw, "callmix %d %d\n", ty, n)
 		}
 	}
@@ -109,10 +110,16 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 		}
 		return out, nil
 	}
-	push := func(ev Event) error {
+	// push appends an event to the current rank; mpiType is its tag as
+	// read, checked here because every event line ends in one.
+	push := func(ev Event, mpiType int64) error {
 		if cur < 0 {
 			return fail("event before any 'rank' line")
 		}
+		if mpiType < 0 || mpiType > math.MaxUint8 {
+			return fail("MPI type %d out of range [0,%d]", mpiType, math.MaxUint8)
+		}
+		ev.MPIType = uint8(mpiType)
 		tr.Events[cur] = append(tr.Events[cur], ev)
 		return nil
 	}
@@ -132,6 +139,9 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 			if err != nil {
 				return nil, err
 			}
+			if tr.Events != nil {
+				return nil, fail("repeated 'ranks'")
+			}
 			if v[0] < 2 || v[0] > 1<<20 {
 				return nil, fail("implausible rank count %d", v[0])
 			}
@@ -141,6 +151,9 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 			v, err := ints(fields, 2)
 			if err != nil {
 				return nil, err
+			}
+			if v[0] < 0 || v[0] > math.MaxUint8 || v[1] < 0 {
+				return nil, fail("callmix %d %d out of range", v[0], v[1])
 			}
 			tr.CallMix[uint8(v[0])] = v[1]
 		case "rank":
@@ -160,7 +173,7 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 			if err != nil {
 				return nil, err
 			}
-			if err := push(Event{Op: OpCompute, Dur: sim.Time(v[0])}); err != nil {
+			if err := push(Event{Op: OpCompute, Dur: sim.Time(v[0])}, 0); err != nil {
 				return nil, err
 			}
 		case "s", "i":
@@ -172,7 +185,7 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 			if op == "i" {
 				o = OpIsend
 			}
-			if err := push(Event{Op: o, Peer: int(v[0]), Bytes: int(v[1]), MPIType: uint8(v[2])}); err != nil {
+			if err := push(Event{Op: o, Peer: int(v[0]), Bytes: int(v[1])}, v[2]); err != nil {
 				return nil, err
 			}
 		case "r", "q":
@@ -184,7 +197,7 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 			if op == "q" {
 				o = OpIrecv
 			}
-			if err := push(Event{Op: o, Peer: int(v[0]), MPIType: uint8(v[1])}); err != nil {
+			if err := push(Event{Op: o, Peer: int(v[0])}, v[1]); err != nil {
 				return nil, err
 			}
 		case "w", "a":
@@ -196,7 +209,7 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 			if op == "a" {
 				o = OpWaitall
 			}
-			if err := push(Event{Op: o, MPIType: uint8(v[0])}); err != nil {
+			if err := push(Event{Op: o}, v[0]); err != nil {
 				return nil, err
 			}
 		default:

@@ -49,6 +49,12 @@ func TestReadTraceErrors(t *testing.T) {
 		"prdrb-trace 1\nranks 2\nrank 0\ns 1\n",  // short fields
 		"prdrb-trace 1\nranks 2\nrank 0\nc xx\n", // bad int
 		"prdrb-trace 1\n",                        // missing ranks entirely
+		// A second 'ranks' used to drop every event read so far.
+		"prdrb-trace 1\nranks 2\nrank 0\nc 5\nranks 2\n",
+		"prdrb-trace 1\nranks 2\nrank 0\nw 256\n",    // MPI type beyond a byte
+		"prdrb-trace 1\nranks 2\nrank 0\ns 1 8 -1\n", // negative MPI type
+		"prdrb-trace 1\nranks 2\ncallmix 300 1\n",    // call-mix type beyond a byte
+		"prdrb-trace 1\nranks 2\ncallmix 3 -1\n",     // negative call count
 	}
 	for i, c := range cases {
 		if _, err := ReadTrace(strings.NewReader(c)); err == nil {

@@ -16,31 +16,41 @@ const (
 	blockedCompute
 	blockedWaitOne  // OpWait: oldest unretired request
 	blockedWaitAll  // OpWaitall: every unretired request
-	blockedWaitSend // OpSend's implicit request (retired out of order)
+	blockedWaitLast // OpSend/OpRecv: the operation's own request, the newest
 )
 
-// request is an outstanding nonblocking operation.
+// request is an outstanding nonblocking operation, held by value in its
+// rank's queue.
 type request struct {
+	// seq is the mpiSeq a send's message carries, by which its delivery
+	// finds the request again; receives have 0, which no message carries.
+	seq    uint32
+	src    int32 // source rank, for receives
 	isRecv bool
-	src    int // source rank for receives
 	done   bool
 }
 
 // rankState is one rank's replay FSM (the processing-node model of §4.1.1:
-// "read an input trace file and simulate the events").
+// "read an input trace file and simulate the events"). It is the actor its
+// own step events are delivered to, so advancing a rank schedules no
+// closure.
 type rankState struct {
+	replay *Replay
 	rank   int
 	pc     int
 	events []Event
 
 	// inbox counts arrived-but-unmatched messages per source rank (eager
-	// buffering).
-	inbox map[int]int
-	// reqs holds unretired requests in posting order.
-	reqs []*request
+	// buffering); made by the first message that arrives before its
+	// receive is posted.
+	inbox []int32
+	// reqs[head:] holds the unretired requests in posting order; put slides
+	// them down to the front before it would grow the slice, so the queue
+	// stops allocating once it is as deep as the program ever gets.
+	reqs []request
+	head int
 
-	blocked  blockKind
-	sendWait *request // the blocking-send request (blockedWaitSend)
+	blocked blockKind
 
 	finished   bool
 	finishedAt sim.Time
@@ -57,50 +67,70 @@ type Replay struct {
 	// Mapping maps rank -> terminal node; nil means identity placement.
 	Mapping []topology.NodeID
 
-	ranks     []*rankState
-	nodeRank  map[topology.NodeID]int
-	sendOwner map[uint64]*sendRef
+	ranks []rankState
+	// rankOf maps a terminal to the rank placed on it, -1 for none.
+	rankOf []int32
 
 	startAt       sim.Time
 	finishedCount int
 	started       bool
 }
 
-type sendRef struct {
-	rank int
-	req  *request
-}
-
-// NewReplay prepares a replay of tr over net. The trace's rank count must
-// not exceed the network's terminals.
+// NewReplay prepares a replay of tr over net. The trace must be valid
+// (Trace.Validate), its rank count must not exceed the network's terminals,
+// and a mapping must place every rank on a terminal of its own.
 func NewReplay(net *network.Network, tr *Trace, mapping []topology.NodeID) (*Replay, error) {
-	if tr.Ranks > net.Topo.NumTerminals() {
-		return nil, fmt.Errorf("trace: %d ranks exceed %d terminals", tr.Ranks, net.Topo.NumTerminals())
+	rankOf, err := placement("trace", net.Topo.NumTerminals(), tr.Ranks, mapping)
+	if err != nil {
+		return nil, err
 	}
-	if mapping != nil && len(mapping) != tr.Ranks {
-		return nil, fmt.Errorf("trace: mapping has %d entries for %d ranks", len(mapping), tr.Ranks)
+	if err := tr.Validate(); err != nil {
+		return nil, err
 	}
 	r := &Replay{
-		Net:       net,
-		Trace:     tr,
-		Mapping:   mapping,
-		nodeRank:  make(map[topology.NodeID]int, tr.Ranks),
-		sendOwner: make(map[uint64]*sendRef),
+		Net:     net,
+		Trace:   tr,
+		Mapping: mapping,
+		ranks:   make([]rankState, tr.Ranks),
+		rankOf:  rankOf,
 	}
-	r.ranks = make([]*rankState, tr.Ranks)
 	for i := range r.ranks {
-		r.ranks[i] = &rankState{
-			rank:   i,
-			events: tr.Events[i],
-			inbox:  make(map[int]int),
-		}
-		r.nodeRank[r.node(i)] = i
-	}
-	// Hook message delivery on the participating NICs.
-	for i := 0; i < tr.Ranks; i++ {
-		net.NICs[r.node(i)].OnMessage = r.makeOnMessage(i)
+		rs := &r.ranks[i]
+		*rs = rankState{replay: r, rank: i, events: tr.Events[i]}
+		// Hook message delivery on the rank's NIC.
+		net.NICs[r.node(i)].OnMessage = rs.onMessage
 	}
 	return r, nil
+}
+
+// placement checks that ranks fit the fabric and that mapping (nil =
+// identity) puts every rank on a terminal of its own, and returns the
+// inverse: the rank on each terminal, -1 for none. who prefixes the errors.
+func placement(who string, terminals, ranks int, mapping []topology.NodeID) ([]int32, error) {
+	if ranks > terminals {
+		return nil, fmt.Errorf("%s: %d ranks exceed %d terminals", who, ranks, terminals)
+	}
+	if mapping != nil && len(mapping) != ranks {
+		return nil, fmt.Errorf("%s: mapping has %d entries for %d ranks", who, len(mapping), ranks)
+	}
+	rankOf := make([]int32, terminals)
+	for i := range rankOf {
+		rankOf[i] = -1
+	}
+	for i := 0; i < ranks; i++ {
+		node := topology.NodeID(i)
+		if mapping != nil {
+			node = mapping[i]
+		}
+		if node < 0 || int(node) >= terminals {
+			return nil, fmt.Errorf("%s: rank %d mapped to node %d, outside the fabric's %d terminals", who, i, node, terminals)
+		}
+		if other := rankOf[node]; other >= 0 {
+			return nil, fmt.Errorf("%s: ranks %d and %d both mapped to node %d", who, other, i, node)
+		}
+		rankOf[node] = int32(i)
+	}
+	return rankOf, nil
 }
 
 // node maps a rank to its terminal.
@@ -118,9 +148,8 @@ func (r *Replay) Start(at sim.Time) {
 	}
 	r.started = true
 	r.startAt = at
-	for _, rs := range r.ranks {
-		rs := rs
-		r.Net.Eng.Schedule(at, func(e *sim.Engine) { r.step(e, rs) })
+	for i := range r.ranks {
+		r.Net.Eng.ScheduleEvent(at, &r.ranks[i], 0, 0)
 	}
 }
 
@@ -130,10 +159,8 @@ func (r *Replay) Finished() bool { return r.finishedCount == len(r.ranks) }
 // ExecutionTime returns the wall time from Start to the last rank's finish.
 func (r *Replay) ExecutionTime() sim.Time {
 	var end sim.Time
-	for _, rs := range r.ranks {
-		if rs.finishedAt > end {
-			end = rs.finishedAt
-		}
+	for i := range r.ranks {
+		end = max(end, r.ranks[i].finishedAt)
 	}
 	return end - r.startAt
 }
@@ -144,110 +171,118 @@ func (r *Replay) Err() error {
 	if r.Finished() {
 		return nil
 	}
-	for _, rs := range r.ranks {
+	for i := range r.ranks {
+		rs := &r.ranks[i]
 		if !rs.finished {
 			ev := "end"
 			if rs.pc < len(rs.events) {
 				ev = rs.events[rs.pc].Op.String()
 			}
 			return fmt.Errorf("trace: rank %d stuck at pc=%d (%s), blocked=%d, %d reqs",
-				rs.rank, rs.pc, ev, rs.blocked, len(rs.reqs))
+				rs.rank, rs.pc, ev, rs.blocked, len(rs.live()))
 		}
 	}
 	return nil
 }
 
+// HandleEvent implements sim.Actor: a rank's only event is "advance".
+func (rs *rankState) HandleEvent(e *sim.Engine, _ uint8, _ uint64) { rs.step(e) }
+
 // step advances a rank until it blocks or finishes.
-func (r *Replay) step(e *sim.Engine, rs *rankState) {
+func (rs *rankState) step(e *sim.Engine) {
 	rs.blocked = notBlocked
 	for rs.pc < len(rs.events) {
 		ev := &rs.events[rs.pc]
+		rs.pc++
 		switch ev.Op {
 		case OpCompute:
-			rs.pc++
 			rs.blocked = blockedCompute
-			r.after(e, ev.Dur, rs)
+			e.AfterEvent(ev.Dur, rs, 0, 0)
 			return
 
 		case OpIsend:
-			rs.pc++
-			r.inject(e, rs, ev)
+			rs.inject(e, ev)
 
 		case OpSend:
-			rs.pc++
-			req := r.inject(e, rs, ev)
-			if req != nil && !req.done {
-				rs.blocked = blockedWaitSend
-				rs.sendWait = req
-				return
-			}
-			if req != nil {
-				rs.retire(req)
-			}
+			rs.inject(e, ev)
+			// Rendezvous: the send returns when its message is delivered.
+			rs.blocked = blockedWaitLast
+			return
 
 		case OpIrecv:
-			rs.pc++
-			req := &request{isRecv: true, src: ev.Peer}
-			if rs.inbox[ev.Peer] > 0 {
-				rs.inbox[ev.Peer]--
-				req.done = true
-			}
-			rs.reqs = append(rs.reqs, req)
+			rs.put(request{isRecv: true, src: int32(ev.Peer), done: rs.takeEarly(ev.Peer)})
 
 		case OpRecv:
 			// A blocking receive is Irecv + wait-for-that-request; express
 			// it through the same queue so message matching stays in
 			// posting order.
-			req := &request{isRecv: true, src: ev.Peer}
-			if rs.inbox[ev.Peer] > 0 {
-				rs.inbox[ev.Peer]--
-				req.done = true
-				rs.pc++
+			if rs.takeEarly(ev.Peer) {
 				continue
 			}
-			rs.reqs = append(rs.reqs, req)
-			rs.pc++
-			rs.blocked = blockedWaitSend // identical semantics: one request
-			rs.sendWait = req
+			rs.put(request{isRecv: true, src: int32(ev.Peer)})
+			rs.blocked = blockedWaitLast
 			return
 
 		case OpWait:
-			if len(rs.reqs) == 0 {
-				rs.pc++
+			if q := rs.live(); len(q) == 0 {
+				continue
+			} else if q[0].done {
+				rs.popOldest()
 				continue
 			}
-			if rs.reqs[0].done {
-				rs.reqs = rs.reqs[1:]
-				rs.pc++
-				continue
-			}
-			rs.pc++
 			rs.blocked = blockedWaitOne
 			return
 
 		case OpWaitall:
 			if rs.allDone() {
-				rs.reqs = rs.reqs[:0]
-				rs.pc++
+				rs.clear()
 				continue
 			}
-			rs.pc++
 			rs.blocked = blockedWaitAll
 			return
-
-		default:
-			panic(fmt.Sprintf("trace: rank %d: unloweable op %v at pc %d", rs.rank, ev.Op, rs.pc))
 		}
 	}
 	if !rs.finished {
 		rs.finished = true
 		rs.finishedAt = e.Now()
-		r.finishedCount++
+		rs.replay.finishedCount++
 	}
 }
 
+// live returns the unretired requests, oldest first.
+func (rs *rankState) live() []request { return rs.reqs[rs.head:] }
+
+// put posts a request behind the others.
+func (rs *rankState) put(q request) {
+	if len(rs.reqs) == cap(rs.reqs) && rs.head > 0 {
+		rs.reqs = rs.reqs[:copy(rs.reqs, rs.reqs[rs.head:])]
+		rs.head = 0
+	}
+	rs.reqs = append(rs.reqs, q)
+}
+
+// popOldest retires the request at the head of the queue.
+func (rs *rankState) popOldest() {
+	rs.head++
+	if rs.head == len(rs.reqs) {
+		rs.clear()
+	}
+}
+
+// popNewest retires the request at the tail of the queue: a blocking
+// operation's own, which may complete while older ones are still out.
+func (rs *rankState) popNewest() {
+	rs.reqs = rs.reqs[:len(rs.reqs)-1]
+	if rs.head == len(rs.reqs) {
+		rs.clear()
+	}
+}
+
+// clear retires every request.
+func (rs *rankState) clear() { rs.reqs, rs.head = rs.reqs[:0], 0 }
+
 func (rs *rankState) allDone() bool {
-	for _, q := range rs.reqs {
+	for _, q := range rs.live() {
 		if !q.done {
 			return false
 		}
@@ -255,85 +290,82 @@ func (rs *rankState) allDone() bool {
 	return true
 }
 
-// retire removes a specific request (blocking sends complete out of order).
-func (rs *rankState) retire(req *request) {
-	for i, q := range rs.reqs {
-		if q == req {
-			rs.reqs = append(rs.reqs[:i], rs.reqs[i+1:]...)
-			return
-		}
+// takeEarly consumes one message from src that arrived before any receive
+// for it was posted, if there is one.
+func (rs *rankState) takeEarly(src int) bool {
+	if rs.inbox == nil || rs.inbox[src] == 0 {
+		return false
 	}
+	rs.inbox[src]--
+	return true
 }
 
-// inject sends the event's message and registers the send request.
-func (r *Replay) inject(e *sim.Engine, rs *rankState, ev *Event) *request {
-	if ev.Peer == rs.rank {
-		panic(fmt.Sprintf("trace: rank %d sends to itself", rs.rank))
-	}
-	req := &request{}
-	rs.reqs = append(rs.reqs, req)
+// inject sends the event's message and posts the send request.
+func (rs *rankState) inject(e *sim.Engine, ev *Event) {
+	r := rs.replay
 	rs.mpiSeq++
-	msgID := r.Net.NICs[r.node(rs.rank)].Send(e, r.node(ev.Peer), ev.Bytes, ev.MPIType, rs.mpiSeq)
-	r.sendOwner[msgID] = &sendRef{rank: rs.rank, req: req}
-	return req
+	rs.put(request{seq: rs.mpiSeq})
+	r.Net.NICs[r.node(rs.rank)].Send(e, r.node(ev.Peer), ev.Bytes, ev.MPIType, rs.mpiSeq)
 }
 
-func (r *Replay) after(e *sim.Engine, d sim.Time, rs *rankState) {
-	e.After(d, func(e *sim.Engine) { r.step(e, rs) })
-}
-
-// makeOnMessage builds the delivery hook for one receiving rank: it
-// completes the sender's request (the message is fully delivered — the
-// rendezvous completion) and matches the receiver's posted receives.
-func (r *Replay) makeOnMessage(dstRank int) network.MessageHandler {
-	return func(e *sim.Engine, srcNode topology.NodeID, msgID uint64, bytes int, mpiType uint8, seq uint32) {
-		if ref, ok := r.sendOwner[msgID]; ok {
-			delete(r.sendOwner, msgID)
-			ref.req.done = true
-			r.poke(e, r.ranks[ref.rank])
-		}
-		srcRank, ok := r.nodeRank[srcNode]
-		if !ok {
-			return
-		}
-		rs := r.ranks[dstRank]
-		// Match the oldest incomplete posted receive from srcRank.
-		for _, q := range rs.reqs {
-			if q.isRecv && !q.done && q.src == srcRank {
-				q.done = true
-				r.poke(e, rs)
-				return
+// onMessage is the delivery hook of the rank's NIC: it completes the
+// sender's request (the message is fully delivered — the rendezvous
+// completion), found in the sender's queue by the sequence number the
+// message carries, and matches the receiver's posted receives.
+func (rs *rankState) onMessage(e *sim.Engine, srcNode topology.NodeID, _ uint64, _ int, _ uint8, seq uint32) {
+	srcRank := rs.replay.rankOf[srcNode]
+	if srcRank < 0 {
+		return
+	}
+	if seq != 0 {
+		sender := &rs.replay.ranks[srcRank]
+		q := sender.live()
+		for i := range q {
+			if q[i].seq == seq {
+				q[i].done = true
+				sender.poke(e)
+				break
 			}
 		}
-		rs.inbox[srcRank]++
 	}
+	// Match the oldest incomplete posted receive from srcRank.
+	q := rs.live()
+	for i := range q {
+		if q[i].isRecv && !q[i].done && q[i].src == srcRank {
+			q[i].done = true
+			rs.poke(e)
+			return
+		}
+	}
+	if rs.inbox == nil {
+		rs.inbox = make([]int32, len(rs.replay.ranks))
+	}
+	rs.inbox[srcRank]++
 }
 
 // poke re-checks a blocked rank's condition and resumes it when satisfied.
-func (r *Replay) poke(e *sim.Engine, rs *rankState) {
-	switch rs.blocked {
-	case blockedWaitSend:
-		if rs.sendWait != nil && rs.sendWait.done {
-			rs.retire(rs.sendWait)
-			rs.sendWait = nil
-			r.resume(e, rs)
+func (rs *rankState) poke(e *sim.Engine) {
+	switch q := rs.live(); rs.blocked {
+	case blockedWaitLast:
+		if !q[len(q)-1].done {
+			return
 		}
+		rs.popNewest()
 	case blockedWaitOne:
-		if len(rs.reqs) > 0 && rs.reqs[0].done {
-			rs.reqs = rs.reqs[1:]
-			r.resume(e, rs)
+		if !q[0].done {
+			return
 		}
+		rs.popOldest()
 	case blockedWaitAll:
-		if rs.allDone() {
-			rs.reqs = rs.reqs[:0]
-			r.resume(e, rs)
+		if !rs.allDone() {
+			return
 		}
+		rs.clear()
+	default:
+		return
 	}
-}
-
-func (r *Replay) resume(e *sim.Engine, rs *rankState) {
 	rs.blocked = notBlocked
 	// Resume via a fresh event: poke runs inside a delivery callback and a
 	// long chain of resumes would otherwise recurse.
-	e.After(0, func(e *sim.Engine) { r.step(e, rs) })
+	e.AfterEvent(0, rs, 0, 0)
 }

@@ -11,6 +11,7 @@ package trace
 import (
 	"fmt"
 
+	"prdrb/internal/collectives"
 	"prdrb/internal/network"
 	"prdrb/internal/sim"
 )
@@ -51,16 +52,17 @@ func (o Op) String() string {
 	return "?"
 }
 
-// Event is one per-rank trace entry.
+// Event is one per-rank trace entry (32 bytes: the two one-byte fields
+// share a word).
 type Event struct {
-	Op    Op
-	Peer  int      // counterpart rank for sends/receives
-	Bytes int      // message size
-	Dur   sim.Time // compute duration
+	Op Op
 	// MPIType tags the packet headers with the *logical* MPI call the event
 	// was lowered from (e.g. a send belonging to an Allreduce), feeding the
 	// §3.3.1 MPI_type field and the phase analysis.
 	MPIType uint8
+	Peer    int      // counterpart rank for sends/receives
+	Bytes   int      // message size
+	Dur     sim.Time // compute duration
 }
 
 // Trace is a complete per-rank event program.
@@ -83,6 +85,55 @@ func (t *Trace) TotalEvents() int {
 	return n
 }
 
+// Limits Validate puts on a trace so that replaying it cannot overflow: the
+// virtual clock stays clear of sim.Infinity however the compute phases
+// chain across ranks, and a message's fragment count fits an int.
+const (
+	maxTotalCompute = sim.Infinity / 2
+	maxMessageBytes = 1 << 30
+)
+
+// Validate checks what a replay relies on and a parsed or hand-edited trace
+// can violate: one event list per rank, every send and receive naming
+// another rank of the trace, sizes and durations neither negative nor
+// beyond the limits above, no unknown operation. NewReplay calls it, so a
+// bad trace is an error there and not a panic in the middle of a run.
+func (t *Trace) Validate() error {
+	if len(t.Events) != t.Ranks {
+		return fmt.Errorf("trace: %d event lists for %d ranks", len(t.Events), t.Ranks)
+	}
+	var compute sim.Time
+	for r, evs := range t.Events {
+		for pc := range evs {
+			ev := &evs[pc]
+			switch ev.Op {
+			case OpCompute:
+				if ev.Dur < 0 {
+					return fmt.Errorf("trace: rank %d pc %d: negative compute duration %d", r, pc, int64(ev.Dur))
+				}
+				if ev.Dur > maxTotalCompute-compute {
+					return fmt.Errorf("trace: rank %d pc %d: compute time adds up to more than %v", r, pc, maxTotalCompute)
+				}
+				compute += ev.Dur
+			case OpSend, OpIsend, OpRecv, OpIrecv:
+				if ev.Peer < 0 || ev.Peer >= t.Ranks {
+					return fmt.Errorf("trace: rank %d pc %d: %v peer %d out of range [0,%d)", r, pc, ev.Op, ev.Peer, t.Ranks)
+				}
+				if ev.Peer == r {
+					return fmt.Errorf("trace: rank %d pc %d: %v to itself", r, pc, ev.Op)
+				}
+				if ev.Bytes < 0 || ev.Bytes > maxMessageBytes {
+					return fmt.Errorf("trace: rank %d pc %d: message size %d out of range [0,%d]", r, pc, ev.Bytes, maxMessageBytes)
+				}
+			case OpWait, OpWaitall:
+			default:
+				return fmt.Errorf("trace: rank %d pc %d: unknown op %d", r, pc, uint8(ev.Op))
+			}
+		}
+	}
+	return nil
+}
+
 // CallShare returns the fraction of logical calls with the given MPI type —
 // the percentages of Table 2.1.
 func (t *Trace) CallShare(mpiType uint8) float64 {
@@ -100,9 +151,21 @@ func (t *Trace) CallShare(mpiType uint8) float64 {
 }
 
 // Builder assembles traces rank by rank and lowers collectives. All the
-// workload generators in internal/workloads emit through it.
+// workload generators in internal/workloads emit through it, by way of
+// Build; NewBuilder is the plain appending form for hand-built traces.
 type Builder struct {
 	tr *Trace
+	// counts is non-nil during Build's counting pass: push then only sizes
+	// each rank's event list and the call mix is left alone.
+	counts []int
+	// mix counts the logical calls by MPI type; Build copies it into the
+	// trace's CallMix (a map update per emitted call would cost a fifth of
+	// a generator's time).
+	mix [256]int64
+	// memo holds every collective schedule this builder has lowered, so a
+	// collective repeated each iteration is generated once. It lives and
+	// dies with the builder.
+	memo map[schedKey]*collectives.Schedule
 }
 
 // NewBuilder starts a trace for the given number of ranks.
@@ -118,8 +181,51 @@ func NewBuilder(name string, ranks int) *Builder {
 	}}
 }
 
-// Build returns the finished trace.
-func (b *Builder) Build() *Trace { return b.tr }
+// Build runs body twice over one builder and returns the trace it emits,
+// every rank's events an exactly sized window of one shared array: the
+// first pass only counts each rank's events, the second fills them in. The
+// body must therefore emit the same events both times — a pure function of
+// its inputs, which every generator in internal/workloads is.
+func Build(name string, ranks int, body func(b *Builder) error) (*Trace, error) {
+	b := NewBuilder(name, ranks)
+	counts := make([]int, ranks)
+	b.counts = counts
+	if err := body(b); err != nil {
+		return nil, err
+	}
+	total := 0
+	for _, n := range counts {
+		total += n
+	}
+	flat := make([]Event, total)
+	off := 0
+	for r, n := range counts {
+		if n > 0 {
+			b.tr.Events[r] = flat[off : off : off+n]
+		}
+		off += n
+	}
+	b.counts = nil
+	if err := body(b); err != nil {
+		return nil, err
+	}
+	for r, n := range counts {
+		if len(b.tr.Events[r]) != n {
+			panic(fmt.Sprintf("trace: body emitted %d events for rank %d after counting %d", len(b.tr.Events[r]), r, n))
+		}
+	}
+	return b.Build(), nil
+}
+
+// Build returns the trace as emitted so far.
+func (b *Builder) Build() *Trace {
+	for ty, n := range b.mix {
+		if n != 0 {
+			b.tr.CallMix[uint8(ty)] = n
+		}
+	}
+	return b.tr
+}
 
 // Ranks returns the trace's rank count.
 func (b *Builder) Ranks() int { return b.tr.Ranks }
@@ -128,10 +234,18 @@ func (b *Builder) push(rank int, ev Event) {
 	if rank < 0 || rank >= b.tr.Ranks {
 		panic(fmt.Sprintf("trace: rank %d out of range", rank))
 	}
+	if b.counts != nil {
+		b.counts[rank]++
+		return
+	}
 	b.tr.Events[rank] = append(b.tr.Events[rank], ev)
 }
 
-func (b *Builder) count(mpiType uint8, n int64) { b.tr.CallMix[mpiType] += n }
+func (b *Builder) count(mpiType uint8, n int64) {
+	if b.counts == nil {
+		b.mix[mpiType] += n
+	}
+}
 
 // Compute appends a local computation of duration d on rank.
 func (b *Builder) Compute(rank int, d sim.Time) {

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"strings"
 	"testing"
 
 	"prdrb/internal/metrics"
@@ -307,6 +308,55 @@ func TestMappingValidation(t *testing.T) {
 	}
 }
 
+// A trace the parser accepts can still name ranks that do not exist, send
+// to itself or run time backwards; NewReplay must say so, naming rank and
+// pc, where each of these used to panic inside the run.
+func TestReplayRejectsBadTrace(t *testing.T) {
+	for _, c := range []struct{ events, want string }{
+		{"s 99 10 1", "rank 0 pc 1: send peer 99 out of range"},
+		{"s -1 10 1", "rank 0 pc 1: send peer -1 out of range"},
+		{"q 2 1", "rank 0 pc 1: irecv peer 2 out of range"},
+		{"s 0 10 1", "rank 0 pc 1: send to itself"},
+		{"r 0 1", "rank 0 pc 1: recv to itself"},
+		{"c -5", "rank 0 pc 1: negative compute duration"},
+		{"c 9223372036854775807", "rank 0 pc 1: compute time adds up"},
+		{"i 1 -8 1", "rank 0 pc 1: message size -8 out of range"},
+		{"s 1 9223372036854775807 1", "rank 0 pc 1: message size"},
+	} {
+		tr, err := ReadTrace(strings.NewReader("prdrb-trace 1\nranks 2\nrank 0\nc 7\n" + c.events + "\n"))
+		if err != nil {
+			t.Fatalf("%q: %v", c.events, err)
+		}
+		_, err = NewReplay(newNet(t, 2), tr, nil)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%q: NewReplay error %v, want one containing %q", c.events, err, c.want)
+		}
+	}
+	b := NewBuilder("hand-built", 2)
+	b.Compute(0, 5)
+	tr := b.Build()
+	tr.Events[0][0].Op = 42
+	if _, err := NewReplay(newNet(t, 2), tr, nil); err == nil || !strings.Contains(err.Error(), "unknown op 42") {
+		t.Errorf("unknown op: NewReplay error %v", err)
+	}
+	// A mapping must put every rank on a terminal of its own.
+	ok := NewBuilder("ok", 2)
+	ok.Send(0, 1, 8)
+	ok.Recv(1, 0)
+	for _, mapping := range [][]topology.NodeID{{3, 3}, {0, 16}, {-1, 2}} {
+		if _, err := NewReplay(newNet(t, 16), ok.Build(), mapping); err == nil {
+			t.Errorf("mapping %v accepted", mapping)
+		}
+		g, err := GoalFromTrace(ok.Build())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := NewGoalReplay(newNet(t, 16), g, mapping); err == nil {
+			t.Errorf("goal mapping %v accepted", mapping)
+		}
+	}
+}
+
 func TestBuilderPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -314,6 +364,24 @@ func TestBuilderPanics(t *testing.T) {
 		}
 	}()
 	NewBuilder("bad", 1)
+}
+
+// Build runs its body twice; a body that emits differently the second time
+// would leave a rank's window short or spill out of it.
+func TestBuildRejectsUnrepeatableBody(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a body that emits more on its second run was accepted")
+		}
+	}()
+	calls := 0
+	Build("drift", 2, func(b *Builder) error {
+		calls++
+		for i := 0; i < calls; i++ {
+			b.Compute(0, 5)
+		}
+		return nil
+	})
 }
 
 func TestOpStrings(t *testing.T) {

@@ -8,10 +8,9 @@ import (
 
 // Sources is the serializable handle an installer returns: it retains the
 // per-node RNG streams that drive injection so a checkpoint can capture
-// the exact position of every source's randomness. The tick/flow closures
-// themselves live on the engines (their pending firings are captured by
-// the engine section); the RNG words here are the only mutable state the
-// closures carry between firings.
+// the exact position of every source's randomness. The sources' pending
+// events live on the engines (and are captured by the engine section); the
+// RNG words here are the rest of what a source carries between firings.
 type Sources struct {
 	Label string
 	nodes []topology.NodeID

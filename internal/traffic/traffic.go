@@ -200,51 +200,76 @@ func Install(net *network.Network, spec Spec, rng *sim.RNG) *Sources {
 	if spec.End <= spec.Start {
 		panic("traffic: empty injection window")
 	}
-	mpiType := spec.MPIType
-	if mpiType == 0 {
-		mpiType = network.MPISend
+	if spec.MPIType == 0 {
+		spec.MPIType = network.MPISend
 	}
-	nodes := spec.Nodes
-	if nodes == nil {
-		for i := 0; i < net.Topo.NumTerminals(); i++ {
-			nodes = append(nodes, topology.NodeID(i))
-		}
+	n := len(spec.Nodes)
+	if spec.Nodes == nil {
+		n = net.Topo.NumTerminals()
 	}
-	iv := spec.interval()
+	g := &patternGen{net: net, spec: spec, iv: spec.interval()}
 	// One base draw, then per-node streams derived from the node id only:
-	// the schedule must not depend on the iteration order of `nodes`.
+	// the schedule must not depend on the iteration order of the nodes.
 	base := rng.Uint64()
-	src := &Sources{Label: "pattern:" + spec.Pattern.Name()}
-	for _, node := range nodes {
-		node := node
-		r := sim.NewRNG(base ^ (uint64(node)+1)*0x9e3779b97f4a7c15)
-		src.add(node, r)
-		// Spread start phases across one interval.
-		first := spec.Start + sim.Time(r.Float64()*float64(iv))
-		var tick func(e *sim.Engine)
-		tick = func(e *sim.Engine) {
-			if e.Now() >= spec.End {
-				return
-			}
-			dst := spec.Pattern.Destination(node, r)
-			if dst >= 0 && dst != node {
-				net.NICs[node].Send(e, dst, spec.PacketBytes, mpiType, 0)
-			}
-			next := iv
-			if spec.Jitter {
-				next = sim.Time(r.Exp(float64(iv)))
-				if next <= 0 {
-					next = 1
-				}
-			}
-			e.After(next, tick)
+	src := &Sources{
+		Label: "pattern:" + spec.Pattern.Name(),
+		nodes: make([]topology.NodeID, 0, n), rngs: make([]*sim.RNG, 0, n),
+	}
+	// Actors and streams in a slice each: the Sources handle keeps the
+	// streams for the life of the run, the actors go with their last event.
+	sources := make([]patternSource, n)
+	rngs := make([]sim.RNG, n)
+	for i := range sources {
+		node := topology.NodeID(i)
+		if spec.Nodes != nil {
+			node = spec.Nodes[i]
 		}
-		// Each source schedules on its own node's engine: in sharded runs the
-		// ticks stay shard-local (injection schedules depend only on the node
-		// id, never on the shard layout).
-		net.EngineForNode(node).Schedule(first, tick)
+		s := &sources[i]
+		*s = patternSource{g: g, node: node, rng: &rngs[i]}
+		s.rng.Seed(base ^ (uint64(node)+1)*0x9e3779b97f4a7c15)
+		src.add(node, s.rng)
+		// Spread start phases across one interval. Each source schedules on
+		// its own node's engine: in sharded runs the ticks stay shard-local
+		// (injection schedules depend only on the node id, never on the
+		// shard layout).
+		first := spec.Start + sim.Time(s.rng.Float64()*float64(g.iv))
+		net.EngineForNode(node).ScheduleEvent(first, s, 0, 0)
 	}
 	return src
+}
+
+// patternGen is what the sources of one Install call share, read-only once
+// they run (they run on every shard's goroutine).
+type patternGen struct {
+	net  *network.Network
+	spec Spec     // MPIType defaulted
+	iv   sim.Time // mean packet spacing
+}
+
+// patternSource is one node's open-loop injector: a typed actor whose one
+// event is "send the next packet", so a run's sources are one allocation
+// and their ticks allocate nothing.
+type patternSource struct {
+	g    *patternGen
+	node topology.NodeID
+	rng  *sim.RNG
+}
+
+// HandleEvent implements sim.Actor.
+func (s *patternSource) HandleEvent(e *sim.Engine, _ uint8, _ uint64) {
+	g := s.g
+	if e.Now() >= g.spec.End {
+		return
+	}
+	dst := g.spec.Pattern.Destination(s.node, s.rng)
+	if dst >= 0 && dst != s.node {
+		g.net.NICs[s.node].Send(e, dst, g.spec.PacketBytes, g.spec.MPIType, 0)
+	}
+	next := g.iv
+	if g.spec.Jitter {
+		next = max(1, sim.Time(s.rng.Exp(float64(g.iv))))
+	}
+	e.AfterEvent(next, s, 0, 0)
 }
 
 // Burst describes one communication phase of a bursty application cycle

@@ -11,7 +11,7 @@ import (
 // only communication), while the pure pipeline must be Send/Recv chains
 // with a negligible collective residue.
 func TestAICallMixShapes(t *testing.T) {
-	dp, err := AIDPAllreduce(Options{})
+	dp, err := ByName("ai-dp-allreduce", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -19,7 +19,7 @@ func TestAICallMixShapes(t *testing.T) {
 		t.Errorf("dp Allreduce share = %.3f, want > 0.9", s)
 	}
 
-	pp, err := AIPPPipeline(Options{})
+	pp, err := ByName("ai-pp-pipeline", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +27,7 @@ func TestAICallMixShapes(t *testing.T) {
 		t.Errorf("pp point-to-point share = %.3f, want > 0.9", s)
 	}
 
-	hy, err := AIDPPP(Options{})
+	hy, err := ByName("ai-dp-pp", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,11 +41,11 @@ func TestAICallMixShapes(t *testing.T) {
 // Options.Collective must select the algorithm: ring and recursive
 // doubling lower to different step counts, and an unknown name errors.
 func TestAICollectiveSelection(t *testing.T) {
-	ring, err := AIDPAllreduce(Options{Ranks: 16, Iterations: 1, Collective: "ring"})
+	ring, err := ByName("ai-dp-allreduce", Options{Ranks: 16, Iterations: 1, Collective: "ring"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rd, err := AIDPAllreduce(Options{Ranks: 16, Iterations: 1, Collective: "recursive-doubling"})
+	rd, err := ByName("ai-dp-allreduce", Options{Ranks: 16, Iterations: 1, Collective: "recursive-doubling"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,10 +56,10 @@ func TestAICollectiveSelection(t *testing.T) {
 	if ring.Name == rd.Name {
 		t.Error("algorithm not reflected in the trace name")
 	}
-	if _, err := AIDPAllreduce(Options{Collective: "quantum"}); err == nil {
+	if _, err := ByName("ai-dp-allreduce", Options{Collective: "quantum"}); err == nil {
 		t.Error("unknown collective algorithm accepted")
 	}
-	if _, err := AIDPPP(Options{Collective: "quantum"}); err == nil {
+	if _, err := ByName("ai-dp-pp", Options{Collective: "quantum"}); err == nil {
 		t.Error("unknown collective algorithm accepted by the hybrid")
 	}
 }
@@ -68,7 +68,7 @@ func TestAICollectiveSelection(t *testing.T) {
 // the whole point of the ring fallback.
 func TestAIDPNonPow2Ranks(t *testing.T) {
 	for _, n := range []int{6, 12, 48} {
-		tr, err := AIDPAllreduce(Options{Ranks: n, Iterations: 1})
+		tr, err := ByName("ai-dp-allreduce", Options{Ranks: n, Iterations: 1})
 		if err != nil {
 			t.Fatalf("%d ranks: %v", n, err)
 		}
@@ -84,16 +84,16 @@ func TestAIDPNonPow2Ranks(t *testing.T) {
 
 // Decomposition constraints are rejected up front.
 func TestAIRankValidation(t *testing.T) {
-	if _, err := AIDPAllreduce(Options{Ranks: 1}); err == nil {
+	if _, err := ByName("ai-dp-allreduce", Options{Ranks: 1}); err == nil {
 		t.Error("1-rank dp accepted")
 	}
-	if _, err := AIPPPipeline(Options{Ranks: 1}); err == nil {
+	if _, err := ByName("ai-pp-pipeline", Options{Ranks: 1}); err == nil {
 		t.Error("1-stage pipeline accepted")
 	}
-	if _, err := AIDPPP(Options{Ranks: 6}); err == nil {
+	if _, err := ByName("ai-dp-pp", Options{Ranks: 6}); err == nil {
 		t.Error("6 ranks accepted for a 4-stage hybrid")
 	}
-	if _, err := AIDPPP(Options{Ranks: 4}); err == nil {
+	if _, err := ByName("ai-dp-pp", Options{Ranks: 4}); err == nil {
 		t.Error("single-replica hybrid accepted (dp group of 1)")
 	}
 }
@@ -101,7 +101,7 @@ func TestAIRankValidation(t *testing.T) {
 // The hybrid's gradient traffic must stay inside each stage's dp group:
 // stage-s ranks Allreduce only with other stage-s ranks.
 func TestAIDPPPGroupIsolation(t *testing.T) {
-	tr, err := AIDPPP(Options{Ranks: 16, Iterations: 1})
+	tr, err := ByName("ai-dp-pp", Options{Ranks: 16, Iterations: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestAIDPPPGroupIsolation(t *testing.T) {
 // compute, execution time is still bounded below by the microbatch
 // message chain through all 64 stages.
 func TestAIPipelineDependencyChain(t *testing.T) {
-	tr, err := AIPPPipeline(Options{Iterations: 1, ComputeNs: 1})
+	tr, err := ByName("ai-pp-pipeline", Options{Iterations: 1, ComputeNs: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,13 +71,13 @@ func TestByNameUnknown(t *testing.T) {
 }
 
 func TestNonSquareRanksRejected(t *testing.T) {
-	if _, err := NASLU(Options{Ranks: 48}); err == nil {
+	if _, err := ByName("nas-lu", Options{Ranks: 48}); err == nil {
 		t.Fatal("48 ranks accepted for a square decomposition")
 	}
 }
 
 func TestUnknownMGClass(t *testing.T) {
-	if _, err := NASMG('Z', Options{}); err == nil {
+	if _, err := nasMG('Z', Options{}); err == nil {
 		t.Fatal("unknown MG class accepted")
 	}
 }
@@ -86,7 +86,7 @@ func TestUnknownMGClass(t *testing.T) {
 // share; LU is blocking Send/Recv dominated; Sweep3D nearly pure
 // Send/Recv; LAMMPS has the ~10% Allreduce signature.
 func TestCallMixShapes(t *testing.T) {
-	pop, err := POP(Options{})
+	pop, err := ByName("pop", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestCallMixShapes(t *testing.T) {
 		t.Error("POP should not use blocking MPI_Recv")
 	}
 
-	lu, err := NASLU(Options{})
+	lu, err := ByName("nas-lu", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestCallMixShapes(t *testing.T) {
 		t.Errorf("LU Recv share = %.3f, want ~0.50", s)
 	}
 
-	sw, err := Sweep3D(Options{})
+	sw, err := ByName("sweep3d", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestCallMixShapes(t *testing.T) {
 		t.Errorf("Sweep3D point-to-point share = %.3f, want > 0.9", s)
 	}
 
-	lc, err := LammpsChain(Options{})
+	lc, err := ByName("lammps-chain", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,11 +132,11 @@ func TestCallMixShapes(t *testing.T) {
 }
 
 func TestMGClassesScale(t *testing.T) {
-	s, err := NASMG(MGClassS, Options{Iterations: 2})
+	s, err := ByName("nas-mg-s", Options{Iterations: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NASMG(MGClassB, Options{Iterations: 2})
+	b, err := ByName("nas-mg-b", Options{Iterations: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,8 +160,8 @@ func totalSendBytes(tr *trace.Trace) int64 {
 }
 
 func TestIterationsScaleEvents(t *testing.T) {
-	a, _ := POP(Options{Iterations: 3})
-	b, _ := POP(Options{Iterations: 9})
+	a, _ := ByName("pop", Options{Iterations: 3})
+	b, _ := ByName("pop", Options{Iterations: 9})
 	if b.TotalEvents() < 2*a.TotalEvents() {
 		t.Fatalf("iterations do not scale events: %d vs %d", a.TotalEvents(), b.TotalEvents())
 	}
@@ -187,7 +187,7 @@ func TestSmallerRankCounts(t *testing.T) {
 // cannot finish its first sweep before a chain of at least 14 hops of
 // messages reaches it.
 func TestLUWavefrontDependency(t *testing.T) {
-	tr, err := NASLU(Options{Iterations: 1, ComputeNs: 1})
+	tr, err := ByName("nas-lu", Options{Iterations: 1, ComputeNs: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,20 +199,20 @@ func TestLUWavefrontDependency(t *testing.T) {
 }
 
 func TestNASFTAlltoallDominated(t *testing.T) {
-	tr, err := NASFT('A', Options{})
+	tr, err := ByName("nas-ft-a", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s := tr.CallShare(network.MPIAlltoall); s < 0.3 {
 		t.Errorf("FT Alltoall share = %.3f, want dominant", s)
 	}
-	if _, err := NASFT('Z', Options{}); err == nil {
+	if _, err := nasFT('Z', Options{}); err == nil {
 		t.Error("unknown FT class accepted")
 	}
 }
 
 func TestSMG2000AnisotropicHalos(t *testing.T) {
-	tr, err := SMG2000(Options{Iterations: 2})
+	tr, err := ByName("smg2000", Options{Iterations: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,7 +35,17 @@ echo "==> one-event-per-hop guards (race, GOMAXPROCS 1/2/4)"
 go test -race -cpu 1,2,4 -count=1 -run 'Reserved|LazyFree|SeqConservation|RouteMemo|EventsPerHop' \
     ./internal/sim ./internal/network ./internal/routing .
 
-echo "==> window-mode, CFD-tally, path-enumeration and sampler guards (race, GOMAXPROCS 1/2/4)"
+echo "==> closure-scheduling gate (Engine.Schedule/After outside internal/sim)"
+# Every model component is a typed actor; the closure shim is left to the
+# engine's own package, the fabric's cold ScheduleControl and the frozen
+# benchmark. A new call site is a per-event allocation coming back.
+if grep -rnE '\.(Schedule|After)\(' --include='*.go' . | grep -v '_test\.go:' |
+    grep -vE '^\./(internal/sim/|internal/network/shard\.go:|benchmark/)'; then
+    echo "verify: closure scheduling outside internal/sim (use ScheduleEvent/AfterEvent on an actor)" >&2
+    exit 1
+fi
+
+echo "==> window-mode, CFD-tally, path-enumeration, sampler and typed-source guards (race, GOMAXPROCS 1/2/4)"
 # The mode rule and its equivalence cells (inline, released and alternating
 # windows give one result), the sharded determinism matrix, the incremental
 # contending-flows tally against the recount, the grid, dragonfly and tree
@@ -43,9 +53,12 @@ echo "==> window-mode, CFD-tally, path-enumeration and sampler guards (race, GOM
 # allocation bounds, and two goroutines enumerating on one topology value),
 # and the quiescent-point sampler: its barrier hook runs on the coordinator
 # while workers may be parked, reads every shard, and must neither race nor
-# change what the run executes.
-go test -race -cpu 1,2,4 -count=1 -run 'ShardGroup|WindowMode|ShardedDeterminism|ContendingFlows|AlternativePaths|ShardedStatus|SampleEvery' \
-    ./internal/sim ./internal/network ./internal/topology ./internal/runner .
+# change what the run executes. Then the typed actors against the closures
+# they replaced (trace and GOAL replay, the pattern source serial and on two
+# shards), the two-pass trace builder against plain appending, and the
+# generation and replay allocation pins.
+go test -race -cpu 1,2,4 -count=1 -run 'ShardGroup|WindowMode|ShardedDeterminism|ContendingFlows|AlternativePaths|ShardedStatus|SampleEvery|ReplayMatchesClosures|PatternSourceMatchesClosures|BuildMatchesAppend|GenerateAllocs|ReplayAllocs' \
+    ./internal/sim ./internal/network ./internal/topology ./internal/runner ./internal/trace ./internal/traffic ./internal/workloads .
 
 echo "==> simulated-statistics digests (benchmark smoke vs results/bench.smoke.digests.txt)"
 # The benchmark's sim_digest hashes every Results field of every cell and
@@ -69,6 +82,19 @@ alloc=$(go run ./benchmark -workload df4096-heavytail-serial -seconds 3 2>/dev/n
     sed -n 's/^e2e df4096-heavytail-serial alloc_bytes_per_pkt \([0-9.]*\) .*/\1/p')
 [ -n "$alloc" ] && awk -v a="$alloc" 'BEGIN { exit !(a <= 700) }' || {
     echo "verify: df4096-heavytail-serial allocates ${alloc:-?} B per packet, want <= 700" >&2
+    exit 1
+}
+echo "    alloc_bytes_per_pkt = $alloc"
+
+echo "==> allocation gate (ft64-apps-replay alloc_bytes_per_pkt <= 220 B)"
+# Application replay allocated 397 B per delivered packet while traces grew
+# by append, collectives were lowered once per call and every replayed
+# operation scheduled a closure; a trace is one exact array now and the
+# cell reads ~97 B, repeating to 0.01 % across seeds.
+alloc=$(go run ./benchmark -workload ft64-apps-replay -seconds 3 2>/dev/null |
+    sed -n 's/^e2e ft64-apps-replay alloc_bytes_per_pkt \([0-9.]*\) .*/\1/p')
+[ -n "$alloc" ] && awk -v a="$alloc" 'BEGIN { exit !(a <= 220) }' || {
+    echo "verify: ft64-apps-replay allocates ${alloc:-?} B per packet, want <= 220" >&2
     exit 1
 }
 echo "    alloc_bytes_per_pkt = $alloc"
