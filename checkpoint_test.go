@@ -1,18 +1,23 @@
 package prdrb
 
 import (
+	"encoding/binary"
 	"fmt"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"prdrb/internal/ckpt"
 	"prdrb/internal/faults"
+	"prdrb/internal/network"
+	"prdrb/internal/sim"
 )
 
 // Checkpoint/resume equivalence tests. Each scenario runs three ways:
 // uninterrupted, checkpointed-at-t/2 (same process, capture is passive),
 // and resumed-from-file (fresh simulation replayed to the checkpoint and
-// byte-verified against it, then continued). The resumed run must match
+// verified against its seal, then continued). The resumed run must match
 // the uninterrupted run exactly — summary string, per-destination
 // delivered counts, drop/recovery counters.
 
@@ -64,7 +69,7 @@ func runCkptScenario(t *testing.T, sc ckptScenario) {
 		t.Fatalf("capture perturbed the run:\nref: %s\ngot: %s", refRes.String(), got)
 	}
 
-	// Resumed run: fresh simulation, replay-verify to the checkpoint,
+	// Resumed run: fresh simulation, replay to the checkpoint, verify the seal,
 	// continue to the horizon.
 	resumed := sc.build(t)
 	meta, err := resumed.Resume(path)
@@ -254,5 +259,124 @@ func TestResumeRefusesMismatch(t *testing.T) {
 	checkpoint(Mesh(8, 8))
 	if _, err := build(Torus(8, 8), 42, 1).Resume(path); err == nil || !strings.Contains(err.Error(), "config digest") {
 		t.Fatalf("torus-8x8 resume of a mesh-8x8 checkpoint: err = %v, want the config-digest refusal", err)
+	}
+}
+
+// noopActor is an event target that does nothing.
+type noopActor struct{}
+
+func (noopActor) HandleEvent(*sim.Engine, uint8, uint64) {}
+
+// TestResumeDetectsDivergence perturbs the resumed simulation behind the
+// configuration digest's back and requires the seal to refuse the resume,
+// naming the component the perturbation reached first.
+func TestResumeDetectsDivergence(t *testing.T) {
+	cases := []struct {
+		name    string
+		exp     Experiment
+		perturb func(s *Sim)
+		want    []string // acceptable component names
+	}{
+		{
+			name: "extra-event",
+			exp:  Experiment{Topology: FatTree(4, 3), Policy: PolicyPRDRB, Seed: 42, Shards: 2},
+			perturb: func(s *Sim) {
+				s.Net.Shards[1].Eng.ScheduleEvent(10*Microsecond, noopActor{}, 0, 0)
+			},
+			want: []string{"engine"},
+		},
+		{
+			name: "extra-send",
+			exp:  Experiment{Topology: FatTree(4, 3), Policy: PolicyPRDRB, Seed: 42},
+			perturb: func(s *Sim) {
+				s.Net.NICs[0].Send(s.Eng, 5, 512, network.MPISend, 0)
+			},
+			want: []string{"network", "results"},
+		},
+		{
+			name: "failed-link",
+			exp:  Experiment{Topology: Mesh(4, 4), Policy: PolicyPRDRB, Seed: 23},
+			perturb: func(s *Sim) {
+				if err := s.Net.FailLink(nil, 5, 1); err != nil {
+					t.Fatal(err)
+				}
+			},
+			want: []string{"network"},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			build := func() *Sim {
+				s := MustNewSim(tc.exp)
+				if err := s.InstallPattern(PatternSpec{
+					Pattern: "uniform", RateMbps: 300, Start: 0, End: 200 * Microsecond,
+				}); err != nil {
+					t.Fatal(err)
+				}
+				return s
+			}
+			path := filepath.Join(t.TempDir(), "run.ckpt")
+			w := build()
+			w.Execute(w.AlignCheckpoint(100 * Microsecond))
+			if _, err := w.WriteCheckpoint(path); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := build().Resume(path); err != nil {
+				t.Fatalf("unperturbed resume: %v", err)
+			}
+			r := build()
+			tc.perturb(r)
+			_, err := r.Resume(path)
+			if err == nil {
+				t.Fatal("resume accepted a perturbed replay")
+			}
+			t.Logf("refused: %v", err)
+			for _, name := range tc.want {
+				if strings.Contains(err.Error(), fmt.Sprintf("component %q", name)) {
+					return
+				}
+			}
+			t.Fatalf("err = %v, want it to name one of %v", err, tc.want)
+		})
+	}
+}
+
+// TestCheckpointSealFormat pins the container around the seal: a capture
+// stays under a kilobyte on a fat tree and on a sharded dragonfly, and a
+// file of the previous format version is refused with the version error.
+func TestCheckpointSealFormat(t *testing.T) {
+	for _, tc := range []struct {
+		topo   string
+		shards int
+	}{{"ft-4-3", 1}, {"df-4-8-2-2", 2}} {
+		topo, err := TopologyByName(tc.topo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := MustNewSim(Experiment{Topology: topo, Policy: PolicyPRDRB, Seed: 3, Shards: tc.shards})
+		if err := s.InstallPattern(PatternSpec{Pattern: "uniform", RateMbps: 300, End: 100 * Microsecond}); err != nil {
+			t.Fatal(err)
+		}
+		s.Execute(s.AlignCheckpoint(50 * Microsecond))
+		f, err := s.CaptureCheckpoint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		data := ckpt.Encode(f)
+		if len(data) > 1024 {
+			t.Errorf("%s at %d shards: checkpoint is %d bytes, want <= 1024", tc.topo, tc.shards, len(data))
+		}
+		if err := s.VerifyCheckpoint(data); err != nil {
+			t.Errorf("%s at %d shards: verify against its own state: %v", tc.topo, tc.shards, err)
+		}
+
+		binary.LittleEndian.PutUint32(data[8:12], 2)
+		path := filepath.Join(t.TempDir(), "v2.ckpt")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Resume(path); err == nil || !strings.Contains(err.Error(), "unsupported format version 2") {
+			t.Errorf("%s: version-2 file: err = %v, want the version refusal", tc.topo, err)
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -22,8 +23,9 @@ import (
 // content hash: each cell's result JSON is committed atomically when the
 // cell finishes, so re-running a killed or interrupted campaign skips
 // every completed cell and re-runs only the rest. Resume is cell-granular
-// on purpose: checkpoint restore is replay-verify (it costs a fresh run),
-// so a mid-cell checkpoint could never save work.
+// on purpose: a checkpoint is a determinism seal, not a state image, and
+// resuming from one replays the cell from t = 0, so a mid-cell checkpoint
+// could never save work.
 
 // campaignManifest is the parameter grid, decoded from JSON. Every list
 // axis cross-products with the others; scalar fields apply to all cells.
@@ -102,10 +104,43 @@ func (m *campaignManifest) expand() []campaignCell {
 	return cells
 }
 
+// maxCampaignCells bounds a grid, whose cells are expanded up front.
+const maxCampaignCells = 1 << 16
+
+// validate checks the manifest and returns its injection window. Every
+// axis value becomes a field of its cells' result file names, so values
+// are unique per axis, free of path separators, and free of '_', which
+// would make the "__" between fields ambiguous.
 func (m *campaignManifest) validate() (prdrb.Time, error) {
 	if len(m.Topologies) == 0 || len(m.Policies) == 0 || len(m.Patterns) == 0 ||
 		len(m.RatesMbps) == 0 || len(m.Seeds) == 0 {
 		return 0, fmt.Errorf("campaign manifest needs non-empty topologies, policies, patterns, rates_mbps and seeds")
+	}
+	var rates, seeds []string
+	for _, r := range m.RatesMbps {
+		rates = append(rates, fmt.Sprintf("%g", r))
+	}
+	for _, s := range m.Seeds {
+		seeds = append(seeds, fmt.Sprint(s))
+	}
+	cells := 1
+	for _, axis := range []struct {
+		name   string
+		values []string
+	}{{"topologies", m.Topologies}, {"policies", m.Policies}, {"patterns", m.Patterns}, {"rates_mbps", rates}, {"seeds", seeds}} {
+		seen := make(map[string]bool, len(axis.values))
+		for _, v := range axis.values {
+			if seen[v] {
+				return 0, fmt.Errorf("campaign manifest lists %s value %q twice", axis.name, v)
+			}
+			if strings.ContainsAny(v, `/\_`) {
+				return 0, fmt.Errorf("campaign manifest %s value %q contains '/', '\\' or '_'", axis.name, v)
+			}
+			seen[v] = true
+		}
+		if cells *= len(axis.values); cells > maxCampaignCells {
+			return 0, fmt.Errorf("campaign manifest expands to more than %d cells", maxCampaignCells)
+		}
 	}
 	d, err := time.ParseDuration(m.Duration)
 	if err != nil || d <= 0 {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -68,6 +69,10 @@ func TestCampaignRejectsBadManifests(t *testing.T) {
 		"malformed":    `{"topologies": ["mesh-4x4"`,
 		"empty axis":   `{"topologies":["mesh-4x4"],"policies":[],"patterns":["uniform"],"rates_mbps":[200],"seeds":[1],"duration":"50us"}`,
 		"bad duration": `{"topologies":["mesh-4x4"],"policies":["drb"],"patterns":["uniform"],"rates_mbps":[200],"seeds":[1],"duration":"soon"}`,
+		// Two cells of one name: a restart would count one file twice and
+		// two workers would race on its path.
+		"duplicate seed": `{"topologies":["mesh-4x4"],"policies":["drb"],"patterns":["uniform"],"rates_mbps":[200],"seeds":[1,1],"duration":"50us"}`,
+		"path in value":  `{"topologies":["../mesh-4x4"],"policies":["drb"],"patterns":["uniform"],"rates_mbps":[200],"seeds":[1],"duration":"50us"}`,
 	} {
 		root := t.TempDir()
 		if failed, _ := campaignRun(t, root, manifest); failed == 0 {
@@ -139,4 +144,38 @@ func TestCampaignResumeSkipsCommittedCells(t *testing.T) {
 	if len(cellFiles(t, root)) != 4 {
 		t.Fatalf("third run left %d cell files, want 4", len(cellFiles(t, root)))
 	}
+}
+
+// FuzzCampaignManifest: no manifest panics decoding, validation or
+// expansion, and every accepted manifest expands to cells with unique
+// names that stay inside the campaign directory.
+func FuzzCampaignManifest(f *testing.F) {
+	for _, m := range []string{
+		`{"topologies":["ft-4-3"],"policies":["pr-drb"],"patterns":["shuffle","uniform"],"rates_mbps":[600],"seeds":[1,2,3],"duration":"400us"}`,
+		`{"topologies":["mesh-4x4"],"policies":["drb"],"patterns":["uniform"],"rates_mbps":[200],"seeds":[1,1],"duration":"50us"}`,
+		`{"topologies":["a__b","a"],"policies":["c","b__c"],"patterns":["p"],"rates_mbps":[1,1.0],"seeds":[0],"duration":"1ns"}`,
+		`{"topologies":["../x"],"policies":["/"],"patterns":[""],"rates_mbps":[-0,0],"seeds":[18446744073709551615],"duration":"1h","shards":-3}`,
+	} {
+		f.Add([]byte(m))
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		var m campaignManifest
+		if json.Unmarshal(raw, &m) != nil {
+			return
+		}
+		if _, err := m.validate(); err != nil {
+			return
+		}
+		cells := m.expand()
+		seen := make(map[string]bool, len(cells))
+		for _, c := range cells {
+			if seen[c.Name] {
+				t.Fatalf("two cells named %q", c.Name)
+			}
+			seen[c.Name] = true
+			if strings.ContainsAny(c.Name, `/\`) || filepath.Base(c.Name) != c.Name {
+				t.Fatalf("cell name %q leaves the campaign directory", c.Name)
+			}
+		}
+	})
 }

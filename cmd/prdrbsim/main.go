@@ -53,9 +53,8 @@ func main() {
 
 		faultSpec = flag.String("faults", "", "fault plan, e.g. 'link@500us:3.1+2ms, rand2@1ms+500us~2ms' (link@T:R.P[+repair], router@T:R[+repair], degrade@T:R.P*F[+dur], flap@T:R.P*N/period, randN@T[+spread][~mttr])")
 
-		ckptPath   = flag.String("checkpoint", "", "write checkpoints of the running simulation to this file (atomic; rewritten at each interval)")
-		ckptEvery  = flag.Duration("checkpoint-every", 0, "simulated-time interval between checkpoints (0 = one checkpoint at mid-run)")
-		ckptExit   = flag.Bool("checkpoint-exit", false, "exit after writing the first checkpoint (for resume testing)")
+		ckptPath   = flag.String("checkpoint", "", "write a checkpoint (a determinism seal of the state) at mid-run to this file (atomic)")
+		ckptExit   = flag.Bool("checkpoint-exit", false, "exit after writing the checkpoint (for resume testing)")
 		resumePath = flag.String("resume", "", "resume from a checkpoint file; the invocation must repeat the writing run's configuration exactly")
 
 		traceIn   = flag.String("replay", "", "replay a serialized workload trace file instead of -workload/-pattern")
@@ -271,8 +270,7 @@ func main() {
 				htOn:      prdrb.Time((*htOn).Nanoseconds()),
 				htOff:     prdrb.Time((*htOff).Nanoseconds()),
 				htMaxFlow: *htMaxFlow,
-				ckptPath:  *ckptPath, ckptEvery: prdrb.Time((*ckptEvery).Nanoseconds()),
-				ckptExit: *ckptExit, resumePath: *resumePath,
+				ckptPath:  *ckptPath, ckptExit: *ckptExit, resumePath: *resumePath,
 				congestion: *congestion, congWindow: prdrb.Time((*congWindow).Nanoseconds()),
 			})
 			if err != nil {
@@ -374,7 +372,6 @@ type runSpec struct {
 	htOn, htOff        prdrb.Time
 	htMaxFlow          int
 	ckptPath           string
-	ckptEvery          prdrb.Time
 	ckptExit           bool
 	resumePath         string
 	congestion         bool
@@ -413,8 +410,8 @@ func writeFlightDumps(s *prdrb.Sim, path string) error {
 }
 
 // runToHorizon executes the simulation to horizon, first resuming from a
-// checkpoint and/or writing periodic checkpoints when requested. With
-// -checkpoint and no interval, one checkpoint lands at mid-run.
+// checkpoint and/or writing one at mid-run when requested. Every resume
+// replays from t = 0, so a second, later checkpoint would save no work.
 func runToHorizon(s *prdrb.Sim, horizon prdrb.Time, spec runSpec) (prdrb.Results, error) {
 	start := prdrb.Time(0)
 	if spec.resumePath != "" {
@@ -425,26 +422,17 @@ func runToHorizon(s *prdrb.Sim, horizon prdrb.Time, spec runSpec) (prdrb.Results
 		start = m.At
 		fmt.Fprintf(os.Stderr, "prdrbsim: resumed %s at t=%dns (replay verified)\n", spec.resumePath, start)
 	}
-	if spec.ckptPath != "" {
-		every := spec.ckptEvery
-		if every <= 0 {
-			every = horizon / 2
+	if spec.ckptPath != "" && start < horizon {
+		t := min(s.AlignCheckpoint(start+horizon/2), horizon)
+		s.Execute(t)
+		n, err := s.WriteCheckpoint(spec.ckptPath)
+		if err != nil {
+			return prdrb.Results{}, err
 		}
-		for t := start; t < horizon; {
-			t = s.AlignCheckpoint(t + every)
-			if t > horizon {
-				t = horizon
-			}
-			s.Execute(t)
-			n, err := s.WriteCheckpoint(spec.ckptPath)
-			if err != nil {
-				return prdrb.Results{}, err
-			}
-			fmt.Fprintf(os.Stderr, "prdrbsim: checkpoint t=%dns -> %s (%d bytes)\n", t, spec.ckptPath, n)
-			if spec.ckptExit {
-				fmt.Fprintln(os.Stderr, "prdrbsim: exiting after checkpoint (-checkpoint-exit)")
-				os.Exit(0)
-			}
+		fmt.Fprintf(os.Stderr, "prdrbsim: checkpoint t=%dns -> %s (%d bytes)\n", t, spec.ckptPath, n)
+		if spec.ckptExit {
+			fmt.Fprintln(os.Stderr, "prdrbsim: exiting after checkpoint (-checkpoint-exit)")
+			os.Exit(0)
 		}
 	}
 	return s.Execute(horizon), nil

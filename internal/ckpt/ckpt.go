@@ -1,5 +1,6 @@
-// Package ckpt defines the versioned binary checkpoint container used to
-// persist full simulator state. A checkpoint file is:
+// Package ckpt defines the versioned binary checkpoint container: a
+// run's identity and its determinism seal (see internal/runner). A
+// checkpoint file is:
 //
 //	magic   [8]byte  "PRDRBCP1"
 //	version uint32   little-endian format version
@@ -9,23 +10,14 @@
 //	  length  uint32 payload byte count
 //	  payload [length]byte
 //
-// All integers are fixed-width little-endian. Floats travel as their IEEE
-// 754 bit patterns, so identical computations produce identical bytes.
-// Every section payload is produced by a deterministic encoder (map walks
-// sorted, no pointers, no wall-clock), which is what makes a checkpoint
-// comparable with bytes.Equal: two captures of the same simulation state
-// are the same file.
-//
-// The package has no dependencies beyond the standard library so every
-// simulator layer (sim, network, core, metrics, ...) can import it to
-// append its own section without cycles.
+// All integers are fixed-width little-endian, so two captures of the same
+// simulation state are the same file.
 package ckpt
 
 import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
-	"math"
 	"os"
 	"path/filepath"
 )
@@ -34,24 +26,16 @@ import (
 const Magic = "PRDRBCP1"
 
 // Version is the current format version. Readers reject other versions:
-// the format carries simulator-internal state whose meaning is pinned to
-// the code that wrote it (see DESIGN.md for the compatibility policy).
-// Version 2: the engine section carries curSeq and the network section the
-// ports' lazy link-free state (lazyFree, freeSeq), with the VC credit set
-// as one byte.
-const Version uint32 = 2
+// a seal's meaning is pinned to the code that computed it (see DESIGN.md
+// for the compatibility policy). Version 3: the nine state sections of
+// versions 1-2 became one seal section of named component hashes.
+const Version uint32 = 3
 
-// Section identifiers. New sections append; ids are never reused.
+// Section identifiers. New sections append; ids are never reused (2-9
+// held the full-state sections of versions 1-2).
 const (
-	SecMeta    uint16 = 1 // run identity: config digest, time, quantum
-	SecEngine  uint16 = 2 // event queues, clocks, sequence counters
-	SecNetwork uint16 = 3 // ports, NICs, packets in flight, counters
-	SecMetrics uint16 = 4 // collector state (latency, contention, series)
-	SecCore    uint16 = 5 // PR-DRB controllers: metapaths, SolDB, timers
-	SecFaults  uint16 = 6 // fault plan progress
-	SecTraffic uint16 = 7 // traffic source RNG streams
-	SecRouting uint16 = 8 // routing-policy mutable state
-	SecRunner  uint16 = 9 // harness-level counters
+	SecMeta uint16 = 1  // run identity: config digest, time, quantum, shards
+	SecSeal uint16 = 10 // named 64-bit hashes of the state at the capture
 )
 
 // SectionName names a section id for diagnostics.
@@ -59,29 +43,15 @@ func SectionName(id uint16) string {
 	switch id {
 	case SecMeta:
 		return "meta"
-	case SecEngine:
-		return "engine"
-	case SecNetwork:
-		return "network"
-	case SecMetrics:
-		return "metrics"
-	case SecCore:
-		return "core"
-	case SecFaults:
-		return "faults"
-	case SecTraffic:
-		return "traffic"
-	case SecRouting:
-		return "routing"
-	case SecRunner:
-		return "runner"
+	case SecSeal:
+		return "seal"
 	}
 	return fmt.Sprintf("sec#%d", id)
 }
 
 // maxSectionLen bounds a single section payload (1 GiB). Real checkpoints
-// are megabytes; the bound keeps a corrupted length field from driving a
-// giant allocation in the reader.
+// are under a kilobyte; the bound keeps a corrupted length field from
+// driving a giant allocation in the reader.
 const maxSectionLen = 1 << 30
 
 // headerLen is magic + version + section count.
@@ -89,21 +59,6 @@ const headerLen = 8 + 4 + 4
 
 // Enc is an append-only little-endian encoder for section payloads.
 type Enc struct{ b []byte }
-
-// U8 appends one byte.
-func (e *Enc) U8(v uint8) { e.b = append(e.b, v) }
-
-// Bool appends a bool as one byte.
-func (e *Enc) Bool(v bool) {
-	if v {
-		e.U8(1)
-	} else {
-		e.U8(0)
-	}
-}
-
-// U16 appends a little-endian uint16.
-func (e *Enc) U16(v uint16) { e.b = binary.LittleEndian.AppendUint16(e.b, v) }
 
 // U32 appends a little-endian uint32.
 func (e *Enc) U32(v uint32) { e.b = binary.LittleEndian.AppendUint32(e.b, v) }
@@ -117,9 +72,6 @@ func (e *Enc) I64(v int64) { e.U64(uint64(v)) }
 // Int appends an int as int64.
 func (e *Enc) Int(v int) { e.I64(int64(v)) }
 
-// F64 appends a float64 as its IEEE 754 bit pattern.
-func (e *Enc) F64(v float64) { e.U64(math.Float64bits(v)) }
-
 // Str appends a uint32 length prefix followed by the raw bytes.
 func (e *Enc) Str(s string) {
 	e.U32(uint32(len(s)))
@@ -128,9 +80,6 @@ func (e *Enc) Str(s string) {
 
 // Bytes returns the encoded payload.
 func (e *Enc) Bytes() []byte { return e.b }
-
-// Len returns the current payload length.
-func (e *Enc) Len() int { return len(e.b) }
 
 // Dec is a bounds-checked little-endian reader over a section payload.
 // Errors are sticky: after the first short read every accessor returns
@@ -157,27 +106,6 @@ func (d *Dec) take(n int) []byte {
 	return p
 }
 
-// U8 reads one byte.
-func (d *Dec) U8() uint8 {
-	p := d.take(1)
-	if p == nil {
-		return 0
-	}
-	return p[0]
-}
-
-// Bool reads one byte as a bool.
-func (d *Dec) Bool() bool { return d.U8() != 0 }
-
-// U16 reads a little-endian uint16.
-func (d *Dec) U16() uint16 {
-	p := d.take(2)
-	if p == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint16(p)
-}
-
 // U32 reads a little-endian uint32.
 func (d *Dec) U32() uint32 {
 	p := d.take(4)
@@ -199,9 +127,6 @@ func (d *Dec) U64() uint64 {
 // I64 reads a little-endian int64.
 func (d *Dec) I64() int64 { return int64(d.U64()) }
 
-// F64 reads a float64 bit pattern.
-func (d *Dec) F64() float64 { return math.Float64frombits(d.U64()) }
-
 // Str reads a length-prefixed string. The length is bounds-checked
 // against the remaining payload, so a corrupted prefix cannot drive a
 // huge allocation.
@@ -216,14 +141,6 @@ func (d *Dec) Str() string {
 
 // Err returns the first decode error, or nil.
 func (d *Dec) Err() error { return d.err }
-
-// Remaining returns the number of unread payload bytes.
-func (d *Dec) Remaining() int {
-	if d.err != nil {
-		return 0
-	}
-	return len(d.b) - d.off
-}
 
 // Section is one length-prefixed section of a checkpoint file.
 type Section struct {

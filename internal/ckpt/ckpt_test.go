@@ -9,17 +9,17 @@ import (
 )
 
 func TestRoundTrip(t *testing.T) {
-	var meta, eng Enc
+	var meta, seal Enc
 	meta.U64(0xdeadbeef)
 	meta.I64(-42)
 	meta.Str("pr-drb")
-	eng.F64(3.5)
-	eng.Bool(true)
-	eng.U16(7)
+	seal.Int(1)
+	seal.Str("engine")
+	seal.U64(7)
 
 	f := &File{Version: Version, Sections: []Section{
 		{ID: SecMeta, Payload: meta.Bytes()},
-		{ID: SecEngine, Payload: eng.Bytes()},
+		{ID: SecSeal, Payload: seal.Bytes()},
 	}}
 	data := Encode(f)
 
@@ -38,15 +38,15 @@ func TestRoundTrip(t *testing.T) {
 	if d.U64() != 0xdeadbeef || d.I64() != -42 || d.Str() != "pr-drb" {
 		t.Fatalf("meta decode mismatch")
 	}
-	if d.Err() != nil || d.Remaining() != 0 {
-		t.Fatalf("meta decode left err=%v remaining=%d", d.Err(), d.Remaining())
+	if d.Err() != nil || d.U32() != 0 || d.Err() == nil {
+		t.Fatalf("meta decode left bytes over or err=%v", d.Err())
 	}
-	p, _ = got.Section(SecEngine)
+	p, _ = got.Section(SecSeal)
 	d = NewDec(p)
-	if d.F64() != 3.5 || !d.Bool() || d.U16() != 7 {
-		t.Fatalf("engine decode mismatch")
+	if d.I64() != 1 || d.Str() != "engine" || d.U64() != 7 {
+		t.Fatalf("seal decode mismatch")
 	}
-	if _, ok := got.Section(SecCore); ok {
+	if _, ok := got.Section(2); ok {
 		t.Fatalf("found a section that was never written")
 	}
 }
@@ -132,7 +132,7 @@ func TestWriteFileAtomic(t *testing.T) {
 		t.Fatalf("readback mismatch: %v", err)
 	}
 	// Overwrite with new content: readers must never see a torn file.
-	data2 := Encode(&File{Version: Version, Sections: []Section{{ID: SecEngine, Payload: []byte("yz")}}})
+	data2 := Encode(&File{Version: Version, Sections: []Section{{ID: SecSeal, Payload: []byte("yz")}}})
 	if err := WriteFileAtomic(path, data2); err != nil {
 		t.Fatalf("WriteFileAtomic overwrite: %v", err)
 	}

@@ -15,6 +15,7 @@ package faults
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"prdrb/internal/sim"
@@ -78,25 +79,26 @@ type Plan struct {
 	Events []Event
 }
 
-// Add appends an event, keeping the plan sorted by time (stable for equal
-// timestamps, so authoring order breaks ties deterministically).
+// Add inserts an event after every event not later than it, keeping the
+// plan sorted by time (authoring order breaks ties deterministically).
 func (p *Plan) Add(ev Event) {
-	p.Events = append(p.Events, ev)
-	sort.SliceStable(p.Events, func(i, j int) bool { return p.Events[i].At < p.Events[j].At })
+	i := sort.Search(len(p.Events), func(i int) bool { return p.Events[i].At > ev.At })
+	p.Events = slices.Insert(p.Events, i, ev)
 }
 
-// Merge appends every event of other into p, keeping time order.
+// Merge appends every event of other into p, keeping time order: the same
+// order as adding them one by one, in one sort.
 func (p *Plan) Merge(other Plan) {
-	for _, ev := range other.Events {
-		p.Add(ev)
-	}
+	p.Events = append(p.Events, other.Events...)
+	sort.SliceStable(p.Events, func(i, j int) bool { return p.Events[i].At < p.Events[j].At })
 }
 
 // Empty reports whether the plan schedules nothing.
 func (p *Plan) Empty() bool { return len(p.Events) == 0 }
 
 // Validate checks every event against the topology: known router, known
-// wired port for link events, sane degrade factor, non-negative time.
+// wired port for link events, a degrade factor in (0, 1] (so not NaN),
+// non-negative time.
 func (p *Plan) Validate(topo topology.Topology) error {
 	for i, ev := range p.Events {
 		if ev.At < 0 {
@@ -113,7 +115,7 @@ func (p *Plan) Validate(topo topology.Topology) error {
 			if topo.PortPeer(ev.Router, ev.Port).Unwired() {
 				return fmt.Errorf("faults: event %d (%v) addresses unwired port", i, ev)
 			}
-			if ev.Kind == LinkDegrade && (ev.Factor <= 0 || ev.Factor > 1) {
+			if ev.Kind == LinkDegrade && !(ev.Factor > 0 && ev.Factor <= 1) {
 				return fmt.Errorf("faults: event %d (%v) factor outside (0,1]", i, ev)
 			}
 		case RouterDown, RouterUp:

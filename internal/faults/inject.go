@@ -7,8 +7,7 @@ import (
 // Injector owns a plan's execution against one network: it schedules every
 // event on the network's engine and counts what it applied.
 type Injector struct {
-	net  *network.Network
-	plan Plan
+	net *network.Network
 
 	// Applied counts, per kind, the events already executed.
 	Applied map[Kind]int
@@ -25,7 +24,7 @@ func Install(net *network.Network, plan Plan) (*Injector, error) {
 	if err := plan.Validate(net.Topo); err != nil {
 		return nil, err
 	}
-	inj := &Injector{net: net, plan: plan, Applied: make(map[Kind]int)}
+	inj := &Injector{net: net, Applied: make(map[Kind]int)}
 	for _, ev := range plan.Events {
 		ev := ev
 		net.ScheduleControl(ev.At, func() { inj.apply(ev) })

@@ -2,6 +2,7 @@ package faults
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -23,7 +24,9 @@ import (
 //	                       seeded-uniform in [T, T+S], each repaired D later
 //
 // Times use Go duration syntax (500us, 2ms). The seed parameter feeds the
-// randN generator so the whole spec is reproducible.
+// randN generator so the whole spec is reproducible. A flap clause holds at
+// most maxFlapCycles cycles, and no clause may reach past the largest
+// representable time.
 func ParsePlan(spec string, topo topology.Topology, seed uint64) (Plan, error) {
 	var plan Plan
 	for _, clause := range strings.Split(spec, ",") {
@@ -42,6 +45,10 @@ func ParsePlan(spec string, topo topology.Topology, seed uint64) (Plan, error) {
 	}
 	return plan, nil
 }
+
+// maxFlapCycles bounds a flap clause (two events per cycle) by the size
+// bound the topology registry puts on a spec.
+const maxFlapCycles = 1 << 20
 
 func parseClause(clause string, topo topology.Topology, seed uint64) (Plan, error) {
 	head, rest, ok := strings.Cut(clause, "@")
@@ -194,12 +201,15 @@ func parseFlap(rest string) (Plan, error) {
 		return Plan{}, fmt.Errorf("flap needs '*cycles/period'")
 	}
 	cycles, err := strconv.Atoi(cs)
-	if err != nil || cycles <= 0 {
-		return Plan{}, fmt.Errorf("bad cycle count %q", cs)
+	if err != nil || cycles <= 0 || cycles > maxFlapCycles {
+		return Plan{}, fmt.Errorf("bad cycle count %q (want 1..%d)", cs, maxFlapCycles)
 	}
 	period, err := parseDur(ps)
 	if err != nil {
 		return Plan{}, err
+	}
+	if period > 0 && sim.Time(cycles) > (math.MaxInt64-at)/period {
+		return Plan{}, fmt.Errorf("%d cycles of %v overflow the time range", cycles, period)
 	}
 	return FlappingLink(r, p, at, period, cycles), nil
 }
@@ -230,6 +240,10 @@ func parseRand(ns, rest string, topo topology.Topology, seed uint64) (Plan, erro
 	start, err := parseDur(rest)
 	if err != nil {
 		return Plan{}, err
+	}
+	// The draw is uniform over spread+1 instants from start.
+	if spread > math.MaxInt64-1-start {
+		return Plan{}, fmt.Errorf("spread %v from %v overflows the time range", spread, start)
 	}
 	return RandomLinkFaults(topo, seed, n, start, spread, mttr), nil
 }

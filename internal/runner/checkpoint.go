@@ -1,39 +1,30 @@
 package runner
 
 import (
-	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash"
+	"hash/fnv"
 	"os"
 
 	"prdrb/internal/ckpt"
-	"prdrb/internal/core"
-	"prdrb/internal/routing"
 	"prdrb/internal/sim"
 )
 
-// Checkpoint/restore for assembled simulations.
+// Checkpoint/resume as a determinism seal.
 //
-// Capture is a full serialization of the simulation's behavioral state at
-// a quiescent point: event queues and clocks (engine section), ports,
-// NICs and packets in flight (network section), metric accumulators,
-// controller state, fault progress, traffic RNG streams and routing
-// policy state — each as one deterministic byte section of the ckpt
-// container, preceded by a meta section naming the configuration digest
-// and the capture time.
+// A run is a pure function of its configuration and seed, so a resume never
+// loads state. It rebuilds the simulation from the identical configuration,
+// replays to the checkpoint time, and proves it arrived where the writer
+// stood by recomputing the seal — a few named 64-bit FNV hashes over
+// read-only accessors — and comparing it with the file's. A mismatch
+// (different binary, different flags, a determinism bug) fails the resume
+// and names the first component that differs; a match means the resumed
+// process continues exactly as an uninterrupted run does.
 //
-// Restore uses the replay-verify strategy: because the engine is
-// deterministic (a run is a pure function of configuration and seed), a
-// resumed process rebuilds the simulation from the identical
-// configuration, re-executes to the checkpoint time, and then proves it
-// reached the very state the file describes by re-capturing and comparing
-// section bytes. A mismatch — different binary, different flags, a
-// non-deterministic host effect — fails the resume instead of silently
-// diverging. Byte-identical continuation is then automatic: the resumed
-// process holds the same state an uninterrupted run holds at that time.
-//
-// Checkpoint times are quantized to CheckpointQuantum: sharded groups may
-// only stop on their absolute window grid (see ShardGroup.Run), serial
-// engines anywhere.
+// Captures happen at quiescent points only: the Execute horizon when
+// serial, a window barrier with drained rings when sharded. Checkpoint
+// times are therefore quantized to CheckpointQuantum.
 
 // CheckpointMeta is the decoded identity header of a checkpoint file.
 type CheckpointMeta struct {
@@ -84,121 +75,102 @@ func (s *Sim) ConfigDigest() uint64 {
 	return ckpt.DigestStrings(parts...)
 }
 
-// CaptureCheckpoint serializes the simulation's current state. The
-// simulation must be quiescent: between Execute calls (serial), or at a
-// window barrier with drained rings (sharded) — which Execute guarantees
-// on return.
+// checkpointMeta is the identity of a capture taken now. The capture time
+// is the Execute horizon, not Now(): a serial engine parks at its last
+// processed event, and replaying to that event time would exclude the
+// event itself (Run stops before at >= horizon).
+func (s *Sim) checkpointMeta() CheckpointMeta {
+	return CheckpointMeta{Digest: s.ConfigDigest(), At: s.executedTo, Quantum: s.CheckpointQuantum(), Shards: s.Exp.Shards}
+}
+
+// sealPart is one named component hash of the seal.
+type sealPart struct {
+	name string
+	hash uint64
+}
+
+// sealHash feeds fixed-width words to a 64-bit FNV-1a hash.
+type sealHash struct {
+	hash.Hash64
+	buf [8]byte
+}
+
+func newSealHash() *sealHash { return &sealHash{Hash64: fnv.New64a()} }
+
+func (h *sealHash) words(vs ...uint64) {
+	for _, v := range vs {
+		binary.LittleEndian.PutUint64(h.buf[:], v)
+		h.Write(h.buf[:])
+	}
+}
+
+// seal hashes the quiescent state. The model comes before the scheduler:
+// any divergence also moves the engine's counters, so a difference that
+// reached the fabric or the results is named there, and "engine" alone
+// means the event stream diverged without (yet) touching the model.
+func (s *Sim) seal() []sealPart {
+	net := newSealHash()
+	for _, nic := range s.Net.NICs {
+		net.words(uint64(nic.Delivered))
+	}
+	offered, delivered, dropped := s.Net.ThroughputTotals()
+	down, degraded := s.Net.LinkHealthCounts()
+	net.words(uint64(s.Net.InFlightPkts()), uint64(offered), uint64(delivered), uint64(dropped),
+		uint64(down), uint64(degraded))
+	for _, k := range s.Net.EventKinds() {
+		net.words(k.Handoffs, k.RemoteCredits, k.LocalCredits, k.LinkFree)
+	}
+
+	// The benchmark's sim_digest rule: every Results field, which carries
+	// latency, contention, controller statistics and recoveries.
+	res := newSealHash()
+	fmt.Fprintf(res, "%+v", s.Summarize())
+
+	rng := newSealHash()
+	st := s.rng.State()
+	rng.words(st[:]...)
+
+	eng := newSealHash()
+	if g := s.Net.Group(); g != nil {
+		eng.words(uint64(g.Now()))
+	}
+	for _, sh := range s.Net.Shards {
+		e := sh.Eng
+		eng.words(uint64(e.Now()), e.Seq(), e.Processed, uint64(e.Len()))
+		for _, ev := range e.PendingEvents() {
+			eng.words(uint64(ev.At), ev.Seq, uint64(ev.Kind), ev.Arg)
+		}
+	}
+	return []sealPart{
+		{"network", net.Sum64()},
+		{"results", res.Sum64()},
+		{"rng", rng.Sum64()},
+		{"engine", eng.Sum64()},
+	}
+}
+
+// CaptureCheckpoint seals the simulation's current state. The simulation
+// must be quiescent: between Execute calls (serial), or at a window barrier
+// with drained rings (sharded) — which Execute guarantees on return.
 func (s *Sim) CaptureCheckpoint() (*ckpt.File, error) {
 	if g := s.Net.Group(); g != nil && !g.Quiescent() {
 		return nil, fmt.Errorf("prdrb: checkpoint requires a quiescent shard group (rings not drained)")
 	}
-	// The capture time is the Execute horizon, not Now(): a serial engine
-	// parks at its last processed event, and replaying to that event time
-	// would exclude the event itself (Run stops before at >= horizon).
-	at := s.executedTo
-
-	var meta ckpt.Enc
-	meta.U64(s.ConfigDigest())
-	meta.I64(int64(at))
-	meta.I64(int64(s.CheckpointQuantum()))
-	meta.Int(s.Exp.Shards)
-
-	var eng ckpt.Enc
-	if g := s.Net.Group(); g != nil {
-		eng.Bool(true)
-		g.EncodeState(&eng)
-	} else {
-		eng.Bool(false)
-		s.Eng.EncodeState(&eng)
+	m := s.checkpointMeta()
+	var meta, seal ckpt.Enc
+	meta.U64(m.Digest)
+	meta.I64(int64(m.At))
+	meta.I64(int64(m.Quantum))
+	meta.Int(m.Shards)
+	parts := s.seal()
+	seal.Int(len(parts))
+	for _, p := range parts {
+		seal.Str(p.name)
+		seal.U64(p.hash)
 	}
-
-	var net ckpt.Enc
-	s.Net.EncodeState(&net)
-
-	// Metrics encode per shard (the merged view is derived state); the
-	// serial network has exactly one shard.
-	var met ckpt.Enc
-	met.Int(len(s.Net.Shards))
-	for _, sh := range s.Net.Shards {
-		if sh.Collector == nil {
-			met.Bool(false)
-			continue
-		}
-		met.Bool(true)
-		sh.Collector.EncodeState(&met)
-	}
-
-	var ctl ckpt.Enc
-	core.EncodeControllers(&ctl, s.Controllers)
-
-	var flt ckpt.Enc
-	flt.Int(len(s.injectors))
-	for _, inj := range s.injectors {
-		inj.EncodeState(&flt)
-	}
-
-	var trf ckpt.Enc
-	trf.Int(len(s.sources))
-	for _, src := range s.sources {
-		src.EncodeState(&trf)
-	}
-
-	var rte ckpt.Enc
-	routing.EncodePolicyState(&rte, s.Net.Policy)
-
-	var run ckpt.Enc
-	run.Int(len(s.configLog))
-	for _, line := range s.configLog {
-		run.Str(line)
-	}
-	run.U64(s.rng.State()[0])
-	run.U64(s.rng.State()[1])
-	run.U64(s.rng.State()[2])
-	run.U64(s.rng.State()[3])
-	// Congestion sampler state: window history and dump summaries. Replay
-	// regenerates all of it deterministically (the sampler is ordinary
-	// engine/barrier work), so encoding it extends verify coverage to the
-	// observability plane at zero restore complexity.
-	if cs := s.cong; cs == nil {
-		run.Bool(false)
-	} else {
-		run.Bool(true)
-		run.I64(int64(cs.window))
-		run.I64(int64(cs.lastClose))
-		run.I64(cs.prevStall)
-		run.I64(cs.prevDrops)
-		run.F64(cs.prevMaxUtil)
-		run.Int(len(cs.windows))
-		for _, w := range cs.windows {
-			run.I64(w.EndNs)
-			run.Int(len(w.Util))
-			for _, u := range w.Util {
-				run.F64(u)
-			}
-			run.F64(w.MaxLinkUtil)
-			run.Str(w.MaxLink)
-			run.I64(w.Drops)
-			run.I64(w.StallNs)
-		}
-		run.Int(len(cs.dumps))
-		for _, d := range cs.dumps {
-			run.I64(d.AtNs)
-			run.Str(d.Trigger)
-			run.Str(d.Detail)
-			run.Int(len(d.Events))
-		}
-	}
-
 	return &ckpt.File{Version: ckpt.Version, Sections: []ckpt.Section{
 		{ID: ckpt.SecMeta, Payload: meta.Bytes()},
-		{ID: ckpt.SecEngine, Payload: eng.Bytes()},
-		{ID: ckpt.SecNetwork, Payload: net.Bytes()},
-		{ID: ckpt.SecMetrics, Payload: met.Bytes()},
-		{ID: ckpt.SecCore, Payload: ctl.Bytes()},
-		{ID: ckpt.SecFaults, Payload: flt.Bytes()},
-		{ID: ckpt.SecTraffic, Payload: trf.Bytes()},
-		{ID: ckpt.SecRouting, Payload: rte.Bytes()},
-		{ID: ckpt.SecRunner, Payload: run.Bytes()},
+		{ID: ckpt.SecSeal, Payload: seal.Bytes()},
 	}}, nil
 }
 
@@ -216,75 +188,71 @@ func (s *Sim) WriteCheckpoint(path string) (int, error) {
 	return len(data), nil
 }
 
-// ReadCheckpointMeta parses a checkpoint file's identity header.
-func ReadCheckpointMeta(data []byte) (CheckpointMeta, error) {
+// readCheckpoint parses a checkpoint file into its identity header and its
+// seal payload.
+func readCheckpoint(data []byte) (CheckpointMeta, *ckpt.Dec, error) {
 	f, err := ckpt.Read(data)
 	if err != nil {
-		return CheckpointMeta{}, err
+		return CheckpointMeta{}, nil, err
 	}
-	payload, ok := f.Section(ckpt.SecMeta)
-	if !ok {
-		return CheckpointMeta{}, fmt.Errorf("prdrb: checkpoint has no meta section")
+	meta, okMeta := f.Section(ckpt.SecMeta)
+	seal, okSeal := f.Section(ckpt.SecSeal)
+	if !okMeta || !okSeal {
+		return CheckpointMeta{}, nil, fmt.Errorf("prdrb: checkpoint lacks its meta or seal section")
 	}
-	d := ckpt.NewDec(payload)
+	d := ckpt.NewDec(meta)
 	m := CheckpointMeta{
 		Digest:  d.U64(),
 		At:      sim.Time(d.I64()),
 		Quantum: sim.Time(d.I64()),
 		Shards:  int(d.I64()),
 	}
-	if err := d.Err(); err != nil {
-		return CheckpointMeta{}, err
-	}
-	return m, nil
+	return m, ckpt.NewDec(seal), d.Err()
 }
 
-// VerifyCheckpoint re-captures the simulation's state and compares it
-// section by section against the file bytes. An error names the first
-// differing section — the replay did not reconstruct the captured state
-// (wrong flags, different binary, or a determinism bug).
+// VerifyCheckpoint recomputes the seal and compares it with the file's. An
+// error names the first component that differs — the replay did not reach
+// the captured state (wrong flags, different binary, or a determinism bug).
 func (s *Sim) VerifyCheckpoint(data []byte) error {
-	want, err := ckpt.Read(data)
+	m, d, err := readCheckpoint(data)
 	if err != nil {
 		return err
 	}
-	gotFile, err := s.CaptureCheckpoint()
-	if err != nil {
-		return err
+	if got := s.checkpointMeta(); got != m {
+		return fmt.Errorf("prdrb: checkpoint identity %+v does not match this run's %+v", m, got)
 	}
-	got := map[uint16][]byte{}
-	for _, sec := range gotFile.Sections {
-		got[sec.ID] = sec.Payload
+	n := d.I64()
+	got := s.seal()
+	if n != int64(len(got)) {
+		return fmt.Errorf("prdrb: checkpoint seal has %d components, this build computes %d", n, len(got))
 	}
-	if len(want.Sections) != len(gotFile.Sections) {
-		return fmt.Errorf("prdrb: checkpoint has %d sections, replay produced %d",
-			len(want.Sections), len(gotFile.Sections))
-	}
-	for _, sec := range want.Sections {
-		g, ok := got[sec.ID]
-		if !ok {
-			return fmt.Errorf("prdrb: replay produced no %s section", ckpt.SectionName(sec.ID))
+	for _, g := range got {
+		name, h := d.Str(), d.U64()
+		if err := d.Err(); err != nil {
+			return err
 		}
-		if !bytes.Equal(sec.Payload, g) {
-			return fmt.Errorf("prdrb: %s section diverged after replay (%d vs %d bytes) — state mismatch",
-				ckpt.SectionName(sec.ID), len(sec.Payload), len(g))
+		if name != g.name {
+			return fmt.Errorf("prdrb: checkpoint seal has component %q where this build computes %q", name, g.name)
+		}
+		if h != g.hash {
+			return fmt.Errorf("prdrb: checkpoint seal component %q diverged after replay (file %016x, replay %016x)", g.name, h, g.hash)
 		}
 	}
 	return nil
 }
 
 // Resume replays the simulation to the checkpoint in the file at path and
-// verifies byte equivalence with the captured state. The simulation must
-// be freshly built with the exact configuration (flags, seed, workloads)
-// of the run that wrote the checkpoint; a configuration digest mismatch
-// is refused before any replay work. On success the simulation stands at
-// the checkpoint time, ready for Execute calls to continue the run.
+// verifies its seal. The simulation must be freshly built with the exact
+// configuration (flags, seed, workloads) of the run that wrote the
+// checkpoint; a configuration digest mismatch is refused before any replay
+// work. On success the simulation stands at the checkpoint time, ready for
+// Execute calls to continue the run.
 func (s *Sim) Resume(path string) (CheckpointMeta, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return CheckpointMeta{}, err
 	}
-	m, err := ReadCheckpointMeta(data)
+	m, _, err := readCheckpoint(data)
 	if err != nil {
 		return CheckpointMeta{}, err
 	}

@@ -148,9 +148,9 @@ func TestCongestionArtifactRequiresEnable(t *testing.T) {
 	}
 }
 
-// TestCongestionCheckpointRoundTrip proves the new counters survive the
-// replay-verify restore: a resumed run re-reaches the captured congestion
-// state byte-for-byte and continues to an identical artifact.
+// TestCongestionCheckpointRoundTrip: a resumed run replays the congestion
+// sampler with everything else and continues to the artifact of the
+// uninterrupted run, byte for byte.
 func TestCongestionCheckpointRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cong.ckpt")
 	s := congTestSim(t, 1)

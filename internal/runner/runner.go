@@ -149,11 +149,8 @@ type Sim struct {
 
 	// Checkpoint support (checkpoint.go): configLog records every
 	// workload/fault installation in call order, making the run's full
-	// configuration digestible; injectors and sources retain the handles
-	// whose mutable state the checkpoint captures.
+	// configuration digestible.
 	configLog []string
-	injectors []*faults.Injector
-	sources   []*traffic.Sources
 	// executedTo is the highest Execute horizon reached so far. A serial
 	// engine parks at its last processed event, so this — not Now() — is
 	// the time a checkpoint captures and a resume replays to.
@@ -478,7 +475,6 @@ func (s *Sim) InstallFaults(plan faults.Plan) (*faults.Injector, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.injectors = append(s.injectors, inj)
 	s.logConfig("faults %v", plan.Events)
 	return inj, nil
 }
@@ -540,7 +536,7 @@ func (s *Sim) InstallPattern(spec PatternSpec) error {
 	if pkt == 0 {
 		pkt = s.Net.Cfg.PacketBytes
 	}
-	src := traffic.Install(s.Net, traffic.Spec{
+	traffic.Install(s.Net, traffic.Spec{
 		Pattern:     p,
 		RateBps:     spec.RateMbps * 1e6,
 		PacketBytes: pkt,
@@ -548,7 +544,6 @@ func (s *Sim) InstallPattern(spec PatternSpec) error {
 		End:         spec.End,
 		Nodes:       spec.Nodes,
 	}, s.rng.Split(0x7a))
-	s.sources = append(s.sources, src)
 	s.logConfig("pattern %+v", spec)
 	return nil
 }
@@ -561,7 +556,7 @@ func (s *Sim) InstallHotSpot(flows map[topology.NodeID]topology.NodeID, rateMbps
 		nodes = append(nodes, src)
 	}
 	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
-	src := traffic.Install(s.Net, traffic.Spec{
+	traffic.Install(s.Net, traffic.Spec{
 		Pattern:     traffic.NewHotSpot(flows),
 		RateBps:     rateMbps * 1e6,
 		PacketBytes: s.Net.Cfg.PacketBytes,
@@ -569,7 +564,6 @@ func (s *Sim) InstallHotSpot(flows map[topology.NodeID]topology.NodeID, rateMbps
 		End:         end,
 		Nodes:       nodes,
 	}, s.rng.Split(0x45))
-	s.sources = append(s.sources, src)
 	s.logConfig("hotspot flows=%d rate=%v start=%d end=%d", len(flows), rateMbps, start, end)
 }
 
@@ -618,9 +612,8 @@ func (s *Sim) InstallBursts(spec BurstSpec) (sim.Time, error) {
 	if err != nil {
 		return 0, err
 	}
-	end, src := traffic.InstallBursts(s.Net, []traffic.Burst{b}, spec.Start, spec.Count,
+	end := traffic.InstallBursts(s.Net, []traffic.Burst{b}, spec.Start, spec.Count,
 		s.Net.Cfg.PacketBytes, s.rng.Split(0x6b))
-	s.sources = append(s.sources, src)
 	s.logConfig("bursts %+v", spec)
 	return end, nil
 }
@@ -641,9 +634,8 @@ func (s *Sim) InstallVariableBursts(specs []BurstSpec, count int) (sim.Time, err
 		}
 		bursts[i] = b
 	}
-	end, src := traffic.InstallBursts(s.Net, bursts, specs[0].Start, count,
+	end := traffic.InstallBursts(s.Net, bursts, specs[0].Start, count,
 		s.Net.Cfg.PacketBytes, s.rng.Split(0x5e))
-	s.sources = append(s.sources, src)
 	s.logConfig("varbursts %+v count=%d", specs, count)
 	return end, nil
 }
@@ -731,7 +723,7 @@ func (s *Sim) InstallHeavyTail(spec HeavyTailSpec) error {
 		s.setFCTThresholds(mice, elephant)
 		s.logConfig("fct-thresholds mice=%d elephant=%d", mice, elephant)
 	}
-	src := traffic.InstallHeavyTail(s.Net, traffic.HeavyTail{
+	traffic.InstallHeavyTail(s.Net, traffic.HeavyTail{
 		Pattern:  p,
 		Sizes:    cdf,
 		FlowRate: spec.LoadMbps * 1e6 / (8 * cdf.Mean()),
@@ -740,7 +732,6 @@ func (s *Sim) InstallHeavyTail(spec HeavyTailSpec) error {
 		Start:    spec.Start,
 		End:      spec.End,
 	}, s.rng.Split(0x9d))
-	s.sources = append(s.sources, src)
 	s.logConfig("heavytail %+v", spec)
 	return nil
 }

@@ -235,7 +235,7 @@ type HeavyTail struct {
 // per-node streams derived from the node id alone and events scheduled on
 // each node's own shard engine, so the realized workload is byte-identical
 // across shard counts and GOMAXPROCS settings.
-func InstallHeavyTail(net *network.Network, spec HeavyTail, rng *sim.RNG) *Sources {
+func InstallHeavyTail(net *network.Network, spec HeavyTail, rng *sim.RNG) {
 	if spec.FlowRate <= 0 {
 		panic("traffic: heavy-tail spec needs a positive flow rate")
 	}
@@ -257,10 +257,6 @@ func InstallHeavyTail(net *network.Network, spec HeavyTail, rng *sim.RNG) *Sourc
 	}
 	g := &heavyTailGen{net: net, spec: spec, ivf: 1e9 / spec.FlowRate}
 	base := rng.Uint64()
-	src := &Sources{
-		Label: "heavytail:" + spec.Pattern.Name(),
-		nodes: make([]topology.NodeID, 0, n), rngs: make([]*sim.RNG, 0, n),
-	}
 	sources := make([]heavyTailSource, n)
 	for i := range sources {
 		node := topology.NodeID(i)
@@ -269,13 +265,11 @@ func InstallHeavyTail(net *network.Network, spec HeavyTail, rng *sim.RNG) *Sourc
 		}
 		s := &sources[i]
 		*s = heavyTailSource{g: g, node: node, rng: sim.NewRNG(base ^ (uint64(node)+1)*0x9e3779b97f4a7c15)}
-		src.add(node, s.rng)
 		// Spread cycle phases across one mean flow interval so sources do
 		// not all burst in lockstep at Start.
 		first := spec.Start + sim.Time(s.rng.Float64()*g.ivf)
 		net.EngineForNode(node).ScheduleEvent(first, s, htCycle, 0)
 	}
-	return src
 }
 
 // heavyTailGen is what the sources of one InstallHeavyTail call share,

@@ -13,7 +13,7 @@ import (
 // refInstallHeavyTail is InstallHeavyTail as it was while every node's
 // generator was a pair of closures over three boxed variables: the oracle
 // for the typed actor.
-func refInstallHeavyTail(net *network.Network, spec HeavyTail, rng *sim.RNG) *Sources {
+func refInstallHeavyTail(net *network.Network, spec HeavyTail, rng *sim.RNG) {
 	mpiType := spec.MPIType
 	if mpiType == 0 {
 		mpiType = network.MPISend
@@ -26,11 +26,9 @@ func refInstallHeavyTail(net *network.Network, spec HeavyTail, rng *sim.RNG) *So
 	}
 	ivf := 1e9 / spec.FlowRate // mean ns between flow starts while ON
 	base := rng.Uint64()
-	src := &Sources{Label: "heavytail:" + spec.Pattern.Name()}
 	for _, node := range nodes {
 		node := node
 		r := sim.NewRNG(base ^ (uint64(node)+1)*0x9e3779b97f4a7c15)
-		src.add(node, r)
 		var onEnd sim.Time
 		var flow func(e *sim.Engine)
 		var cycle func(e *sim.Engine)
@@ -71,7 +69,6 @@ func refInstallHeavyTail(net *network.Network, spec HeavyTail, rng *sim.RNG) *So
 		first := spec.Start + sim.Time(r.Float64()*ivf)
 		net.EngineForNode(node).Schedule(first, cycle)
 	}
-	return src
 }
 
 // genEvent is what one flow start looked like from inside the generator:
@@ -85,18 +82,21 @@ type genEvent struct {
 	rng            [4]uint64
 }
 
-// recordingPattern logs the first limit Destination calls.
+// recordingPattern logs the first limit Destination calls, and keeps every
+// calling node's stream so its final position can be read after the run.
 type recordingPattern struct {
 	Pattern
-	eng   *sim.Engine
-	log   *[]genEvent
-	limit int
+	eng     *sim.Engine
+	log     *[]genEvent
+	limit   int
+	streams map[topology.NodeID]*sim.RNG
 }
 
 func (p recordingPattern) Destination(src topology.NodeID, rng *sim.RNG) topology.NodeID {
 	if len(*p.log) < p.limit {
 		*p.log = append(*p.log, genEvent{at: p.eng.Now(), seq: p.eng.Seq(), processed: p.eng.Processed, node: src, rng: rng.State()})
 	}
+	p.streams[src] = rng
 	return p.Pattern.Destination(src, rng)
 }
 
@@ -116,7 +116,7 @@ func TestHeavyTailActorMatchesClosures(t *testing.T) {
 		{0, 3 * sim.Millisecond},
 	} {
 		offMean := c.offMean
-		run := func(install func(*network.Network, HeavyTail, *sim.RNG) *Sources) ([]genEvent, []sim.PendingEvent, *Sources, uint64) {
+		run := func(install func(*network.Network, HeavyTail, *sim.RNG)) ([]genEvent, []sim.PendingEvent, map[topology.NodeID][4]uint64, uint64) {
 			topo := topology.NewKAryNTree(4, 3)
 			eng := sim.NewEngine()
 			cfg := network.DefaultConfig()
@@ -124,8 +124,9 @@ func TestHeavyTailActorMatchesClosures(t *testing.T) {
 			col := metrics.NewCollector(topo.NumTerminals(), topo.NumRouters(), 0)
 			net := network.MustNew(eng, topo, cfg, directPolicy{}, col)
 			var log []genEvent
-			src := install(net, HeavyTail{
-				Pattern:  recordingPattern{Pattern: NewGroupLocal(64, 4, 0.7), eng: eng, log: &log, limit: limit},
+			streams := map[topology.NodeID]*sim.RNG{}
+			install(net, HeavyTail{
+				Pattern:  recordingPattern{Pattern: NewGroupLocal(64, 4, 0.7), eng: eng, log: &log, limit: limit, streams: streams},
 				Sizes:    CacheCDF(),
 				FlowRate: 2e4,
 				OnMean:   40 * sim.Microsecond, OffMean: offMean,
@@ -133,10 +134,14 @@ func TestHeavyTailActorMatchesClosures(t *testing.T) {
 			}, sim.NewRNG(5))
 			pending := eng.PendingEvents()
 			eng.RunAll()
-			return log, pending, src, eng.Seq()
+			final := make(map[topology.NodeID][4]uint64, len(streams))
+			for node, r := range streams {
+				final[node] = r.State()
+			}
+			return log, pending, final, eng.Seq()
 		}
-		wantLog, wantPending, wantSrc, wantSeq := run(refInstallHeavyTail)
-		gotLog, gotPending, gotSrc, gotSeq := run(InstallHeavyTail)
+		wantLog, wantPending, wantFinal, wantSeq := run(refInstallHeavyTail)
+		gotLog, gotPending, gotFinal, gotSeq := run(InstallHeavyTail)
 		if len(wantLog) != limit {
 			t.Fatalf("off=%v: reference run logged %d flow starts, want %d", offMean, len(wantLog), limit)
 		}
@@ -158,9 +163,12 @@ func TestHeavyTailActorMatchesClosures(t *testing.T) {
 		if gotSeq != wantSeq {
 			t.Fatalf("off=%v: run ended at sequence %d, reference %d", offMean, gotSeq, wantSeq)
 		}
-		for i, r := range wantSrc.rngs {
-			if gotSrc.nodes[i] != wantSrc.nodes[i] || gotSrc.rngs[i].State() != r.State() {
-				t.Fatalf("off=%v: node %d's stream ended elsewhere than the reference's", offMean, wantSrc.nodes[i])
+		if len(wantFinal) != 64 || len(gotFinal) != len(wantFinal) {
+			t.Fatalf("off=%v: %d nodes drew flows, reference %d of 64", offMean, len(gotFinal), len(wantFinal))
+		}
+		for node, w := range wantFinal {
+			if gotFinal[node] != w {
+				t.Fatalf("off=%v: node %d's stream ended elsewhere than the reference's", offMean, node)
 			}
 		}
 	}

@@ -14,7 +14,7 @@ import (
 
 // refInstall is Install as it was while every node's injector was a tick
 // closure rescheduling itself: the oracle for the typed actor.
-func refInstall(net *network.Network, spec Spec, rng *sim.RNG) *Sources {
+func refInstall(net *network.Network, spec Spec, rng *sim.RNG) {
 	mpiType := spec.MPIType
 	if mpiType == 0 {
 		mpiType = network.MPISend
@@ -27,11 +27,9 @@ func refInstall(net *network.Network, spec Spec, rng *sim.RNG) *Sources {
 	}
 	iv := spec.interval()
 	base := rng.Uint64()
-	src := &Sources{Label: "pattern:" + spec.Pattern.Name()}
 	for _, node := range nodes {
 		node := node
 		r := sim.NewRNG(base ^ (uint64(node)+1)*0x9e3779b97f4a7c15)
-		src.add(node, r)
 		first := spec.Start + sim.Time(r.Float64()*float64(iv))
 		var tick func(e *sim.Engine)
 		tick = func(e *sim.Engine) {
@@ -53,23 +51,25 @@ func refInstall(net *network.Network, spec Spec, rng *sim.RNG) *Sources {
 		}
 		net.EngineForNode(node).Schedule(first, tick)
 	}
-	return src
 }
 
 // nodeLogPattern logs every Destination call per source node: when it ran,
 // how many events the node's engine had scheduled and executed by then
 // (which fixes the (time, seq) key of every event of that engine so far),
-// and where the node's stream stood. One log per node, so shards running
-// side by side never share one.
+// and where the node's stream stood. It also keeps each node's stream, so
+// the stream's final position can be read after the run. One log per node,
+// so shards running side by side never share one.
 type nodeLogPattern struct {
 	Pattern
-	net  *network.Network
-	logs [][]genEvent
+	net     *network.Network
+	logs    [][]genEvent
+	streams []*sim.RNG
 }
 
 func (p nodeLogPattern) Destination(src topology.NodeID, rng *sim.RNG) topology.NodeID {
 	eng := p.net.EngineForNode(src)
 	p.logs[src] = append(p.logs[src], genEvent{at: eng.Now(), seq: eng.Seq(), processed: eng.Processed, node: src, rng: rng.State()})
+	p.streams[src] = rng
 	return p.Pattern.Destination(src, rng)
 }
 
@@ -78,10 +78,10 @@ type patternRun struct {
 	logs    [][]genEvent
 	pending [][]sim.PendingEvent // per engine, right after installation
 	seqs    []uint64             // per engine, after the run
-	src     *Sources
+	final   [][4]uint64          // per node, its stream's position after the run
 }
 
-func runPatternCell(t *testing.T, shards int, jitter bool, install func(*network.Network, Spec, *sim.RNG) *Sources) patternRun {
+func runPatternCell(t *testing.T, shards int, jitter bool, install func(*network.Network, Spec, *sim.RNG)) patternRun {
 	t.Helper()
 	topo := topology.NewKAryNTree(4, 3)
 	cfg := network.DefaultConfig()
@@ -111,8 +111,9 @@ func runPatternCell(t *testing.T, shards int, jitter bool, install func(*network
 		engines, run = group.Engines, func() { group.RunAll() }
 	}
 	out := patternRun{logs: make([][]genEvent, topo.NumTerminals())}
-	out.src = install(net, Spec{
-		Pattern:     nodeLogPattern{Pattern: Uniform{Nodes: 64}, net: net, logs: out.logs},
+	streams := make([]*sim.RNG, topo.NumTerminals())
+	install(net, Spec{
+		Pattern:     nodeLogPattern{Pattern: Uniform{Nodes: 64}, net: net, logs: out.logs, streams: streams},
 		RateBps:     600e6,
 		PacketBytes: 1024,
 		Start:       5 * sim.Microsecond,
@@ -125,6 +126,12 @@ func runPatternCell(t *testing.T, shards int, jitter bool, install func(*network
 	run()
 	for _, eng := range engines {
 		out.seqs = append(out.seqs, eng.Seq())
+	}
+	for _, r := range streams {
+		if r == nil {
+			t.Fatal("a node never injected")
+		}
+		out.final = append(out.final, r.State())
 	}
 	return out
 }
@@ -171,9 +178,9 @@ func TestPatternSourceMatchesClosures(t *testing.T) {
 				if !slices.Equal(got.seqs, want.seqs) {
 					t.Fatalf("runs ended at sequences %v, reference %v", got.seqs, want.seqs)
 				}
-				for i, r := range want.src.rngs {
-					if got.src.nodes[i] != want.src.nodes[i] || got.src.rngs[i].State() != r.State() {
-						t.Fatalf("node %d's stream ended elsewhere than the reference's", want.src.nodes[i])
+				for node, w := range want.final {
+					if got.final[node] != w {
+						t.Fatalf("node %d's stream ended elsewhere than the reference's", node)
 					}
 				}
 			})

@@ -191,9 +191,8 @@ func (s *Spec) interval() sim.Time {
 
 // Install schedules the spec's injection events on the network. Each node
 // gets an independent RNG stream derived from rng, plus a phase offset so
-// sources do not inject in lockstep. The returned Sources handle exposes
-// the per-node streams for checkpoint capture.
-func Install(net *network.Network, spec Spec, rng *sim.RNG) *Sources {
+// sources do not inject in lockstep.
+func Install(net *network.Network, spec Spec, rng *sim.RNG) {
 	if spec.RateBps <= 0 || spec.PacketBytes <= 0 {
 		panic("traffic: spec needs positive rate and packet size")
 	}
@@ -211,12 +210,7 @@ func Install(net *network.Network, spec Spec, rng *sim.RNG) *Sources {
 	// One base draw, then per-node streams derived from the node id only:
 	// the schedule must not depend on the iteration order of the nodes.
 	base := rng.Uint64()
-	src := &Sources{
-		Label: "pattern:" + spec.Pattern.Name(),
-		nodes: make([]topology.NodeID, 0, n), rngs: make([]*sim.RNG, 0, n),
-	}
-	// Actors and streams in a slice each: the Sources handle keeps the
-	// streams for the life of the run, the actors go with their last event.
+	// Actors and streams in a slice each: two allocations for the run.
 	sources := make([]patternSource, n)
 	rngs := make([]sim.RNG, n)
 	for i := range sources {
@@ -227,7 +221,6 @@ func Install(net *network.Network, spec Spec, rng *sim.RNG) *Sources {
 		s := &sources[i]
 		*s = patternSource{g: g, node: node, rng: &rngs[i]}
 		s.rng.Seed(base ^ (uint64(node)+1)*0x9e3779b97f4a7c15)
-		src.add(node, s.rng)
 		// Spread start phases across one interval. Each source schedules on
 		// its own node's engine: in sharded runs the ticks stay shard-local
 		// (injection schedules depend only on the node id, never on the
@@ -235,7 +228,6 @@ func Install(net *network.Network, spec Spec, rng *sim.RNG) *Sources {
 		first := spec.Start + sim.Time(s.rng.Float64()*float64(g.iv))
 		net.EngineForNode(node).ScheduleEvent(first, s, 0, 0)
 	}
-	return src
 }
 
 // patternGen is what the sources of one Install call share, read-only once
@@ -288,12 +280,11 @@ type Burst struct {
 // returning the time the last burst ends. A fixed pattern across bursts is
 // plain bursty traffic; varying patterns give "bursty with variable
 // pattern" (Fig 2.6b).
-func InstallBursts(net *network.Network, bursts []Burst, start sim.Time, count int, packetBytes int, rng *sim.RNG) (sim.Time, *Sources) {
+func InstallBursts(net *network.Network, bursts []Burst, start sim.Time, count int, packetBytes int, rng *sim.RNG) sim.Time {
 	t := start
-	all := &Sources{Label: "bursts"}
 	for rep := 0; rep < count; rep++ {
 		b := bursts[rep%len(bursts)]
-		src := Install(net, Spec{
+		Install(net, Spec{
 			Pattern:     b.Pattern,
 			RateBps:     b.RateBps,
 			PacketBytes: packetBytes,
@@ -301,8 +292,7 @@ func InstallBursts(net *network.Network, bursts []Burst, start sim.Time, count i
 			End:         t + b.Len,
 			Nodes:       b.Nodes,
 		}, rng.Split(uint64(rep)+0xb0))
-		all.Merge(src)
 		t += b.Len + b.Gap
 	}
-	return t, all
+	return t
 }

@@ -234,7 +234,7 @@ func TestInstallRestrictedNodes(t *testing.T) {
 
 func TestInstallBursts(t *testing.T) {
 	net := buildNet(t)
-	end, _ := InstallBursts(net, []Burst{{
+	end := InstallBursts(net, []Burst{{
 		Pattern: PerfectShuffle{Nodes: 16},
 		RateBps: 400e6,
 		Len:     100 * sim.Microsecond,

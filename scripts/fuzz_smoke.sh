@@ -16,6 +16,8 @@ for entry in \
     FuzzDecodeHeader:./internal/network \
     FuzzReadCheckpoint:./internal/ckpt \
     FuzzTopologyByName:./internal/topology \
+    FuzzParsePlan:./internal/faults \
+    FuzzCampaignManifest:./cmd/experiments \
 ; do
     target=${entry%%:*}
     pkg=${entry#*:}

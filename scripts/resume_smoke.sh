@@ -2,15 +2,16 @@
 # resume_smoke.sh — checkpoint/resume equivalence smoke, run in CI on each
 # PR (the resume-equivalence job) and as a stage of scripts/verify.sh.
 #
-# Three presets — serial synthetic, serial faulted, sharded (shards=4) —
-# each run three ways:
+# Four presets — serial synthetic, serial faulted, sharded (shards=4) and
+# heavy-tail on a dragonfly (shards=2) — each run three ways:
 #
 #   1. uninterrupted                          -> summary A
 #   2. -checkpoint -checkpoint-exit           (stops at mid-run, writes file)
 #   3. -resume from that file, run to the end -> summary B
 #
 # A and B must be byte-identical (cmp, no tolerance): a resumed run is the
-# same run.
+# same run. The resume itself replays from t = 0 and refuses to continue
+# unless the replay reproduces the checkpoint's determinism seal.
 #
 # Then a small campaign is killed mid-flight with SIGINT and restarted; the
 # restart must skip every cell committed before the kill and finish the
@@ -49,6 +50,9 @@ run_preset faulted \
     -faults "rand2@50us+100us~300us"
 run_preset sharded \
     -topology ft-4-3 -policy pr-drb -pattern shuffle -rate 400 -bursts 0 -duration 300us -shards 4
+run_preset heavytail \
+    -topology df-4-8-2-2 -policy pr-drb -heavytail cache -ht-pattern grouplocal -rate 300 \
+    -bursts 0 -duration 300us -shards 2
 
 echo "==> campaign kill/restart"
 cat > "$TMP/camp.json" <<'MANIFEST'

@@ -13,6 +13,9 @@ go vet ./...
 echo "==> go build ./..."
 go build ./...
 
+echo "==> CHANGES.md entries <= 1024 bytes"
+LC_ALL=C awk 'length($0) > 1024 { print "verify: CHANGES.md line " NR " is " length($0) " bytes, over 1024" > "/dev/stderr"; bad = 1 } END { exit bad }' CHANGES.md
+
 echo "==> go test -race ./... $*"
 go test -race "$@" ./...
 
@@ -308,11 +311,11 @@ if [ -s "$teldir/flight-a.jsonl" ]; then
 fi
 echo "    congestion artifact deterministic; report + CSVs rendered"
 
-echo "==> checkpoint/resume smoke (three presets + campaign kill/restart)"
-# The same smoke the resume-equivalence CI job runs: serial, faulted and
-# sharded runs checkpointed at mid-run and resumed must print summaries
-# byte-identical to the uninterrupted runs, and a SIGINT-killed campaign
-# restart must skip every committed cell.
+echo "==> checkpoint/resume smoke (four presets + campaign kill/restart)"
+# The same smoke the resume-equivalence CI job runs: serial, faulted,
+# sharded and heavy-tail dragonfly runs checkpointed at mid-run and resumed
+# must print summaries byte-identical to the uninterrupted runs, and a
+# SIGINT-killed campaign restart must skip every committed cell.
 scripts/resume_smoke.sh
 
 echo "==> verify OK"
