@@ -58,8 +58,12 @@ func TestWaypointsAliasImmutablePaths(t *testing.T) {
 				}
 				open++
 			}
-			if tail := fresh[len(fresh)-len(mp.pool):]; !slices.EqualFunc(mp.pool, tail, topology.Path.Equal) {
-				t.Fatalf("%d->%d: pool %v, want the enumeration's tail %v", c.Node, dst, mp.pool, tail)
+			var pool []topology.Path
+			if mp.cold != nil {
+				pool = mp.cold.pool
+			}
+			if tail := fresh[len(fresh)-len(pool):]; !slices.EqualFunc(pool, tail, topology.Path.Equal) {
+				t.Fatalf("%d->%d: pool %v, want the enumeration's tail %v", c.Node, dst, pool, tail)
 			}
 			for try := 0; try < 64 && len(mp.paths) > 1; try++ {
 				pkt := &network.Packet{Dst: dst}

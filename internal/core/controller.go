@@ -170,12 +170,13 @@ func (c *Controller) PrepareInjection(e *sim.Engine, pkt *network.Packet) {
 	pkt.MSPIndex = p.id
 	mp.outstanding++
 	if c.Cfg.Watchdog > 0 {
-		if mp.watchdog == nil {
+		cd := c.slab.coldState(mp)
+		if cd.watchdog == nil {
 			dst := pkt.Dst
-			mp.watchdog = sim.NewTimer(e, func(e *sim.Engine) { c.watchdogExpired(e, dst) })
+			cd.watchdog = sim.NewTimer(e, func(e *sim.Engine) { c.watchdogExpired(e, dst) })
 		}
-		if !mp.watchdog.Armed() {
-			mp.watchdog.Reset(c.Cfg.Watchdog)
+		if !cd.watchdog.Armed() {
+			cd.watchdog.Reset(c.Cfg.Watchdog)
 		}
 	}
 }
@@ -192,33 +193,37 @@ func (c *Controller) HandleAck(e *sim.Engine, ack *network.Packet) {
 		c.Stats.PredictiveAcks++
 	}
 	// Fold in contending-flow evidence (§3.2.7).
-	for _, f := range ack.Contending {
-		if mp.flowSeen == nil {
-			mp.flowSeen = make(map[network.FlowKey]sim.Time)
+	if len(ack.Contending) > 0 {
+		cd := c.slab.coldState(mp)
+		if cd.flowSeen == nil {
+			cd.flowSeen = make(map[network.FlowKey]sim.Time)
 		}
-		mp.flowSeen[f] = e.Now()
+		for _, f := range ack.Contending {
+			cd.flowSeen[f] = e.Now()
+		}
 	}
 
 	if ack.MSPIndex >= 0 {
-		if mp.failedAt != 0 {
+		cd := mp.cold
+		if cd != nil && cd.failedAt != 0 {
 			// First successful delivery ACK after a loss: the metapath has
 			// recovered; report the end-to-end recovery latency.
 			c.Stats.Recoveries++
 			if c.OnRecovery != nil {
-				c.OnRecovery(e.Now() - mp.failedAt)
+				c.OnRecovery(e.Now() - cd.failedAt)
 			}
-			c.Trace.Control(e.Now(), telemetry.KindRecovery, int(c.Node), int(mp.dst), e.Now()-mp.failedAt, 0)
-			mp.failedAt = 0
+			c.Trace.Control(e.Now(), telemetry.KindRecovery, int(c.Node), int(mp.dst), e.Now()-cd.failedAt, 0)
+			cd.failedAt = 0
 		}
 		mp.observe(&c.Cfg, ack.MSPIndex, ack.PathLatency)
 		if mp.outstanding > 0 {
 			mp.outstanding--
 		}
-		if mp.watchdog != nil {
+		if cd != nil && cd.watchdog != nil {
 			if mp.outstanding > 0 {
-				mp.watchdog.Reset(c.Cfg.Watchdog)
+				cd.watchdog.Reset(c.Cfg.Watchdog)
 			} else {
-				mp.watchdog.Stop()
+				cd.watchdog.Stop()
 			}
 		}
 		c.evaluate(e, mp)
@@ -301,7 +306,7 @@ func (c *Controller) watchdogExpired(e *sim.Engine, dst topology.NodeID) {
 	c.Stats.WatchdogFirings++
 	c.Trace.Control(e.Now(), telemetry.KindWatchdog, int(c.Node), int(dst), 0, 0)
 	c.enterHigh(e, mp)
-	mp.watchdog.Reset(c.Cfg.Watchdog)
+	mp.cold.watchdog.Reset(c.Cfg.Watchdog)
 }
 
 // usableFilter adapts PathCheck to the metapath's path-state records; nil
@@ -338,8 +343,9 @@ func (c *Controller) HandlePacketLoss(e *sim.Engine, pkt *network.Packet) {
 // prune dead paths, invalidate dependent saved solutions, rebuild the
 // candidate pool and force the H-zone actions.
 func (c *Controller) pathLost(e *sim.Engine, mp *metapath) {
-	if mp.failedAt == 0 {
-		mp.failedAt = e.Now()
+	cd := c.slab.coldState(mp)
+	if cd.failedAt == 0 {
+		cd.failedAt = e.Now()
 	}
 	c.Trace.Control(e.Now(), telemetry.KindPathFail, int(c.Node), int(mp.dst), 0, 0)
 	c.pruneDeadPaths(mp)
@@ -350,8 +356,8 @@ func (c *Controller) pathLost(e *sim.Engine, mp *metapath) {
 	}
 	// The candidate pool predates the failure; rebuild it on demand so the
 	// reopened aperture only offers feasible detours.
-	mp.pool = nil
-	mp.poolInit = false
+	cd.pool = nil
+	cd.poolInit = false
 	c.enterHigh(e, mp)
 }
 
@@ -399,21 +405,22 @@ func (c *Controller) maybeOpen(e *sim.Engine, mp *metapath) {
 	if len(mp.paths) >= c.Cfg.MaxPaths {
 		return
 	}
-	if mp.lastOpen != 0 {
+	cd := c.slab.coldState(mp)
+	if cd.lastOpen != 0 {
 		jittered := sim.Time(float64(c.Cfg.OpenInterval) * (0.75 + 0.5*c.rng.Float64()))
-		if e.Now()-mp.lastOpen < jittered {
+		if e.Now()-cd.lastOpen < jittered {
 			return
 		}
 	}
-	if !mp.poolInit {
-		mp.pool = c.enumeratePaths(mp.dst)
-		mp.poolInit = true
-		mp.directLen = topology.PathLength(c.topo, c.Node, mp.dst, nil)
+	if !cd.poolInit {
+		cd.pool = c.enumeratePaths(mp.dst)
+		cd.poolInit = true
+		cd.directLen = topology.PathLength(c.topo, c.Node, mp.dst, nil)
 	}
 	// Skip candidates already open or currently infeasible (failed links).
-	for len(mp.pool) > 0 {
-		cand := mp.pool[0]
-		mp.pool = mp.pool[1:]
+	for len(cd.pool) > 0 {
+		cand := cd.pool[0]
+		cd.pool = cd.pool[1:]
 		if mp.hasPath(cand) {
 			continue
 		}
@@ -421,13 +428,13 @@ func (c *Controller) maybeOpen(e *sim.Engine, mp *metapath) {
 			continue
 		}
 		mp.paths = append(mp.paths, pathState{
-			id:        mp.nextPathID,
+			id:        cd.nextPathID,
 			path:      cand,
 			latNs:     c.currentBest(mp), // optimistic: probe the new path
-			extraHops: topology.PathLength(c.topo, c.Node, mp.dst, cand) - mp.directLen,
+			extraHops: topology.PathLength(c.topo, c.Node, mp.dst, cand) - cd.directLen,
 		})
-		mp.nextPathID++
-		mp.lastOpen = e.Now()
+		cd.nextPathID++
+		cd.lastOpen = e.Now()
 		c.Stats.PathsOpened++
 		c.Trace.Control(e.Now(), telemetry.KindMetapathOpen, int(c.Node), int(mp.dst), 0, int64(len(mp.paths)))
 		c.recordFlight(telemetry.FlightPathOpen, mp.dst, len(mp.paths))
@@ -438,7 +445,7 @@ func (c *Controller) maybeOpen(e *sim.Engine, mp *metapath) {
 // enumeratePaths fetches the alternative-path pool for dst, through the
 // shared PathCache when one is wired, else straight from the topology.
 // Both return shared immutable slices: the pool is consumed by re-slicing
-// (mp.pool[1:]) and an opened path is only ever read, so aliasing the
+// (pool[1:]) and an opened path is only ever read, so aliasing the
 // cache's storage is safe.
 func (c *Controller) enumeratePaths(dst topology.NodeID) []topology.Path {
 	if c.PathCache == nil {
@@ -482,12 +489,14 @@ func (c *Controller) relax(mp *metapath) {
 	mp.paths[0].latNs = float64(c.Cfg.LatencyFloor)
 	mp.paths[0].acks = 0
 	mp.zone = ZoneLow
-	mp.pool = nil
-	mp.poolInit = false
-	mp.lastOpen = 0
 	mp.outstanding = 0
-	mp.failedAt = 0
-	mp.trend = trendTracker{}
+	if cd := mp.cold; cd != nil {
+		cd.pool = nil
+		cd.poolInit = false
+		cd.lastOpen = 0
+		cd.failedAt = 0
+		cd.trend.reset()
+	}
 }
 
 // maybeClose removes the worst-latency alternative path (never the direct
@@ -526,11 +535,13 @@ func (c *Controller) maybeClose(mp *metapath) {
 // from reports within the evidence window.
 func (c *Controller) evidence(e *sim.Engine, mp *metapath) Signature {
 	flows := c.sigBuf[:0]
-	for f, seen := range mp.flowSeen {
-		if e.Now()-seen <= c.Cfg.EvidenceWindow {
-			flows = append(flows, f)
-		} else {
-			delete(mp.flowSeen, f)
+	if cd := mp.cold; cd != nil {
+		for f, seen := range cd.flowSeen {
+			if e.Now()-seen <= c.Cfg.EvidenceWindow {
+				flows = append(flows, f)
+			} else {
+				delete(cd.flowSeen, f)
+			}
 		}
 	}
 	c.sigBuf = flows
@@ -560,8 +571,8 @@ func (c *Controller) tryReuse(e *sim.Engine, mp *metapath) bool {
 			}
 		}
 	}
-	mp.restore(sol.paths)
-	mp.lastOpen = e.Now()
+	mp.restore(c.slab, sol.paths)
+	mp.cold.lastOpen = e.Now()
 	if sol.Hits == 0 {
 		c.Stats.PatternsReused++
 	}

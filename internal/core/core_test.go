@@ -232,7 +232,7 @@ func TestMetapathRestoreAssignsFreshIDs(t *testing.T) {
 		{id: 0, latNs: 1000},
 		{id: 7, path: topology.Path{4}, latNs: 2000, acks: 55},
 	}
-	mp.restore(saved)
+	mp.restore(nil, saved)
 	if len(mp.paths) != 2 {
 		t.Fatal("restore lost paths")
 	}

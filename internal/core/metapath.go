@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"unsafe"
 
 	"prdrb/internal/network"
 	"prdrb/internal/sim"
@@ -52,7 +53,9 @@ type pathState struct {
 // metapath is the per-destination path set of §3.2.3 plus the predictive
 // evidence the PR- layer collects for it. Metapaths live in a metapathSlab
 // and point into themselves (paths starts as direct[:]), so they are
-// handed out by pointer and never copied.
+// handed out by pointer and never copied. What a destination needs only
+// once it opens a path, is reported or is watched lives in cold, which most
+// metapaths never make.
 type metapath struct {
 	dst   topology.NodeID
 	paths []pathState // index 0 is always the direct path
@@ -60,44 +63,53 @@ type metapath struct {
 	// an alternative, and the first one opened moves paths to the heap.
 	direct [1]pathState
 
-	zone     Zone
-	poolInit bool
-	// directLen is the routed length of the direct path, set with the pool.
-	directLen int
+	lastInject sim.Time
+	// outstanding data packets without ACK, for the FR-DRB watchdog.
+	outstanding int
+	cold        *metapathCold
+	zone        Zone
+}
 
-	nextPathID int
+// metapathCold is the part of a metapath made on first need (coldState).
+type metapathCold struct {
 	// pool holds the topology's alternative-path candidates not yet opened.
 	pool []topology.Path
-
+	// directLen is the routed length of the direct path, set with the pool.
+	directLen int
+	// nextPathID is the stable identifier the next opened path gets.
+	nextPathID int
 	lastOpen   sim.Time
-	lastInject sim.Time
 
 	// flowSeen timestamps the contending flows reported for this
 	// destination (the pattern evidence, §3.2.7); made by the first report.
 	flowSeen map[network.FlowKey]sim.Time
-
-	// outstanding data packets without ACK, for the FR-DRB watchdog.
-	outstanding int
-	watchdog    *sim.Timer
+	watchdog *sim.Timer
 
 	// failedAt is the time of the first unacknowledged loss notification,
 	// zero once the next successful ACK closes the recovery window.
 	failedAt sim.Time
 
 	// trend holds the L(MP) history for the §5.2 trend predictor.
-	trend trendTracker
+	trend    trendTracker
+	poolInit bool
 }
 
-// metapathSlab hands out metapaths from chunks, so opening the Nth
-// destination costs no allocation of its own. One slab serves all
-// controllers of a shard (Install): a slab per controller would strand a
-// mostly empty chunk on each of thousands of sources. A nil slab allocates
-// metapaths one by one (controllers built by New alone).
-type metapathSlab struct{ chunk []metapath }
+// metapathSlab hands out metapaths and their cold records from chunks, so
+// opening the Nth destination costs no allocation of its own. One slab
+// serves all controllers of a shard (Install): a slab per controller would
+// strand a mostly empty chunk on each of thousands of sources. A nil slab
+// allocates records one by one (controllers built by New alone).
+type metapathSlab struct {
+	chunk []metapath
+	cold  []metapathCold
+}
 
-// metapathChunk metapaths of 224 bytes fill a 14 KiB size class exactly;
-// a 64-node fabric strands at most that much per shard.
-const metapathChunk = 64
+// Chunks of either record fill the 8 KiB size class; a 64-node fabric
+// strands at most that much per shard and kind.
+const (
+	metapathChunk = 8192 / int(unsafe.Sizeof(metapath{}))
+	coldChunk     = 8192 / int(unsafe.Sizeof(metapathCold{}))
+)
 
 // new returns the direct-path-only metapath toward dst.
 func (s *metapathSlab) new(dst topology.NodeID, floor sim.Time) *metapath {
@@ -105,17 +117,38 @@ func (s *metapathSlab) new(dst topology.NodeID, floor sim.Time) *metapath {
 	if s == nil {
 		mp = new(metapath)
 	} else {
-		if len(s.chunk) == cap(s.chunk) {
-			s.chunk = make([]metapath, 0, metapathChunk)
-		}
-		s.chunk = s.chunk[:len(s.chunk)+1]
-		mp = &s.chunk[len(s.chunk)-1]
+		mp = take(&s.chunk, metapathChunk)
 	}
 	mp.dst = dst
 	mp.direct[0].latNs = float64(floor)
 	mp.paths = mp.direct[:]
-	mp.nextPathID = 1
 	return mp
+}
+
+// coldState returns mp's cold record, making it from s on first need.
+func (s *metapathSlab) coldState(mp *metapath) *metapathCold {
+	if mp.cold != nil {
+		return mp.cold
+	}
+	var cd *metapathCold
+	if s == nil {
+		cd = new(metapathCold)
+	} else {
+		cd = take(&s.cold, coldChunk)
+	}
+	cd.nextPathID = 1
+	mp.cold = cd
+	return cd
+}
+
+// take returns the next zero record of *chunk, starting a new chunk of n
+// records when it is full.
+func take[T any](chunk *[]T, n int) *T {
+	if len(*chunk) == cap(*chunk) {
+		*chunk = make([]T, 0, n)
+	}
+	*chunk = (*chunk)[:len(*chunk)+1]
+	return &(*chunk)[len(*chunk)-1]
 }
 
 func newMetapath(dst topology.NodeID, floor sim.Time) *metapath {
@@ -229,14 +262,16 @@ func (mp *metapath) snapshot() []pathState {
 }
 
 // restore replaces the path set with a saved solution, assigning fresh
-// stable IDs (old ACKs must not credit restored paths).
-func (mp *metapath) restore(saved []pathState) {
+// stable IDs (old ACKs must not credit restored paths) from mp's cold
+// record, made from s if need be.
+func (mp *metapath) restore(s *metapathSlab, saved []pathState) {
+	cd := s.coldState(mp)
 	mp.paths = mp.paths[:0]
 	for _, p := range saved {
 		p.id = 0
 		if len(p.path) > 0 {
-			p.id = mp.nextPathID
-			mp.nextPathID++
+			p.id = cd.nextPathID
+			cd.nextPathID++
 		}
 		p.acks = 0
 		p.path = append(topology.Path(nil), p.path...)

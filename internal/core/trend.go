@@ -39,6 +39,9 @@ func (tt *trendTracker) add(at sim.Time, lat float64) {
 	}
 }
 
+// reset forgets the history, keeping the ring's storage.
+func (tt *trendTracker) reset() { tt.next, tt.full = 0, false }
+
 func (tt *trendTracker) count() int {
 	if tt.full {
 		return trendCapacity
@@ -97,11 +100,12 @@ func (c *Controller) observeTrend(e *sim.Engine, mp *metapath) {
 		return
 	}
 	lat := mp.latency(float64(c.Cfg.LatencyFloor))
-	mp.trend.add(e.Now(), lat)
+	tt := &c.slab.coldState(mp).trend
+	tt.add(e.Now(), lat)
 	if mp.zone == ZoneHigh {
 		return // already reacting
 	}
-	if mp.trend.predictsCongestion(float64(c.Cfg.ThresholdHigh), c.Cfg.TrendHorizon) {
+	if tt.predictsCongestion(float64(c.Cfg.ThresholdHigh), c.Cfg.TrendHorizon) {
 		c.Stats.TrendFirings++
 		c.enterHigh(e, mp)
 	}

@@ -17,7 +17,7 @@ func refTopContendingFlows(o *outPort, departing *Packet) []FlowKey {
 	counts := map[FlowKey]int{departing.Flow(): departing.SizeBytes}
 	total := departing.SizeBytes
 	for vc := range o.vcs {
-		if o.net.isAckVC(vc) {
+		if o.sh.net.isAckVC(vc) {
 			continue
 		}
 		for _, p := range o.vcs[vc].pkts() {
@@ -31,7 +31,7 @@ func refTopContendingFlows(o *outPort, departing *Packet) []FlowKey {
 	}
 	var ranked []fc
 	for f, b := range counts {
-		if float64(b) >= o.net.Cfg.ContendShare*float64(total) {
+		if float64(b) >= o.sh.net.Cfg.ContendShare*float64(total) {
 			ranked = append(ranked, fc{f, b})
 		}
 	}
@@ -44,8 +44,8 @@ func refTopContendingFlows(o *outPort, departing *Packet) []FlowKey {
 		}
 		return ranked[i].f.Dst < ranked[j].f.Dst
 	})
-	if len(ranked) > o.net.Cfg.MaxContending {
-		ranked = ranked[:o.net.Cfg.MaxContending]
+	if len(ranked) > o.sh.net.Cfg.MaxContending {
+		ranked = ranked[:o.sh.net.Cfg.MaxContending]
 	}
 	var out []FlowKey
 	for _, r := range ranked {
@@ -72,6 +72,15 @@ func refMergeFlows(have, add []FlowKey, max int) []FlowKey {
 	return have
 }
 
+// pkts returns the queued packets in FIFO order.
+func (q *vcQueue) pkts() []*Packet {
+	var out []*Packet
+	for p := q.head; p != nil; p = p.qnext {
+		out = append(out, p)
+	}
+	return out
+}
+
 // fillPort replaces the port's queues with the given packets, one list per
 // VC, behind the back of any tally the port keeps.
 func fillPort(o *outPort, perVC [][]*Packet) {
@@ -92,7 +101,7 @@ func cfdPkt(src, dst, size int) *Packet {
 
 func TestContendingFlowsRanking(t *testing.T) {
 	n := testNet(t, topology.NewTorus(4, 4), nil) // 8 VCs, two of them ACK
-	o := n.Routers[5].out[0]
+	o := &n.Routers[5].out[0]
 	ackVC := n.vcIndex(ackClass, false)
 
 	table := []struct {
@@ -189,7 +198,7 @@ func TestContendingFlowsSaturatedPort(t *testing.T) {
 		c.MaxContending = 8
 	})
 	e := n.Eng
-	o := n.Routers[5].out[0]
+	o := &n.Routers[5].out[0]
 	o.busy = true // nothing leaves on its own; depart opens the link
 	rng := sim.NewRNG(77)
 	flows := make(map[FlowKey]bool)

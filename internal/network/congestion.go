@@ -208,8 +208,8 @@ func (n *Network) CongSnapshotAt(now sim.Time) CongSnapshot {
 		VCStallNs: make([]int64, n.numVC),
 	}
 	for _, rt := range n.Routers {
-		for _, op := range rt.out {
-			s.congFold(n, op, now)
+		for i := range rt.out {
+			s.congFold(n, &rt.out[i], now)
 		}
 	}
 	for _, nic := range n.NICs {
@@ -244,8 +244,8 @@ func (n *Network) CongLinkStats(now sim.Time) []CongLinkStat {
 		out = append(out, ls)
 	}
 	for _, rt := range n.Routers {
-		for p, op := range rt.out {
-			add(op, rt.ID, p)
+		for p := range rt.out {
+			add(&rt.out[p], rt.ID, p)
 		}
 	}
 	for _, nic := range n.NICs {

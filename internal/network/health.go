@@ -49,7 +49,7 @@ func (n *Network) portAt(r topology.RouterID, p int) (*outPort, error) {
 	if p < 0 || p >= len(rt.out) {
 		return nil, fmt.Errorf("network: fault on router %d unknown port %d", r, p)
 	}
-	return rt.out[p], nil
+	return &rt.out[p], nil
 }
 
 // reversePort returns the opposite direction of the link at (r, p): the
@@ -63,7 +63,7 @@ func (n *Network) reversePort(r topology.RouterID, p int) *outPort {
 	case peer.Unwired():
 		return nil
 	case peer.IsRouter():
-		return n.Routers[peer.Router].out[peer.Port]
+		return &n.Routers[peer.Router].out[peer.Port]
 	}
 	return nil
 }
@@ -134,8 +134,8 @@ func (n *Network) DegradeLink(r topology.RouterID, p int, factor float64) error 
 	if rev == nil {
 		return fmt.Errorf("network: degrade on unwired port r%d.p%d", r, p)
 	}
-	op.rate = factor
-	rev.rate = factor
+	op.coldState().rate = factor
+	rev.coldState().rate = factor
 	op.sh.Tracer.RouterEvent(op.sh.Eng.Now(), telemetry.KindLinkDegrade, int(r), p, int64(factor*1000))
 	if op.sh.Rec != nil {
 		op.sh.Rec.Record(telemetry.FlightEvent{
@@ -287,8 +287,7 @@ func (n *Network) PathUsable(src, dst topology.NodeID, msp topology.Path) bool {
 		} else {
 			port = n.Topo.NextHop(r, dst)
 		}
-		op := n.Routers[r].out[port]
-		if op.down {
+		if n.Routers[r].out[port].down {
 			return false
 		}
 		peer := n.Topo.PortPeer(r, port)
@@ -340,8 +339,9 @@ func (n *Network) reachFrom(sh *Shard, from topology.RouterID) []bool {
 	for len(queue) > 0 {
 		r := queue[0]
 		queue = queue[1:]
-		for p, op := range n.Routers[r].out {
-			if op.down {
+		out := n.Routers[r].out
+		for p := range out {
+			if out[p].down {
 				continue
 			}
 			peer := n.Topo.PortPeer(r, p)

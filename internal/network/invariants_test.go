@@ -1,0 +1,63 @@
+package network_test
+
+import (
+	"testing"
+
+	"prdrb/internal/network"
+	"prdrb/internal/runner"
+	"prdrb/internal/sim"
+	"prdrb/internal/topology"
+)
+
+// TestPortInvariants runs a congested, flapping dragonfly under pr-drb and
+// checks the port-state layout (network.CheckPortInvariants) at several
+// quiescent horizons, serial and on two shards: byte counts, the nonEmpty
+// mask, list tails, parked counts, and that every packet record is in at
+// most one queue, in-flight slot, parked list or freelist.
+func TestPortInvariants(t *testing.T) {
+	topo, err := topology.ByName("df-4-8-2-2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []int{1, 2} {
+		s, err := runner.New(runner.Experiment{Topology: topo, Policy: runner.PolicyPRDRB, Seed: 3, Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Incast from nodes 8-63 onto nodes 0-3 parks deliveries, uniform
+		// traffic from nodes 0-7 keeps the other queues busy, and a local
+		// (1.0) and a global (0.3) link next to the incast flap under it.
+		flows := make(map[topology.NodeID]topology.NodeID)
+		for src := 8; src < 64; src++ {
+			flows[topology.NodeID(src)] = topology.NodeID(src % 4)
+		}
+		s.InstallHotSpot(flows, 1900, 0, 300*sim.Microsecond)
+		if err := s.InstallPattern(runner.PatternSpec{Pattern: "uniform", RateMbps: 800, End: 300 * sim.Microsecond,
+			Nodes: []topology.NodeID{0, 1, 2, 3, 4, 5, 6, 7}}); err != nil {
+			t.Fatal(err)
+		}
+		plan, err := s.ParseFaults("flap@20us:1.0*12/20us,flap@35us:0.3*8/30us")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.InstallFaults(plan); err != nil {
+			t.Fatal(err)
+		}
+		var seen network.PortCensus
+		for _, h := range []sim.Time{25, 40, 60, 90, 130, 180, 250, 2000} {
+			s.Execute(h * sim.Microsecond)
+			c, err := network.CheckPortInvariants(s.Net)
+			if err != nil {
+				t.Fatalf("shards=%d at %dus: %v", shards, h, err)
+			}
+			seen.Queued = max(seen.Queued, c.Queued)
+			seen.Parked = max(seen.Parked, c.Parked)
+			seen.InFlight = max(seen.InFlight, c.InFlight)
+			seen.Free = max(seen.Free, c.Free)
+		}
+		if seen.Queued == 0 || seen.Parked == 0 || seen.Free == 0 || s.Net.DroppedPkts() == 0 {
+			t.Fatalf("shards=%d: the run never queued, parked, pooled and dropped at once (%+v, %d drops)",
+				shards, seen, s.Net.DroppedPkts())
+		}
+	}
+}

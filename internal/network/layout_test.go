@@ -1,0 +1,183 @@
+package network
+
+import (
+	"maps"
+	"runtime"
+	"slices"
+	"testing"
+	"unsafe"
+
+	"prdrb/internal/metrics"
+	"prdrb/internal/sim"
+	"prdrb/internal/telemetry"
+	"prdrb/internal/topology"
+)
+
+// Port-state layout: the intrusive VC FIFO against a slice-backed
+// reference, the record sizes the layout is built around, and what
+// building a fabric allocates.
+
+// TestVCQueueMatchesSlice drives random pushes and pops over a port's VCs
+// and a slice-backed reference FIFO per VC side by side. After every
+// operation each VC must hold the reference's packets in order with its
+// byte count, the list must end at its tail, and both CFD counts — the
+// shallow port's recount and the deep port's incremental tally — must
+// equal a tally of the reference.
+func TestVCQueueMatchesSlice(t *testing.T) {
+	n := testNet(t, topology.NewTorus(4, 4), nil) // 8 VCs, two of them ACK
+	o := &n.Routers[5].out[0]
+	ref := make([][]*Packet, n.numVC)
+	tally := o.buildTally()
+	rng := sim.NewRNG(11)
+	check := func(step int, dep *Packet) {
+		t.Helper()
+		want := map[FlowKey]int{}
+		wantTotal := 0
+		for vc := range ref {
+			q := &o.vcs[vc]
+			if got := q.pkts(); !slices.Equal(got, ref[vc]) {
+				t.Fatalf("step %d vc %d: queue %v, reference %v", step, vc, got, ref[vc])
+			}
+			bytes := 0
+			for _, p := range ref[vc] {
+				bytes += p.SizeBytes
+				if !n.isAckVC(vc) {
+					want[p.Flow()] += p.SizeBytes
+					wantTotal += p.SizeBytes
+				}
+			}
+			if q.bytes != bytes {
+				t.Fatalf("step %d vc %d: %d bytes, reference %d", step, vc, q.bytes, bytes)
+			}
+			if k := len(ref[vc]); (k == 0) != (q.tail == nil) || k > 0 && (q.tail != ref[vc][k-1] || q.tail.qnext != nil) {
+				t.Fatalf("step %d vc %d: tail %p does not end the reference's %d packets", step, vc, q.tail, k)
+			}
+		}
+		got := map[FlowKey]int{}
+		for _, fb := range tally.flows {
+			got[fb.f] = fb.b
+		}
+		if !maps.Equal(got, want) || tally.total != wantTotal {
+			t.Fatalf("step %d: tally %v (%d B), reference %v (%d B)", step, got, tally.total, want, wantTotal)
+		}
+		want[dep.Flow()] += dep.SizeBytes
+		flows, total := o.recountFlows(dep)
+		got = map[FlowKey]int{}
+		for _, fb := range flows {
+			got[fb.f] = fb.b
+		}
+		if !maps.Equal(got, want) || total != wantTotal+dep.SizeBytes {
+			t.Fatalf("step %d: recount %v (%d B), reference %v (%d B)", step, got, total, want, wantTotal+dep.SizeBytes)
+		}
+	}
+	for step := 0; step < 5000; step++ {
+		vc := rng.Intn(n.numVC)
+		if rng.Intn(5) < 3 || len(ref[vc]) == 0 {
+			p := cfdPkt(rng.Intn(6), 6+rng.Intn(6), 64<<uint(rng.Intn(5)))
+			o.vcs[vc].push(p)
+			ref[vc] = append(ref[vc], p)
+			if !n.isAckVC(vc) {
+				tally.add(p)
+			}
+		} else {
+			p := o.vcs[vc].pop()
+			if p != ref[vc][0] || p.qnext != nil {
+				t.Fatalf("step %d vc %d: popped %p (linked to %p), reference head %p", step, vc, p, p.qnext, ref[vc][0])
+			}
+			ref[vc] = ref[vc][1:]
+			if !n.isAckVC(vc) {
+				tally.remove(p)
+			}
+		}
+		check(step, cfdPkt(rng.Intn(6), 6+rng.Intn(6), 1024))
+	}
+}
+
+// TestLayoutSizes pins the record sizes the port layout is sized around:
+// a Packet stays in the 224-byte size class with its queue link, and
+// ports × VCs — the largest state of a 4096-node fabric — stays at 176
+// bytes a port plus 24 a VC.
+func TestLayoutSizes(t *testing.T) {
+	if s := unsafe.Sizeof(Packet{}); s > 224 {
+		t.Errorf("Packet is %d bytes, want at most 224", s)
+	}
+	if s := unsafe.Sizeof(outPort{}); s > 176 {
+		t.Errorf("outPort is %d bytes, want at most 176", s)
+	}
+	if s := unsafe.Sizeof(vcQueue{}); s != 24 {
+		t.Errorf("vcQueue is %d bytes, want 24", s)
+	}
+}
+
+// ladderRow is one fabric of TestBuildBytesLadder.
+type ladderRow struct {
+	routers, ports, vcs int
+	bytes, objects      uint64
+}
+
+// buildLadderRow measures the heap bytes and objects building the fabric
+// spec on the given number of shards allocates (its topology and
+// partition made beforehand).
+func buildLadderRow(t *testing.T, spec string, shards int) ladderRow {
+	t.Helper()
+	topo, err := topology.ByName(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	eng := sim.NewEngine()
+	var group *sim.ShardGroup
+	var assign []int
+	if shards > 1 {
+		if assign, err = topology.Partition(topo, shards); err != nil {
+			t.Fatal(err)
+		}
+		group = sim.NewShardGroup(shards, cfg.Lookahead())
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	var n *Network
+	if group == nil {
+		n, err = New(eng, topo, cfg, detPolicy{}, nil)
+	} else {
+		n, err = NewSharded(group, topo, cfg, detPolicy{}, make([]*metrics.Collector, shards), make([]*telemetry.Tracer, shards), assign)
+	}
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := ladderRow{routers: len(n.Routers), ports: len(n.NICs), vcs: n.numVC,
+		bytes: after.TotalAlloc - before.TotalAlloc, objects: after.Mallocs - before.Mallocs}
+	for _, rt := range n.Routers {
+		r.ports += rt.Ports()
+	}
+	return r
+}
+
+// TestBuildBytesLadder builds dragonflies and fat trees of about 64, 256,
+// 1024 and 4096 nodes, serial and on two shards, and pins what building
+// allocates: per port (router and NIC ports; the routers' and NICs' own
+// records included) at most 240 bytes plus 32 per VC at every size, and a
+// number of objects that depends on the shard count alone — every port,
+// VC queue, router and NIC comes from a slab. With -v it prints the table.
+func TestBuildBytesLadder(t *testing.T) {
+	t.Logf("%-13s %6s %7s %6s %4s %9s %7s %7s", "fabric", "shards", "routers", "ports", "vcs", "bytes", "B/port", "objects")
+	for _, spec := range []string{
+		"df-4-8-2-2", "df-8-8-4-4", "df-8-32-4-4", "df-16-32-8-8",
+		"ft-4-3", "ft-4-4", "ft-4-5", "ft-4-6",
+	} {
+		for _, shards := range []int{1, 2} {
+			r := buildLadderRow(t, spec, shards)
+			perPort := float64(r.bytes) / float64(r.ports)
+			t.Logf("%-13s %6d %7d %6d %4d %9d %7.1f %7d", spec, shards, r.routers, r.ports, r.vcs, r.bytes, perPort, r.objects)
+			if budget := 240 + 32*r.vcs; perPort > float64(budget) {
+				t.Errorf("%s on %d shards: %.1f bytes per port, budget %d", spec, shards, perPort, budget)
+			}
+			if budget := 16 + 8*shards; r.objects > uint64(budget) {
+				t.Errorf("%s on %d shards: %d objects for %d routers and %d ports, budget %d",
+					spec, shards, r.objects, r.routers, r.ports, budget)
+			}
+		}
+	}
+}

@@ -138,7 +138,7 @@ func TestLazyFreeAcrossLinkFailure(t *testing.T) {
 		var o *outPort
 		n, _ := lazyNet(t, true, func(n *Network, _ *outPort) {
 			e := n.Eng
-			o = n.Routers[0].out[0]
+			o = &n.Routers[0].out[0]
 			if err := n.DegradeLink(0, 0, 0.5); err != nil {
 				t.Fatal(err)
 			}

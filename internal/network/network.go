@@ -162,62 +162,108 @@ func build(topo topology.Topology, cfg Config, policy RouterPolicy, shards []*Sh
 	}
 	n.numVC = numClasses * n.vcsPerClass
 
-	newPort := func(sh *Shard, router topology.RouterID, port, capBytes int) *outPort {
-		op := &outPort{
-			net:    n,
-			sh:     sh,
-			router: router,
-			port:   port,
-			vcCap:  capBytes,
-			vcs:    make([]vcQueue, n.numVC),
+	// Port state is slab-allocated: count each shard's ports (its routers'
+	// and its NICs'), then carve every port out of one []outPort and its VC
+	// queues out of one []vcQueue arena per shard. Neither slab is ever
+	// grown, so a *outPort stays valid for the network's life; routers,
+	// NICs and the routers' MinimalPorts scratch get one slab each too, so
+	// building allocates O(shards), not O(ports).
+	numRouters, numTerms := topo.NumRouters(), topo.NumTerminals()
+	portsOn := make([]int, len(shards))
+	radixSum := 0
+	for r := 0; r < numRouters; r++ {
+		k := topo.Radix(topology.RouterID(r))
+		portsOn[shardOf(topology.RouterID(r)).Idx] += k
+		radixSum += k
+	}
+	for t := 0; t < numTerms; t++ {
+		r, _ := topo.TerminalAttach(topology.NodeID(t))
+		portsOn[shardOf(r).Idx]++
+	}
+	type portSlab struct {
+		ports []outPort
+		vcs   []vcQueue
+	}
+	slabs := make([]portSlab, len(shards))
+	for i, k := range portsOn {
+		slabs[i] = portSlab{make([]outPort, 0, k), make([]vcQueue, k*n.numVC)}
+	}
+	// newPorts takes the next k ports of sh's slab for router (-1 for a
+	// NIC), each with capBytes per VC.
+	newPorts := func(sh *Shard, router topology.RouterID, k, capBytes int) []outPort {
+		s := &slabs[sh.Idx]
+		at := len(s.ports)
+		s.ports = s.ports[:at+k]
+		for p := at; p < at+k; p++ {
+			op := &s.ports[p]
+			op.sh = sh
+			op.router = int32(router)
+			op.port = int32(p - at)
+			op.vcCap = capBytes
+			op.vcs = s.vcs[:n.numVC:n.numVC]
+			s.vcs = s.vcs[n.numVC:]
+			if sh.Collector != nil && router >= 0 {
+				// Resolve the contention-metrics handle once, at wiring time.
+				op.obs = sh.Collector.Contention.Observer(int(router))
+			}
+			if cfg.Congestion {
+				op.cong = newCongPort(n.numVC)
+			}
 		}
-		if sh.Collector != nil && router >= 0 {
-			// Resolve the contention-metrics handle once, at wiring time.
-			op.obs = sh.Collector.Contention.Observer(int(router))
-		}
-		if cfg.Congestion {
-			op.cong = newCongPort(n.numVC)
-		}
-		return op
+		return s.ports[at : at+k : at+k]
 	}
 	// Routers and their output ports.
-	n.Routers = make([]*Router, topo.NumRouters())
-	for r := range n.Routers {
+	routers := make([]Router, numRouters)
+	mpBufs := make([]int, radixSum)
+	n.Routers = make([]*Router, numRouters)
+	for r := range routers {
 		sh := shardOf(topology.RouterID(r))
-		rt := &Router{ID: topology.RouterID(r), net: n, sh: sh}
-		rt.mpBuf = make([]int, 0, topo.Radix(rt.ID))
-		rt.out = make([]*outPort, topo.Radix(rt.ID))
+		rt := &routers[r]
+		rt.ID, rt.net, rt.sh = topology.RouterID(r), n, sh
+		radix := topo.Radix(rt.ID)
+		rt.mpBuf, mpBufs = mpBufs[:0:radix], mpBufs[radix:]
+		rt.out = newPorts(sh, rt.ID, radix, cfg.BufferBytes/n.numVC)
 		for p := range rt.out {
-			rt.out[p] = newPort(sh, rt.ID, p, cfg.BufferBytes/n.numVC)
-			rt.out[p].linkDim, rt.out[p].linkWrap = topo.LinkDim(rt.ID, p)
+			dim, wrap := topo.LinkDim(rt.ID, p)
+			rt.out[p].linkDim, rt.out[p].linkWrap = int32(dim), wrap
 		}
 		n.Routers[r] = rt
 	}
 	// NICs, co-located with their attach router's shard.
-	n.NICs = make([]*NIC, topo.NumTerminals())
-	n.attach = make([]attachPoint, topo.NumTerminals())
-	for t := range n.NICs {
+	nics := make([]NIC, numTerms)
+	n.NICs = make([]*NIC, numTerms)
+	n.attach = make([]attachPoint, numTerms)
+	for t := range nics {
 		r, p := topo.TerminalAttach(topology.NodeID(t))
 		n.attach[t] = attachPoint{router: int32(r), port: int16(p)}
 		sh := shardOf(r)
-		nic := &NIC{ID: topology.NodeID(t), net: n, sh: sh}
+		nic := &nics[t]
+		nic.ID, nic.net, nic.sh = topology.NodeID(t), n, sh
 		if sh.Collector != nil {
 			nic.deliv = sh.Collector.DeliveryObserver(t)
 		}
 		// Source queues are effectively unbounded: the offered load is
 		// the experiment input and the growing injection queue is how
 		// saturation shows up as latency (§4.2's open-loop sources).
-		nic.out = newPort(sh, topology.None, 0, 1<<40)
+		nic.out = &newPorts(sh, topology.None, 1, 1<<40)[0]
 		nic.out.linkDim = -1
 		n.NICs[t] = nic
 	}
 	// Wire ports; router-router links whose ends live on different shards
-	// become boundary links served by the cross-shard protocol.
+	// become boundary links served by the cross-shard protocol. A boundary
+	// port's remoteLink depends on the receiving router only: one each.
+	var remotes []remoteLink
+	if len(shards) > 1 {
+		remotes = make([]remoteLink, numRouters)
+		for r, rt := range n.Routers {
+			remotes[r] = remoteLink{shard: rt.sh.Idx, target: rt}
+		}
+	}
 	for r := range n.Routers {
 		rt := n.Routers[r]
 		for p := range rt.out {
 			peer := topo.PortPeer(rt.ID, p)
-			op := rt.out[p]
+			op := &rt.out[p]
 			switch {
 			case peer.Unwired():
 				op.peer = nil
@@ -229,7 +275,7 @@ func build(topo topology.Topology, cfg Config, policy RouterPolicy, shards []*Sh
 				op.peer = target
 				op.txExtra = cfg.LinkDelay + cfg.RoutingDelay
 				if target.sh != rt.sh {
-					op.remote = &remoteLink{shard: target.sh.Idx, target: target}
+					op.remote = &remotes[peer.Router]
 				}
 			}
 		}
@@ -272,8 +318,8 @@ func (n *Network) isAckVC(vc int) bool { return vc/n.vcsPerClass == ackClass }
 // ring's wrap link.
 func (n *Network) prepareVC(op *outPort, pkt *Packet) int {
 	c := pkt.class()
-	if c != pkt.lastClass {
-		pkt.lastClass = c
+	if int32(c) != pkt.lastClass {
+		pkt.lastClass = int32(c)
 		pkt.dateline = false
 		pkt.curDim = -99
 	}
@@ -326,11 +372,11 @@ func (n *Network) SetSourceController(build func(node topology.NodeID) SourceCon
 func (n *Network) injectPredictiveAcks(e *sim.Engine, from *outPort, flows []FlowKey, wait sim.Time) {
 	r := n.Routers[from.router]
 	sh := from.sh
-	sh.Tracer.RouterEvent(e.Now(), telemetry.KindPredAck, int(from.router), from.port, int64(len(flows)))
+	sh.Tracer.RouterEvent(e.Now(), telemetry.KindPredAck, int(from.router), int(from.port), int64(len(flows)))
 	if sh.Rec != nil {
 		sh.Rec.Record(telemetry.FlightEvent{
 			AtNs: int64(e.Now()), Kind: telemetry.FlightPredAck,
-			Router: int(from.router), Port: from.port, VC: -1,
+			Router: int(from.router), Port: int(from.port), VC: -1,
 			Val: int64(len(flows)),
 		})
 	}
@@ -344,7 +390,7 @@ func (n *Network) injectPredictiveAcks(e *sim.Engine, from *outPort, flows []Flo
 		ack.PathLatency = wait
 		ack.MSPIndex = -1
 		ack.Predictive = true
-		ack.ReportRouter = from.router
+		ack.ReportRouter = topology.RouterID(from.router)
 		ack.Contending = flows
 		if r.injectAck(e, ack) {
 			sh.predictiveAcksSent++
@@ -393,8 +439,8 @@ func (n *Network) settleLinks(horizon sim.Time) {
 // then the NIC injection ports.
 func (n *Network) eachPort(visit func(*outPort)) {
 	for _, rt := range n.Routers {
-		for _, op := range rt.out {
-			visit(op)
+		for i := range rt.out {
+			visit(&rt.out[i])
 		}
 	}
 	for _, nic := range n.NICs {
@@ -418,7 +464,8 @@ type LinkStat struct {
 func (n *Network) LinkStats() []LinkStat {
 	var out []LinkStat
 	for _, rt := range n.Routers {
-		for p, op := range rt.out {
+		for p := range rt.out {
+			op := &rt.out[p]
 			out = append(out, LinkStat{
 				Router: rt.ID, Port: p, BusyNs: op.busyNs, Bytes: op.txBytes,
 				Wired: op.peer != nil,
@@ -451,8 +498,8 @@ func (n *Network) PacketPoolStats() (issued uint64, freePeak int) {
 func (n *Network) TotalQueuedBytes() int {
 	total := 0
 	for _, rt := range n.Routers {
-		for _, op := range rt.out {
-			total += op.queued
+		for i := range rt.out {
+			total += rt.out[i].queued
 		}
 	}
 	return total

@@ -12,13 +12,14 @@ package network
 // link contributes two to down.
 func (n *Network) LinkHealthCounts() (down, degraded int) {
 	for _, rt := range n.Routers {
-		for _, op := range rt.out {
+		for i := range rt.out {
+			op := &rt.out[i]
 			if op.peer == nil {
 				continue
 			}
 			if op.down {
 				down++
-			} else if op.rate > 0 && op.rate < 1 {
+			} else if op.degradedRate() > 0 {
 				degraded++
 			}
 		}
@@ -26,7 +27,7 @@ func (n *Network) LinkHealthCounts() (down, degraded int) {
 	for _, nic := range n.NICs {
 		if nic.out.down {
 			down++
-		} else if nic.out.rate > 0 && nic.out.rate < 1 {
+		} else if nic.out.degradedRate() > 0 {
 			degraded++
 		}
 	}

@@ -153,9 +153,15 @@ type Packet struct {
 	// the last link taken, whether a dateline (torus wrap link) has been
 	// crossed in the current dimension, and the last VC class, used to
 	// reset the dateline bit at segment boundaries.
-	curDim    int
+	curDim    int32
+	lastClass int32
 	dateline  bool
-	lastClass int
+
+	// qnext links the packet into the one list that holds it: a VC queue
+	// (vcQueue) or its shard's freelist (pool.go). A packet is queued,
+	// in flight, parked or free — never two of these — so one link serves
+	// all of them.
+	qnext *Packet
 
 	// Latency-attribution integrals (not wire fields): hops counts pumps
 	// through output ports (injection included); queueNs accumulates the

@@ -1,6 +1,7 @@
 package network
 
-// Per-shard packet freelist. A saturated run moves millions of packets
+// Per-shard packet freelist, a LIFO list linked through Packet.qnext. A
+// saturated run moves millions of packets
 // and — before pooling — allocated every one of them; recycling the records
 // keeps the steady-state injection path allocation-free and GC-quiet.
 //
@@ -14,9 +15,9 @@ package network
 //     packets lost on a failed link (Network.dropPacketAt), or the GPA
 //     module when a predictive ACK finds no buffer space
 //     (injectPredictiveAcks).
-//   - Release zeroes every field (`*p = Packet{}`), so a stale reference
-//     can never observe the next occupant's identity. Slice fields
-//     (Waypoints, Contending) only have the reference dropped — their
+//   - Release zeroes every field but the freelist link qnext, so a stale
+//     reference can never observe the next occupant's identity. Slice
+//     fields (Waypoints, Contending) only have the reference dropped — their
 //     backing arrays may still be shared with live packets (an ACK copies
 //     the data packet's Contending slice; detoured ACKs share the cached
 //     detour path) and are never scrubbed or reused by the pool. Nor may
@@ -40,11 +41,10 @@ package network
 // (strided by the shard count so IDs are globally unique and per-shard
 // sequences are shard-count-independent).
 func (sh *Shard) newPacket() *Packet {
-	var p *Packet
-	if k := len(sh.pktFree); k > 0 {
-		p = sh.pktFree[k-1]
-		sh.pktFree[k-1] = nil
-		sh.pktFree = sh.pktFree[:k-1]
+	p := sh.pktFree
+	if p != nil {
+		sh.pktFree, p.qnext = p.qnext, nil
+		sh.pktFreeN--
 	} else {
 		p = &Packet{}
 	}
@@ -54,13 +54,13 @@ func (sh *Shard) newPacket() *Packet {
 	return p
 }
 
-// releasePacket zeroes p and returns it to the freelist. The caller must be
-// the packet's final owner.
+// releasePacket zeroes p and pushes it onto the freelist, which is linked
+// through Packet.qnext. The caller must be the packet's final owner.
 func (sh *Shard) releasePacket(p *Packet) {
-	*p = Packet{}
+	*p = Packet{qnext: sh.pktFree}
+	sh.pktFree = p
 	sh.pktReleased++
-	sh.pktFree = append(sh.pktFree, p)
-	if len(sh.pktFree) > sh.pktFreePeak {
-		sh.pktFreePeak = len(sh.pktFree)
+	if sh.pktFreeN++; sh.pktFreeN > sh.pktFreePeak {
+		sh.pktFreePeak = sh.pktFreeN
 	}
 }

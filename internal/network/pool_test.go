@@ -8,6 +8,23 @@ import (
 	"prdrb/internal/topology"
 )
 
+// freeList returns the shard's freelist, head first.
+func freeList(sh *Shard) []*Packet {
+	var out []*Packet
+	for p := sh.pktFree; p != nil; p = p.qnext {
+		out = append(out, p)
+	}
+	return out
+}
+
+// zeroedAtRest reports whether a pooled record is zero but for its
+// freelist link.
+func zeroedAtRest(p *Packet) bool {
+	q := *p
+	q.qnext = nil
+	return reflect.DeepEqual(q, Packet{})
+}
+
 // TestPacketPoolReuseAndZeroing pins the freelist contract of pool.go:
 // release returns the record fully zeroed, the next acquire reuses it
 // (LIFO), and packet IDs keep advancing so a recycled record never repeats
@@ -25,8 +42,8 @@ func TestPacketPoolReuseAndZeroing(t *testing.T) {
 	id1 := p1.ID
 
 	n.Shards[0].releasePacket(p1)
-	if got := len(n.Shards[0].pktFree); got != 1 {
-		t.Fatalf("freelist holds %d records after one release, want 1", got)
+	if got := len(freeList(n.Shards[0])); got != 1 || n.Shards[0].pktFreeN != 1 {
+		t.Fatalf("freelist holds %d records (counted %d) after one release, want 1", got, n.Shards[0].pktFreeN)
 	}
 	if !reflect.DeepEqual(*p1, Packet{}) {
 		t.Fatalf("released packet not zeroed: %+v", *p1)
@@ -90,8 +107,12 @@ func TestDropReleasedPacketDoesNotAlias(t *testing.T) {
 		t.Fatalf("no drop observed; scenario no longer exercises the drop path")
 	}
 	// The run is drained: every packet ever acquired is back in the pool.
-	inPool := make(map[*Packet]int, len(n.Shards[0].pktFree))
-	for _, p := range n.Shards[0].pktFree {
+	free := freeList(n.Shards[0])
+	if len(free) != n.Shards[0].pktFreeN {
+		t.Fatalf("freelist holds %d records, counted %d", len(free), n.Shards[0].pktFreeN)
+	}
+	inPool := make(map[*Packet]int, len(free))
+	for _, p := range free {
 		inPool[p]++
 	}
 	for ptr, cnt := range inPool {
@@ -104,8 +125,8 @@ func TestDropReleasedPacketDoesNotAlias(t *testing.T) {
 			t.Fatalf("dropped packet %d (ID %d) never returned to the pool", i, spy.snaps[i].ID)
 		}
 	}
-	for _, p := range n.Shards[0].pktFree {
-		if !reflect.DeepEqual(*p, Packet{}) {
+	for _, p := range free {
+		if !zeroedAtRest(p) {
 			t.Fatalf("pooled record not zeroed at rest: %+v", *p)
 		}
 	}
@@ -150,7 +171,7 @@ func TestPoolRecycleKeepsDeliveryIdentity(t *testing.T) {
 	}
 	// Steady-state wire traffic with one packet in flight plus one queued
 	// must not grow the pool without bound.
-	if len(n.Shards[0].pktFree) > 8 {
-		t.Fatalf("pool grew to %d records for a serialized 2-node wire", len(n.Shards[0].pktFree))
+	if k := len(freeList(n.Shards[0])); k > 8 {
+		t.Fatalf("pool grew to %d records for a serialized 2-node wire", k)
 	}
 }

@@ -28,43 +28,32 @@ type parkedDelivery struct {
 	fromVC int
 }
 
-// vcQueue is one virtual channel's FIFO within an output port: q[head:]
-// holds the queued packets. Dequeuing advances head instead of shifting the
-// slice down — NIC injection queues are unbounded and tens of packets deep
-// on a saturated cell.
+// vcQueue is one virtual channel's FIFO within an output port, linked
+// through Packet.qnext: head leaves next, tail arrived last. push and pop
+// keep bytes, so nothing grows however deep the queue gets — NIC injection
+// queues are unbounded and tens of packets deep on a saturated cell.
 type vcQueue struct {
-	q     []*Packet
-	head  int
-	bytes int
+	head, tail *Packet
+	bytes      int
 }
 
-// pkts returns the queued packets in FIFO order, valid until the next
-// push or pop.
-func (q *vcQueue) pkts() []*Packet { return q.q[q.head:] }
-
 func (q *vcQueue) push(p *Packet) {
-	if q.head > 0 && len(q.q) == cap(q.q) && 4*q.head >= len(q.q) {
-		// Full, and at least a quarter of it is popped prefix: reclaim
-		// that instead of growing. Waiting for a quarter keeps the copy
-		// amortised O(1) per packet at any steady depth (at most three
-		// moves per push) while the array stays within 4/3 of the depth
-		// that filled it.
-		n := copy(q.q, q.q[q.head:])
-		for i := n; i < len(q.q); i++ {
-			q.q[i] = nil
-		}
-		q.q, q.head = q.q[:n], 0
+	if q.tail == nil {
+		q.head = p
+	} else {
+		q.tail.qnext = p
 	}
-	q.q = append(q.q, p)
+	q.tail = p
+	q.bytes += p.SizeBytes
 }
 
 func (q *vcQueue) pop() *Packet {
-	p := q.q[q.head]
-	q.q[q.head] = nil
-	q.head++
-	if q.head == len(q.q) {
-		q.q, q.head = q.q[:0], 0
+	p := q.head
+	q.head, p.qnext = p.qnext, nil
+	if q.head == nil {
+		q.tail = nil
 	}
+	q.bytes -= p.SizeBytes
 	return p
 }
 
@@ -72,13 +61,12 @@ func (q *vcQueue) pop() *Packet {
 var _ [8 - maxVCs]struct{}
 
 // outPort is an output port with per-VC buffering, round-robin VC
-// arbitration (Fig 4.6) and a single serializing link.
+// arbitration (Fig 4.6) and a single serializing link. Ports live in their
+// shard's port slab and their VC queues in its queue arena (build); state
+// that most ports never touch sits behind cold.
 type outPort struct {
-	net    *Network
-	sh     *Shard            // owning shard (the serial network's only one)
-	router topology.RouterID // owning router, or -1 for a NIC port
-	port   int
-	peer   receiver
+	sh   *Shard // owning shard (the serial network's only one)
+	peer receiver
 	// remote marks a boundary link: the peer router lives on another
 	// shard and deliveries travel the cross-shard protocol (shard.go).
 	// Nil for intra-shard links and always nil in serial mode.
@@ -91,41 +79,6 @@ type outPort struct {
 	vcs   []vcQueue
 	// queued is the byte total over all VC queues (the sum of vcs[].bytes).
 	queued int
-	// parked[vc] holds upstream deliveries waiting for space in VC vc,
-	// parkedN their total count; the per-VC lists are allocated with the
-	// first parked delivery (a NIC port never has one).
-	parked  [][]parkedDelivery
-	parkedN int
-	// nonEmpty has bit vc set while VC vc's queue holds a packet.
-	nonEmpty uint8
-	// parkedOut has bit vc set while a packet of this VC sits in the
-	// downstream input latch awaiting buffer admission: the VC is blocked
-	// (one credit per link and VC) but the physical link stays available
-	// to the other VCs — without this, one full VC would couple every
-	// class and void the per-segment deadlock freedom.
-	parkedOut uint8
-	rr        int // round-robin arbitration pointer
-	// linkDim / linkWrap classify the attached link for dateline VC
-	// assignment (topology.LinkDim of the wired port).
-	linkDim  int
-	linkWrap bool
-	// busy is raised when a packet starts serializing and cleared once the
-	// link has freed and somebody looked: by the portEvFree event, by
-	// freeLink when the delivery outlasted the serialization, or — when
-	// the event was never scheduled (lazyFree) — by the first pump or
-	// load that finds its key passed. Read it through linkBusy.
-	busy bool
-	// lazyFree is set while the link-free event of the current
-	// transmission exists only as its reserved key (serEnd, freeSeq): at
-	// the moment it was due to be scheduled no VC was eligible to send, so
-	// firing it would have done nothing but clear busy.
-	lazyFree bool
-	// down marks a failed link: the queue is not served, no credits are
-	// emitted, and the in-flight packet is dropped on delivery (health.go).
-	down bool
-	// rate scales the link bandwidth when the link is degraded; 0 or 1
-	// means nominal rate.
-	rate float64
 	// serEnd is when the link frees: the in-flight packet's tail has left
 	// it (and, on a boundary link, its header has landed — see
 	// sendRemote). The port cannot start the next packet before it even if
@@ -134,9 +87,6 @@ type outPort struct {
 	// freeSeq is the sequence number reserved for the link-free event
 	// while lazyFree is set.
 	freeSeq uint64
-
-	// lastRouterAck rate-limits router-based predictive notifications.
-	lastRouterAck sim.Time
 
 	// busyNs and txBytes account link occupancy for the energy/provision
 	// analyses (§5.2 open lines).
@@ -160,6 +110,70 @@ type outPort struct {
 	// congestion accounting is off, so disabled runs pay one predictable
 	// branch per hook and allocate nothing.
 	cong *congPort
+	// cold is made by the first park, degradation or router-based
+	// notification (coldState).
+	cold *portCold
+
+	router int32 // owning router, or -1 for a NIC port
+	port   int32
+	// linkDim / linkWrap classify the attached link for dateline VC
+	// assignment (topology.LinkDim of the wired port).
+	linkDim int32
+	// parkedN counts the upstream deliveries parked in cold.parked.
+	parkedN int32
+	rr      uint8 // round-robin arbitration pointer
+	// nonEmpty has bit vc set while VC vc's queue holds a packet.
+	nonEmpty uint8
+	// parkedOut has bit vc set while a packet of this VC sits in the
+	// downstream input latch awaiting buffer admission: the VC is blocked
+	// (one credit per link and VC) but the physical link stays available
+	// to the other VCs — without this, one full VC would couple every
+	// class and void the per-segment deadlock freedom.
+	parkedOut uint8
+	linkWrap  bool
+	// busy is raised when a packet starts serializing and cleared once the
+	// link has freed and somebody looked: by the portEvFree event, by
+	// freeLink when the delivery outlasted the serialization, or — when
+	// the event was never scheduled (lazyFree) — by the first pump or
+	// load that finds its key passed. Read it through linkBusy.
+	busy bool
+	// lazyFree is set while the link-free event of the current
+	// transmission exists only as its reserved key (serEnd, freeSeq): at
+	// the moment it was due to be scheduled no VC was eligible to send, so
+	// firing it would have done nothing but clear busy.
+	lazyFree bool
+	// down marks a failed link: the queue is not served, no credits are
+	// emitted, and the in-flight packet is dropped on delivery (health.go).
+	down bool
+}
+
+// portCold is the part of a port's state that a port touches only once it
+// parks a delivery, runs degraded or sends router-based notifications.
+type portCold struct {
+	// parked[vc] holds upstream deliveries waiting for space in VC vc.
+	parked [maxVCs][]parkedDelivery
+	// lastRouterAck rate-limits router-based predictive notifications.
+	lastRouterAck sim.Time
+	// rate scales the link bandwidth when the link is degraded; 0 or 1
+	// means nominal rate.
+	rate float64
+}
+
+// coldState returns the port's cold record, making it on first use.
+func (o *outPort) coldState() *portCold {
+	if o.cold == nil {
+		o.cold = new(portCold)
+	}
+	return o.cold
+}
+
+// degradedRate returns the link's bandwidth factor while it runs below
+// nominal rate, else 0.
+func (o *outPort) degradedRate() float64 {
+	if c := o.cold; c != nil && c.rate > 0 && c.rate < 1 {
+		return c.rate
+	}
+	return 0
 }
 
 // Typed event kinds delivered to an outPort (sim.Actor).
@@ -205,10 +219,9 @@ func (o *outPort) enqueue(e *sim.Engine, pkt *Packet, vc int) {
 		o.cong.enqueued(e.Now(), pkt.SizeBytes)
 	}
 	o.vcs[vc].push(pkt)
-	o.vcs[vc].bytes += pkt.SizeBytes
 	o.queued += pkt.SizeBytes
 	o.nonEmpty |= 1 << uint(vc)
-	if o.cfd != nil && !o.net.isAckVC(vc) {
+	if o.cfd != nil && !o.sh.net.isAckVC(vc) {
 		o.cfd.add(pkt)
 	}
 	o.pump(e)
@@ -225,8 +238,8 @@ func (o *outPort) pickVC(ready uint8) int {
 		m = ready
 	}
 	vc := bits.TrailingZeros8(m)
-	o.rr = vc + 1
-	if o.rr >= len(o.vcs) {
+	o.rr = uint8(vc + 1)
+	if int(o.rr) >= len(o.vcs) {
 		o.rr = 0
 	}
 	return vc
@@ -267,12 +280,11 @@ func (o *outPort) pump(e *sim.Engine) {
 	vc := o.pickVC(ready)
 	q := &o.vcs[vc]
 	pkt := q.pop()
-	q.bytes -= pkt.SizeBytes
 	o.queued -= pkt.SizeBytes
-	if len(q.q) == 0 {
+	if q.head == nil {
 		o.nonEmpty &^= 1 << uint(vc)
 	}
-	if o.cfd != nil && !o.net.isAckVC(vc) {
+	if o.cfd != nil && !o.sh.net.isAckVC(vc) {
 		o.cfd.remove(pkt)
 	}
 	o.busy = true
@@ -291,7 +303,7 @@ func (o *outPort) pump(e *sim.Engine) {
 			o.obs.Observe(wait, e.Now())
 		}
 		if o.sh.Tracer.Sampled(pkt.ID) {
-			o.sh.Tracer.PacketHop(e.Now(), pkt.ID, int(o.router), o.port, wait)
+			o.sh.Tracer.PacketHop(e.Now(), pkt.ID, int(o.router), int(o.port), wait)
 		}
 		o.monitorDeparture(e, pkt, wait)
 	}
@@ -302,11 +314,12 @@ func (o *outPort) pump(e *sim.Engine) {
 	// after just the header time, while this link stays occupied for the
 	// full serialization. Backpressure holds the VC, not the link: see
 	// deliver/creditReturned.
-	ser, cut := o.net.serTime(pkt.SizeBytes), o.net.serHeader
-	if o.rate > 0 && o.rate < 1 {
+	net := o.sh.net
+	ser, cut := net.serTime(pkt.SizeBytes), net.serHeader
+	if rate := o.degradedRate(); rate > 0 {
 		// Transient bandwidth degradation stretches serialization.
-		ser = sim.Time(float64(ser) / o.rate)
-		cut = sim.Time(float64(cut) / o.rate)
+		ser = sim.Time(float64(ser) / rate)
+		cut = sim.Time(float64(cut) / rate)
 	}
 	if cut > ser {
 		cut = ser
@@ -345,7 +358,7 @@ func (o *outPort) sendRemote(e *sim.Engine, pkt *Packet, vc int, cut sim.Time) {
 	arrive := e.Now() + cut + o.txExtra
 	o.parkedOut |= 1 << uint(vc)
 	o.sh.events.Handoffs++
-	o.net.group.Send(o.sh.Idx, o.remote.shard, sim.RemoteEvent{
+	o.sh.net.group.Send(o.sh.Idx, o.remote.shard, sim.RemoteEvent{
 		At:     arrive,
 		Target: o.remote.target,
 		Kind:   remoteDeliver,
@@ -369,7 +382,7 @@ func (o *outPort) sendRemote(e *sim.Engine, pkt *Packet, vc int, cut sim.Time) {
 // one observer of pending events as such, a shard group about to run a
 // fabric-control task, gets them all (Network.ScheduleControl).
 func (o *outPort) scheduleFree(e *sim.Engine) {
-	if o.ready() != 0 || o.net.controlPending > 0 {
+	if o.ready() != 0 || o.sh.net.controlPending > 0 {
 		o.sh.events.LinkFree++
 		e.ScheduleEvent(o.serEnd, o, portEvFree, uint64(o.serEnd))
 		return
@@ -383,7 +396,7 @@ func (o *outPort) scheduleFree(e *sim.Engine) {
 // through the ACK path, so runs without ACKs (the oblivious baselines) skip
 // the contending-flows bookkeeping entirely.
 func (o *outPort) monitorDeparture(e *sim.Engine, pkt *Packet, wait sim.Time) {
-	cfg := &o.net.Cfg
+	cfg := &o.sh.net.Cfg
 	if !cfg.GenerateAcks {
 		return
 	}
@@ -400,12 +413,12 @@ func (o *outPort) monitorDeparture(e *sim.Engine, pkt *Packet, wait sim.Time) {
 			case DestinationBased:
 				// Attach/merge the predictive header; the destination will
 				// copy it into the ACK (§3.2.2).
-				pkt.ReportRouter = o.router
+				pkt.ReportRouter = topology.RouterID(o.router)
 				pkt.Contending = mergeFlows(pkt.Contending, flows, cfg.MaxContending)
 			case RouterBased:
-				if e.Now()-o.lastRouterAck >= cfg.RouterAckInterval {
-					o.lastRouterAck = e.Now()
-					o.net.injectPredictiveAcks(e, o, append([]FlowKey(nil), flows...), wait)
+				if c := o.coldState(); e.Now()-c.lastRouterAck >= cfg.RouterAckInterval {
+					c.lastRouterAck = e.Now()
+					o.sh.net.injectPredictiveAcks(e, o, append([]FlowKey(nil), flows...), wait)
 				}
 				// P bit: tell the destination a predictive ACK was already
 				// sent, so it replies with a latency-only ACK (§3.4.2).
@@ -505,10 +518,10 @@ func (o *outPort) buildTally() *flowTally {
 		t = &flowTally{at: make(map[uint64]int)}
 	}
 	for vc := range o.vcs {
-		if o.net.isAckVC(vc) {
+		if sh.net.isAckVC(vc) {
 			continue
 		}
-		for _, p := range o.vcs[vc].pkts() {
+		for p := o.vcs[vc].head; p != nil; p = p.qnext {
 			t.add(p)
 		}
 	}
@@ -537,7 +550,7 @@ func (o *outPort) dropTally() {
 func (o *outPort) topContendingFlows(departing *Packet) []FlowKey {
 	t := o.cfd
 	if t == nil {
-		if o.queued < tallyDepth*o.net.Cfg.PacketBytes {
+		if o.queued < tallyDepth*o.sh.net.Cfg.PacketBytes {
 			flows, total := o.recountFlows(departing)
 			return o.rankFlows(flows, total)
 		}
@@ -555,10 +568,10 @@ func (o *outPort) recountFlows(departing *Packet) (flows []flowBytes, total int)
 	flows = append(o.sh.flowRank[:0], flowBytes{departing.Flow(), departing.SizeBytes})
 	total = departing.SizeBytes
 	for vc := range o.vcs {
-		if o.net.isAckVC(vc) {
+		if o.sh.net.isAckVC(vc) {
 			continue
 		}
-		for _, p := range o.vcs[vc].pkts() {
+		for p := o.vcs[vc].head; p != nil; p = p.qnext {
 			total += p.SizeBytes
 			f, i := p.Flow(), 0
 			for i < len(flows) && flows[i].f != f {
@@ -578,8 +591,8 @@ func (o *outPort) recountFlows(departing *Packet) (flows []flowBytes, total int)
 // an insertion into the at most MaxContending flows kept. before is a total
 // order, so the order of flows does not show in the result.
 func (o *outPort) rankFlows(flows []flowBytes, total int) []FlowKey {
-	floor := o.net.Cfg.ContendShare * float64(total)
-	limit := o.net.Cfg.MaxContending
+	floor := o.sh.net.Cfg.ContendShare * float64(total)
+	limit := o.sh.net.Cfg.MaxContending
 	kept := o.sh.flowKept[:0]
 	for _, r := range flows {
 		if float64(r.b) < floor {
@@ -636,7 +649,7 @@ func (o *outPort) deliver(e *sim.Engine, pkt *Packet, vc int) {
 	if o.down {
 		// The link died under the packet: it is lost. The link is still
 		// freed so service restarts cleanly after repair.
-		o.net.dropPacketAt(e, o.sh, pkt, int(o.router))
+		o.sh.net.dropPacketAt(e, o.sh, pkt, int(o.router))
 		o.freeLink(e)
 		return
 	}
@@ -654,7 +667,7 @@ func (o *outPort) deliver(e *sim.Engine, pkt *Packet, vc int) {
 		if o.sh.Rec != nil {
 			o.sh.Rec.Record(telemetry.FlightEvent{
 				AtNs: int64(e.Now()), Kind: telemetry.FlightStall,
-				Router: int(o.router), Port: o.port, VC: vc,
+				Router: int(o.router), Port: int(o.port), VC: vc,
 				Pkt: pkt.ID, Src: int(pkt.Src), Dst: int(pkt.Dst),
 			})
 		}
@@ -687,10 +700,8 @@ func (o *outPort) freeLink(e *sim.Engine) {
 
 // park holds a refused delivery until VC vc has room for it.
 func (o *outPort) park(pd parkedDelivery, vc int) {
-	if o.parked == nil {
-		o.parked = make([][]parkedDelivery, len(o.vcs))
-	}
-	o.parked[vc] = append(o.parked[vc], pd)
+	c := o.coldState()
+	c.parked[vc] = append(c.parked[vc], pd)
 	o.parkedN++
 }
 
@@ -700,11 +711,12 @@ func (o *outPort) admitParked(e *sim.Engine) {
 	if o.parkedN == 0 {
 		return
 	}
+	c := o.cold
 	for vc := range o.vcs {
-		for len(o.parked[vc]) > 0 && o.free(vc) >= o.parked[vc][0].pkt.SizeBytes {
-			pd := o.parked[vc][0]
-			copy(o.parked[vc], o.parked[vc][1:])
-			o.parked[vc] = o.parked[vc][:len(o.parked[vc])-1]
+		for len(c.parked[vc]) > 0 && o.free(vc) >= c.parked[vc][0].pkt.SizeBytes {
+			pd := c.parked[vc][0]
+			copy(c.parked[vc], c.parked[vc][1:])
+			c.parked[vc] = c.parked[vc][:len(c.parked[vc])-1]
 			o.parkedN--
 			o.enqueue(e, pd.pkt, vc)
 			if pd.from.sh != o.sh {
@@ -724,7 +736,7 @@ func (o *outPort) admitParked(e *sim.Engine) {
 // routing policies), including a nominal in-flight packet when busy.
 func (o *outPort) load() int {
 	if o.linkBusy(o.sh.Eng) {
-		return o.queued + o.net.Cfg.PacketBytes
+		return o.queued + o.sh.net.Cfg.PacketBytes
 	}
 	return o.queued
 }

@@ -24,8 +24,8 @@ type RouterPolicy interface {
 type Router struct {
 	ID  topology.RouterID
 	net *Network
-	sh  *Shard // owning shard; all of this router's events run on its engine
-	out []*outPort
+	sh  *Shard    // owning shard; all of this router's events run on its engine
+	out []outPort // a window of the shard's port slab
 	// mpBuf is this router's private MinimalPorts scratch (cap = radix).
 	// Routing decisions for a router always run on its shard's engine, so
 	// per-router scratch is race-free under parallel shards while keeping
@@ -135,7 +135,7 @@ func (r *Router) accept(e *sim.Engine, pkt *Packet, from *outPort, fromVC int) b
 		panic(fmt.Sprintf("network: policy %q chose invalid port %d at router %d for %v",
 			r.net.Policy.Name(), port, r.ID, pkt.Flow()))
 	}
-	op := r.out[port]
+	op := &r.out[port]
 	vc := r.net.prepareVC(op, pkt)
 	if op.free(vc) >= pkt.SizeBytes {
 		op.enqueue(e, pkt, vc)
@@ -155,7 +155,7 @@ func (r *Router) injectAck(e *sim.Engine, ack *Packet) bool {
 	if port < 0 || port >= len(r.out) || r.out[port].peer == nil {
 		return false
 	}
-	op := r.out[port]
+	op := &r.out[port]
 	vc := r.net.prepareVC(op, ack)
 	if op.free(vc) < ack.SizeBytes {
 		return false

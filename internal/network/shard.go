@@ -50,8 +50,10 @@ type Shard struct {
 	// Packet freelist (see pool.go for the lifecycle invariants). IDs are
 	// strided by the shard count so they stay globally unique and
 	// shard-count-independent per shard: shard s issues s, s+N, s+2N, ...
-	// With one shard the stride is 1 — the historical sequence.
-	pktFree     []*Packet
+	// With one shard the stride is 1 — the historical sequence. pktFree
+	// heads the list and pktFreeN counts it.
+	pktFree     *Packet
+	pktFreeN    int
 	pktFreePeak int
 	pktIssued   uint64
 	pktReleased uint64
