@@ -1,10 +1,13 @@
 package prdrb
 
 import (
+	"runtime"
+	"strings"
 	"testing"
 
 	"prdrb/internal/core"
 	"prdrb/internal/network"
+	"prdrb/internal/sim"
 	"prdrb/internal/topology"
 )
 
@@ -82,6 +85,10 @@ func TestHotPathZeroAlloc(t *testing.T) {
 // slices, the first growth of the path slice and what the three maps they
 // go into need now and then — printed, and pinned so a per-open temporary
 // cannot creep back in.
+//
+// cfd: the contending-flows notification path — predictive headers merged
+// at congested routers, handed to destination ACKs and read by HandleAck —
+// allocates nothing on a bursty cell.
 func TestHotPathZeroAllocPRDRB(t *testing.T) {
 	s := MustNewSim(Experiment{Topology: FatTree(4, 3), Policy: PolicyPRDRB, Seed: 7})
 	if err := s.InstallPattern(PatternSpec{Pattern: "shuffle", RateMbps: 350, Start: 0, End: Second}); err != nil {
@@ -139,6 +146,89 @@ func TestHotPathZeroAllocPRDRB(t *testing.T) {
 			t.Fatalf("cold path-open allocates %.2f times, want <= 5", avg)
 		}
 	})
+
+	t.Run("cfd", func(t *testing.T) {
+		// The notification path on the paper's headline cell, shuffle bursts
+		// at 600 Mbps: congested routers merge their contending flows into
+		// data packets' predictive headers and the destinations hand the
+		// headers to the ACKs. Every packet record owns its header storage,
+		// so once eight bursts have warmed the pool none of it allocates.
+		// The window cannot avoid the burst edges, where the controllers
+		// save and re-apply solutions, which copy on purpose
+		// (metapath.snapshot/restore, SolutionDB.Save); allocations are
+		// therefore counted per allocating function, and those three are
+		// the only ones allowed.
+		old := runtime.MemProfileRate
+		runtime.MemProfileRate = 1
+		defer func() { runtime.MemProfileRate = old }()
+		s := MustNewSim(Experiment{Topology: FatTree(4, 3), Policy: PolicyPRDRB, Seed: 7})
+		if _, err := s.InstallBursts(BurstSpec{
+			Pattern: "shuffle", RateMbps: 600, Len: 250 * Microsecond, Gap: 300 * Microsecond, Count: 40,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		flagged := 0
+		for _, nic := range s.Net.NICs {
+			nic.OnAck = func(_ *sim.Engine, ack *network.Packet) {
+				if len(ack.Contending) > 0 {
+					flagged++
+				}
+			}
+		}
+		s.Eng.Run(8*550*Microsecond + 100*Microsecond)
+		flagged = 0
+		before := allocsByFunction()
+		for i := 0; i < 20000; i++ {
+			if !s.Eng.Step() {
+				t.Fatal("engine drained mid-measurement")
+			}
+		}
+		after := allocsByFunction()
+		if flagged < 100 {
+			t.Fatalf("the measured window delivered %d ACKs carrying contending flows; it no longer exercises the notification path", flagged)
+		}
+		for fn, n := range after {
+			if n -= before[fn]; n == 0 {
+				continue
+			}
+			switch fn {
+			case "prdrb/internal/core.(*metapath).snapshot", "prdrb/internal/core.(*metapath).restore",
+				"prdrb/internal/core.(*SolutionDB).Save":
+				t.Logf("%s: %d allocations (solution save/re-apply)", fn, n)
+			default:
+				t.Errorf("%s allocates %d times in 20k events with %d flagged ACKs, want 0", fn, n, flagged)
+			}
+		}
+	})
+}
+
+// allocsByFunction returns the objects allocated so far by each function of
+// this module, as the heap profile attributes them: to the innermost
+// non-runtime frame, inlined calls included. Exact only while
+// runtime.MemProfileRate is 1.
+func allocsByFunction() map[string]int64 {
+	runtime.GC() // publish the profile: it trails the last two cycles
+	runtime.GC()
+	n, _ := runtime.MemProfile(nil, true)
+	recs := make([]runtime.MemProfileRecord, n+64)
+	n, _ = runtime.MemProfile(recs, true)
+	out := make(map[string]int64)
+	for _, r := range recs[:n] {
+		frames := runtime.CallersFrames(r.Stack())
+		for {
+			f, more := frames.Next()
+			if !strings.HasPrefix(f.Function, "runtime.") {
+				if strings.HasPrefix(f.Function, "prdrb/") {
+					out[f.Function] += r.AllocObjects
+				}
+				break
+			}
+			if !more {
+				break
+			}
+		}
+	}
+	return out
 }
 
 // TestEventsPerHop pins how many events a delivered packet costs on a

@@ -16,7 +16,7 @@ import (
 func refTopContendingFlows(o *outPort, departing *Packet) []FlowKey {
 	counts := map[FlowKey]int{departing.Flow(): departing.SizeBytes}
 	total := departing.SizeBytes
-	for vc := range o.vcs {
+	for vc := range o.sh.net.numVC {
 		if o.sh.net.isAckVC(vc) {
 			continue
 		}
@@ -75,7 +75,7 @@ func refMergeFlows(have, add []FlowKey, max int) []FlowKey {
 // pkts returns the queued packets in FIFO order.
 func (q *vcQueue) pkts() []*Packet {
 	var out []*Packet
-	for p := q.head; p != nil; p = p.qnext {
+	for p := q.head(); p != nil; p = q.next(p) {
 		out = append(out, p)
 	}
 	return out
@@ -85,7 +85,7 @@ func (q *vcQueue) pkts() []*Packet {
 // VC, behind the back of any tally the port keeps.
 func fillPort(o *outPort, perVC [][]*Packet) {
 	o.dropTally()
-	for vc := range o.vcs {
+	for vc := range o.sh.net.numVC {
 		o.vcs[vc] = vcQueue{}
 		if vc < len(perVC) {
 			for _, p := range perVC[vc] {
@@ -210,7 +210,7 @@ func TestContendingFlowsSaturatedPort(t *testing.T) {
 		return p
 	}
 	dataQueued := func() (data int) {
-		for vc := range o.vcs {
+		for vc := range n.numVC {
 			if !n.isAckVC(vc) {
 				data += len(o.vcs[vc].pkts())
 			}
@@ -234,10 +234,10 @@ func TestContendingFlowsSaturatedPort(t *testing.T) {
 	// monitorDeparture, called by pump, made of it.
 	depart := func(wait sim.Time) {
 		t.Helper()
-		for vc := range o.vcs {
-			if q := o.vcs[vc].pkts(); len(q) > 0 {
-				q[0].enqueuedAt = e.Now() - wait
-				q[0].Contending = nil
+		for vc := range n.numVC {
+			if p := o.vcs[vc].head(); p != nil {
+				p.enqueuedAt = e.Now() - wait
+				p.Contending = p.Contending[:0]
 			}
 		}
 		before := o.queued
@@ -250,11 +250,11 @@ func TestContendingFlowsSaturatedPort(t *testing.T) {
 		deep := before-pkt.SizeBytes >= tallyDepth*n.Cfg.PacketBytes
 		switch {
 		case pkt.Type != DataPacket:
-			if pkt.Contending != nil {
+			if len(pkt.Contending) != 0 {
 				t.Fatalf("an ACK departure was given a predictive header")
 			}
 		case wait <= n.Cfg.CongestionThreshold:
-			if o.cfd != nil || pkt.Contending != nil {
+			if o.cfd != nil || len(pkt.Contending) != 0 {
 				t.Fatalf("a departure within the threshold kept the tally (%v) or ranked (%v)", o.cfd != nil, pkt.Contending)
 			}
 		default:

@@ -1,27 +1,45 @@
 package network
 
-import "fmt"
+import (
+	"cmp"
+	"fmt"
+	"slices"
+	"unsafe"
+)
 
-// PortCensus counts where a quiescent fabric's packet records are.
+// PortCensus counts where a quiescent fabric's packet records are, and how
+// many of them hold contending-set storage.
 type PortCensus struct {
 	Queued, InFlight, Parked, Free int
+	Headers                        int
 }
 
 // CheckPortInvariants verifies the port-state layout of a quiescent
 // network: every port's queued equals the sum of its VC bytes, each VC's
 // bytes the sum of its list, nonEmpty bit vc is set exactly when VC vc has
-// a head, every list ends at its tail (tail.qnext == nil), parkedN counts
-// the parked deliveries, each freelist holds as many records as it counts,
-// and no record sits in two places — two queues, a queue and a freelist,
-// or either and a port's in-flight or parked slot.
+// a tail, every list is circular — the walk from the head, tail.qnext,
+// reaches the tail (a walk that loops short of it meets a packet twice) —
+// parkedN counts the parked deliveries, each freelist holds as many
+// records as it counts, no record sits in two places — two queues, a
+// queue and a freelist, or either and a port's in-flight or parked slot —
+// and no two records share Contending storage.
 func CheckPortInvariants(n *Network) (PortCensus, error) {
 	var c PortCensus
 	where := make(map[*Packet]string)
+	type span struct {
+		lo, hi uintptr
+		p      *Packet
+	}
+	var headers []span
 	claim := func(p *Packet, at string) error {
 		if prev, ok := where[p]; ok {
 			return fmt.Errorf("packet record %p is in %s and in %s", p, prev, at)
 		}
 		where[p] = at
+		if k := cap(p.Contending); k > 0 {
+			lo := uintptr(unsafe.Pointer(unsafe.SliceData(p.Contending)))
+			headers = append(headers, span{lo, lo + uintptr(k)*unsafe.Sizeof(FlowKey{}), p})
+		}
 		return nil
 	}
 	var err error
@@ -46,36 +64,35 @@ func CheckPortInvariants(n *Network) (PortCensus, error) {
 		}
 		c.Free += k
 	}
+	slices.SortFunc(headers, func(a, b span) int { return cmp.Compare(a.lo, b.lo) })
+	for i := 1; i < len(headers); i++ {
+		if a, b := headers[i-1], headers[i]; b.lo < a.hi {
+			return c, fmt.Errorf("packet records in %s and in %s share Contending storage", where[a.p], where[b.p])
+		}
+	}
+	c.Headers = len(headers)
 	return c, nil
 }
 
 func (o *outPort) checkInvariants(c *PortCensus, claim func(*Packet, string) error) error {
 	name := fmt.Sprintf("port r%d.p%d", o.router, o.port)
-	if len(o.vcs) != o.sh.net.numVC {
-		return fmt.Errorf("%s has %d VCs, the network %d", name, len(o.vcs), o.sh.net.numVC)
-	}
 	total := 0
-	for vc := range o.vcs {
+	for vc := range o.sh.net.numVC {
 		q := &o.vcs[vc]
 		at := fmt.Sprintf("%s vc%d", name, vc)
-		if (q.head == nil) != (q.tail == nil) {
-			return fmt.Errorf("%s: head %p, tail %p", at, q.head, q.tail)
-		}
-		if set := o.nonEmpty&(1<<uint(vc)) != 0; set != (q.head != nil) {
-			return fmt.Errorf("%s: nonEmpty bit %v with head %p", at, set, q.head)
+		if set := o.nonEmpty&(1<<uint(vc)) != 0; set != (q.tail != nil) {
+			return fmt.Errorf("%s: nonEmpty bit %v with tail %p", at, set, q.tail)
 		}
 		bytes := 0
-		var last *Packet
-		for p := q.head; p != nil; p = p.qnext {
+		for p := q.head(); p != nil; p = q.next(p) {
+			if p.qnext == nil {
+				return fmt.Errorf("%s: the list breaks off after %p, before the tail %p", at, p, q.tail)
+			}
 			if err := claim(p, at); err != nil {
 				return err
 			}
 			bytes += p.SizeBytes
-			last = p
 			c.Queued++
-		}
-		if last != q.tail {
-			return fmt.Errorf("%s: the list ends at %p, tail is %p", at, last, q.tail)
 		}
 		if bytes != q.bytes {
 			return fmt.Errorf("%s: holds %d bytes, counts %d", at, bytes, q.bytes)

@@ -12,8 +12,8 @@ import (
 // TestPortInvariants runs a congested, flapping dragonfly under pr-drb and
 // checks the port-state layout (network.CheckPortInvariants) at several
 // quiescent horizons, serial and on two shards: byte counts, the nonEmpty
-// mask, list tails, parked counts, and that every packet record is in at
-// most one queue, in-flight slot, parked list or freelist.
+// mask, the circular lists, parked counts, and that every packet record is
+// in at most one queue, in-flight slot, parked list or freelist.
 func TestPortInvariants(t *testing.T) {
 	topo, err := topology.ByName("df-4-8-2-2")
 	if err != nil {
@@ -58,6 +58,50 @@ func TestPortInvariants(t *testing.T) {
 		if seen.Queued == 0 || seen.Parked == 0 || seen.Free == 0 || s.Net.DroppedPkts() == 0 {
 			t.Fatalf("shards=%d: the run never queued, parked, pooled and dropped at once (%+v, %d drops)",
 				shards, seen, s.Net.DroppedPkts())
+		}
+	}
+}
+
+// TestContendingStorageNotShared runs a congested dragonfly under pr-drb in
+// both notification modes, serial and on two shards, and checks at several
+// quiescent horizons that no two packet records — queued, in flight, parked
+// or free — share a Contending backing array (network.CheckPortInvariants):
+// routers merge into a data packet's own header, router-originated ACKs
+// copy the contending set, and a destination's ACK swaps storage with the
+// data packet it answers.
+func TestContendingStorageNotShared(t *testing.T) {
+	topo, err := topology.ByName("df-4-8-2-2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []network.NotifyMode{network.DestinationBased, network.RouterBased} {
+		for _, shards := range []int{1, 2} {
+			cfg := network.DefaultConfig()
+			cfg.NotifyMode = mode
+			s, err := runner.New(runner.Experiment{Topology: topo, Policy: runner.PolicyPRDRB, Seed: 5, Shards: shards, Network: &cfg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			flows := make(map[topology.NodeID]topology.NodeID)
+			for src := 8; src < 64; src++ {
+				flows[topology.NodeID(src)] = topology.NodeID(src % 4)
+			}
+			s.InstallHotSpot(flows, 1900, 0, 300*sim.Microsecond)
+			if err := s.InstallPattern(runner.PatternSpec{Pattern: "uniform", RateMbps: 800, End: 300 * sim.Microsecond}); err != nil {
+				t.Fatal(err)
+			}
+			headers := 0
+			for _, h := range []sim.Time{30, 60, 100, 150, 220, 300, 2000} {
+				s.Execute(h * sim.Microsecond)
+				c, err := network.CheckPortInvariants(s.Net)
+				if err != nil {
+					t.Fatalf("mode %v, shards=%d at %dus: %v", mode, shards, h, err)
+				}
+				headers = max(headers, c.Headers)
+			}
+			if headers < 50 {
+				t.Fatalf("mode %v, shards=%d: at most %d records held contending storage; the run no longer congests", mode, shards, headers)
+			}
 		}
 	}
 }

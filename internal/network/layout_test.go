@@ -20,7 +20,8 @@ import (
 // TestVCQueueMatchesSlice drives random pushes and pops over a port's VCs
 // and a slice-backed reference FIFO per VC side by side. After every
 // operation each VC must hold the reference's packets in order with its
-// byte count, the list must end at its tail, and both CFD counts — the
+// byte count, the list must be circular — the tail is the reference's last
+// packet and links back to its first — and both CFD counts — the
 // shallow port's recount and the deep port's incremental tally — must
 // equal a tally of the reference.
 func TestVCQueueMatchesSlice(t *testing.T) {
@@ -49,8 +50,8 @@ func TestVCQueueMatchesSlice(t *testing.T) {
 			if q.bytes != bytes {
 				t.Fatalf("step %d vc %d: %d bytes, reference %d", step, vc, q.bytes, bytes)
 			}
-			if k := len(ref[vc]); (k == 0) != (q.tail == nil) || k > 0 && (q.tail != ref[vc][k-1] || q.tail.qnext != nil) {
-				t.Fatalf("step %d vc %d: tail %p does not end the reference's %d packets", step, vc, q.tail, k)
+			if k := len(ref[vc]); (k == 0) != (q.tail == nil) || k > 0 && (q.tail != ref[vc][k-1] || q.tail.qnext != ref[vc][0]) {
+				t.Fatalf("step %d vc %d: tail %p does not close the reference's %d packets into a ring", step, vc, q.tail, k)
 			}
 		}
 		got := map[FlowKey]int{}
@@ -94,18 +95,18 @@ func TestVCQueueMatchesSlice(t *testing.T) {
 }
 
 // TestLayoutSizes pins the record sizes the port layout is sized around:
-// a Packet stays in the 224-byte size class with its queue link, and
-// ports × VCs — the largest state of a 4096-node fabric — stays at 176
-// bytes a port plus 24 a VC.
+// a Packet stays in the 192-byte size class with its queue link and its
+// contending-set slice, and ports × VCs — the largest state of a 4096-node
+// fabric — stays at 128 bytes a port (two cache lines) plus 16 a VC.
 func TestLayoutSizes(t *testing.T) {
-	if s := unsafe.Sizeof(Packet{}); s > 224 {
-		t.Errorf("Packet is %d bytes, want at most 224", s)
+	if s := unsafe.Sizeof(Packet{}); s > 192 {
+		t.Errorf("Packet is %d bytes, want at most 192", s)
 	}
-	if s := unsafe.Sizeof(outPort{}); s > 176 {
-		t.Errorf("outPort is %d bytes, want at most 176", s)
+	if s := unsafe.Sizeof(outPort{}); s > 128 {
+		t.Errorf("outPort is %d bytes, want at most 128", s)
 	}
-	if s := unsafe.Sizeof(vcQueue{}); s != 24 {
-		t.Errorf("vcQueue is %d bytes, want 24", s)
+	if s := unsafe.Sizeof(vcQueue{}); s != 16 {
+		t.Errorf("vcQueue is %d bytes, want 16", s)
 	}
 }
 
@@ -158,9 +159,12 @@ func buildLadderRow(t *testing.T, spec string, shards int) ladderRow {
 // TestBuildBytesLadder builds dragonflies and fat trees of about 64, 256,
 // 1024 and 4096 nodes, serial and on two shards, and pins what building
 // allocates: per port (router and NIC ports; the routers' and NICs' own
-// records included) at most 240 bytes plus 32 per VC at every size, and a
-// number of objects that depends on the shard count alone — every port,
-// VC queue, router and NIC comes from a slab. With -v it prints the table.
+// records included) at most 168 bytes plus 16 per VC at every size, plus
+// 32 KiB per shard of fixed cost and measurement noise that only small
+// fabrics notice (so the 4096-node dragonfly stays under 300 bytes a
+// port), and a number of objects that depends on the shard count alone —
+// every port, VC queue, router and NIC comes from a slab. With -v it
+// prints the table.
 func TestBuildBytesLadder(t *testing.T) {
 	t.Logf("%-13s %6s %7s %6s %4s %9s %7s %7s", "fabric", "shards", "routers", "ports", "vcs", "bytes", "B/port", "objects")
 	for _, spec := range []string{
@@ -171,8 +175,8 @@ func TestBuildBytesLadder(t *testing.T) {
 			r := buildLadderRow(t, spec, shards)
 			perPort := float64(r.bytes) / float64(r.ports)
 			t.Logf("%-13s %6d %7d %6d %4d %9d %7.1f %7d", spec, shards, r.routers, r.ports, r.vcs, r.bytes, perPort, r.objects)
-			if budget := 240 + 32*r.vcs; perPort > float64(budget) {
-				t.Errorf("%s on %d shards: %.1f bytes per port, budget %d", spec, shards, perPort, budget)
+			if budget := r.ports*(168+16*r.vcs) + 32<<10*shards; r.bytes > uint64(budget) {
+				t.Errorf("%s on %d shards: %d bytes for %d ports, budget %d", spec, shards, r.bytes, r.ports, budget)
 			}
 			if budget := 16 + 8*shards; r.objects > uint64(budget) {
 				t.Errorf("%s on %d shards: %d objects for %d routers and %d ports, budget %d",

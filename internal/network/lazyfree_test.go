@@ -47,7 +47,7 @@ func TestLazyFreeReservesInsteadOfScheduling(t *testing.T) {
 	for _, wheel := range []bool{false, true} {
 		n, o := lazyNet(t, wheel, nil)
 		e := n.Eng
-		e.Run(n.serHeader + o.txExtra + 1)
+		e.Run(n.serHeader + o.txExtra() + 1)
 		if !o.busy || !o.lazyFree || o.serEnd != n.serPacket {
 			t.Fatalf("wheel=%v: after delivery busy=%v lazyFree=%v serEnd=%v, want a lazily busy link until %v",
 				wheel, o.busy, o.lazyFree, o.serEnd, n.serPacket)
@@ -96,7 +96,7 @@ func TestLazyFreeAtItsOwnInstant(t *testing.T) {
 
 		n, o = lazyNet(t, wheel, func(n *Network, o *outPort) {
 			// Scheduled after the delivery reserved freeSeq: follows it.
-			n.Eng.Schedule(n.serHeader+o.txExtra+1, func(e *sim.Engine) {
+			n.Eng.Schedule(n.serHeader+o.txExtra()+1, func(e *sim.Engine) {
 				e.Schedule(n.serPacket, func(e *sim.Engine) {
 					if !o.lazyFree {
 						t.Errorf("wheel=%v: link settled before anyone asked", wheel)
@@ -164,8 +164,8 @@ func TestLazyFreeAcrossLinkFailure(t *testing.T) {
 				}
 			})
 		})
-		if n.serPacket != 4096 || n.serHeader+o.txExtra != hop {
-			t.Fatalf("test timings assume a 4096 ns packet and a %d ns hop, have %v and %v", hop, n.serPacket, n.serHeader+o.txExtra)
+		if n.serPacket != 4096 || n.serHeader+o.txExtra() != hop {
+			t.Fatalf("test timings assume a 4096 ns packet and a %d ns hop, have %v and %v", hop, n.serPacket, n.serHeader+o.txExtra())
 		}
 		n.Eng.RunAll()
 		if o.txBytes != 2048 || o.serEnd != tc.leaves+8192 {

@@ -38,6 +38,13 @@ type Network struct {
 	// channel pairs — and 1 otherwise. numVC = numClasses * vcsPerClass.
 	vcsPerClass int
 	numVC       int
+	// vcCap is a router port's capacity per VC in bytes (BufferBytes split
+	// over numVC); NIC injection queues are unbounded (outPort.free).
+	vcCap int
+	// txToRouter and txToNIC are the fixed post-serialization delays of a
+	// link into a router (propagation plus routing pipeline) and into a
+	// terminal (propagation only).
+	txToRouter, txToNIC sim.Time
 
 	// serHeader, serPacket and serAck are the serialization times of the
 	// three sizes the fabric moves almost exclusively (the cut-through
@@ -133,13 +140,15 @@ func build(topo topology.Topology, cfg Config, policy RouterPolicy, shards []*Sh
 		return nil, fmt.Errorf("network: nil routing policy")
 	}
 	n := &Network{
-		Topo:      topo,
-		Cfg:       cfg,
-		Policy:    policy,
-		Shards:    shards,
-		serHeader: cfg.SerializationTime(cfg.HeaderBytes),
-		serPacket: cfg.SerializationTime(cfg.PacketBytes),
-		serAck:    cfg.SerializationTime(cfg.AckBytes),
+		Topo:       topo,
+		Cfg:        cfg,
+		Policy:     policy,
+		Shards:     shards,
+		serHeader:  cfg.SerializationTime(cfg.HeaderBytes),
+		serPacket:  cfg.SerializationTime(cfg.PacketBytes),
+		serAck:     cfg.SerializationTime(cfg.AckBytes),
+		txToRouter: cfg.LinkDelay + cfg.RoutingDelay,
+		txToNIC:    cfg.LinkDelay,
 	}
 	for _, sh := range shards {
 		sh.net = n
@@ -161,13 +170,16 @@ func build(topo topology.Topology, cfg Config, policy RouterPolicy, shards []*Sh
 		}
 	}
 	n.numVC = numClasses * n.vcsPerClass
+	n.vcCap = cfg.BufferBytes / n.numVC
 
 	// Port state is slab-allocated: count each shard's ports (its routers'
 	// and its NICs'), then carve every port out of one []outPort and its VC
-	// queues out of one []vcQueue arena per shard. Neither slab is ever
-	// grown, so a *outPort stays valid for the network's life; routers,
-	// NICs and the routers' MinimalPorts scratch get one slab each too, so
-	// building allocates O(shards), not O(ports).
+	// queues out of one []vcQueue arena per shard. A port addresses its
+	// queues as a *[maxVCs]vcQueue, so the arena ends in maxVCs-numVC
+	// queues of slack that no port uses. Neither slab is ever grown, so a
+	// *outPort stays valid for the network's life; routers, NICs and the
+	// routers' MinimalPorts scratch get one slab each too, so building
+	// allocates O(shards), not O(ports).
 	numRouters, numTerms := topo.NumRouters(), topo.NumTerminals()
 	portsOn := make([]int, len(shards))
 	radixSum := 0
@@ -186,11 +198,15 @@ func build(topo topology.Topology, cfg Config, policy RouterPolicy, shards []*Sh
 	}
 	slabs := make([]portSlab, len(shards))
 	for i, k := range portsOn {
-		slabs[i] = portSlab{make([]outPort, 0, k), make([]vcQueue, k*n.numVC)}
+		slabs[i] = portSlab{make([]outPort, 0, k), make([]vcQueue, k*n.numVC+maxVCs-n.numVC)}
+		if sh := shards[i]; sh.Collector != nil {
+			// Resolve the contention-metrics handles once, at wiring time.
+			sh.routerObs = make([]metrics.RouterObserver, numRouters)
+		}
 	}
 	// newPorts takes the next k ports of sh's slab for router (-1 for a
-	// NIC), each with capBytes per VC.
-	newPorts := func(sh *Shard, router topology.RouterID, k, capBytes int) []outPort {
+	// NIC).
+	newPorts := func(sh *Shard, router topology.RouterID, k int) []outPort {
 		s := &slabs[sh.Idx]
 		at := len(s.ports)
 		s.ports = s.ports[:at+k]
@@ -199,13 +215,8 @@ func build(topo topology.Topology, cfg Config, policy RouterPolicy, shards []*Sh
 			op.sh = sh
 			op.router = int32(router)
 			op.port = int32(p - at)
-			op.vcCap = capBytes
-			op.vcs = s.vcs[:n.numVC:n.numVC]
+			op.vcs = (*[maxVCs]vcQueue)(s.vcs)
 			s.vcs = s.vcs[n.numVC:]
-			if sh.Collector != nil && router >= 0 {
-				// Resolve the contention-metrics handle once, at wiring time.
-				op.obs = sh.Collector.Contention.Observer(int(router))
-			}
 			if cfg.Congestion {
 				op.cong = newCongPort(n.numVC)
 			}
@@ -222,7 +233,10 @@ func build(topo topology.Topology, cfg Config, policy RouterPolicy, shards []*Sh
 		rt.ID, rt.net, rt.sh = topology.RouterID(r), n, sh
 		radix := topo.Radix(rt.ID)
 		rt.mpBuf, mpBufs = mpBufs[:0:radix], mpBufs[radix:]
-		rt.out = newPorts(sh, rt.ID, radix, cfg.BufferBytes/n.numVC)
+		rt.out = newPorts(sh, rt.ID, radix)
+		if sh.routerObs != nil {
+			sh.routerObs[r] = sh.Collector.Contention.Observer(r)
+		}
 		for p := range rt.out {
 			dim, wrap := topo.LinkDim(rt.ID, p)
 			rt.out[p].linkDim, rt.out[p].linkWrap = int32(dim), wrap
@@ -242,10 +256,7 @@ func build(topo topology.Topology, cfg Config, policy RouterPolicy, shards []*Sh
 		if sh.Collector != nil {
 			nic.deliv = sh.Collector.DeliveryObserver(t)
 		}
-		// Source queues are effectively unbounded: the offered load is
-		// the experiment input and the growing injection queue is how
-		// saturation shows up as latency (§4.2's open-loop sources).
-		nic.out = &newPorts(sh, topology.None, 1, 1<<40)[0]
+		nic.out = &newPorts(sh, topology.None, 1)[0]
 		nic.out.linkDim = -1
 		n.NICs[t] = nic
 	}
@@ -269,21 +280,17 @@ func build(topo topology.Topology, cfg Config, policy RouterPolicy, shards []*Sh
 				op.peer = nil
 			case peer.IsTerminal():
 				op.peer = n.NICs[peer.Terminal]
-				op.txExtra = cfg.LinkDelay
+				op.toNIC = true
+			case n.Routers[peer.Router].sh != rt.sh:
+				op.peer = &remotes[peer.Router]
 			default:
-				target := n.Routers[peer.Router]
-				op.peer = target
-				op.txExtra = cfg.LinkDelay + cfg.RoutingDelay
-				if target.sh != rt.sh {
-					op.remote = &remotes[peer.Router]
-				}
+				op.peer = n.Routers[peer.Router]
 			}
 		}
 	}
 	for t := range n.NICs {
 		r, _ := topo.TerminalAttach(topology.NodeID(t))
 		n.NICs[t].out.peer = n.Routers[r]
-		n.NICs[t].out.txExtra = cfg.LinkDelay + cfg.RoutingDelay
 	}
 	return n, nil
 }
@@ -368,7 +375,11 @@ func (n *Network) SetSourceController(build func(node topology.NodeID) SourceCon
 
 // injectPredictiveAcks is the GPA module's network half (§3.3.2, §3.4.1):
 // originate one predictive ACK per contending flow, addressed to the flow's
-// source, carrying the full contending set and the reporting router.
+// source, carrying the full contending set — copied into each ACK's own
+// backing — and the reporting router. flows may be the shard's CFD
+// scratch: injecting an ACK cannot rank again, because the chosen port's
+// pump only departs a data packet when its link was idle with a VC ready,
+// and no port is left in that state between events.
 func (n *Network) injectPredictiveAcks(e *sim.Engine, from *outPort, flows []FlowKey, wait sim.Time) {
 	r := n.Routers[from.router]
 	sh := from.sh
@@ -391,7 +402,7 @@ func (n *Network) injectPredictiveAcks(e *sim.Engine, from *outPort, flows []Flo
 		ack.MSPIndex = -1
 		ack.Predictive = true
 		ack.ReportRouter = topology.RouterID(from.router)
-		ack.Contending = flows
+		ack.Contending = append(ack.Contending, flows...)
 		if r.injectAck(e, ack) {
 			sh.predictiveAcksSent++
 		} else {

@@ -1,6 +1,7 @@
 package network
 
 import (
+	"slices"
 	"testing"
 
 	"prdrb/internal/metrics"
@@ -254,13 +255,13 @@ func TestRouterBasedNotification(t *testing.T) {
 		c.RouterAckInterval = 5 * sim.Microsecond
 	})
 	e := n.Eng
-	// Copy the first predictive ACK: the record is pooled after the callback
-	// (the copied Contending header still points at the live backing array,
-	// which the pool never scrubs).
+	// Copy the first predictive ACK, its contending set included: the record
+	// and the set's storage go back to the pool after the callback.
 	var predictive *Packet
 	n.NICs[3].OnAck = func(_ *sim.Engine, ack *Packet) {
 		if ack.Predictive && predictive == nil {
 			cp := *ack
+			cp.Contending = slices.Clone(ack.Contending)
 			predictive = &cp
 		}
 	}

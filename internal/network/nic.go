@@ -119,7 +119,6 @@ func (n *NIC) Send(e *sim.Engine, dst topology.NodeID, bytes int, mpiType uint8,
 		pkt.MPIType = mpiType
 		pkt.MPISeq = mpiSeq
 		pkt.MsgID = msgID
-		pkt.FragIdx = i
 		pkt.FragCount = frags
 		if n.Source != nil {
 			n.Source.PrepareInjection(e, pkt)
@@ -127,7 +126,6 @@ func (n *NIC) Send(e *sim.Engine, dst topology.NodeID, bytes int, mpiType uint8,
 		if len(pkt.Waypoints) > maxWaypoints {
 			panic("network: source controller set more waypoints than the header carries")
 		}
-		pkt.InjectedAt = e.Now()
 		if n.sh.Collector != nil {
 			n.sh.Collector.PacketInjected(pkt.SizeBytes)
 		}
@@ -193,8 +191,10 @@ func (n *NIC) sendAck(e *sim.Engine, pkt *Packet) {
 	ack.MPISeq = pkt.MPISeq
 	ack.MsgID = pkt.MsgID
 	if !pkt.Predictive {
+		// The ACK takes the data packet's header storage and leaves it its
+		// own (empty) one, so each record keeps exactly one backing array.
 		ack.ReportRouter = pkt.ReportRouter
-		ack.Contending = pkt.Contending
+		ack.Contending, pkt.Contending = pkt.Contending, ack.Contending
 	}
 	// When a failure cut the direct return route, detour the notification:
 	// losing the ACK stream would blind the source exactly when it needs

@@ -99,9 +99,10 @@ func MPITypeName(t uint8) string {
 // Packet is the in-simulator representation of both wire formats of §3.3.1.
 // One Packet instance travels the whole network (no copying per hop); wire
 // encoding exists separately in wire.go for format fidelity and testing.
+// Fields are ordered so the record packs into 192 bytes, a malloc size
+// class (TestLayoutSizes).
 type Packet struct {
-	ID   uint64
-	Type PacketType
+	ID uint64
 
 	Src, Dst topology.NodeID
 
@@ -121,14 +122,13 @@ type Packet struct {
 	// of output-buffer queue waits along the path (Latency Update module).
 	PathLatency sim.Time
 
-	// CreatedAt is when the message was handed to the NIC; InjectedAt when
-	// the first bit left the NIC. End-to-end latency is measured from
-	// CreatedAt (§4.2: "since a packet is created until it reaches the
-	// destination").
-	CreatedAt  sim.Time
-	InjectedAt sim.Time
+	// CreatedAt is when the message was handed to the NIC. End-to-end
+	// latency is measured from it (§4.2: "since a packet is created until
+	// it reaches the destination").
+	CreatedAt sim.Time
 
-	// Predictive (P), Final fragment (F) header bits.
+	// Type (T), Predictive (P) and Final fragment (F) header bits.
+	Type       PacketType
 	Predictive bool
 	Final      bool
 
@@ -137,11 +137,11 @@ type Packet struct {
 
 	// Message fragmentation bookkeeping.
 	MsgID     uint64
-	FragIdx   int
 	FragCount int
 
 	// Predictive header (Fig 3.18), attached by a congested router's CFD
-	// module: the reporting router and the top contending flows.
+	// module: the reporting router and the top contending flows. The
+	// record owns Contending's backing array (pool.go).
 	ReportRouter topology.RouterID
 	Contending   []FlowKey
 
@@ -163,13 +163,11 @@ type Packet struct {
 	// all of them.
 	qnext *Packet
 
-	// Latency-attribution integrals (not wire fields): hops counts pumps
-	// through output ports (injection included); queueNs accumulates the
-	// exact buffer-wait and serNs the critical-path (cut-through header)
-	// serialization the packet experienced, including degraded-rate
-	// stretch. Read at delivery by the congestion attribution
+	// Latency-attribution integrals (not wire fields): queueNs accumulates
+	// the exact buffer-wait and serNs the critical-path (cut-through
+	// header) serialization the packet experienced, including
+	// degraded-rate stretch. Read at delivery by the congestion attribution
 	// (metrics.Attribution); zeroed when the pool recycles the record.
-	hops    int
 	queueNs sim.Time
 	serNs   sim.Time
 }

@@ -15,16 +15,22 @@ package network
 //     packets lost on a failed link (Network.dropPacketAt), or the GPA
 //     module when a predictive ACK finds no buffer space
 //     (injectPredictiveAcks).
-//   - Release zeroes every field but the freelist link qnext, so a stale
-//     reference can never observe the next occupant's identity. Slice
-//     fields (Waypoints, Contending) only have the reference dropped — their
-//     backing arrays may still be shared with live packets (an ACK copies
-//     the data packet's Contending slice; detoured ACKs share the cached
-//     detour path) and are never scrubbed or reused by the pool. Nor may
-//     anyone else write through them: a data packet's Waypoints is the
-//     source controller's own path record, shared with every other packet
-//     on that path (core.Controller.PrepareInjection does not copy), so
-//     the waypoint array of a packet is immutable for its whole life.
+//   - Release zeroes every field but the freelist link qnext and the
+//     Contending storage, which it truncates to length zero, so a stale
+//     reference can never observe the next occupant's identity.
+//   - A record owns its Contending backing array: no two records share
+//     one, whether queued, in flight, parked or free. Routers merge into it
+//     (mergeFlows), router-originated ACKs copy the contending set into it,
+//     and the destination's ACK swaps arrays with the data packet it
+//     answers (NIC.sendAck), so the predictive header is written into
+//     storage that is reused, never allocated per packet once warm.
+//   - Waypoints only has the reference dropped: the array belongs to
+//     whoever made it and may be shared with live packets (a data packet's
+//     Waypoints is the source controller's own path record, shared with
+//     every other packet on that path — core.Controller.PrepareInjection
+//     does not copy; detoured ACKs share the cached detour path). Nobody
+//     writes through it: the waypoint array of a packet is immutable for
+//     its whole life.
 //   - Callbacks that receive a *Packet (HandleAck, OnAck, HandlePacketLoss)
 //     must copy what they need and not retain the pointer.
 //   - A packet that crosses a shard boundary changes pools: the receiving
@@ -37,7 +43,8 @@ package network
 // packet-record reuse orders (and identical simulations — packet identity
 // never leaks into behaviour).
 
-// newPacket returns a zeroed packet carrying the shard's next packet ID
+// newPacket returns a zeroed packet (its Contending empty, with the
+// record's reused storage) carrying the shard's next packet ID
 // (strided by the shard count so IDs are globally unique and per-shard
 // sequences are shard-count-independent).
 func (sh *Shard) newPacket() *Packet {
@@ -54,10 +61,11 @@ func (sh *Shard) newPacket() *Packet {
 	return p
 }
 
-// releasePacket zeroes p and pushes it onto the freelist, which is linked
-// through Packet.qnext. The caller must be the packet's final owner.
+// releasePacket zeroes p but for its Contending storage and pushes it onto
+// the freelist, which is linked through Packet.qnext. The caller must be
+// the packet's final owner.
 func (sh *Shard) releasePacket(p *Packet) {
-	*p = Packet{qnext: sh.pktFree}
+	*p = Packet{qnext: sh.pktFree, Contending: p.Contending[:0]}
 	sh.pktFree = p
 	sh.pktReleased++
 	if sh.pktFreeN++; sh.pktFreeN > sh.pktFreePeak {

@@ -18,17 +18,21 @@ func freeList(sh *Shard) []*Packet {
 }
 
 // zeroedAtRest reports whether a pooled record is zero but for its
-// freelist link.
+// freelist link and the storage of its (empty) contending set.
 func zeroedAtRest(p *Packet) bool {
 	q := *p
-	q.qnext = nil
+	if len(q.Contending) != 0 {
+		return false
+	}
+	q.qnext, q.Contending = nil, nil
 	return reflect.DeepEqual(q, Packet{})
 }
 
 // TestPacketPoolReuseAndZeroing pins the freelist contract of pool.go:
-// release returns the record fully zeroed, the next acquire reuses it
-// (LIFO), and packet IDs keep advancing so a recycled record never repeats
-// an identity.
+// release returns the record zeroed but for the storage of its contending
+// set, which it keeps at length zero, the next acquire reuses it (LIFO)
+// with that storage, and packet IDs keep advancing so a recycled record
+// never repeats an identity.
 func TestPacketPoolReuseAndZeroing(t *testing.T) {
 	n := testNet(t, topology.NewMesh(2, 1), nil)
 
@@ -45,9 +49,10 @@ func TestPacketPoolReuseAndZeroing(t *testing.T) {
 	if got := len(freeList(n.Shards[0])); got != 1 || n.Shards[0].pktFreeN != 1 {
 		t.Fatalf("freelist holds %d records (counted %d) after one release, want 1", got, n.Shards[0].pktFreeN)
 	}
-	if !reflect.DeepEqual(*p1, Packet{}) {
+	if !zeroedAtRest(p1) {
 		t.Fatalf("released packet not zeroed: %+v", *p1)
 	}
+	storage := &p1.Contending[:1][0]
 
 	p2 := n.Shards[0].newPacket()
 	if p2 != p1 {
@@ -56,8 +61,11 @@ func TestPacketPoolReuseAndZeroing(t *testing.T) {
 	if p2.ID != id1+1 {
 		t.Fatalf("recycled record got ID %d, want %d (IDs must not repeat)", p2.ID, id1+1)
 	}
-	if p2.SizeBytes != 0 || p2.Final || p2.Contending != nil || p2.CreatedAt != 0 {
+	if p2.SizeBytes != 0 || p2.Final || len(p2.Contending) != 0 || p2.CreatedAt != 0 {
 		t.Fatalf("recycled record carries stale fields: %+v", *p2)
+	}
+	if p2.Contending = append(p2.Contending, FlowKey{Src: 1, Dst: 0}); &p2.Contending[0] != storage {
+		t.Fatalf("recycled record did not keep its contending-set storage")
 	}
 }
 

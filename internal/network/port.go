@@ -3,7 +3,6 @@ package network
 import (
 	"math/bits"
 
-	"prdrb/internal/metrics"
 	"prdrb/internal/sim"
 	"prdrb/internal/telemetry"
 	"prdrb/internal/topology"
@@ -28,33 +27,54 @@ type parkedDelivery struct {
 	fromVC int
 }
 
-// vcQueue is one virtual channel's FIFO within an output port, linked
-// through Packet.qnext: head leaves next, tail arrived last. push and pop
-// keep bytes, so nothing grows however deep the queue gets — NIC injection
-// queues are unbounded and tens of packets deep on a saturated cell.
+// vcQueue is one virtual channel's FIFO within an output port: a circular
+// list through Packet.qnext addressed by its tail, so the head — the packet
+// that leaves next — is tail.qnext and both ends are one load away. push
+// and pop keep bytes, so nothing grows however deep the queue gets — NIC
+// injection queues are unbounded and tens of packets deep on a saturated
+// cell. nil tail means empty.
 type vcQueue struct {
-	head, tail *Packet
-	bytes      int
+	tail  *Packet
+	bytes int
 }
 
 func (q *vcQueue) push(p *Packet) {
 	if q.tail == nil {
-		q.head = p
+		p.qnext = p
 	} else {
-		q.tail.qnext = p
+		p.qnext, q.tail.qnext = q.tail.qnext, p
 	}
 	q.tail = p
 	q.bytes += p.SizeBytes
 }
 
 func (q *vcQueue) pop() *Packet {
-	p := q.head
-	q.head, p.qnext = p.qnext, nil
-	if q.head == nil {
+	p := q.tail.qnext
+	if p == q.tail {
 		q.tail = nil
+	} else {
+		q.tail.qnext = p.qnext
 	}
+	p.qnext = nil
 	q.bytes -= p.SizeBytes
 	return p
+}
+
+// head returns the packet that leaves next, or nil when the queue is empty.
+func (q *vcQueue) head() *Packet {
+	if q.tail == nil {
+		return nil
+	}
+	return q.tail.qnext
+}
+
+// next returns the packet queued behind p, or nil when p is the tail: with
+// head, the walk over a queue in FIFO order.
+func (q *vcQueue) next(p *Packet) *Packet {
+	if p == q.tail {
+		return nil
+	}
+	return p.qnext
 }
 
 // The per-port VC sets below are bitmasks in one byte.
@@ -63,20 +83,21 @@ var _ [8 - maxVCs]struct{}
 // outPort is an output port with per-VC buffering, round-robin VC
 // arbitration (Fig 4.6) and a single serializing link. Ports live in their
 // shard's port slab and their VC queues in its queue arena (build); state
-// that most ports never touch sits behind cold.
+// that most ports never touch sits behind cold. What is fixed at build time
+// and shared — the VC count, the per-VC capacity, the link delays, the
+// router's contention-metrics handle — lives in the Network or Shard, so a
+// port is 128 bytes: two cache lines of the slab.
 type outPort struct {
-	sh   *Shard // owning shard (the serial network's only one)
+	sh *Shard // owning shard (the serial network's only one)
+	// peer is the downstream end of the link: a *Router, a *NIC, or — for
+	// a boundary link, whose router lives on another shard — a *remoteLink,
+	// whose deliveries travel the cross-shard protocol (pump, shard.go).
+	// Nil for an unwired port.
 	peer receiver
-	// remote marks a boundary link: the peer router lives on another
-	// shard and deliveries travel the cross-shard protocol (shard.go).
-	// Nil for intra-shard links and always nil in serial mode.
-	remote *remoteLink
-	// txExtra is the fixed post-serialization delay: propagation plus, for
-	// router peers, the routing pipeline delay.
-	txExtra sim.Time
-
-	vcCap int // capacity per VC in bytes
-	vcs   []vcQueue
+	// vcs are the port's VC queues in the shard arena; only the first
+	// Network.numVC are the port's (the rest belong to the next port or
+	// are the arena's slack).
+	vcs *[maxVCs]vcQueue
 	// queued is the byte total over all VC queues (the sum of vcs[].bytes).
 	queued int
 	// serEnd is when the link frees: the in-flight packet's tail has left
@@ -102,10 +123,6 @@ type outPort struct {
 	// after the delivery completed (freeLink) — so the deliver event can
 	// carry just the VC in its payload word and find the packet here.
 	inflight *Packet
-	// obs is the pre-resolved contention-metrics handle for this router's
-	// stats (invalid for NIC ports or when no collector is attached), so the
-	// hot path never indexes through the collector.
-	obs metrics.RouterObserver
 	// cong is the port's congestion accumulator (congestion.go); nil when
 	// congestion accounting is off, so disabled runs pay one predictable
 	// branch per hook and allocate nothing.
@@ -131,6 +148,10 @@ type outPort struct {
 	// class and void the per-segment deadlock freedom.
 	parkedOut uint8
 	linkWrap  bool
+	// toNIC marks a link into a terminal: its post-serialization delay is
+	// Network.txToNIC (propagation only), every other link's txToRouter
+	// (propagation plus the routing pipeline).
+	toNIC bool
 	// busy is raised when a packet starts serializing and cleared once the
 	// link has freed and somebody looked: by the portEvFree event, by
 	// freeLink when the delivery outlasted the serialization, or — when
@@ -210,7 +231,19 @@ func (o *outPort) HandleEvent(e *sim.Engine, kind uint8, arg uint64) {
 	}
 }
 
-func (o *outPort) free(vc int) int { return o.vcCap - o.vcs[vc].bytes }
+// free returns the bytes VC vc of a router port can still admit. A NIC's
+// injection queues are unbounded — NIC.Send enqueues without asking: the
+// offered load is the experiment input and the growing queue is how
+// saturation shows up as latency (§4.2's open-loop sources).
+func (o *outPort) free(vc int) int { return o.sh.net.vcCap - o.vcs[vc].bytes }
+
+// txExtra is the link's fixed post-serialization delay.
+func (o *outPort) txExtra() sim.Time {
+	if o.toNIC {
+		return o.sh.net.txToNIC
+	}
+	return o.sh.net.txToRouter
+}
 
 // enqueue admits pkt into VC vc; the caller has verified space.
 func (o *outPort) enqueue(e *sim.Engine, pkt *Packet, vc int) {
@@ -231,17 +264,16 @@ func (o *outPort) enqueue(e *sim.Engine, pkt *Packet, vc int) {
 func (o *outPort) ready() uint8 { return o.nonEmpty &^ o.parkedOut }
 
 // pickVC round-robins over the ready (non-zero) set: the first eligible VC
-// at or after the arbitration pointer, wrapping.
+// at or after the arbitration pointer, wrapping. The pointer needs no wrap
+// of its own: past the last VC (at most 8, the mask's width) the shifted
+// mask is empty, which is the wrap.
 func (o *outPort) pickVC(ready uint8) int {
-	m := ready >> uint(o.rr) << uint(o.rr)
+	m := ready >> o.rr << o.rr
 	if m == 0 {
 		m = ready
 	}
 	vc := bits.TrailingZeros8(m)
 	o.rr = uint8(vc + 1)
-	if int(o.rr) >= len(o.vcs) {
-		o.rr = 0
-	}
 	return vc
 }
 
@@ -281,7 +313,7 @@ func (o *outPort) pump(e *sim.Engine) {
 	q := &o.vcs[vc]
 	pkt := q.pop()
 	o.queued -= pkt.SizeBytes
-	if q.head == nil {
+	if q.tail == nil {
 		o.nonEmpty &^= 1 << uint(vc)
 	}
 	if o.cfd != nil && !o.sh.net.isAckVC(vc) {
@@ -290,7 +322,6 @@ func (o *outPort) pump(e *sim.Engine) {
 	o.busy = true
 
 	wait := e.Now() - pkt.enqueuedAt
-	pkt.hops++
 	pkt.queueNs += wait
 	if o.cong != nil {
 		o.cong.dequeued(e.Now(), pkt.SizeBytes, wait)
@@ -299,8 +330,8 @@ func (o *outPort) pump(e *sim.Engine) {
 		// Latency Update module (Eq 3.3): accumulate buffer wait into the
 		// packet and record the router's contention latency.
 		pkt.PathLatency += wait
-		if o.obs.Valid() {
-			o.obs.Observe(wait, e.Now())
+		if obs := o.sh.routerObs; obs != nil {
+			obs[o.router].Observe(wait, e.Now())
 		}
 		if o.sh.Tracer.Sampled(pkt.ID) {
 			o.sh.Tracer.PacketHop(e.Now(), pkt.ID, int(o.router), int(o.port), wait)
@@ -335,12 +366,12 @@ func (o *outPort) pump(e *sim.Engine) {
 	if o.cong != nil {
 		o.cong.vcBusyNs[vc] += int64(ser)
 	}
-	if o.remote != nil {
-		o.sendRemote(e, pkt, vc, cut)
+	if rl, ok := o.peer.(*remoteLink); ok {
+		o.sendRemote(e, rl, pkt, vc, cut)
 		return
 	}
 	o.inflight = pkt
-	e.AfterEvent(cut+o.txExtra, o, portEvDeliver, uint64(vc))
+	e.AfterEvent(cut+o.txExtra(), o, portEvDeliver, uint64(vc))
 }
 
 // sendRemote ships the packet across a shard boundary with exactly the
@@ -354,13 +385,13 @@ func (o *outPort) pump(e *sim.Engine) {
 // instant the local path would have freed it — the later of serialization
 // end and header arrival — which serEnd is moved to, so the link-free
 // event follows the same schedule-or-reserve rule as on a local port.
-func (o *outPort) sendRemote(e *sim.Engine, pkt *Packet, vc int, cut sim.Time) {
-	arrive := e.Now() + cut + o.txExtra
+func (o *outPort) sendRemote(e *sim.Engine, rl *remoteLink, pkt *Packet, vc int, cut sim.Time) {
+	arrive := e.Now() + cut + o.txExtra()
 	o.parkedOut |= 1 << uint(vc)
 	o.sh.events.Handoffs++
-	o.sh.net.group.Send(o.sh.Idx, o.remote.shard, sim.RemoteEvent{
+	o.sh.net.group.Send(o.sh.Idx, rl.shard, sim.RemoteEvent{
 		At:     arrive,
-		Target: o.remote.target,
+		Target: rl.target,
 		Kind:   remoteDeliver,
 		Arg:    uint64(vc),
 		Ptr:    pkt,
@@ -406,19 +437,20 @@ func (o *outPort) monitorDeparture(e *sim.Engine, pkt *Packet, wait sim.Time) {
 			o.dropTally()
 			return
 		}
-		// flows is shard scratch: whatever outlives this call copies it.
+		// flows is shard scratch: whatever outlives this call copies it
+		// into storage of its own.
 		flows := o.topContendingFlows(pkt)
 		if len(flows) > 0 {
 			switch cfg.NotifyMode {
 			case DestinationBased:
-				// Attach/merge the predictive header; the destination will
-				// copy it into the ACK (§3.2.2).
+				// Attach/merge the predictive header into the packet's own
+				// backing; the destination hands it to the ACK (§3.2.2).
 				pkt.ReportRouter = topology.RouterID(o.router)
 				pkt.Contending = mergeFlows(pkt.Contending, flows, cfg.MaxContending)
 			case RouterBased:
 				if c := o.coldState(); e.Now()-c.lastRouterAck >= cfg.RouterAckInterval {
 					c.lastRouterAck = e.Now()
-					o.sh.net.injectPredictiveAcks(e, o, append([]FlowKey(nil), flows...), wait)
+					o.sh.net.injectPredictiveAcks(e, o, flows, wait)
 				}
 				// P bit: tell the destination a predictive ACK was already
 				// sent, so it replies with a latency-only ACK (§3.4.2).
@@ -517,11 +549,12 @@ func (o *outPort) buildTally() *flowTally {
 	} else {
 		t = &flowTally{at: make(map[uint64]int)}
 	}
-	for vc := range o.vcs {
+	for vc := range sh.net.numVC {
 		if sh.net.isAckVC(vc) {
 			continue
 		}
-		for p := o.vcs[vc].head; p != nil; p = p.qnext {
+		q := &o.vcs[vc]
+		for p := q.head(); p != nil; p = q.next(p) {
 			t.add(p)
 		}
 	}
@@ -567,11 +600,12 @@ func (o *outPort) topContendingFlows(departing *Packet) []FlowKey {
 func (o *outPort) recountFlows(departing *Packet) (flows []flowBytes, total int) {
 	flows = append(o.sh.flowRank[:0], flowBytes{departing.Flow(), departing.SizeBytes})
 	total = departing.SizeBytes
-	for vc := range o.vcs {
+	for vc := range o.sh.net.numVC {
 		if o.sh.net.isAckVC(vc) {
 			continue
 		}
-		for p := o.vcs[vc].head; p != nil; p = p.qnext {
+		q := &o.vcs[vc]
+		for p := q.head(); p != nil; p = q.next(p) {
 			total += p.SizeBytes
 			f, i := p.Flow(), 0
 			for i < len(flows) && flows[i].f != f {
@@ -712,7 +746,7 @@ func (o *outPort) admitParked(e *sim.Engine) {
 		return
 	}
 	c := o.cold
-	for vc := range o.vcs {
+	for vc := range o.sh.net.numVC {
 		for len(c.parked[vc]) > 0 && o.free(vc) >= c.parked[vc][0].pkt.SizeBytes {
 			pd := c.parked[vc][0]
 			copy(c.parked[vc], c.parked[vc][1:])

@@ -82,6 +82,12 @@ type Shard struct {
 	flowTop   []FlowKey
 	tallyFree []*flowTally
 
+	// routerObs[r] is the pre-resolved contention-metrics handle of router
+	// r's stats, filled for this shard's routers when a collector is
+	// attached and nil otherwise, so the hot path never indexes through the
+	// collector.
+	routerObs []metrics.RouterObserver
+
 	// Health caches (health.go), valid until the next fault epoch. Kept
 	// per shard because they are written on the hot path; the underlying
 	// link state they derive from only changes at window barriers.
@@ -91,11 +97,18 @@ type Shard struct {
 	ackDetours     map[flowPair]topology.Path
 }
 
-// remoteLink marks a boundary output port: the far end of the link lives
-// on another shard.
+// remoteLink is the peer of a boundary output port: the far end of the
+// link lives on another shard, so pump hands deliveries to the cross-shard
+// protocol (sendRemote) instead of a local deliver event.
 type remoteLink struct {
 	shard  int     // destination shard index
 	target *Router // receiving router (terminal links never cross shards)
+}
+
+// accept implements receiver for the type only: pump never delivers to a
+// remoteLink locally.
+func (*remoteLink) accept(*sim.Engine, *Packet, *outPort, int) bool {
+	panic("network: local delivery on a boundary link")
 }
 
 // Cross-shard event kinds dispatched through sim.RemoteReceiver.

@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
 
 // recorder is a test actor that logs every delivery.
 type recorder struct {
@@ -162,8 +165,8 @@ func TestRunRecyclesCancelled(t *testing.T) {
 	// A horizon run over only-cancelled events must return every record to
 	// the free list via the peek branch.
 	e.Run(Infinity)
-	if len(e.free) != n {
-		t.Fatalf("free list has %d records after draining %d cancelled events, want %d", len(e.free), n, n)
+	if e.freeN != n {
+		t.Fatalf("free list has %d records after draining %d cancelled events, want %d", e.freeN, n, n)
 	}
 }
 
@@ -177,8 +180,15 @@ func TestFreelistTracksQueueDepth(t *testing.T) {
 		e.ScheduleEvent(Time(i), r, 0, 0)
 	}
 	e.RunAll()
-	if len(e.free) != depth {
-		t.Fatalf("free list kept %d of %d records, want all (cap should track peak depth %d)", len(e.free), depth, depth)
+	if e.freeN != depth {
+		t.Fatalf("free list kept %d of %d records, want all (cap should track peak depth %d)", e.freeN, depth, depth)
+	}
+	linked := 0
+	for ev := e.free; ev != nil; ev = ev.next {
+		linked++
+	}
+	if linked != e.freeN {
+		t.Fatalf("free list links %d records, counts %d", linked, e.freeN)
 	}
 	// And with the list warm, re-running the same depth allocates nothing.
 	avg := testing.AllocsPerRun(3, func() {
@@ -189,6 +199,15 @@ func TestFreelistTracksQueueDepth(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("warmed deep run allocates %.2f/run, want 0", avg)
+	}
+}
+
+// TestLayoutSizes pins the event record at one cache line: every hop of a
+// packet moves one, and the wheel slots and the free list link the records
+// themselves through event.next.
+func TestLayoutSizes(t *testing.T) {
+	if s := unsafe.Sizeof(event{}); s > 64 {
+		t.Errorf("event is %d bytes, want at most 64", s)
 	}
 }
 

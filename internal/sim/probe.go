@@ -92,7 +92,7 @@ func (e *Engine) Stats() EngineStats {
 		Processed: e.Processed,
 		Pending:   e.pending,
 		PeakQueue: e.peakQueue,
-		FreeList:  len(e.free),
+		FreeList:  e.freeN,
 	}
 	st.FarOverflows, st.FarMigrations = e.FarStats()
 	return st

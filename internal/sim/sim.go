@@ -92,7 +92,8 @@ type event struct {
 	// through Schedule/After is stored here as a Handler.
 	actor Actor
 	arg   uint64
-	// next links ring-resident events into their wheel slot's list.
+	// next links ring-resident events into their wheel slot's list and
+	// recycled records into the free list: a record is in one or neither.
 	next      *event
 	kind      uint8
 	cancelled bool
@@ -132,9 +133,11 @@ type Engine struct {
 	// to the simulation's observed depth (a saturated 64-node run keeps tens
 	// of thousands of events in flight).
 	peakQueue int
-	// free recycles fired event records; a saturated simulation schedules
-	// millions of events and the heap entries dominate allocation churn.
-	free []*event
+	// free recycles fired event records, a LIFO list through event.next
+	// holding freeN records; a saturated simulation schedules millions of
+	// events and the heap entries dominate allocation churn.
+	free  *event
+	freeN int
 	// Processed counts events executed, useful for perf accounting.
 	Processed uint64
 	// wheel, when non-nil, switches the scheduler to windowed-wheel mode
@@ -155,7 +158,7 @@ func (e *Engine) PeakQueue() int { return e.peakQueue }
 // FreeListLen returns the number of recycled event records currently
 // pooled; together with PeakQueue it shows how well the typed-event path
 // amortizes allocation.
-func (e *Engine) FreeListLen() int { return len(e.free) }
+func (e *Engine) FreeListLen() int { return e.freeN }
 
 // Len returns the number of pending events. Cancelled events are excluded:
 // they still occupy the internal queue until popped, but will never fire.
@@ -236,13 +239,11 @@ func (e *Engine) siftDown(ev *event, i int) {
 // alloc takes an event record from the free list (or the heap allocator),
 // stamps it with the scheduling metadata, and enqueues it.
 func (e *Engine) alloc(at Time, seq uint64) *event {
-	var ev *event
-	if n := len(e.free); n > 0 {
-		ev = e.free[n-1]
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
-		gen := ev.gen + 1
-		*ev = event{at: at, seq: seq, gen: gen}
+	ev := e.free
+	if ev != nil {
+		e.free = ev.next
+		e.freeN--
+		*ev = event{at: at, seq: seq, gen: ev.gen + 1}
 	} else {
 		ev = &event{at: at, seq: seq}
 	}
@@ -419,15 +420,19 @@ func (e *Engine) Step() bool {
 // The free list is sized from the observed queue depth (plus slack) rather
 // than a fixed cap: a saturated 64-node run keeps far more than a thousand
 // events pending, and recycling must keep up with that churn for the typed
-// path to stay allocation-free.
+// path to stay allocation-free. It links the records themselves (ev is
+// unlinked from its slot or heap by now), so it never grows a backing
+// array.
 func (e *Engine) recycle(ev *event) {
 	ev.actor = nil
 	limit := e.peakQueue + 64
 	if limit < 1024 {
 		limit = 1024
 	}
-	if len(e.free) < limit {
-		e.free = append(e.free, ev)
+	if e.freeN < limit {
+		ev.next = e.free
+		e.free = ev
+		e.freeN++
 	}
 }
 
