@@ -28,8 +28,9 @@ func CommMatrix(tr *trace.Trace) [][]int64 {
 	for i := range m {
 		m[i] = make([]int64, tr.Ranks)
 	}
-	for r, evs := range tr.Events {
-		for _, ev := range evs {
+	for r := 0; r < tr.Ranks; r++ {
+		c := tr.Cursor(r)
+		for ev, ok := c.Next(); ok; ev, ok = c.Next() {
 			if (ev.Op == trace.OpSend || ev.Op == trace.OpIsend) && !isCollective(ev.MPIType) {
 				m[r][ev.Peer] += int64(ev.Bytes)
 			}
@@ -132,9 +133,10 @@ type Analysis struct {
 func Analyze(tr *trace.Trace, minCompute sim.Time) *Analysis {
 	// Per-rank segmentation.
 	segs := make([][][]Flow, tr.Ranks)
-	for r, evs := range tr.Events {
+	for r := range segs {
 		var cur []Flow
-		for _, ev := range evs {
+		c := tr.Cursor(r)
+		for ev, ok := c.Next(); ok; ev, ok = c.Next() {
 			switch {
 			case ev.Op == trace.OpCompute && ev.Dur >= minCompute:
 				segs[r] = append(segs[r], cur)

@@ -66,8 +66,9 @@ func Analyze(topo topology.Topology, tr *trace.Trace, mapping []topology.NodeID)
 	m := phase.CommMatrix(tr)
 	// Include collective-lowered traffic too: provisioning must cover the
 	// full wire load, not only application point-to-point.
-	for r, evs := range tr.Events {
-		for _, ev := range evs {
+	for r := range m {
+		c := tr.Cursor(r)
+		for ev, ok := c.Next(); ok; ev, ok = c.Next() {
 			if ev.Op != trace.OpSend && ev.Op != trace.OpIsend {
 				continue
 			}

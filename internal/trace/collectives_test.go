@@ -117,11 +117,12 @@ func TestAllreduceGroup(t *testing.T) {
 	for _, r := range group {
 		inGroup[r] = true
 	}
-	for r, evs := range tr.Events {
-		if !inGroup[r] && len(evs) != 0 {
-			t.Fatalf("rank %d outside the group got %d events", r, len(evs))
-		}
-		for _, ev := range evs {
+	for r := 0; r < tr.Ranks; r++ {
+		c := tr.Cursor(r)
+		for ev, ok := c.Next(); ok; ev, ok = c.Next() {
+			if !inGroup[r] {
+				t.Fatalf("rank %d outside the group got events", r)
+			}
 			if ev.Op == OpSend || ev.Op == OpIsend || ev.Op == OpRecv || ev.Op == OpIrecv {
 				if !inGroup[ev.Peer] {
 					t.Fatalf("rank %d talks to non-member %d", r, ev.Peer)

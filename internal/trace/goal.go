@@ -473,7 +473,7 @@ func GoalFromTrace(tr *Trace) (*Goal, error) {
 	type pair struct{ src, dst int }
 	sendTag := make(map[pair]int)
 	recvTag := make(map[pair]int)
-	for r, evs := range tr.Events {
+	for r := range tr.progs {
 		frontier := []int{}
 		outstanding := []int{}
 		add := func(nd GoalNode) int {
@@ -489,7 +489,8 @@ func GoalFromTrace(tr *Trace) (*Goal, error) {
 			m[p] = t + 1
 			return t, nil
 		}
-		for pc, ev := range evs {
+		c := tr.Cursor(r)
+		for ev, ok := c.Next(); ok; ev, ok = c.Next() {
 			switch ev.Op {
 			case OpCompute:
 				id := add(GoalNode{Op: GoalCalc, Dur: ev.Dur, MPIType: ev.MPIType})
@@ -525,7 +526,7 @@ func GoalFromTrace(tr *Trace) (*Goal, error) {
 				frontier = append(frontier, outstanding...)
 				outstanding = outstanding[:0]
 			default:
-				return nil, fmt.Errorf("goal: rank %d pc %d: cannot convert op %v", r, pc, ev.Op)
+				return nil, fmt.Errorf("goal: rank %d pc %d: cannot convert op %v", r, c.PC()-1, ev.Op)
 			}
 		}
 	}

@@ -44,9 +44,10 @@ func WriteTrace(w io.Writer, tr *Trace) error {
 			fmt.Fprintf(bw, "callmix %d %d\n", ty, n)
 		}
 	}
-	for r, evs := range tr.Events {
+	for r := range tr.progs {
 		fmt.Fprintf(bw, "rank %d\n", r)
-		for _, ev := range evs {
+		c := tr.Cursor(r)
+		for ev, ok := c.Next(); ok; ev, ok = c.Next() {
 			switch ev.Op {
 			case OpCompute:
 				fmt.Fprintf(bw, "c %d\n", int64(ev.Dur))
@@ -120,7 +121,8 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 			return fail("MPI type %d out of range [0,%d]", mpiType, math.MaxUint8)
 		}
 		ev.MPIType = uint8(mpiType)
-		tr.Events[cur] = append(tr.Events[cur], ev)
+		tr.progs[cur] = appendEvent(tr.progs[cur], ev)
+		tr.events++
 		return nil
 	}
 
@@ -139,14 +141,14 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 			if err != nil {
 				return nil, err
 			}
-			if tr.Events != nil {
+			if tr.progs != nil {
 				return nil, fail("repeated 'ranks'")
 			}
 			if v[0] < 2 || v[0] > 1<<20 {
 				return nil, fail("implausible rank count %d", v[0])
 			}
 			tr.Ranks = int(v[0])
-			tr.Events = make([][]Event, tr.Ranks)
+			tr.progs = make([][]byte, tr.Ranks)
 		case "callmix":
 			v, err := ints(fields, 2)
 			if err != nil {
@@ -161,7 +163,7 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 			if err != nil {
 				return nil, err
 			}
-			if tr.Events == nil {
+			if tr.progs == nil {
 				return nil, fail("'rank' before 'ranks'")
 			}
 			if v[0] < 0 || int(v[0]) >= tr.Ranks {

@@ -2,9 +2,12 @@ package trace
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
+
+	"prdrb/internal/sim"
 )
 
 func TestTraceRoundTrip(t *testing.T) {
@@ -30,8 +33,8 @@ func TestTraceRoundTrip(t *testing.T) {
 	if got.Name != tr.Name || got.Ranks != tr.Ranks {
 		t.Fatalf("header mismatch: %q/%d", got.Name, got.Ranks)
 	}
-	if !reflect.DeepEqual(got.Events, tr.Events) {
-		t.Fatal("events did not round trip")
+	if d := diffPrograms(got, tr); d != "" {
+		t.Fatalf("events did not round trip: %s", d)
 	}
 	if !reflect.DeepEqual(got.CallMix, tr.CallMix) {
 		t.Fatalf("call mix mismatch: %v vs %v", got.CallMix, tr.CallMix)
@@ -69,8 +72,10 @@ func TestReadTraceSkipsComments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tr.Events[0]) != 1 || tr.Events[0][0].Dur != 100 {
-		t.Fatalf("events: %+v", tr.Events)
+	c := tr.Cursor(0)
+	ev, _ := c.Next()
+	if _, more := c.Next(); ev.Dur != 100 || more {
+		t.Fatalf("rank 0 holds %+v and more=%v, want one 100 ns compute", ev, more)
 	}
 }
 
@@ -99,5 +104,21 @@ func TestSerializedWorkloadReplays(t *testing.T) {
 	r2 := runReplay(t, n2, loaded)
 	if r1.ExecutionTime() != r2.ExecutionTime() {
 		t.Fatalf("exec time diverged: %v vs %v", r1.ExecutionTime(), r2.ExecutionTime())
+	}
+}
+
+// recordLen, which sizes Build's windows, must agree with the encoder on
+// every op and at every varint length boundary, negative values included.
+func TestRecordLen(t *testing.T) {
+	vals := []int64{0, 1, -1, 63, -64, 64, -65, 8191, 8192, 1 << 40, math.MaxInt64, math.MinInt64}
+	for op := OpCompute; op <= OpWaitall+1; op++ {
+		for _, mpi := range []uint8{0, 9} {
+			for _, v := range vals {
+				ev := Event{Op: op, MPIType: mpi, Peer: int(v), Bytes: int(-v), Dur: sim.Time(v)}
+				if n, want := recordLen(ev), len(appendEvent(nil, ev)); n != want {
+					t.Errorf("%+v: recordLen %d, encoded %d bytes", ev, n, want)
+				}
+			}
+		}
 	}
 }

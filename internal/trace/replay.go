@@ -37,8 +37,8 @@ type request struct {
 type rankState struct {
 	replay *Replay
 	rank   int
-	pc     int
-	events []Event
+	// prog is the rank's program; its PC counts the events already run.
+	prog Cursor
 
 	// inbox counts arrived-but-unmatched messages per source rank (eager
 	// buffering); made by the first message that arrives before its
@@ -96,7 +96,7 @@ func NewReplay(net *network.Network, tr *Trace, mapping []topology.NodeID) (*Rep
 	}
 	for i := range r.ranks {
 		rs := &r.ranks[i]
-		*rs = rankState{replay: r, rank: i, events: tr.Events[i]}
+		*rs = rankState{replay: r, rank: i, prog: tr.Cursor(i)}
 		// Hook message delivery on the rank's NIC.
 		net.NICs[r.node(i)].OnMessage = rs.onMessage
 	}
@@ -174,12 +174,13 @@ func (r *Replay) Err() error {
 	for i := range r.ranks {
 		rs := &r.ranks[i]
 		if !rs.finished {
+			next := rs.prog
 			ev := "end"
-			if rs.pc < len(rs.events) {
-				ev = rs.events[rs.pc].Op.String()
+			if e, ok := next.Next(); ok {
+				ev = e.Op.String()
 			}
 			return fmt.Errorf("trace: rank %d stuck at pc=%d (%s), blocked=%d, %d reqs",
-				rs.rank, rs.pc, ev, rs.blocked, len(rs.live()))
+				rs.rank, rs.prog.PC(), ev, rs.blocked, len(rs.live()))
 		}
 	}
 	return nil
@@ -191,9 +192,11 @@ func (rs *rankState) HandleEvent(e *sim.Engine, _ uint8, _ uint64) { rs.step(e) 
 // step advances a rank until it blocks or finishes.
 func (rs *rankState) step(e *sim.Engine) {
 	rs.blocked = notBlocked
-	for rs.pc < len(rs.events) {
-		ev := &rs.events[rs.pc]
-		rs.pc++
+	for {
+		ev, ok := rs.prog.Next()
+		if !ok {
+			break
+		}
 		switch ev.Op {
 		case OpCompute:
 			rs.blocked = blockedCompute
@@ -301,7 +304,7 @@ func (rs *rankState) takeEarly(src int) bool {
 }
 
 // inject sends the event's message and posts the send request.
-func (rs *rankState) inject(e *sim.Engine, ev *Event) {
+func (rs *rankState) inject(e *sim.Engine, ev Event) {
 	r := rs.replay
 	rs.mpiSeq++
 	rs.put(request{seq: rs.mpiSeq})

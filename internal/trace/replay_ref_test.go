@@ -35,9 +35,8 @@ type refRequest struct {
 // refRankState is one rank's replay FSM (the processing-node model of §4.1.1:
 // "read an input trace file and simulate the events").
 type refRankState struct {
-	rank   int
-	pc     int
-	events []trace.Event
+	rank int
+	prog trace.Cursor
 
 	// inbox counts arrived-but-unmatched messages per source rank (eager
 	// buffering).
@@ -96,9 +95,9 @@ func newRefReplay(net *network.Network, tr *trace.Trace, mapping []topology.Node
 	r.ranks = make([]*refRankState, tr.Ranks)
 	for i := range r.ranks {
 		r.ranks[i] = &refRankState{
-			rank:   i,
-			events: tr.Events[i],
-			inbox:  make(map[int]int),
+			rank:  i,
+			prog:  tr.Cursor(i),
+			inbox: make(map[int]int),
 		}
 		r.nodeRank[r.node(i)] = i
 	}
@@ -152,12 +151,13 @@ func (r *refReplay) Err() error {
 	}
 	for _, rs := range r.ranks {
 		if !rs.finished {
+			next := rs.prog
 			ev := "end"
-			if rs.pc < len(rs.events) {
-				ev = rs.events[rs.pc].Op.String()
+			if e, ok := next.Next(); ok {
+				ev = e.Op.String()
 			}
 			return fmt.Errorf("trace: rank %d stuck at pc=%d (%s), blocked=%d, %d reqs",
-				rs.rank, rs.pc, ev, rs.blocked, len(rs.reqs))
+				rs.rank, rs.prog.PC(), ev, rs.blocked, len(rs.reqs))
 		}
 	}
 	return nil
@@ -166,22 +166,22 @@ func (r *refReplay) Err() error {
 // step advances a rank until it blocks or finishes.
 func (r *refReplay) step(e *sim.Engine, rs *refRankState) {
 	rs.blocked = refNotBlocked
-	for rs.pc < len(rs.events) {
-		ev := &rs.events[rs.pc]
+	for {
+		ev, ok := rs.prog.Next()
+		if !ok {
+			break
+		}
 		switch ev.Op {
 		case trace.OpCompute:
-			rs.pc++
 			rs.blocked = refBlockedCompute
 			r.after(e, ev.Dur, rs)
 			return
 
 		case trace.OpIsend:
-			rs.pc++
-			r.inject(e, rs, ev)
+			r.inject(e, rs, &ev)
 
 		case trace.OpSend:
-			rs.pc++
-			req := r.inject(e, rs, ev)
+			req := r.inject(e, rs, &ev)
 			if req != nil && !req.done {
 				rs.blocked = refBlockedWaitSend
 				rs.sendWait = req
@@ -192,7 +192,6 @@ func (r *refReplay) step(e *sim.Engine, rs *refRankState) {
 			}
 
 		case trace.OpIrecv:
-			rs.pc++
 			req := &refRequest{isRecv: true, src: ev.Peer}
 			if rs.inbox[ev.Peer] > 0 {
 				rs.inbox[ev.Peer]--
@@ -208,41 +207,34 @@ func (r *refReplay) step(e *sim.Engine, rs *refRankState) {
 			if rs.inbox[ev.Peer] > 0 {
 				rs.inbox[ev.Peer]--
 				req.done = true
-				rs.pc++
 				continue
 			}
 			rs.reqs = append(rs.reqs, req)
-			rs.pc++
 			rs.blocked = refBlockedWaitSend // identical semantics: one request
 			rs.sendWait = req
 			return
 
 		case trace.OpWait:
 			if len(rs.reqs) == 0 {
-				rs.pc++
 				continue
 			}
 			if rs.reqs[0].done {
 				rs.reqs = rs.reqs[1:]
-				rs.pc++
 				continue
 			}
-			rs.pc++
 			rs.blocked = refBlockedWaitOne
 			return
 
 		case trace.OpWaitall:
 			if rs.allDone() {
 				rs.reqs = rs.reqs[:0]
-				rs.pc++
 				continue
 			}
-			rs.pc++
 			rs.blocked = refBlockedWaitAll
 			return
 
 		default:
-			panic(fmt.Sprintf("trace: rank %d: unloweable op %v at pc %d", rs.rank, ev.Op, rs.pc))
+			panic(fmt.Sprintf("trace: rank %d: unloweable op %v at pc %d", rs.rank, ev.Op, rs.prog.PC()-1))
 		}
 	}
 	if !rs.finished {

@@ -11,7 +11,6 @@ package trace
 import (
 	"fmt"
 
-	"prdrb/internal/collectives"
 	"prdrb/internal/network"
 	"prdrb/internal/sim"
 )
@@ -52,8 +51,8 @@ func (o Op) String() string {
 	return "?"
 }
 
-// Event is one per-rank trace entry (32 bytes: the two one-byte fields
-// share a word).
+// Event is one decoded per-rank trace entry. Traces store their events
+// encoded (program.go); a Cursor hands them out one by one as Events.
 type Event struct {
 	Op Op
 	// MPIType tags the packet headers with the *logical* MPI call the event
@@ -67,8 +66,11 @@ type Event struct {
 
 // Trace is a complete per-rank event program.
 type Trace struct {
-	Ranks  int
-	Events [][]Event
+	Ranks int
+	// progs holds each rank's encoded program; read it with Cursor.
+	progs [][]byte
+	// events counts the events of every rank.
+	events int
 	// CallMix counts the *logical* MPI calls the application made (Table
 	// 2.1's breakdown), before collective lowering.
 	CallMix map[uint8]int64
@@ -77,10 +79,13 @@ type Trace struct {
 }
 
 // TotalEvents sums the lowered event counts across ranks.
-func (t *Trace) TotalEvents() int {
+func (t *Trace) TotalEvents() int { return t.events }
+
+// ProgramBytes is the storage the encoded programs of every rank take.
+func (t *Trace) ProgramBytes() int {
 	n := 0
-	for _, evs := range t.Events {
-		n += len(evs)
+	for _, p := range t.progs {
+		n += len(p)
 	}
 	return n
 }
@@ -99,13 +104,14 @@ const (
 // beyond the limits above, no unknown operation. NewReplay calls it, so a
 // bad trace is an error there and not a panic in the middle of a run.
 func (t *Trace) Validate() error {
-	if len(t.Events) != t.Ranks {
-		return fmt.Errorf("trace: %d event lists for %d ranks", len(t.Events), t.Ranks)
+	if len(t.progs) != t.Ranks {
+		return fmt.Errorf("trace: %d event lists for %d ranks", len(t.progs), t.Ranks)
 	}
 	var compute sim.Time
-	for r, evs := range t.Events {
-		for pc := range evs {
-			ev := &evs[pc]
+	for r := range t.progs {
+		c := t.Cursor(r)
+		for ev, ok := c.Next(); ok; ev, ok = c.Next() {
+			pc := c.PC() - 1
 			switch ev.Op {
 			case OpCompute:
 				if ev.Dur < 0 {
@@ -155,17 +161,17 @@ func (t *Trace) CallShare(mpiType uint8) float64 {
 // Build; NewBuilder is the plain appending form for hand-built traces.
 type Builder struct {
 	tr *Trace
-	// counts is non-nil during Build's counting pass: push then only sizes
-	// each rank's event list and the call mix is left alone.
+	// counts is non-nil during Build's counting pass: push then only adds
+	// up each rank's encoded bytes and the call mix is left alone.
 	counts []int
 	// mix counts the logical calls by MPI type; Build copies it into the
 	// trace's CallMix (a map update per emitted call would cost a fifth of
 	// a generator's time).
 	mix [256]int64
-	// memo holds every collective schedule this builder has lowered, so a
-	// collective repeated each iteration is generated once. It lives and
-	// dies with the builder.
-	memo map[schedKey]*collectives.Schedule
+	// memo holds every collective this builder has lowered, so a
+	// collective repeated each iteration is generated and encoded once. It
+	// lives and dies with the builder.
+	memo map[schedKey]*lowering
 }
 
 // NewBuilder starts a trace for the given number of ranks.
@@ -175,17 +181,18 @@ func NewBuilder(name string, ranks int) *Builder {
 	}
 	return &Builder{tr: &Trace{
 		Ranks:   ranks,
-		Events:  make([][]Event, ranks),
+		progs:   make([][]byte, ranks),
 		CallMix: make(map[uint8]int64),
 		Name:    name,
 	}}
 }
 
 // Build runs body twice over one builder and returns the trace it emits,
-// every rank's events an exactly sized window of one shared array: the
-// first pass only counts each rank's events, the second fills them in. The
-// body must therefore emit the same events both times — a pure function of
-// its inputs, which every generator in internal/workloads is.
+// every rank's program an exactly sized window of one shared byte array:
+// the first pass only adds up each rank's encoded bytes, the second encodes
+// the events into place. The body must therefore emit the same events both
+// times — a pure function of its inputs, which every generator in
+// internal/workloads is.
 func Build(name string, ranks int, body func(b *Builder) error) (*Trace, error) {
 	b := NewBuilder(name, ranks)
 	counts := make([]int, ranks)
@@ -197,11 +204,11 @@ func Build(name string, ranks int, body func(b *Builder) error) (*Trace, error) 
 	for _, n := range counts {
 		total += n
 	}
-	flat := make([]Event, total)
+	flat := make([]byte, total)
 	off := 0
 	for r, n := range counts {
 		if n > 0 {
-			b.tr.Events[r] = flat[off : off : off+n]
+			b.tr.progs[r] = flat[off : off : off+n]
 		}
 		off += n
 	}
@@ -210,8 +217,8 @@ func Build(name string, ranks int, body func(b *Builder) error) (*Trace, error) 
 		return nil, err
 	}
 	for r, n := range counts {
-		if len(b.tr.Events[r]) != n {
-			panic(fmt.Sprintf("trace: body emitted %d events for rank %d after counting %d", len(b.tr.Events[r]), r, n))
+		if len(b.tr.progs[r]) != n {
+			panic(fmt.Sprintf("trace: body emitted %d bytes for rank %d after counting %d", len(b.tr.progs[r]), r, n))
 		}
 	}
 	return b.Build(), nil
@@ -235,10 +242,21 @@ func (b *Builder) push(rank int, ev Event) {
 		panic(fmt.Sprintf("trace: rank %d out of range", rank))
 	}
 	if b.counts != nil {
-		b.counts[rank]++
+		b.counts[rank] += recordLen(ev)
 		return
 	}
-	b.tr.Events[rank] = append(b.tr.Events[rank], ev)
+	b.tr.progs[rank] = appendEvent(b.tr.progs[rank], ev)
+	b.tr.events++
+}
+
+// pushEncoded appends n events already encoded as recs to rank's program.
+func (b *Builder) pushEncoded(rank int, recs []byte, n int) {
+	if b.counts != nil {
+		b.counts[rank] += len(recs)
+		return
+	}
+	b.tr.progs[rank] = append(b.tr.progs[rank], recs...)
+	b.tr.events += n
 }
 
 func (b *Builder) count(mpiType uint8, n int64) {

@@ -3,6 +3,7 @@ package trace
 import (
 	"strings"
 	"testing"
+	"unsafe"
 
 	"prdrb/internal/metrics"
 	"prdrb/internal/network"
@@ -335,7 +336,7 @@ func TestReplayRejectsBadTrace(t *testing.T) {
 	b := NewBuilder("hand-built", 2)
 	b.Compute(0, 5)
 	tr := b.Build()
-	tr.Events[0][0].Op = 42
+	tr.appendRaw(0, 42)
 	if _, err := NewReplay(newNet(t, 2), tr, nil); err == nil || !strings.Contains(err.Error(), "unknown op 42") {
 		t.Errorf("unknown op: NewReplay error %v", err)
 	}
@@ -418,5 +419,39 @@ func TestAlltoallNonPowerOfTwo(t *testing.T) {
 	}
 	if got := net.Collector.Throughput.AcceptedPkts; got != 30 {
 		t.Fatalf("alltoall moved %d packets, want 30", got)
+	}
+}
+
+// Build stores every rank's program in an exactly sized window of one
+// array, the windows in rank order; NewBuilder's appending form stores the
+// same bytes.
+func TestBuildOneExactArray(t *testing.T) {
+	body := func(b *Builder) error {
+		for r := 0; r < 8; r++ {
+			b.Compute(r, sim.Time(1000*(r+1)))
+			b.Sendrecv(r, (r+1)%8, (r+7)%8, 4096<<r)
+		}
+		b.Allreduce(64)
+		b.Alltoall(1 << 20)
+		return nil
+	}
+	tr, err := Build("windows", 8, body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := NewBuilder("windows", 8)
+	body(b)
+	if d := diffPrograms(tr, b.Build()); d != "" {
+		t.Fatalf("built and appended programs differ: %s", d)
+	}
+	var next unsafe.Pointer
+	for r, p := range tr.progs {
+		if len(p) == 0 || cap(p) != len(p) {
+			t.Fatalf("rank %d: %d bytes in room for %d", r, len(p), cap(p))
+		}
+		if r > 0 && unsafe.Pointer(&p[0]) != next {
+			t.Fatalf("rank %d's program does not follow rank %d's in one array", r, r-1)
+		}
+		next = unsafe.Add(unsafe.Pointer(&p[0]), len(p))
 	}
 }

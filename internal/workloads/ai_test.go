@@ -108,7 +108,8 @@ func TestAIDPPPGroupIsolation(t *testing.T) {
 	// With 16 ranks = 4 replicas x 4 stages, rank 1 is stage 1 of replica
 	// 0; its group peers are ranks 5, 9, 13. Scan its large-Allreduce
 	// sends (the 64-byte loss Allreduce spans the full communicator).
-	for _, ev := range tr.Events[1] {
+	c := tr.Cursor(1)
+	for ev, ok := c.Next(); ok; ev, ok = c.Next() {
 		if ev.MPIType != network.MPIAllreduce || ev.Bytes < 1024 {
 			continue
 		}

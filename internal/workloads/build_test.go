@@ -3,15 +3,14 @@ package workloads
 import (
 	"reflect"
 	"testing"
-	"unsafe"
 
 	"prdrb/internal/trace"
 )
 
 // TestBuildMatchesAppend: the exactly sized two-pass trace every generator
 // returns is the trace the same body emits through the plain appending
-// builder (events, call mix, name), every rank's list is full to its
-// capacity, and the lists are consecutive windows of one array.
+// builder — the same events, compared one by one through the cursors, in
+// the same number of bytes, with the same call mix and name.
 func TestBuildMatchesAppend(t *testing.T) {
 	for _, name := range Names() {
 		for _, iters := range []int{1, 3} {
@@ -35,39 +34,73 @@ func TestBuildMatchesAppend(t *testing.T) {
 			if !reflect.DeepEqual(got.CallMix, want.CallMix) {
 				t.Fatalf("%s/%d: call mix %v, appended %v", name, iters, got.CallMix, want.CallMix)
 			}
-			if !reflect.DeepEqual(got.Events, want.Events) {
-				t.Fatalf("%s/%d: two-pass events differ from the appended ones", name, iters)
+			if got.TotalEvents() != want.TotalEvents() || got.ProgramBytes() != want.ProgramBytes() {
+				t.Fatalf("%s/%d: %d events in %d bytes, appended %d in %d", name, iters,
+					got.TotalEvents(), got.ProgramBytes(), want.TotalEvents(), want.ProgramBytes())
 			}
-			var next unsafe.Pointer
-			for r, evs := range got.Events {
-				if len(evs) == 0 {
+			for r := 0; r < got.Ranks; r++ {
+				cg, cw := got.Cursor(r), want.Cursor(r)
+				for {
+					eg, okg := cg.Next()
+					ew, okw := cw.Next()
+					if eg != ew || okg != okw {
+						t.Fatalf("%s/%d: rank %d pc %d: built %+v, appended %+v", name, iters, r, cg.PC()-1, eg, ew)
+					}
+					if !okg {
+						break
+					}
+				}
+				if cg.PC() == 0 {
 					t.Fatalf("%s/%d: rank %d has no events", name, iters, r)
 				}
-				if cap(evs) != len(evs) {
-					t.Fatalf("%s/%d: rank %d has %d events in room for %d", name, iters, r, len(evs), cap(evs))
-				}
-				if first := unsafe.Pointer(&evs[0]); r > 0 && first != next {
-					t.Fatalf("%s/%d: rank %d's events do not follow rank %d's in one array", name, iters, r, r-1)
-				}
-				next = unsafe.Add(unsafe.Pointer(&evs[0]), len(evs)*int(unsafe.Sizeof(evs[0])))
 			}
 		}
 	}
 }
 
-// TestGenerateAllocs pins what generating a trace allocates: the trace's
-// one event array and the handful of collective schedules the workload
-// uses, each lowered once however many iterations repeat it — not one
-// growing slice per rank and one schedule per collective call (25,344
-// mallocs for this trace before).
-func TestGenerateAllocs(t *testing.T) {
-	allocs := testing.AllocsPerRun(5, func() {
-		if _, err := ByName("pop", Options{Iterations: 20}); err != nil {
+// TestTraceBytesPerEvent pins what a stored event costs: a few bytes of
+// encoded record on every generator, where a decoded Event is 32.
+func TestTraceBytesPerEvent(t *testing.T) {
+	var sum float64
+	for _, name := range Names() {
+		tr, err := ByName(name, Options{})
+		if err != nil {
 			t.Fatal(err)
 		}
-	})
-	t.Logf("pop, 20 iterations: %.0f mallocs", allocs)
-	if allocs > 2000 {
-		t.Fatalf("generating pop at 20 iterations took %.0f mallocs, want <= 2000", allocs)
+		per := float64(tr.ProgramBytes()) / float64(tr.TotalEvents())
+		t.Logf("%-16s %7d events %8d B %.2f B/event", name, tr.TotalEvents(), tr.ProgramBytes(), per)
+		if per > 5 {
+			t.Errorf("%s stores %.2f B per event, want <= 5", name, per)
+		}
+		sum += per
+	}
+	if mean := sum / float64(len(Names())); mean > 4 {
+		t.Errorf("the generators store %.2f B per event on average, want <= 4", mean)
+	}
+}
+
+// TestGenerateAllocs pins what generating a trace allocates: the trace's
+// one program array and the handful of collective schedules the workload
+// uses, each lowered once however many iterations repeat it — not one
+// growing slice per rank and one schedule per collective call (25,344
+// mallocs for this trace before). So the malloc count does not grow with
+// the iterations: 10 and 20 lower the same schedules (pop's first Barrier
+// comes at iteration 6, its first Bcast at 10) and must cost the same, up
+// to a few mallocs of the runtime's own.
+func TestGenerateAllocs(t *testing.T) {
+	allocs := func(iters int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if _, err := ByName("pop", Options{Iterations: iters}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	a20 := allocs(20)
+	t.Logf("pop, 20 iterations: %.0f mallocs", a20)
+	if a20 > 2000 {
+		t.Fatalf("generating pop at 20 iterations took %.0f mallocs, want <= 2000", a20)
+	}
+	if a10 := allocs(10); a20 > a10+5 {
+		t.Fatalf("generating pop took %.0f mallocs at 10 iterations but %.0f at 20", a10, a20)
 	}
 }

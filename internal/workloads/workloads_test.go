@@ -149,8 +149,9 @@ func TestMGClassesScale(t *testing.T) {
 
 func totalSendBytes(tr *trace.Trace) int64 {
 	var total int64
-	for _, evs := range tr.Events {
-		for _, ev := range evs {
+	for r := 0; r < tr.Ranks; r++ {
+		c := tr.Cursor(r)
+		for ev, ok := c.Next(); ok; ev, ok = c.Next() {
 			if ev.Op == trace.OpSend || ev.Op == trace.OpIsend {
 				total += int64(ev.Bytes)
 			}
@@ -221,7 +222,8 @@ func TestSMG2000AnisotropicHalos(t *testing.T) {
 	// must send to (4,0)=4 but never to (0,4)=32... SMG keeps y at 1, so
 	// 0 talks to 8 (y+1) and 56 (y-1 wrapped) but not 32.
 	sent := map[int]bool{}
-	for _, ev := range tr.Events[0] {
+	c := tr.Cursor(0)
+	for ev, ok := c.Next(); ok; ev, ok = c.Next() {
 		// Only the application's own halos: collective lowering (Allreduce
 		// recursive doubling, Bcast trees) legitimately reaches any rank.
 		switch ev.MPIType {
