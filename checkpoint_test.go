@@ -342,8 +342,8 @@ func TestResumeDetectsDivergence(t *testing.T) {
 }
 
 // TestCheckpointSealFormat pins the container around the seal: a capture
-// stays under a kilobyte on a fat tree and on a sharded dragonfly, and a
-// file of the previous format version is refused with the version error.
+// stays under a kilobyte on a fat tree and on a sharded dragonfly, and
+// files of the previous format versions are refused with the version error.
 func TestCheckpointSealFormat(t *testing.T) {
 	for _, tc := range []struct {
 		topo   string
@@ -370,13 +370,16 @@ func TestCheckpointSealFormat(t *testing.T) {
 			t.Errorf("%s at %d shards: verify against its own state: %v", tc.topo, tc.shards, err)
 		}
 
-		binary.LittleEndian.PutUint32(data[8:12], 2)
-		path := filepath.Join(t.TempDir(), "v2.ckpt")
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.Resume(path); err == nil || !strings.Contains(err.Error(), "unsupported format version 2") {
-			t.Errorf("%s: version-2 file: err = %v, want the version refusal", tc.topo, err)
+		// Version 3 seals hashed one pending event per pattern source.
+		for _, v := range []uint32{2, 3} {
+			binary.LittleEndian.PutUint32(data[8:12], v)
+			path := filepath.Join(t.TempDir(), fmt.Sprintf("v%d.ckpt", v))
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Resume(path); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("unsupported format version %d", v)) {
+				t.Errorf("%s: version-%d file: err = %v, want the version refusal", tc.topo, v, err)
+			}
 		}
 	}
 }

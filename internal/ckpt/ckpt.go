@@ -29,7 +29,9 @@ const Magic = "PRDRBCP1"
 // a seal's meaning is pinned to the code that computed it (see DESIGN.md
 // for the compatibility policy). Version 3: the nine state sections of
 // versions 1-2 became one seal section of named component hashes.
-const Version uint32 = 3
+// Version 4: pattern and burst traffic keep one pending opener per engine
+// instead of one first event per source, which the engine component hashes.
+const Version uint32 = 4
 
 // Section identifiers. New sections append; ids are never reused (2-9
 // held the full-state sections of versions 1-2).

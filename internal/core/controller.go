@@ -589,7 +589,7 @@ func (c *Controller) saveSolution(e *sim.Engine, mp *metapath) {
 	if len(sig) == 0 {
 		return
 	}
-	if c.db.Save(int(mp.dst), sig, mp.snapshot(), c.Cfg.Similarity, e.Now()) != nil {
+	if c.db.Save(int(mp.dst), sig, mp.paths, c.Cfg.Similarity, e.Now()) != nil {
 		c.Stats.PatternsSaved++
 		c.Trace.Control(e.Now(), telemetry.KindSolDBSave, int(c.Node), int(mp.dst), 0, int64(c.db.Size()))
 	}
@@ -622,7 +622,7 @@ func (c *Controller) MetapathLatency(dst topology.NodeID) float64 {
 
 // Paths returns a copy of the current waypoint sets toward dst, direct
 // path first — a copy on purpose: the originals are shared with the path
-// cache and with in-flight packets (pathState.path).
+// cache, the solution database and in-flight packets (pathState.path).
 func (c *Controller) Paths(dst topology.NodeID) []topology.Path {
 	mp := c.mps[dst]
 	if mp == nil {

@@ -245,6 +245,9 @@ func TestMetapathRestoreAssignsFreshIDs(t *testing.T) {
 	if mp.paths[1].latNs != 2000 {
 		t.Fatal("restored path lost its saved latency weight")
 	}
+	if &mp.paths[1].path[0] != &saved[1].path[0] {
+		t.Fatal("restore copied the immutable waypoints")
+	}
 }
 
 func TestZoneClassification(t *testing.T) {

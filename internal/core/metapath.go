@@ -38,9 +38,10 @@ type pathState struct {
 	// array is immutable from the moment the path is opened: it may be
 	// PathCache storage shared by every controller of the shard, and every
 	// in-flight packet injected on this path aliases it
-	// (Packet.Waypoints, see PrepareInjection). What hands a path set to
-	// another owner copies instead: snapshot and restore for the solution
-	// database, Controller.Paths for callers.
+	// (Packet.Waypoints, see PrepareInjection), as do the solution
+	// database's saved path sets and the metapaths they are restored
+	// into. Only Controller.Paths, which hands waypoints to callers
+	// outside the package, copies them.
 	path topology.Path
 	// latNs is the EWMA of ACK-reported path latency in ns, floored.
 	latNs float64
@@ -57,8 +58,11 @@ type pathState struct {
 // once it opens a path, is reported or is watched lives in cold, which most
 // metapaths never make.
 type metapath struct {
-	dst   topology.NodeID
-	paths []pathState // index 0 is always the direct path
+	dst topology.NodeID
+	// paths: index 0 is always the direct path. The solution database
+	// copies these values in (Save) and restore copies them back out;
+	// neither copies waypoints.
+	paths []pathState
 	// direct is the storage paths starts with: most metapaths never open
 	// an alternative, and the first one opened moves paths to the heap.
 	direct [1]pathState
@@ -250,20 +254,10 @@ func (mp *metapath) observe(cfg *Config, id int, lat sim.Time) {
 	p.acks++
 }
 
-// snapshot deep-copies the current path set (a candidate "best solution",
-// Fig 3.14).
-func (mp *metapath) snapshot() []pathState {
-	out := make([]pathState, len(mp.paths))
-	copy(out, mp.paths)
-	for i := range out {
-		out[i].path = append(topology.Path(nil), out[i].path...)
-	}
-	return out
-}
-
 // restore replaces the path set with a saved solution, assigning fresh
 // stable IDs (old ACKs must not credit restored paths) from mp's cold
-// record, made from s if need be.
+// record, made from s if need be. It copies the path states, not their
+// waypoints: those are immutable and already shared (pathState.path).
 func (mp *metapath) restore(s *metapathSlab, saved []pathState) {
 	cd := s.coldState(mp)
 	mp.paths = mp.paths[:0]
@@ -274,7 +268,6 @@ func (mp *metapath) restore(s *metapathSlab, saved []pathState) {
 			cd.nextPathID++
 		}
 		p.acks = 0
-		p.path = append(topology.Path(nil), p.path...)
 		mp.paths = append(mp.paths, p)
 	}
 }

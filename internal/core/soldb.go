@@ -103,14 +103,17 @@ func (db *SolutionDB) Lookup(dst int, sig Signature, minSim float64) *Solution {
 
 // Save stores (or refreshes) the solution for dst under sig. When an
 // existing entry matches sig at minSim it is updated in place — the paper's
-// "best solution saved may be further updated" (§3.2). paths becomes the
-// database's; sig is copied (it may live in a caller's reused buffer).
+// "best solution saved may be further updated" (§3.2). Both arguments may
+// live in a caller's reused storage — sig in an evidence buffer, paths in
+// a metapath — so Save copies their values into storage of its own,
+// reusing an updated entry's arrays. The copied path states alias their
+// waypoints, which never change once a path opens (pathState.path).
 func (db *SolutionDB) Save(dst int, sig Signature, paths []pathState, minSim float64, now sim.Time) *Solution {
 	if len(sig) == 0 {
 		return nil
 	}
 	if existing := db.Lookup(dst, sig, minSim); existing != nil {
-		existing.paths = paths
+		existing.paths = append(existing.paths[:0], paths...)
 		existing.Sig = append(existing.Sig[:0], sig...)
 		existing.Updates++
 		return existing
@@ -118,7 +121,7 @@ func (db *SolutionDB) Save(dst int, sig Signature, paths []pathState, minSim flo
 	if db.perDst == nil {
 		db.perDst = make(map[int][]*Solution)
 	}
-	s := &Solution{Sig: slices.Clone(sig), paths: paths, SavedAt: now}
+	s := &Solution{Sig: slices.Clone(sig), paths: slices.Clone(paths), SavedAt: now}
 	lst := append(db.perDst[dst], s)
 	if len(lst) > db.MaxPerDst {
 		lst = lst[1:]

@@ -209,3 +209,53 @@ func TestSaveCopiesSignature(t *testing.T) {
 		t.Fatalf("refreshed signature followed the caller's buffer: %v", s.Sig)
 	}
 }
+
+// TestSaveStoresValues: Save copies a metapath's path states into storage
+// the database owns, so the saved solution stays what it was while the
+// metapath updates latencies and opens and closes paths; the copies alias
+// the immutable waypoints instead of duplicating them; and refreshing an
+// existing solution reuses its storage, allocating nothing.
+func TestSaveStoresValues(t *testing.T) {
+	cfg := PRDRBConfig()
+	db := NewSolutionDB()
+	mp := newMetapath(9, cfg.LatencyFloor)
+	mp.paths = append(mp.paths,
+		pathState{id: 1, path: topology.Path{4, 5}, latNs: 2000, extraHops: 2, acks: 3},
+		pathState{id: 2, path: topology.Path{6}, latNs: 3000, extraHops: 1, acks: 1})
+	sig := NewSignature([]network.FlowKey{{Src: 1, Dst: 9}, {Src: 2, Dst: 9}}, 0)
+	s := db.Save(9, sig, mp.paths, 0.8, 100)
+	want := slices.Clone(mp.paths)
+	samePaths := func(a, b []pathState) bool {
+		return slices.EqualFunc(a, b, func(x, y pathState) bool {
+			return x.id == y.id && x.path.Equal(y.path) && x.latNs == y.latNs && x.extraHops == y.extraHops && x.acks == y.acks
+		})
+	}
+
+	mp.observe(&cfg, 1, 9000)
+	mp.observe(&cfg, 2, 7000)
+	mp.paths = append(mp.paths[:1], mp.paths[2:]...) // path 1 closes
+	mp.paths = append(mp.paths, pathState{id: 3, path: topology.Path{7, 8}, latNs: 4000})
+	if !samePaths(s.paths, want) {
+		t.Fatalf("the saved solution followed the metapath: %+v, saved %+v", s.paths, want)
+	}
+	for i := range s.paths {
+		if p := s.paths[i].path; len(p) > 0 && &p[0] != &want[i].path[0] {
+			t.Fatalf("path %d: the solution copied the waypoints instead of aliasing them", i)
+		}
+	}
+
+	allocs := testing.AllocsPerRun(50, func() {
+		if db.Save(9, sig, mp.paths, 0.8, 200) != s {
+			t.Fatal("matching save did not refresh the entry")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("refreshing a solution allocates %.1f times, want 0", allocs)
+	}
+	if !samePaths(s.paths, mp.paths) {
+		t.Fatalf("the refreshed solution holds %+v, want the metapath's %+v", s.paths, mp.paths)
+	}
+	if &s.paths[0] == &mp.paths[0] {
+		t.Fatal("the refreshed solution shares the metapath's path array")
+	}
+}

@@ -517,6 +517,43 @@ func (s *Sim) patternSpace(patternNodes int) (int, error) {
 	return patternNodes, nil
 }
 
+// Limits of a traffic spec. More than maxBursts repetitions is a typo, not
+// an experiment (like topology.ByName's size cap). maxTime and maxSpacing
+// keep every injection time of a valid spec representable: the end of its
+// last window plus the longest gap a jittered source can draw (under 64
+// mean spacings) stays below sim.Infinity.
+const (
+	maxBursts  = 1 << 20
+	maxTime    = sim.Time(1) << 61
+	maxSpacing = float64(sim.Time(1) << 54)
+)
+
+// checkRate validates a per-source injection rate for packets of pkt
+// bytes: it must space the packets 1 ns to maxSpacing apart — a spacing
+// under 1 ns rounds to 0 and the source would never let the clock move.
+// The spacing is traffic's, computed the same way; a NaN, infinite, zero
+// or negative rate fails the comparison.
+func checkRate(rateMbps float64, pkt int) error {
+	if pkt <= 0 {
+		return fmt.Errorf("prdrb: packet size %d B, want > 0", pkt)
+	}
+	spacing := float64(pkt) * 8 * 1e9 / (rateMbps * 1e6)
+	if !(spacing >= 1 && spacing <= maxSpacing) {
+		return fmt.Errorf("prdrb: rate %v Mbps spaces %d B packets %v ns apart, want a finite rate spacing them 1 to %v ns",
+			rateMbps, pkt, spacing, maxSpacing)
+	}
+	return nil
+}
+
+// checkStart validates the time a spec starts injecting: not before the
+// simulation's clock, and within maxTime.
+func (s *Sim) checkStart(start sim.Time) error {
+	if now := s.Now(); start < now || start > maxTime {
+		return fmt.Errorf("prdrb: traffic starts at %d ns, want %d to %d ns", start, now, maxTime)
+	}
+	return nil
+}
+
 // InstallPattern schedules the synthetic traffic on the simulation.
 func (s *Sim) InstallPattern(spec PatternSpec) error {
 	space, err := s.patternSpace(spec.PatternNodes)
@@ -527,14 +564,28 @@ func (s *Sim) InstallPattern(spec PatternSpec) error {
 	if err != nil {
 		return err
 	}
+	pkt := spec.PacketBytes
+	if pkt == 0 {
+		pkt = s.Net.Cfg.PacketBytes
+	}
+	if err := checkRate(spec.RateMbps, pkt); err != nil {
+		return err
+	}
+	if err := s.checkStart(spec.Start); err != nil {
+		return err
+	}
+	if spec.End <= spec.Start || spec.End > maxTime {
+		return fmt.Errorf("prdrb: injection window [%d, %d) ns, want a non-empty window ending by %d ns", spec.Start, spec.End, maxTime)
+	}
+	for _, n := range spec.Nodes {
+		if n < 0 || int(n) >= s.Net.Topo.NumTerminals() {
+			return fmt.Errorf("prdrb: source node %d outside the %d terminals of %s", n, s.Net.Topo.NumTerminals(), s.Net.Topo.Name())
+		}
+	}
 	if spec.Nodes == nil && space < s.Net.Topo.NumTerminals() {
 		for i := 0; i < space; i++ {
 			spec.Nodes = append(spec.Nodes, topology.NodeID(i))
 		}
-	}
-	pkt := spec.PacketBytes
-	if pkt == 0 {
-		pkt = s.Net.Cfg.PacketBytes
 	}
 	traffic.Install(s.Net, traffic.Spec{
 		Pattern:     p,
@@ -580,8 +631,16 @@ type BurstSpec struct {
 	PatternNodes int
 }
 
-// burstFor resolves one spec into a traffic.Burst.
+// burstFor checks one spec's rate, length and gap and resolves it into a
+// traffic.Burst.
 func (s *Sim) burstFor(spec BurstSpec) (traffic.Burst, error) {
+	if err := checkRate(spec.RateMbps, s.Net.Cfg.PacketBytes); err != nil {
+		return traffic.Burst{}, err
+	}
+	if spec.Len <= 0 || spec.Len > maxTime || spec.Gap < 0 || spec.Gap > maxTime {
+		return traffic.Burst{}, fmt.Errorf("prdrb: burst length %d ns and gap %d ns, want 0 < length and 0 <= gap, both at most %d ns",
+			spec.Len, spec.Gap, maxTime)
+	}
 	space, err := s.patternSpace(spec.PatternNodes)
 	if err != nil {
 		return traffic.Burst{}, err
@@ -605,11 +664,35 @@ func (s *Sim) burstFor(spec BurstSpec) (traffic.Burst, error) {
 	}, nil
 }
 
+// checkTrain validates the repetitions of a burst train: 1 to maxBursts of
+// them, cycling through bursts from start, must end by maxTime.
+func (s *Sim) checkTrain(bursts []traffic.Burst, start sim.Time, count int) error {
+	if count < 1 || count > maxBursts {
+		return fmt.Errorf("prdrb: %d bursts, want 1 to %d", count, maxBursts)
+	}
+	if err := s.checkStart(start); err != nil {
+		return err
+	}
+	t := start
+	for rep := 0; rep < count; rep++ {
+		// Len and Gap are at most maxTime each, so the sum cannot wrap.
+		b := bursts[rep%len(bursts)]
+		if b.Len+b.Gap > maxTime-t {
+			return fmt.Errorf("prdrb: %d bursts from %d ns end past %d ns", count, start, maxTime)
+		}
+		t += b.Len + b.Gap
+	}
+	return nil
+}
+
 // InstallBursts schedules count pattern bursts and returns the time the
 // last burst ends.
 func (s *Sim) InstallBursts(spec BurstSpec) (sim.Time, error) {
 	b, err := s.burstFor(spec)
 	if err != nil {
+		return 0, err
+	}
+	if err := s.checkTrain([]traffic.Burst{b}, spec.Start, spec.Count); err != nil {
 		return 0, err
 	}
 	end := traffic.InstallBursts(s.Net, []traffic.Burst{b}, spec.Start, spec.Count,
@@ -633,6 +716,9 @@ func (s *Sim) InstallVariableBursts(specs []BurstSpec, count int) (sim.Time, err
 			return 0, err
 		}
 		bursts[i] = b
+	}
+	if err := s.checkTrain(bursts, specs[0].Start, count); err != nil {
+		return 0, err
 	}
 	end := traffic.InstallBursts(s.Net, bursts, specs[0].Start, count,
 		s.Net.Cfg.PacketBytes, s.rng.Split(0x5e))

@@ -81,35 +81,40 @@ type patternRun struct {
 	final   [][4]uint64          // per node, its stream's position after the run
 }
 
-func runPatternCell(t *testing.T, shards int, jitter bool, install func(*network.Network, Spec, *sim.RNG)) patternRun {
+// newCell builds the 64-node ft-4-3 fabric without ACKs, serial or on
+// shards, and returns it with its engines and a function running it to the
+// end.
+func newCell(t *testing.T, shards int) (*network.Network, []*sim.Engine, func()) {
 	t.Helper()
 	topo := topology.NewKAryNTree(4, 3)
 	cfg := network.DefaultConfig()
 	cfg.GenerateAcks = false
-	var net *network.Network
-	var engines []*sim.Engine
-	var run func()
 	if shards == 1 {
 		eng := sim.NewEngine()
 		col := metrics.NewCollector(topo.NumTerminals(), topo.NumRouters(), 0)
-		net = network.MustNew(eng, topo, cfg, directPolicy{}, col)
-		engines, run = []*sim.Engine{eng}, func() { eng.RunAll() }
-	} else {
-		assign, err := topology.Partition(topo, shards)
-		if err != nil {
-			t.Fatal(err)
-		}
-		group := sim.NewShardGroup(shards, cfg.Lookahead())
-		cols := make([]*metrics.Collector, shards)
-		for i := range cols {
-			cols[i] = metrics.NewCollector(topo.NumTerminals(), topo.NumRouters(), 0)
-		}
-		net, err = network.NewSharded(group, topo, cfg, directPolicy{}, cols, make([]*telemetry.Tracer, shards), assign)
-		if err != nil {
-			t.Fatal(err)
-		}
-		engines, run = group.Engines, func() { group.RunAll() }
+		net := network.MustNew(eng, topo, cfg, directPolicy{}, col)
+		return net, []*sim.Engine{eng}, func() { eng.RunAll() }
 	}
+	assign, err := topology.Partition(topo, shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	group := sim.NewShardGroup(shards, cfg.Lookahead())
+	cols := make([]*metrics.Collector, shards)
+	for i := range cols {
+		cols[i] = metrics.NewCollector(topo.NumTerminals(), topo.NumRouters(), 0)
+	}
+	net, err := network.NewSharded(group, topo, cfg, directPolicy{}, cols, make([]*telemetry.Tracer, shards), assign)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return net, group.Engines, func() { group.RunAll() }
+}
+
+func runPatternCell(t *testing.T, shards int, jitter bool, install func(*network.Network, Spec, *sim.RNG)) patternRun {
+	t.Helper()
+	net, engines, run := newCell(t, shards)
+	topo := net.Topo
 	out := patternRun{logs: make([][]genEvent, topo.NumTerminals())}
 	streams := make([]*sim.RNG, topo.NumTerminals())
 	install(net, Spec{
@@ -140,9 +145,11 @@ func runPatternCell(t *testing.T, shards int, jitter bool, install func(*network
 // reference tick closures and on the typed actors — serial and on two
 // shards, with fixed and with exponential spacing — and requires every
 // node's injections to agree on time, engine sequence and executed-event
-// counters and RNG position, the events pending after installation to carry
-// the same (time, seq) keys, and the finished runs to agree on every
+// counters and RNG position, and the finished runs to agree on every
 // engine's final sequence number and every node's final stream position.
+// Install is a one-phase train, so right after installation each engine
+// holds exactly one pending event, the phase's opener, keyed where the
+// earliest of the reference's pending events is.
 func TestPatternSourceMatchesClosures(t *testing.T) {
 	for _, shards := range []int{1, 2} {
 		for _, jitter := range []bool{false, true} {
@@ -166,13 +173,11 @@ func TestPatternSourceMatchesClosures(t *testing.T) {
 				}
 				for i, wp := range want.pending {
 					gp := got.pending[i]
-					if len(gp) != len(wp) {
-						t.Fatalf("engine %d: %d events pending after install, reference %d", i, len(gp), len(wp))
+					if len(gp) != 1 {
+						t.Fatalf("engine %d: %d events pending after install, want one opener", i, len(gp))
 					}
-					for j, w := range wp {
-						if g := gp[j]; g.At != w.At || g.Seq != w.Seq {
-							t.Fatalf("engine %d: pending event %d keyed (%v, %d), reference (%v, %d)", i, j, g.At, g.Seq, w.At, w.Seq)
-						}
+					if g, w := gp[0], wp[0]; g.At != w.At || g.Seq != w.Seq {
+						t.Fatalf("engine %d: opener keyed (%v, %d), reference's earliest event (%v, %d)", i, g.At, g.Seq, w.At, w.Seq)
 					}
 				}
 				if !slices.Equal(got.seqs, want.seqs) {

@@ -18,6 +18,7 @@ for entry in \
     FuzzTopologyByName:./internal/topology \
     FuzzParsePlan:./internal/faults \
     FuzzCampaignManifest:./cmd/experiments \
+    FuzzBurstSpec:./internal/runner \
 ; do
     target=${entry%%:*}
     pkg=${entry#*:}
