@@ -170,14 +170,35 @@ func (c *Controller) PrepareInjection(e *sim.Engine, pkt *network.Packet) {
 	pkt.MSPIndex = p.id
 	mp.outstanding++
 	if c.Cfg.Watchdog > 0 {
-		cd := c.slab.coldState(mp)
-		if cd.watchdog == nil {
-			dst := pkt.Dst
-			cd.watchdog = sim.NewTimer(e, func(e *sim.Engine) { c.watchdogExpired(e, dst) })
+		if cd := c.slab.coldState(mp); !cd.watchdog.Valid() {
+			c.armWatchdog(e, cd, mp.dst)
 		}
-		if !cd.watchdog.Armed() {
-			cd.watchdog.Reset(c.Cfg.Watchdog)
-		}
+	}
+}
+
+// ctlEvWatchdog is the controller's one typed event kind: the FR-DRB
+// watchdog of the destination in arg expired.
+const ctlEvWatchdog uint8 = 0
+
+// HandleEvent implements sim.Actor.
+func (c *Controller) HandleEvent(e *sim.Engine, _ uint8, arg uint64) {
+	mp := c.mps[topology.NodeID(arg)]
+	mp.cold.watchdog = sim.EventID{}
+	c.watchdogExpired(e, mp)
+}
+
+// armWatchdog (re)arms dst's watchdog to expire Cfg.Watchdog from now,
+// cancelling a pending expiry.
+func (c *Controller) armWatchdog(e *sim.Engine, cd *metapathCold, dst topology.NodeID) {
+	c.stopWatchdog(e, cd)
+	cd.watchdog = e.AfterEvent(c.Cfg.Watchdog, c, ctlEvWatchdog, uint64(dst))
+}
+
+// stopWatchdog cancels a pending watchdog expiry, if any.
+func (c *Controller) stopWatchdog(e *sim.Engine, cd *metapathCold) {
+	if cd.watchdog.Valid() {
+		e.Cancel(cd.watchdog)
+		cd.watchdog = sim.EventID{}
 	}
 }
 
@@ -192,8 +213,9 @@ func (c *Controller) HandleAck(e *sim.Engine, ack *network.Packet) {
 	if ack.Predictive {
 		c.Stats.PredictiveAcks++
 	}
-	// Fold in contending-flow evidence (§3.2.7).
-	if len(ack.Contending) > 0 {
+	// Fold in contending-flow evidence (§3.2.7); only the predictive layer
+	// ever reads it (evidence).
+	if c.Cfg.Predictive && len(ack.Contending) > 0 {
 		cd := c.slab.coldState(mp)
 		if cd.flowSeen == nil {
 			cd.flowSeen = make(map[network.FlowKey]sim.Time)
@@ -219,11 +241,11 @@ func (c *Controller) HandleAck(e *sim.Engine, ack *network.Packet) {
 		if mp.outstanding > 0 {
 			mp.outstanding--
 		}
-		if cd != nil && cd.watchdog != nil {
+		if cd != nil && c.Cfg.Watchdog > 0 {
 			if mp.outstanding > 0 {
-				cd.watchdog.Reset(c.Cfg.Watchdog)
+				c.armWatchdog(e, cd, mp.dst)
 			} else {
-				cd.watchdog.Stop()
+				c.stopWatchdog(e, cd)
 			}
 		}
 		c.evaluate(e, mp)
@@ -298,15 +320,14 @@ func (c *Controller) enterHigh(e *sim.Engine, mp *metapath) {
 // watchdogExpired is the FR-DRB fast response (§4.8.4): outstanding traffic
 // with no ACK within the window means the notification itself is stuck in
 // congestion; react immediately.
-func (c *Controller) watchdogExpired(e *sim.Engine, dst topology.NodeID) {
-	mp := c.metapathFor(dst)
+func (c *Controller) watchdogExpired(e *sim.Engine, mp *metapath) {
 	if mp.outstanding == 0 {
 		return
 	}
 	c.Stats.WatchdogFirings++
-	c.Trace.Control(e.Now(), telemetry.KindWatchdog, int(c.Node), int(dst), 0, 0)
+	c.Trace.Control(e.Now(), telemetry.KindWatchdog, int(c.Node), int(mp.dst), 0, 0)
 	c.enterHigh(e, mp)
-	mp.cold.watchdog.Reset(c.Cfg.Watchdog)
+	c.armWatchdog(e, mp.cold, mp.dst)
 }
 
 // usableFilter adapts PathCheck to the metapath's path-state records; nil

@@ -417,6 +417,73 @@ func TestWatchdogFastResponse(t *testing.T) {
 	}
 }
 
+// TestWatchdogEvent pins the watchdog as one typed controller event per
+// destination: the first injection arms it, an ACK that leaves packets
+// outstanding re-arms it (the superseded expiry never fires), an ACK that
+// leaves none cancels it, and re-arming allocates nothing.
+func TestWatchdogEvent(t *testing.T) {
+	topo := topology.NewMesh(8, 8)
+	eng := sim.NewEngine()
+	cfg := FRDRBConfig()
+	ctl := New(0, topo, eng, cfg, sim.NewRNG(3))
+	ack := &network.Packet{Type: network.AckPacket, Src: 63, Dst: 0, MSPIndex: 0, PathLatency: 100}
+	send := func() { ctl.PrepareInjection(eng, &network.Packet{Type: network.DataPacket, Src: 0, Dst: 63}) }
+	send()
+	send()
+	if eng.Len() != 1 || eng.NextEventTime() != cfg.Watchdog {
+		t.Fatalf("two injections left %d events, the first at %v; want one expiry at %v", eng.Len(), eng.NextEventTime(), cfg.Watchdog)
+	}
+	eng.Run(cfg.Watchdog / 2)
+	eng.AdvanceTo(cfg.Watchdog / 2)
+	ctl.HandleAck(eng, ack) // one packet still outstanding: re-arm
+	if eng.Len() != 1 || eng.NextEventTime() != cfg.Watchdog/2+cfg.Watchdog {
+		t.Fatalf("the re-arming ACK left %d events, the first at %v", eng.Len(), eng.NextEventTime())
+	}
+	eng.Run(cfg.Watchdog + 1)
+	if ctl.Stats.WatchdogFirings != 0 {
+		t.Fatal("the watchdog fired at its superseded deadline")
+	}
+	ctl.HandleAck(eng, ack) // nothing outstanding: cancel
+	if eng.Len() != 0 || ctl.mps[63].cold.watchdog.Valid() {
+		t.Fatalf("the last ACK left %d events and the watchdog armed=%v", eng.Len(), ctl.mps[63].cold.watchdog.Valid())
+	}
+	send()
+	eng.Run(3 * cfg.Watchdog)
+	if ctl.Stats.WatchdogFirings == 0 || !ctl.mps[63].cold.watchdog.Valid() {
+		t.Fatalf("an unanswered packet fired the watchdog %d times and left it armed=%v",
+			ctl.Stats.WatchdogFirings, ctl.mps[63].cold.watchdog.Valid())
+	}
+	cd := ctl.mps[63].cold
+	if avg := testing.AllocsPerRun(100, func() {
+		ctl.armWatchdog(eng, cd, 63)
+		ctl.armWatchdog(eng, cd, 63) // re-arm while armed: cancel + reschedule
+		eng.Run(eng.Now() + 2*cfg.Watchdog)
+	}); avg != 0 {
+		t.Fatalf("re-arming the watchdog allocates %.2f/run, want 0", avg)
+	}
+}
+
+// TestFlowEvidenceOnlyPredictive: contending flows reported in an ACK are
+// the evidence only the predictive layer reads, so a drb controller keeps
+// no record of them while a pr-drb controller does.
+func TestFlowEvidenceOnlyPredictive(t *testing.T) {
+	topo := topology.NewMesh(8, 8)
+	flows := []network.FlowKey{{Src: 0, Dst: 63}, {Src: 5, Dst: 63}}
+	for _, cfg := range []Config{DRBConfig(), PRDRBConfig()} {
+		eng := sim.NewEngine()
+		ctl := New(0, topo, eng, cfg, sim.NewRNG(3))
+		ctl.HandleAck(eng, &network.Packet{Type: network.AckPacket, Src: 63, Dst: 0,
+			MSPIndex: 0, PathLatency: 100, Contending: flows})
+		cd := ctl.mps[63].cold
+		switch {
+		case !cfg.Predictive && cd != nil:
+			t.Errorf("%s made a cold record for its contending flows", ctl.Name())
+		case cfg.Predictive && (cd == nil || len(cd.flowSeen) != len(flows)):
+			t.Errorf("%s did not record its %d contending flows", ctl.Name(), len(flows))
+		}
+	}
+}
+
 func TestPrepareInjectionSetsWaypoints(t *testing.T) {
 	topo := topology.NewMesh(8, 8)
 	eng := sim.NewEngine()

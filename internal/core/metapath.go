@@ -87,7 +87,9 @@ type metapathCold struct {
 	// flowSeen timestamps the contending flows reported for this
 	// destination (the pattern evidence, §3.2.7); made by the first report.
 	flowSeen map[network.FlowKey]sim.Time
-	watchdog *sim.Timer
+	// watchdog is the pending FR-DRB watchdog expiry, a typed event of the
+	// controller (HandleEvent); the zero ID while unarmed.
+	watchdog sim.EventID
 
 	// failedAt is the time of the first unacknowledged loss notification,
 	// zero once the next successful ACK closes the recovery window.

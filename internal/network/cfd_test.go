@@ -199,7 +199,7 @@ func TestContendingFlowsSaturatedPort(t *testing.T) {
 	})
 	e := n.Eng
 	o := &n.Routers[5].out[0]
-	o.busy = true // nothing leaves on its own; depart opens the link
+	o.flags |= portBusy // nothing leaves on its own; depart opens the link
 	rng := sim.NewRNG(77)
 	flows := make(map[FlowKey]bool)
 	newPkt := func() *Packet {
@@ -225,7 +225,7 @@ func TestContendingFlowsSaturatedPort(t *testing.T) {
 	if len(flows) < 60 {
 		t.Fatalf("only %d flows queued", len(flows))
 	}
-	if o.cfd != nil {
+	if o.tally() != nil {
 		t.Fatal("a tally exists before any departure triggered one")
 	}
 
@@ -240,11 +240,11 @@ func TestContendingFlowsSaturatedPort(t *testing.T) {
 				p.Contending = p.Contending[:0]
 			}
 		}
-		before := o.queued
-		o.busy = false
+		before := int(o.queued)
+		o.flags &^= portBusy
 		o.pump(e)
 		pkt := o.inflight
-		if !o.busy || o.queued != before-pkt.SizeBytes {
+		if !o.busy() || int(o.queued) != before-pkt.SizeBytes {
 			t.Fatalf("pump sent nothing (queued %d -> %d)", before, o.queued)
 		}
 		deep := before-pkt.SizeBytes >= tallyDepth*n.Cfg.PacketBytes
@@ -254,15 +254,15 @@ func TestContendingFlowsSaturatedPort(t *testing.T) {
 				t.Fatalf("an ACK departure was given a predictive header")
 			}
 		case wait <= n.Cfg.CongestionThreshold:
-			if o.cfd != nil || len(pkt.Contending) != 0 {
-				t.Fatalf("a departure within the threshold kept the tally (%v) or ranked (%v)", o.cfd != nil, pkt.Contending)
+			if o.tally() != nil || len(pkt.Contending) != 0 {
+				t.Fatalf("a departure within the threshold kept the tally (%v) or ranked (%v)", o.tally() != nil, pkt.Contending)
 			}
 		default:
 			if got, want := fmt.Sprint(pkt.Contending), fmt.Sprint(refTopContendingFlows(o, pkt)); got != want {
 				t.Fatalf("ranking %v, recount of the queues gives %v", got, want)
 			}
-			if data := dataQueued(); deep && (o.cfd != nil) != (data > 0) {
-				t.Fatalf("deep port: tally kept=%v with %d data packets queued", o.cfd != nil, data)
+			if data := dataQueued(); deep && (o.tally() != nil) != (data > 0) {
+				t.Fatalf("deep port: tally kept=%v with %d data packets queued", o.tally() != nil, data)
 			}
 		}
 	}
@@ -290,7 +290,7 @@ func TestContendingFlowsSaturatedPort(t *testing.T) {
 	for o.nonEmpty != 0 {
 		depart(long)
 	}
-	if o.cfd != nil {
+	if o.tally() != nil {
 		t.Fatal("the drained port still holds a tally")
 	}
 	if len(o.sh.tallyFree) != 1 || len(o.sh.tallyFree[0].at) != 0 || len(o.sh.tallyFree[0].flows) != 0 {
@@ -303,7 +303,7 @@ func TestContendingFlowsSaturatedPort(t *testing.T) {
 		}
 		for o.nonEmpty != 0 {
 			depart(long)
-			if o.cfd != nil {
+			if o.tally() != nil {
 				t.Fatalf("a port holding %d bytes took a tally", o.queued)
 			}
 		}

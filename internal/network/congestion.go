@@ -112,7 +112,7 @@ func (o *outPort) linkClass() int {
 		return LinkClassInjection
 	case o.linkDim < 0:
 		return LinkClassTerminal
-	case o.linkWrap:
+	case o.link&linkWrap != 0:
 		return LinkClassGlobal
 	default:
 		return LinkClassLocal
@@ -179,7 +179,7 @@ func (s *CongSnapshot) congFold(n *Network, o *outPort, now sim.Time) {
 	cl.Links++
 	cl.BusyNs += int64(o.busyNs)
 	cl.TxBytes += o.txBytes
-	cp := o.cong
+	cp := o.congestion()
 	if cp == nil {
 		return
 	}
@@ -232,7 +232,7 @@ func (n *Network) CongLinkStats(now sim.Time) []CongLinkStat {
 			Router: router, Port: port, Class: o.linkClass(),
 			BusyNs: int64(o.busyNs), TxBytes: o.txBytes,
 		}
-		if cp := o.cong; cp != nil {
+		if cp := o.congestion(); cp != nil {
 			ls.WaitNs = cp.waitNs
 			ls.DeqPkts = cp.deqPkts
 			ls.OccByteNs = cp.occIntAt(now)

@@ -16,9 +16,10 @@ type PortCensus struct {
 
 // CheckPortInvariants verifies the port-state layout of a quiescent
 // network: every port's queued equals the sum of its VC bytes, each VC's
-// bytes the sum of its list, nonEmpty bit vc is set exactly when VC vc has
-// a tail, every list is circular — the walk from the head, tail.qnext,
-// reaches the tail (a walk that loops short of it meets a packet twice) —
+// byte count read through its packets' stamps (vcQueue.bytes) the sum of
+// its list, nonEmpty bit vc is set exactly when VC vc has a tail, every
+// list is circular — the walk from the head, tail.qnext, reaches the tail
+// (a walk that loops short of it meets a packet twice) —
 // parkedN counts the parked deliveries, each freelist holds as many
 // records as it counts, no record sits in two places — two queues, a
 // queue and a freelist, or either and a port's in-flight or parked slot —
@@ -94,12 +95,12 @@ func (o *outPort) checkInvariants(c *PortCensus, claim func(*Packet, string) err
 			bytes += p.SizeBytes
 			c.Queued++
 		}
-		if bytes != q.bytes {
-			return fmt.Errorf("%s: holds %d bytes, counts %d", at, bytes, q.bytes)
+		if bytes != q.bytes() {
+			return fmt.Errorf("%s: holds %d bytes, counts %d", at, bytes, q.bytes())
 		}
 		total += bytes
 	}
-	if total != o.queued {
+	if total != int(o.queued) {
 		return fmt.Errorf("%s: VCs hold %d bytes, queued says %d", name, total, o.queued)
 	}
 	if p := o.inflight; p != nil {
@@ -111,8 +112,9 @@ func (o *outPort) checkInvariants(c *PortCensus, claim func(*Packet, string) err
 		}
 		c.InFlight++
 	}
-	parked := 0
+	parked, parkedN := 0, 0
 	if o.cold != nil {
+		parkedN = o.cold.parkedN
 		for vc, pds := range o.cold.parked {
 			for _, pd := range pds {
 				if pd.pkt.qnext != nil {
@@ -125,9 +127,13 @@ func (o *outPort) checkInvariants(c *PortCensus, claim func(*Packet, string) err
 			}
 		}
 	}
-	if parked != int(o.parkedN) {
-		return fmt.Errorf("%s: %d parked deliveries, parkedN %d", name, parked, o.parkedN)
+	if parked != parkedN {
+		return fmt.Errorf("%s: %d parked deliveries, parkedN %d", name, parked, parkedN)
 	}
 	c.Parked += parked
 	return nil
 }
+
+// busy and lazyFree read the port's transmission flags.
+func (o *outPort) busy() bool     { return o.flags&portBusy != 0 }
+func (o *outPort) lazyFree() bool { return o.flags&portLazyFree != 0 }

@@ -83,8 +83,8 @@ func (n *Network) setLinkDown(r topology.RouterID, p int, down bool) error {
 		return fmt.Errorf("network: fault on unwired port r%d.p%d", r, p)
 	}
 	n.faultEpoch++
-	op.down = down
-	rev.down = down
+	op.setLink(linkDown, down)
+	rev.setLink(linkDown, down)
 	kind := telemetry.KindLinkUp
 	if down {
 		kind = telemetry.KindLinkDown
@@ -176,12 +176,12 @@ func (n *Network) eachWiredPort(r topology.RouterID, f func(p int) error) error 
 // LinkUp reports whether the link at router r, port p is in service.
 func (n *Network) LinkUp(r topology.RouterID, p int) bool {
 	op, err := n.portAt(r, p)
-	return err == nil && !op.down
+	return err == nil && !op.isDown()
 }
 
 // PortUp reports whether the router's output port p has a live link — the
 // link-health predicate adaptive routing policies consult.
-func (r *Router) PortUp(p int) bool { return !r.out[p].down }
+func (r *Router) PortUp(p int) bool { return !r.out[p].isDown() }
 
 // dropPacketAt accounts a packet lost on a dead link at router (observed
 // by shard sh) and notifies the affected source controller (for a lost
@@ -272,7 +272,7 @@ func (n *Network) PathUsable(src, dst topology.NodeID, msp topology.Path) bool {
 	if !n.faultsActive() {
 		return true
 	}
-	if n.NICs[src].out.down {
+	if n.NICs[src].out.isDown() {
 		return false
 	}
 	r, _ := n.Topo.TerminalAttach(src)
@@ -287,7 +287,7 @@ func (n *Network) PathUsable(src, dst topology.NodeID, msp topology.Path) bool {
 		} else {
 			port = n.Topo.NextHop(r, dst)
 		}
-		if n.Routers[r].out[port].down {
+		if n.Routers[r].out[port].isDown() {
 			return false
 		}
 		peer := n.Topo.PortPeer(r, port)
@@ -310,11 +310,11 @@ func (n *Network) Reachable(src, dst topology.NodeID) bool {
 	if !n.faultsActive() {
 		return true
 	}
-	if n.NICs[src].out.down {
+	if n.NICs[src].out.isDown() {
 		return false
 	}
 	dr, dp := n.Topo.TerminalAttach(dst)
-	if n.Routers[dr].out[dp].down {
+	if n.Routers[dr].out[dp].isDown() {
 		return false
 	}
 	sr, _ := n.Topo.TerminalAttach(src)
@@ -341,7 +341,7 @@ func (n *Network) reachFrom(sh *Shard, from topology.RouterID) []bool {
 		queue = queue[1:]
 		out := n.Routers[r].out
 		for p := range out {
-			if out[p].down {
+			if out[p].isDown() {
 				continue
 			}
 			peer := n.Topo.PortPeer(r, p)

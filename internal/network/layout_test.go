@@ -47,8 +47,8 @@ func TestVCQueueMatchesSlice(t *testing.T) {
 					wantTotal += p.SizeBytes
 				}
 			}
-			if q.bytes != bytes {
-				t.Fatalf("step %d vc %d: %d bytes, reference %d", step, vc, q.bytes, bytes)
+			if q.bytes() != bytes {
+				t.Fatalf("step %d vc %d: %d bytes, reference %d", step, vc, q.bytes(), bytes)
 			}
 			if k := len(ref[vc]); (k == 0) != (q.tail == nil) || k > 0 && (q.tail != ref[vc][k-1] || q.tail.qnext != ref[vc][0]) {
 				t.Fatalf("step %d vc %d: tail %p does not close the reference's %d packets into a ring", step, vc, q.tail, k)
@@ -95,18 +95,65 @@ func TestVCQueueMatchesSlice(t *testing.T) {
 }
 
 // TestLayoutSizes pins the record sizes the port layout is sized around:
-// a Packet stays in the 192-byte size class with its queue link and its
-// contending-set slice, and ports × VCs — the largest state of a 4096-node
-// fabric — stays at 128 bytes a port (two cache lines) plus 16 a VC.
+// a Packet stays in the 192-byte size class with its queue link, its queue
+// stamp and its contending-set slice, and ports × VCs — the largest state
+// of a 4096-node fabric — stays at 96 bytes a port plus one word a VC.
 func TestLayoutSizes(t *testing.T) {
-	if s := unsafe.Sizeof(Packet{}); s > 192 {
-		t.Errorf("Packet is %d bytes, want at most 192", s)
+	if s := unsafe.Sizeof(Packet{}); s <= 176 || s > 192 {
+		t.Errorf("Packet is %d bytes, want the 192-byte size class (177 to 192)", s)
 	}
-	if s := unsafe.Sizeof(outPort{}); s > 128 {
-		t.Errorf("outPort is %d bytes, want at most 128", s)
+	if s := unsafe.Sizeof(outPort{}); s > 96 {
+		t.Errorf("outPort is %d bytes, want at most 96", s)
 	}
-	if s := unsafe.Sizeof(vcQueue{}); s != 16 {
-		t.Errorf("vcQueue is %d bytes, want 16", s)
+	if s := unsafe.Sizeof(vcQueue{}); s != 8 {
+		t.Errorf("vcQueue is %d bytes, want 8", s)
+	}
+}
+
+// TestVCQueueBytes checks a queue's byte count, read through its packets'
+// stamps, against a running sum over random pushes and pops: once with
+// packet sizes the fabric uses, and once with sizes of up to 1 GiB in a
+// queue that is never emptied, so the stamps wrap past 2^32 many times
+// while the queue holds less than 4 GiB.
+func TestVCQueueBytes(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		maxLog  int  // sizes are 1 << [0, maxLog) bytes plus up to 63
+		minKeep int  // pops leave at least this many packets queued
+		maxHeld int  // pushes keep the queue at most this deep
+		wrap    bool // the stamps must wrap
+	}{
+		{"fabric", 11, 0, 64, false},
+		{"wrap", 31, 1, 3, true},
+	} {
+		var q vcQueue
+		var held []*Packet
+		sum, wraps := 0, 0
+		rng := sim.NewRNG(33)
+		for step := 0; step < 20000; step++ {
+			if len(held) < tc.maxHeld && (len(held) <= tc.minKeep || rng.Intn(2) == 0) {
+				p := &Packet{SizeBytes: 1<<uint(rng.Intn(tc.maxLog)) + rng.Intn(64)}
+				if q.tail != nil && q.tail.qcum+uint32(p.SizeBytes) < q.tail.qcum {
+					wraps++
+				}
+				q.push(p)
+				held = append(held, p)
+				sum += p.SizeBytes
+			} else {
+				p := q.pop()
+				if p != held[0] {
+					t.Fatalf("%s step %d: popped %p, want %p", tc.name, step, p, held[0])
+				}
+				held = held[1:]
+				sum -= p.SizeBytes
+			}
+			if got := q.bytes(); got != sum {
+				t.Fatalf("%s step %d: bytes() = %d, running sum %d over %d packets", tc.name, step, got, sum, len(held))
+			}
+		}
+		if tc.wrap != (wraps > 0) {
+			t.Fatalf("%s: the stamps wrapped %d times", tc.name, wraps)
+		}
 	}
 }
 
@@ -159,7 +206,7 @@ func buildLadderRow(t *testing.T, spec string, shards int) ladderRow {
 // TestBuildBytesLadder builds dragonflies and fat trees of about 64, 256,
 // 1024 and 4096 nodes, serial and on two shards, and pins what building
 // allocates: per port (router and NIC ports; the routers' and NICs' own
-// records included) at most 168 bytes plus 16 per VC at every size, plus
+// records included) at most 136 bytes plus 8 per VC at every size, plus
 // 32 KiB per shard of fixed cost and measurement noise that only small
 // fabrics notice (so the 4096-node dragonfly stays under 300 bytes a
 // port), and a number of objects that depends on the shard count alone —
@@ -175,7 +222,7 @@ func TestBuildBytesLadder(t *testing.T) {
 			r := buildLadderRow(t, spec, shards)
 			perPort := float64(r.bytes) / float64(r.ports)
 			t.Logf("%-13s %6d %7d %6d %4d %9d %7.1f %7d", spec, shards, r.routers, r.ports, r.vcs, r.bytes, perPort, r.objects)
-			if budget := r.ports*(168+16*r.vcs) + 32<<10*shards; r.bytes > uint64(budget) {
+			if budget := r.ports*(136+8*r.vcs) + 32<<10*shards; r.bytes > uint64(budget) {
 				t.Errorf("%s on %d shards: %d bytes for %d ports, budget %d", spec, shards, r.bytes, r.ports, budget)
 			}
 			if budget := 16 + 8*shards; r.objects > uint64(budget) {

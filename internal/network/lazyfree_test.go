@@ -48,9 +48,9 @@ func TestLazyFreeReservesInsteadOfScheduling(t *testing.T) {
 		n, o := lazyNet(t, wheel, nil)
 		e := n.Eng
 		e.Run(n.serHeader + o.txExtra() + 1)
-		if !o.busy || !o.lazyFree || o.serEnd != n.serPacket {
+		if !o.busy() || !o.lazyFree() || o.serEnd != n.serPacket {
 			t.Fatalf("wheel=%v: after delivery busy=%v lazyFree=%v serEnd=%v, want a lazily busy link until %v",
-				wheel, o.busy, o.lazyFree, o.serEnd, n.serPacket)
+				wheel, o.busy(), o.lazyFree(), o.serEnd, n.serPacket)
 		}
 		if evs := freeEvents(e, o); len(evs) != 0 {
 			t.Fatalf("wheel=%v: link-free event %v scheduled with nothing to send", wheel, evs)
@@ -64,8 +64,8 @@ func TestLazyFreeReservesInsteadOfScheduling(t *testing.T) {
 		}
 		// ...and stops once the key has lapsed, which also settles the link.
 		e.AdvanceTo(o.serEnd + 1)
-		if got := o.load(); got != 0 || o.busy || o.lazyFree {
-			t.Fatalf("wheel=%v: past serEnd load=%d busy=%v lazyFree=%v, want an idle link", wheel, got, o.busy, o.lazyFree)
+		if got := o.load(); got != 0 || o.busy() || o.lazyFree() {
+			t.Fatalf("wheel=%v: past serEnd load=%d busy=%v lazyFree=%v, want an idle link", wheel, got, o.busy(), o.lazyFree())
 		}
 	}
 }
@@ -82,9 +82,9 @@ func TestLazyFreeAtItsOwnInstant(t *testing.T) {
 				want := fmt.Sprintf("%d#%d", o.serEnd, o.freeSeq)
 				n.NICs[0].Send(e, 1, 1024, MPISend, 1)
 				evs := freeEvents(e, o)
-				if o.lazyFree || !o.busy || len(evs) != 1 || evs[0] != want || o.txBytes != 1024 {
+				if o.lazyFree() || !o.busy() || len(evs) != 1 || evs[0] != want || o.txBytes != 1024 {
 					t.Errorf("wheel=%v ahead of the key: lazyFree=%v busy=%v events=%v txBytes=%d, want the event %s and the packet waiting",
-						wheel, o.lazyFree, o.busy, evs, o.txBytes, want)
+						wheel, o.lazyFree(), o.busy(), evs, o.txBytes, want)
 				}
 				aheadChecked = true
 			})
@@ -98,13 +98,13 @@ func TestLazyFreeAtItsOwnInstant(t *testing.T) {
 			// Scheduled after the delivery reserved freeSeq: follows it.
 			n.Eng.Schedule(n.serHeader+o.txExtra()+1, func(e *sim.Engine) {
 				e.Schedule(n.serPacket, func(e *sim.Engine) {
-					if !o.lazyFree {
+					if !o.lazyFree() {
 						t.Errorf("wheel=%v: link settled before anyone asked", wheel)
 					}
 					n.NICs[0].Send(e, 1, 1024, MPISend, 1)
-					if o.lazyFree || !o.busy || o.txBytes != 2048 || o.serEnd != e.Now()+n.serPacket || len(freeEvents(e, o)) != 0 {
+					if o.lazyFree() || !o.busy() || o.txBytes != 2048 || o.serEnd != e.Now()+n.serPacket || len(freeEvents(e, o)) != 0 {
 						t.Errorf("wheel=%v behind the key: lazyFree=%v busy=%v txBytes=%d serEnd=%v, want the packet on the wire at once",
-							wheel, o.lazyFree, o.busy, o.txBytes, o.serEnd)
+							wheel, o.lazyFree(), o.busy(), o.txBytes, o.serEnd)
 					}
 					behindChecked = true
 				})
@@ -144,18 +144,18 @@ func TestLazyFreeAcrossLinkFailure(t *testing.T) {
 			}
 			e.Schedule(100, func(e *sim.Engine) { n.NICs[0].Send(e, 1, 1024, MPISend, 1) })
 			e.Schedule(arrive-100, func(e *sim.Engine) {
-				if !o.lazyFree || o.serEnd != key {
+				if !o.lazyFree() || o.serEnd != key {
 					t.Errorf("%s: lazyFree=%v serEnd=%v when the link fails, want a lazily busy link until %d",
-						tc.name, o.lazyFree, o.serEnd, key)
+						tc.name, o.lazyFree(), o.serEnd, key)
 				}
 				if err := n.FailLink(e, 0, 0); err != nil {
 					t.Error(err)
 				}
 			})
 			e.Schedule(arrive+1, func(e *sim.Engine) {
-				if o.queued != 1024 || !o.lazyFree || len(freeEvents(e, o)) != 0 {
+				if o.queued != 1024 || !o.lazyFree() || len(freeEvents(e, o)) != 0 {
 					t.Errorf("%s: queued=%d lazyFree=%v events=%v, want the packet frozen on the dead port and no event",
-						tc.name, o.queued, o.lazyFree, freeEvents(e, o))
+						tc.name, o.queued, o.lazyFree(), freeEvents(e, o))
 				}
 			})
 			e.Schedule(tc.repairAt, func(e *sim.Engine) {

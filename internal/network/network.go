@@ -214,11 +214,11 @@ func build(topo topology.Topology, cfg Config, policy RouterPolicy, shards []*Sh
 			op := &s.ports[p]
 			op.sh = sh
 			op.router = int32(router)
-			op.port = int32(p - at)
+			op.port = int16(p - at)
 			op.vcs = (*[maxVCs]vcQueue)(s.vcs)
 			s.vcs = s.vcs[n.numVC:]
 			if cfg.Congestion {
-				op.cong = newCongPort(n.numVC)
+				op.coldState().cong = newCongPort(n.numVC)
 			}
 		}
 		return s.ports[at : at+k : at+k]
@@ -239,7 +239,8 @@ func build(topo topology.Topology, cfg Config, policy RouterPolicy, shards []*Sh
 		}
 		for p := range rt.out {
 			dim, wrap := topo.LinkDim(rt.ID, p)
-			rt.out[p].linkDim, rt.out[p].linkWrap = int32(dim), wrap
+			rt.out[p].linkDim = int8(dim)
+			rt.out[p].setLink(linkWrap, wrap)
 		}
 		n.Routers[r] = rt
 	}
@@ -280,7 +281,7 @@ func build(topo topology.Topology, cfg Config, policy RouterPolicy, shards []*Sh
 				op.peer = nil
 			case peer.IsTerminal():
 				op.peer = n.NICs[peer.Terminal]
-				op.toNIC = true
+				op.link |= linkToNIC
 			case n.Routers[peer.Router].sh != rt.sh:
 				op.peer = &remotes[peer.Router]
 			default:
@@ -330,8 +331,8 @@ func (n *Network) prepareVC(op *outPort, pkt *Packet) int {
 		pkt.dateline = false
 		pkt.curDim = -99
 	}
-	if op.linkDim != pkt.curDim {
-		pkt.curDim = op.linkDim
+	if int32(op.linkDim) != pkt.curDim {
+		pkt.curDim = int32(op.linkDim)
 		pkt.dateline = false
 	}
 	return n.vcIndex(c, pkt.dateline)
@@ -436,8 +437,8 @@ func (n *Network) settleLinks(horizon sim.Time) {
 	}
 	last := n.Eng.Now()
 	n.eachPort(func(o *outPort) {
-		if o.lazyFree && o.serEnd < horizon {
-			o.lazyFree, o.busy = false, false
+		if o.flags&portLazyFree != 0 && o.serEnd < horizon {
+			o.flags &^= portLazyFree | portBusy
 			if o.serEnd > last {
 				last = o.serEnd
 			}
@@ -510,7 +511,7 @@ func (n *Network) TotalQueuedBytes() int {
 	total := 0
 	for _, rt := range n.Routers {
 		for i := range rt.out {
-			total += rt.out[i].queued
+			total += int(rt.out[i].queued)
 		}
 	}
 	return total

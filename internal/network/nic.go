@@ -250,4 +250,4 @@ func (n *NIC) reassemble(e *sim.Engine, pkt *Packet) {
 }
 
 // QueuedBytes reports the NIC injection-queue occupancy (all VCs).
-func (n *NIC) QueuedBytes() int { return n.out.queued }
+func (n *NIC) QueuedBytes() int { return int(n.out.queued) }

@@ -17,7 +17,7 @@ func (n *Network) LinkHealthCounts() (down, degraded int) {
 			if op.peer == nil {
 				continue
 			}
-			if op.down {
+			if op.isDown() {
 				down++
 			} else if op.degradedRate() > 0 {
 				degraded++
@@ -25,7 +25,7 @@ func (n *Network) LinkHealthCounts() (down, degraded int) {
 		}
 	}
 	for _, nic := range n.NICs {
-		if nic.out.down {
+		if nic.out.isDown() {
 			down++
 		} else if nic.out.degradedRate() > 0 {
 			degraded++

@@ -157,6 +157,11 @@ type Packet struct {
 	lastClass int32
 	dateline  bool
 
+	// qcum is the packet's stamp in the VC queue that holds it: the bytes
+	// pushed into that queue since it was last empty, counting this packet
+	// (vcQueue.bytes). Meaningless once the packet leaves the queue.
+	qcum uint32
+
 	// qnext links the packet into the one list that holds it: a VC queue
 	// (vcQueue) or its shard's freelist (pool.go). A packet is queued,
 	// in flight, parked or free — never two of these — so one link serves

@@ -29,23 +29,28 @@ type parkedDelivery struct {
 
 // vcQueue is one virtual channel's FIFO within an output port: a circular
 // list through Packet.qnext addressed by its tail, so the head — the packet
-// that leaves next — is tail.qnext and both ends are one load away. push
-// and pop keep bytes, so nothing grows however deep the queue gets — NIC
-// injection queues are unbounded and tens of packets deep on a saturated
-// cell. nil tail means empty.
+// that leaves next — is tail.qnext and both ends are one load away. Nothing
+// grows however deep the queue gets — NIC injection queues are unbounded
+// and tens of packets deep on a saturated cell. nil tail means empty.
+//
+// The queue keeps no byte count of its own: push stamps each packet with
+// qcum, the bytes pushed since the queue was last empty counting this
+// packet, so the occupancy is the tail's stamp less the head's plus the
+// head's size (bytes). The stamps are uint32 and the subtraction modular,
+// so the count is exact while a queue holds less than 4 GiB.
 type vcQueue struct {
-	tail  *Packet
-	bytes int
+	tail *Packet
 }
 
 func (q *vcQueue) push(p *Packet) {
 	if q.tail == nil {
 		p.qnext = p
+		p.qcum = uint32(p.SizeBytes)
 	} else {
 		p.qnext, q.tail.qnext = q.tail.qnext, p
+		p.qcum = q.tail.qcum + uint32(p.SizeBytes)
 	}
 	q.tail = p
-	q.bytes += p.SizeBytes
 }
 
 func (q *vcQueue) pop() *Packet {
@@ -56,8 +61,16 @@ func (q *vcQueue) pop() *Packet {
 		q.tail.qnext = p.qnext
 	}
 	p.qnext = nil
-	q.bytes -= p.SizeBytes
 	return p
+}
+
+// bytes returns the bytes the queue holds.
+func (q *vcQueue) bytes() int {
+	if q.tail == nil {
+		return 0
+	}
+	h := q.tail.qnext
+	return int(q.tail.qcum-h.qcum) + h.SizeBytes
 }
 
 // head returns the packet that leaves next, or nil when the queue is empty.
@@ -80,13 +93,48 @@ func (q *vcQueue) next(p *Packet) *Packet {
 // The per-port VC sets below are bitmasks in one byte.
 var _ [8 - maxVCs]struct{}
 
+// Port flags (outPort.flags): the link's transmission state, written by
+// the owning shard on every hop.
+const (
+	// portBusy is raised when a packet starts serializing and cleared once
+	// the link has freed and somebody looked: by the portEvFree event, by
+	// freeLink when the delivery outlasted the serialization, or — when
+	// the event was never scheduled (portLazyFree) — by the first pump or
+	// load that finds its key passed. Read it through linkBusy.
+	portBusy uint8 = 1 << iota
+	// portLazyFree is set while the link-free event of the current
+	// transmission exists only as its reserved key (serEnd, freeSeq): at
+	// the moment it was due to be scheduled no VC was eligible to send, so
+	// firing it would have done nothing but clear portBusy.
+	portLazyFree
+)
+
+// Link flags (outPort.link): what the attached link is. They change only
+// at build and, for linkDown, at a quiescent point (a barrier task when
+// sharded), so the receiving shard of a boundary link may read them
+// (Router.HandleRemote) while the owning shard writes its port flags —
+// which is why they are a byte of their own.
+const (
+	// linkDown marks a failed link: the queue is not served, no credits
+	// are emitted, and the in-flight packet is dropped on delivery
+	// (health.go).
+	linkDown uint8 = 1 << iota
+	// linkToNIC marks a link into a terminal: its post-serialization delay
+	// is Network.txToNIC (propagation only), every other link's txToRouter
+	// (propagation plus the routing pipeline).
+	linkToNIC
+	// linkWrap marks a ring's wraparound link (topology.LinkDim), for
+	// dateline VC assignment.
+	linkWrap
+)
+
 // outPort is an output port with per-VC buffering, round-robin VC
 // arbitration (Fig 4.6) and a single serializing link. Ports live in their
 // shard's port slab and their VC queues in its queue arena (build); state
 // that most ports never touch sits behind cold. What is fixed at build time
 // and shared — the VC count, the per-VC capacity, the link delays, the
 // router's contention-metrics handle — lives in the Network or Shard, so a
-// port is 128 bytes: two cache lines of the slab.
+// port is 96 bytes.
 type outPort struct {
 	sh *Shard // owning shard (the serial network's only one)
 	// peer is the downstream end of the link: a *Router, a *NIC, or — for
@@ -98,46 +146,39 @@ type outPort struct {
 	// Network.numVC are the port's (the rest belong to the next port or
 	// are the arena's slack).
 	vcs *[maxVCs]vcQueue
-	// queued is the byte total over all VC queues (the sum of vcs[].bytes).
-	queued int
 	// serEnd is when the link frees: the in-flight packet's tail has left
 	// it (and, on a boundary link, its header has landed — see
 	// sendRemote). The port cannot start the next packet before it even if
 	// the downstream accepted the (cut-through) header earlier.
 	serEnd sim.Time
 	// freeSeq is the sequence number reserved for the link-free event
-	// while lazyFree is set.
+	// while portLazyFree is set.
 	freeSeq uint64
 
 	// busyNs and txBytes account link occupancy for the energy/provision
 	// analyses (§5.2 open lines).
 	busyNs  sim.Time
 	txBytes int64
-	// cfd is the per-flow byte tally of the data VCs, kept only while the
-	// port is deep and congested (see flowTally); nil otherwise, so any
-	// other port pays one predictable branch in enqueue and pump.
-	cfd *flowTally
 
 	// inflight is the packet between pump and deliver. At most one packet is
-	// ever in that window per port — busy is raised by pump and only cleared
-	// after the delivery completed (freeLink) — so the deliver event can
-	// carry just the VC in its payload word and find the packet here.
+	// ever in that window per port — portBusy is raised by pump and only
+	// cleared after the delivery completed (freeLink) — so the deliver
+	// event can carry just the VC in its payload word and find the packet
+	// here.
 	inflight *Packet
-	// cong is the port's congestion accumulator (congestion.go); nil when
-	// congestion accounting is off, so disabled runs pay one predictable
-	// branch per hook and allocate nothing.
-	cong *congPort
-	// cold is made by the first park, degradation or router-based
-	// notification (coldState).
+	// cold is made by the first park, CFD tally, degradation or
+	// router-based notification, and at build for every port when
+	// congestion accounting is on (coldState).
 	cold *portCold
 
+	// queued is the byte total over all VC queues (the sum of their
+	// bytes); an injection queue holds less than 2 GiB.
+	queued int32
 	router int32 // owning router, or -1 for a NIC port
-	port   int32
-	// linkDim / linkWrap classify the attached link for dateline VC
-	// assignment (topology.LinkDim of the wired port).
-	linkDim int32
-	// parkedN counts the upstream deliveries parked in cold.parked.
-	parkedN int32
+	port   int16 // index in the router's ports (an int16 as in attachPoint)
+	// linkDim classifies the attached link for dateline VC assignment
+	// (topology.LinkDim of the wired port), with linkWrap.
+	linkDim int8
 	rr      uint8 // round-robin arbitration pointer
 	// nonEmpty has bit vc set while VC vc's queue holds a packet.
 	nonEmpty uint8
@@ -147,37 +188,30 @@ type outPort struct {
 	// to the other VCs — without this, one full VC would couple every
 	// class and void the per-segment deadlock freedom.
 	parkedOut uint8
-	linkWrap  bool
-	// toNIC marks a link into a terminal: its post-serialization delay is
-	// Network.txToNIC (propagation only), every other link's txToRouter
-	// (propagation plus the routing pipeline).
-	toNIC bool
-	// busy is raised when a packet starts serializing and cleared once the
-	// link has freed and somebody looked: by the portEvFree event, by
-	// freeLink when the delivery outlasted the serialization, or — when
-	// the event was never scheduled (lazyFree) — by the first pump or
-	// load that finds its key passed. Read it through linkBusy.
-	busy bool
-	// lazyFree is set while the link-free event of the current
-	// transmission exists only as its reserved key (serEnd, freeSeq): at
-	// the moment it was due to be scheduled no VC was eligible to send, so
-	// firing it would have done nothing but clear busy.
-	lazyFree bool
-	// down marks a failed link: the queue is not served, no credits are
-	// emitted, and the in-flight packet is dropped on delivery (health.go).
-	down bool
+	flags     uint8 // the port flags above
+	link      uint8 // the link flags above
 }
 
 // portCold is the part of a port's state that a port touches only once it
-// parks a delivery, runs degraded or sends router-based notifications.
+// parks a delivery, keeps a CFD tally, runs degraded or sends router-based
+// notifications — or that only congestion accounting uses.
 type portCold struct {
-	// parked[vc] holds upstream deliveries waiting for space in VC vc.
-	parked [maxVCs][]parkedDelivery
+	// parked[vc] holds upstream deliveries waiting for space in VC vc;
+	// parkedN counts them all.
+	parked  [maxVCs][]parkedDelivery
+	parkedN int
 	// lastRouterAck rate-limits router-based predictive notifications.
 	lastRouterAck sim.Time
 	// rate scales the link bandwidth when the link is degraded; 0 or 1
 	// means nominal rate.
 	rate float64
+	// cfd is the per-flow byte tally of the data VCs, kept only while the
+	// port is deep and congested (see flowTally); nil otherwise.
+	cfd *flowTally
+	// cong is the port's congestion accumulator (congestion.go); nil when
+	// congestion accounting is off, so disabled runs pay one predictable
+	// branch per hook and allocate nothing.
+	cong *congPort
 }
 
 // coldState returns the port's cold record, making it on first use.
@@ -186,6 +220,35 @@ func (o *outPort) coldState() *portCold {
 		o.cold = new(portCold)
 	}
 	return o.cold
+}
+
+// setLink raises or clears the link flag f.
+func (o *outPort) setLink(f uint8, on bool) {
+	if on {
+		o.link |= f
+	} else {
+		o.link &^= f
+	}
+}
+
+// isDown reports whether the link has failed (linkDown).
+func (o *outPort) isDown() bool { return o.link&linkDown != 0 }
+
+// tally returns the port's CFD tally, or nil outside a congestion episode.
+func (o *outPort) tally() *flowTally {
+	if c := o.cold; c != nil {
+		return c.cfd
+	}
+	return nil
+}
+
+// congestion returns the port's congestion accumulator, or nil when
+// congestion accounting is off.
+func (o *outPort) congestion() *congPort {
+	if c := o.cold; c != nil {
+		return c.cong
+	}
+	return nil
 }
 
 // degradedRate returns the link's bandwidth factor while it runs below
@@ -223,7 +286,7 @@ func (o *outPort) HandleEvent(e *sim.Engine, kind uint8, arg uint64) {
 		o.deliver(e, pkt, int(arg))
 	case portEvFree:
 		if uint64(o.serEnd) == arg { // not superseded
-			o.busy = false
+			o.flags &^= portBusy
 			o.pump(e)
 		}
 	case portEvCredit:
@@ -235,11 +298,11 @@ func (o *outPort) HandleEvent(e *sim.Engine, kind uint8, arg uint64) {
 // injection queues are unbounded — NIC.Send enqueues without asking: the
 // offered load is the experiment input and the growing queue is how
 // saturation shows up as latency (§4.2's open-loop sources).
-func (o *outPort) free(vc int) int { return o.sh.net.vcCap - o.vcs[vc].bytes }
+func (o *outPort) free(vc int) int { return o.sh.net.vcCap - o.vcs[vc].bytes() }
 
 // txExtra is the link's fixed post-serialization delay.
 func (o *outPort) txExtra() sim.Time {
-	if o.toNIC {
+	if o.link&linkToNIC != 0 {
 		return o.sh.net.txToNIC
 	}
 	return o.sh.net.txToRouter
@@ -248,14 +311,14 @@ func (o *outPort) txExtra() sim.Time {
 // enqueue admits pkt into VC vc; the caller has verified space.
 func (o *outPort) enqueue(e *sim.Engine, pkt *Packet, vc int) {
 	pkt.enqueuedAt = e.Now()
-	if o.cong != nil {
-		o.cong.enqueued(e.Now(), pkt.SizeBytes)
+	if cp := o.congestion(); cp != nil {
+		cp.enqueued(e.Now(), pkt.SizeBytes)
 	}
 	o.vcs[vc].push(pkt)
-	o.queued += pkt.SizeBytes
+	o.queued += int32(pkt.SizeBytes)
 	o.nonEmpty |= 1 << uint(vc)
-	if o.cfd != nil && !o.sh.net.isAckVC(vc) {
-		o.cfd.add(pkt)
+	if t := o.tally(); t != nil && !o.sh.net.isAckVC(vc) {
+		t.add(pkt)
 	}
 	o.pump(e)
 }
@@ -280,17 +343,17 @@ func (o *outPort) pickVC(ready uint8) int {
 // linkBusy reports whether the link is still occupied, settling a lazily
 // freed link whose reserved event key has passed.
 func (o *outPort) linkBusy(e *sim.Engine) bool {
-	if o.lazyFree && e.Passed(o.serEnd, o.freeSeq) {
-		o.lazyFree, o.busy = false, false
+	if o.flags&portLazyFree != 0 && e.Passed(o.serEnd, o.freeSeq) {
+		o.flags &^= portLazyFree | portBusy
 	}
-	return o.busy
+	return o.flags&portBusy != 0
 }
 
 // materialiseFree creates the link-free event of a lazily busy link under
 // the key it always had; the key must not have passed (linkBusy).
 func (o *outPort) materialiseFree(e *sim.Engine) {
-	if o.lazyFree {
-		o.lazyFree = false
+	if o.flags&portLazyFree != 0 {
+		o.flags &^= portLazyFree
 		o.sh.events.LinkFree++
 		e.ScheduleReserved(o.serEnd, o.freeSeq, o, portEvFree, uint64(o.serEnd))
 	}
@@ -300,7 +363,7 @@ func (o *outPort) materialiseFree(e *sim.Engine) {
 // down link is never pumped: its queue survives, frozen, until repair.
 func (o *outPort) pump(e *sim.Engine) {
 	ready := o.ready()
-	if ready == 0 || o.down {
+	if ready == 0 || o.isDown() {
 		return
 	}
 	if o.linkBusy(e) {
@@ -312,19 +375,19 @@ func (o *outPort) pump(e *sim.Engine) {
 	vc := o.pickVC(ready)
 	q := &o.vcs[vc]
 	pkt := q.pop()
-	o.queued -= pkt.SizeBytes
+	o.queued -= int32(pkt.SizeBytes)
 	if q.tail == nil {
 		o.nonEmpty &^= 1 << uint(vc)
 	}
-	if o.cfd != nil && !o.sh.net.isAckVC(vc) {
-		o.cfd.remove(pkt)
+	if t := o.tally(); t != nil && !o.sh.net.isAckVC(vc) {
+		t.remove(pkt)
 	}
-	o.busy = true
+	o.flags |= portBusy
 
 	wait := e.Now() - pkt.enqueuedAt
 	pkt.queueNs += wait
-	if o.cong != nil {
-		o.cong.dequeued(e.Now(), pkt.SizeBytes, wait)
+	if cp := o.congestion(); cp != nil {
+		cp.dequeued(e.Now(), pkt.SizeBytes, wait)
 	}
 	if o.router >= 0 {
 		// Latency Update module (Eq 3.3): accumulate buffer wait into the
@@ -363,8 +426,8 @@ func (o *outPort) pump(e *sim.Engine) {
 	// time, so only cut delays this packet — the body's ser tail shows up
 	// as queueing behind the busy link downstream, never double-counted.
 	pkt.serNs += cut
-	if o.cong != nil {
-		o.cong.vcBusyNs[vc] += int64(ser)
+	if cp := o.congestion(); cp != nil {
+		cp.vcBusyNs[vc] += int64(ser)
 	}
 	if rl, ok := o.peer.(*remoteLink); ok {
 		o.sendRemote(e, rl, pkt, vc, cut)
@@ -418,7 +481,7 @@ func (o *outPort) scheduleFree(e *sim.Engine) {
 		e.ScheduleEvent(o.serEnd, o, portEvFree, uint64(o.serEnd))
 		return
 	}
-	o.lazyFree = true
+	o.flags |= portLazyFree
 	o.freeSeq = e.ReserveSeq()
 }
 
@@ -458,7 +521,7 @@ func (o *outPort) monitorDeparture(e *sim.Engine, pkt *Packet, wait sim.Time) {
 			}
 		}
 	}
-	if o.cfd != nil && o.cfd.total == 0 {
+	if t := o.tally(); t != nil && t.total == 0 {
 		o.dropTally() // the data VCs drained
 	}
 }
@@ -558,18 +621,18 @@ func (o *outPort) buildTally() *flowTally {
 			t.add(p)
 		}
 	}
-	o.cfd = t
+	o.coldState().cfd = t
 	return t
 }
 
 // dropTally ends the congestion episode, if one is open; the emptied tally
 // goes back to the shard for the next port that needs one.
 func (o *outPort) dropTally() {
-	if t := o.cfd; t != nil {
+	if t := o.tally(); t != nil {
 		clear(t.at)
 		t.flows, t.total = t.flows[:0], 0
 		o.sh.tallyFree = append(o.sh.tallyFree, t)
-		o.cfd = nil
+		o.cold.cfd = nil
 	}
 }
 
@@ -581,9 +644,9 @@ func (o *outPort) dropTally() {
 // self-induced congestion. The result lives in shard scratch and is valid
 // until the shard's next call.
 func (o *outPort) topContendingFlows(departing *Packet) []FlowKey {
-	t := o.cfd
+	t := o.tally()
 	if t == nil {
-		if o.queued < tallyDepth*o.sh.net.Cfg.PacketBytes {
+		if int(o.queued) < tallyDepth*o.sh.net.Cfg.PacketBytes {
 			flows, total := o.recountFlows(departing)
 			return o.rankFlows(flows, total)
 		}
@@ -680,14 +743,14 @@ func (o *outPort) deliver(e *sim.Engine, pkt *Packet, vc int) {
 	if o.peer == nil {
 		panic("network: delivery on unwired port")
 	}
-	if o.down {
+	if o.isDown() {
 		// The link died under the packet: it is lost. The link is still
 		// freed so service restarts cleanly after repair.
 		o.sh.net.dropPacketAt(e, o.sh, pkt, int(o.router))
 		o.freeLink(e)
 		return
 	}
-	if o.linkWrap {
+	if o.link&linkWrap != 0 {
 		// The packet just crossed this ring's dateline: it continues on
 		// the high virtual channel of its class within this dimension.
 		pkt.dateline = true
@@ -695,8 +758,8 @@ func (o *outPort) deliver(e *sim.Engine, pkt *Packet, vc int) {
 	if !o.peer.accept(e, pkt, o, vc) {
 		o.parkedOut |= 1 << uint(vc)
 		o.sh.creditsStalled++
-		if o.cong != nil && o.cong.stallFrom[vc] < 0 {
-			o.cong.stallFrom[vc] = e.Now()
+		if cp := o.congestion(); cp != nil && cp.stallFrom[vc] < 0 {
+			cp.stallFrom[vc] = e.Now()
 		}
 		if o.sh.Rec != nil {
 			o.sh.Rec.Record(telemetry.FlightEvent{
@@ -713,10 +776,10 @@ func (o *outPort) deliver(e *sim.Engine, pkt *Packet, vc int) {
 // packet: the VC's credit comes back.
 func (o *outPort) creditReturned(e *sim.Engine, vc int) {
 	o.parkedOut &^= 1 << uint(vc)
-	if o.cong != nil {
-		if s := o.cong.stallFrom[vc]; s >= 0 {
-			o.cong.vcStallNs[vc] += int64(e.Now() - s)
-			o.cong.stallFrom[vc] = -1
+	if cp := o.congestion(); cp != nil {
+		if s := cp.stallFrom[vc]; s >= 0 {
+			cp.vcStallNs[vc] += int64(e.Now() - s)
+			cp.stallFrom[vc] = -1
 		}
 	}
 	o.pump(e)
@@ -728,7 +791,7 @@ func (o *outPort) freeLink(e *sim.Engine) {
 		o.scheduleFree(e)
 		return
 	}
-	o.busy = false
+	o.flags &^= portBusy
 	o.pump(e)
 }
 
@@ -736,22 +799,22 @@ func (o *outPort) freeLink(e *sim.Engine) {
 func (o *outPort) park(pd parkedDelivery, vc int) {
 	c := o.coldState()
 	c.parked[vc] = append(c.parked[vc], pd)
-	o.parkedN++
+	c.parkedN++
 }
 
 // admitParked moves waiting upstream deliveries into freed buffer space,
 // fairly across VCs, and resumes their senders.
 func (o *outPort) admitParked(e *sim.Engine) {
-	if o.parkedN == 0 {
+	c := o.cold
+	if c == nil || c.parkedN == 0 {
 		return
 	}
-	c := o.cold
 	for vc := range o.sh.net.numVC {
 		for len(c.parked[vc]) > 0 && o.free(vc) >= c.parked[vc][0].pkt.SizeBytes {
 			pd := c.parked[vc][0]
 			copy(c.parked[vc], c.parked[vc][1:])
 			c.parked[vc] = c.parked[vc][:len(c.parked[vc])-1]
-			o.parkedN--
+			c.parkedN--
 			o.enqueue(e, pd.pkt, vc)
 			if pd.from.sh != o.sh {
 				// The sender lives on another shard: its pessimistic
@@ -770,7 +833,7 @@ func (o *outPort) admitParked(e *sim.Engine) {
 // routing policies), including a nominal in-flight packet when busy.
 func (o *outPort) load() int {
 	if o.linkBusy(o.sh.Eng) {
-		return o.queued + o.sh.net.Cfg.PacketBytes
+		return int(o.queued) + o.sh.net.Cfg.PacketBytes
 	}
-	return o.queued
+	return int(o.queued)
 }

@@ -141,7 +141,7 @@ func (r *Router) HandleRemote(e *sim.Engine, kind uint8, arg uint64, ptr, aux an
 	case remoteDeliver:
 		pkt := ptr.(*Packet)
 		from := aux.(*outPort)
-		if from.down {
+		if from.isDown() {
 			// The link died while the packet was in flight: lost, exactly
 			// as the local deliver path would have decided. The credit
 			// still returns so the VC is usable after repair.
@@ -149,7 +149,7 @@ func (r *Router) HandleRemote(e *sim.Engine, kind uint8, arg uint64, ptr, aux an
 			r.sh.sendCredit(e, from, int(arg))
 			return
 		}
-		if from.linkWrap {
+		if from.link&linkWrap != 0 {
 			pkt.dateline = true
 		}
 		if r.accept(e, pkt, from, int(arg)) {

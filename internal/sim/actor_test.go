@@ -210,24 +210,3 @@ func TestLayoutSizes(t *testing.T) {
 		t.Errorf("event is %d bytes, want at most 64", s)
 	}
 }
-
-// TestTimerResetZeroAlloc: the FR-DRB watchdog re-arms its timer on every
-// ack; Reset must not allocate a closure per arming.
-func TestTimerResetZeroAlloc(t *testing.T) {
-	e := NewEngine()
-	fired := 0
-	tm := NewTimer(e, func(e *Engine) { fired++ })
-	tm.Reset(10)
-	e.RunAll()
-	if fired != 1 {
-		t.Fatalf("fired = %d, want 1", fired)
-	}
-	avg := testing.AllocsPerRun(100, func() {
-		tm.Reset(5)
-		tm.Reset(10) // re-arm while armed: cancel + reschedule
-		e.RunAll()
-	})
-	if avg != 0 {
-		t.Fatalf("Timer.Reset allocates %.2f/run, want 0", avg)
-	}
-}

@@ -456,44 +456,3 @@ func (e *Engine) Run(horizon Time) uint64 {
 
 // RunAll executes events until the queue drains or Stop is called.
 func (e *Engine) RunAll() uint64 { return e.Run(Infinity) }
-
-// Timer is a restartable one-shot timer built on the engine, used for
-// watchdogs (the FR-DRB fast-response variant, thesis §4.8.4). It is its own
-// actor, so re-arming an existing timer does not allocate.
-type Timer struct {
-	eng *Engine
-	id  EventID
-	fn  Handler
-}
-
-// NewTimer returns an unarmed timer that runs fn when it expires.
-func NewTimer(eng *Engine, fn Handler) *Timer {
-	if fn == nil {
-		panic("sim: nil timer handler")
-	}
-	return &Timer{eng: eng, fn: fn}
-}
-
-// HandleEvent implements Actor: the timer expired.
-func (t *Timer) HandleEvent(e *Engine, kind uint8, arg uint64) {
-	t.id = EventID{}
-	t.fn(e)
-}
-
-// Reset (re)arms the timer to fire after d. Any previously armed expiry is
-// cancelled.
-func (t *Timer) Reset(d Time) {
-	t.Stop()
-	t.id = t.eng.AfterEvent(d, t, 0, 0)
-}
-
-// Stop disarms the timer. It is a no-op if the timer is not armed.
-func (t *Timer) Stop() {
-	if t.id.Valid() {
-		t.eng.Cancel(t.id)
-		t.id = EventID{}
-	}
-}
-
-// Armed reports whether the timer has a pending expiry.
-func (t *Timer) Armed() bool { return t.id.Valid() }

@@ -148,32 +148,6 @@ func TestEngineStop(t *testing.T) {
 	}
 }
 
-func TestTimerResetAndStop(t *testing.T) {
-	e := NewEngine()
-	fired := 0
-	tm := NewTimer(e, func(*Engine) { fired++ })
-	tm.Reset(100)
-	tm.Reset(200) // supersedes the first arming
-	e.Schedule(150, func(*Engine) {
-		if fired != 0 {
-			t.Error("timer fired at its superseded deadline")
-		}
-	})
-	e.RunAll()
-	if fired != 1 {
-		t.Fatalf("timer fired %d times, want 1", fired)
-	}
-	if tm.Armed() {
-		t.Fatal("timer still armed after expiry")
-	}
-	tm.Reset(50)
-	tm.Stop()
-	e.RunAll()
-	if fired != 1 {
-		t.Fatal("stopped timer fired")
-	}
-}
-
 // Property: any batch of scheduled events fires in nondecreasing time order
 // and all non-cancelled events fire exactly once.
 func TestEngineOrderingProperty(t *testing.T) {
