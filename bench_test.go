@@ -152,26 +152,27 @@ func BenchmarkFig4_12_MeshAvgLatency(b *testing.B) {
 	b.ReportMetric(GainPct(drb, pr), "gain_%")
 }
 
+// appScenario replays tr (placed by mapping) under a policy on the 64-node
+// fat tree; the scenario gives the DRB family the trace-tuned config.
+func appScenario(tr *Trace, policy Policy, seed uint64, mapping []NodeID) Scenario {
+	return Scenario{
+		Experiment: Experiment{Topology: FatTree(4, 3), Policy: policy, Seed: seed},
+		Traces:     []MappedTrace{{Trace: tr, Mapping: mapping}},
+		Drain:      60 * Second,
+	}
+}
+
 // benchApp replays a workload trace under a policy.
 func benchApp(app string, policy Policy, seed uint64, iters int) (Results, Time) {
 	tr, err := Workload(app, WorkloadOptions{Iterations: iters})
 	if err != nil {
 		panic(err)
 	}
-	exp := Experiment{Topology: FatTree(4, 3), Policy: policy, Seed: seed}
-	if cfg, ok := TracePolicyConfig(policy); ok {
-		exp.DRB = &cfg
-	}
-	s := MustNewSim(exp)
-	rep, err := s.PlayTrace(tr, nil)
+	o, err := appScenario(tr, policy, seed, nil).Run()
 	if err != nil {
 		panic(err)
 	}
-	res := s.Execute(60 * Second)
-	if err := rep.Err(); err != nil {
-		panic(err)
-	}
-	return res, rep.ExecutionTime()
+	return o.Res, o.Exec
 }
 
 // appBench reports deterministic vs PR-DRB latency and execution time.
@@ -195,17 +196,11 @@ func BenchmarkFig4_20_NASLUMap(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		mk := func(p Policy) float64 {
 			tr, _ := Workload("nas-lu", WorkloadOptions{Iterations: 4, MsgBytes: 16 * 1024, ComputeNs: 10 * Microsecond})
-			exp := Experiment{Topology: FatTree(4, 3), Policy: p, Seed: uint64(i + 1)}
-			if cfg, ok := TracePolicyConfig(p); ok {
-				exp.DRB = &cfg
-			}
-			s := MustNewSim(exp)
-			rep, _ := s.PlayTrace(tr, nil)
-			s.Execute(60 * Second)
-			if err := rep.Err(); err != nil {
+			o, err := appScenario(tr, p, uint64(i+1), nil).Run()
+			if err != nil {
 				panic(err)
 			}
-			return s.Map().Peak().AvgNs / 1e3
+			return o.Sim.Map().Peak().AvgNs / 1e3
 		}
 		detPeak = mk(PolicyDeterministic)
 		prPeak = mk(PolicyPRDRB)
@@ -264,17 +259,11 @@ func BenchmarkFig4_29_30_POPMaps(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		mk := func(p Policy) float64 {
 			tr, _ := Workload("pop", WorkloadOptions{Iterations: 8})
-			exp := Experiment{Topology: FatTree(4, 3), Policy: p, Seed: uint64(i + 1)}
-			if cfg, ok := TracePolicyConfig(p); ok {
-				exp.DRB = &cfg
-			}
-			s := MustNewSim(exp)
-			rep, _ := s.PlayTrace(tr, nil)
-			s.Execute(60 * Second)
-			if err := rep.Err(); err != nil {
+			o, err := appScenario(tr, p, uint64(i+1), nil).Run()
+			if err != nil {
 				panic(err)
 			}
-			return s.Map().Peak().AvgNs / 1e3
+			return o.Sim.Map().Peak().AvgNs / 1e3
 		}
 		detPeak = mk(PolicyDeterministic)
 		prPeak = mk(PolicyPRDRB)
@@ -401,20 +390,11 @@ func BenchmarkAblPlacement(b *testing.B) {
 			b.Fatal(err)
 		}
 		run := func(m []NodeID) float64 {
-			exp := Experiment{Topology: FatTree(4, 3), Policy: PolicyPRDRB, Seed: uint64(i + 1)}
-			if cfg, ok := TracePolicyConfig(exp.Policy); ok {
-				exp.DRB = &cfg
-			}
-			s := MustNewSim(exp)
-			rep, err := s.PlayTrace(tr, m)
+			o, err := appScenario(tr, PolicyPRDRB, uint64(i+1), m).Run()
 			if err != nil {
 				b.Fatal(err)
 			}
-			res := s.Execute(60 * Second)
-			if err := rep.Err(); err != nil {
-				b.Fatal(err)
-			}
-			return res.GlobalLatencyUs
+			return o.Res.GlobalLatencyUs
 		}
 		idLat, optLat = run(nil), run(mapping)
 	}

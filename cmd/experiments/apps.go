@@ -11,144 +11,107 @@ import (
 func init() {
 	register("fig4.20", "NAS LU latency maps: deterministic vs DRB vs PR-DRB", fig420)
 	register("fig4.21", "NAS MG global latency & execution time (classes S/A/B)", fig421)
-	register("fig4.22", "Contention latency of NAS MG routers (hottest)", func(ctx *runCtx, w io.Writer) error {
-		return routerSeriesFigure(ctx, w, "nas-mg-a", 2)
-	})
-	register("fig4.23", "Contention latency of NAS MG routers (next)", func(ctx *runCtx, w io.Writer) error {
-		return routerSeriesFigure(ctx, w, "nas-mg-a", 4)
-	})
+	register("fig4.22", "Contention latency of NAS MG routers (hottest)", routerSeriesFigure("nas-mg-a", 2))
+	register("fig4.23", "Contention latency of NAS MG routers (next)", routerSeriesFigure("nas-mg-a", 4))
 	register("fig4.24", "LAMMPS latency maps: deterministic vs DRB vs PR-DRB", fig424)
 	register("fig4.25", "LAMMPS global latency & execution time", fig425)
 	register("fig4.26", "LAMMPS router contention & pattern reuse statistics", fig426)
 	register("fig4.27", "POP global latency & execution time, 7 policies", fig427)
-	register("fig4.28", "Contention latency of POP routers", func(ctx *runCtx, w io.Writer) error {
-		return routerSeriesFigure(ctx, w, "pop", 2)
-	})
-	register("fig4.29", "POP latency maps for non-DRB policies", func(ctx *runCtx, w io.Writer) error {
-		return popMaps(ctx, w, []prdrb.Policy{prdrb.PolicyDeterministic, prdrb.PolicyCyclic, prdrb.PolicyRandom})
-	})
-	register("fig4.30", "POP latency maps for the DRB family", func(ctx *runCtx, w io.Writer) error {
-		return popMaps(ctx, w, []prdrb.Policy{prdrb.PolicyDRB, prdrb.PolicyPRDRB, prdrb.PolicyFRDRB, prdrb.PolicyPRFRDRB})
-	})
-	register("figA.5", "Contention latency of POP routers (appendix set)", func(ctx *runCtx, w io.Writer) error {
-		return routerSeriesFigure(ctx, w, "pop", 6)
-	})
+	register("fig4.28", "Contention latency of POP routers", routerSeriesFigure("pop", 2))
+	register("fig4.29", "POP latency maps for non-DRB policies", popMaps([]prdrb.Policy{prdrb.PolicyDeterministic, prdrb.PolicyCyclic, prdrb.PolicyRandom}))
+	register("fig4.30", "POP latency maps for the DRB family", popMaps([]prdrb.Policy{prdrb.PolicyDRB, prdrb.PolicyPRDRB, prdrb.PolicyFRDRB, prdrb.PolicyPRFRDRB}))
+	register("figA.5", "Contention latency of POP routers (appendix set)", routerSeriesFigure("pop", 6))
 }
 
-// appOutcome is one finished application run.
-type appOutcome struct {
-	res  prdrb.Results
-	exec prdrb.Time
-	sim  *prdrb.Sim
+// appScenario replays a trace under a policy on the paper's 64-node fat
+// tree; the Scenario gives DRB-family policies the trace-tuned
+// configuration (§4.8 regime).
+func appScenario(tr *prdrb.Trace, policy prdrb.Policy, seed uint64, window prdrb.Time) prdrb.Scenario {
+	return prdrb.Scenario{
+		Experiment: prdrb.Experiment{Topology: prdrb.FatTree(4, 3), Policy: policy, Seed: seed, SeriesWindow: window},
+		Traces:     []prdrb.MappedTrace{{Trace: tr}},
+		Drain:      60 * prdrb.Second,
+	}
 }
 
-// runApp replays an application trace under a policy. DRB-family policies
-// use the trace-tuned configuration (§4.8 regime).
-func runApp(app string, policy prdrb.Policy, seed uint64, opt prdrb.WorkloadOptions, window prdrb.Time) appOutcome {
+// appRuns replays app on the first seed once per policy, on the pool.
+func appRuns(ctx *runCtx, app string, opt prdrb.WorkloadOptions, window prdrb.Time, policies ...prdrb.Policy) ([]prdrb.Outcome, error) {
 	tr, err := prdrb.Workload(app, opt)
 	if err != nil {
-		panic(err)
+		return nil, err
 	}
-	exp := prdrb.Experiment{
-		Topology:     prdrb.FatTree(4, 3),
-		Policy:       policy,
-		Seed:         seed,
-		SeriesWindow: window,
-		Shards:       1, // trace replay drives the engine directly: serial only
+	var scs []prdrb.Scenario
+	for _, p := range policies {
+		scs = append(scs, appScenario(tr, p, ctx.seeds[0], window))
 	}
-	if cfg, ok := prdrb.TracePolicyConfig(policy); ok {
-		exp.DRB = &cfg
-	}
-	s := prdrb.MustNewSim(exp)
-	rep, err := s.PlayTrace(tr, nil)
+	return runAll(ctx, scs...)
+}
+
+// appMeans replays app under each policy on every seed and returns, per
+// policy, the seed-averaged latency and execution time in µs (§4.3) and
+// the last seed's results.
+func appMeans(ctx *runCtx, app string, opt prdrb.WorkloadOptions, policies ...prdrb.Policy) (lat, exec []float64, last []prdrb.Outcome, err error) {
+	tr, err := prdrb.Workload(app, opt)
 	if err != nil {
-		panic(err)
+		return nil, nil, nil, err
 	}
-	res := s.Execute(60 * prdrb.Second)
-	if err := rep.Err(); err != nil {
-		panic(err)
+	avg, last, err := seedMean(ctx, policies, func(p prdrb.Policy, seed uint64) prdrb.Scenario {
+		return appScenario(tr, p, seed, 0)
+	}, each(func(o prdrb.Outcome) []float64 { return []float64{o.Res.GlobalLatencyUs, o.Exec.Micros()} }))
+	for i := 0; i < len(avg); i += 2 {
+		lat, exec = append(lat, avg[i]), append(exec, avg[i+1])
 	}
-	return appOutcome{res: res, exec: rep.ExecutionTime(), sim: s}
-}
-
-func appIters(ctx *runCtx, full int) int {
-	if ctx.quick {
-		return full / 2
-	}
-	return full
-}
-
-// runAppAvg averages latency (us) and execution time (us) over the seed
-// set (§4.3), returning also the last outcome for stats fields.
-func runAppAvg(ctx *runCtx, app string, policy prdrb.Policy, opt prdrb.WorkloadOptions) (lat, exec float64, last appOutcome) {
-	n := float64(len(ctx.seeds))
-	for _, o := range parMap(ctx.seeds, func(seed uint64) appOutcome {
-		return runApp(app, policy, seed, opt, 0)
-	}) {
-		lat += o.res.GlobalLatencyUs / n
-		exec += o.exec.Micros() / n
-		last = o
-	}
-	return lat, exec, last
+	return lat, exec, last, err
 }
 
 // mapsFigure renders the three-policy latency-map comparison the paper
 // uses for LU (Fig 4.20) and LAMMPS (Fig 4.24).
 func mapsFigure(ctx *runCtx, w io.Writer, app string, opt prdrb.WorkloadOptions) error {
-	type row struct {
-		policy prdrb.Policy
-		peak   float64
-		global float64
-		m      *prdrb.LatencyMap
-	}
-	var rows []row
-	for _, p := range []prdrb.Policy{prdrb.PolicyDeterministic, prdrb.PolicyDRB, prdrb.PolicyPRDRB} {
-		o := runApp(app, p, ctx.seeds[0], opt, 0)
-		m := o.sim.Map()
-		rows = append(rows, row{policy: p, peak: m.Peak().AvgNs / 1e3, global: o.res.GlobalLatencyUs, m: m})
+	outs, err := appRuns(ctx, app, opt, 0, drbFamily...)
+	if err != nil {
+		return err
 	}
 	fmt.Fprintf(w, "%s on fat-tree 64, average contention latency per router (top entries)\n", app)
-	for _, r := range rows {
-		fmt.Fprintf(w, "\n--- %s (map peak %.2fus, global latency %.2fus)\n", r.policy, r.peak, r.global)
-		fmt.Fprint(w, r.m.String())
+	var peak []float64
+	for i, o := range outs {
+		m := o.Sim.Map()
+		peak = append(peak, m.Peak().AvgNs/1e3)
+		fmt.Fprintf(w, "\n--- %s (map peak %.2fus, global latency %.2fus)\n", drbFamily[i], peak[i], o.Res.GlobalLatencyUs)
+		fmt.Fprint(w, m.String())
 	}
-	det, drb, pr := rows[0], rows[1], rows[2]
 	fmt.Fprintf(w, "\npeak reductions: det->drb %.1f%%, drb->pr-drb %.1f%%, det->pr-drb %.1f%%\n",
-		prdrb.GainPct(det.peak, drb.peak), prdrb.GainPct(drb.peak, pr.peak), prdrb.GainPct(det.peak, pr.peak))
+		prdrb.GainPct(peak[0], peak[1]), prdrb.GainPct(peak[1], peak[2]), prdrb.GainPct(peak[0], peak[2]))
 	return nil
 }
 
 func fig420(ctx *runCtx, w io.Writer) error {
 	// LU class A with larger surfaces so the wavefront edges contend.
 	return mapsFigure(ctx, w, "nas-lu", prdrb.WorkloadOptions{
-		Iterations: appIters(ctx, 8), MsgBytes: 16 * 1024, ComputeNs: 10 * prdrb.Microsecond,
+		Iterations: ctx.pick(8, 4), MsgBytes: 16 * 1024, ComputeNs: 10 * prdrb.Microsecond,
 	})
 }
 
 func fig424(ctx *runCtx, w io.Writer) error {
-	return mapsFigure(ctx, w, "lammps-chain", prdrb.WorkloadOptions{Iterations: appIters(ctx, 10)})
+	return mapsFigure(ctx, w, "lammps-chain", prdrb.WorkloadOptions{Iterations: ctx.pick(10, 5)})
 }
 
 func fig421(ctx *runCtx, w io.Writer) error {
 	fmt.Fprintf(w, "NAS MG: global average latency and execution time per class\n\n")
 	fmt.Fprintf(w, "class policy          latency(us)   exec(us)\n")
-	type key struct {
-		class  string
-		policy prdrb.Policy
-	}
-	vals := map[key][2]float64{}
+	var gains []string
 	for _, class := range []string{"nas-mg-s", "nas-mg-a", "nas-mg-b"} {
-		for _, p := range []prdrb.Policy{prdrb.PolicyDeterministic, prdrb.PolicyDRB, prdrb.PolicyPRDRB} {
-			lat, exec, _ := runAppAvg(ctx, class, p, prdrb.WorkloadOptions{Iterations: appIters(ctx, 8)})
-			vals[key{class, p}] = [2]float64{lat, exec}
-			fmt.Fprintf(w, "%-6s %-14s %10.2f %11.1f\n", class[len(class)-1:], p, lat, exec)
+		lat, exec, _, err := appMeans(ctx, class, prdrb.WorkloadOptions{Iterations: ctx.pick(8, 4)}, drbFamily...)
+		if err != nil {
+			return err
 		}
+		for i, p := range drbFamily {
+			fmt.Fprintf(w, "%-6s %-14s %10.2f %11.1f\n", class[len(class)-1:], p, lat[i], exec[i])
+		}
+		gains = append(gains, fmt.Sprintf("\nclass %s: det->pr-drb latency %.1f%%, exec time %.1f%%",
+			class[len(class)-1:], prdrb.GainPct(lat[0], lat[2]), prdrb.GainPct(exec[0], exec[2])))
 	}
-	for _, class := range []string{"nas-mg-s", "nas-mg-a", "nas-mg-b"} {
-		det := vals[key{class, prdrb.PolicyDeterministic}]
-		pr := vals[key{class, prdrb.PolicyPRDRB}]
-		fmt.Fprintf(w, "\nclass %s: det->pr-drb latency %.1f%%, exec time %.1f%%",
-			class[len(class)-1:], prdrb.GainPct(det[0], pr[0]), prdrb.GainPct(det[1], pr[1]))
+	for _, g := range gains {
+		fmt.Fprint(w, g)
 	}
 	fmt.Fprintf(w, "\n\npaper shape: class S shows no improvement (negligible contention); classes A and B\n")
 	fmt.Fprintf(w, "show large latency reductions and 8-23%% execution-time gains for the DRB family.\n")
@@ -157,27 +120,30 @@ func fig421(ctx *runCtx, w io.Writer) error {
 
 func fig425(ctx *runCtx, w io.Writer) error {
 	fmt.Fprintf(w, "LAMMPS Chain: global latency and execution time (%d-seed avg)\n\n", len(ctx.seeds))
-	type res struct{ lat, exec float64 }
-	vals := map[prdrb.Policy]res{}
-	for _, p := range []prdrb.Policy{prdrb.PolicyDeterministic, prdrb.PolicyDRB, prdrb.PolicyPRDRB} {
-		lat, exec, _ := runAppAvg(ctx, "lammps-chain", p, prdrb.WorkloadOptions{Iterations: appIters(ctx, 10)})
-		vals[p] = res{lat, exec}
-		fmt.Fprintf(w, "%-14s latency=%8.2fus exec=%10.1fus\n", p, lat, exec)
+	lat, exec, _, err := appMeans(ctx, "lammps-chain", prdrb.WorkloadOptions{Iterations: ctx.pick(10, 5)}, drbFamily...)
+	if err != nil {
+		return err
 	}
-	det, drb, pr := vals[prdrb.PolicyDeterministic], vals[prdrb.PolicyDRB], vals[prdrb.PolicyPRDRB]
+	for i, p := range drbFamily {
+		fmt.Fprintf(w, "%-14s latency=%8.2fus exec=%10.1fus\n", p, lat[i], exec[i])
+	}
 	fmt.Fprintf(w, "\nlatency gains: pr-drb vs drb %.1f%%, pr-drb vs det %.1f%% (paper: 5%% / 36%%)\n",
-		prdrb.GainPct(drb.lat, pr.lat), prdrb.GainPct(det.lat, pr.lat))
+		prdrb.GainPct(lat[1], lat[2]), prdrb.GainPct(lat[0], lat[2]))
 	fmt.Fprintf(w, "exec gains:    pr-drb vs drb %.1f%%, pr-drb vs det %.1f%% (paper: 6%% / 37%%)\n",
-		prdrb.GainPct(drb.exec, pr.exec), prdrb.GainPct(det.exec, pr.exec))
+		prdrb.GainPct(exec[1], exec[2]), prdrb.GainPct(exec[0], exec[2]))
 	return nil
 }
 
 func fig426(ctx *runCtx, w io.Writer) error {
-	o := runApp("lammps-chain", prdrb.PolicyPRDRB, ctx.seeds[0],
-		prdrb.WorkloadOptions{Iterations: appIters(ctx, 10)}, 50*prdrb.Microsecond)
+	outs, err := appRuns(ctx, "lammps-chain", prdrb.WorkloadOptions{Iterations: ctx.pick(10, 5)},
+		50*prdrb.Microsecond, prdrb.PolicyPRDRB)
+	if err != nil {
+		return err
+	}
+	res := outs[0].Res
 	fmt.Fprintf(w, "LAMMPS Chain under PR-DRB: predictive statistics\n\n")
-	st := o.res.Stats
-	fmt.Fprintf(w, "contending-flow patterns saved:   %d\n", o.res.SavedPatterns)
+	st := res.Stats
+	fmt.Fprintf(w, "contending-flow patterns saved:   %d\n", res.SavedPatterns)
 	fmt.Fprintf(w, "distinct patterns re-identified:  %d\n", st.PatternsReused)
 	fmt.Fprintf(w, "solution re-applications:         %d\n", st.ReuseApplications)
 	fmt.Fprintf(w, "paths opened/closed:              %d / %d\n", st.PathsOpened, st.PathsClosed)
@@ -193,88 +159,82 @@ func fig426(ctx *runCtx, w io.Writer) error {
 func fig427(ctx *runCtx, w io.Writer) error {
 	fmt.Fprintf(w, "POP: global average latency and execution time, all policies (%d-seed avg)\n\n", len(ctx.seeds))
 	fmt.Fprintf(w, "%-14s %12s %12s %10s\n", "policy", "latency(us)", "exec(us)", "reused")
-	type res struct{ lat, exec, reused float64 }
-	results := map[prdrb.Policy]res{}
-	for _, p := range prdrb.Policies() {
-		lat, exec, last := runAppAvg(ctx, "pop", p, prdrb.WorkloadOptions{Iterations: appIters(ctx, 12)})
-		results[p] = res{lat, exec, float64(last.res.Stats.ReuseApplications)}
-		fmt.Fprintf(w, "%-14s %12.2f %12.1f %10.0f\n", p, lat, exec, results[p].reused)
+	policies := prdrb.Policies()
+	lat, exec, last, err := appMeans(ctx, "pop", prdrb.WorkloadOptions{Iterations: ctx.pick(12, 6)}, policies...)
+	if err != nil {
+		return err
 	}
-	det := results[prdrb.PolicyDeterministic]
-	pr := results[prdrb.PolicyPRDRB]
-	prfr := results[prdrb.PolicyPRFRDRB]
+	at := map[prdrb.Policy]int{}
+	for i, p := range policies {
+		at[p] = i
+		fmt.Fprintf(w, "%-14s %12.2f %12.1f %10.0f\n", p, lat[i], exec[i], float64(last[i].Res.Stats.ReuseApplications))
+	}
+	det, pr, prfr := at[prdrb.PolicyDeterministic], at[prdrb.PolicyPRDRB], at[prdrb.PolicyPRFRDRB]
 	fmt.Fprintf(w, "\npr-drb vs det: latency %.1f%%, exec %.1f%% (paper: 38%% latency, ~27%% exec for the family)\n",
-		prdrb.GainPct(det.lat, pr.lat), prdrb.GainPct(det.exec, pr.exec))
+		prdrb.GainPct(lat[det], lat[pr]), prdrb.GainPct(exec[det], exec[pr]))
 	fmt.Fprintf(w, "pr-fr-drb vs det: latency %.1f%% (paper: up to 57%% for the fast-response predictive variant)\n",
-		prdrb.GainPct(det.lat, prfr.lat))
+		prdrb.GainPct(lat[det], lat[prfr]))
 	return nil
 }
 
 // routerSeriesFigure prints contention-latency time series of the hottest
 // routers under DRB vs PR-DRB (Figs 4.22/4.23/4.26a/4.28/A.5-A.7).
-func routerSeriesFigure(ctx *runCtx, w io.Writer, app string, topN int) error {
-	opt := prdrb.WorkloadOptions{Iterations: appIters(ctx, 10)}
-	window := 100 * prdrb.Microsecond
-	outcomes := map[prdrb.Policy]appOutcome{}
-	for _, p := range []prdrb.Policy{prdrb.PolicyDRB, prdrb.PolicyPRDRB} {
-		outcomes[p] = runApp(app, p, ctx.seeds[0], opt, window)
-	}
-	// Pick the hottest routers of the DRB run as the routers to plot.
-	drbMap := outcomes[prdrb.PolicyDRB].sim.Map()
-	n := topN
-	if n > len(drbMap.Cells) {
-		n = len(drbMap.Cells)
-	}
-	fmt.Fprintf(w, "%s: avg contention latency (us) per %v window at the %d hottest routers\n",
-		app, window, n)
-	for i := 0; i < n; i++ {
-		cell := drbMap.Cells[i]
-		fmt.Fprintf(w, "\nrouter %s\n  t(us)      drb   pr-drb\n", cell.Label)
-		drbS := outcomes[prdrb.PolicyDRB].sim.Collector.Contention.SeriesOf(cell.Router)
-		prS := outcomes[prdrb.PolicyPRDRB].sim.Collector.Contention.SeriesOf(cell.Router)
-		merged := map[prdrb.Time][2]float64{}
-		for _, s := range drbS.Samples() {
-			v := merged[s.At]
-			v[0] = s.Avg / 1e3
-			merged[s.At] = v
-		}
-		for _, s := range prS.Samples() {
-			v := merged[s.At]
-			v[1] = s.Avg / 1e3
-			merged[s.At] = v
-		}
-		var ts []prdrb.Time
-		for t := range merged {
-			ts = append(ts, t)
-		}
-		sort.Slice(ts, func(i, j int) bool { return ts[i] < ts[j] })
-		var csv [][]float64
-		for _, t := range ts {
-			fmt.Fprintf(w, "%6d %8.2f %8.2f\n", t/1000, merged[t][0], merged[t][1])
-			csv = append(csv, []float64{float64(t) / 1000, merged[t][0], merged[t][1]})
-		}
-		if err := ctx.writeCSV(fmt.Sprintf("series-%s-router-%s", app, cell.Label), []string{"t_us", "drb_us", "prdrb_us"}, csv); err != nil {
+func routerSeriesFigure(app string, topN int) runFunc {
+	return func(ctx *runCtx, w io.Writer) error {
+		window := 100 * prdrb.Microsecond
+		outs, err := appRuns(ctx, app, prdrb.WorkloadOptions{Iterations: ctx.pick(10, 5)}, window, prdrb.PolicyDRB, prdrb.PolicyPRDRB)
+		if err != nil {
 			return err
 		}
+		// Pick the hottest routers of the DRB run as the routers to plot.
+		drbMap := outs[0].Sim.Map()
+		n := min(topN, len(drbMap.Cells))
+		fmt.Fprintf(w, "%s: avg contention latency (us) per %v window at the %d hottest routers\n",
+			app, window, n)
+		for _, cell := range drbMap.Cells[:n] {
+			fmt.Fprintf(w, "\nrouter %s\n  t(us)      drb   pr-drb\n", cell.Label)
+			merged := map[prdrb.Time][2]float64{}
+			for i, o := range outs {
+				for _, s := range o.Sim.Collector.Contention.SeriesOf(cell.Router).Samples() {
+					v := merged[s.At]
+					v[i] = s.Avg / 1e3
+					merged[s.At] = v
+				}
+			}
+			var ts []prdrb.Time
+			for t := range merged {
+				ts = append(ts, t)
+			}
+			sort.Slice(ts, func(i, j int) bool { return ts[i] < ts[j] })
+			var csv [][]float64
+			for _, t := range ts {
+				fmt.Fprintf(w, "%6d %8.2f %8.2f\n", t/1000, merged[t][0], merged[t][1])
+				csv = append(csv, []float64{float64(t) / 1000, merged[t][0], merged[t][1]})
+			}
+			if err := ctx.writeCSV(fmt.Sprintf("series-%s-router-%s", app, cell.Label), []string{"t_us", "drb_us", "prdrb_us"}, csv); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
-	return nil
 }
 
-func popMaps(ctx *runCtx, w io.Writer, policies []prdrb.Policy) error {
-	opt := prdrb.WorkloadOptions{Iterations: appIters(ctx, 12)}
-	peaks := map[prdrb.Policy]float64{}
-	for _, p := range policies {
-		o := runApp("pop", p, ctx.seeds[0], opt, 0)
-		m := o.sim.Map()
-		peaks[p] = m.Peak().AvgNs / 1e3
-		fmt.Fprintf(w, "--- %s (map peak %.2fus, global %.2fus)\n", p, peaks[p], o.res.GlobalLatencyUs)
-		fmt.Fprint(w, m.String())
-		fmt.Fprintln(w)
+func popMaps(policies []prdrb.Policy) runFunc {
+	return func(ctx *runCtx, w io.Writer) error {
+		outs, err := appRuns(ctx, "pop", prdrb.WorkloadOptions{Iterations: ctx.pick(12, 6)}, 0, policies...)
+		if err != nil {
+			return err
+		}
+		peaks := ""
+		for i, o := range outs {
+			m := o.Sim.Map()
+			peak := m.Peak().AvgNs / 1e3
+			fmt.Fprintf(w, "--- %s (map peak %.2fus, global %.2fus)\n", policies[i], peak, o.Res.GlobalLatencyUs)
+			fmt.Fprint(w, m.String())
+			fmt.Fprintln(w)
+			peaks += fmt.Sprintf("%s=%.2fus ", policies[i], peak)
+		}
+		fmt.Fprintf(w, "map peaks: %s\n", peaks)
+		return nil
 	}
-	fmt.Fprintf(w, "map peaks: ")
-	for _, p := range policies {
-		fmt.Fprintf(w, "%s=%.2fus ", p, peaks[p])
-	}
-	fmt.Fprintln(w)
-	return nil
 }

@@ -153,75 +153,35 @@ func (m *campaignManifest) validate() (prdrb.Time, error) {
 // cells. Completed cells (result JSON present in the campaign directory)
 // are skipped.
 func runCampaign(opts campaignOpts) int {
-	raw, err := os.ReadFile(opts.manifestPath)
+	m, duration, key, dir, err := openCampaign(opts)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "campaign: %v\n", err)
 		return 1
 	}
-	var m campaignManifest
-	if err := json.Unmarshal(raw, &m); err != nil {
-		fmt.Fprintf(os.Stderr, "campaign: %s: %v\n", opts.manifestPath, err)
-		return 1
-	}
-	duration, err := m.validate()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "campaign: %v\n", err)
-		return 1
-	}
-	if opts.shards > 1 && m.Shards == 0 {
-		m.Shards = opts.shards
-	}
-
-	// The campaign key is the manifest's content hash: the same grid always
-	// lands in the same directory, so a re-run sees its own prior results.
-	key := fmt.Sprintf("%016x", ckpt.DigestStrings(string(raw)))
-	dir := filepath.Join(opts.dir, key)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		fmt.Fprintf(os.Stderr, "campaign: %v\n", err)
-		return 1
-	}
-	// Sweep temp files a killed run left behind: every committed artifact
-	// was renamed into place, so anything still named .tmp* is an abandoned
-	// partial write.
-	if stale, err := filepath.Glob(filepath.Join(dir, "*.tmp*")); err == nil {
-		for _, p := range stale {
-			os.Remove(p)
-		}
-	}
-	// Keep a copy of the manifest next to the results for provenance.
-	if _, err := os.Stat(filepath.Join(dir, "manifest.json")); err != nil {
-		obsflags.WriteArtifactBytes(filepath.Join(dir, "manifest.json"), raw)
-	}
-
 	cells := m.expand()
 	fmt.Printf("campaign %s: %d cells, %d workers, dir %s\n", key, len(cells), opts.workers, dir)
 
 	// states is the scheduler's live view, folded into the /fleet snapshot:
-	// cell name -> queued | running | done | failed | skipped.
-	states := struct {
-		sync.Mutex
-		m map[string]string
-	}{m: make(map[string]string, len(cells))}
-	for _, c := range cells {
-		states.m[c.Name] = "queued"
-	}
-	setState := func(name, st string) {
-		states.Lock()
-		states.m[name] = st
-		states.Unlock()
+	// one of queued | running | done | failed | skipped per cell.
+	var mu sync.Mutex
+	states := make([]string, len(cells))
+	setState := func(i int, st string) {
+		mu.Lock()
+		states[i] = st
+		mu.Unlock()
 	}
 	horizon := int64(duration + prdrb.Second)
 	publishFleet := func() {
-		if opts.board == nil {
-			return
-		}
 		f := telemetry.FleetStatus{Campaign: key, Total: len(cells)}
 		if opts.live != nil {
 			f.EventsProcessed = opts.live.Events.Load()
 		}
-		states.Lock()
-		for name, st := range states.m {
-			cell := telemetry.FleetCellStatus{Cell: name, State: st, HorizonNs: horizon}
+		mu.Lock()
+		for i, st := range states {
+			if st == "" {
+				st = "queued"
+			}
+			cell := telemetry.FleetCellStatus{Cell: cells[i].Name, State: st, HorizonNs: horizon}
 			switch st {
 			case "running":
 				f.Running++
@@ -236,12 +196,13 @@ func runCampaign(opts campaignOpts) int {
 			}
 			f.Cells = append(f.Cells, cell)
 		}
-		states.Unlock()
+		mu.Unlock()
 		sort.Slice(f.Cells, func(i, j int) bool { return f.Cells[i].Cell < f.Cells[j].Cell })
 		opts.board.PublishFleet(f)
 	}
 	if opts.board != nil {
 		publishFleet()
+		defer publishFleet()
 		stop := make(chan struct{})
 		defer close(stop)
 		go func() {
@@ -258,108 +219,99 @@ func runCampaign(opts campaignOpts) int {
 		}()
 	}
 
-	jobs := make(chan campaignCell)
-	type outcome struct {
-		cell    campaignCell
-		status  string // done | failed | skipped
-		err     error
-		elapsed float64
-	}
-	results := make(chan outcome)
-	workers := opts.workers
-	if workers < 1 {
-		workers = 1
-	}
-	for w := 0; w < workers; w++ {
-		go func() {
-			for c := range jobs {
-				start := time.Now()
-				resultPath := filepath.Join(dir, c.Name+".json")
-				if _, err := os.Stat(resultPath); err == nil {
-					setState(c.Name, "skipped")
-					results <- outcome{cell: c, status: "skipped"}
-					continue
-				}
-				setState(c.Name, "running")
-				res, err := runCampaignCell(c, &m, duration)
-				res.WallSec = time.Since(start).Seconds()
-				if err == nil {
-					err = writeCellResult(resultPath, res)
-				}
-				status := "done"
-				if err != nil {
-					status = "failed"
-				}
-				setState(c.Name, status)
-				results <- outcome{cell: c, status: status, err: err, elapsed: res.WallSec}
-			}
-		}()
-	}
-	go func() {
-		for _, c := range cells {
-			jobs <- c
-		}
-		close(jobs)
-	}()
-
 	failed, skipped := 0, 0
-	for done := 1; done <= len(cells); done++ {
-		o := <-results
-		if opts.live != nil {
-			opts.live.AddRun()
+	elapsed := make([]float64, len(cells))
+	committed := make([]bool, len(cells)) // by an earlier run
+	workers := &runCtx{procs: max(opts.workers, 1)}
+	workers.pool(len(cells), func(i int) error {
+		resultPath := filepath.Join(dir, cells[i].Name+".json")
+		if _, err := os.Stat(resultPath); err == nil {
+			committed[i] = true
+			return nil
 		}
-		note := o.status
-		if o.err != nil {
-			note = "FAILED: " + o.err.Error()
-			failed++
+		setState(i, "running")
+		start := time.Now()
+		defer func() { elapsed[i] = time.Since(start).Seconds() }()
+		res, err := runCampaignCell(cells[i], &m, duration)
+		if err != nil {
+			return err
 		}
-		if o.status == "skipped" {
+		res.WallSec = time.Since(start).Seconds()
+		return writeCellResult(resultPath, res)
+	}, func(i int, err error) {
+		opts.live.AddRun()
+		switch {
+		case committed[i]:
 			skipped++
-			fmt.Printf("%-48s skipped (already done)\n", o.cell.Name)
-			continue
+			setState(i, "skipped")
+			fmt.Printf("%-48s skipped (already done)\n", cells[i].Name)
+		case err != nil:
+			failed++
+			setState(i, "failed")
+			fmt.Printf("%-48s %8.2fs  FAILED: %v\n", cells[i].Name, elapsed[i], err)
+		default:
+			setState(i, "done")
+			fmt.Printf("%-48s %8.2fs  done\n", cells[i].Name, elapsed[i])
 		}
-		fmt.Printf("%-48s %8.2fs  %s\n", o.cell.Name, o.elapsed, note)
-	}
-	publishFleet()
+	})
 	fmt.Printf("campaign %s: %d done, %d skipped, %d failed\n",
 		key, len(cells)-failed-skipped, skipped, failed)
 	return failed
 }
 
-// runCampaignCell executes one grid point to its horizon.
-func runCampaignCell(c campaignCell, m *campaignManifest, duration prdrb.Time) (res cellResult, err error) {
-	defer func() {
-		// Topology/pattern/policy construction reports bad specs by panic;
-		// a campaign cell turns that into a failed cell, not a dead harness.
-		if r := recover(); r != nil {
-			err = fmt.Errorf("%v", r)
+// openCampaign reads and validates the manifest and prepares its
+// directory, keyed by the manifest's content hash: the same grid always
+// lands in the same directory, so a re-run sees its own prior results.
+func openCampaign(opts campaignOpts) (m campaignManifest, duration prdrb.Time, key, dir string, err error) {
+	raw, err := os.ReadFile(opts.manifestPath)
+	if err != nil {
+		return m, 0, "", "", err
+	}
+	if err := json.Unmarshal(raw, &m); err != nil {
+		return m, 0, "", "", fmt.Errorf("%s: %v", opts.manifestPath, err)
+	}
+	if duration, err = m.validate(); err != nil {
+		return m, 0, "", "", err
+	}
+	if opts.shards > 1 && m.Shards == 0 {
+		m.Shards = opts.shards
+	}
+	key = fmt.Sprintf("%016x", ckpt.DigestStrings(string(raw)))
+	dir = filepath.Join(opts.dir, key)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return m, 0, "", "", err
+	}
+	// Sweep temp files a killed run left behind: every committed artifact
+	// was renamed into place, so anything still named .tmp* is an abandoned
+	// partial write.
+	if stale, err := filepath.Glob(filepath.Join(dir, "*.tmp*")); err == nil {
+		for _, p := range stale {
+			os.Remove(p)
 		}
-	}()
+	}
+	// Keep a copy of the manifest next to the results for provenance.
+	if _, err := os.Stat(filepath.Join(dir, "manifest.json")); err != nil {
+		obsflags.WriteArtifactBytes(filepath.Join(dir, "manifest.json"), raw)
+	}
+	return m, duration, key, dir, nil
+}
+
+// runCampaignCell executes one grid point to its horizon.
+func runCampaignCell(c campaignCell, m *campaignManifest, duration prdrb.Time) (cellResult, error) {
 	topo, err := prdrb.TopologyByName(c.Topology)
 	if err != nil {
-		return res, err
+		return cellResult{}, err
 	}
-	s, err := prdrb.NewSim(prdrb.Experiment{
-		Topology: topo, Policy: prdrb.Policy(c.Policy), Seed: c.Seed, Shards: m.Shards,
-	})
+	o, err := prdrb.Scenario{
+		Experiment: prdrb.Experiment{Topology: topo, Policy: prdrb.Policy(c.Policy), Seed: c.Seed, Shards: m.Shards},
+		Faults:     m.Faults,
+		Pattern:    &prdrb.PatternSpec{Pattern: c.Pattern, RateMbps: c.RateMbps, Start: 0, End: duration},
+		Drain:      prdrb.Second,
+	}.Run()
 	if err != nil {
-		return res, err
+		return cellResult{}, err
 	}
-	if m.Faults != "" {
-		plan, err := s.ParseFaults(m.Faults)
-		if err != nil {
-			return res, err
-		}
-		if _, err := s.InstallFaults(plan); err != nil {
-			return res, err
-		}
-	}
-	if err := s.InstallPattern(prdrb.PatternSpec{
-		Pattern: c.Pattern, RateMbps: c.RateMbps, Start: 0, End: duration,
-	}); err != nil {
-		return res, err
-	}
-	r := s.Execute(duration + prdrb.Second)
+	r := o.Res
 	return cellResult{
 		campaignCell:    c,
 		GlobalLatencyUs: r.GlobalLatencyUs,
@@ -368,7 +320,7 @@ func runCampaignCell(c campaignCell, m *campaignManifest, duration prdrb.Time) (
 		DeliveredPkts:   r.DeliveredPkts,
 		DroppedPkts:     r.DroppedPkts,
 		Recoveries:      r.Recoveries,
-		Events:          s.Processed(),
+		Events:          o.Sim.Processed(),
 	}, nil
 }
 

@@ -20,36 +20,9 @@ func init() {
 	register("coll.ai", "AI training workloads (DP/PP/hybrid): PR-DRB vs DRB vs adaptive", collAI)
 }
 
-// collPolicies is the comparison set: the oblivious adaptive baseline, the
+// collFamily is the comparison set: the oblivious adaptive baseline, the
 // reactive DRB, and the predictive PR-DRB.
-func collPolicies() []prdrb.Policy {
-	return []prdrb.Policy{prdrb.PolicyAdaptive, prdrb.PolicyDRB, prdrb.PolicyPRDRB}
-}
-
-// runCollTrace replays a hand-built trace under a policy on the standard
-// 64-node fat-tree (same harness as runApp, but for a *Trace instead of a
-// named workload).
-func runCollTrace(tr *prdrb.Trace, policy prdrb.Policy, seed uint64) appOutcome {
-	exp := prdrb.Experiment{
-		Topology: prdrb.FatTree(4, 3),
-		Policy:   policy,
-		Seed:     seed,
-		Shards:   1, // trace replay drives the engine directly: serial only
-	}
-	if cfg, ok := prdrb.TracePolicyConfig(policy); ok {
-		exp.DRB = &cfg
-	}
-	s := prdrb.MustNewSim(exp)
-	rep, err := s.PlayTrace(tr, nil)
-	if err != nil {
-		panic(err)
-	}
-	res := s.Execute(60 * prdrb.Second)
-	if err := rep.Err(); err != nil {
-		panic(err)
-	}
-	return appOutcome{res: res, exec: rep.ExecutionTime(), sim: s}
-}
+var collFamily = []prdrb.Policy{prdrb.PolicyAdaptive, prdrb.PolicyDRB, prdrb.PolicyPRDRB}
 
 // allreduceTrace builds a repeated-Allreduce benchmark: iters rounds of
 // compute followed by one bytes-sized Allreduce under the named algorithm
@@ -68,38 +41,42 @@ func allreduceTrace(alg string, bytes, iters int) (*prdrb.Trace, error) {
 }
 
 func collAllreduce(ctx *runCtx, w io.Writer) error {
-	iters := appIters(ctx, 6)
+	iters := ctx.pick(6, 3)
 	sizes := []int{16 * 1024, 256 * 1024}
 	fmt.Fprintf(w, "Repeated 64-rank Allreduce on the 4-ary 3-tree: execution time (us),\n")
 	fmt.Fprintf(w, "global latency (us) and metapaths opened per algorithm, size and policy.\n\n")
 	fmt.Fprintf(w, "%-20s %-8s %-10s %10s %12s %8s\n", "algorithm", "size", "policy", "exec(us)", "latency(us)", "paths")
-	type key struct {
-		alg    string
-		size   int
-		policy prdrb.Policy
+	type cell struct {
+		alg  string
+		size int
 	}
-	execs := map[key]float64{}
+	var cells []cell
+	var scs []prdrb.Scenario
 	for _, alg := range prdrb.AllreduceAlgorithms() {
 		for _, size := range sizes {
 			tr, err := allreduceTrace(alg, size, iters)
 			if err != nil {
 				return err
 			}
-			for _, p := range collPolicies() {
-				o := runCollTrace(tr, p, ctx.seeds[0])
-				execs[key{alg, size, p}] = o.exec.Micros()
-				fmt.Fprintf(w, "%-20s %-8s %-10s %10.1f %12.2f %8d\n",
-					alg, sizeLabel(size), p, o.exec.Micros(), o.res.GlobalLatencyUs, o.res.Stats.PathsOpened)
+			cells = append(cells, cell{alg, size})
+			for _, p := range collFamily {
+				scs = append(scs, appScenario(tr, p, ctx.seeds[0], 0))
 			}
 		}
 	}
+	outs, err := runAll(ctx, scs...)
+	if err != nil {
+		return err
+	}
+	for i, o := range outs {
+		c := cells[i/3]
+		fmt.Fprintf(w, "%-20s %-8s %-10s %10.1f %12.2f %8d\n",
+			c.alg, sizeLabel(c.size), collFamily[i%3], o.Exec.Micros(), o.Res.GlobalLatencyUs, o.Res.Stats.PathsOpened)
+	}
 	fmt.Fprintf(w, "\npr-drb exec-time gain vs the adaptive baseline:\n")
-	for _, alg := range prdrb.AllreduceAlgorithms() {
-		for _, size := range sizes {
-			ad := execs[key{alg, size, prdrb.PolicyAdaptive}]
-			pr := execs[key{alg, size, prdrb.PolicyPRDRB}]
-			fmt.Fprintf(w, "  %-20s %-8s %6.1f%%\n", alg, sizeLabel(size), prdrb.GainPct(ad, pr))
-		}
+	for i, c := range cells {
+		ad, pr := outs[3*i].Exec.Micros(), outs[3*i+2].Exec.Micros()
+		fmt.Fprintf(w, "  %-20s %-8s %6.1f%%\n", c.alg, sizeLabel(c.size), prdrb.GainPct(ad, pr))
 	}
 	fmt.Fprintf(w, "\nexpected shape: the ring repeats one neighbor pattern 2(n-1) times per call —\n")
 	fmt.Fprintf(w, "prime territory for pattern reuse — while recursive doubling's pairing changes\n")
@@ -119,25 +96,24 @@ func collAI(ctx *runCtx, w io.Writer) error {
 	fmt.Fprintf(w, "gradient Allreduce), pipeline parallelism (microbatch chains), and the\n")
 	fmt.Fprintf(w, "dp x pp hybrid (per-stage sub-communicator Allreduce).\n\n")
 	fmt.Fprintf(w, "%-18s %-10s %10s %12s %10s\n", "workload", "policy", "exec(us)", "latency(us)", "reused")
-	type key struct {
-		app    string
-		policy prdrb.Policy
-	}
-	execs := map[key]float64{}
-	for _, app := range []string{"ai-dp-allreduce", "ai-pp-pipeline", "ai-dp-pp"} {
-		opt := prdrb.WorkloadOptions{Iterations: appIters(ctx, 4)}
-		for _, p := range collPolicies() {
-			o := runApp(app, p, ctx.seeds[0], opt, 0)
-			execs[key{app, p}] = o.exec.Micros()
-			fmt.Fprintf(w, "%-18s %-10s %10.1f %12.2f %10d\n",
-				app, p, o.exec.Micros(), o.res.GlobalLatencyUs, o.res.Stats.ReuseApplications)
+	apps := []string{"ai-dp-allreduce", "ai-pp-pipeline", "ai-dp-pp"}
+	var execs [][]float64
+	for _, app := range apps {
+		outs, err := appRuns(ctx, app, prdrb.WorkloadOptions{Iterations: ctx.pick(4, 2)}, 0, collFamily...)
+		if err != nil {
+			return err
 		}
+		var ex []float64
+		for i, o := range outs {
+			ex = append(ex, o.Exec.Micros())
+			fmt.Fprintf(w, "%-18s %-10s %10.1f %12.2f %10d\n",
+				app, collFamily[i], o.Exec.Micros(), o.Res.GlobalLatencyUs, o.Res.Stats.ReuseApplications)
+		}
+		execs = append(execs, ex)
 	}
 	fmt.Fprintf(w, "\npr-drb exec-time gain vs adaptive / vs drb:\n")
-	for _, app := range []string{"ai-dp-allreduce", "ai-pp-pipeline", "ai-dp-pp"} {
-		ad := execs[key{app, prdrb.PolicyAdaptive}]
-		drb := execs[key{app, prdrb.PolicyDRB}]
-		pr := execs[key{app, prdrb.PolicyPRDRB}]
+	for i, app := range apps {
+		ad, drb, pr := execs[i][0], execs[i][1], execs[i][2]
 		fmt.Fprintf(w, "  %-18s %6.1f%% / %6.1f%%\n", app, prdrb.GainPct(ad, pr), prdrb.GainPct(drb, pr))
 	}
 	fmt.Fprintf(w, "\nreading: the dp job repeats one traffic pattern every step, so predictive reuse\n")

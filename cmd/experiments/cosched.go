@@ -16,35 +16,20 @@ func init() {
 // DRB and PR-DRB per-burst latency over repeated identical bursts — equal
 // in the learning stage, diverging once solutions are saved.
 func fig31(ctx *runCtx, w io.Writer) error {
-	count := 8
-	if ctx.quick {
-		count = 4
-	}
+	count := ctx.pick(8, 4)
 	fmt.Fprintf(w, "repeated shuffle bursts (900 Mbps, 64 nodes): average latency per burst (us)\n\n")
-	fmt.Fprintf(w, "burst:      ")
-	for b := 0; b < count; b++ {
-		fmt.Fprintf(w, "%8d", b+1)
+	avg, _, err := seedMean(ctx, []prdrb.Policy{prdrb.PolicyDRB, prdrb.PolicyPRDRB}, func(p prdrb.Policy, seed uint64) prdrb.Scenario {
+		return permBursts(p, "shuffle", 64, 900, count, seed)
+	}, func(rs []prdrb.Outcome) ([]float64, error) {
+		return append(perBurst(rs[0], count), perBurst(rs[1], count)...), lossless(rs...)
+	})
+	if err != nil {
+		return err
 	}
-	fmt.Fprintln(w)
-	series := map[prdrb.Policy][]float64{}
-	for _, p := range []prdrb.Policy{prdrb.PolicyDRB, prdrb.PolicyPRDRB} {
-		sum := make([]float64, count)
-		for _, o := range parMap(ctx.seeds, func(seed uint64) burstOutcome {
-			return runBursts(p, "shuffle", 64, 900, count, seed)
-		}) {
-			for b := range sum {
-				sum[b] += o.perBurst[b] / float64(len(ctx.seeds))
-			}
-		}
-		series[p] = sum
-		fmt.Fprintf(w, "%-11s ", p)
-		for b := 0; b < count; b++ {
-			fmt.Fprintf(w, "%8.2f", sum[b])
-		}
-		fmt.Fprintln(w)
-	}
-	first := prdrb.GainPct(series[prdrb.PolicyDRB][0], series[prdrb.PolicyPRDRB][0])
-	last := prdrb.GainPct(series[prdrb.PolicyDRB][count-1], series[prdrb.PolicyPRDRB][count-1])
+	drb, pr := avg[:count], avg[count:]
+	burstTable(w, []string{"drb", "pr-drb"}, drb, pr)
+	first := prdrb.GainPct(drb[0], pr[0])
+	last := prdrb.GainPct(drb[count-1], pr[count-1])
 	fmt.Fprintf(w, "\nstage 1 (learning): %.1f%% apart — \"the curve for DRB and PR-DRB are practically\n", first)
 	fmt.Fprintf(w, "the same\" (§3.1.1); stage 2 (reuse): PR-DRB %.1f%% below DRB.\n", last)
 	return nil
@@ -55,71 +40,44 @@ func fig31(ctx *runCtx, w io.Writer) error {
 // application's execution time alone vs co-scheduled, under deterministic
 // routing and under PR-DRB.
 func ablCoschedule(ctx *runCtx, w io.Writer) error {
-	iters := 8
-	if ctx.quick {
-		iters = 4
-	}
-	popTrace := func() *prdrb.Trace {
-		tr, err := prdrb.Workload("pop", prdrb.WorkloadOptions{Ranks: 16, Iterations: iters})
-		if err != nil {
-			panic(err)
-		}
-		return tr
-	}
-	lammpsTrace := func() *prdrb.Trace {
-		tr, err := prdrb.Workload("lammps-chain", prdrb.WorkloadOptions{Ranks: 16, Iterations: iters})
-		if err != nil {
-			panic(err)
-		}
-		return tr
-	}
+	iters := ctx.pick(8, 4)
 	// Both applications are striped across every leaf switch (POP on
 	// nodes 4i, LAMMPS on nodes 4i+1), so both must cross the L1/L2 core
 	// and share its links — the adversarial co-scheduling case.
-	popMap := make([]prdrb.NodeID, 16)
-	lammpsMap := make([]prdrb.NodeID, 16)
-	for i := 0; i < 16; i++ {
-		popMap[i] = prdrb.NodeID(4 * i)
-		lammpsMap[i] = prdrb.NodeID(4*i + 1)
-	}
-
-	run := func(policy prdrb.Policy, both bool) (popExec, lammpsExec prdrb.Time) {
-		exp := prdrb.Experiment{Topology: prdrb.FatTree(4, 3), Policy: policy, Seed: ctx.seeds[0], Shards: 1}
-		if cfg, ok := prdrb.TracePolicyConfig(policy); ok {
-			exp.DRB = &cfg
-		}
-		s := prdrb.MustNewSim(exp)
-		popRep, err := s.PlayTrace(popTrace(), popMap)
+	var apps []prdrb.MappedTrace
+	for off, name := range []string{"pop", "lammps-chain"} {
+		tr, err := prdrb.Workload(name, prdrb.WorkloadOptions{Ranks: 16, Iterations: iters})
 		if err != nil {
-			panic(err)
+			return err
 		}
-		var lamRep *prdrb.Replay
-		if both {
-			lamRep, err = s.PlayTrace(lammpsTrace(), lammpsMap)
-			if err != nil {
-				panic(err)
-			}
+		app := prdrb.MappedTrace{Trace: tr}
+		for i := 0; i < 16; i++ {
+			app.Mapping = append(app.Mapping, prdrb.NodeID(4*i+off))
 		}
-		s.Execute(120 * prdrb.Second)
-		if err := popRep.Err(); err != nil {
-			panic(err)
+		apps = append(apps, app)
+	}
+	// POP alone and beside LAMMPS under each policy.
+	policies := []prdrb.Policy{prdrb.PolicyDeterministic, prdrb.PolicyPRDRB}
+	var scs []prdrb.Scenario
+	for _, p := range policies {
+		for n := 1; n <= 2; n++ {
+			scs = append(scs, prdrb.Scenario{
+				Experiment: prdrb.Experiment{Topology: prdrb.FatTree(4, 3), Policy: p, Seed: ctx.seeds[0]},
+				Traces:     apps[:n],
+				Drain:      120 * prdrb.Second,
+			})
 		}
-		popExec = popRep.ExecutionTime()
-		if both {
-			if err := lamRep.Err(); err != nil {
-				panic(err)
-			}
-			lammpsExec = lamRep.ExecutionTime()
-		}
-		return popExec, lammpsExec
+	}
+	outs, err := runAll(ctx, scs...)
+	if err != nil {
+		return err
 	}
 
 	fmt.Fprintf(w, "POP (16 ranks, nodes 4i) and LAMMPS (16 ranks, nodes 4i+1), both striped\n")
 	fmt.Fprintf(w, "across every leaf switch of one 64-node fat tree — all traffic shares the core\n\n")
 	fmt.Fprintf(w, "%-14s %16s %16s %14s\n", "policy", "pop alone(us)", "pop shared(us)", "slowdown")
-	for _, p := range []prdrb.Policy{prdrb.PolicyDeterministic, prdrb.PolicyPRDRB} {
-		alone, _ := run(p, false)
-		shared, _ := run(p, true)
+	for i, p := range policies {
+		alone, shared := outs[2*i].Exec, outs[2*i+1].Exec
 		slow := float64(shared)/float64(alone) - 1
 		fmt.Fprintf(w, "%-14s %16.1f %16.1f %13.1f%%\n", p, alone.Micros(), shared.Micros(), 100*slow)
 	}

@@ -24,57 +24,42 @@ func init() {
 type dcResult struct {
 	mean, p50, p99, peak prdrb.Summary
 	saved, reused        float64
-	err                  error
-}
-
-type dcSeedOut struct {
-	mean, p50, p99, peak float64
-	saved, reused        float64
-	err                  error
 }
 
 // dcMeasure runs one policy across the harness seeds and summarizes the
 // latency view (mean, percentiles, hottest-router contention) as
 // mean ± 95% CI per §4.3.
-func dcMeasure(ctx *runCtx, topo func() prdrb.Topology, policy prdrb.Policy, spec prdrb.HeavyTailSpec) dcResult {
-	outs := parMap(ctx.seeds, func(seed uint64) dcSeedOut {
-		s := prdrb.MustNewSim(prdrb.Experiment{
-			Topology: topo(), Policy: policy, Seed: seed,
-			SeriesWindow: 50 * prdrb.Microsecond,
+func dcMeasure(ctx *runCtx, topo func() prdrb.Topology, policy prdrb.Policy, spec prdrb.HeavyTailSpec) (dcResult, error) {
+	var scs []prdrb.Scenario
+	for _, seed := range ctx.seeds {
+		scs = append(scs, prdrb.Scenario{
+			Experiment: prdrb.Experiment{Topology: topo(), Policy: policy, Seed: seed, SeriesWindow: 50 * prdrb.Microsecond},
+			HeavyTail:  &spec,
+			Drain:      prdrb.Second,
 		})
-		if err := s.InstallHeavyTail(spec); err != nil {
-			return dcSeedOut{err: err}
-		}
-		res := s.Execute(spec.End + prdrb.Second)
-		if res.AcceptedRatio != 1 {
-			return dcSeedOut{err: fmt.Errorf("%s lost traffic (accepted %.3f)", policy, res.AcceptedRatio)}
-		}
-		return dcSeedOut{
-			mean: res.GlobalLatencyUs, p50: res.P50Us, p99: res.P99Us, peak: res.PeakContentionUs,
-			saved: float64(res.SavedPatterns), reused: float64(res.Stats.ReuseApplications),
-		}
-	})
-	var mean, p50, p99, peak []float64
+	}
+	outs, err := runAll(ctx, scs...)
+	if err == nil {
+		err = lossless(outs...)
+	}
+	if err != nil {
+		return dcResult{}, err
+	}
+	var cols [4][]float64
 	var agg dcResult
 	for _, o := range outs {
-		if o.err != nil {
-			return dcResult{err: o.err}
+		r := o.Res
+		for i, v := range []float64{r.GlobalLatencyUs, r.P50Us, r.P99Us, r.PeakContentionUs} {
+			cols[i] = append(cols[i], v)
 		}
-		mean = append(mean, o.mean)
-		p50 = append(p50, o.p50)
-		p99 = append(p99, o.p99)
-		peak = append(peak, o.peak)
-		agg.saved += o.saved
-		agg.reused += o.reused
+		agg.saved += float64(r.SavedPatterns)
+		agg.reused += float64(r.Stats.ReuseApplications)
 	}
 	n := float64(len(outs))
-	agg.mean = prdrb.Summarize(mean)
-	agg.p50 = prdrb.Summarize(p50)
-	agg.p99 = prdrb.Summarize(p99)
-	agg.peak = prdrb.Summarize(peak)
+	agg.mean, agg.p50, agg.p99, agg.peak = prdrb.Summarize(cols[0]), prdrb.Summarize(cols[1]), prdrb.Summarize(cols[2]), prdrb.Summarize(cols[3])
 	agg.saved /= n
 	agg.reused /= n
-	return agg
+	return agg, nil
 }
 
 // pmUs renders a Summary as "mean±ci" in microseconds for the tables.
@@ -83,16 +68,16 @@ func pmUs(s prdrb.Summary) string { return fmt.Sprintf("%.2f±%.2f", s.Mean, s.C
 // dcCompare renders the three-policy comparison table plus the gain
 // statement, and emits the plot CSV (one row per policy).
 func dcCompare(ctx *runCtx, w io.Writer, name, fabric string, topo func() prdrb.Topology, spec prdrb.HeavyTailSpec) error {
-	policies := []prdrb.Policy{prdrb.PolicyAdaptive, prdrb.PolicyDRB, prdrb.PolicyPRDRB}
+	policies := collFamily
 	fmt.Fprintf(w, "%s\n%s flow sizes, ON/OFF arrivals, grouplocal p=%.1f, %.0f Mbps/node over %.0f us\n\n",
 		fabric, spec.CDF, spec.PLocal, spec.LoadMbps, float64(spec.End)/float64(prdrb.Microsecond))
 	fmt.Fprintf(w, "%-14s %14s %14s %14s %16s %8s %8s\n", "policy", "mean us", "p50 us", "p99 us", "peak us", "saved", "reused")
 	got := map[prdrb.Policy]dcResult{}
 	var rows [][]float64
 	for i, p := range policies {
-		r := dcMeasure(ctx, topo, p, spec)
-		if r.err != nil {
-			return r.err
+		r, err := dcMeasure(ctx, topo, p, spec)
+		if err != nil {
+			return err
 		}
 		got[p] = r
 		fmt.Fprintf(w, "%-14s %14s %14s %14s %16s %8.0f %8.0f\n", p,
@@ -119,8 +104,6 @@ func dcCompare(ctx *runCtx, w io.Writer, name, fabric string, topo func() prdrb.
 // Full mode uses df-4-9-2-2 (72 nodes, every group linked); quick mode a
 // 40-node df-4-5-1-2. Group size defaults to the dragonfly rack (a*p).
 func dcDragonfly(ctx *runCtx, w io.Writer) error {
-	topo := func() prdrb.Topology { return prdrb.Dragonfly(4, 9, 2, 2) }
-	label := "dragonfly df-4-9-2-2 (72 nodes, 2 VCs via global-link datelines)"
 	spec := prdrb.HeavyTailSpec{
 		CDF: "cache", Pattern: "grouplocal", PLocal: 0.7,
 		LoadMbps: 400,
@@ -128,19 +111,18 @@ func dcDragonfly(ctx *runCtx, w io.Writer) error {
 		End: 1500 * prdrb.Microsecond,
 	}
 	if ctx.quick {
-		topo = func() prdrb.Topology { return prdrb.Dragonfly(4, 5, 1, 2) }
-		label = "dragonfly df-4-5-1-2 (40 nodes, quick)"
 		spec.End = 300 * prdrb.Microsecond
+		return dcCompare(ctx, w, "dc-dragonfly", "dragonfly df-4-5-1-2 (40 nodes, quick)",
+			func() prdrb.Topology { return prdrb.Dragonfly(4, 5, 1, 2) }, spec)
 	}
-	return dcCompare(ctx, w, "dc-dragonfly", label, topo, spec)
+	return dcCompare(ctx, w, "dc-dragonfly", "dragonfly df-4-9-2-2 (72 nodes, 2 VCs via global-link datelines)",
+		func() prdrb.Topology { return prdrb.Dragonfly(4, 9, 2, 2) }, spec)
 }
 
 // dcClos: web-search flow sizes (truncated at 256 KB so the elephant tail
 // stays tractable) on the full-bisection folded Clos. Full mode uses the
 // 512-host clos-16; quick mode the 64-host clos-8.
 func dcClos(ctx *runCtx, w io.Writer) error {
-	topo := func() prdrb.Topology { return prdrb.Clos(16) }
-	label := "folded Clos clos-16 (512 hosts, full bisection)"
 	spec := prdrb.HeavyTailSpec{
 		CDF: "websearch", MaxFlowBytes: 256 * 1024,
 		Pattern: "grouplocal", PLocal: 0.5,
@@ -149,9 +131,10 @@ func dcClos(ctx *runCtx, w io.Writer) error {
 		End: 1000 * prdrb.Microsecond,
 	}
 	if ctx.quick {
-		topo = func() prdrb.Topology { return prdrb.Clos(8) }
-		label = "folded Clos clos-8 (64 hosts, quick)"
 		spec.End = 300 * prdrb.Microsecond
+		return dcCompare(ctx, w, "dc-clos", "folded Clos clos-8 (64 hosts, quick)",
+			func() prdrb.Topology { return prdrb.Clos(8) }, spec)
 	}
-	return dcCompare(ctx, w, "dc-clos", label, topo, spec)
+	return dcCompare(ctx, w, "dc-clos", "folded Clos clos-16 (512 hosts, full bisection)",
+		func() prdrb.Topology { return prdrb.Clos(16) }, spec)
 }

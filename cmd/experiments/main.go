@@ -17,19 +17,25 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
 	"time"
 
+	"prdrb"
 	"prdrb/cmd/internal/obsflags"
+	"prdrb/internal/telemetry"
 )
 
 type experiment struct {
 	id    string // e.g. "fig4.13"
 	title string
-	run   func(ctx *runCtx, w io.Writer) error
+	run   runFunc
 }
+
+// runFunc writes one experiment's report.
+type runFunc func(ctx *runCtx, w io.Writer) error
 
 // runCtx carries the harness-wide knobs into each experiment.
 type runCtx struct {
@@ -38,6 +44,9 @@ type runCtx struct {
 	// outDir, when not "-", also receives machine-readable CSV series next
 	// to the text reports (for plotting the figures).
 	outDir string
+	// procs bounds every worker pool: experiments, campaign cells and the
+	// runs inside one experiment.
+	procs int
 }
 
 // writeCSV emits a plot-ready CSV next to the text reports; silently
@@ -61,7 +70,7 @@ func (ctx *runCtx) writeCSV(name string, header []string, rows [][]float64) erro
 
 var registry []experiment
 
-func register(id, title string, run func(*runCtx, io.Writer) error) {
+func register(id, title string, run runFunc) {
 	registry = append(registry, experiment{id: id, title: title, run: run})
 }
 
@@ -70,7 +79,7 @@ func main() {
 	outDir := flag.String("out", "results", "output directory ('-' = stdout)")
 	nSeeds := flag.Int("seeds", 3, "seeds per measurement (multi-seed averaging, thesis §4.3)")
 	quick := flag.Bool("quick", false, "shrink workloads for a fast smoke run")
-	procs := flag.Int("procs", 1, "experiments to run concurrently (each simulation is single-threaded and independent)")
+	procs := flag.Int("procs", runtime.NumCPU(), "simulations to run concurrently (each is single-threaded and independent)")
 	shards := flag.Int("shards", 1, "engine shards per simulation (>1 selects the conservative-parallel engine; trace-replay experiments always run serial)")
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	obs := obsflags.Register(flag.CommandLine, "experiments")
@@ -78,7 +87,6 @@ func main() {
 	campaignDir := flag.String("campaign-dir", "campaigns", "root directory for campaign results (one subdirectory per manifest hash)")
 	campaignWorkers := flag.Int("campaign-workers", 4, "concurrent cell simulations in campaign mode")
 	flag.Parse()
-	wallStart := time.Now()
 
 	sort.SliceStable(registry, func(i, j int) bool { return registry[i].id < registry[j].id })
 	if *list {
@@ -93,7 +101,7 @@ func main() {
 		os.Exit(2)
 	}
 	obsflags.DefaultShards(*shards)
-	ctx := &runCtx{seeds: seedList(*nSeeds), quick: *quick, outDir: *outDir}
+	ctx := &runCtx{seeds: seedList(*nSeeds), quick: *quick, outDir: *outDir, procs: max(*procs, 1)}
 	if *outDir != "-" {
 		if err := os.MkdirAll(*outDir, 0o755); err != nil {
 			fmt.Fprintf(os.Stderr, "%v\n", err)
@@ -114,23 +122,21 @@ func main() {
 		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 		os.Exit(1)
 	}
-	live := obs.Live
 	if *campaignPath != "" {
 		// Campaign mode replaces the experiment registry entirely: the
 		// manifest grid is the work list, and the campaign directory is the
 		// completion record.
 		failed := runCampaign(campaignOpts{
 			manifestPath: *campaignPath, dir: *campaignDir,
-			workers: *campaignWorkers, shards: *shards, board: obs.Board, live: live,
+			workers: *campaignWorkers, shards: *shards, board: obs.Board, live: obs.Live,
 		})
 		if failed > 0 {
 			os.Exit(1)
 		}
 		return
 	}
-	workers := *procs
-	if workers < 1 || *outDir == "-" {
-		workers = 1 // stdout output must stay ordered
+	if *outDir == "-" {
+		ctx.procs = 1 // stdout output must stay ordered
 	}
 	if shared := obs.SharedRecorder(); shared != "" {
 		// The shared tracer's event log, the shared metrics registry and
@@ -139,75 +145,12 @@ func main() {
 		if *procs > 1 {
 			fmt.Fprintf(os.Stderr, "experiments: %s forces serial execution; ignoring -procs %d\n", shared, *procs)
 		}
-		workers = 1
-		serialExec = true
+		ctx.procs = 1
 	}
-	type outcome struct {
-		exp     experiment
-		err     error
-		elapsed float64
-	}
-	jobs := make(chan experiment)
-	results := make(chan outcome)
-	for wkr := 0; wkr < workers; wkr++ {
-		go func() {
-			for e := range jobs {
-				start := time.Now()
-				var w io.Writer = os.Stdout
-				var a *obsflags.Artifact
-				var err error
-				if *outDir != "-" {
-					a, err = obsflags.CreateArtifact(filepath.Join(*outDir, e.id+".txt"))
-					if err != nil {
-						results <- outcome{exp: e, err: err}
-						continue
-					}
-					w = a
-				}
-				fmt.Fprintf(w, "# %s — %s\n\n", e.id, e.title)
-				err = e.run(ctx, w)
-				if a != nil {
-					// Publish even on a failed check — the partial report
-					// says what went wrong. It is complete as written.
-					if cerr := a.Commit(); err == nil {
-						err = cerr
-					}
-				}
-				results <- outcome{exp: e, err: err, elapsed: time.Since(start).Seconds()}
-			}
-		}()
-	}
-	go func() {
-		for _, e := range selected {
-			jobs <- e
-		}
-		close(jobs)
-	}()
-	failed := 0
-	// Interval state for the live events/sec figure on the progress line.
-	lastWall, lastEvents := wallStart, int64(0)
-	for done := 1; done <= len(selected); done++ {
-		o := <-results
-		live.AddRun()
-		status := "ok"
-		if o.err != nil {
-			status = "FAILED: " + o.err.Error()
-			failed++
-		}
-		fmt.Printf("%-12s %-55s %8.2fs  %s\n", o.exp.id, o.exp.title, o.elapsed, status)
-		if remaining := len(selected) - done; remaining > 0 {
-			eta := time.Since(wallStart) / time.Duration(done) * time.Duration(remaining)
-			now, events := time.Now(), live.Events.Load()
-			rate := float64(events-lastEvents) / now.Sub(lastWall).Seconds()
-			lastWall, lastEvents = now, events
-			fmt.Fprintf(os.Stderr, "experiments: %d/%d done (%s), eta ~%s, %.1fM ev/s, vt=%s\n",
-				done, len(selected), o.exp.id, eta.Round(time.Second),
-				rate/1e6, time.Duration(live.VirtualNs.Load()).Round(time.Microsecond))
-		}
-	}
+	failed := runExperiments(ctx, selected, obs.Live)
 	if err := obs.Finish(ctx.seeds[0], map[string]any{
 		"run": *runPat, "seeds": *nSeeds, "quick": *quick,
-		"out": *outDir, "procs": workers,
+		"out": *outDir, "procs": ctx.procs,
 	}); err != nil {
 		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 		failed++
@@ -217,15 +160,69 @@ func main() {
 	}
 }
 
-func seedList(n int) []uint64 {
-	out := make([]uint64, n)
-	x := uint64(0xC0FFEE)
-	for i := range out {
-		x += 0x9e3779b97f4a7c15
-		z := x
-		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		out[i] = z ^ (z >> 31)
+// runExperiments runs the selected experiments on the pool, writing each
+// report to ctx.outDir (or stdout) and one status line per experiment as it
+// finishes, and returns how many failed.
+func runExperiments(ctx *runCtx, selected []experiment, live *telemetry.LiveStats) int {
+	wallStart := time.Now()
+	elapsed := make([]float64, len(selected))
+	failed, done := 0, 0
+	// Interval state for the live events/sec figure on the progress line.
+	lastWall, lastEvents := wallStart, int64(0)
+	ctx.pool(len(selected), func(i int) error {
+		start := time.Now()
+		defer func() { elapsed[i] = time.Since(start).Seconds() }()
+		return runExperiment(ctx, selected[i])
+	}, func(i int, err error) {
+		done++
+		e := selected[i]
+		live.AddRun()
+		status := "ok"
+		if err != nil {
+			status = "FAILED: " + err.Error()
+			failed++
+		}
+		fmt.Printf("%-12s %-55s %8.2fs  %s\n", e.id, e.title, elapsed[i], status)
+		if remaining := len(selected) - done; remaining > 0 {
+			eta := time.Since(wallStart) / time.Duration(done) * time.Duration(remaining)
+			now, events := time.Now(), live.Events.Load()
+			rate := float64(events-lastEvents) / now.Sub(lastWall).Seconds()
+			lastWall, lastEvents = now, events
+			fmt.Fprintf(os.Stderr, "experiments: %d/%d done (%s), eta ~%s, %.1fM ev/s, vt=%s\n",
+				done, len(selected), e.id, eta.Round(time.Second),
+				rate/1e6, time.Duration(live.VirtualNs.Load()).Round(time.Microsecond))
+		}
+	})
+	return failed
+}
+
+// runExperiment writes one experiment's report. The report is published
+// even when the experiment fails: the partial report says what went wrong.
+func runExperiment(ctx *runCtx, e experiment) (err error) {
+	var w io.Writer = os.Stdout
+	if ctx.outDir != "-" {
+		a, err := obsflags.CreateArtifact(filepath.Join(ctx.outDir, e.id+".txt"))
+		if err != nil {
+			return err
+		}
+		defer func() {
+			if cerr := a.Commit(); err == nil {
+				err = cerr
+			}
+		}()
+		w = a
 	}
-	return out
+	fmt.Fprintf(w, "# %s — %s\n\n", e.id, e.title)
+	return e.run(ctx, w)
+}
+
+// seedList derives the harness's n seeds.
+func seedList(n int) []uint64 { return prdrb.Seeds(n, 0xC0FFEE) }
+
+// pick returns full, or small under -quick.
+func (ctx *runCtx) pick(full, small int) int {
+	if ctx.quick {
+		return small
+	}
+	return full
 }

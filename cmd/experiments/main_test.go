@@ -2,9 +2,14 @@ package main
 
 import (
 	"io"
+	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
+
+	"prdrb"
+	"prdrb/internal/telemetry"
 )
 
 // Every registered experiment id must be unique and match the id grammar.
@@ -68,4 +73,44 @@ func TestQuickExperimentsSmoke(t *testing.T) {
 	}
 }
 
-var _ io.Writer = (*strings.Builder)(nil)
+// A failing experiment fails alone: a panic on the experiment's goroutine,
+// a panic on one of its pool workers and a simulation that refuses its
+// scenario are each reported, and the other experiments' reports are still
+// committed (the failed ones' partial reports too).
+func TestFailingExperimentsLeaveTheRest(t *testing.T) {
+	saved := registry
+	t.Cleanup(func() { registry = saved })
+	register("abl.panics", "panics", func(*runCtx, io.Writer) error { panic("boom") })
+	register("abl.workerpanics", "panics on a pool worker", func(ctx *runCtx, w io.Writer) error {
+		_, err := parMap(ctx, []int{1, 2, 3}, func(int) (int, error) { panic("worker boom") })
+		return err
+	})
+	register("abl.badscenario", "refused scenario", func(ctx *runCtx, w io.Writer) error {
+		_, err := runAll(ctx, prdrb.Scenario{Experiment: prdrb.Experiment{Policy: "bogus"}})
+		return err
+	})
+	var selected []experiment
+	for _, e := range registry {
+		switch e.id {
+		case "abl.panics", "abl.workerpanics", "abl.badscenario", "table4.1", "fig2.12":
+			selected = append(selected, e)
+		}
+	}
+	dir := t.TempDir()
+	ctx := &runCtx{seeds: seedList(1), quick: true, outDir: dir, procs: 2}
+	if failed := runExperiments(ctx, selected, &telemetry.LiveStats{}); failed != 3 {
+		t.Fatalf("%d experiments reported failed, want 3", failed)
+	}
+	for _, e := range selected {
+		report, err := os.ReadFile(filepath.Join(dir, e.id+".txt"))
+		if err != nil {
+			t.Fatalf("%s: no committed report: %v", e.id, err)
+		}
+		if !strings.HasPrefix(string(report), "# "+e.id+" — ") {
+			t.Errorf("%s: report starts %q", e.id, report[:min(len(report), 40)])
+		}
+	}
+	if report, _ := os.ReadFile(filepath.Join(dir, "table4.1.txt")); !strings.Contains(string(report), "verified bijective") {
+		t.Errorf("table4.1's report is incomplete:\n%s", report)
+	}
+}

@@ -28,7 +28,7 @@ func ablResilience(ctx *runCtx, w io.Writer) error {
 	if ctx.quick {
 		faultCounts = []int{0, 4}
 	}
-	policies := []prdrb.Policy{prdrb.PolicyDeterministic, prdrb.PolicyDRB, prdrb.PolicyPRDRB}
+	policies := drbFamily
 	// Faults hit at 200-300us and repair at 600-700us — after the traffic
 	// window closes, so a packet parked on a dead link cannot arrive
 	// "on time"; only rerouting can save it.
@@ -44,10 +44,6 @@ func ablResilience(ctx *runCtx, w io.Writer) error {
 		policy prdrb.Policy
 		seed   uint64
 	}
-	type outcome struct {
-		onTime int64 // packets delivered before the traffic window closed
-		res    prdrb.Results
-	}
 	var cells []cell
 	for _, n := range faultCounts {
 		for _, p := range policies {
@@ -56,23 +52,32 @@ func ablResilience(ctx *runCtx, w io.Writer) error {
 			}
 		}
 	}
-	outs := parMap(cells, func(c cell) outcome {
-		topo := prdrb.Mesh(8, 8)
-		s := prdrb.MustNewSim(prdrb.Experiment{Topology: topo, Policy: c.policy, Seed: c.seed})
+	// Per run: global latency, p99, on-time share, dropped, unreachable,
+	// recoveries, recovery p50.
+	vals, err := parMap(ctx, cells, func(c cell) ([]float64, error) {
+		sc := prdrb.Scenario{
+			Experiment: prdrb.Experiment{Topology: prdrb.Mesh(8, 8), Policy: c.policy, Seed: c.seed},
+			Pattern:    &prdrb.PatternSpec{Pattern: "uniform", RateMbps: 200, Start: 0, End: trafficEnd},
+		}
 		if c.n > 0 {
-			plan := prdrb.RandomLinkFaults(topo, c.seed, c.n, faultStart, faultSpread, mttr)
-			if _, err := s.InstallFaults(plan); err != nil {
-				panic(err)
-			}
+			sc.Faults = fmt.Sprintf("rand%d@%dns+%dns~%dns", c.n, faultStart, faultSpread, mttr)
 		}
-		if err := s.InstallPattern(prdrb.PatternSpec{
-			Pattern: "uniform", RateMbps: 200, Start: 0, End: trafficEnd,
-		}); err != nil {
-			panic(err)
+		s, _, _, err := sc.Build()
+		if err != nil {
+			return nil, err
 		}
-		onTime := s.Execute(trafficEnd).DeliveredPkts
-		return outcome{onTime: onTime, res: s.Execute(prdrb.Second)}
+		onTime := s.Execute(trafficEnd).DeliveredPkts // delivered before the window closed
+		r := s.Execute(prdrb.Second)
+		share := 0.0
+		if r.DeliveredPkts > 0 {
+			share = float64(onTime) / float64(r.DeliveredPkts)
+		}
+		return []float64{r.GlobalLatencyUs, r.P99Us, share, float64(r.DroppedPkts),
+			float64(r.UnreachableMsgs), float64(r.Recoveries), r.RecoveryP50Us}, nil
 	})
+	if err != nil {
+		return err
+	}
 
 	fmt.Fprintf(w, "8x8 mesh, uniform 200 Mbps/node for 600us; n random link failures hit at\n")
 	fmt.Fprintf(w, "t=200-300us, each repaired 400us later (after the traffic window closes);\n")
@@ -88,25 +93,12 @@ func ablResilience(ctx *runCtx, w io.Writer) error {
 	}
 	table := map[int]map[prdrb.Policy]avg{}
 	var csv [][]float64
-	k := 0
-	ns := float64(len(ctx.seeds))
-	for _, n := range faultCounts {
+	for i, n := range faultCounts {
 		table[n] = map[prdrb.Policy]avg{}
-		for _, p := range policies {
-			var a avg
-			for range ctx.seeds {
-				o := outs[k]
-				k++
-				if o.res.DeliveredPkts > 0 {
-					a.onTime += float64(o.onTime) / float64(o.res.DeliveredPkts) / ns
-				}
-				a.glob += o.res.GlobalLatencyUs / ns
-				a.p99 += o.res.P99Us / ns
-				a.drop += float64(o.res.DroppedPkts) / ns
-				a.unreach += float64(o.res.UnreachableMsgs) / ns
-				a.recov += float64(o.res.Recoveries) / ns
-				a.recP50 += o.res.RecoveryP50Us / ns
-			}
+		for j, p := range policies {
+			k := (i*len(policies) + j) * len(ctx.seeds)
+			v := mean(vals[k : k+len(ctx.seeds)])
+			a := avg{v[0], v[1], v[2], v[3], v[4], v[5], v[6]}
 			table[n][p] = a
 			fmt.Fprintf(w, "%6d %-14s %11.2f %9.2f %8.3f %8.1f %8.1f %7.1f %12.2f\n",
 				n, p, a.glob, a.p99, a.onTime, a.drop, a.unreach, a.recov, a.recP50)

@@ -20,54 +20,42 @@ func summaryReport(ctx *runCtx, w io.Writer) error {
 
 	// 1. Fig 3.1 signature on heavy shuffle.
 	count := 8
-	first, late := 0.0, 0.0
-	var detG, drbG, prG float64
-	type trio struct{ det, drb, pr burstOutcome }
-	for _, o := range parMap(ctx.seeds, func(seed uint64) trio {
-		return trio{
-			det: runBursts(prdrb.PolicyDeterministic, "shuffle", 64, 900, count, seed),
-			drb: runBursts(prdrb.PolicyDRB, "shuffle", 64, 900, count, seed),
-			pr:  runBursts(prdrb.PolicyPRDRB, "shuffle", 64, 900, count, seed),
-		}
-	}) {
-		det, drb, pr := o.det, o.drb, o.pr
-		n := float64(len(ctx.seeds))
-		first += prdrb.GainPct(drb.perBurst[0], pr.perBurst[0]) / n
-		late += prdrb.GainPct(drb.perBurst[count-1], pr.perBurst[count-1]) / n
-		detG += det.res.GlobalLatencyUs / n
-		drbG += drb.res.GlobalLatencyUs / n
-		prG += pr.res.GlobalLatencyUs / n
-		if det.res.AcceptedRatio != 1 || drb.res.AcceptedRatio != 1 || pr.res.AcceptedRatio != 1 {
-			return fmt.Errorf("throughput penalized")
-		}
+	sig, _, err := seedMean(ctx, drbFamily, func(p prdrb.Policy, seed uint64) prdrb.Scenario {
+		return permBursts(p, "shuffle", 64, 900, count, seed)
+	}, func(rs []prdrb.Outcome) ([]float64, error) {
+		drb, pr := perBurst(rs[1], count), perBurst(rs[2], count)
+		return []float64{prdrb.GainPct(drb[0], pr[0]), prdrb.GainPct(drb[count-1], pr[count-1]),
+			rs[0].Res.GlobalLatencyUs, rs[1].Res.GlobalLatencyUs, rs[2].Res.GlobalLatencyUs}, lossless(rs...)
+	})
+	if err != nil {
+		return err
 	}
+	first, late, detG, drbG, prG := sig[0], sig[1], sig[2], sig[3], sig[4]
 	fmt.Fprintf(w, "1. repeated shuffle bursts (64 nodes, heavy load):\n")
 	fmt.Fprintf(w, "   global latency: det %.1fus -> drb %.1fus -> pr-drb %.1fus\n", detG, drbG, prG)
 	fmt.Fprintf(w, "   Fig 3.1 signature: burst 1 difference %.1f%% (learning), burst %d gain %.1f%% (reuse)\n\n",
 		first, count, late)
 
 	// 2. Mesh hot-spot.
-	var meshDrb, meshPr float64
-	for _, o := range parMap(ctx.seeds, func(seed uint64) [2]float64 {
-		d := meshHotspot(prdrb.PolicyDRB, seed, 8)
-		p := meshHotspot(prdrb.PolicyPRDRB, seed, 8)
-		return [2]float64{d.Execute(prdrb.Second).GlobalLatencyUs, p.Execute(prdrb.Second).GlobalLatencyUs}
-	}) {
-		meshDrb += o[0] / float64(len(ctx.seeds))
-		meshPr += o[1] / float64(len(ctx.seeds))
+	mesh, _, err := seedMean(ctx, []prdrb.Policy{prdrb.PolicyDRB, prdrb.PolicyPRDRB}, func(p prdrb.Policy, seed uint64) prdrb.Scenario {
+		return meshHotspot(p, seed, 8)
+	}, each(func(o prdrb.Outcome) []float64 { return []float64{o.Res.GlobalLatencyUs} }))
+	if err != nil {
+		return err
 	}
 	fmt.Fprintf(w, "2. 8x8 mesh hot-spot (Figs 4.10-4.12): drb %.1fus -> pr-drb %.1fus (%.1f%%)\n\n",
-		meshDrb, meshPr, prdrb.GainPct(meshDrb, meshPr))
+		mesh[0], mesh[1], prdrb.GainPct(mesh[0], mesh[1]))
 
 	// 3. One application (LAMMPS).
-	detLat, detExec, _ := runAppAvg(ctx, "lammps-chain", prdrb.PolicyDeterministic,
-		prdrb.WorkloadOptions{Iterations: appIters(ctx, 8)})
-	prLat, prExec, last := runAppAvg(ctx, "lammps-chain", prdrb.PolicyPRDRB,
-		prdrb.WorkloadOptions{Iterations: appIters(ctx, 8)})
+	lat, exec, last, err := appMeans(ctx, "lammps-chain", prdrb.WorkloadOptions{Iterations: ctx.pick(8, 4)},
+		prdrb.PolicyDeterministic, prdrb.PolicyPRDRB)
+	if err != nil {
+		return err
+	}
 	fmt.Fprintf(w, "3. LAMMPS trace (Fig 4.25): latency det %.1fus -> pr-drb %.1fus (%.1f%%),\n",
-		detLat, prLat, prdrb.GainPct(detLat, prLat))
+		lat[0], lat[1], prdrb.GainPct(lat[0], lat[1]))
 	fmt.Fprintf(w, "   execution time %.0fus -> %.0fus (%.1f%%), %d solution re-applications\n\n",
-		detExec, prExec, prdrb.GainPct(detExec, prExec), last.res.Stats.ReuseApplications)
+		exec[0], exec[1], prdrb.GainPct(exec[0], exec[1]), last[1].Res.Stats.ReuseApplications)
 
 	// 4. Throughput guarantee.
 	fmt.Fprintf(w, "4. accepted/offered = 1.000 in every run above (lossless; §4.2 guarantee)\n")

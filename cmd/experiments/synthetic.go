@@ -16,174 +16,143 @@ const (
 	loadHeavy    = 900 // paper's "600 Mbps/node" operating point
 )
 
-// burstOutcome is one policy's measurement of a repeated-burst run.
-type burstOutcome struct {
-	res      prdrb.Results
-	perBurst []float64 // average latency per burst, us
+// The §4.4 burst shape: 250 µs of traffic, then 300 µs of compute.
+const burstLen, burstGap = 250 * prdrb.Microsecond, 300 * prdrb.Microsecond
+
+// bursts is count bursts of pattern at rate Mbps per node in the §4.4
+// shape on exp's fabric, drained for drain after the last one.
+func bursts(exp prdrb.Experiment, pattern string, rate float64, count int, drain prdrb.Time) prdrb.Scenario {
+	return prdrb.Scenario{
+		Experiment: exp,
+		Bursts:     &prdrb.BurstSpec{Pattern: pattern, RateMbps: rate, Len: burstLen, Gap: burstGap, Count: count},
+		Drain:      drain,
+	}
 }
 
-// runBursts executes the canonical bursty-permutation experiment: `count`
-// bursts of `pattern` at rateMbps over patternNodes sources.
-func runBursts(policy prdrb.Policy, pattern string, patternNodes int, rateMbps float64,
-	count int, seed uint64) burstOutcome {
+// permBursts is the canonical bursty-permutation run on the paper's fat
+// tree: count bursts of pattern at rate over the first nodes sources, with
+// the 50 µs latency series perBurst reads.
+func permBursts(policy prdrb.Policy, pattern string, nodes int, rate float64, count int, seed uint64) prdrb.Scenario {
+	exp := prdrb.Experiment{Topology: prdrb.FatTree(4, 3), Policy: policy, Seed: seed, SeriesWindow: 50 * prdrb.Microsecond}
+	sc := bursts(exp, pattern, rate, count, 100*prdrb.Millisecond)
+	sc.Bursts.PatternNodes = nodes
+	return sc
+}
 
-	s := prdrb.MustNewSim(prdrb.Experiment{
-		Topology:     prdrb.FatTree(4, 3),
-		Policy:       policy,
-		Seed:         seed,
-		SeriesWindow: 50 * prdrb.Microsecond,
-	})
-	blen, gap := 250*prdrb.Microsecond, 300*prdrb.Microsecond
-	end, err := s.InstallBursts(prdrb.BurstSpec{
-		Pattern: pattern, RateMbps: rateMbps,
-		Len: blen, Gap: gap, Count: count,
-		PatternNodes: patternNodes,
-	})
-	if err != nil {
-		panic(err)
-	}
-	res := s.Execute(end + 100*prdrb.Millisecond)
+// perBurst is a bursts run's average latency per burst, in µs.
+func perBurst(o prdrb.Outcome, count int) []float64 {
+	return windowMeans(o.Sim, burstLen+burstGap, count)
+}
 
-	period := blen + gap
-	avg := make([]float64, count)
-	n := make([]int64, count)
+// windowMeans averages the global latency series over n consecutive
+// windows of the given width, in µs (0 for an empty window).
+func windowMeans(s *prdrb.Sim, window prdrb.Time, n int) []float64 {
+	avg := make([]float64, n)
+	cnt := make([]int64, n)
 	for _, smp := range s.Collector.GlobalSeries.Samples() {
-		b := int((smp.At - 1) / period)
-		if b >= 0 && b < count {
+		b := int((smp.At - 1) / window)
+		if b >= 0 && b < n {
 			avg[b] += smp.Avg * float64(smp.N)
-			n[b] += smp.N
+			cnt[b] += smp.N
 		}
 	}
 	for b := range avg {
-		if n[b] > 0 {
-			avg[b] /= float64(n[b]) * 1e3
+		if cnt[b] > 0 {
+			avg[b] /= float64(cnt[b]) * 1e3
 		}
 	}
-	return burstOutcome{res: res, perBurst: avg}
+	return avg
 }
+
+// drbFamily is the three-policy comparison of the burst figures.
+var drbFamily = []prdrb.Policy{prdrb.PolicyDeterministic, prdrb.PolicyDRB, prdrb.PolicyPRDRB}
 
 // permutationFigure renders one Fig 4.13-4.18-style comparison: the
 // latency-vs-burst series for DRB and PR-DRB plus deterministic context.
-func permutationFigure(ctx *runCtx, w io.Writer, pattern string, nodes int, rate float64) error {
-	count := 8
-	if ctx.quick {
-		count = 4
-	}
-	type agg struct {
-		glob     []float64
-		perBurst [][]float64
-	}
-	measure := func(p prdrb.Policy) agg {
-		outs := parMap(ctx.seeds, func(seed uint64) burstOutcome {
-			return runBursts(p, pattern, nodes, rate, count, seed)
+func permutationFigure(pattern string, nodes int, rate float64) runFunc {
+	return func(ctx *runCtx, w io.Writer) error {
+		count := ctx.pick(8, 4)
+		// Per seed: the global latency under det, drb and pr-drb, then the
+		// per-burst latency under drb and pr-drb.
+		avg, _, err := seedMean(ctx, drbFamily, func(p prdrb.Policy, seed uint64) prdrb.Scenario {
+			return permBursts(p, pattern, nodes, rate, count, seed)
+		}, func(rs []prdrb.Outcome) ([]float64, error) {
+			vs := []float64{rs[0].Res.GlobalLatencyUs, rs[1].Res.GlobalLatencyUs, rs[2].Res.GlobalLatencyUs}
+			vs = append(append(vs, perBurst(rs[1], count)...), perBurst(rs[2], count)...)
+			return vs, lossless(rs...)
 		})
-		var a agg
-		for _, o := range outs {
-			if o.res.AcceptedRatio != 1 {
-				panic(fmt.Sprintf("%s lost traffic", p))
-			}
-			a.glob = append(a.glob, o.res.GlobalLatencyUs)
-			a.perBurst = append(a.perBurst, o.perBurst)
+		if err != nil {
+			return err
 		}
-		return a
-	}
-	mean := func(xs []float64) float64 {
-		s := 0.0
-		for _, x := range xs {
-			s += x
-		}
-		return s / float64(len(xs))
-	}
-	burstMean := func(a agg, b int) float64 {
-		var xs []float64
-		for _, pb := range a.perBurst {
-			xs = append(xs, pb[b])
-		}
-		return mean(xs)
-	}
+		dG, drbG, prG := avg[0], avg[1], avg[2]
+		drb, pr := avg[3:3+count], avg[3+count:]
 
-	det := measure(prdrb.PolicyDeterministic)
-	drb := measure(prdrb.PolicyDRB)
-	pr := measure(prdrb.PolicyPRDRB)
+		fmt.Fprintf(w, "fat-tree 4-ary 3-tree, %d communicating nodes, %s bursts @ %.0f Mbps/node\n", nodes, pattern, rate)
+		fmt.Fprintf(w, "%d bursts of 250us, 300us compute gaps, %d seeds averaged\n\n", count, len(ctx.seeds))
+		fmt.Fprintf(w, "average latency per burst (us):\n")
+		burstTable(w, []string{"drb", "pr-drb"}, drb, pr)
+		lateDRB := (drb[count-1] + drb[count-2]) / 2
+		latePR := (pr[count-1] + pr[count-2]) / 2
+		var csv [][]float64
+		for b := 0; b < count; b++ {
+			csv = append(csv, []float64{float64(b + 1), drb[b], pr[b]})
+		}
+		if err := ctx.writeCSV(fmt.Sprintf("series-%s-%d-%.0f", pattern, nodes, rate), []string{"burst", "drb_us", "prdrb_us"}, csv); err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "\nglobal average latency: det=%.2fus drb=%.2fus pr-drb=%.2fus\n", dG, drbG, prG)
+		fmt.Fprintf(w, "gains: drb vs det = %.1f%%, pr-drb vs drb (global) = %.1f%%, pr-drb vs drb (steady bursts) = %.1f%%\n",
+			prdrb.GainPct(dG, drbG), prdrb.GainPct(drbG, prG), prdrb.GainPct(lateDRB, latePR))
+		fmt.Fprintf(w, "first-burst difference (learning phase, should be ~0): %.1f%%\n",
+			prdrb.GainPct(drb[0], pr[0]))
+		return nil
+	}
+}
 
-	fmt.Fprintf(w, "fat-tree 4-ary 3-tree, %d communicating nodes, %s bursts @ %.0f Mbps/node\n", nodes, pattern, rate)
-	fmt.Fprintf(w, "%d bursts of 250us, 300us compute gaps, %d seeds averaged\n\n", count, len(ctx.seeds))
-	fmt.Fprintf(w, "average latency per burst (us):\nburst:      ")
-	for b := 0; b < count; b++ {
+// burstTable prints one row of per-burst latencies per name under a
+// burst-number header.
+func burstTable(w io.Writer, names []string, rows ...[]float64) {
+	fmt.Fprintf(w, "burst:      ")
+	for b := range rows[0] {
 		fmt.Fprintf(w, "%8d", b+1)
 	}
 	fmt.Fprintln(w)
-	for _, row := range []struct {
-		name string
-		a    agg
-	}{{"drb", drb}, {"pr-drb", pr}} {
-		fmt.Fprintf(w, "%-11s ", row.name)
-		for b := 0; b < count; b++ {
-			fmt.Fprintf(w, "%8.2f", burstMean(row.a, b))
+	for i, row := range rows {
+		fmt.Fprintf(w, "%-11s ", names[i])
+		for _, v := range row {
+			fmt.Fprintf(w, "%8.2f", v)
 		}
 		fmt.Fprintln(w)
 	}
-	dG, drbG, prG := mean(det.glob), mean(drb.glob), mean(pr.glob)
-	lateDRB := (burstMean(drb, count-1) + burstMean(drb, count-2)) / 2
-	latePR := (burstMean(pr, count-1) + burstMean(pr, count-2)) / 2
-	var csv [][]float64
-	for b := 0; b < count; b++ {
-		csv = append(csv, []float64{float64(b + 1), burstMean(drb, b), burstMean(pr, b)})
-	}
-	if err := ctx.writeCSV(fmt.Sprintf("series-%s-%d-%.0f", pattern, nodes, rate), []string{"burst", "drb_us", "prdrb_us"}, csv); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "\nglobal average latency: det=%.2fus drb=%.2fus pr-drb=%.2fus\n", dG, drbG, prG)
-	fmt.Fprintf(w, "gains: drb vs det = %.1f%%, pr-drb vs drb (global) = %.1f%%, pr-drb vs drb (steady bursts) = %.1f%%\n",
-		prdrb.GainPct(dG, drbG), prdrb.GainPct(drbG, prG), prdrb.GainPct(lateDRB, latePR))
-	fmt.Fprintf(w, "first-burst difference (learning phase, should be ~0): %.1f%%\n",
-		prdrb.GainPct(burstMean(drb, 0), burstMean(pr, 0)))
-	return nil
 }
 
 func init() {
-	type permCase struct {
-		id, title, pattern string
-		nodes              int
-		rate               float64
-	}
-	for _, c := range []permCase{
-		{"fig4.13", "Fat tree - Shuffle 32 nodes, moderate load", "shuffle", 32, loadModerate},
-		{"fig4.14", "Fat tree - Shuffle 32 nodes, heavy load", "shuffle", 32, loadHeavy},
-		{"fig4.15", "Fat tree - Bit Reversal 32 nodes, moderate load", "bitreversal", 32, loadModerate},
-		{"fig4.16", "Fat tree - Bit Reversal 32 nodes, heavy load", "bitreversal", 32, loadHeavy},
-		{"fig4.17", "Fat tree - Matrix Transpose 64 nodes, moderate load", "transpose", 64, loadModerate},
-		{"fig4.18", "Fat tree - Matrix Transpose 64 nodes, heavy load", "transpose", 64, loadHeavy},
-		{"figA.1", "Fat tree - Matrix Transpose 32 nodes, moderate load", "transpose", 32, loadModerate},
-		{"figA.2", "Fat tree - Matrix Transpose 32 nodes, heavy load", "transpose", 32, loadHeavy},
-		{"figA.3", "Fat tree - Shuffle 64 nodes, moderate load", "shuffle", 64, loadModerate},
-		{"figA.4", "Fat tree - Bit Reversal 64 nodes, moderate load", "bitreversal", 64, loadModerate},
-	} {
-		c := c
-		register(c.id, c.title, func(ctx *runCtx, w io.Writer) error {
-			return permutationFigure(ctx, w, c.pattern, c.nodes, c.rate)
-		})
-	}
+	register("fig4.13", "Fat tree - Shuffle 32 nodes, moderate load", permutationFigure("shuffle", 32, loadModerate))
+	register("fig4.14", "Fat tree - Shuffle 32 nodes, heavy load", permutationFigure("shuffle", 32, loadHeavy))
+	register("fig4.15", "Fat tree - Bit Reversal 32 nodes, moderate load", permutationFigure("bitreversal", 32, loadModerate))
+	register("fig4.16", "Fat tree - Bit Reversal 32 nodes, heavy load", permutationFigure("bitreversal", 32, loadHeavy))
+	register("fig4.17", "Fat tree - Matrix Transpose 64 nodes, moderate load", permutationFigure("transpose", 64, loadModerate))
+	register("fig4.18", "Fat tree - Matrix Transpose 64 nodes, heavy load", permutationFigure("transpose", 64, loadHeavy))
+	register("figA.1", "Fat tree - Matrix Transpose 32 nodes, moderate load", permutationFigure("transpose", 32, loadModerate))
+	register("figA.2", "Fat tree - Matrix Transpose 32 nodes, heavy load", permutationFigure("transpose", 32, loadHeavy))
+	register("figA.3", "Fat tree - Shuffle 64 nodes, moderate load", permutationFigure("shuffle", 64, loadModerate))
+	register("figA.4", "Fat tree - Bit Reversal 64 nodes, moderate load", permutationFigure("bitreversal", 64, loadModerate))
 
 	register("fig4.08", "DRB path-opening procedures under hot-spot", figPathOpening)
-	register("fig4.10", "Mesh hot-spot latency map, DRB", func(ctx *runCtx, w io.Writer) error {
-		return meshHotspotMap(ctx, w, prdrb.PolicyDRB)
-	})
-	register("fig4.11", "Mesh hot-spot latency map, PR-DRB", func(ctx *runCtx, w io.Writer) error {
-		return meshHotspotMap(ctx, w, prdrb.PolicyPRDRB)
-	})
+	register("fig4.10", "Mesh hot-spot latency map, DRB", meshHotspotMap(prdrb.PolicyDRB))
+	register("fig4.11", "Mesh hot-spot latency map, PR-DRB", meshHotspotMap(prdrb.PolicyPRDRB))
 	register("fig4.12", "Average latency in mesh topology (repetitive bursts)", figMeshAvgLatency)
 }
 
-// meshHotspot builds the Table 4.2 scenario: 8x8 mesh, colliding hot-spot
-// flows in bursts plus uniform background noise.
-func meshHotspot(policy prdrb.Policy, seed uint64, bursts int) *prdrb.Sim {
-	s := prdrb.MustNewSim(prdrb.Experiment{
+// meshHotspot is the Table 4.2 scenario: 8x8 mesh, colliding hot-spot
+// flows in bursts plus uniform background noise, run to 1 s.
+func meshHotspot(policy prdrb.Policy, seed uint64, bursts int) prdrb.Scenario {
+	sc := prdrb.Scenario{Experiment: prdrb.Experiment{
 		Topology:     prdrb.Mesh(8, 8),
 		Policy:       policy,
 		Seed:         seed,
 		SeriesWindow: 50 * prdrb.Microsecond,
-	})
+	}}
 	flows := map[prdrb.NodeID]prdrb.NodeID{}
 	for i := 0; i < 8; i++ {
 		flows[prdrb.NodeID(i)] = prdrb.NodeID(63 - i)    // cross flows through the core
@@ -191,95 +160,68 @@ func meshHotspot(policy prdrb.Policy, seed uint64, bursts int) *prdrb.Sim {
 	}
 	for b := 0; b < bursts; b++ {
 		start := prdrb.Time(b) * 550 * prdrb.Microsecond
-		s.InstallHotSpot(flows, 800, start, start+250*prdrb.Microsecond)
+		sc.HotSpots = append(sc.HotSpots, prdrb.HotSpotSpec{Flows: flows, RateMbps: 800, Start: start, End: start + 250*prdrb.Microsecond})
 	}
 	endAll := prdrb.Time(bursts) * 550 * prdrb.Microsecond
-	if err := s.InstallPattern(prdrb.PatternSpec{
-		Pattern: "uniform", RateMbps: 100, Start: 0, End: endAll,
-	}); err != nil {
-		panic(err)
-	}
-	return s
+	sc.Pattern = &prdrb.PatternSpec{Pattern: "uniform", RateMbps: 100, Start: 0, End: endAll}
+	sc.Drain = prdrb.Second - endAll
+	return sc
 }
 
-func meshHotspotMap(ctx *runCtx, w io.Writer, policy prdrb.Policy) error {
-	bursts := 8
-	if ctx.quick {
-		bursts = 3
-	}
-	s := meshHotspot(policy, ctx.seeds[0], bursts)
-	res := s.Execute(prdrb.Second)
-	m := s.Map()
-	fmt.Fprintf(w, "8x8 mesh, hot-spot + uniform noise (Table 4.2), policy %s\n\n", policy)
-	fmt.Fprint(w, s.MapSurface())
-	fmt.Fprintln(w)
-	fmt.Fprint(w, m.String())
-	fmt.Fprintf(w, "\nmap peak: %s at %.2fus avg contention; global latency %.2fus\n",
-		m.Peak().Label, m.Peak().AvgNs/1e3, res.GlobalLatencyUs)
-	if policy == prdrb.PolicyPRDRB {
-		fmt.Fprintf(w, "pattern reuse: %d applications of %d saved solutions\n",
-			res.Stats.ReuseApplications, res.SavedPatterns)
-		// Contrast against DRB for the figure pair's claim, averaged over
-		// the seed set (single-run map peaks are noisy).
-		var drbPeak, prPeak, drbGlob, prGlob float64
-		type contrast struct{ drbPeak, drbGlob, prPeak, prGlob float64 }
-		for _, c := range parMap(ctx.seeds, func(seed uint64) contrast {
-			d := meshHotspot(prdrb.PolicyDRB, seed, bursts)
-			dres := d.Execute(prdrb.Second)
-			p := meshHotspot(prdrb.PolicyPRDRB, seed, bursts)
-			pres := p.Execute(prdrb.Second)
-			return contrast{
-				drbPeak: d.Map().Peak().AvgNs / 1e3, drbGlob: dres.GlobalLatencyUs,
-				prPeak: p.Map().Peak().AvgNs / 1e3, prGlob: pres.GlobalLatencyUs,
-			}
-		}) {
-			drbPeak += c.drbPeak / float64(len(ctx.seeds))
-			drbGlob += c.drbGlob / float64(len(ctx.seeds))
-			prPeak += c.prPeak / float64(len(ctx.seeds))
-			prGlob += c.prGlob / float64(len(ctx.seeds))
+func meshHotspotMap(policy prdrb.Policy) runFunc {
+	return func(ctx *runCtx, w io.Writer) error {
+		bursts := ctx.pick(8, 3)
+		o, err := meshHotspot(policy, ctx.seeds[0], bursts).Run()
+		if err != nil {
+			return err
 		}
-		fmt.Fprintf(w, "vs DRB (%d-seed avg): peak %.2fus -> %.2fus (%.1f%%), global %.2fus -> %.2fus (%.1f%%)\n",
-			len(ctx.seeds), drbPeak, prPeak, prdrb.GainPct(drbPeak, prPeak),
-			drbGlob, prGlob, prdrb.GainPct(drbGlob, prGlob))
+		res, m := o.Res, o.Sim.Map()
+		fmt.Fprintf(w, "8x8 mesh, hot-spot + uniform noise (Table 4.2), policy %s\n\n", policy)
+		fmt.Fprint(w, o.Sim.MapSurface())
+		fmt.Fprintln(w)
+		fmt.Fprint(w, m.String())
+		fmt.Fprintf(w, "\nmap peak: %s at %.2fus avg contention; global latency %.2fus\n",
+			m.Peak().Label, m.Peak().AvgNs/1e3, res.GlobalLatencyUs)
+		if policy == prdrb.PolicyPRDRB {
+			fmt.Fprintf(w, "pattern reuse: %d applications of %d saved solutions\n",
+				res.Stats.ReuseApplications, res.SavedPatterns)
+			// Contrast against DRB for the figure pair's claim, averaged over
+			// the seed set (single-run map peaks are noisy).
+			avg, _, err := seedMean(ctx, []prdrb.Policy{prdrb.PolicyDRB, prdrb.PolicyPRDRB}, func(p prdrb.Policy, seed uint64) prdrb.Scenario {
+				return meshHotspot(p, seed, bursts)
+			}, each(func(o prdrb.Outcome) []float64 {
+				return []float64{o.Sim.Map().Peak().AvgNs / 1e3, o.Res.GlobalLatencyUs}
+			}))
+			if err != nil {
+				return err
+			}
+			drbPeak, drbGlob, prPeak, prGlob := avg[0], avg[1], avg[2], avg[3]
+			fmt.Fprintf(w, "vs DRB (%d-seed avg): peak %.2fus -> %.2fus (%.1f%%), global %.2fus -> %.2fus (%.1f%%)\n",
+				len(ctx.seeds), drbPeak, prPeak, prdrb.GainPct(drbPeak, prPeak),
+				drbGlob, prGlob, prdrb.GainPct(drbGlob, prGlob))
+		}
+		return nil
 	}
-	return nil
 }
 
 func figMeshAvgLatency(ctx *runCtx, w io.Writer) error {
-	bursts := 8
-	if ctx.quick {
-		bursts = 3
-	}
+	bursts := ctx.pick(8, 3)
 	fmt.Fprintf(w, "8x8 mesh repetitive hot-spot bursts: global latency vs time, 100us windows\n\n")
-	series := map[prdrb.Policy][]float64{}
-	var ticks int
-	for _, p := range []prdrb.Policy{prdrb.PolicyDRB, prdrb.PolicyPRDRB} {
-		s := meshHotspot(p, ctx.seeds[0], bursts)
-		res := s.Execute(prdrb.Second)
-		window := 100 * prdrb.Microsecond
-		horizon := prdrb.Time(bursts) * 550 * prdrb.Microsecond
-		buckets := make([]float64, int(horizon/window)+1)
-		counts := make([]int64, len(buckets))
-		for _, smp := range s.Collector.GlobalSeries.Samples() {
-			b := int((smp.At - 1) / window)
-			if b >= 0 && b < len(buckets) {
-				buckets[b] += smp.Avg * float64(smp.N)
-				counts[b] += smp.N
-			}
-		}
-		for i := range buckets {
-			if counts[i] > 0 {
-				buckets[i] /= float64(counts[i]) * 1e3
-			}
-		}
-		series[p] = buckets
-		ticks = len(buckets)
-		fmt.Fprintf(w, "%-8s global=%.2fus reused=%d\n", p, res.GlobalLatencyUs, res.Stats.ReuseApplications)
+	outs, err := runAll(ctx, meshHotspot(prdrb.PolicyDRB, ctx.seeds[0], bursts), meshHotspot(prdrb.PolicyPRDRB, ctx.seeds[0], bursts))
+	if err != nil {
+		return err
+	}
+	window := 100 * prdrb.Microsecond
+	ticks := int(prdrb.Time(bursts)*550*prdrb.Microsecond/window) + 1
+	var series [2][]float64
+	for i, o := range outs {
+		series[i] = windowMeans(o.Sim, window, ticks)
+		fmt.Fprintf(w, "%-8s global=%.2fus reused=%d\n", o.Res.Policy, o.Res.GlobalLatencyUs, o.Res.Stats.ReuseApplications)
 	}
 	fmt.Fprintf(w, "\n t(us)      drb   pr-drb\n")
 	var csv [][]float64
 	for i := 0; i < ticks; i++ {
-		d, p := series[prdrb.PolicyDRB][i], series[prdrb.PolicyPRDRB][i]
+		d, p := series[0][i], series[1][i]
 		if d == 0 && p == 0 {
 			continue
 		}
@@ -292,18 +234,19 @@ func figMeshAvgLatency(ctx *runCtx, w io.Writer) error {
 // figPathOpening narrates Figs 4.8/4.9: the gradual aperture of
 // alternative paths at one source while a hot-spot develops.
 func figPathOpening(ctx *runCtx, w io.Writer) error {
-	s := prdrb.MustNewSim(prdrb.Experiment{
-		Topology: prdrb.Mesh(8, 8),
-		Policy:   prdrb.PolicyDRB,
-		Seed:     ctx.seeds[0],
-	})
 	// Cross flows i -> 63-i share long segments of row 0 (then distinct
 	// columns): the colliding-trajectory construction of §4.5.
 	flows := map[prdrb.NodeID]prdrb.NodeID{}
 	for i := 0; i < 6; i++ {
 		flows[prdrb.NodeID(i)] = prdrb.NodeID(63 - i)
 	}
-	s.InstallHotSpot(flows, 1200, 0, 600*prdrb.Microsecond)
+	s, _, _, err := prdrb.Scenario{
+		Experiment: prdrb.Experiment{Topology: prdrb.Mesh(8, 8), Policy: prdrb.PolicyDRB, Seed: ctx.seeds[0]},
+		HotSpots:   []prdrb.HotSpotSpec{{Flows: flows, RateMbps: 1200, Start: 0, End: 600 * prdrb.Microsecond}},
+	}.Build()
+	if err != nil {
+		return err
+	}
 	ctl := s.Controllers[0]
 	fmt.Fprintf(w, "hot-spot flows %v on 8x8 mesh; watching source 0 -> 63\n\n", flows)
 	fmt.Fprintf(w, "   t(us)  paths  zone  L(MP)us\n")

@@ -3,31 +3,21 @@ package main
 import (
 	"fmt"
 	"io"
-	"sort"
 
 	"prdrb"
 	"prdrb/internal/network"
 	"prdrb/internal/phase"
 	"prdrb/internal/sim"
 	"prdrb/internal/traffic"
-	"prdrb/internal/workloads"
 )
 
 func init() {
 	register("table2.1", "Breakdown of MPI communication calls per application", table21)
 	register("table2.2", "Parallel application phases and repetition weights", table22)
-	register("fig2.10", "LAMMPS Chain communication matrix and TDC", func(ctx *runCtx, w io.Writer) error {
-		return commMatrixFigure(ctx, w, "lammps-chain", "~7 (faces + diagonal residue + long partner)")
-	})
-	register("fig2.11", "LAMMPS Comb communication matrix (diagonal band)", func(ctx *runCtx, w io.Writer) error {
-		return commMatrixFigure(ctx, w, "lammps-comb", "~4 (nearest neighbours only)")
-	})
-	register("fig2.12", "Sweep3D topological connectivity (TDC ~4)", func(ctx *runCtx, w io.Writer) error {
-		return commMatrixFigure(ctx, w, "sweep3d", "~4 (wavefront neighbours)")
-	})
-	register("fig2.13", "POP communication matrix (diagonal bands + scattered)", func(ctx *runCtx, w io.Writer) error {
-		return commMatrixFigure(ctx, w, "pop", "<= 11 (halo + remote partners)")
-	})
+	register("fig2.10", "LAMMPS Chain communication matrix and TDC", commMatrixFigure("lammps-chain", "~7 (faces + diagonal residue + long partner)"))
+	register("fig2.11", "LAMMPS Comb communication matrix (diagonal band)", commMatrixFigure("lammps-comb", "~4 (nearest neighbours only)"))
+	register("fig2.12", "Sweep3D topological connectivity (TDC ~4)", commMatrixFigure("sweep3d", "~4 (wavefront neighbours)"))
+	register("fig2.13", "POP communication matrix (diagonal bands + scattered)", commMatrixFigure("pop", "<= 11 (halo + remote partners)"))
 	register("table4.1", "Mathematical definition of the synthetic patterns", table41)
 }
 
@@ -76,10 +66,7 @@ func table21(ctx *runCtx, w io.Writer) error {
 // detector. Iteration counts are truncated for simulation affordability,
 // so the repetition *ratios* — not the absolute weights — are the target.
 func table22(ctx *runCtx, w io.Writer) error {
-	iters := 20
-	if ctx.quick {
-		iters = 8
-	}
+	iters := ctx.pick(20, 8)
 	fmt.Fprintf(w, "phases detected by the windowed-signature analyzer (%d iterations per app)\n\n", iters)
 	fmt.Fprintf(w, "%-18s %12s %10s %8s %10s\n", "application", "total_phases", "relevant", "weight", "rep_ratio")
 	for _, a := range []string{"lammps-comb", "lammps-chain", "nas-mg-s", "nas-mg-a", "nas-mg-b", "nas-ft-a", "nas-ft-b", "smg2000", "sweep3d", "pop", "nas-lu"} {
@@ -102,17 +89,19 @@ func table22(ctx *runCtx, w io.Writer) error {
 	return nil
 }
 
-func commMatrixFigure(ctx *runCtx, w io.Writer, app, paperTDC string) error {
-	tr, err := prdrb.Workload(app, prdrb.WorkloadOptions{})
-	if err != nil {
-		return err
+func commMatrixFigure(app, paperTDC string) runFunc {
+	return func(ctx *runCtx, w io.Writer) error {
+		tr, err := prdrb.Workload(app, prdrb.WorkloadOptions{})
+		if err != nil {
+			return err
+		}
+		m := phase.CommMatrix(tr)
+		avg, max := phase.TDC(m)
+		fmt.Fprintf(w, "%s, %d ranks: point-to-point byte volume (row=src, col=dst)\n\n", app, tr.Ranks)
+		fmt.Fprint(w, phase.RenderMatrix(m))
+		fmt.Fprintf(w, "\nTDC: avg %.1f, max %d   (paper: %s)\n", avg, max, paperTDC)
+		return nil
 	}
-	m := phase.CommMatrix(tr)
-	avg, max := phase.TDC(m)
-	fmt.Fprintf(w, "%s, %d ranks: point-to-point byte volume (row=src, col=dst)\n\n", app, tr.Ranks)
-	fmt.Fprint(w, phase.RenderMatrix(m))
-	fmt.Fprintf(w, "\nTDC: avg %.1f, max %d   (paper: %s)\n", avg, max, paperTDC)
-	return nil
 }
 
 // table41 prints and spot-checks the Table 4.1 pattern formulas.
@@ -152,17 +141,3 @@ func table41(ctx *runCtx, w io.Writer) error {
 	fmt.Fprintf(w, "\nall three deterministic patterns verified bijective over 64 nodes\n")
 	return nil
 }
-
-// sortedKeys is a tiny helper for deterministic map iteration in reports.
-func sortedKeys[V any](m map[string]V) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-var _ = sortedKeys[int] // referenced by apps.go reports
-
-var _ = workloads.Names // keep import for quick extension

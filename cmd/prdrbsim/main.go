@@ -38,7 +38,7 @@ func main() {
 		policies = flag.String("policy", "pr-drb", "comma-separated policy list: deterministic,random,cyclic,adaptive,drb,pr-drb,fr-drb,pr-fr-drb")
 		seed     = flag.Uint64("seed", 1, "simulation seed")
 		seeds    = flag.Int("seeds", 1, "number of seeds to average")
-		shards   = flag.Int("shards", 1, "conservative-parallel engine shards (1 = serial reference engine)")
+		shards   = flag.Int("shards", 1, "conservative-parallel engine shards (1 = serial reference engine; -workload, -replay and -goal always run serial)")
 
 		pattern  = flag.String("pattern", "", "synthetic pattern: shuffle|bitreversal|transpose|uniform")
 		rate     = flag.Float64("rate", 600, "injection rate per node, Mbps")
@@ -59,7 +59,7 @@ func main() {
 
 		traceIn   = flag.String("replay", "", "replay a serialized workload trace file instead of -workload/-pattern")
 		traceOut  = flag.String("save-trace", "", "write the generated workload trace to this file and exit")
-		goalIn    = flag.String("goal", "", "replay a GOAL dependency-graph schedule file (runs on the serial engine regardless of -shards)")
+		goalIn    = flag.String("goal", "", "replay a GOAL dependency-graph schedule file")
 		goalOut   = flag.String("save-goal", "", "convert the -workload trace to a GOAL schedule, write it to this file and exit")
 		knowIn    = flag.String("knowledge", "", "preload a PR-DRB solution database (JSON) before the run")
 		knowOut   = flag.String("save-knowledge", "", "export the solution database after the run")
@@ -250,29 +250,56 @@ func main() {
 		}
 	}
 
+	// One scenario serves every policy and seed of the invocation; the
+	// workload flags are exclusive, so exactly one traffic source is set.
+	sc := prdrb.Scenario{
+		Experiment: prdrb.Experiment{Topology: topo, Shards: *shards,
+			Congestion: *congestion, CongestionWindow: prdrb.Time(congWindow.Nanoseconds())},
+		Knowledge: knowledge,
+		Faults:    *faultSpec,
+		Drain:     prdrb.Second,
+	}
+	dur := prdrb.Time(duration.Nanoseconds())
+	switch {
+	case loadedGoal != nil:
+		sc.Goal = loadedGoal
+	case *workload != "" || loadedTrace != nil:
+		tr := loadedTrace
+		if tr == nil {
+			if tr, err = prdrb.Workload(*workload, prdrb.WorkloadOptions{Iterations: *iters}); err != nil {
+				fatal(err)
+			}
+		}
+		sc.Traces = []prdrb.MappedTrace{{Trace: tr}}
+	case *heavytail != "":
+		sc.HeavyTail = &prdrb.HeavyTailSpec{
+			CDF: *heavytail, MaxFlowBytes: *htMaxFlow,
+			Pattern: *htPattern, GroupSize: *htGroup, PLocal: *htPLocal,
+			LoadMbps: *rate, OnMean: prdrb.Time(htOn.Nanoseconds()), OffMean: prdrb.Time(htOff.Nanoseconds()),
+			Start: 0, End: dur,
+		}
+	case *bursts > 0:
+		sc.Bursts = &prdrb.BurstSpec{
+			Pattern: *pattern, RateMbps: *rate,
+			Len: prdrb.Time(burstLen.Nanoseconds()), Gap: prdrb.Time(burstGap.Nanoseconds()),
+			Count: *bursts, PatternNodes: *nodes,
+		}
+	default:
+		sc.Pattern = &prdrb.PatternSpec{Pattern: *pattern, RateMbps: *rate, Start: 0, End: dur, PatternNodes: *nodes}
+	}
+	if sc.Goal != nil || sc.Traces != nil {
+		sc.Drain = 10 * prdrb.Second * prdrb.Time(1+*iters/10)
+	}
+	ck := checkpointing{path: *ckptPath, exit: *ckptExit, resume: *resumePath}
+
 	for _, polName := range strings.Split(*policies, ",") {
-		policy := prdrb.Policy(strings.TrimSpace(polName))
+		sc.Policy = prdrb.Policy(strings.TrimSpace(polName))
 		var latencies, execs []float64
 		var last *prdrb.Sim
 		var lastRes prdrb.Results
 		for i := 0; i < *seeds; i++ {
-			runSeed := *seed + uint64(i)
-			s, res, exec, err := runOnce(topo, policy, runSeed, runSpec{
-				pattern: *pattern, rate: *rate, nodes: *nodes,
-				bursts: *bursts, burstLen: prdrb.Time((*burstLen).Nanoseconds()),
-				burstGap: prdrb.Time((*burstGap).Nanoseconds()),
-				duration: prdrb.Time((*duration).Nanoseconds()),
-				workload: *workload, iters: *iters,
-				trace: loadedTrace, goal: loadedGoal, knowledge: knowledge,
-				faults: *faultSpec, shards: *shards,
-				heavytail: *heavytail, htPattern: *htPattern,
-				htPLocal: *htPLocal, htGroup: *htGroup,
-				htOn:      prdrb.Time((*htOn).Nanoseconds()),
-				htOff:     prdrb.Time((*htOff).Nanoseconds()),
-				htMaxFlow: *htMaxFlow,
-				ckptPath:  *ckptPath, ckptExit: *ckptExit, resumePath: *resumePath,
-				congestion: *congestion, congWindow: prdrb.Time((*congWindow).Nanoseconds()),
-			})
+			sc.Seed = *seed + uint64(i)
+			s, res, exec, err := runOnce(sc, ck)
 			if err != nil {
 				fatal(err)
 			}
@@ -283,7 +310,7 @@ func main() {
 			last, lastRes = s, res
 		}
 		lat := stats.Summarize(latencies)
-		fmt.Printf("%-14s globalLatency=%8.2fus", policy, lat.Mean)
+		fmt.Printf("%-14s globalLatency=%8.2fus", sc.Policy, lat.Mean)
 		if *seeds > 1 {
 			fmt.Printf(" ±%5.2f", lat.CI95)
 		}
@@ -351,31 +378,12 @@ func main() {
 	}
 }
 
-type runSpec struct {
-	pattern            string
-	rate               float64
-	nodes              int
-	bursts             int
-	burstLen, burstGap prdrb.Time
-	duration           prdrb.Time
-	workload           string
-	iters              int
-	trace              *prdrb.Trace
-	goal               *prdrb.Goal
-	knowledge          *prdrb.Knowledge
-	faults             string
-	shards             int
-	heavytail          string
-	htPattern          string
-	htPLocal           float64
-	htGroup            int
-	htOn, htOff        prdrb.Time
-	htMaxFlow          int
-	ckptPath           string
-	ckptExit           bool
-	resumePath         string
-	congestion         bool
-	congWindow         prdrb.Time
+// checkpointing carries the -checkpoint, -checkpoint-exit and -resume
+// flags.
+type checkpointing struct {
+	path   string
+	exit   bool
+	resume string
 }
 
 // writeCongestionArtifact serializes the run's congestion artifact as
@@ -412,25 +420,25 @@ func writeFlightDumps(s *prdrb.Sim, path string) error {
 // runToHorizon executes the simulation to horizon, first resuming from a
 // checkpoint and/or writing one at mid-run when requested. Every resume
 // replays from t = 0, so a second, later checkpoint would save no work.
-func runToHorizon(s *prdrb.Sim, horizon prdrb.Time, spec runSpec) (prdrb.Results, error) {
+func runToHorizon(s *prdrb.Sim, horizon prdrb.Time, ck checkpointing) (prdrb.Results, error) {
 	start := prdrb.Time(0)
-	if spec.resumePath != "" {
-		m, err := s.Resume(spec.resumePath)
+	if ck.resume != "" {
+		m, err := s.Resume(ck.resume)
 		if err != nil {
 			return prdrb.Results{}, err
 		}
 		start = m.At
-		fmt.Fprintf(os.Stderr, "prdrbsim: resumed %s at t=%dns (replay verified)\n", spec.resumePath, start)
+		fmt.Fprintf(os.Stderr, "prdrbsim: resumed %s at t=%dns (replay verified)\n", ck.resume, start)
 	}
-	if spec.ckptPath != "" && start < horizon {
+	if ck.path != "" && start < horizon {
 		t := min(s.AlignCheckpoint(start+horizon/2), horizon)
 		s.Execute(t)
-		n, err := s.WriteCheckpoint(spec.ckptPath)
+		n, err := s.WriteCheckpoint(ck.path)
 		if err != nil {
 			return prdrb.Results{}, err
 		}
-		fmt.Fprintf(os.Stderr, "prdrbsim: checkpoint t=%dns -> %s (%d bytes)\n", t, spec.ckptPath, n)
-		if spec.ckptExit {
+		fmt.Fprintf(os.Stderr, "prdrbsim: checkpoint t=%dns -> %s (%d bytes)\n", t, ck.path, n)
+		if ck.exit {
 			fmt.Fprintln(os.Stderr, "prdrbsim: exiting after checkpoint (-checkpoint-exit)")
 			os.Exit(0)
 		}
@@ -438,97 +446,18 @@ func runToHorizon(s *prdrb.Sim, horizon prdrb.Time, spec runSpec) (prdrb.Results
 	return s.Execute(horizon), nil
 }
 
-func runOnce(topo prdrb.Topology, policy prdrb.Policy, seed uint64, spec runSpec) (*prdrb.Sim, prdrb.Results, prdrb.Time, error) {
-	exp := prdrb.Experiment{Topology: topo, Policy: policy, Seed: seed, Shards: spec.shards,
-		Congestion: spec.congestion, CongestionWindow: spec.congWindow}
-	if spec.goal != nil {
-		// Goal replay drives the serial engine directly (like trace replay),
-		// so the run is identical for every -shards value.
-		exp.Shards = 1
+// runOnce runs one policy and seed of the invocation: straight to the
+// scenario's horizon, or through its Execute steps when checkpointing.
+func runOnce(sc prdrb.Scenario, ck checkpointing) (*prdrb.Sim, prdrb.Results, prdrb.Time, error) {
+	if ck == (checkpointing{}) {
+		o, err := sc.Run()
+		return o.Sim, o.Res, o.Exec, err
 	}
-	if spec.workload != "" || spec.trace != nil || spec.goal != nil {
-		if cfg, ok := prdrb.TracePolicyConfig(policy); ok {
-			exp.DRB = &cfg
-		}
-	}
-	s, err := prdrb.NewSim(exp)
+	s, _, horizon, err := sc.Build()
 	if err != nil {
 		return nil, prdrb.Results{}, 0, err
 	}
-	if spec.knowledge != nil {
-		if err := s.ImportKnowledge(spec.knowledge); err != nil {
-			return nil, prdrb.Results{}, 0, err
-		}
-	}
-	if spec.faults != "" {
-		plan, err := s.ParseFaults(spec.faults)
-		if err != nil {
-			return nil, prdrb.Results{}, 0, err
-		}
-		if _, err := s.InstallFaults(plan); err != nil {
-			return nil, prdrb.Results{}, 0, err
-		}
-	}
-	if spec.goal != nil {
-		rep, err := s.PlayGoal(spec.goal, nil)
-		if err != nil {
-			return nil, prdrb.Results{}, 0, err
-		}
-		res := s.Execute(10 * prdrb.Second * prdrb.Time(1+spec.iters/10))
-		if err := rep.Err(); err != nil {
-			return nil, prdrb.Results{}, 0, err
-		}
-		return s, res, rep.ExecutionTime(), nil
-	}
-	if spec.workload != "" || spec.trace != nil {
-		tr := spec.trace
-		if tr == nil {
-			tr, err = prdrb.Workload(spec.workload, prdrb.WorkloadOptions{Iterations: spec.iters})
-			if err != nil {
-				return nil, prdrb.Results{}, 0, err
-			}
-		}
-		rep, err := s.PlayTrace(tr, nil)
-		if err != nil {
-			return nil, prdrb.Results{}, 0, err
-		}
-		res := s.Execute(10 * prdrb.Second * prdrb.Time(1+spec.iters/10))
-		if err := rep.Err(); err != nil {
-			return nil, prdrb.Results{}, 0, err
-		}
-		return s, res, rep.ExecutionTime(), nil
-	}
-	if spec.heavytail != "" {
-		if err := s.InstallHeavyTail(prdrb.HeavyTailSpec{
-			CDF: spec.heavytail, MaxFlowBytes: spec.htMaxFlow,
-			Pattern: spec.htPattern, GroupSize: spec.htGroup, PLocal: spec.htPLocal,
-			LoadMbps: spec.rate, OnMean: spec.htOn, OffMean: spec.htOff,
-			Start: 0, End: spec.duration,
-		}); err != nil {
-			return nil, prdrb.Results{}, 0, err
-		}
-		res, err := runToHorizon(s, spec.duration+prdrb.Second, spec)
-		return s, res, 0, err
-	}
-	if spec.bursts > 0 {
-		end, err := s.InstallBursts(prdrb.BurstSpec{
-			Pattern: spec.pattern, RateMbps: spec.rate,
-			Len: spec.burstLen, Gap: spec.burstGap,
-			Count: spec.bursts, PatternNodes: spec.nodes,
-		})
-		if err != nil {
-			return nil, prdrb.Results{}, 0, err
-		}
-		res, err := runToHorizon(s, end+prdrb.Second, spec)
-		return s, res, 0, err
-	}
-	if err := s.InstallPattern(prdrb.PatternSpec{
-		Pattern: spec.pattern, RateMbps: spec.rate,
-		Start: 0, End: spec.duration, PatternNodes: spec.nodes,
-	}); err != nil {
-		return nil, prdrb.Results{}, 0, err
-	}
-	res, err := runToHorizon(s, spec.duration+prdrb.Second, spec)
+	res, err := runToHorizon(s, horizon, ck)
 	return s, res, 0, err
 }
 

@@ -34,15 +34,21 @@ func TestParseTopology(t *testing.T) {
 	}
 }
 
+// bursts is n uniform bursts at 300 Mbps/node, the smoke tests' traffic.
+func bursts(topo prdrb.Topology, policy prdrb.Policy, n int, length prdrb.Time) prdrb.Scenario {
+	return prdrb.Scenario{
+		Experiment: prdrb.Experiment{Topology: topo, Policy: policy, Seed: 1},
+		Bursts:     &prdrb.BurstSpec{Pattern: "uniform", RateMbps: 300, Len: length, Gap: length, Count: n},
+		Drain:      prdrb.Second,
+	}
+}
+
 func TestRunOnceSmoke(t *testing.T) {
 	topo, err := prdrb.TopologyByName("mesh-4x4")
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, res, _, err := runOnce(topo, "drb", 1, runSpec{
-		pattern: "uniform", rate: 300, bursts: 2,
-		burstLen: 100_000, burstGap: 100_000,
-	})
+	_, res, _, err := runOnce(bursts(topo, "drb", 2, 100_000), checkpointing{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,21 +56,31 @@ func TestRunOnceSmoke(t *testing.T) {
 		t.Fatalf("smoke run broken: %+v", res)
 	}
 	// Continuous (non-burst) mode.
-	_, res2, _, err := runOnce(topo, "adaptive", 1, runSpec{
-		pattern: "uniform", rate: 300, bursts: 0, duration: 200_000,
-	})
+	_, res2, _, err := runOnce(prdrb.Scenario{
+		Experiment: prdrb.Experiment{Topology: topo, Policy: "adaptive", Seed: 1},
+		Pattern:    &prdrb.PatternSpec{Pattern: "uniform", RateMbps: 300, End: 200_000},
+		Drain:      prdrb.Second,
+	}, checkpointing{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res2.DeliveredPkts == 0 {
 		t.Fatal("continuous mode delivered nothing")
 	}
-	// Workload mode with execution time (16 ranks fit the 4x4 mesh).
+	// Workload mode with execution time.
 	ft, err := prdrb.TopologyByName("ft-4-3")
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, res3, exec, err := runOnce(ft, "pr-drb", 1, runSpec{workload: "sweep3d", iters: 1})
+	tr, err := prdrb.Workload("sweep3d", prdrb.WorkloadOptions{Iterations: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, res3, exec, err := runOnce(prdrb.Scenario{
+		Experiment: prdrb.Experiment{Topology: ft, Policy: "pr-drb", Seed: 1},
+		Traces:     []prdrb.MappedTrace{{Trace: tr}},
+		Drain:      10 * prdrb.Second,
+	}, checkpointing{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,16 +89,47 @@ func TestRunOnceSmoke(t *testing.T) {
 	}
 	// -nodes beyond the fabric is an error in both traffic modes, not
 	// packets addressed to terminals that do not exist.
-	for _, spec := range []runSpec{
-		{pattern: "shuffle", rate: 300, bursts: 1, burstLen: 1000, burstGap: 1000, nodes: 32},
-		{pattern: "shuffle", rate: 300, duration: 1000, nodes: 32},
-	} {
-		if _, _, _, err := runOnce(topo, "deterministic", 1, spec); err == nil {
-			t.Fatalf("a 32-node pattern space on a 16-terminal mesh was accepted (%+v)", spec)
+	burst := bursts(topo, "deterministic", 1, 1000)
+	burst.Bursts.Pattern, burst.Bursts.PatternNodes = "shuffle", 32
+	for _, sc := range []prdrb.Scenario{burst, {
+		Experiment: burst.Experiment,
+		Pattern:    &prdrb.PatternSpec{Pattern: "shuffle", RateMbps: 300, End: 1000, PatternNodes: 32},
+	}} {
+		if _, _, _, err := runOnce(sc, checkpointing{}); err == nil {
+			t.Fatalf("a 32-node pattern space on a 16-terminal mesh was accepted (%+v)", sc)
 		}
 	}
 	// Unknown policy errors.
-	if _, _, _, err := runOnce(topo, "bogus", 1, runSpec{pattern: "uniform", rate: 1, bursts: 1, burstLen: 1000, burstGap: 1000}); err == nil {
+	if _, _, _, err := runOnce(bursts(topo, "bogus", 1, 1000), checkpointing{}); err == nil {
 		t.Fatal("unknown policy accepted")
+	}
+}
+
+// Trace and GOAL replays drive the serial engine whatever -shards says, so
+// a replay asked for 2 shards gives the results of a serial one.
+func TestReplayIgnoresShards(t *testing.T) {
+	tr, err := prdrb.Workload("lammps-chain", prdrb.WorkloadOptions{Iterations: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := prdrb.GoalFromTrace(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, replay := range []prdrb.Scenario{{Traces: []prdrb.MappedTrace{{Trace: tr}}}, {Goal: g}} {
+		var res [2]prdrb.Results
+		var exec [2]prdrb.Time
+		for i, shards := range []int{1, 2} {
+			sc := replay
+			sc.Experiment = prdrb.Experiment{Topology: prdrb.FatTree(4, 3), Policy: prdrb.PolicyPRDRB, Seed: 1, Shards: shards}
+			sc.Drain = 10 * prdrb.Second
+			var err error
+			if _, res[i], exec[i], err = runOnce(sc, checkpointing{}); err != nil {
+				t.Fatalf("shards=%d: %v", shards, err)
+			}
+		}
+		if res[0] != res[1] || exec[0] != exec[1] || exec[0] == 0 {
+			t.Errorf("-shards 2 replay differs from -shards 1:\n%+v exec %d\n%+v exec %d", res[1], exec[1], res[0], exec[0])
+		}
 	}
 }

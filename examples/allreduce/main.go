@@ -35,24 +35,18 @@ func main() {
 			}
 		}
 
-		cfg := prdrb.PRDRBPolicyConfig().TuneForTraces()
-		sim := prdrb.MustNewSim(prdrb.Experiment{
-			Topology: prdrb.Mesh(8, 8),
-			Policy:   prdrb.PolicyPRDRB,
-			Seed:     42,
-			DRB:      &cfg,
-		})
-		rep, err := sim.PlayTrace(b.Build(), nil)
+		// A replayed trace runs PR-DRB with its trace-tuned thresholds.
+		o, err := prdrb.Scenario{
+			Experiment: prdrb.Experiment{Topology: prdrb.Mesh(8, 8), Policy: prdrb.PolicyPRDRB, Seed: 42},
+			Traces:     []prdrb.MappedTrace{{Trace: b.Build()}},
+			Drain:      60 * prdrb.Second,
+		}.Run()
 		if err != nil {
 			panic(err)
 		}
-		res := sim.Execute(60 * prdrb.Second)
-		if err := rep.Err(); err != nil {
-			panic(err)
-		}
 
-		exec := rep.ExecutionTime().Micros()
-		fmt.Printf("%-20s %12.1f %14.2f %10d", alg, exec, res.GlobalLatencyUs, res.Stats.PathsOpened)
+		exec := o.Exec.Micros()
+		fmt.Printf("%-20s %12.1f %14.2f %10d", alg, exec, o.Res.GlobalLatencyUs, o.Res.Stats.PathsOpened)
 		if baseline == 0 {
 			baseline = exec
 			fmt.Println("   (baseline)")

@@ -28,26 +28,16 @@ func main() {
 		prdrb.PolicyPRDRB,
 	} {
 		// Same seed: both policies face identical traffic and failures.
-		sim := prdrb.MustNewSim(prdrb.Experiment{
-			Topology: prdrb.Mesh(8, 8),
-			Policy:   policy,
-			Seed:     7,
-		})
-		plan, err := sim.ParseFaults(faultSpec)
+		o, err := prdrb.Scenario{
+			Experiment: prdrb.Experiment{Topology: prdrb.Mesh(8, 8), Policy: policy, Seed: 7},
+			Faults:     faultSpec,
+			Pattern:    &prdrb.PatternSpec{Pattern: "uniform", RateMbps: 200, Start: 0, End: 600 * prdrb.Microsecond},
+			Drain:      prdrb.Second - 600*prdrb.Microsecond, // run to 1 s
+		}.Run()
 		if err != nil {
 			panic(err)
 		}
-		if _, err := sim.InstallFaults(plan); err != nil {
-			panic(err)
-		}
-		if err := sim.InstallPattern(prdrb.PatternSpec{
-			Pattern: "uniform", RateMbps: 200,
-			Start: 0, End: 600 * prdrb.Microsecond,
-		}); err != nil {
-			panic(err)
-		}
-
-		res := sim.Execute(prdrb.Second)
+		res := o.Res
 		fmt.Printf("%-15s global latency %7.2f us, p99 %8.2f us\n",
 			policy, res.GlobalLatencyUs, res.P99Us)
 		fmt.Printf("%15s dropped %d in-flight packets, %d unreachable messages\n",

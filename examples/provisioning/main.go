@@ -43,20 +43,15 @@ func main() {
 	fmt.Print(d.Report(topo, 6))
 
 	// Energy: run POP under PR-DRB and convert link occupancy to joules.
-	exp := prdrb.Experiment{Topology: topo, Policy: prdrb.PolicyPRDRB, Seed: 3}
-	if cfg, ok := prdrb.TracePolicyConfig(exp.Policy); ok {
-		exp.DRB = &cfg
-	}
-	sim := prdrb.MustNewSim(exp)
-	rep, err := sim.PlayTrace(tr, nil)
+	o, err := prdrb.Scenario{
+		Experiment: prdrb.Experiment{Topology: topo, Policy: prdrb.PolicyPRDRB, Seed: 3},
+		Traces:     []prdrb.MappedTrace{{Trace: tr}},
+		Drain:      20 * prdrb.Second,
+	}.Run()
 	if err != nil {
 		panic(err)
 	}
-	sim.Execute(20 * prdrb.Second)
-	if err := rep.Err(); err != nil {
-		panic(err)
-	}
-	energy := sim.Energy(prdrb.DefaultEnergyModel())
+	energy := o.Sim.Energy(prdrb.DefaultEnergyModel())
 	fmt.Println("\nenergy (measured link occupancy, QDR-class power figures):")
 	fmt.Println(" ", energy)
 	fmt.Printf("  an idle-gating policy informed by the predictive module's pattern knowledge\n")

@@ -20,27 +20,22 @@ func main() {
 		prdrb.PolicyDRB,
 		prdrb.PolicyPRDRB,
 	} {
-		// Each policy sees the identical offered traffic (same seed).
-		sim := prdrb.MustNewSim(prdrb.Experiment{
-			Topology: prdrb.FatTree(4, 3),
-			Policy:   policy,
-			Seed:     42,
-		})
-
-		// Eight communication bursts with compute gaps in between — the
-		// bursty traffic of parallel applications (thesis Fig 2.6).
-		end, err := sim.InstallBursts(prdrb.BurstSpec{
-			Pattern:  "shuffle",
-			RateMbps: 900,
-			Len:      250 * prdrb.Microsecond,
-			Gap:      300 * prdrb.Microsecond,
-			Count:    8,
-		})
+		// Each policy sees the identical offered traffic (same seed): eight
+		// communication bursts with compute gaps in between — the bursty
+		// traffic of parallel applications (thesis Fig 2.6) — and a second
+		// for the fabric to drain.
+		o, err := prdrb.Scenario{
+			Experiment: prdrb.Experiment{Topology: prdrb.FatTree(4, 3), Policy: policy, Seed: 42},
+			Bursts: &prdrb.BurstSpec{
+				Pattern: "shuffle", RateMbps: 900,
+				Len: 250 * prdrb.Microsecond, Gap: 300 * prdrb.Microsecond, Count: 8,
+			},
+			Drain: prdrb.Second,
+		}.Run()
 		if err != nil {
 			panic(err)
 		}
-
-		res := sim.Execute(end + prdrb.Second)
+		res := o.Res
 		fmt.Printf("%-15s global latency %7.2f us", policy, res.GlobalLatencyUs)
 		if baseline == 0 {
 			baseline = res.GlobalLatencyUs

@@ -25,26 +25,18 @@ func popComparison() {
 		if err != nil {
 			panic(err)
 		}
-		exp := prdrb.Experiment{
-			Topology: prdrb.FatTree(4, 3),
-			Policy:   policy,
-			Seed:     9,
-		}
-		// The DRB family uses thresholds scaled to the trace regime.
-		if cfg, ok := prdrb.TracePolicyConfig(policy); ok {
-			exp.DRB = &cfg
-		}
-		sim := prdrb.MustNewSim(exp)
-		rep, err := sim.PlayTrace(tr, nil)
+		// The scenario gives the DRB family thresholds scaled to the trace
+		// regime.
+		o, err := prdrb.Scenario{
+			Experiment: prdrb.Experiment{Topology: prdrb.FatTree(4, 3), Policy: policy, Seed: 9},
+			Traces:     []prdrb.MappedTrace{{Trace: tr}},
+			Drain:      20 * prdrb.Second,
+		}.Run()
 		if err != nil {
 			panic(err)
 		}
-		res := sim.Execute(20 * prdrb.Second)
-		if err := rep.Err(); err != nil {
-			panic(err)
-		}
 		fmt.Printf("%-15s %14.2f %14.1f %10d\n",
-			policy, res.GlobalLatencyUs, rep.ExecutionTime().Micros(), res.Stats.ReuseApplications)
+			policy, o.Res.GlobalLatencyUs, o.Exec.Micros(), o.Res.Stats.ReuseApplications)
 	}
 }
 
@@ -61,19 +53,14 @@ func customTrace() {
 		b.Allreduce(256)
 	}
 
-	sim := prdrb.MustNewSim(prdrb.Experiment{
-		Topology: prdrb.Mesh(4, 4),
-		Policy:   prdrb.PolicyAdaptive,
-		Seed:     1,
-	})
-	rep, err := sim.PlayTrace(b.Build(), nil)
+	o, err := prdrb.Scenario{
+		Experiment: prdrb.Experiment{Topology: prdrb.Mesh(4, 4), Policy: prdrb.PolicyAdaptive, Seed: 1},
+		Traces:     []prdrb.MappedTrace{{Trace: b.Build()}},
+		Drain:      prdrb.Second,
+	}.Run()
 	if err != nil {
 		panic(err)
 	}
-	res := sim.Execute(prdrb.Second)
-	if err := rep.Err(); err != nil {
-		panic(err)
-	}
 	fmt.Printf("\ncustom 16-rank ring on a 4x4 mesh: %d packets, latency %.2f us, exec %.1f us\n",
-		res.DeliveredPkts, res.GlobalLatencyUs, rep.ExecutionTime().Micros())
+		o.Res.DeliveredPkts, o.Res.GlobalLatencyUs, o.Exec.Micros())
 }

@@ -116,6 +116,15 @@ type (
 	// HeavyTailSpec schedules datacenter-style ON/OFF flow arrivals with
 	// empirical heavy-tailed flow sizes and rack/group locality skew.
 	HeavyTailSpec = runner.HeavyTailSpec
+	// Scenario is an Experiment plus its traffic, faults, knowledge and
+	// drain: Build assembles it, Run executes it.
+	Scenario = runner.Scenario
+	// HotSpotSpec is one set of colliding flows of a Scenario.
+	HotSpotSpec = runner.HotSpotSpec
+	// MappedTrace is a Scenario's trace and its rank placement.
+	MappedTrace = runner.MappedTrace
+	// Outcome is an executed Scenario: its Sim, Results and execution time.
+	Outcome = runner.Outcome
 	// Knowledge is a serializable snapshot of the PR-DRB solution databases —
 	// the "static variation" of thesis §5.2. Export after a training run and
 	// import into a fresh simulation so patterns are recognized from their

@@ -138,20 +138,16 @@ func TestPaperShapeApplicationTrace(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		exp := Experiment{Topology: FatTree(4, 3), Policy: policy, Seed: 5}
-		if cfg, ok := TracePolicyConfig(policy); ok {
-			exp.DRB = &cfg
-		}
-		s := MustNewSim(exp)
-		rep, err := s.PlayTrace(tr, nil)
+		// The scenario runs the DRB family with the trace-tuned config.
+		o, err := Scenario{
+			Experiment: Experiment{Topology: FatTree(4, 3), Policy: policy, Seed: 5},
+			Traces:     []MappedTrace{{Trace: tr}},
+			Drain:      20 * Second,
+		}.Run()
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := s.Execute(20 * Second)
-		if err := rep.Err(); err != nil {
-			t.Fatal(err)
-		}
-		return res, rep.ExecutionTime()
+		return o.Res, o.Exec
 	}
 	det, detExec := run(PolicyDeterministic)
 	pr, prExec := run(PolicyPRDRB)

@@ -9,6 +9,7 @@ import (
 	"prdrb/internal/phase"
 	"prdrb/internal/placement"
 	"prdrb/internal/provision"
+	"prdrb/internal/runner"
 	"prdrb/internal/sim"
 	"prdrb/internal/stats"
 	"prdrb/internal/trace"
@@ -31,13 +32,7 @@ func PRFRDRBPolicyConfig() PolicyConfig { return core.PRFRDRBConfig() }
 // application-trace workloads (§4.8): thresholds scaled to the trace
 // latency regime, no idle relaxation, deeper metapath. ok is false for
 // non-DRB policy names.
-func TracePolicyConfig(p Policy) (PolicyConfig, bool) {
-	cfg, ok := core.ConfigByName(string(p))
-	if !ok {
-		return PolicyConfig{}, false
-	}
-	return cfg.TuneForTraces(), true
-}
+func TracePolicyConfig(p Policy) (PolicyConfig, bool) { return runner.TracePolicyConfig(p) }
 
 // MPI call identifiers for Trace.CallShare and packet MPI_type fields.
 const (

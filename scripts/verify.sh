@@ -88,6 +88,11 @@ go run ./benchmark -smoke 2>/dev/null | grep '^sim_digest' | diff results/bench.
 }
 echo "    seven workload digests identical"
 
+echo "==> experiment regeneration (go run ./cmd/experiments vs results/)"
+# Every report and CSV series the harness writes is committed and
+# regenerates byte-for-byte; a difference or an uncommitted file fails.
+scripts/results_gate.sh
+
 echo "==> allocation gate (df4096-heavytail-serial alloc_bytes_per_pkt <= 390 B)"
 # The 4096-node cell allocated 798-805 B per delivered packet while opening
 # a metapath built temporaries per candidate path, ~640 B while every port
