@@ -171,7 +171,7 @@ func TestHotPathZeroAllocPRDRB(t *testing.T) {
 		flagged := 0
 		for _, nic := range s.Net.NICs {
 			nic.OnAck = func(_ *sim.Engine, ack *network.Packet) {
-				if len(ack.Contending) > 0 {
+				if len(ack.Contending()) > 0 {
 					flagged++
 				}
 			}

@@ -71,7 +71,7 @@ func TestWaypointsAliasImmutablePaths(t *testing.T) {
 				if len(pkt.Waypoints) == 0 {
 					continue
 				}
-				if p := mp.byID(pkt.MSPIndex); &pkt.Waypoints[0] != &p.path[0] || len(pkt.Waypoints) != len(p.path) {
+				if p := mp.byID(int(pkt.MSPIndex)); &pkt.Waypoints[0] != &p.path[0] || len(pkt.Waypoints) != len(p.path) {
 					t.Fatalf("%d->%d: packet carries a copy of path %d's waypoints", c.Node, dst, pkt.MSPIndex)
 				}
 				aliased++

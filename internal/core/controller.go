@@ -167,7 +167,7 @@ func (c *Controller) PrepareInjection(e *sim.Engine, pkt *network.Packet) {
 	// No copy: a path's waypoints are immutable once it is open (see
 	// pathState.path), for as long as any packet carries them.
 	pkt.Waypoints = p.path
-	pkt.MSPIndex = p.id
+	pkt.MSPIndex = int32(p.id)
 	mp.outstanding++
 	if c.Cfg.Watchdog > 0 {
 		if cd := c.slab.coldState(mp); !cd.watchdog.Valid() {
@@ -215,12 +215,12 @@ func (c *Controller) HandleAck(e *sim.Engine, ack *network.Packet) {
 	}
 	// Fold in contending-flow evidence (§3.2.7); only the predictive layer
 	// ever reads it (evidence).
-	if c.Cfg.Predictive && len(ack.Contending) > 0 {
+	if flows := ack.Contending(); c.Cfg.Predictive && len(flows) > 0 {
 		cd := c.slab.coldState(mp)
 		if cd.flowSeen == nil {
 			cd.flowSeen = make(map[network.FlowKey]sim.Time)
 		}
-		for _, f := range ack.Contending {
+		for _, f := range flows {
 			cd.flowSeen[f] = e.Now()
 		}
 	}
@@ -237,7 +237,7 @@ func (c *Controller) HandleAck(e *sim.Engine, ack *network.Packet) {
 			c.Trace.Control(e.Now(), telemetry.KindRecovery, int(c.Node), int(mp.dst), e.Now()-cd.failedAt, 0)
 			cd.failedAt = 0
 		}
-		mp.observe(&c.Cfg, ack.MSPIndex, ack.PathLatency)
+		mp.observe(&c.Cfg, int(ack.MSPIndex), ack.PathLatency)
 		if mp.outstanding > 0 {
 			mp.outstanding--
 		}

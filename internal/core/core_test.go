@@ -266,6 +266,12 @@ func TestZoneClassification(t *testing.T) {
 	}
 }
 
+// withFlows writes a predictive header carrying flows into the ACK p.
+func withFlows(p *network.Packet, flows []network.FlowKey) *network.Packet {
+	p.SetPredictiveHeader(0, flows)
+	return p
+}
+
 // Feeding high-latency ACKs must walk the FSM: open paths up to MaxPaths;
 // low-latency ACKs must close them back down to the direct path.
 func TestFSMOpensAndClosesPaths(t *testing.T) {
@@ -276,7 +282,7 @@ func TestFSMOpensAndClosesPaths(t *testing.T) {
 	ctl := New(0, topo, eng, cfg, sim.NewRNG(3))
 
 	ack := func(lat sim.Time, mspID int) *network.Packet {
-		return &network.Packet{Type: network.AckPacket, Src: 63, Dst: 0, MSPIndex: mspID, PathLatency: lat}
+		return &network.Packet{Type: network.AckPacket, Src: 63, Dst: 0, MSPIndex: int32(mspID), PathLatency: lat}
 	}
 	advance := func() {
 		eng.Schedule(eng.Now()+sim.Microsecond, func(*sim.Engine) {})
@@ -328,8 +334,8 @@ func TestPredictiveSaveAndReuse(t *testing.T) {
 	pattern := []network.FlowKey{{Src: 0, Dst: 63}, {Src: 7, Dst: 63}, {Src: 56, Dst: 63}}
 
 	ack := func(lat sim.Time, mspID int, flows []network.FlowKey) *network.Packet {
-		return &network.Packet{Type: network.AckPacket, Src: 63, Dst: 0,
-			MSPIndex: mspID, PathLatency: lat, Contending: flows}
+		return withFlows(&network.Packet{Type: network.AckPacket, Src: 63, Dst: 0,
+			MSPIndex: int32(mspID), PathLatency: lat}, flows)
 	}
 	advance := func() {
 		eng.Schedule(eng.Now()+sim.Microsecond, func(*sim.Engine) {})
@@ -381,9 +387,8 @@ func TestNonPredictiveDoesNotReuse(t *testing.T) {
 	if ctl.DB() != nil {
 		t.Fatal("DRB has a solution DB")
 	}
-	ctl.HandleAck(eng, &network.Packet{Type: network.AckPacket, Src: 63, Dst: 0,
-		MSPIndex: 0, PathLatency: 100 * sim.Microsecond,
-		Contending: []network.FlowKey{{Src: 0, Dst: 63}}})
+	ctl.HandleAck(eng, withFlows(&network.Packet{Type: network.AckPacket, Src: 63, Dst: 0,
+		MSPIndex: 0, PathLatency: 100 * sim.Microsecond}, []network.FlowKey{{Src: 0, Dst: 63}}))
 	if ctl.Stats.ReuseApplications != 0 {
 		t.Fatal("DRB reused a solution")
 	}
@@ -472,8 +477,8 @@ func TestFlowEvidenceOnlyPredictive(t *testing.T) {
 	for _, cfg := range []Config{DRBConfig(), PRDRBConfig()} {
 		eng := sim.NewEngine()
 		ctl := New(0, topo, eng, cfg, sim.NewRNG(3))
-		ctl.HandleAck(eng, &network.Packet{Type: network.AckPacket, Src: 63, Dst: 0,
-			MSPIndex: 0, PathLatency: 100, Contending: flows})
+		ctl.HandleAck(eng, withFlows(&network.Packet{Type: network.AckPacket, Src: 63, Dst: 0,
+			MSPIndex: 0, PathLatency: 100}, flows))
 		cd := ctl.mps[63].cold
 		switch {
 		case !cfg.Predictive && cd != nil:
@@ -520,9 +525,9 @@ func TestRouterBasedPredictiveAckTriggersHigh(t *testing.T) {
 	cfg.OpenInterval = 0
 	ctl := New(0, topo, eng, cfg, sim.NewRNG(3))
 	// Predictive ACK (MSPIndex = -1) signals congestion without latency.
-	ctl.HandleAck(eng, &network.Packet{Type: network.AckPacket, Src: 63, Dst: 0,
-		MSPIndex: -1, Predictive: true, PathLatency: 50 * sim.Microsecond,
-		Contending: []network.FlowKey{{Src: 0, Dst: 63}, {Src: 5, Dst: 63}}})
+	ctl.HandleAck(eng, withFlows(&network.Packet{Type: network.AckPacket, Src: 63, Dst: 0,
+		MSPIndex: -1, Predictive: true, PathLatency: 50 * sim.Microsecond},
+		[]network.FlowKey{{Src: 0, Dst: 63}, {Src: 5, Dst: 63}}))
 	if ctl.PathCount(63) < 2 {
 		t.Fatal("router-based predictive ACK did not open paths")
 	}

@@ -27,27 +27,25 @@ func TestControllerInvariantsUnderRandomAcks(t *testing.T) {
 			dst := topology.NodeID(1 + op%63)
 			switch op % 5 {
 			case 0, 1: // high-latency ACK with contending flows
-				ctl.HandleAck(eng, &network.Packet{
+				ctl.HandleAck(eng, withFlows(&network.Packet{
 					Type: network.AckPacket, Src: dst, Dst: 0,
-					MSPIndex:    int(op % 7),
+					MSPIndex:    int32(op % 7),
 					PathLatency: sim.Time(op%200) * sim.Microsecond,
-					Contending: []network.FlowKey{
-						{Src: topology.NodeID(op % 64), Dst: dst},
-						{Src: topology.NodeID((op * 7) % 64), Dst: dst},
-					},
-				})
+				}, []network.FlowKey{
+					{Src: topology.NodeID(op % 64), Dst: dst},
+					{Src: topology.NodeID((op * 7) % 64), Dst: dst},
+				}))
 			case 2: // low-latency ACK
 				ctl.HandleAck(eng, &network.Packet{
 					Type: network.AckPacket, Src: dst, Dst: 0,
 					MSPIndex: 0, PathLatency: sim.Time(op % 500),
 				})
 			case 3: // router-based predictive ACK
-				ctl.HandleAck(eng, &network.Packet{
+				ctl.HandleAck(eng, withFlows(&network.Packet{
 					Type: network.AckPacket, Src: dst, Dst: 0,
 					MSPIndex: -1, Predictive: true,
 					PathLatency: sim.Time(op%100) * sim.Microsecond,
-					Contending:  []network.FlowKey{{Src: 5, Dst: dst}},
-				})
+				}, []network.FlowKey{{Src: 5, Dst: dst}}))
 			case 4: // injection
 				pkt := &network.Packet{Type: network.DataPacket, Src: 0, Dst: dst}
 				ctl.PrepareInjection(eng, pkt)

@@ -124,14 +124,14 @@ func TestKnowledgeExportImportRoundTrip(t *testing.T) {
 	pattern := []network.FlowKey{{Src: 0, Dst: 63}, {Src: 7, Dst: 63}}
 	// Train: force H then save on H->M.
 	for i := 0; i < 6; i++ {
-		trained.HandleAck(eng, &network.Packet{Type: network.AckPacket, Src: 63, Dst: 0,
-			MSPIndex: 0, PathLatency: 100 * sim.Microsecond, Contending: pattern})
+		trained.HandleAck(eng, withFlows(&network.Packet{Type: network.AckPacket, Src: 63, Dst: 0,
+			MSPIndex: 0, PathLatency: 100 * sim.Microsecond}, pattern))
 		eng.Schedule(eng.Now()+sim.Microsecond, func(*sim.Engine) {})
 		eng.RunAll()
 	}
 	for _, id := range openPathIDs(trained, 63) {
-		trained.HandleAck(eng, &network.Packet{Type: network.AckPacket, Src: 63, Dst: 0,
-			MSPIndex: id, PathLatency: 5 * sim.Microsecond, Contending: pattern})
+		trained.HandleAck(eng, withFlows(&network.Packet{Type: network.AckPacket, Src: 63, Dst: 0,
+			MSPIndex: int32(id), PathLatency: 5 * sim.Microsecond}, pattern))
 	}
 	if trained.DB().Size() == 0 {
 		t.Fatal("training produced no solutions")
@@ -160,8 +160,8 @@ func TestKnowledgeExportImportRoundTrip(t *testing.T) {
 	if err := ImportKnowledge([]*Controller{fresh}, k2); err != nil {
 		t.Fatal(err)
 	}
-	fresh.HandleAck(eng3, &network.Packet{Type: network.AckPacket, Src: 63, Dst: 0,
-		MSPIndex: 0, PathLatency: 100 * sim.Microsecond, Contending: pattern})
+	fresh.HandleAck(eng3, withFlows(&network.Packet{Type: network.AckPacket, Src: 63, Dst: 0,
+		MSPIndex: 0, PathLatency: 100 * sim.Microsecond}, pattern))
 	if fresh.Stats.ReuseApplications != 1 {
 		t.Fatalf("preloaded controller did not reuse: %+v", fresh.Stats)
 	}

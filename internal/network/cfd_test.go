@@ -237,7 +237,9 @@ func TestContendingFlowsSaturatedPort(t *testing.T) {
 		for vc := range n.numVC {
 			if p := o.vcs[vc].head(); p != nil {
 				p.enqueuedAt = e.Now() - wait
-				p.Contending = p.Contending[:0]
+				if c := p.cold; c != nil {
+					c.contending = c.contending[:0]
+				}
 			}
 		}
 		before := int(o.queued)
@@ -250,15 +252,15 @@ func TestContendingFlowsSaturatedPort(t *testing.T) {
 		deep := before-pkt.SizeBytes >= tallyDepth*n.Cfg.PacketBytes
 		switch {
 		case pkt.Type != DataPacket:
-			if len(pkt.Contending) != 0 {
+			if len(pkt.Contending()) != 0 {
 				t.Fatalf("an ACK departure was given a predictive header")
 			}
 		case wait <= n.Cfg.CongestionThreshold:
-			if o.tally() != nil || len(pkt.Contending) != 0 {
-				t.Fatalf("a departure within the threshold kept the tally (%v) or ranked (%v)", o.tally() != nil, pkt.Contending)
+			if o.tally() != nil || len(pkt.Contending()) != 0 {
+				t.Fatalf("a departure within the threshold kept the tally (%v) or ranked (%v)", o.tally() != nil, pkt.Contending())
 			}
 		default:
-			if got, want := fmt.Sprint(pkt.Contending), fmt.Sprint(refTopContendingFlows(o, pkt)); got != want {
+			if got, want := fmt.Sprint(pkt.Contending()), fmt.Sprint(refTopContendingFlows(o, pkt)); got != want {
 				t.Fatalf("ranking %v, recount of the queues gives %v", got, want)
 			}
 			if data := dataQueued(); deep && (o.tally() != nil) != (data > 0) {

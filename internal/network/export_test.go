@@ -7,11 +7,11 @@ import (
 	"unsafe"
 )
 
-// PortCensus counts where a quiescent fabric's packet records are, and how
-// many of them hold contending-set storage.
+// PortCensus counts where a quiescent fabric's packet records are, how
+// many of them hold a cold record and how many contending-set storage.
 type PortCensus struct {
 	Queued, InFlight, Parked, Free int
-	Headers                        int
+	Colds, Headers                 int
 }
 
 // CheckPortInvariants verifies the port-state layout of a quiescent
@@ -23,7 +23,8 @@ type PortCensus struct {
 // parkedN counts the parked deliveries, each freelist holds as many
 // records as it counts, no record sits in two places — two queues, a
 // queue and a freelist, or either and a port's in-flight or parked slot —
-// and no two records share Contending storage.
+// no two records share a cold record or contending storage, and every free
+// record's cold record is empty: no predictive header, integrals zero.
 func CheckPortInvariants(n *Network) (PortCensus, error) {
 	var c PortCensus
 	where := make(map[*Packet]string)
@@ -32,13 +33,22 @@ func CheckPortInvariants(n *Network) (PortCensus, error) {
 		p      *Packet
 	}
 	var headers []span
+	colds := make(map[*packetCold]*Packet)
 	claim := func(p *Packet, at string) error {
 		if prev, ok := where[p]; ok {
 			return fmt.Errorf("packet record %p is in %s and in %s", p, prev, at)
 		}
 		where[p] = at
-		if k := cap(p.Contending); k > 0 {
-			lo := uintptr(unsafe.Pointer(unsafe.SliceData(p.Contending)))
+		pc := p.cold
+		if pc == nil {
+			return nil
+		}
+		if q, ok := colds[pc]; ok {
+			return fmt.Errorf("packet records in %s and in %s share a cold record", where[q], at)
+		}
+		colds[pc] = p
+		if k := cap(pc.contending); k > 0 {
+			lo := uintptr(unsafe.Pointer(unsafe.SliceData(pc.contending)))
 			headers = append(headers, span{lo, lo + uintptr(k)*unsafe.Sizeof(FlowKey{}), p})
 		}
 		return nil
@@ -58,6 +68,9 @@ func CheckPortInvariants(n *Network) (PortCensus, error) {
 			if err := claim(p, fmt.Sprintf("shard %d's freelist", i)); err != nil {
 				return c, err
 			}
+			if pc := p.cold; pc != nil && (pc.reportRouter != 0 || len(pc.contending) != 0 || pc.queueNs != 0 || pc.serNs != 0) {
+				return c, fmt.Errorf("a record in shard %d's freelist keeps a used cold record %+v", i, *pc)
+			}
 			k++
 		}
 		if k != sh.pktFreeN {
@@ -71,7 +84,7 @@ func CheckPortInvariants(n *Network) (PortCensus, error) {
 			return c, fmt.Errorf("packet records in %s and in %s share Contending storage", where[a.p], where[b.p])
 		}
 	}
-	c.Headers = len(headers)
+	c.Colds, c.Headers = len(colds), len(headers)
 	return c, nil
 }
 

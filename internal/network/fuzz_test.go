@@ -2,6 +2,7 @@ package network
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"prdrb/internal/sim"
@@ -17,8 +18,9 @@ func FuzzDecodeHeader(f *testing.F) {
 		{Type: DataPacket, Src: 1, Dst: 2},
 		{Type: DataPacket, Src: 3, Dst: 61, Waypoints: topology.Path{17, 42}, HeaderIdx: 1,
 			PathLatency: 123456, Final: true, MPIType: MPISend, MPISeq: 99, MSPIndex: 2,
-			ReportRouter: 7, Contending: []FlowKey{{Src: 3, Dst: 61}, {Src: 5, Dst: 61}}},
+			cold: &packetCold{reportRouter: 7, contending: []FlowKey{{Src: 3, Dst: 61}, {Src: 5, Dst: 61}}}},
 		{Type: AckPacket, Src: 61, Dst: 3, Predictive: true, MSPIndex: -1, PathLatency: 5_000_000},
+		{Type: AckPacket, Src: 2, Dst: 1, HeaderIdx: 3, MSPIndex: math.MaxInt32},
 	}
 	for _, p := range seeds {
 		buf, err := EncodeHeader(p)
@@ -44,8 +46,8 @@ func FuzzDecodeHeader(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encoded header does not re-decode: %v", err)
 		}
-		if p.Src != p2.Src || p.Dst != p2.Dst || p.Type != p2.Type ||
-			p.PathLatency != p2.PathLatency || len(p.Contending) != len(p2.Contending) {
+		if p.Src != p2.Src || p.Dst != p2.Dst || p.Type != p2.Type || p.HeaderIdx != p2.HeaderIdx ||
+			p.MSPIndex != p2.MSPIndex || p.PathLatency != p2.PathLatency || len(p.Contending()) != len(p2.Contending()) {
 			t.Fatalf("unstable round trip:\n %+v\n %+v", p, p2)
 		}
 	})

@@ -65,10 +65,13 @@ func TestPortInvariants(t *testing.T) {
 // TestContendingStorageNotShared runs a congested dragonfly under pr-drb in
 // both notification modes, serial and on two shards, and checks at several
 // quiescent horizons that no two packet records — queued, in flight, parked
-// or free — share a Contending backing array (network.CheckPortInvariants):
+// or free — share a cold record or a contending backing array, and that
+// every free record's cold record is empty (network.CheckPortInvariants):
 // routers merge into a data packet's own header, router-originated ACKs
-// copy the contending set, and a destination's ACK swaps storage with the
-// data packet it answers.
+// copy the contending set, a destination's ACK swaps cold records with the
+// data packet it answers, and release empties the cold record it keeps.
+// A congestion-off adaptive run, which sends no notifications, must make no
+// cold record at all.
 func TestContendingStorageNotShared(t *testing.T) {
 	topo, err := topology.ByName("df-4-8-2-2")
 	if err != nil {
@@ -90,17 +93,37 @@ func TestContendingStorageNotShared(t *testing.T) {
 			if err := s.InstallPattern(runner.PatternSpec{Pattern: "uniform", RateMbps: 800, End: 300 * sim.Microsecond}); err != nil {
 				t.Fatal(err)
 			}
-			headers := 0
+			headers, colds := 0, 0
 			for _, h := range []sim.Time{30, 60, 100, 150, 220, 300, 2000} {
 				s.Execute(h * sim.Microsecond)
 				c, err := network.CheckPortInvariants(s.Net)
 				if err != nil {
 					t.Fatalf("mode %v, shards=%d at %dus: %v", mode, shards, h, err)
 				}
-				headers = max(headers, c.Headers)
+				headers, colds = max(headers, c.Headers), max(colds, c.Colds)
 			}
-			if headers < 50 {
-				t.Fatalf("mode %v, shards=%d: at most %d records held contending storage; the run no longer congests", mode, shards, headers)
+			if headers < 50 || colds < headers {
+				t.Fatalf("mode %v, shards=%d: at most %d records held contending storage and %d a cold record; the run no longer congests",
+					mode, shards, headers, colds)
+			}
+		}
+	}
+	for _, shards := range []int{1, 2} {
+		s, err := runner.New(runner.Experiment{Topology: topo, Policy: runner.PolicyAdaptive, Seed: 5, Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.InstallPattern(runner.PatternSpec{Pattern: "uniform", RateMbps: 800, End: 300 * sim.Microsecond}); err != nil {
+			t.Fatal(err)
+		}
+		for _, h := range []sim.Time{100, 300, 2000} {
+			s.Execute(h * sim.Microsecond)
+			c, err := network.CheckPortInvariants(s.Net)
+			if err != nil {
+				t.Fatalf("adaptive, shards=%d at %dus: %v", shards, h, err)
+			}
+			if c.Colds != 0 || c.Free == 0 {
+				t.Fatalf("adaptive, shards=%d at %dus: %d of the records hold a cold record (%d free), want none", shards, h, c.Colds, c.Free)
 			}
 		}
 	}

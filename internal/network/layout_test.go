@@ -95,12 +95,34 @@ func TestVCQueueMatchesSlice(t *testing.T) {
 }
 
 // TestLayoutSizes pins the record sizes the port layout is sized around:
-// a Packet stays in the 192-byte size class with its queue link, its queue
-// stamp and its contending-set slice, and ports × VCs — the largest state
-// of a 4096-node fabric — stays at 96 bytes a port plus one word a VC.
+// a Packet stays in the 128-byte size class — whose objects are 128-aligned,
+// so its first 64 bytes are one cache line, holding what the queues, the
+// routing decision and the VC choice read every hop — and ports × VCs, the
+// largest state of a 4096-node fabric, stays at 96 bytes a port plus one
+// word a VC.
 func TestLayoutSizes(t *testing.T) {
-	if s := unsafe.Sizeof(Packet{}); s <= 176 || s > 192 {
-		t.Errorf("Packet is %d bytes, want the 192-byte size class (177 to 192)", s)
+	if s := unsafe.Sizeof(Packet{}); s <= 112 || s > 128 {
+		t.Errorf("Packet is %d bytes, want the 128-byte size class (113 to 128)", s)
+	}
+	var p Packet
+	for _, f := range []struct {
+		name       string
+		off, width uintptr
+	}{
+		{"qnext", unsafe.Offsetof(p.qnext), unsafe.Sizeof(p.qnext)},
+		{"Waypoints", unsafe.Offsetof(p.Waypoints), unsafe.Sizeof(p.Waypoints)},
+		{"Dst", unsafe.Offsetof(p.Dst), unsafe.Sizeof(p.Dst)},
+		{"SizeBytes", unsafe.Offsetof(p.SizeBytes), unsafe.Sizeof(p.SizeBytes)},
+		{"enqueuedAt", unsafe.Offsetof(p.enqueuedAt), unsafe.Sizeof(p.enqueuedAt)},
+		{"qcum", unsafe.Offsetof(p.qcum), unsafe.Sizeof(p.qcum)},
+		{"HeaderIdx", unsafe.Offsetof(p.HeaderIdx), unsafe.Sizeof(p.HeaderIdx)},
+		{"Type", unsafe.Offsetof(p.Type), unsafe.Sizeof(p.Type)},
+		{"lastClass", unsafe.Offsetof(p.lastClass), unsafe.Sizeof(p.lastClass)},
+		{"curDim", unsafe.Offsetof(p.curDim), unsafe.Sizeof(p.curDim)},
+	} {
+		if f.off+f.width > 64 {
+			t.Errorf("Packet.%s spans bytes %d to %d, want it in the first 64", f.name, f.off, f.off+f.width)
+		}
 	}
 	if s := unsafe.Sizeof(outPort{}); s > 96 {
 		t.Errorf("outPort is %d bytes, want at most 96", s)

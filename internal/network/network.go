@@ -326,13 +326,13 @@ func (n *Network) isAckVC(vc int) bool { return vc/n.vcsPerClass == ackClass }
 // ring's wrap link.
 func (n *Network) prepareVC(op *outPort, pkt *Packet) int {
 	c := pkt.class()
-	if int32(c) != pkt.lastClass {
-		pkt.lastClass = int32(c)
+	if int8(c) != pkt.lastClass {
+		pkt.lastClass = int8(c)
 		pkt.dateline = false
 		pkt.curDim = -99
 	}
-	if int32(op.linkDim) != pkt.curDim {
-		pkt.curDim = int32(op.linkDim)
+	if op.linkDim != pkt.curDim {
+		pkt.curDim = op.linkDim
 		pkt.dateline = false
 	}
 	return n.vcIndex(c, pkt.dateline)
@@ -402,8 +402,7 @@ func (n *Network) injectPredictiveAcks(e *sim.Engine, from *outPort, flows []Flo
 		ack.PathLatency = wait
 		ack.MSPIndex = -1
 		ack.Predictive = true
-		ack.ReportRouter = topology.RouterID(from.router)
-		ack.Contending = append(ack.Contending, flows...)
+		ack.SetPredictiveHeader(topology.RouterID(from.router), flows)
 		if r.injectAck(e, ack) {
 			sh.predictiveAcksSent++
 		} else {

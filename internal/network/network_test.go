@@ -1,7 +1,6 @@
 package network
 
 import (
-	"slices"
 	"testing"
 
 	"prdrb/internal/metrics"
@@ -227,7 +226,7 @@ func TestContendingFlowsDetected(t *testing.T) {
 	e := n.Eng
 	seen := map[FlowKey]bool{}
 	n.NICs[3].OnAck = func(_ *sim.Engine, ack *Packet) {
-		for _, f := range ack.Contending {
+		for _, f := range ack.Contending() {
 			seen[f] = true
 		}
 	}
@@ -261,7 +260,8 @@ func TestRouterBasedNotification(t *testing.T) {
 	n.NICs[3].OnAck = func(_ *sim.Engine, ack *Packet) {
 		if ack.Predictive && predictive == nil {
 			cp := *ack
-			cp.Contending = slices.Clone(ack.Contending)
+			cp.cold = nil
+			cp.SetPredictiveHeader(ack.cold.reportRouter, ack.Contending())
 			predictive = &cp
 		}
 	}
@@ -276,7 +276,7 @@ func TestRouterBasedNotification(t *testing.T) {
 	if predictive == nil {
 		t.Fatal("router-based mode produced no predictive ACK")
 	}
-	if len(predictive.Contending) == 0 {
+	if len(predictive.Contending()) == 0 {
 		t.Fatal("predictive ACK carries no contending flows")
 	}
 	if n.PredictiveAcksSent() == 0 {

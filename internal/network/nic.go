@@ -119,7 +119,7 @@ func (n *NIC) Send(e *sim.Engine, dst topology.NodeID, bytes int, mpiType uint8,
 		pkt.MPIType = mpiType
 		pkt.MPISeq = mpiSeq
 		pkt.MsgID = msgID
-		pkt.FragCount = frags
+		pkt.FragCount = int32(frags)
 		if n.Source != nil {
 			n.Source.PrepareInjection(e, pkt)
 		}
@@ -160,7 +160,8 @@ func (n *NIC) accept(e *sim.Engine, pkt *Packet, _ *outPort, _ int) bool {
 				// Exact per-packet latency split: buffer waits and per-hop
 				// serialization integrate in the packet; the remainder is
 				// propagation. Waypointed packets are the detour population.
-				n.deliv.PacketAttributed(lat, pkt.queueNs, pkt.serNs, len(pkt.Waypoints) > 0)
+				c := pkt.coldState() // made at the first hop (pump)
+				n.deliv.PacketAttributed(lat, c.queueNs, c.serNs, len(pkt.Waypoints) > 0)
 			}
 		}
 		if n.sh.Tracer.Sampled(pkt.ID) {
@@ -191,10 +192,9 @@ func (n *NIC) sendAck(e *sim.Engine, pkt *Packet) {
 	ack.MPISeq = pkt.MPISeq
 	ack.MsgID = pkt.MsgID
 	if !pkt.Predictive {
-		// The ACK takes the data packet's header storage and leaves it its
-		// own (empty) one, so each record keeps exactly one backing array.
-		ack.ReportRouter = pkt.ReportRouter
-		ack.Contending, pkt.Contending = pkt.Contending, ack.Contending
+		// The ACK takes the data packet's cold record, predictive header
+		// included, and leaves it its own, so each record keeps one.
+		ack.cold, pkt.cold = pkt.cold, ack.cold
 	}
 	// When a failure cut the direct return route, detour the notification:
 	// losing the ACK stream would blind the source exactly when it needs
@@ -225,7 +225,7 @@ func (n *NIC) reassemble(e *sim.Engine, pkt *Packet) {
 	}
 	ra := n.reasm[pkt.MsgID]
 	if ra == nil {
-		ra = &reassembly{total: pkt.FragCount}
+		ra = &reassembly{total: int(pkt.FragCount)}
 		if n.reasm == nil {
 			n.reasm = make(map[uint64]*reassembly)
 		}

@@ -15,15 +15,19 @@ package network
 //     packets lost on a failed link (Network.dropPacketAt), or the GPA
 //     module when a predictive ACK finds no buffer space
 //     (injectPredictiveAcks).
-//   - Release zeroes every field but the freelist link qnext and the
-//     Contending storage, which it truncates to length zero, so a stale
-//     reference can never observe the next occupant's identity.
-//   - A record owns its Contending backing array: no two records share
-//     one, whether queued, in flight, parked or free. Routers merge into it
-//     (mergeFlows), router-originated ACKs copy the contending set into it,
-//     and the destination's ACK swaps arrays with the data packet it
-//     answers (NIC.sendAck), so the predictive header is written into
-//     storage that is reused, never allocated per packet once warm.
+//   - Release zeroes every field but the freelist link qnext and the cold
+//     record, which it zeroes but for its contending storage (length zero),
+//     so a stale reference can never observe the next occupant's identity.
+//   - A record gets its cold record (packetCold: predictive header and
+//     congestion integrals) when a router tags it (monitorDeparture), a
+//     router-originated ACK copies the contending set into it
+//     (SetPredictiveHeader) or it leaves a port with congestion accounting
+//     on, and keeps it. Runs with neither never make one.
+//   - A record owns its cold record: no two records share one, whether
+//     queued, in flight, parked or free. The destination's ACK swaps cold
+//     records with the data packet it answers (NIC.sendAck), so the
+//     predictive header is written into storage that is reused, never
+//     allocated per packet once warm.
 //   - Waypoints only has the reference dropped: the array belongs to
 //     whoever made it and may be shared with live packets (a data packet's
 //     Waypoints is the source controller's own path record, shared with
@@ -43,8 +47,8 @@ package network
 // packet-record reuse orders (and identical simulations — packet identity
 // never leaks into behaviour).
 
-// newPacket returns a zeroed packet (its Contending empty, with the
-// record's reused storage) carrying the shard's next packet ID
+// newPacket returns a zeroed packet (its cold record, if it has one,
+// zeroed but for the reused contending storage) carrying the shard's next packet ID
 // (strided by the shard count so IDs are globally unique and per-shard
 // sequences are shard-count-independent).
 func (sh *Shard) newPacket() *Packet {
@@ -61,11 +65,15 @@ func (sh *Shard) newPacket() *Packet {
 	return p
 }
 
-// releasePacket zeroes p but for its Contending storage and pushes it onto
-// the freelist, which is linked through Packet.qnext. The caller must be
-// the packet's final owner.
+// releasePacket zeroes p but for its cold record's contending storage and
+// pushes it onto the freelist, which is linked through Packet.qnext. The
+// caller must be the packet's final owner.
 func (sh *Shard) releasePacket(p *Packet) {
-	*p = Packet{qnext: sh.pktFree, Contending: p.Contending[:0]}
+	c := p.cold
+	if c != nil {
+		*c = packetCold{contending: c.contending[:0]}
+	}
+	*p = Packet{qnext: sh.pktFree, cold: c}
 	sh.pktFree = p
 	sh.pktReleased++
 	if sh.pktFreeN++; sh.pktFreeN > sh.pktFreePeak {

@@ -18,21 +18,22 @@ func freeList(sh *Shard) []*Packet {
 }
 
 // zeroedAtRest reports whether a pooled record is zero but for its
-// freelist link and the storage of its (empty) contending set.
+// freelist link and its cold record, itself zero but for the storage of
+// its (empty) contending set.
 func zeroedAtRest(p *Packet) bool {
 	q := *p
-	if len(q.Contending) != 0 {
+	if c := q.cold; c != nil && !reflect.DeepEqual(*c, packetCold{contending: c.contending[:0]}) {
 		return false
 	}
-	q.qnext, q.Contending = nil, nil
+	q.qnext, q.cold = nil, nil
 	return reflect.DeepEqual(q, Packet{})
 }
 
 // TestPacketPoolReuseAndZeroing pins the freelist contract of pool.go:
-// release returns the record zeroed but for the storage of its contending
-// set, which it keeps at length zero, the next acquire reuses it (LIFO)
-// with that storage, and packet IDs keep advancing so a recycled record
-// never repeats an identity.
+// release returns the record zeroed but for its cold record, itself zeroed
+// but for the storage of its contending set, which it keeps at length zero,
+// the next acquire reuses it (LIFO) with that cold record and storage, and
+// packet IDs keep advancing so a recycled record never repeats an identity.
 func TestPacketPoolReuseAndZeroing(t *testing.T) {
 	n := testNet(t, topology.NewMesh(2, 1), nil)
 
@@ -42,8 +43,9 @@ func TestPacketPoolReuseAndZeroing(t *testing.T) {
 	p1.SizeBytes = 1024
 	p1.CreatedAt = 42
 	p1.Final = true
-	p1.Contending = append(p1.Contending, FlowKey{Src: 0, Dst: 1})
-	id1 := p1.ID
+	p1.SetPredictiveHeader(3, []FlowKey{{Src: 0, Dst: 1}})
+	p1.cold.queueNs, p1.cold.serNs = 5, 6
+	cold, id1 := p1.cold, p1.ID
 
 	n.Shards[0].releasePacket(p1)
 	if got := len(freeList(n.Shards[0])); got != 1 || n.Shards[0].pktFreeN != 1 {
@@ -52,7 +54,7 @@ func TestPacketPoolReuseAndZeroing(t *testing.T) {
 	if !zeroedAtRest(p1) {
 		t.Fatalf("released packet not zeroed: %+v", *p1)
 	}
-	storage := &p1.Contending[:1][0]
+	storage := &p1.cold.contending[:1][0]
 
 	p2 := n.Shards[0].newPacket()
 	if p2 != p1 {
@@ -61,10 +63,13 @@ func TestPacketPoolReuseAndZeroing(t *testing.T) {
 	if p2.ID != id1+1 {
 		t.Fatalf("recycled record got ID %d, want %d (IDs must not repeat)", p2.ID, id1+1)
 	}
-	if p2.SizeBytes != 0 || p2.Final || len(p2.Contending) != 0 || p2.CreatedAt != 0 {
+	if p2.SizeBytes != 0 || p2.Final || len(p2.Contending()) != 0 || p2.CreatedAt != 0 {
 		t.Fatalf("recycled record carries stale fields: %+v", *p2)
 	}
-	if p2.Contending = append(p2.Contending, FlowKey{Src: 1, Dst: 0}); &p2.Contending[0] != storage {
+	if p2.cold != cold || cold.queueNs != 0 || cold.serNs != 0 {
+		t.Fatalf("recycled record did not keep its zeroed cold record: %p %+v, want %p", p2.cold, *p2.cold, cold)
+	}
+	if p2.SetPredictiveHeader(0, []FlowKey{{Src: 1, Dst: 0}}); &p2.Contending()[0] != storage {
 		t.Fatalf("recycled record did not keep its contending-set storage")
 	}
 }

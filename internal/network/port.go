@@ -385,8 +385,8 @@ func (o *outPort) pump(e *sim.Engine) {
 	o.flags |= portBusy
 
 	wait := e.Now() - pkt.enqueuedAt
-	pkt.queueNs += wait
-	if cp := o.congestion(); cp != nil {
+	cp := o.congestion()
+	if cp != nil {
 		cp.dequeued(e.Now(), pkt.SizeBytes, wait)
 	}
 	if o.router >= 0 {
@@ -421,13 +421,16 @@ func (o *outPort) pump(e *sim.Engine) {
 	o.serEnd = e.Now() + ser
 	o.busyNs += ser
 	o.txBytes += int64(pkt.SizeBytes)
-	// Attribution integrates the serialization on the packet's critical
-	// path: under cut-through the downstream hop proceeds after the header
-	// time, so only cut delays this packet — the body's ser tail shows up
-	// as queueing behind the busy link downstream, never double-counted.
-	pkt.serNs += cut
-	if cp := o.congestion(); cp != nil {
+	if cp != nil {
 		cp.vcBusyNs[vc] += int64(ser)
+		// Attribution integrates the buffer wait and the serialization on
+		// the packet's critical path: under cut-through the downstream hop
+		// proceeds after the header time, so only cut delays this packet —
+		// the body's ser tail shows up as queueing behind the busy link
+		// downstream, never double-counted.
+		c := pkt.coldState()
+		c.queueNs += wait
+		c.serNs += cut
 	}
 	if rl, ok := o.peer.(*remoteLink); ok {
 		o.sendRemote(e, rl, pkt, vc, cut)
@@ -508,8 +511,9 @@ func (o *outPort) monitorDeparture(e *sim.Engine, pkt *Packet, wait sim.Time) {
 			case DestinationBased:
 				// Attach/merge the predictive header into the packet's own
 				// backing; the destination hands it to the ACK (§3.2.2).
-				pkt.ReportRouter = topology.RouterID(o.router)
-				pkt.Contending = mergeFlows(pkt.Contending, flows, cfg.MaxContending)
+				c := pkt.coldState()
+				c.reportRouter = topology.RouterID(o.router)
+				c.contending = mergeFlows(c.contending, flows, cfg.MaxContending)
 			case RouterBased:
 				if c := o.coldState(); e.Now()-c.lastRouterAck >= cfg.RouterAckInterval {
 					c.lastRouterAck = e.Now()

@@ -25,8 +25,9 @@ import (
 //	word 4: Path latency      (8B, ns)
 //	word 6: flags (P,F,T + Header_id, 1B) | MPI_type (1B) | reserved (2B)
 //	word 7: MPI_sequence      (4B)
+//	word 8: MSP index         (4B, two's complement; -1 on a router ACK)
 //
-// followed, when the predictive bit of the *format* (an options marker
+// — wireFixedLen bytes — followed, when the predictive bit of the *format* (an options marker
 // byte) is present, by the predictive header:
 //
 //	type (1B) | opt len (1B) | router id (4B) | reserved (2B)
@@ -51,7 +52,7 @@ func EncodeHeader(p *Packet) ([]byte, error) {
 	if p.HeaderIdx > headerIdxMask {
 		return nil, fmt.Errorf("network: Header_id %d exceeds the 2-bit field", p.HeaderIdx)
 	}
-	buf := make([]byte, wireFixedLen, wireFixedLen+10+8*len(p.Contending))
+	buf := make([]byte, wireFixedLen, wireFixedLen+8+8*len(p.Contending()))
 	be := binary.BigEndian
 	be.PutUint32(buf[0:], uint32(p.Src))
 	for i := 0; i < maxWaypoints; i++ {
@@ -73,15 +74,15 @@ func EncodeHeader(p *Packet) ([]byte, error) {
 	if p.Type == AckPacket {
 		flags |= flagAck
 	}
-	flags |= byte(p.HeaderIdx) & headerIdxMask
+	flags |= p.HeaderIdx
 	buf[24] = flags
 	buf[25] = p.MPIType
 	// buf[26:28] reserved: MUST be zero (§3.3.1).
 	be.PutUint32(buf[28:], p.MPISeq)
 	be.PutUint32(buf[32:], uint32(p.MSPIndex))
 
-	if len(p.Contending) > 0 || p.ReportRouter != 0 {
-		n := len(p.Contending)
+	if c := p.cold; c != nil && (len(c.contending) > 0 || c.reportRouter != 0) {
+		n := len(c.contending)
 		if n > 28 {
 			return nil, fmt.Errorf("network: %d contending flows exceed option capacity", n)
 		}
@@ -89,9 +90,9 @@ func EncodeHeader(p *Packet) ([]byte, error) {
 		opt := make([]byte, 8+8*n)
 		opt[0] = wireOptMarker
 		opt[1] = byte(8*n + 1) // Opt Data Len per Fig 3.18: integer_size*n + 1
-		be.PutUint32(opt[2:], uint32(p.ReportRouter))
+		be.PutUint32(opt[2:], uint32(c.reportRouter))
 		// opt[6:8] reserved.
-		for i, f := range p.Contending {
+		for i, f := range c.contending {
 			be.PutUint32(opt[8+8*i:], uint32(f.Src))
 			be.PutUint32(opt[12+8*i:], uint32(f.Dst))
 		}
@@ -122,13 +123,13 @@ func DecodeHeader(buf []byte) (*Packet, error) {
 	if flags&flagAck != 0 {
 		p.Type = AckPacket
 	}
-	p.HeaderIdx = int(flags & headerIdxMask)
+	p.HeaderIdx = flags & headerIdxMask
 	p.MPIType = buf[25]
 	if buf[26] != 0 || buf[27] != 0 {
 		return nil, fmt.Errorf("network: reserved bytes not zero")
 	}
 	p.MPISeq = be.Uint32(buf[28:])
-	p.MSPIndex = int(int32(be.Uint32(buf[32:])))
+	p.MSPIndex = int32(be.Uint32(buf[32:]))
 
 	rest := buf[wireFixedLen:]
 	if len(rest) == 0 {
@@ -143,7 +144,6 @@ func DecodeHeader(buf []byte) (*Packet, error) {
 	if rest[6] != 0 || rest[7] != 0 {
 		return nil, fmt.Errorf("network: option reserved bytes not zero")
 	}
-	p.ReportRouter = topology.RouterID(be.Uint32(rest[2:]))
 	flows := rest[8:]
 	if len(flows)%8 != 0 {
 		return nil, fmt.Errorf("network: predictive flow list length %d not a multiple of 8", len(flows))
@@ -156,8 +156,10 @@ func DecodeHeader(buf []byte) (*Packet, error) {
 	if int(rest[1]) != 8*(len(flows)/8)+1 {
 		return nil, fmt.Errorf("network: option length byte %d does not match %d flows", rest[1], len(flows)/8)
 	}
+	c := p.coldState()
+	c.reportRouter = topology.RouterID(be.Uint32(rest[2:]))
 	for i := 0; i+8 <= len(flows); i += 8 {
-		p.Contending = append(p.Contending, FlowKey{
+		c.contending = append(c.contending, FlowKey{
 			Src: topology.NodeID(be.Uint32(flows[i:])),
 			Dst: topology.NodeID(be.Uint32(flows[i+4:])),
 		})

@@ -1,6 +1,7 @@
 package network
 
 import (
+	"math"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -11,13 +12,16 @@ import (
 
 func wireFields(p *Packet) *Packet {
 	// Only the fields the wire format carries.
-	return &Packet{
+	q := &Packet{
 		Type: p.Type, Src: p.Src, Dst: p.Dst,
 		Waypoints: p.Waypoints, HeaderIdx: p.HeaderIdx,
 		PathLatency: p.PathLatency, Predictive: p.Predictive, Final: p.Final,
 		MPIType: p.MPIType, MPISeq: p.MPISeq, MSPIndex: p.MSPIndex,
-		ReportRouter: p.ReportRouter, Contending: p.Contending,
 	}
+	if c := p.cold; c != nil {
+		q.SetPredictiveHeader(c.reportRouter, c.contending)
+	}
+	return q
 }
 
 func TestWireRoundTripData(t *testing.T) {
@@ -26,8 +30,7 @@ func TestWireRoundTripData(t *testing.T) {
 		Waypoints: topology.Path{17, 42}, HeaderIdx: 1,
 		PathLatency: 123456, Final: true,
 		MPIType: MPISend, MPISeq: 99, MSPIndex: 2,
-		ReportRouter: 7,
-		Contending:   []FlowKey{{3, 61}, {5, 61}},
+		cold: &packetCold{reportRouter: 7, contending: []FlowKey{{3, 61}, {5, 61}}},
 	}
 	buf, err := EncodeHeader(p)
 	if err != nil {
@@ -42,22 +45,29 @@ func TestWireRoundTripData(t *testing.T) {
 	}
 }
 
+// TestWireRoundTripAck round-trips ACK headers with the narrowed fields at
+// the edges of their wire fields: the MSP index over its whole int32 range
+// (-1 marks a router-originated ACK) and every 2-bit Header_id.
 func TestWireRoundTripAck(t *testing.T) {
-	p := &Packet{
-		Type: AckPacket, Src: 61, Dst: 3,
-		PathLatency: 5_000_000, Predictive: true,
-		MPIType: MPIAllreduce, MPISeq: 1, MSPIndex: -1,
-	}
-	buf, err := EncodeHeader(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeHeader(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Type != AckPacket || got.MSPIndex != -1 || !got.Predictive {
-		t.Fatalf("ACK round trip: %+v", got)
+	for _, msp := range []int32{-1, 0, math.MaxInt32, math.MinInt32} {
+		for hdr := uint8(0); hdr <= headerIdxMask; hdr++ {
+			p := &Packet{
+				Type: AckPacket, Src: 61, Dst: 3, HeaderIdx: hdr,
+				PathLatency: 5_000_000, Predictive: true,
+				MPIType: MPIAllreduce, MPISeq: 1, MSPIndex: msp,
+			}
+			buf, err := EncodeHeader(p)
+			if err != nil {
+				t.Fatalf("MSP index %d, Header_id %d: %v", msp, hdr, err)
+			}
+			got, err := DecodeHeader(buf)
+			if err != nil {
+				t.Fatalf("MSP index %d, Header_id %d: %v", msp, hdr, err)
+			}
+			if !reflect.DeepEqual(wireFields(got), wireFields(p)) {
+				t.Fatalf("ACK round trip mismatch:\n got %+v\nwant %+v", wireFields(got), wireFields(p))
+			}
+		}
 	}
 }
 
@@ -70,7 +80,7 @@ func TestWireRejectsOversize(t *testing.T) {
 	if _, err := EncodeHeader(p); err == nil {
 		t.Fatal("Header_id 5 accepted by a 2-bit field")
 	}
-	p = &Packet{Contending: make([]FlowKey, 40)}
+	p = &Packet{cold: &packetCold{contending: make([]FlowKey, 40)}}
 	if _, err := EncodeHeader(p); err == nil {
 		t.Fatal("40 contending flows accepted")
 	}
@@ -86,7 +96,7 @@ func TestWireDecodeErrors(t *testing.T) {
 	if _, err := DecodeHeader(buf); err == nil {
 		t.Fatal("nonzero reserved accepted")
 	}
-	p2 := &Packet{Src: 1, Dst: 2, Contending: []FlowKey{{1, 2}}}
+	p2 := &Packet{Src: 1, Dst: 2, cold: &packetCold{contending: []FlowKey{{1, 2}}}}
 	buf2, _ := EncodeHeader(p2)
 	if _, err := DecodeHeader(buf2[:len(buf2)-3]); err == nil {
 		t.Fatal("truncated predictive header accepted")
@@ -102,13 +112,13 @@ func TestWireDecodeErrors(t *testing.T) {
 func TestWireRoundTripProperty(t *testing.T) {
 	f := func(src, dst uint16, w1, w2 uint16, hasW1, hasW2 bool, hdr uint8,
 		lat uint32, pred, final, isAck bool, mpiType uint8, seq uint32,
-		mspIdx uint8, nFlows uint8) bool {
+		mspIdx int32, nFlows uint8) bool {
 		p := &Packet{
 			Src: topology.NodeID(src), Dst: topology.NodeID(dst),
-			HeaderIdx:   int(hdr % 3),
+			HeaderIdx:   hdr % 4,
 			PathLatency: sim.Time(lat),
 			Predictive:  pred, Final: final,
-			MPIType: mpiType, MPISeq: seq, MSPIndex: int(mspIdx),
+			MPIType: mpiType, MPISeq: seq, MSPIndex: mspIdx,
 		}
 		if isAck {
 			p.Type = AckPacket
@@ -119,8 +129,12 @@ func TestWireRoundTripProperty(t *testing.T) {
 		if hasW2 {
 			p.Waypoints = append(p.Waypoints, topology.RouterID(w2))
 		}
+		var flows []FlowKey
 		for i := 0; i < int(nFlows%8); i++ {
-			p.Contending = append(p.Contending, FlowKey{topology.NodeID(i), topology.NodeID(i + 1)})
+			flows = append(flows, FlowKey{topology.NodeID(i), topology.NodeID(i + 1)})
+		}
+		if len(flows) > 0 {
+			p.SetPredictiveHeader(0, flows)
 		}
 		buf, err := EncodeHeader(p)
 		if err != nil {
