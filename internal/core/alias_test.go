@@ -46,37 +46,40 @@ func TestWaypointsAliasImmutablePaths(t *testing.T) {
 	eng.RunAll()
 
 	open, aliased := 0, 0
-	for _, c := range ctls {
-		for dst, mp := range c.mps {
-			fresh := topo.AlternativePaths(c.Node, dst, 2*cfg.MaxPaths)
-			if cached := c.PathCache.Paths(c.Node, dst); !slices.EqualFunc(cached, fresh, topology.Path.Equal) {
-				t.Fatalf("%d->%d: cached enumeration %v, topology enumerates %v", c.Node, dst, cached, fresh)
+	for _, mp := range ctls[0].sh.index.slots {
+		if mp == nil {
+			continue
+		}
+		c, dst := ctls[mp.src], topology.NodeID(mp.dst)
+		fresh := topo.AlternativePaths(c.Node, dst, 2*cfg.MaxPaths)
+		if cached := c.sh.pathCache.Paths(c.Node, dst); !slices.EqualFunc(cached, fresh, topology.Path.Equal) {
+			t.Fatalf("%d->%d: cached enumeration %v, topology enumerates %v", c.Node, dst, cached, fresh)
+		}
+		var one [1]pathState
+		for _, p := range mp.states(&one)[1:] {
+			if !slices.ContainsFunc(fresh, p.path.Equal) {
+				t.Fatalf("%d->%d: open path %v is none of the enumerated %v", c.Node, dst, p.path, fresh)
 			}
-			for _, p := range mp.paths[1:] {
-				if !slices.ContainsFunc(fresh, p.path.Equal) {
-					t.Fatalf("%d->%d: open path %v is none of the enumerated %v", c.Node, dst, p.path, fresh)
-				}
-				open++
+			open++
+		}
+		var pool []topology.Path
+		if mp.cold != nil {
+			pool = mp.cold.pool
+		}
+		if tail := fresh[len(fresh)-len(pool):]; !slices.EqualFunc(pool, tail, topology.Path.Equal) {
+			t.Fatalf("%d->%d: pool %v, want the enumeration's tail %v", c.Node, dst, pool, tail)
+		}
+		for try := 0; try < 64 && len(mp.paths) > 1; try++ {
+			pkt := &network.Packet{Dst: dst}
+			c.PrepareInjection(eng, pkt)
+			if len(pkt.Waypoints) == 0 {
+				continue
 			}
-			var pool []topology.Path
-			if mp.cold != nil {
-				pool = mp.cold.pool
+			if p := mp.byID(pkt.MSPIndex); &pkt.Waypoints[0] != &p.path[0] || len(pkt.Waypoints) != len(p.path) {
+				t.Fatalf("%d->%d: packet carries a copy of path %d's waypoints", c.Node, dst, pkt.MSPIndex)
 			}
-			if tail := fresh[len(fresh)-len(pool):]; !slices.EqualFunc(pool, tail, topology.Path.Equal) {
-				t.Fatalf("%d->%d: pool %v, want the enumeration's tail %v", c.Node, dst, pool, tail)
-			}
-			for try := 0; try < 64 && len(mp.paths) > 1; try++ {
-				pkt := &network.Packet{Dst: dst}
-				c.PrepareInjection(eng, pkt)
-				if len(pkt.Waypoints) == 0 {
-					continue
-				}
-				if p := mp.byID(int(pkt.MSPIndex)); &pkt.Waypoints[0] != &p.path[0] || len(pkt.Waypoints) != len(p.path) {
-					t.Fatalf("%d->%d: packet carries a copy of path %d's waypoints", c.Node, dst, pkt.MSPIndex)
-				}
-				aliased++
-				break
-			}
+			aliased++
+			break
 		}
 	}
 	if open < 4 || aliased == 0 {

@@ -1,7 +1,8 @@
 package core
 
 import (
-	"fmt"
+	"cmp"
+	"slices"
 
 	"prdrb/internal/network"
 	"prdrb/internal/sim"
@@ -54,62 +55,50 @@ func (s *Stats) Add(other Stats) {
 }
 
 // Controller is the per-source-node DRB / PR-DRB engine. It implements
-// network.SourceController.
+// network.SourceController. What it shares with the shard's other
+// controllers lives in their shardState.
 type Controller struct {
 	Node topology.NodeID
-	Cfg  Config
-
-	topo topology.Topology
-	eng  *sim.Engine
-	rng  *sim.RNG
-
-	// mps is made by the first metapath; slab, when set, is the shard's
-	// metapath storage (Install).
-	mps  map[topology.NodeID]*metapath
-	slab *metapathSlab
+	sh   *shardState
+	rng  sim.RNG
 	db   *SolutionDB
-	// sigBuf is evidence's scratch: the signature it returns lives here
-	// until the next call.
-	sigBuf []network.FlowKey
-
-	// PathCheck, when set, is the fabric's link-health feasibility
-	// predicate: it reports whether a multistep path currently traverses
-	// only live links. Path selection, opening and solution reuse filter
-	// through it. Nil means "always feasible" (healthy fabric).
-	PathCheck func(src, dst topology.NodeID, p topology.Path) bool
-	// PathCache, when set, supplies the alternative-path enumerations in
-	// place of direct topology calls: assembled simulations share one per
-	// shard, so repeated congestion episodes across a shard's controllers
-	// reuse one bounded enumeration instead of re-deriving (and
-	// re-allocating) the same path sets. Its per-pair budget must be the
-	// 2 × Cfg.MaxPaths a controller enumerates.
-	PathCache *topology.PathCache
-	// OnRecovery, when set, observes each failure-to-recovery latency
-	// (loss notification -> next successful ACK for that destination).
-	OnRecovery func(d sim.Time)
-	// Trace records the controller's decisions as control events (nil =
-	// tracing off; every emission is nil-guarded by the tracer itself).
-	Trace *telemetry.Tracer
-	// Rec feeds metapath open/close transitions into the shard's flight
-	// recorder (nil = recorder off).
-	Rec *telemetry.FlightRecorder
 
 	Stats Stats
 }
 
-// New builds a controller for one source node. It panics on an invalid
-// configuration (a policy bug, not an input condition).
+// shardState is what the controllers of one shard share. They all run on
+// the shard's engine goroutine, so none of it needs a lock.
+type shardState struct {
+	cfg  Config
+	topo topology.Topology
+	eng  *sim.Engine
+	// pathCheck, when set, reports whether a multistep path crosses only
+	// live links; selection, opening and reuse filter through it.
+	pathCheck func(src, dst topology.NodeID, p topology.Path) bool
+	// pathCache, when set, enumerates alternative paths for all the shard's
+	// sources; its per-pair budget must be the 2 × cfg.MaxPaths they use.
+	pathCache *topology.PathCache
+	// onRecovery, when set, observes each loss-to-next-ACK recovery latency.
+	onRecovery func(d sim.Time)
+	trace      *telemetry.Tracer         // control events; nil = tracing off
+	rec        *telemetry.FlightRecorder // path open/close; nil = recorder off
+	// chunk and cold hand out metapaths and cold records (take): a new
+	// destination costs no allocation, and no source strands a chunk.
+	chunk []metapath
+	cold  []metapathCold
+	index metapathIndex
+	// sigBuf is evidence's scratch, holding its signature until the next call.
+	sigBuf []network.FlowKey
+}
+
+// New builds a controller for one source node with a shard context of its
+// own and a copy of rng's state. It panics on an invalid configuration (a
+// policy bug, not an input condition).
 func New(node topology.NodeID, topo topology.Topology, eng *sim.Engine, cfg Config, rng *sim.RNG) *Controller {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	c := &Controller{
-		Node: node,
-		Cfg:  cfg,
-		topo: topo,
-		eng:  eng,
-		rng:  rng,
-	}
+	c := &Controller{Node: node, sh: &shardState{cfg: cfg, topo: topo, eng: eng}, rng: *rng}
 	if cfg.Predictive {
 		c.db = NewSolutionDB()
 	}
@@ -118,12 +107,12 @@ func New(node topology.NodeID, topo topology.Topology, eng *sim.Engine, cfg Conf
 
 // Name implements network.SourceController.
 func (c *Controller) Name() string {
-	switch {
-	case c.Cfg.Predictive && c.Cfg.Watchdog > 0:
+	switch cfg := &c.sh.cfg; {
+	case cfg.Predictive && cfg.Watchdog > 0:
 		return "pr-fr-drb"
-	case c.Cfg.Predictive:
+	case cfg.Predictive:
 		return "pr-drb"
-	case c.Cfg.Watchdog > 0:
+	case cfg.Watchdog > 0:
 		return "fr-drb"
 	default:
 		return "drb"
@@ -133,14 +122,17 @@ func (c *Controller) Name() string {
 // DB exposes the solution database (nil for non-predictive variants).
 func (c *Controller) DB() *SolutionDB { return c.db }
 
+// find returns the metapath toward dst, nil if there is none yet.
+func (c *Controller) find(dst topology.NodeID) *metapath {
+	return c.sh.index.get(int32(c.Node), int32(dst))
+}
+
 func (c *Controller) metapathFor(dst topology.NodeID) *metapath {
-	mp := c.mps[dst]
+	mp := c.find(dst)
 	if mp == nil {
-		if c.mps == nil {
-			c.mps = make(map[topology.NodeID]*metapath)
-		}
-		mp = c.slab.new(dst, c.Cfg.LatencyFloor)
-		c.mps[dst] = mp
+		mp = take(&c.sh.chunk, metapathChunk)
+		mp.src, mp.dst, mp.latNs = int32(c.Node), int32(dst), float64(c.sh.cfg.LatencyFloor)
+		c.sh.index.add(mp)
 	}
 	return mp
 }
@@ -150,28 +142,28 @@ func (c *Controller) metapathFor(dst topology.NodeID) *metapath {
 // relaxes back to the direct path (the inter-burst closing of Fig 3.1).
 func (c *Controller) PrepareInjection(e *sim.Engine, pkt *network.Packet) {
 	mp := c.metapathFor(pkt.Dst)
-	if c.Cfg.IdleReset > 0 && mp.lastInject != 0 && e.Now()-mp.lastInject > c.Cfg.IdleReset {
+	if c.sh.cfg.IdleReset > 0 && mp.lastInject != 0 && e.Now()-mp.lastInject > c.sh.cfg.IdleReset {
 		c.relax(mp)
 	}
 	mp.lastInject = e.Now()
-	p := mp.selectPath(&c.Cfg, c.rng, c.usableFilter(mp))
-	if c.PathCheck != nil && !c.PathCheck(c.Node, pkt.Dst, p.path) {
+	path, id := c.selectPath(mp)
+	if c.sh.pathCheck != nil && !c.sh.pathCheck(c.Node, pkt.Dst, path) {
 		// Every open path crosses a failed link: the transport can see the
 		// injection is doomed before the fabric drops anything. React now —
 		// same actions as a loss notification — then reselect, which finds
 		// any feasible detour the reconfiguration just opened.
 		c.Stats.PathFailures++
 		c.pathLost(e, mp)
-		p = mp.selectPath(&c.Cfg, c.rng, c.usableFilter(mp))
+		path, id = c.selectPath(mp)
 	}
 	// No copy: a path's waypoints are immutable once it is open (see
 	// pathState.path), for as long as any packet carries them.
-	pkt.Waypoints = p.path
-	pkt.MSPIndex = int32(p.id)
+	pkt.Waypoints = path
+	pkt.MSPIndex = id
 	mp.outstanding++
-	if c.Cfg.Watchdog > 0 {
-		if cd := c.slab.coldState(mp); !cd.watchdog.Valid() {
-			c.armWatchdog(e, cd, mp.dst)
+	if c.sh.cfg.Watchdog > 0 {
+		if cd := c.sh.coldState(mp); !cd.watchdog.Valid() {
+			c.armWatchdog(e, cd, pkt.Dst)
 		}
 	}
 }
@@ -182,16 +174,16 @@ const ctlEvWatchdog uint8 = 0
 
 // HandleEvent implements sim.Actor.
 func (c *Controller) HandleEvent(e *sim.Engine, _ uint8, arg uint64) {
-	mp := c.mps[topology.NodeID(arg)]
+	mp := c.find(topology.NodeID(arg))
 	mp.cold.watchdog = sim.EventID{}
 	c.watchdogExpired(e, mp)
 }
 
-// armWatchdog (re)arms dst's watchdog to expire Cfg.Watchdog from now,
+// armWatchdog (re)arms dst's watchdog to expire Watchdog from now,
 // cancelling a pending expiry.
 func (c *Controller) armWatchdog(e *sim.Engine, cd *metapathCold, dst topology.NodeID) {
 	c.stopWatchdog(e, cd)
-	cd.watchdog = e.AfterEvent(c.Cfg.Watchdog, c, ctlEvWatchdog, uint64(dst))
+	cd.watchdog = e.AfterEvent(c.sh.cfg.Watchdog, c, ctlEvWatchdog, uint64(dst))
 }
 
 // stopWatchdog cancels a pending watchdog expiry, if any.
@@ -215,13 +207,10 @@ func (c *Controller) HandleAck(e *sim.Engine, ack *network.Packet) {
 	}
 	// Fold in contending-flow evidence (§3.2.7); only the predictive layer
 	// ever reads it (evidence).
-	if flows := ack.Contending(); c.Cfg.Predictive && len(flows) > 0 {
-		cd := c.slab.coldState(mp)
-		if cd.flowSeen == nil {
-			cd.flowSeen = make(map[network.FlowKey]sim.Time)
-		}
+	if flows := ack.Contending(); c.sh.cfg.Predictive && len(flows) > 0 {
+		cd := c.sh.coldState(mp)
 		for _, f := range flows {
-			cd.flowSeen[f] = e.Now()
+			cd.see(f, e.Now())
 		}
 	}
 
@@ -231,19 +220,19 @@ func (c *Controller) HandleAck(e *sim.Engine, ack *network.Packet) {
 			// First successful delivery ACK after a loss: the metapath has
 			// recovered; report the end-to-end recovery latency.
 			c.Stats.Recoveries++
-			if c.OnRecovery != nil {
-				c.OnRecovery(e.Now() - cd.failedAt)
+			if c.sh.onRecovery != nil {
+				c.sh.onRecovery(e.Now() - cd.failedAt)
 			}
-			c.Trace.Control(e.Now(), telemetry.KindRecovery, int(c.Node), int(mp.dst), e.Now()-cd.failedAt, 0)
+			c.sh.trace.Control(e.Now(), telemetry.KindRecovery, int(c.Node), int(mp.dst), e.Now()-cd.failedAt, 0)
 			cd.failedAt = 0
 		}
-		mp.observe(&c.Cfg, int(ack.MSPIndex), ack.PathLatency)
+		mp.observe(&c.sh.cfg, ack.MSPIndex, ack.PathLatency)
 		if mp.outstanding > 0 {
 			mp.outstanding--
 		}
-		if cd != nil && c.Cfg.Watchdog > 0 {
+		if cd != nil && c.sh.cfg.Watchdog > 0 {
 			if mp.outstanding > 0 {
-				c.armWatchdog(e, cd, mp.dst)
+				c.armWatchdog(e, cd, ack.Src)
 			} else {
 				c.stopWatchdog(e, cd)
 			}
@@ -260,9 +249,9 @@ func (c *Controller) HandleAck(e *sim.Engine, ack *network.Packet) {
 // zoneOf classifies a metapath latency against the thresholds (Eq 3.5).
 func (c *Controller) zoneOf(latNs float64) Zone {
 	switch {
-	case latNs > float64(c.Cfg.ThresholdHigh):
+	case latNs > float64(c.sh.cfg.ThresholdHigh):
 		return ZoneHigh
-	case latNs < float64(c.Cfg.ThresholdLow):
+	case latNs < float64(c.sh.cfg.ThresholdLow):
 		return ZoneLow
 	default:
 		return ZoneMedium
@@ -271,7 +260,7 @@ func (c *Controller) zoneOf(latNs float64) Zone {
 
 // evaluate advances the metapath-configuration FSM (Fig 3.12).
 func (c *Controller) evaluate(e *sim.Engine, mp *metapath) {
-	lat := mp.latency(float64(c.Cfg.LatencyFloor))
+	lat := mp.latency(float64(c.sh.cfg.LatencyFloor))
 	z := c.zoneOf(lat)
 	old := mp.zone
 	mp.zone = z
@@ -280,15 +269,15 @@ func (c *Controller) evaluate(e *sim.Engine, mp *metapath) {
 		if old != ZoneHigh {
 			// M->H: congestion detected. Predictive variants first look for
 			// an already analyzed situation (§3.2.6).
-			c.Trace.Control(e.Now(), telemetry.KindSaturation, int(c.Node), int(mp.dst), sim.Time(lat), 0)
-			if c.Cfg.Predictive && c.tryReuse(e, mp) {
+			c.sh.trace.Control(e.Now(), telemetry.KindSaturation, int(c.Node), int(mp.dst), sim.Time(lat), 0)
+			if c.sh.cfg.Predictive && c.tryReuse(e, mp) {
 				return
 			}
 		}
 		c.maybeOpen(e, mp)
 	case old == ZoneHigh:
 		// H->M / H->L: good paths found; the predictive layer saves them.
-		if c.Cfg.Predictive {
+		if c.sh.cfg.Predictive {
 			c.saveSolution(e, mp)
 		}
 		if z == ZoneLow {
@@ -309,8 +298,8 @@ func (c *Controller) enterHigh(e *sim.Engine, mp *metapath) {
 	was := mp.zone
 	mp.zone = ZoneHigh
 	if was != ZoneHigh {
-		c.Trace.Control(e.Now(), telemetry.KindSaturation, int(c.Node), int(mp.dst), 0, 0)
-		if c.Cfg.Predictive && c.tryReuse(e, mp) {
+		c.sh.trace.Control(e.Now(), telemetry.KindSaturation, int(c.Node), int(mp.dst), 0, 0)
+		if c.sh.cfg.Predictive && c.tryReuse(e, mp) {
 			return
 		}
 	}
@@ -325,18 +314,51 @@ func (c *Controller) watchdogExpired(e *sim.Engine, mp *metapath) {
 		return
 	}
 	c.Stats.WatchdogFirings++
-	c.Trace.Control(e.Now(), telemetry.KindWatchdog, int(c.Node), int(mp.dst), 0, 0)
+	c.sh.trace.Control(e.Now(), telemetry.KindWatchdog, int(c.Node), int(mp.dst), 0, 0)
 	c.enterHigh(e, mp)
-	c.armWatchdog(e, mp.cold, mp.dst)
+	c.armWatchdog(e, mp.cold, topology.NodeID(mp.dst))
 }
 
-// usableFilter adapts PathCheck to the metapath's path-state records; nil
-// when no health predicate is installed.
-func (c *Controller) usableFilter(mp *metapath) func(p *pathState) bool {
-	if c.PathCheck == nil {
-		return nil
+// usable reports whether p toward mp's destination crosses only live links.
+func (c *Controller) usable(mp *metapath, p topology.Path) bool {
+	return c.sh.pathCheck == nil || c.sh.pathCheck(c.Node, topology.NodeID(mp.dst), p)
+}
+
+// selectPath draws a path of mp from the Eq 3.6 density, excluding paths
+// that cross failed links unless all do (then the packet is lost and the
+// loss notification drives reconfiguration), and returns its waypoints
+// and identifier.
+func (c *Controller) selectPath(mp *metapath) (topology.Path, int32) {
+	if len(mp.paths) <= 1 {
+		return nil, 0 // the direct path
 	}
-	return func(p *pathState) bool { return c.PathCheck(c.Node, mp.dst, p.path) }
+	cfg, filter := &c.sh.cfg, c.sh.pathCheck != nil
+	total, feasible := 0.0, 0
+	for i := range mp.paths {
+		if filter && !c.usable(mp, mp.paths[i].path) {
+			continue
+		}
+		feasible++
+		total += mp.paths[i].weight(cfg)
+	}
+	if feasible == 0 {
+		filter = false
+		for i := range mp.paths {
+			total += mp.paths[i].weight(cfg)
+		}
+	}
+	x := c.rng.Float64() * total
+	last := &mp.paths[0]
+	for i := range mp.paths {
+		if filter && !c.usable(mp, mp.paths[i].path) {
+			continue
+		}
+		last = &mp.paths[i]
+		if x -= last.weight(cfg); x <= 0 {
+			break
+		}
+	}
+	return last.path, last.id
 }
 
 // HandlePacketLoss implements network.FailureAware: a packet of ours died
@@ -364,15 +386,15 @@ func (c *Controller) HandlePacketLoss(e *sim.Engine, pkt *network.Packet) {
 // prune dead paths, invalidate dependent saved solutions, rebuild the
 // candidate pool and force the H-zone actions.
 func (c *Controller) pathLost(e *sim.Engine, mp *metapath) {
-	cd := c.slab.coldState(mp)
+	cd := c.sh.coldState(mp)
 	if cd.failedAt == 0 {
 		cd.failedAt = e.Now()
 	}
-	c.Trace.Control(e.Now(), telemetry.KindPathFail, int(c.Node), int(mp.dst), 0, 0)
+	c.sh.trace.Control(e.Now(), telemetry.KindPathFail, int(c.Node), int(mp.dst), 0, 0)
 	c.pruneDeadPaths(mp)
 	if c.db != nil {
 		c.Stats.SolutionsInvalidated += int64(c.db.Invalidate(int(mp.dst), func(p topology.Path) bool {
-			return c.PathCheck == nil || c.PathCheck(c.Node, mp.dst, p)
+			return c.usable(mp, p)
 		}))
 	}
 	// The candidate pool predates the failure; rebuild it on demand so the
@@ -386,13 +408,13 @@ func (c *Controller) pathLost(e *sim.Engine, mp *metapath) {
 // link. The direct path (index 0) is structural and never removed; when
 // infeasible it is simply excluded from selection.
 func (c *Controller) pruneDeadPaths(mp *metapath) {
-	if c.PathCheck == nil {
+	if c.sh.pathCheck == nil || len(mp.paths) <= 1 {
 		return
 	}
 	kept := mp.paths[:1]
 	pruned := 0
 	for _, p := range mp.paths[1:] {
-		if c.PathCheck(c.Node, mp.dst, p.path) {
+		if c.usable(mp, p.path) {
 			kept = append(kept, p)
 		} else {
 			c.Stats.PathsClosed++
@@ -401,18 +423,18 @@ func (c *Controller) pruneDeadPaths(mp *metapath) {
 	}
 	mp.paths = kept
 	if pruned > 0 {
-		c.Trace.Control(c.eng.Now(), telemetry.KindMetapathClose, int(c.Node), int(mp.dst), 0, int64(len(mp.paths)))
+		c.sh.trace.Control(c.sh.eng.Now(), telemetry.KindMetapathClose, int(c.Node), int(mp.dst), 0, int64(len(mp.paths)))
 		c.recordFlight(telemetry.FlightPathClose, mp.dst, len(mp.paths))
 	}
 }
 
 // recordFlight feeds one metapath transition into the flight recorder.
-func (c *Controller) recordFlight(kind string, dst topology.NodeID, paths int) {
-	if c.Rec == nil {
+func (c *Controller) recordFlight(kind string, dst int32, paths int) {
+	if c.sh.rec == nil {
 		return
 	}
-	c.Rec.Record(telemetry.FlightEvent{
-		AtNs: int64(c.eng.Now()), Kind: kind, Router: -1, Port: -1, VC: -1,
+	c.sh.rec.Record(telemetry.FlightEvent{
+		AtNs: int64(c.sh.eng.Now()), Kind: kind, Router: -1, Port: -1, VC: -1,
 		Src: int(c.Node), Dst: int(dst), Val: int64(paths),
 	})
 }
@@ -423,41 +445,40 @@ func (c *Controller) recordFlight(kind string, dst topology.NodeID, paths int) {
 // congestion signal in lockstep and thrash the load from one region to
 // another in synchronized waves.
 func (c *Controller) maybeOpen(e *sim.Engine, mp *metapath) {
-	if len(mp.paths) >= c.Cfg.MaxPaths {
+	if max(1, len(mp.paths)) >= c.sh.cfg.MaxPaths {
 		return
 	}
-	cd := c.slab.coldState(mp)
+	cd := c.sh.coldState(mp)
 	if cd.lastOpen != 0 {
-		jittered := sim.Time(float64(c.Cfg.OpenInterval) * (0.75 + 0.5*c.rng.Float64()))
+		jittered := sim.Time(float64(c.sh.cfg.OpenInterval) * (0.75 + 0.5*c.rng.Float64()))
 		if e.Now()-cd.lastOpen < jittered {
 			return
 		}
 	}
+	dst := topology.NodeID(mp.dst)
 	if !cd.poolInit {
-		cd.pool = c.enumeratePaths(mp.dst)
+		cd.pool = c.enumeratePaths(dst)
 		cd.poolInit = true
-		cd.directLen = topology.PathLength(c.topo, c.Node, mp.dst, nil)
+		cd.directLen = int32(topology.PathLength(c.sh.topo, c.Node, dst, nil))
 	}
 	// Skip candidates already open or currently infeasible (failed links).
 	for len(cd.pool) > 0 {
 		cand := cd.pool[0]
 		cd.pool = cd.pool[1:]
-		if mp.hasPath(cand) {
+		if mp.hasPath(cand) || !c.usable(mp, cand) {
 			continue
 		}
-		if c.PathCheck != nil && !c.PathCheck(c.Node, mp.dst, cand) {
-			continue
-		}
+		mp.spill()
 		mp.paths = append(mp.paths, pathState{
 			id:        cd.nextPathID,
 			path:      cand,
-			latNs:     c.currentBest(mp), // optimistic: probe the new path
-			extraHops: topology.PathLength(c.topo, c.Node, mp.dst, cand) - cd.directLen,
+			latNs:     mp.currentBest(), // optimistic: probe the new path
+			extraHops: int16(int32(topology.PathLength(c.sh.topo, c.Node, dst, cand)) - cd.directLen),
 		})
 		cd.nextPathID++
 		cd.lastOpen = e.Now()
 		c.Stats.PathsOpened++
-		c.Trace.Control(e.Now(), telemetry.KindMetapathOpen, int(c.Node), int(mp.dst), 0, int64(len(mp.paths)))
+		c.sh.trace.Control(e.Now(), telemetry.KindMetapathOpen, int(c.Node), int(mp.dst), 0, int64(len(mp.paths)))
 		c.recordFlight(telemetry.FlightPathOpen, mp.dst, len(mp.paths))
 		return
 	}
@@ -469,31 +490,21 @@ func (c *Controller) maybeOpen(e *sim.Engine, mp *metapath) {
 // (pool[1:]) and an opened path is only ever read, so aliasing the
 // cache's storage is safe.
 func (c *Controller) enumeratePaths(dst topology.NodeID) []topology.Path {
-	if c.PathCache == nil {
-		return c.topo.AlternativePaths(c.Node, dst, 2*c.Cfg.MaxPaths)
+	if c.sh.pathCache == nil {
+		return c.sh.topo.AlternativePaths(c.Node, dst, 2*c.sh.cfg.MaxPaths)
 	}
-	return c.PathCache.Paths(c.Node, dst)
+	return c.sh.pathCache.Paths(c.Node, dst)
 }
 
-// currentBest returns the lowest path latency in the metapath, the
-// optimistic initial estimate for a newly opened path.
-func (c *Controller) currentBest(mp *metapath) float64 {
-	best := mp.paths[0].latNs
-	for i := range mp.paths {
-		if mp.paths[i].latNs < best {
-			best = mp.paths[i].latNs
-		}
-	}
-	return best
+// currentBest returns the lowest path latency of a metapath holding its
+// paths, the optimistic initial estimate for a newly opened path.
+func (mp *metapath) currentBest() float64 {
+	return slices.MinFunc(mp.paths, func(a, b pathState) int { return cmp.Compare(a.latNs, b.latNs) }).latNs
 }
 
+// hasPath reports whether p is open; the direct path always is.
 func (mp *metapath) hasPath(p topology.Path) bool {
-	for i := range mp.paths {
-		if mp.paths[i].path.Equal(p) {
-			return true
-		}
-	}
-	return false
+	return len(p) == 0 || slices.ContainsFunc(mp.paths, func(s pathState) bool { return s.path.Equal(p) })
 }
 
 // relax closes every alternative path and forgets the transient latency
@@ -503,12 +514,12 @@ func (mp *metapath) hasPath(p topology.Path) bool {
 func (c *Controller) relax(mp *metapath) {
 	if n := len(mp.paths); n > 1 {
 		c.Stats.PathsClosed += int64(n - 1)
-		c.Trace.Control(c.eng.Now(), telemetry.KindMetapathClose, int(c.Node), int(mp.dst), 0, 1)
+		c.sh.trace.Control(c.sh.eng.Now(), telemetry.KindMetapathClose, int(c.Node), int(mp.dst), 0, 1)
 		c.recordFlight(telemetry.FlightPathClose, mp.dst, 1)
 	}
-	mp.paths = mp.paths[:1]
-	mp.paths[0].latNs = float64(c.Cfg.LatencyFloor)
-	mp.paths[0].acks = 0
+	mp.paths = mp.paths[:0]
+	mp.latNs = float64(c.sh.cfg.LatencyFloor)
+	mp.observed = false
 	mp.zone = ZoneLow
 	mp.outstanding = 0
 	if cd := mp.cold; cd != nil {
@@ -516,7 +527,9 @@ func (c *Controller) relax(mp *metapath) {
 		cd.poolInit = false
 		cd.lastOpen = 0
 		cd.failedAt = 0
-		cd.trend.reset()
+		if cd.trend != nil {
+			cd.trend.reset()
+		}
 	}
 }
 
@@ -535,10 +548,10 @@ func (c *Controller) maybeClose(mp *metapath) {
 	// Never strand the metapath: with the direct path dead, the relaxation
 	// that follows each recovered ACK would otherwise close the one feasible
 	// detour and re-fail on the next injection, forever.
-	if c.PathCheck != nil {
+	if c.sh.pathCheck != nil {
 		usableLeft := 0
 		for i := range mp.paths {
-			if i != worst && c.PathCheck(c.Node, mp.dst, mp.paths[i].path) {
+			if i != worst && c.usable(mp, mp.paths[i].path) {
 				usableLeft++
 			}
 		}
@@ -548,25 +561,22 @@ func (c *Controller) maybeClose(mp *metapath) {
 	}
 	mp.paths = append(mp.paths[:worst], mp.paths[worst+1:]...)
 	c.Stats.PathsClosed++
-	c.Trace.Control(c.eng.Now(), telemetry.KindMetapathClose, int(c.Node), int(mp.dst), 0, int64(len(mp.paths)))
+	c.sh.trace.Control(c.sh.eng.Now(), telemetry.KindMetapathClose, int(c.Node), int(mp.dst), 0, int64(len(mp.paths)))
 	c.recordFlight(telemetry.FlightPathClose, mp.dst, len(mp.paths))
 }
 
 // evidence builds the current contending-flow signature for a destination
 // from reports within the evidence window.
 func (c *Controller) evidence(e *sim.Engine, mp *metapath) Signature {
-	flows := c.sigBuf[:0]
+	flows := c.sh.sigBuf[:0]
 	if cd := mp.cold; cd != nil {
-		for f, seen := range cd.flowSeen {
-			if e.Now()-seen <= c.Cfg.EvidenceWindow {
-				flows = append(flows, f)
-			} else {
-				delete(cd.flowSeen, f)
-			}
+		cd.flowSeen = slices.DeleteFunc(cd.flowSeen, func(s flowStamp) bool { return e.Now()-s.at > c.sh.cfg.EvidenceWindow })
+		for _, s := range cd.flowSeen {
+			flows = append(flows, s.flow)
 		}
 	}
-	c.sigBuf = flows
-	return NewSignature(flows, c.Cfg.MaxSignature)
+	c.sh.sigBuf = flows
+	return NewSignature(flows, c.sh.cfg.MaxSignature)
 }
 
 // tryReuse looks up a saved solution for the current pattern and applies it
@@ -577,29 +587,27 @@ func (c *Controller) tryReuse(e *sim.Engine, mp *metapath) bool {
 	if len(sig) == 0 {
 		return false
 	}
-	sol := c.db.Lookup(int(mp.dst), sig, c.Cfg.Similarity)
+	sol := c.db.Lookup(int(mp.dst), sig, c.sh.cfg.Similarity)
 	if sol == nil {
-		c.Trace.Control(e.Now(), telemetry.KindSolDBMiss, int(c.Node), int(mp.dst), 0, int64(c.db.Size()))
+		c.sh.trace.Control(e.Now(), telemetry.KindSolDBMiss, int(c.Node), int(mp.dst), 0, int64(c.db.Size()))
 		return false
 	}
-	if c.PathCheck != nil {
-		// A saved solution is only as good as its links: one that crosses
-		// a failed link must not be re-applied wholesale.
-		for i := range sol.paths {
-			if !c.PathCheck(c.Node, mp.dst, sol.paths[i].path) {
-				c.Trace.Control(e.Now(), telemetry.KindSolDBMiss, int(c.Node), int(mp.dst), 0, int64(c.db.Size()))
-				return false
-			}
+	// A saved solution is only as good as its links: one that crosses a
+	// failed link must not be re-applied wholesale.
+	for i := range sol.paths {
+		if !c.usable(mp, sol.paths[i].path) {
+			c.sh.trace.Control(e.Now(), telemetry.KindSolDBMiss, int(c.Node), int(mp.dst), 0, int64(c.db.Size()))
+			return false
 		}
 	}
-	mp.restore(c.slab, sol.paths)
+	mp.restore(c.sh, sol.paths)
 	mp.cold.lastOpen = e.Now()
 	if sol.Hits == 0 {
 		c.Stats.PatternsReused++
 	}
 	sol.Hits++
 	c.Stats.ReuseApplications++
-	c.Trace.Control(e.Now(), telemetry.KindSolDBHit, int(c.Node), int(mp.dst), 0, int64(c.db.Size()))
+	c.sh.trace.Control(e.Now(), telemetry.KindSolDBHit, int(c.Node), int(mp.dst), 0, int64(c.db.Size()))
 	return true
 }
 
@@ -610,24 +618,25 @@ func (c *Controller) saveSolution(e *sim.Engine, mp *metapath) {
 	if len(sig) == 0 {
 		return
 	}
-	if c.db.Save(int(mp.dst), sig, mp.paths, c.Cfg.Similarity, e.Now()) != nil {
+	var one [1]pathState
+	if c.db.Save(int(mp.dst), sig, mp.states(&one), c.sh.cfg.Similarity, e.Now()) != nil {
 		c.Stats.PatternsSaved++
-		c.Trace.Control(e.Now(), telemetry.KindSolDBSave, int(c.Node), int(mp.dst), 0, int64(c.db.Size()))
+		c.sh.trace.Control(e.Now(), telemetry.KindSolDBSave, int(c.Node), int(mp.dst), 0, int64(c.db.Size()))
 	}
 }
 
 // PathCount reports the current number of MSPs toward dst (1 = direct
 // only). Used by tests and the path-opening walkthrough example.
 func (c *Controller) PathCount(dst topology.NodeID) int {
-	if mp := c.mps[dst]; mp != nil {
-		return len(mp.paths)
+	if mp := c.find(dst); mp != nil {
+		return max(1, len(mp.paths))
 	}
 	return 1
 }
 
 // ZoneFor reports the current congestion zone toward dst.
 func (c *Controller) ZoneFor(dst topology.NodeID) Zone {
-	if mp := c.mps[dst]; mp != nil {
+	if mp := c.find(dst); mp != nil {
 		return mp.zone
 	}
 	return ZoneLow
@@ -635,23 +644,25 @@ func (c *Controller) ZoneFor(dst topology.NodeID) Zone {
 
 // MetapathLatency reports L(MP) (Eq 3.4) toward dst in nanoseconds.
 func (c *Controller) MetapathLatency(dst topology.NodeID) float64 {
-	if mp := c.mps[dst]; mp != nil {
-		return mp.latency(float64(c.Cfg.LatencyFloor))
+	if mp := c.find(dst); mp != nil {
+		return mp.latency(float64(c.sh.cfg.LatencyFloor))
 	}
-	return float64(c.Cfg.LatencyFloor)
+	return float64(c.sh.cfg.LatencyFloor)
 }
 
 // Paths returns a copy of the current waypoint sets toward dst, direct
 // path first — a copy on purpose: the originals are shared with the path
 // cache, the solution database and in-flight packets (pathState.path).
 func (c *Controller) Paths(dst topology.NodeID) []topology.Path {
-	mp := c.mps[dst]
+	mp := c.find(dst)
 	if mp == nil {
 		return []topology.Path{nil}
 	}
-	out := make([]topology.Path, len(mp.paths))
-	for i := range mp.paths {
-		out[i] = append(topology.Path(nil), mp.paths[i].path...)
+	var one [1]pathState
+	states := mp.states(&one)
+	out := make([]topology.Path, len(states))
+	for i := range states {
+		out[i] = append(topology.Path(nil), states[i].path...)
 	}
 	return out
 }
@@ -661,45 +672,69 @@ func (c *Controller) Paths(dst topology.NodeID) []topology.Path {
 // the fabric's link-health predicate and the collector's recovery
 // histogram, making them fault-aware.
 func Install(net *network.Network, cfg Config, rngSeed uint64) []*Controller {
-	ctls := make([]*Controller, net.Topo.NumTerminals())
+	if err := cfg.Validate(); err != nil {
+		panic(err)
+	}
+	slab := make([]Controller, net.Topo.NumTerminals())
+	ctls := make([]*Controller, len(slab))
 	root := sim.NewRNG(rngSeed)
-	// One bounded path cache and one metapath slab per shard: every
-	// controller on a shard runs on that shard's engine goroutine, so the
-	// (non-thread-safe) pair sees strictly serial access, and hot
-	// destination sets are shared across the shard's sources instead of
-	// enumerated per controller. The bound keeps resident pairs O(active
-	// flows), not O(N^2).
-	type shardState struct {
-		paths *topology.PathCache
-		slab  metapathSlab
-	}
+	// One context per shard engine, whose goroutine runs all its
+	// controllers: the path cache, metapath chunks and index need no lock,
+	// hot destination sets are enumerated once per shard, and the cache
+	// bound keeps resident pairs O(active flows), not O(N^2).
 	shards := make(map[*sim.Engine]*shardState)
-	capacity := 4 * net.Topo.NumTerminals()
-	if capacity < 256 {
-		capacity = 256
-	}
+	capacity := max(256, 4*len(slab))
 	net.SetSourceController(func(node topology.NodeID) network.SourceController {
 		// Each controller binds to its node's shard: engine, tracer and
 		// collector all come from the shard owning the node's NIC, so
 		// controller callbacks stay shard-local in parallel runs.
 		eng := net.EngineForNode(node)
-		ctl := New(node, net.Topo, eng, cfg, root.Split(uint64(node)+1))
-		ctl.PathCheck = net.PathUsable
-		ctl.Trace = net.TracerForNode(node)
-		ctl.Rec = net.RecorderForNode(node)
-		if col := net.CollectorForNode(node); col != nil {
-			ctl.OnRecovery = col.PathRecovered
-		}
 		sh := shards[eng]
 		if sh == nil {
-			sh = &shardState{paths: topology.NewPathCache(net.Topo, 2*cfg.MaxPaths, capacity)}
+			sh = &shardState{
+				cfg: cfg, topo: net.Topo, eng: eng,
+				pathCheck: net.PathUsable,
+				pathCache: topology.NewPathCache(net.Topo, 2*cfg.MaxPaths, capacity),
+				trace:     net.TracerForNode(node),
+				rec:       net.RecorderForNode(node),
+			}
+			if col := net.CollectorForNode(node); col != nil {
+				sh.onRecovery = col.PathRecovered
+			}
 			shards[eng] = sh
 		}
-		ctl.PathCache, ctl.slab = sh.paths, &sh.slab
-		ctls[node] = ctl
-		return ctl
+		c := &slab[node]
+		c.Node, c.sh = node, sh
+		if cfg.Predictive {
+			c.db = NewSolutionDB()
+		}
+		c.rng.Seed(root.SplitSeed(uint64(node) + 1)) // the stream of root.Split(node+1)
+		ctls[node] = c
+		return c
 	})
 	return ctls
+}
+
+// OpenPathCounts reports how many metapaths of the shards the controllers
+// belong to hold more than their direct path (open, in the paper's sense),
+// and how many extra paths those hold in total. It must run where the
+// controllers are quiescent (engine goroutine, or a shard-group barrier).
+// Nil controllers (nodes without PR-DRB) are skipped.
+func OpenPathCounts(ctls []*Controller) (openMetapaths, extraPaths int) {
+	var seen []*shardState
+	for _, c := range ctls {
+		if c == nil || slices.Contains(seen, c.sh) {
+			continue
+		}
+		seen = append(seen, c.sh)
+		for _, mp := range c.sh.index.slots {
+			if mp != nil && len(mp.paths) > 1 {
+				openMetapaths++
+				extraPaths += len(mp.paths) - 1
+			}
+		}
+	}
+	return openMetapaths, extraPaths
 }
 
 // AggregateStats sums the stats of a controller fleet.
@@ -717,12 +752,3 @@ var (
 	_ network.SourceController = (*Controller)(nil)
 	_ network.FailureAware     = (*Controller)(nil)
 )
-
-func init() {
-	// Compile-time-ish sanity: the names must match ConfigByName.
-	for _, name := range []string{"drb", "pr-drb", "fr-drb", "pr-fr-drb"} {
-		if _, ok := ConfigByName(name); !ok {
-			panic(fmt.Sprintf("core: ConfigByName missing %q", name))
-		}
-	}
-}

@@ -51,17 +51,21 @@ func TestControllerNames(t *testing.T) {
 		if got := New(0, topo, eng, cfg, rng).Name(); got != want {
 			t.Errorf("Name() = %q, want %q", got, want)
 		}
+		if named, ok := ConfigByName(want); !ok || named != cfg {
+			t.Errorf("ConfigByName(%q) = %+v, %v; want the %s defaults", want, named, ok, want)
+		}
 	}
 }
 
 func TestMetapathLatencyEq34(t *testing.T) {
 	mp := newMetapath(5, 500)
-	mp.paths[0].latNs = 1000
+	mp.latNs = 1000
 	// Single path: L(MP) = path latency.
 	if got := mp.latency(500); got != 1000 {
 		t.Fatalf("L(MP) single = %v", got)
 	}
 	// Two paths 1000 and 1000: harmonic aggregate = 500.
+	mp.spill()
 	mp.paths = append(mp.paths, pathState{id: 1, latNs: 1000})
 	if got := mp.latency(500); math.Abs(got-500) > 1e-9 {
 		t.Fatalf("L(MP) double = %v, want 500", got)
@@ -79,13 +83,15 @@ func TestSelectionPDF(t *testing.T) {
 	cfg := DRBConfig()
 	cfg.HopPenalty = 0
 	mp := newMetapath(1, cfg.LatencyFloor)
-	mp.paths[0].latNs = 10000
+	mp.latNs = 10000
+	mp.spill()
 	mp.paths = append(mp.paths, pathState{id: 1, latNs: 30000})
-	rng := sim.NewRNG(42)
-	counts := map[int]int{}
+	c := New(0, topology.NewMesh(4, 4), sim.NewEngine(), cfg, sim.NewRNG(42))
+	counts := map[int32]int{}
 	const n = 30000
 	for i := 0; i < n; i++ {
-		counts[mp.selectPath(&cfg, rng, nil).id]++
+		_, id := c.selectPath(mp)
+		counts[id]++
 	}
 	// Expected shares: (1/10k)/(1/10k+1/30k)=0.75 vs 0.25.
 	got := float64(counts[0]) / n
@@ -97,13 +103,15 @@ func TestSelectionPDF(t *testing.T) {
 func TestSelectionPrefersShorterPaths(t *testing.T) {
 	cfg := DRBConfig()
 	mp := newMetapath(1, cfg.LatencyFloor)
-	mp.paths[0].latNs = 5000
+	mp.latNs = 5000
 	// Same latency but 4 extra hops: must be picked less often.
+	mp.spill()
 	mp.paths = append(mp.paths, pathState{id: 1, latNs: 5000, extraHops: 4})
-	rng := sim.NewRNG(7)
-	counts := map[int]int{}
+	c := New(0, topology.NewMesh(4, 4), sim.NewEngine(), cfg, sim.NewRNG(7))
+	counts := map[int32]int{}
 	for i := 0; i < 20000; i++ {
-		counts[mp.selectPath(&cfg, rng, nil).id]++
+		_, id := c.selectPath(mp)
+		counts[id]++
 	}
 	if counts[1] >= counts[0] {
 		t.Fatalf("longer path selected as often: %v", counts)
@@ -114,13 +122,13 @@ func TestObserveEWMA(t *testing.T) {
 	cfg := DRBConfig()
 	mp := newMetapath(1, cfg.LatencyFloor)
 	mp.observe(&cfg, 0, 10000)
-	if mp.paths[0].latNs != 10000 {
-		t.Fatalf("first sample not adopted: %v", mp.paths[0].latNs)
+	if mp.latNs != 10000 {
+		t.Fatalf("first sample not adopted: %v", mp.latNs)
 	}
 	mp.observe(&cfg, 0, 20000)
 	want := 0.3*20000 + 0.7*10000
-	if math.Abs(mp.paths[0].latNs-want) > 1e-9 {
-		t.Fatalf("EWMA = %v, want %v", mp.paths[0].latNs, want)
+	if math.Abs(mp.latNs-want) > 1e-9 {
+		t.Fatalf("EWMA = %v, want %v", mp.latNs, want)
 	}
 	// Unknown path id ignored.
 	mp.observe(&cfg, 99, 5)
@@ -230,16 +238,16 @@ func TestMetapathRestoreAssignsFreshIDs(t *testing.T) {
 	mp := newMetapath(3, 500)
 	saved := []pathState{
 		{id: 0, latNs: 1000},
-		{id: 7, path: topology.Path{4}, latNs: 2000, acks: 55},
+		{id: 7, path: topology.Path{4}, latNs: 2000, observed: true},
 	}
-	mp.restore(nil, saved)
+	mp.restore(new(shardState), saved)
 	if len(mp.paths) != 2 {
 		t.Fatal("restore lost paths")
 	}
 	if mp.paths[0].id != 0 || len(mp.paths[0].path) != 0 {
 		t.Fatal("direct path mangled")
 	}
-	if mp.paths[1].id == 7 || mp.paths[1].acks != 0 {
+	if mp.paths[1].id == 7 || mp.paths[1].observed {
 		t.Fatal("restored path kept stale identity")
 	}
 	if mp.paths[1].latNs != 2000 {
@@ -314,11 +322,26 @@ func TestFSMOpensAndClosesPaths(t *testing.T) {
 	}
 }
 
+// A metapath of MaxPaths 1 is its direct path alone, congested or not.
+func TestMaxPathsOneNeverOpens(t *testing.T) {
+	eng := sim.NewEngine()
+	cfg := DRBConfig()
+	cfg.OpenInterval, cfg.MaxPaths = 0, 1
+	ctl := New(0, topology.NewMesh(8, 8), eng, cfg, sim.NewRNG(3))
+	for i := 0; i < 6; i++ {
+		ctl.HandleAck(eng, &network.Packet{Type: network.AckPacket, Src: 63, Dst: 0, MSPIndex: 0, PathLatency: 100 * sim.Microsecond})
+	}
+	if ctl.PathCount(63) != 1 || ctl.Stats.PathsOpened != 0 || ctl.ZoneFor(63) != ZoneHigh {
+		t.Fatalf("MaxPaths 1 under congestion: %d paths, %d opened, zone %v", ctl.PathCount(63), ctl.Stats.PathsOpened, ctl.ZoneFor(63))
+	}
+}
+
 func openPathIDs(c *Controller, dst topology.NodeID) []int {
-	mp := c.mps[dst]
-	ids := make([]int, len(mp.paths))
-	for i := range mp.paths {
-		ids[i] = mp.paths[i].id
+	var one [1]pathState
+	states := c.find(dst).states(&one)
+	ids := make([]int, len(states))
+	for i := range states {
+		ids[i] = int(states[i].id)
 	}
 	return ids
 }
@@ -449,16 +472,16 @@ func TestWatchdogEvent(t *testing.T) {
 		t.Fatal("the watchdog fired at its superseded deadline")
 	}
 	ctl.HandleAck(eng, ack) // nothing outstanding: cancel
-	if eng.Len() != 0 || ctl.mps[63].cold.watchdog.Valid() {
-		t.Fatalf("the last ACK left %d events and the watchdog armed=%v", eng.Len(), ctl.mps[63].cold.watchdog.Valid())
+	if eng.Len() != 0 || ctl.find(63).cold.watchdog.Valid() {
+		t.Fatalf("the last ACK left %d events and the watchdog armed=%v", eng.Len(), ctl.find(63).cold.watchdog.Valid())
 	}
 	send()
 	eng.Run(3 * cfg.Watchdog)
-	if ctl.Stats.WatchdogFirings == 0 || !ctl.mps[63].cold.watchdog.Valid() {
+	if ctl.Stats.WatchdogFirings == 0 || !ctl.find(63).cold.watchdog.Valid() {
 		t.Fatalf("an unanswered packet fired the watchdog %d times and left it armed=%v",
-			ctl.Stats.WatchdogFirings, ctl.mps[63].cold.watchdog.Valid())
+			ctl.Stats.WatchdogFirings, ctl.find(63).cold.watchdog.Valid())
 	}
-	cd := ctl.mps[63].cold
+	cd := ctl.find(63).cold
 	if avg := testing.AllocsPerRun(100, func() {
 		ctl.armWatchdog(eng, cd, 63)
 		ctl.armWatchdog(eng, cd, 63) // re-arm while armed: cancel + reschedule
@@ -479,7 +502,7 @@ func TestFlowEvidenceOnlyPredictive(t *testing.T) {
 		ctl := New(0, topo, eng, cfg, sim.NewRNG(3))
 		ctl.HandleAck(eng, withFlows(&network.Packet{Type: network.AckPacket, Src: 63, Dst: 0,
 			MSPIndex: 0, PathLatency: 100}, flows))
-		cd := ctl.mps[63].cold
+		cd := ctl.find(63).cold
 		switch {
 		case !cfg.Predictive && cd != nil:
 			t.Errorf("%s made a cold record for its contending flows", ctl.Name())

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
+	"slices"
 
 	"prdrb/internal/network"
 	"prdrb/internal/topology"
@@ -45,7 +47,8 @@ type Knowledge struct {
 	Nodes []exportNode `json:"nodes"`
 }
 
-// ExportKnowledge snapshots every predictive controller's database.
+// ExportKnowledge snapshots every predictive controller's database, in
+// node order, each node's destinations in ascending order.
 func ExportKnowledge(ctls []*Controller) *Knowledge {
 	k := &Knowledge{}
 	for _, c := range ctls {
@@ -65,13 +68,14 @@ func ExportKnowledge(ctls []*Controller) *Knowledge {
 						wp[i] = int(r)
 					}
 					es.Paths = append(es.Paths, exportPath{
-						Waypoints: wp, LatencyNs: p.latNs, ExtraHops: p.extraHops,
+						Waypoints: wp, LatencyNs: p.latNs, ExtraHops: int(p.extraHops),
 					})
 				}
 				en.Solutions = append(en.Solutions, es)
 			}
 		}
 		if len(en.Solutions) > 0 {
+			slices.SortStableFunc(en.Solutions, func(a, b exportSolution) int { return a.Dst - b.Dst })
 			k.Nodes = append(k.Nodes, en)
 		}
 	}
@@ -79,7 +83,8 @@ func ExportKnowledge(ctls []*Controller) *Knowledge {
 }
 
 // ImportKnowledge preloads databases into a fresh controller fleet. The
-// fleet must cover the node ids in the snapshot and be predictive.
+// fleet must cover the node ids in the snapshot and be predictive, and
+// every solution must fit the fleet's fabric and policy (decode).
 func ImportKnowledge(ctls []*Controller, k *Knowledge) error {
 	byNode := make(map[int]*Controller, len(ctls))
 	for _, c := range ctls {
@@ -95,26 +100,51 @@ func ImportKnowledge(ctls []*Controller, k *Knowledge) error {
 		if c.db == nil {
 			return fmt.Errorf("core: node %d controller is not predictive", en.Node)
 		}
-		for _, es := range en.Solutions {
-			var flows []network.FlowKey
-			for _, f := range es.Flows {
-				flows = append(flows, network.FlowKey{Src: topology.NodeID(f[0]), Dst: topology.NodeID(f[1])})
+		for i, es := range en.Solutions {
+			sig, paths, err := es.decode(c.sh.topo, &c.sh.cfg)
+			if err != nil {
+				return fmt.Errorf("core: node %d solution %d: %w", en.Node, i, err)
 			}
-			sig := NewSignature(flows, c.Cfg.MaxSignature)
-			paths := make([]pathState, 0, len(es.Paths))
-			for i, p := range es.Paths {
-				wp := make(topology.Path, len(p.Waypoints))
-				for j, r := range p.Waypoints {
-					wp[j] = topology.RouterID(r)
-				}
-				paths = append(paths, pathState{
-					id: i, path: wp, latNs: p.LatencyNs, extraHops: p.ExtraHops,
-				})
-			}
-			c.db.Save(es.Dst, sig, paths, c.Cfg.Similarity, 0)
+			c.db.Save(es.Dst, sig, paths, c.sh.cfg.Similarity, 0)
 		}
 	}
 	return nil
+}
+
+// decode converts es into a signature and path states for topo under cfg.
+// It reports the first reason es cannot be a solution there: a node or
+// router outside the fabric, no paths or more than MaxPaths, or a path
+// with a latency that is not a finite non-negative number, a negative or
+// oversized hop excess, or the direct path (no waypoints, no extra hops)
+// anywhere but first or missing there.
+func (es *exportSolution) decode(topo topology.Topology, cfg *Config) (Signature, []pathState, error) {
+	nodes, routers := topo.NumTerminals(), topo.NumRouters()
+	outside := func(id, n int) bool { return id < 0 || id >= n }
+	if outside(es.Dst, nodes) || slices.ContainsFunc(es.Flows, func(f [2]int) bool { return outside(f[0], nodes) || outside(f[1], nodes) }) {
+		return nil, nil, fmt.Errorf("destination %d or a flow of %v outside [0, %d)", es.Dst, es.Flows, nodes)
+	}
+	if len(es.Paths) == 0 || len(es.Paths) > cfg.MaxPaths {
+		return nil, nil, fmt.Errorf("%d paths, want 1 to %d", len(es.Paths), cfg.MaxPaths)
+	}
+	flows := make([]network.FlowKey, len(es.Flows))
+	for i, f := range es.Flows {
+		flows[i] = network.FlowKey{Src: topology.NodeID(f[0]), Dst: topology.NodeID(f[1])}
+	}
+	paths := make([]pathState, len(es.Paths))
+	for i, p := range es.Paths {
+		direct := len(p.Waypoints) == 0
+		if !(p.LatencyNs >= 0) || math.IsInf(p.LatencyNs, 1) || outside(p.ExtraHops, math.MaxInt16+1) ||
+			direct != (i == 0) || direct && p.ExtraHops != 0 ||
+			slices.ContainsFunc(p.Waypoints, func(r int) bool { return outside(r, routers) }) {
+			return nil, nil, fmt.Errorf("path %d %+v: want routers in [0, %d), a finite latency >= 0 and 0 to %d extra hops, "+
+				"and the direct path (no waypoints, no extra hops) first and only there", i, p, routers, math.MaxInt16)
+		}
+		paths[i] = pathState{path: make(topology.Path, len(p.Waypoints)), latNs: p.LatencyNs, extraHops: int16(p.ExtraHops)}
+		for j, r := range p.Waypoints {
+			paths[i].path[j] = topology.RouterID(r)
+		}
+	}
+	return NewSignature(flows, cfg.MaxSignature), paths, nil
 }
 
 // WriteTo serializes the knowledge as indented JSON.

@@ -57,22 +57,24 @@ func TestControllerInvariantsUnderRandomAcks(t *testing.T) {
 			eng.Schedule(eng.Now()+sim.Time(rng.Intn(30))*sim.Microsecond, func(*sim.Engine) {})
 			eng.Run(eng.Now() + 31*sim.Microsecond)
 
-			mp := ctl.mps[dst]
+			mp := ctl.find(dst)
 			if mp == nil {
 				continue
 			}
-			if len(mp.paths) < 1 || len(mp.paths) > cfg.MaxPaths {
+			var one [1]pathState
+			paths := mp.states(&one)
+			if len(paths) > cfg.MaxPaths {
 				return false
 			}
-			if len(mp.paths[0].path) != 0 {
+			if len(paths[0].path) != 0 || paths[0].id != 0 {
 				return false // direct path must stay at index 0
 			}
-			seen := map[int]bool{}
-			for i := range mp.paths {
-				if seen[mp.paths[i].id] {
+			seen := map[int32]bool{}
+			for i := range paths {
+				if seen[paths[i].id] {
 					return false
 				}
-				seen[mp.paths[i].id] = true
+				seen[paths[i].id] = true
 			}
 			if mp.latency(float64(cfg.LatencyFloor)) <= 0 {
 				return false

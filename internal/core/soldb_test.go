@@ -219,15 +219,16 @@ func TestSaveStoresValues(t *testing.T) {
 	cfg := PRDRBConfig()
 	db := NewSolutionDB()
 	mp := newMetapath(9, cfg.LatencyFloor)
+	mp.spill()
 	mp.paths = append(mp.paths,
-		pathState{id: 1, path: topology.Path{4, 5}, latNs: 2000, extraHops: 2, acks: 3},
-		pathState{id: 2, path: topology.Path{6}, latNs: 3000, extraHops: 1, acks: 1})
+		pathState{id: 1, path: topology.Path{4, 5}, latNs: 2000, extraHops: 2, observed: true},
+		pathState{id: 2, path: topology.Path{6}, latNs: 3000, extraHops: 1, observed: true})
 	sig := NewSignature([]network.FlowKey{{Src: 1, Dst: 9}, {Src: 2, Dst: 9}}, 0)
 	s := db.Save(9, sig, mp.paths, 0.8, 100)
 	want := slices.Clone(mp.paths)
 	samePaths := func(a, b []pathState) bool {
 		return slices.EqualFunc(a, b, func(x, y pathState) bool {
-			return x.id == y.id && x.path.Equal(y.path) && x.latNs == y.latNs && x.extraHops == y.extraHops && x.acks == y.acks
+			return x.id == y.id && x.path.Equal(y.path) && x.latNs == y.latNs && x.extraHops == y.extraHops && x.observed == y.observed
 		})
 	}
 

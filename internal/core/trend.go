@@ -21,7 +21,7 @@ type trendSample struct {
 
 // trendTracker is the per-metapath history ring.
 type trendTracker struct {
-	samples []trendSample
+	samples [trendCapacity]trendSample
 	next    int
 	full    bool
 }
@@ -29,9 +29,6 @@ type trendTracker struct {
 const trendCapacity = 16
 
 func (tt *trendTracker) add(at sim.Time, lat float64) {
-	if cap(tt.samples) == 0 {
-		tt.samples = make([]trendSample, trendCapacity)
-	}
 	tt.samples[tt.next] = trendSample{at: at, lat: lat}
 	tt.next = (tt.next + 1) % trendCapacity
 	if tt.next == 0 {
@@ -39,7 +36,7 @@ func (tt *trendTracker) add(at sim.Time, lat float64) {
 	}
 }
 
-// reset forgets the history, keeping the ring's storage.
+// reset forgets the history.
 func (tt *trendTracker) reset() { tt.next, tt.full = 0, false }
 
 func (tt *trendTracker) count() int {
@@ -96,16 +93,20 @@ func (tt *trendTracker) predictsCongestion(high float64, horizon sim.Time) bool 
 // observeTrend feeds the predictor after each ACK and fires the early
 // reaction when enabled.
 func (c *Controller) observeTrend(e *sim.Engine, mp *metapath) {
-	if c.Cfg.TrendHorizon <= 0 {
+	cfg := &c.sh.cfg
+	if cfg.TrendHorizon <= 0 {
 		return
 	}
-	lat := mp.latency(float64(c.Cfg.LatencyFloor))
-	tt := &c.slab.coldState(mp).trend
-	tt.add(e.Now(), lat)
+	lat := mp.latency(float64(cfg.LatencyFloor))
+	cd := c.sh.coldState(mp)
+	if cd.trend == nil {
+		cd.trend = new(trendTracker)
+	}
+	cd.trend.add(e.Now(), lat)
 	if mp.zone == ZoneHigh {
 		return // already reacting
 	}
-	if tt.predictsCongestion(float64(c.Cfg.ThresholdHigh), c.Cfg.TrendHorizon) {
+	if cd.trend.predictsCongestion(float64(cfg.ThresholdHigh), cfg.TrendHorizon) {
 		c.Stats.TrendFirings++
 		c.enterHigh(e, mp)
 	}

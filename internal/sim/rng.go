@@ -41,7 +41,12 @@ func (r *RNG) Seed(seed uint64) {
 // Split derives an independent stream; streams with distinct labels are
 // decorrelated even when the parent seed is shared.
 func (r *RNG) Split(label uint64) *RNG {
-	return NewRNG(r.Uint64() ^ (label * 0x9e3779b97f4a7c15) ^ 0xd1b54a32d192ed03)
+	return NewRNG(r.SplitSeed(label))
+}
+
+// SplitSeed draws the seed Split(label) starts from, for Seed in place.
+func (r *RNG) SplitSeed(label uint64) uint64 {
+	return r.Uint64() ^ (label * 0x9e3779b97f4a7c15) ^ 0xd1b54a32d192ed03
 }
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }

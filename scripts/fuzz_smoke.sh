@@ -19,6 +19,7 @@ for entry in \
     FuzzParsePlan:./internal/faults \
     FuzzCampaignManifest:./cmd/experiments \
     FuzzBurstSpec:./internal/runner \
+    FuzzImportKnowledge:./internal/runner \
 ; do
     target=${entry%%:*}
     pkg=${entry#*:}
