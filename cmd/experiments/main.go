@@ -95,6 +95,10 @@ func main() {
 		}
 		return
 	}
+	if *nSeeds < 1 {
+		fmt.Fprintf(os.Stderr, "experiments: -seeds %d, want at least 1\n", *nSeeds)
+		os.Exit(2)
+	}
 	re, err := regexp.Compile(*runPat)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "bad -run pattern: %v\n", err)

@@ -1,8 +1,10 @@
 package main
 
 import (
+	"errors"
 	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -112,5 +114,24 @@ func TestFailingExperimentsLeaveTheRest(t *testing.T) {
 	}
 	if report, _ := os.ReadFile(filepath.Join(dir, "table4.1.txt")); !strings.Contains(string(report), "verified bijective") {
 		t.Errorf("table4.1's report is incomplete:\n%s", report)
+	}
+}
+
+// TestSeedsBelowOneRejected: -seeds 0 once panicked with an index out of
+// range and -seeds -1 with a bad slice length. Both exit 2 with a message.
+func TestSeedsBelowOneRejected(t *testing.T) {
+	bin := filepath.Join(t.TempDir(), "experiments")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	for _, n := range []string{"0", "-1"} {
+		var stderr strings.Builder
+		cmd := exec.Command(bin, "-seeds", n, "-run", "^table2.1$", "-out", t.TempDir())
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(stderr.String(), "want at least 1") {
+			t.Errorf("-seeds %s: err %v, stderr %q; want exit 2 naming the bound", n, err, stderr.String())
+		}
 	}
 }

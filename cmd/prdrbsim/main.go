@@ -106,6 +106,10 @@ func main() {
 		}
 		return
 	}
+	if *seeds < 1 {
+		fmt.Fprintf(os.Stderr, "prdrbsim: -seeds %d, want at least 1\n", *seeds)
+		os.Exit(2)
+	}
 	if err := obs.Start(); err != nil {
 		fatal(err)
 	}

@@ -1,6 +1,10 @@
 package main
 
 import (
+	"errors"
+	"os/exec"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"prdrb"
@@ -131,5 +135,22 @@ func TestReplayIgnoresShards(t *testing.T) {
 		if res[0] != res[1] || exec[0] != exec[1] || exec[0] == 0 {
 			t.Errorf("-shards 2 replay differs from -shards 1:\n%+v exec %d\n%+v exec %d", res[1], exec[1], res[0], exec[0])
 		}
+	}
+}
+
+// TestSeedsBelowOneRejected: -seeds 0 once printed a zero summary line and
+// exited 0. It exits 2 with a message now.
+func TestSeedsBelowOneRejected(t *testing.T) {
+	bin := filepath.Join(t.TempDir(), "prdrbsim")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	var stderr strings.Builder
+	cmd := exec.Command(bin, "-seeds", "0", "-topology", "mesh-4x4", "-duration", "10us", "-bursts", "0", "-pattern", "uniform")
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(stderr.String(), "want at least 1") {
+		t.Errorf("-seeds 0: err %v, stderr %q; want exit 2 naming the bound", err, stderr.String())
 	}
 }

@@ -554,6 +554,18 @@ func (s *Sim) checkStart(start sim.Time) error {
 	return nil
 }
 
+// checkWindow validates an injection window: a valid start and a
+// non-empty window ending by maxTime.
+func (s *Sim) checkWindow(start, end sim.Time) error {
+	if err := s.checkStart(start); err != nil {
+		return err
+	}
+	if end <= start || end > maxTime {
+		return fmt.Errorf("prdrb: injection window [%d, %d) ns, want a non-empty window ending by %d ns", start, end, maxTime)
+	}
+	return nil
+}
+
 // InstallPattern schedules the synthetic traffic on the simulation.
 func (s *Sim) InstallPattern(spec PatternSpec) error {
 	space, err := s.patternSpace(spec.PatternNodes)
@@ -571,11 +583,8 @@ func (s *Sim) InstallPattern(spec PatternSpec) error {
 	if err := checkRate(spec.RateMbps, pkt); err != nil {
 		return err
 	}
-	if err := s.checkStart(spec.Start); err != nil {
+	if err := s.checkWindow(spec.Start, spec.End); err != nil {
 		return err
-	}
-	if spec.End <= spec.Start || spec.End > maxTime {
-		return fmt.Errorf("prdrb: injection window [%d, %d) ns, want a non-empty window ending by %d ns", spec.Start, spec.End, maxTime)
 	}
 	for _, n := range spec.Nodes {
 		if n < 0 || int(n) >= s.Net.Topo.NumTerminals() {
@@ -777,8 +786,14 @@ func (s *Sim) InstallHeavyTail(spec HeavyTailSpec) error {
 	if err != nil {
 		return err
 	}
+	if spec.MaxFlowBytes < 0 {
+		return fmt.Errorf("prdrb: heavy-tail flow cap %d B, want >= 0", spec.MaxFlowBytes)
+	}
 	if spec.MaxFlowBytes > 0 {
 		cdf = cdf.Truncate(float64(spec.MaxFlowBytes))
+	}
+	if !(spec.PLocal >= 0 && spec.PLocal <= 1) {
+		return fmt.Errorf("prdrb: heavy-tail local fraction %v, want 0 to 1", spec.PLocal)
 	}
 	n := s.Net.Topo.NumTerminals()
 	var p traffic.Pattern
@@ -790,12 +805,29 @@ func (s *Sim) InstallHeavyTail(spec HeavyTailSpec) error {
 		if size == 0 {
 			size = rackSize(s.Net.Topo)
 		}
+		if size < 2 || size >= n {
+			return fmt.Errorf("prdrb: heavy-tail group of %d nodes on %d terminals, want 2 to %d", size, n, n-1)
+		}
 		p = traffic.NewGroupLocal(n, size, spec.PLocal)
 	default:
 		return fmt.Errorf("prdrb: unknown heavy-tail pattern %q", spec.Pattern)
 	}
-	if spec.LoadMbps <= 0 {
-		return fmt.Errorf("prdrb: heavy-tail spec needs a positive load")
+	// The mean flow interval is traffic's, computed the same way, and held
+	// to checkRate's range for the same reason; a NaN, infinite, zero or
+	// negative load fails the comparison.
+	flowRate := spec.LoadMbps * 1e6 / (8 * cdf.Mean())
+	if ivf := 1e9 / flowRate; !(ivf >= 1 && ivf <= maxSpacing) {
+		return fmt.Errorf("prdrb: heavy-tail load %v Mbps starts flows %v ns apart, want a finite load spacing them 1 to %v ns",
+			spec.LoadMbps, ivf, maxSpacing)
+	}
+	// ON and OFF draws stay under 64 means, so bounding both means by
+	// maxSpacing keeps every cycle time representable, like a source's gap.
+	if spec.OnMean <= 0 || float64(spec.OnMean) > maxSpacing || spec.OffMean < 0 || float64(spec.OffMean) > maxSpacing {
+		return fmt.Errorf("prdrb: heavy-tail ON/OFF means %d/%d ns, want ON 1 to %v ns and OFF 0 to %v ns",
+			spec.OnMean, spec.OffMean, maxSpacing, maxSpacing)
+	}
+	if err := s.checkWindow(spec.Start, spec.End); err != nil {
+		return err
 	}
 	if s.Net.CongestionEnabled() {
 		// Flow classes track the installed distribution: mice end at its
@@ -812,7 +844,7 @@ func (s *Sim) InstallHeavyTail(spec HeavyTailSpec) error {
 	traffic.InstallHeavyTail(s.Net, traffic.HeavyTail{
 		Pattern:  p,
 		Sizes:    cdf,
-		FlowRate: spec.LoadMbps * 1e6 / (8 * cdf.Mean()),
+		FlowRate: flowRate,
 		OnMean:   spec.OnMean,
 		OffMean:  spec.OffMean,
 		Start:    spec.Start,

@@ -3,6 +3,7 @@ package runner
 import (
 	"encoding/binary"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -22,10 +23,12 @@ func TestHostileTrafficSpecs(t *testing.T) {
 	us := sim.Microsecond
 	burst := BurstSpec{Pattern: "shuffle", RateMbps: 400, Len: 50 * us, Gap: 50 * us, Count: 3}
 	pattern := PatternSpec{Pattern: "shuffle", RateMbps: 400, End: 100 * us}
+	heavy := HeavyTailSpec{CDF: "cache", Pattern: "grouplocal", PLocal: 0.7, LoadMbps: 400, OnMean: 50 * us, End: 100 * us}
 	for _, c := range []struct {
 		name    string
 		burst   func(*BurstSpec)
 		pattern func(*PatternSpec)
+		heavy   func(*HeavyTailSpec)
 		late    bool // install once a longer pattern has moved the clock
 	}{
 		{name: "burst/valid", burst: func(*BurstSpec) {}},
@@ -55,6 +58,23 @@ func TestHostileTrafficSpecs(t *testing.T) {
 		{name: "pattern/end-huge", pattern: func(p *PatternSpec) { p.End = math.MaxInt64 }},
 		{name: "pattern/node-outside", pattern: func(p *PatternSpec) { p.Nodes = []topology.NodeID{3, 16} }},
 		{name: "pattern/before-clock", pattern: func(*PatternSpec) {}, late: true},
+		{name: "heavy/valid", heavy: func(*HeavyTailSpec) {}},
+		{name: "heavy/plocal-above", heavy: func(h *HeavyTailSpec) { h.PLocal = 2 }},
+		{name: "heavy/plocal-negative", heavy: func(h *HeavyTailSpec) { h.PLocal = -0.5 }},
+		{name: "heavy/plocal-nan", heavy: func(h *HeavyTailSpec) { h.PLocal = math.NaN() }},
+		{name: "heavy/group-1", heavy: func(h *HeavyTailSpec) { h.GroupSize = 1 }},
+		{name: "heavy/group-nodes", heavy: func(h *HeavyTailSpec) { h.GroupSize = 16 }},
+		{name: "heavy/group-negative", heavy: func(h *HeavyTailSpec) { h.GroupSize = -3 }},
+		{name: "heavy/load-0", heavy: func(h *HeavyTailSpec) { h.LoadMbps = 0 }},
+		{name: "heavy/load-nan", heavy: func(h *HeavyTailSpec) { h.LoadMbps = math.NaN() }},
+		{name: "heavy/load-inf", heavy: func(h *HeavyTailSpec) { h.LoadMbps = math.Inf(1) }},
+		{name: "heavy/load-tiny", heavy: func(h *HeavyTailSpec) { h.LoadMbps = 1e-300 }},
+		{name: "heavy/on-0", heavy: func(h *HeavyTailSpec) { h.OnMean = 0 }},
+		{name: "heavy/on-huge", heavy: func(h *HeavyTailSpec) { h.OnMean = math.MaxInt64 }},
+		{name: "heavy/off-negative", heavy: func(h *HeavyTailSpec) { h.OffMean = -us }},
+		{name: "heavy/maxflow-negative", heavy: func(h *HeavyTailSpec) { h.MaxFlowBytes = -1 }},
+		{name: "heavy/empty-window", heavy: func(h *HeavyTailSpec) { h.End = 0 }},
+		{name: "heavy/before-clock", heavy: func(*HeavyTailSpec) {}, late: true},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			s := newSpecSim()
@@ -75,12 +95,16 @@ func TestHostileTrafficSpecs(t *testing.T) {
 					// a hostile spec in any position is refused.
 					_, err = s.InstallVariableBursts([]BurstSpec{spec, burst}, spec.Count)
 				}
-			} else {
+			} else if c.pattern != nil {
 				spec := pattern
 				c.pattern(&spec)
 				err = s.InstallPattern(spec)
+			} else {
+				spec := heavy
+				c.heavy(&spec)
+				err = s.InstallHeavyTail(spec)
 			}
-			if c.name == "burst/valid" || c.name == "pattern/valid" {
+			if strings.HasSuffix(c.name, "/valid") {
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -168,6 +192,84 @@ func FuzzBurstSpec(f *testing.F) {
 		go func() {
 			defer close(done)
 			s.Execute(spec.Start + 5*us)
+		}()
+		select {
+		case <-done:
+		case <-time.After(20 * time.Second):
+			t.Fatalf("%+v: Execute of an accepted spec did not return", spec)
+		}
+	})
+}
+
+// decodeHeavyTailSpec reads a HeavyTailSpec from fuzz input: CDF and
+// pattern selectors, a 16-bit group size, PLocal and the load as raw
+// float64 bits, OnMean, OffMean, Start and End as raw int64s and a 16-bit
+// flow cap. Short input reads as zeros.
+func decodeHeavyTailSpec(data []byte) HeavyTailSpec {
+	var b [54]byte
+	copy(b[:], data)
+	cdfs := []string{"websearch", "datamining", "cache", "nonesuch"}
+	patterns := []string{"", "uniform", "grouplocal", "nonesuch"}
+	le := binary.LittleEndian
+	return HeavyTailSpec{
+		CDF:          cdfs[int(b[0])%len(cdfs)],
+		Pattern:      patterns[int(b[1])%len(patterns)],
+		GroupSize:    int(int16(le.Uint16(b[2:]))),
+		PLocal:       math.Float64frombits(le.Uint64(b[4:])),
+		LoadMbps:     math.Float64frombits(le.Uint64(b[12:])),
+		OnMean:       sim.Time(le.Uint64(b[20:])),
+		OffMean:      sim.Time(le.Uint64(b[28:])),
+		Start:        sim.Time(le.Uint64(b[36:])),
+		End:          sim.Time(le.Uint64(b[44:])),
+		MaxFlowBytes: int(int16(le.Uint16(b[52:]))),
+	}
+}
+
+func encodeHeavyTailSpec(h HeavyTailSpec, cdf, pattern byte) []byte {
+	b := make([]byte, 54)
+	le := binary.LittleEndian
+	b[0], b[1] = cdf, pattern
+	le.PutUint16(b[2:], uint16(int16(h.GroupSize)))
+	le.PutUint64(b[4:], math.Float64bits(h.PLocal))
+	le.PutUint64(b[12:], math.Float64bits(h.LoadMbps))
+	le.PutUint64(b[20:], uint64(h.OnMean))
+	le.PutUint64(b[28:], uint64(h.OffMean))
+	le.PutUint64(b[36:], uint64(h.Start))
+	le.PutUint64(b[44:], uint64(h.End))
+	le.PutUint16(b[52:], uint16(int16(h.MaxFlowBytes)))
+	return b
+}
+
+// FuzzHeavyTailSpec installs a decoded HeavyTailSpec on a 16-node fat tree
+// and, if it is accepted, executes its first microsecond under a wall-clock
+// deadline. The outcome must be an error or a finished run, never a panic
+// or a hang. The NIC fragments a flow into packets as it starts, so only
+// capped flows at up to 100 Gbps a node are executed: larger ones would
+// hold gigabytes of packets, which is the load asked for, not a defect.
+func FuzzHeavyTailSpec(f *testing.F) {
+	us := sim.Microsecond
+	for _, h := range []HeavyTailSpec{
+		{PLocal: 0.7, LoadMbps: 400, OnMean: 50 * us, End: 100 * us, MaxFlowBytes: 16384},
+		{PLocal: 2, LoadMbps: 400, OnMean: 50 * us, End: 100 * us},
+		{GroupSize: 1, LoadMbps: 400, OnMean: 50 * us, End: 100 * us},
+		{PLocal: 0.5, LoadMbps: math.NaN(), OnMean: 50 * us, End: 100 * us},
+		{PLocal: 0.5, LoadMbps: math.Inf(1), OnMean: 50 * us, End: 100 * us},
+		{PLocal: 0.5, LoadMbps: 1e-300, OnMean: 50 * us, End: 100 * us},
+		{PLocal: 0.5, LoadMbps: 400, OnMean: 1, OffMean: 1, End: 100 * us, MaxFlowBytes: 512},
+		{PLocal: 0.5, LoadMbps: 400, OnMean: 1 << 54, OffMean: 1 << 54, End: 1 << 61, MaxFlowBytes: 512},
+	} {
+		f.Add(encodeHeavyTailSpec(h, 2, 2))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		spec := decodeHeavyTailSpec(data)
+		s := newSpecSim()
+		if err := s.InstallHeavyTail(spec); err != nil || spec.LoadMbps > 1e5 || spec.MaxFlowBytes == 0 {
+			return
+		}
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			s.Execute(spec.Start + us)
 		}()
 		select {
 		case <-done:

@@ -639,6 +639,9 @@ func ByName(name string, opt Options) (*trace.Trace, error) {
 }
 
 func byName(name string, opt Options) (generator, error) {
+	if opt.Ranks < 0 || opt.Iterations < 0 || opt.MsgBytes < 0 || opt.ComputeNs < 0 {
+		return generator{}, fmt.Errorf("workloads: negative option in %+v (0 selects the default)", opt)
+	}
 	switch name {
 	case "nas-lu":
 		return nasLU(opt)

@@ -70,6 +70,18 @@ func TestByNameUnknown(t *testing.T) {
 	}
 }
 
+// A negative option once read as a real value: -iters -1 ran one
+// truncated pass and exited 0. Only 0 selects a default.
+func TestNegativeOptionsRejected(t *testing.T) {
+	for _, opt := range []Options{{Iterations: -1}, {Ranks: -64}, {MsgBytes: -1}, {ComputeNs: -1}} {
+		for _, name := range Names() {
+			if _, err := ByName(name, opt); err == nil {
+				t.Errorf("%s accepted %+v", name, opt)
+			}
+		}
+	}
+}
+
 func TestNonSquareRanksRejected(t *testing.T) {
 	if _, err := ByName("nas-lu", Options{Ranks: 48}); err == nil {
 		t.Fatal("48 ranks accepted for a square decomposition")

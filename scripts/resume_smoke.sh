@@ -1,6 +1,6 @@
 #!/bin/sh
-# resume_smoke.sh — checkpoint/resume equivalence smoke, run in CI on each
-# PR (the resume-equivalence job) and as a stage of scripts/verify.sh.
+# resume_smoke.sh — checkpoint/resume equivalence smoke: the resume group
+# of cmd/internal/gate, run by scripts/verify.sh and CI's gate job.
 #
 # Four presets — serial synthetic, serial faulted, sharded (shards=4) and
 # heavy-tail on a dragonfly (shards=2) — each run three ways:
