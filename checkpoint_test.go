@@ -297,7 +297,7 @@ func TestResumeDetectsDivergence(t *testing.T) {
 			name: "failed-link",
 			exp:  Experiment{Topology: Mesh(4, 4), Policy: PolicyPRDRB, Seed: 23},
 			perturb: func(s *Sim) {
-				if err := s.Net.FailLink(nil, 5, 1); err != nil {
+				if err := s.Net.FailLink(5, 1); err != nil {
 					t.Fatal(err)
 				}
 			},

@@ -75,7 +75,6 @@ type cellResult struct {
 type campaignOpts struct {
 	manifestPath string
 	dir          string
-	workers      int
 	shards       int
 	board        *telemetry.Board
 	live         *telemetry.LiveStats
@@ -149,17 +148,17 @@ func (m *campaignManifest) validate() (prdrb.Time, error) {
 	return prdrb.Time(d.Nanoseconds()), nil
 }
 
-// runCampaign executes the manifest grid and returns the number of failed
-// cells. Completed cells (result JSON present in the campaign directory)
-// are skipped.
-func runCampaign(opts campaignOpts) int {
+// runCampaign executes the manifest grid on ctx's pool and returns the
+// number of failed cells. Completed cells (result JSON present in the
+// campaign directory) are skipped.
+func runCampaign(ctx *runCtx, opts campaignOpts) int {
 	m, duration, key, dir, err := openCampaign(opts)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "campaign: %v\n", err)
 		return 1
 	}
 	cells := m.expand()
-	fmt.Printf("campaign %s: %d cells, %d workers, dir %s\n", key, len(cells), opts.workers, dir)
+	fmt.Printf("campaign %s: %d cells, %d workers, dir %s\n", key, len(cells), ctx.procs, dir)
 
 	// states is the scheduler's live view, folded into the /fleet snapshot:
 	// one of queued | running | done | failed | skipped per cell.
@@ -222,8 +221,7 @@ func runCampaign(opts campaignOpts) int {
 	failed, skipped := 0, 0
 	elapsed := make([]float64, len(cells))
 	committed := make([]bool, len(cells)) // by an earlier run
-	workers := &runCtx{procs: max(opts.workers, 1)}
-	workers.pool(len(cells), func(i int) error {
+	ctx.pool(len(cells), func(i int) error {
 		resultPath := filepath.Join(dir, cells[i].Name+".json")
 		if _, err := os.Stat(resultPath); err == nil {
 			committed[i] = true

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"prdrb/internal/runner"
 	"prdrb/internal/telemetry"
 )
 
@@ -21,8 +22,8 @@ func campaignRun(t *testing.T, root, manifest string) (int, telemetry.FleetStatu
 		t.Fatal(err)
 	}
 	board := telemetry.NewBoard()
-	failed := runCampaign(campaignOpts{
-		manifestPath: path, dir: filepath.Join(root, "camps"), workers: 2, board: board,
+	failed := runCampaign(&runCtx{procs: 2}, campaignOpts{
+		manifestPath: path, dir: filepath.Join(root, "camps"), board: board,
 	})
 	fleet, _ := board.Fleet()
 	filepath.WalkDir(root, func(p string, d os.DirEntry, err error) error {
@@ -143,6 +144,32 @@ func TestCampaignResumeSkipsCommittedCells(t *testing.T) {
 	}
 	if len(cellFiles(t, root)) != 4 {
 		t.Fatalf("third run left %d cell files, want 4", len(cellFiles(t, root)))
+	}
+}
+
+// A flag that attaches one per-process recorder — here -status, which
+// brings the shared telemetry bundle and board — runs the campaign's cells
+// one at a time whatever -procs says, as it does experiments: concurrent
+// cells once raced on the shared registry (run this under -race).
+func TestCampaignSharedRecorderRunsSerially(t *testing.T) {
+	tel, status, every, live := runner.DefaultTelemetry, runner.DefaultStatus, runner.DefaultStatusEvery, runner.DefaultLive
+	t.Cleanup(func() {
+		runner.DefaultTelemetry, runner.DefaultStatus, runner.DefaultStatusEvery, runner.DefaultLive = tel, status, every, live
+	})
+	root := t.TempDir()
+	path := filepath.Join(root, "manifest.json")
+	manifest := `{"topologies":["mesh-4x4"],"policies":["deterministic","pr-drb"],
+		"patterns":["uniform"],"rates_mbps":[200],"seeds":[1,2],"duration":"50us"}`
+	if err := os.WriteFile(path, []byte(manifest), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	code := run([]string{"-campaign", path, "-campaign-dir", filepath.Join(root, "camps"), "-out", filepath.Join(root, "out"),
+		"-procs", "4", "-status", "127.0.0.1:0"})
+	if code != 0 {
+		t.Fatalf("campaign exited %d", code)
+	}
+	if files := cellFiles(t, root); len(files) != 4 {
+		t.Fatalf("campaign committed %d cells, want 4", len(files))
 	}
 }
 

@@ -74,42 +74,45 @@ func register(id, title string, run runFunc) {
 	registry = append(registry, experiment{id: id, title: title, run: run})
 }
 
-func main() {
-	runPat := flag.String("run", ".", "regexp selecting experiment ids")
-	outDir := flag.String("out", "results", "output directory ('-' = stdout)")
-	nSeeds := flag.Int("seeds", 3, "seeds per measurement (multi-seed averaging, thesis §4.3)")
-	quick := flag.Bool("quick", false, "shrink workloads for a fast smoke run")
-	procs := flag.Int("procs", runtime.NumCPU(), "simulations to run concurrently (each is single-threaded and independent)")
-	shards := flag.Int("shards", 1, "engine shards per simulation (>1 selects the conservative-parallel engine; trace-replay experiments always run serial)")
-	list := flag.Bool("list", false, "list experiment ids and exit")
-	obs := obsflags.Register(flag.CommandLine, "experiments")
-	campaignPath := flag.String("campaign", "", "run a campaign: a manifest JSON describing a parameter grid (see EXPERIMENTS.md); completed cells are skipped on re-run")
-	campaignDir := flag.String("campaign-dir", "campaigns", "root directory for campaign results (one subdirectory per manifest hash)")
-	campaignWorkers := flag.Int("campaign-workers", 4, "concurrent cell simulations in campaign mode")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:])) }
+
+// run is the whole command on args; it returns the exit status.
+func run(args []string) int {
+	fs := flag.NewFlagSet("experiments", flag.ExitOnError)
+	runPat := fs.String("run", ".", "regexp selecting experiment ids")
+	outDir := fs.String("out", "results", "output directory ('-' = stdout)")
+	nSeeds := fs.Int("seeds", 3, "seeds per measurement (multi-seed averaging, thesis §4.3)")
+	quick := fs.Bool("quick", false, "shrink workloads for a fast smoke run")
+	procs := fs.Int("procs", runtime.NumCPU(), "simulations to run concurrently: experiments, their runs, campaign cells (each is single-threaded and independent)")
+	shards := fs.Int("shards", 1, "engine shards per simulation (>1 selects the conservative-parallel engine; trace-replay experiments always run serial)")
+	list := fs.Bool("list", false, "list experiment ids and exit")
+	obs := obsflags.Register(fs, "experiments")
+	campaignPath := fs.String("campaign", "", "run a campaign: a manifest JSON describing a parameter grid (see EXPERIMENTS.md); completed cells are skipped on re-run")
+	campaignDir := fs.String("campaign-dir", "campaigns", "root directory for campaign results (one subdirectory per manifest hash)")
+	fs.Parse(args)
 
 	sort.SliceStable(registry, func(i, j int) bool { return registry[i].id < registry[j].id })
 	if *list {
 		for _, e := range registry {
 			fmt.Printf("%-12s %s\n", e.id, e.title)
 		}
-		return
+		return 0
 	}
 	if *nSeeds < 1 {
 		fmt.Fprintf(os.Stderr, "experiments: -seeds %d, want at least 1\n", *nSeeds)
-		os.Exit(2)
+		return 2
 	}
 	re, err := regexp.Compile(*runPat)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "bad -run pattern: %v\n", err)
-		os.Exit(2)
+		return 2
 	}
 	obsflags.DefaultShards(*shards)
 	ctx := &runCtx{seeds: seedList(*nSeeds), quick: *quick, outDir: *outDir, procs: max(*procs, 1)}
 	if *outDir != "-" {
 		if err := os.MkdirAll(*outDir, 0o755); err != nil {
 			fmt.Fprintf(os.Stderr, "%v\n", err)
-			os.Exit(1)
+			return 1
 		}
 	}
 	var selected []experiment
@@ -120,36 +123,33 @@ func main() {
 	}
 	if len(selected) == 0 {
 		fmt.Fprintln(os.Stderr, "no experiments matched; use -list")
-		os.Exit(2)
+		return 2
 	}
 	if err := obs.Start(); err != nil {
 		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-		os.Exit(1)
+		return 1
+	}
+	if shared := obs.SharedRecorder(); shared != "" {
+		// The shared tracer's event log, the shared metrics registry and
+		// the shared profiler are not concurrency-safe, and a deterministic
+		// trace needs a deterministic run-scope order: experiments and
+		// campaign cells alike run one simulation at a time.
+		if *procs > 1 {
+			fmt.Fprintf(os.Stderr, "experiments: %s forces serial execution; ignoring -procs %d\n", shared, *procs)
+		}
+		ctx.procs = 1
 	}
 	if *campaignPath != "" {
 		// Campaign mode replaces the experiment registry entirely: the
 		// manifest grid is the work list, and the campaign directory is the
 		// completion record.
-		failed := runCampaign(campaignOpts{
+		return min(runCampaign(ctx, campaignOpts{
 			manifestPath: *campaignPath, dir: *campaignDir,
-			workers: *campaignWorkers, shards: *shards, board: obs.Board, live: obs.Live,
-		})
-		if failed > 0 {
-			os.Exit(1)
-		}
-		return
+			shards: *shards, board: obs.Board, live: obs.Live,
+		}), 1)
 	}
 	if *outDir == "-" {
 		ctx.procs = 1 // stdout output must stay ordered
-	}
-	if shared := obs.SharedRecorder(); shared != "" {
-		// The shared tracer's event log, the shared metrics registry and
-		// the shared profiler are not concurrency-safe, and a deterministic
-		// trace needs a deterministic run-scope order.
-		if *procs > 1 {
-			fmt.Fprintf(os.Stderr, "experiments: %s forces serial execution; ignoring -procs %d\n", shared, *procs)
-		}
-		ctx.procs = 1
 	}
 	failed := runExperiments(ctx, selected, obs.Live)
 	if err := obs.Finish(ctx.seeds[0], map[string]any{
@@ -159,9 +159,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 		failed++
 	}
-	if failed > 0 {
-		os.Exit(1)
-	}
+	return min(failed, 1)
 }
 
 // runExperiments runs the selected experiments on the pool, writing each

@@ -117,6 +117,15 @@ func TestFailingExperimentsLeaveTheRest(t *testing.T) {
 	}
 }
 
+// TestNegativeStatusIntervalRejected: -status-interval -1us was silently
+// replaced by the 100µs default; the run now fails before any experiment
+// starts.
+func TestNegativeStatusIntervalRejected(t *testing.T) {
+	if code := run([]string{"-status-interval", "-1us", "-run", "^table2.1$", "-out", t.TempDir()}); code == 0 {
+		t.Error("-status-interval -1us: exit 0")
+	}
+}
+
 // TestSeedsBelowOneRejected: -seeds 0 once panicked with an index out of
 // range and -seeds -1 with a bad slice length. Both exit 2 with a message.
 func TestSeedsBelowOneRejected(t *testing.T) {

@@ -72,7 +72,7 @@ func table(raceArgs []string, fuzztime time.Duration) []gate {
 		{name: "smoke-collectives", group: "smoke", check: collectivesSmoke, why: "GOAL replay always runs serial, so it prints one summary at any -shards"},
 		{name: "smoke-observability", group: "smoke", check: observabilitySmoke, why: "a sharded run's /metrics and /status scrape while it lingers and publish per interval, not per barrier; its trace report renders"},
 		{name: "smoke-perf", group: "smoke", check: perfSmoke, why: "-perf changes no summary, and its deterministic section, window-mode counters included, repeats across identical seeds"},
-		{name: "smoke-congestion", group: "smoke", check: congestionSmoke, why: "with the plane on, the congestion artifact repeats and renders (the zero-alloc gate covers it off)"},
+		{name: "smoke-congestion", group: "smoke", check: congestionSmoke, why: "with the plane on, the congestion artifact repeats (ft-4-3 and the 4096-node dragonfly at -shards 2) and renders (the zero-alloc gate covers it off)"},
 		{name: "resume", group: "resume", cmd: []string{"scripts/resume_smoke.sh"}},
 		{name: "fuzz", group: "fuzz", check: func() float64 { fuzzAll(fuzztime); return 0 }, why: "every Fuzz target go test -list finds replays its corpus, then fuzzes for -fuzztime"},
 	}

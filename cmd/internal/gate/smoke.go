@@ -24,8 +24,7 @@ func ft43(rate, dur string, extra ...string) []string {
 
 func telemetrySmoke() float64 {
 	sim("-topology", "mesh-4x4", "-policy", "pr-drb", "-pattern", "uniform", "-rate", "200", "-duration", "400us", "-trace", tmp("run.jsonl"), "-manifest", tmp("run-manifest.json"))
-	sim("-validate-trace", tmp("run.jsonl"))
-	sim("-validate-manifest", tmp("run-manifest.json"))
+	trace("validate", "-trace", tmp("run.jsonl"), "-manifest", tmp("run-manifest.json"))
 	return 0
 }
 
@@ -34,7 +33,7 @@ var pkts = regexp.MustCompile(`pkts=(\d+)`)
 func parallelSmoke() float64 {
 	serial := pkts.FindStringSubmatch(sim(ft43("400", "400us", "-shards", "1")...))
 	sharded := pkts.FindStringSubmatch(sim(ft43("400", "400us", "-shards", "4", "-trace", tmp("par.jsonl"))...))
-	sim("-validate-trace", tmp("par.jsonl"))
+	trace("validate", "-trace", tmp("par.jsonl"))
 	expect(serial != nil && sharded != nil && serial[1] == sharded[1], "sharded run delivered %v pkts, serial %v", sharded, serial)
 	fmt.Printf("    shards=4 delivered %s pkts == serial\n", serial[1])
 	return 0
@@ -138,5 +137,14 @@ func congestionSmoke() float64 {
 	if fi, err := os.Stat(tmp("flight-a.jsonl")); err == nil && fi.Size() > 0 {
 		trace("flight-validate", tmp("flight-a.jsonl"))
 	}
+	// The 4096-node dragonfly: every link class, and a window close that
+	// folds ~20k links in place.
+	df := func(out string) {
+		sim("-topo", "df-16-32-8-8", "-policy", "pr-drb", "-heavytail", "cache", "-ht-pattern", "grouplocal",
+			"-ht-plocal", "0.7", "-rate", "100", "-duration", "50us", "-shards", "2", "-bursts", "0", "-congestion-out", tmp(out))
+	}
+	df("cong-df-a.json")
+	df("cong-df-b.json")
+	expect(bytes.Equal(must(os.ReadFile(tmp("cong-df-a.json"))), must(os.ReadFile(tmp("cong-df-b.json")))), "4096-node congestion artifacts differ across identical-seed runs")
 	return 0
 }

@@ -56,7 +56,7 @@ func Register(fs *flag.FlagSet, tool string) *Flags {
 	fs.StringVar(&f.pprofAddr, "pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	fs.StringVar(&f.cpuProfile, "cpuprofile", "", "write a CPU profile of the run to this file")
 	fs.StringVar(&f.status, "status", "", "serve the live status plane (/metrics, /status, /events) on this address (e.g. localhost:6061 or 127.0.0.1:0)"+sharedNote)
-	fs.DurationVar(&f.statusInterval, "status-interval", 100*time.Microsecond, "virtual-time sampling interval for the status plane")
+	fs.DurationVar(&f.statusInterval, "status-interval", 100*time.Microsecond, "virtual-time sampling interval for the status plane (0 = the default)")
 	fs.StringVar(&f.perfOut, "perf", "", "write an engine perf report JSON to this file (render with 'prdrbtrace perf')"+sharedNote)
 	fs.StringVar(&f.perfTrace, "perf-trace", "", "write a wall-clock Perfetto trace of the engine (per-shard window/barrier-wait spans) to this file"+sharedNote)
 	return f
@@ -86,6 +86,9 @@ func DefaultShards(n int) {
 
 // Start sets up what the flags ask for and installs the SIGINT sweep.
 func (f *Flags) Start() error {
+	if f.statusInterval < 0 {
+		return fmt.Errorf("-status-interval %v is negative", f.statusInterval)
+	}
 	f.started = time.Now()
 	installInterruptCleanup()
 	if f.pprofAddr != "" {

@@ -70,9 +70,6 @@ func main() {
 
 		statusLinger = flag.Duration("status-linger", 0, "keep serving the status endpoints this long after the run completes")
 
-		checkTrace    = flag.String("validate-trace", "", "validate a JSONL telemetry trace against its schema and exit")
-		checkManifest = flag.String("validate-manifest", "", "validate a run-manifest file against its schema and exit")
-
 		congestion = flag.Bool("congestion", false, "enable the fabric congestion observability plane (link/VC weather map, FCT percentiles, anomaly flight recorder)")
 		congWindow = flag.Duration("congestion-window", 10*time.Microsecond, "weather-map sampling window (virtual time)")
 		congOut    = flag.String("congestion-out", "", "write the congestion artifact JSON to this file (render with 'prdrbtrace congestion'; implies -congestion)")
@@ -90,22 +87,6 @@ func main() {
 	obs := obsflags.Register(flag.CommandLine, "prdrbsim")
 	flag.Parse()
 
-	if *checkTrace != "" || *checkManifest != "" {
-		if *checkTrace != "" {
-			n, err := telemetry.ValidateTraceFile(*checkTrace)
-			if err != nil {
-				fatal(fmt.Errorf("%s: %w", *checkTrace, err))
-			}
-			fmt.Printf("%s: %d events, schema ok\n", *checkTrace, n)
-		}
-		if *checkManifest != "" {
-			if err := telemetry.ValidateManifestFile(*checkManifest); err != nil {
-				fatal(fmt.Errorf("%s: %w", *checkManifest, err))
-			}
-			fmt.Printf("%s: schema ok\n", *checkManifest)
-		}
-		return
-	}
 	if *seeds < 1 {
 		fmt.Fprintf(os.Stderr, "prdrbsim: -seeds %d, want at least 1\n", *seeds)
 		os.Exit(2)

@@ -141,10 +141,7 @@ func TestReplayIgnoresShards(t *testing.T) {
 // TestSeedsBelowOneRejected: -seeds 0 once printed a zero summary line and
 // exited 0. It exits 2 with a message now.
 func TestSeedsBelowOneRejected(t *testing.T) {
-	bin := filepath.Join(t.TempDir(), "prdrbsim")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
+	bin := buildSim(t)
 	var stderr strings.Builder
 	cmd := exec.Command(bin, "-seeds", "0", "-topology", "mesh-4x4", "-duration", "10us", "-bursts", "0", "-pattern", "uniform")
 	cmd.Stderr = &stderr
@@ -153,4 +150,35 @@ func TestSeedsBelowOneRejected(t *testing.T) {
 	if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(stderr.String(), "want at least 1") {
 		t.Errorf("-seeds 0: err %v, stderr %q; want exit 2 naming the bound", err, stderr.String())
 	}
+}
+
+// TestNegativeWindowsRejected: -congestion-window -1us once wrote
+// "window_ns": 10000 and -status-interval -1us sampled every 100µs. Both
+// exit non-zero naming the flag's value now.
+func TestNegativeWindowsRejected(t *testing.T) {
+	bin := buildSim(t)
+	run := []string{"-topology", "mesh-4x4", "-duration", "10us", "-bursts", "0", "-pattern", "uniform"}
+	for _, c := range []struct{ args, want string }{
+		{"-congestion -congestion-window -1us", "congestion window -1.000us is negative"},
+		{"-status 127.0.0.1:0 -status-interval -1us", "-status-interval -1µs is negative"},
+	} {
+		var stderr strings.Builder
+		cmd := exec.Command(bin, append(strings.Fields(c.args), run...)...)
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || !strings.Contains(stderr.String(), c.want) {
+			t.Errorf("%s: err %v, stderr %q; want a non-zero exit saying %q", c.args, err, stderr.String(), c.want)
+		}
+	}
+}
+
+// buildSim builds this command into a temporary directory.
+func buildSim(t *testing.T) string {
+	t.Helper()
+	bin := filepath.Join(t.TempDir(), "prdrbsim")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	return bin
 }

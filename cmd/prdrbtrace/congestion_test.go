@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -9,6 +11,7 @@ import (
 	"testing"
 
 	"prdrb/internal/runner"
+	"prdrb/internal/sim"
 	"prdrb/internal/telemetry"
 )
 
@@ -37,8 +40,8 @@ func congFixture() *runner.CongArtifact {
 			DetourPkts: 1200, DetourMeanNs: 9800.75,
 		},
 		Windows: []telemetry.CongWindowStatus{
-			{EndNs: 10_000, Util: []float64{0.1, 0.3, 0.1, 0.1}, MaxLinkUtil: 0.5, MaxLink: "r3.p2", Drops: 0, StallNs: 0},
-			{EndNs: 20_000, Util: []float64{0.2, 0.97, 0.2, 0.2}, MaxLinkUtil: 0.99, MaxLink: "r3.p2", Drops: 9, StallNs: 12_000},
+			{EndNs: 10_000, Util: [4]float64{0.1, 0.3, 0.1, 0.1}, MaxLinkUtil: 0.5, MaxLink: "r3.p2", Drops: 0, StallNs: 0},
+			{EndNs: 20_000, Util: [4]float64{0.2, 0.97, 0.2, 0.2}, MaxLinkUtil: 0.99, MaxLink: "r3.p2", Drops: 9, StallNs: 12_000},
 		},
 		Links: []runner.CongLinkReport{
 			{Link: "r3.p2", Class: "global", Utilization: 0.99, TxBytes: 800_000, DeqPkts: 780, AvgWaitNs: 2100.5, AvgQueueBytes: 3000, StallNs: 30_000},
@@ -117,6 +120,49 @@ func TestCongestionReport(t *testing.T) {
 	}
 	if !bytes.Equal(first.Bytes(), second.Bytes()) {
 		t.Error("two identical congestion invocations produced different reports")
+	}
+}
+
+// TestCongestionReportPinned pins the report and both CSVs `prdrbtrace
+// congestion` renders from the ft-4-3 artifact TestCongestionArtifactPinned
+// (internal/runner) pins. The hashes were recorded before the fabric's
+// per-link tables were merged into one walk.
+func TestCongestionReportPinned(t *testing.T) {
+	s := runner.MustNew(runner.Experiment{
+		Policy: runner.PolicyPRDRB, Seed: 1, Congestion: true, CongestionWindow: 10_000,
+	})
+	if err := s.InstallHeavyTail(runner.HeavyTailSpec{
+		CDF: "websearch", MaxFlowBytes: 64 << 10, Pattern: "uniform", PLocal: 0.5,
+		LoadMbps: 300, OnMean: 200_000, End: 300_000,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	s.Execute(300_000 + sim.Second)
+	a, err := s.CongestionArtifact()
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := writeCongFixture(t, a)
+	dir := t.TempDir()
+	var out bytes.Buffer
+	if err := run([]string{"congestion", "-artifact", path, "-csv-dir", dir}, &out); err != nil {
+		t.Fatal(err)
+	}
+	report := strings.NewReplacer(path, "ARTIFACT", dir, "CSVDIR").Replace(out.String())
+	for name, want := range map[string]string{
+		"report":             "a323b09a2d7b5f2cb03ca99bcf2cf14c0a176758b2b10c0a8a649e79689597f0",
+		"class_timeline.csv": "98e9be92b55e5fe134a9bed9aeee57e618c7e93866f2df073548ce8e0101ebfa",
+		"links.csv":          "3a785d3fc2b67e2a101d8b11bcdc34491eaab988f13c070a9b5aeca7512ffe2d",
+	} {
+		b := []byte(report)
+		if name != "report" {
+			if b, err = os.ReadFile(filepath.Join(dir, name)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := sha256.Sum256(b); hex.EncodeToString(got[:]) != want {
+			t.Errorf("%s sha256 %x, want %s", name, got, want)
+		}
 	}
 }
 

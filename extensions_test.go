@@ -2,6 +2,7 @@ package prdrb
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -88,6 +89,29 @@ func TestEnergyFacade(t *testing.T) {
 	}
 	if rep.SavingsPct() <= 0 {
 		t.Fatal("no gating savings on a short run")
+	}
+}
+
+// TestEnergyPinned pins the energy report of one ft-4-3 run, recorded
+// before the report moved onto the fabric's one link walk: no result file
+// prints it.
+func TestEnergyPinned(t *testing.T) {
+	s := MustNewSim(Experiment{Topology: FatTree(4, 3), Policy: PolicyPRDRB, Seed: 1})
+	if err := s.InstallPattern(PatternSpec{Pattern: "shuffle", RateMbps: 400, Start: 0, End: 200 * Microsecond}); err != nil {
+		t.Fatal(err)
+	}
+	s.Execute(Second)
+	rep := s.Energy(DefaultEnergyModel())
+	const want = "links=384 idle=143 elapsed=220.098us energy=0.099J active=0.029J gated=0.029J savings=70.7%"
+	if got := rep.String(); got != want {
+		t.Errorf("energy report\n got: %s\nwant: %s", got, want)
+	}
+	// The line rounds to a millijoule; the fields pin every bit. The
+	// conversion strips String so %+v prints them.
+	type fields EnergyReport
+	const wantFields = "{Elapsed:220.098us TotalJoules:0.09901849599999998 ActiveJoules:0.02900172799999997 GatedJoules:0.02900172799999997 IdleLinks:143 Links:384}"
+	if got := fmt.Sprintf("%+v", fields(rep)); got != wantFields {
+		t.Errorf("energy fields\n got: %s\nwant: %s", got, wantFields)
 	}
 }
 

@@ -55,7 +55,7 @@ func TestControllerRecoversFromLinkFailure(t *testing.T) {
 	eng.Schedule(0, tick)
 	// The XY route 0->3 runs along row 0; cut its middle link, no repair.
 	eng.Schedule(failAt, func(e *sim.Engine) {
-		if err := net.FailLink(e, 1, 0); err != nil {
+		if err := net.FailLink(1, 0); err != nil {
 			t.Errorf("FailLink: %v", err)
 		}
 	})

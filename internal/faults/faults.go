@@ -93,9 +93,6 @@ func (p *Plan) Merge(other Plan) {
 	sort.SliceStable(p.Events, func(i, j int) bool { return p.Events[i].At < p.Events[j].At })
 }
 
-// Empty reports whether the plan schedules nothing.
-func (p *Plan) Empty() bool { return len(p.Events) == 0 }
-
 // Validate checks every event against the topology: known router, known
 // wired port for link events, a degrade factor in (0, 1] (so not NaN),
 // non-negative time.

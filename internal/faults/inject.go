@@ -26,7 +26,6 @@ func Install(net *network.Network, plan Plan) (*Injector, error) {
 	}
 	inj := &Injector{net: net, Applied: make(map[Kind]int)}
 	for _, ev := range plan.Events {
-		ev := ev
 		net.ScheduleControl(ev.At, func() { inj.apply(ev) })
 	}
 	return inj, nil
@@ -35,24 +34,15 @@ func Install(net *network.Network, plan Plan) (*Injector, error) {
 func (inj *Injector) apply(ev Event) {
 	switch ev.Kind {
 	case LinkDown:
-		inj.net.FailLink(nil, ev.Router, ev.Port)
+		inj.net.FailLink(ev.Router, ev.Port)
 	case LinkUp:
-		inj.net.RestoreLink(nil, ev.Router, ev.Port)
+		inj.net.RestoreLink(ev.Router, ev.Port)
 	case LinkDegrade:
 		inj.net.DegradeLink(ev.Router, ev.Port, ev.Factor)
 	case RouterDown:
-		inj.net.FailRouter(nil, ev.Router)
+		inj.net.FailRouter(ev.Router)
 	case RouterUp:
-		inj.net.RestoreRouter(nil, ev.Router)
+		inj.net.RestoreRouter(ev.Router)
 	}
 	inj.Applied[ev.Kind]++
-}
-
-// Total returns the number of events applied so far.
-func (inj *Injector) Total() int {
-	n := 0
-	for _, c := range inj.Applied {
-		n += c
-	}
-	return n
 }

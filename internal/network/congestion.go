@@ -122,10 +122,10 @@ func (o *outPort) linkClass() int {
 // CongestionEnabled reports whether per-port congestion accounting is on.
 func (n *Network) CongestionEnabled() bool { return n.Cfg.Congestion }
 
-// CongClassTotals is one link class's fabric-wide congestion aggregate.
-type CongClassTotals struct {
-	// Links counts wired ports of the class.
-	Links int
+// LinkAccounts are a link's cumulative virtual-time accounts, or their
+// sum over a link class. BusyNs and TxBytes are kept on every run; the
+// rest only with congestion accounting on.
+type LinkAccounts struct {
 	// BusyNs sums link serialization time; TxBytes transmitted payload.
 	BusyNs  int64
 	TxBytes int64
@@ -133,125 +133,94 @@ type CongClassTotals struct {
 	WaitNs  int64
 	DeqPkts int64
 	// StallNs sums credit-stall time; OccByteNs is the queue-occupancy
-	// integral; QueuedBytes the instantaneous occupancy at snapshot time.
+	// integral; QueuedBytes the instantaneous occupancy.
 	StallNs     int64
 	OccByteNs   int64
 	QueuedBytes int64
 }
 
-// CongLinkStat is one port's cumulative congestion account.
-type CongLinkStat struct {
+func (a *LinkAccounts) add(b *LinkAccounts) {
+	a.BusyNs += b.BusyNs
+	a.TxBytes += b.TxBytes
+	a.WaitNs += b.WaitNs
+	a.DeqPkts += b.DeqPkts
+	a.StallNs += b.StallNs
+	a.OccByteNs += b.OccByteNs
+	a.QueuedBytes += b.QueuedBytes
+}
+
+// LinkStat is one wired output port's row of the link table.
+type LinkStat struct {
 	// Router is the owning router, or -1 for a NIC injection port (Port
 	// then holds the node id).
 	Router topology.RouterID
 	Port   int
 	Class  int
-	// Cumulative virtual-time accounts, as in CongClassTotals.
-	BusyNs      int64
-	TxBytes     int64
-	WaitNs      int64
-	DeqPkts     int64
-	StallNs     int64
-	OccByteNs   int64
-	QueuedBytes int64
+	LinkAccounts
 }
 
-// CongSnapshot is the fabric congestion state folded to AtNs.
-type CongSnapshot struct {
+// ClassStat sums one link class's rows.
+type ClassStat struct {
+	Links int
+	LinkAccounts
+}
+
+// LinkTable is the fabric's link state folded to AtNs: one row per wired
+// port — router ports in (router, port) order, then NIC injection ports in
+// node order — with the per-class and per-VC totals of the same walk.
+type LinkTable struct {
 	AtNs    int64
-	Classes [NumLinkClasses]CongClassTotals
+	Links   []LinkStat
+	Classes [NumLinkClasses]ClassStat
 	// VCBusyNs / VCStallNs break serialization and credit-stall time down
-	// by physical virtual channel across the whole fabric (the VC half of
-	// the weather map; the ACK class is n.isAckVC).
+	// by physical virtual channel across the whole fabric (the ACK class
+	// is n.isAckVC); AckBusyNs sums the ACK-class VCs' serialization — the
+	// notification overhead input of the latency attribution.
 	VCBusyNs  []int64
 	VCStallNs []int64
-	// AckBusyNs is the summed serialization time of the ACK-class VCs —
-	// the notification overhead input of the latency attribution.
 	AckBusyNs int64
 }
 
-// congFold folds one port into the snapshot.
-func (s *CongSnapshot) congFold(n *Network, o *outPort, now sim.Time) {
-	if o.peer == nil {
-		return
-	}
-	cl := &s.Classes[o.linkClass()]
-	cl.Links++
-	cl.BusyNs += int64(o.busyNs)
-	cl.TxBytes += o.txBytes
-	cp := o.congestion()
-	if cp == nil {
-		return
-	}
-	cl.WaitNs += cp.waitNs
-	cl.DeqPkts += cp.deqPkts
-	cl.OccByteNs += cp.occIntAt(now)
-	cl.QueuedBytes += cp.occBytes
-	for vc := range cp.vcBusyNs {
-		s.VCBusyNs[vc] += cp.vcBusyNs[vc]
-		st := cp.stallNsAt(vc, now)
-		s.VCStallNs[vc] += st
-		cl.StallNs += st
-		if n.isAckVC(vc) {
-			s.AckBusyNs += cp.vcBusyNs[vc]
-		}
-	}
-}
-
-// CongSnapshotAt aggregates every port's congestion account folded to
-// now. Quiescent-read only (barrier tasks / drained serial engine): it
-// walks all shards' ports without mutating anything.
-func (n *Network) CongSnapshotAt(now sim.Time) CongSnapshot {
-	s := CongSnapshot{
+// ReadLinks folds every wired port's accounts to now into t in one walk,
+// reusing t's storage, so a caller that keeps its table allocates nothing
+// after the first call. Quiescent-read only (barrier hooks / a drained or
+// event-context serial engine): it mutates no fabric state.
+func (n *Network) ReadLinks(now sim.Time, t *LinkTable) {
+	*t = LinkTable{
 		AtNs:      int64(now),
-		VCBusyNs:  make([]int64, n.numVC),
-		VCStallNs: make([]int64, n.numVC),
+		Links:     t.Links[:0],
+		VCBusyNs:  append(t.VCBusyNs[:0], make([]int64, n.numVC)...),
+		VCStallNs: append(t.VCStallNs[:0], make([]int64, n.numVC)...),
 	}
-	for _, rt := range n.Routers {
-		for i := range rt.out {
-			s.congFold(n, &rt.out[i], now)
+	nic := 0
+	n.eachPort(func(o *outPort) {
+		ls := LinkStat{Router: topology.RouterID(o.router), Port: int(o.port), Class: o.linkClass()}
+		if o.router < 0 {
+			ls.Port = nic
+			nic++
 		}
-	}
-	for _, nic := range n.NICs {
-		s.congFold(n, nic.out, now)
-	}
-	return s
-}
-
-// CongLinkStats returns every wired port's cumulative congestion account
-// folded to now, router ports in (router, port) order followed by NIC
-// injection ports in node order — the deterministic per-link table behind
-// the weather-map report. Quiescent-read only.
-func (n *Network) CongLinkStats(now sim.Time) []CongLinkStat {
-	var out []CongLinkStat
-	add := func(o *outPort, router topology.RouterID, port int) {
 		if o.peer == nil {
 			return
 		}
-		ls := CongLinkStat{
-			Router: router, Port: port, Class: o.linkClass(),
-			BusyNs: int64(o.busyNs), TxBytes: o.txBytes,
-		}
+		ls.BusyNs, ls.TxBytes = int64(o.busyNs), o.txBytes
 		if cp := o.congestion(); cp != nil {
-			ls.WaitNs = cp.waitNs
-			ls.DeqPkts = cp.deqPkts
-			ls.OccByteNs = cp.occIntAt(now)
-			ls.QueuedBytes = cp.occBytes
-			for vc := range cp.vcStallNs {
-				ls.StallNs += cp.stallNsAt(vc, now)
+			ls.WaitNs, ls.DeqPkts = cp.waitNs, cp.deqPkts
+			ls.OccByteNs, ls.QueuedBytes = cp.occIntAt(now), cp.occBytes
+			for vc, busy := range cp.vcBusyNs {
+				st := cp.stallNsAt(vc, now)
+				ls.StallNs += st
+				t.VCBusyNs[vc] += busy
+				t.VCStallNs[vc] += st
+				if n.isAckVC(vc) {
+					t.AckBusyNs += busy
+				}
 			}
 		}
-		out = append(out, ls)
-	}
-	for _, rt := range n.Routers {
-		for p := range rt.out {
-			add(&rt.out[p], rt.ID, p)
-		}
-	}
-	for _, nic := range n.NICs {
-		add(nic.out, topology.None, int(nic.ID))
-	}
-	return out
+		cl := &t.Classes[ls.Class]
+		cl.Links++
+		cl.add(&ls.LinkAccounts)
+		t.Links = append(t.Links, ls)
+	})
 }
 
 // AttachFlightRecorders wires one flight recorder per shard (entries may

@@ -108,14 +108,13 @@ func (n *Network) setLinkDown(r topology.RouterID, p int, down bool) error {
 }
 
 // FailLink takes the link at router r, port p out of service in both
-// directions. Idempotent. The engine argument is kept for call-site
-// compatibility; fault transitions always run on the ports' own engines.
-func (n *Network) FailLink(_ *sim.Engine, r topology.RouterID, p int) error {
+// directions. Idempotent. Fault transitions run on the ports' own engines.
+func (n *Network) FailLink(r topology.RouterID, p int) error {
 	return n.setLinkDown(r, p, true)
 }
 
 // RestoreLink returns a failed link to service in both directions.
-func (n *Network) RestoreLink(_ *sim.Engine, r topology.RouterID, p int) error {
+func (n *Network) RestoreLink(r topology.RouterID, p int) error {
 	return n.setLinkDown(r, p, false)
 }
 
@@ -149,13 +148,13 @@ func (n *Network) DegradeLink(r topology.RouterID, p int, factor float64) error 
 // FailRouter fails every link incident to router r (its switch died):
 // inter-router links in both directions and the terminal links of attached
 // NICs, which can then neither inject nor receive.
-func (n *Network) FailRouter(e *sim.Engine, r topology.RouterID) error {
-	return n.eachWiredPort(r, func(p int) error { return n.FailLink(e, r, p) })
+func (n *Network) FailRouter(r topology.RouterID) error {
+	return n.eachWiredPort(r, func(p int) error { return n.FailLink(r, p) })
 }
 
 // RestoreRouter restores every link incident to router r.
-func (n *Network) RestoreRouter(e *sim.Engine, r topology.RouterID) error {
-	return n.eachWiredPort(r, func(p int) error { return n.RestoreLink(e, r, p) })
+func (n *Network) RestoreRouter(r topology.RouterID) error {
+	return n.eachWiredPort(r, func(p int) error { return n.RestoreLink(r, p) })
 }
 
 func (n *Network) eachWiredPort(r topology.RouterID, f func(p int) error) error {

@@ -80,7 +80,7 @@ func TestDegradedTopologyStillRoutes(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			n := testNet(t, tc.topo, nil)
 			for _, f := range tc.fail {
-				if err := n.FailLink(n.Eng, topology.RouterID(f[0]), f[1]); err != nil {
+				if err := n.FailLink(topology.RouterID(f[0]), f[1]); err != nil {
 					t.Fatalf("FailLink(%v): %v", f, err)
 				}
 			}
@@ -113,12 +113,12 @@ func TestInFlightDropAndRepair(t *testing.T) {
 	// 8 KiB = 8 packets through a single 2-router path.
 	e.Schedule(0, func(e *sim.Engine) { n.NICs[0].Send(e, 1, 8192, MPISend, 0) })
 	e.Schedule(500, func(e *sim.Engine) {
-		if err := n.FailLink(e, 0, 0); err != nil {
+		if err := n.FailLink(0, 0); err != nil {
 			t.Errorf("FailLink: %v", err)
 		}
 	})
 	e.Schedule(200_000, func(e *sim.Engine) {
-		if err := n.RestoreLink(e, 0, 0); err != nil {
+		if err := n.RestoreLink(0, 0); err != nil {
 			t.Errorf("RestoreLink: %v", err)
 		}
 	})
@@ -175,8 +175,7 @@ func TestDegradedLinkSlowsButDelivers(t *testing.T) {
 func TestDeadLinkHoldsCreditsNoFalseDeadlock(t *testing.T) {
 	topo := topology.NewMesh(4, 4)
 	n := testNet(t, topo, nil)
-	e := n.Eng
-	if err := n.FailLink(e, 1, 0); err != nil { // router 1 east, on row 0
+	if err := n.FailLink(1, 0); err != nil { // router 1 east, on row 0
 		t.Fatal(err)
 	}
 	// Row-0 eastbound XY traffic piles up behind the dead link and stays
@@ -202,12 +201,11 @@ func TestDeadLinkHoldsCreditsNoFalseDeadlock(t *testing.T) {
 // TestPathUsableAndReachable covers the two health predicates directly.
 func TestPathUsableAndReachable(t *testing.T) {
 	n := testNet(t, topology.NewMesh(4, 4), nil)
-	e := n.Eng
 	if !n.PathUsable(0, 3, nil) || !n.Reachable(0, 3) {
 		t.Fatalf("healthy fabric reported unusable/unreachable")
 	}
 	// Fail router 1 east (the 1->2 hop of the XY route 0->3).
-	if err := n.FailLink(e, 1, 0); err != nil {
+	if err := n.FailLink(1, 0); err != nil {
 		t.Fatal(err)
 	}
 	if n.PathUsable(0, 3, nil) {
@@ -220,7 +218,7 @@ func TestPathUsableAndReachable(t *testing.T) {
 	if !n.Reachable(0, 3) {
 		t.Fatalf("0->3 reported unreachable though detours exist")
 	}
-	if err := n.RestoreLink(e, 1, 0); err != nil {
+	if err := n.RestoreLink(1, 0); err != nil {
 		t.Fatal(err)
 	}
 	if !n.PathUsable(0, 3, nil) {
@@ -245,7 +243,7 @@ func TestFaultFreeFastPath(t *testing.T) {
 // behind it are refused while the rest keep talking.
 func TestRouterFailurePartition(t *testing.T) {
 	n := testNet(t, topology.NewMesh(4, 4), nil)
-	if err := n.FailRouter(n.Eng, 5); err != nil {
+	if err := n.FailRouter(5); err != nil {
 		t.Fatal(err)
 	}
 	delivered := sendAll(t, n, [][2]topology.NodeID{

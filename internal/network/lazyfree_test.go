@@ -148,7 +148,7 @@ func TestLazyFreeAcrossLinkFailure(t *testing.T) {
 					t.Errorf("%s: lazyFree=%v serEnd=%v when the link fails, want a lazily busy link until %d",
 						tc.name, o.lazyFree(), o.serEnd, key)
 				}
-				if err := n.FailLink(e, 0, 0); err != nil {
+				if err := n.FailLink(0, 0); err != nil {
 					t.Error(err)
 				}
 			})
@@ -159,7 +159,7 @@ func TestLazyFreeAcrossLinkFailure(t *testing.T) {
 				}
 			})
 			e.Schedule(tc.repairAt, func(e *sim.Engine) {
-				if err := n.RestoreLink(e, 0, 0); err != nil {
+				if err := n.RestoreLink(0, 0); err != nil {
 					t.Error(err)
 				}
 			})

@@ -459,39 +459,6 @@ func (n *Network) eachPort(visit func(*outPort)) {
 	}
 }
 
-// LinkStat reports one output port's link occupancy over the run.
-type LinkStat struct {
-	Router topology.RouterID // owning router; -1 for a NIC injection link
-	Port   int
-	BusyNs sim.Time
-	Bytes  int64
-	// Wired reports whether the port has a peer at all.
-	Wired bool
-}
-
-// LinkStats snapshots every output port's occupancy (router ports first,
-// then the NIC injection ports), feeding the §5.2 energy/provisioning
-// analyses.
-func (n *Network) LinkStats() []LinkStat {
-	var out []LinkStat
-	for _, rt := range n.Routers {
-		for p := range rt.out {
-			op := &rt.out[p]
-			out = append(out, LinkStat{
-				Router: rt.ID, Port: p, BusyNs: op.busyNs, Bytes: op.txBytes,
-				Wired: op.peer != nil,
-			})
-		}
-	}
-	for _, nic := range n.NICs {
-		out = append(out, LinkStat{
-			Router: topology.None, Port: int(nic.ID),
-			BusyNs: nic.out.busyNs, Bytes: nic.out.txBytes, Wired: true,
-		})
-	}
-	return out
-}
-
 // PacketPoolStats reports the packet pools' lifetime activity across all
 // shards: packets issued (counting record reuse) and the freelists'
 // summed high-water mark (distinct records the run needed at once when
@@ -508,10 +475,10 @@ func (n *Network) PacketPoolStats() (issued uint64, freePeak int) {
 // congestion gauge used by tests.
 func (n *Network) TotalQueuedBytes() int {
 	total := 0
-	for _, rt := range n.Routers {
-		for i := range rt.out {
-			total += int(rt.out[i].queued)
+	n.eachPort(func(o *outPort) {
+		if o.router >= 0 {
+			total += int(o.queued)
 		}
-	}
+	})
 	return total
 }

@@ -11,26 +11,15 @@ package network
 // are applied to both directions of a link, so one failed bidirectional
 // link contributes two to down.
 func (n *Network) LinkHealthCounts() (down, degraded int) {
-	for _, rt := range n.Routers {
-		for i := range rt.out {
-			op := &rt.out[i]
-			if op.peer == nil {
-				continue
-			}
-			if op.isDown() {
-				down++
-			} else if op.degradedRate() > 0 {
-				degraded++
-			}
-		}
-	}
-	for _, nic := range n.NICs {
-		if nic.out.isDown() {
+	n.eachPort(func(o *outPort) {
+		switch {
+		case o.peer == nil:
+		case o.isDown():
 			down++
-		} else if nic.out.degradedRate() > 0 {
+		case o.degradedRate() > 0:
 			degraded++
 		}
-	}
+	})
 	return down, degraded
 }
 

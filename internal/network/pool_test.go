@@ -105,12 +105,12 @@ func TestDropReleasedPacketDoesNotAlias(t *testing.T) {
 
 	e.Schedule(0, func(e *sim.Engine) { n.NICs[0].Send(e, 1, 8192, MPISend, 0) })
 	e.Schedule(500, func(e *sim.Engine) {
-		if err := n.FailLink(e, 0, 0); err != nil {
+		if err := n.FailLink(0, 0); err != nil {
 			t.Errorf("FailLink: %v", err)
 		}
 	})
 	e.Schedule(200_000, func(e *sim.Engine) {
-		if err := n.RestoreLink(e, 0, 0); err != nil {
+		if err := n.RestoreLink(0, 0); err != nil {
 			t.Errorf("RestoreLink: %v", err)
 		}
 	})

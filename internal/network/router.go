@@ -163,14 +163,3 @@ func (r *Router) injectAck(e *sim.Engine, ack *Packet) bool {
 	op.enqueue(e, ack, vc)
 	return true
 }
-
-// PortPeerRouter returns the neighbouring router on port p, or -1 when the
-// port leads to a terminal or is unwired. Policies use this to translate
-// topology decisions into port indices.
-func (r *Router) PortPeerRouter(p int) topology.RouterID {
-	peer := r.net.Topo.PortPeer(r.ID, p)
-	if peer.IsRouter() {
-		return peer.Router
-	}
-	return topology.None
-}

@@ -181,12 +181,6 @@ func (n *Network) Sharded() bool { return n.group != nil }
 // Group returns the shard group driving this network (nil in serial mode).
 func (n *Network) Group() *sim.ShardGroup { return n.group }
 
-// ShardCount returns the number of shards (1 in serial mode).
-func (n *Network) ShardCount() int { return len(n.Shards) }
-
-// ShardOfRouter returns the shard index owning router r.
-func (n *Network) ShardOfRouter(r topology.RouterID) int { return n.Routers[r].sh.Idx }
-
 // EngineForNode returns the engine that owns terminal node's state; in
 // serial mode this is the network engine. Anything scheduling work on
 // behalf of a node (traffic sources, controllers) must use it.

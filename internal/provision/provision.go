@@ -11,7 +11,7 @@
 //
 //   - Energy-aware routing: "use the knowledge of future communication
 //     patterns to start applying energy-aware policies." The energy model
-//     converts measured link occupancy (network.LinkStats) into an energy
+//     converts measured link occupancy (network.ReadLinks) into an energy
 //     estimate and quantifies how much idle-link power a pattern-aware
 //     power-gating policy could save.
 package provision
@@ -222,19 +222,17 @@ type EnergyReport struct {
 	Links int
 }
 
-// Energy folds measured link occupancy into the model.
-func Energy(stats []network.LinkStat, elapsed sim.Time, m EnergyModel) EnergyReport {
+// Energy folds measured link occupancy — the rows of a link table, one per
+// wired link — into the model.
+func Energy(links []network.LinkStat, elapsed sim.Time, m EnergyModel) EnergyReport {
 	rep := EnergyReport{Elapsed: elapsed}
 	if elapsed <= 0 {
 		return rep
 	}
 	secs := elapsed.Seconds()
-	for _, s := range stats {
-		if !s.Wired {
-			continue
-		}
+	for _, l := range links {
 		rep.Links++
-		busy := s.BusyNs.Seconds()
+		busy := sim.Time(l.BusyNs).Seconds()
 		if busy > secs {
 			busy = secs
 		}
@@ -242,7 +240,7 @@ func Energy(stats []network.LinkStat, elapsed sim.Time, m EnergyModel) EnergyRep
 		rep.ActiveJoules += m.ActiveWatts * busy
 		rep.TotalJoules += m.ActiveWatts*busy + m.IdleWatts*idle
 		rep.GatedJoules += m.ActiveWatts * busy
-		if s.BusyNs == 0 {
+		if l.BusyNs == 0 {
 			rep.IdleLinks++
 		}
 	}

@@ -144,8 +144,9 @@ func TestEnergyFromRun(t *testing.T) {
 		}
 	})
 	eng.RunAll()
-	stats := net.LinkStats()
-	rep := Energy(stats, eng.Now(), DefaultEnergyModel())
+	var links network.LinkTable
+	net.ReadLinks(eng.Now(), &links)
+	rep := Energy(links.Links, eng.Now(), DefaultEnergyModel())
 	if rep.Links == 0 {
 		t.Fatal("no wired links counted")
 	}
@@ -163,7 +164,7 @@ func TestEnergyFromRun(t *testing.T) {
 		t.Fatal("empty report")
 	}
 	// Zero elapsed: empty report, no division blowups.
-	if z := Energy(stats, 0, DefaultEnergyModel()); z.TotalJoules != 0 || z.SavingsPct() != 0 {
+	if z := Energy(links.Links, 0, DefaultEnergyModel()); z.TotalJoules != 0 || z.SavingsPct() != 0 {
 		t.Fatal("zero-elapsed energy not zero")
 	}
 }
@@ -177,9 +178,11 @@ func TestLinkStatsAccounting(t *testing.T) {
 	net := network.MustNew(eng, topo, cfg, detPolicy{}, col)
 	eng.Schedule(0, func(e *sim.Engine) { net.NICs[0].Send(e, 3, 2048, network.MPISend, 0) })
 	eng.RunAll()
+	var links network.LinkTable
+	net.ReadLinks(eng.Now(), &links)
 	var bytes int64
-	for _, s := range net.LinkStats() {
-		bytes += s.Bytes
+	for _, l := range links.Links {
+		bytes += l.TxBytes
 	}
 	// 2048 B over: NIC link, r0->r1, r1->r2, r2->r3, r3->terminal = 5 links.
 	want := int64(2048 * 5)

@@ -83,7 +83,7 @@ func TestRouteMemoMatchesTopology(t *testing.T) {
 				break
 			}
 		}
-		if err := net.FailLink(net.Eng, 0, failed); err != nil {
+		if err := net.FailLink(0, failed); err != nil {
 			t.Fatal(err)
 		}
 		if net.FaultEpoch() == 0 {

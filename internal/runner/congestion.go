@@ -59,16 +59,38 @@ type congState struct {
 	board  *telemetry.Board
 	window sim.Time
 
-	// Window-delta baselines, updated at each close.
-	lastClose     sim.Time
-	prevBusy      []int64 // per link, CongLinkStats order (static per run)
-	prevClassBusy [network.NumLinkClasses]int64
-	prevStall     int64
-	prevDrops     int64
-	prevMaxUtil   float64
+	// cur is the latest walk of the fabric's links; prev is the walk the
+	// last window closed on — the baseline of the next window's deltas, and
+	// empty before the first close, so the first window counts from zero.
+	cur, prev *linkWalk
+	prevDrops int64
 
 	windows []telemetry.CongWindowStatus
 	dumps   []telemetry.FlightDump
+}
+
+// linkWalk is one walk of the fabric's links and the quiescent point it
+// was taken at: the table's AtNs and the events executed by then. Every
+// reader at the same point — a window close, its /congestion snapshot, the
+// cong.* gauges of a registry snapshot, the artifact — shares the walk.
+type linkWalk struct {
+	network.LinkTable
+	events uint64
+	taken  bool
+}
+
+// links returns the fabric's link table at now, walking the ports only
+// when neither kept walk was taken at this quiescent point.
+func (cs *congState) links(now sim.Time) *network.LinkTable {
+	events := cs.sim.Processed()
+	for _, w := range [2]*linkWalk{cs.cur, cs.prev} {
+		if w.taken && w.AtNs == int64(now) && w.events == events {
+			return &w.LinkTable
+		}
+	}
+	cs.sim.Net.ReadLinks(now, &cs.cur.LinkTable)
+	cs.cur.events, cs.cur.taken = events, true
+	return &cs.cur.LinkTable
 }
 
 // enableCongestion turns on the per-port accounting consumers: FCT
@@ -95,7 +117,8 @@ func (s *Sim) attachCongestion(board *telemetry.Board) {
 	if !s.Net.CongestionEnabled() {
 		return
 	}
-	cs := &congState{sim: s, board: board, window: s.Exp.CongestionWindow} // newBuilder has applied the default
+	cs := &congState{sim: s, board: board, window: s.Exp.CongestionWindow, // newBuilder has applied the default
+		cur: &linkWalk{}, prev: &linkWalk{}}
 	s.cong = cs
 	s.sampleEvery(cs.window, func(now sim.Time) {
 		cs.closeWindow(now)
@@ -105,67 +128,63 @@ func (s *Sim) attachCongestion(board *telemetry.Board) {
 
 // linkLabel names one link row: "r<router>.p<port>" for router ports,
 // "nic<node>" for injection ports.
-func linkLabel(ls network.CongLinkStat) string {
+func linkLabel(ls *network.LinkStat) string {
 	if ls.Router == topology.None {
 		return fmt.Sprintf("nic%d", ls.Port)
 	}
 	return fmt.Sprintf("r%d.p%d", ls.Router, ls.Port)
 }
 
-// closeWindow folds the span (lastClose, now] into one weather-map record
-// and evaluates the anomaly triggers. Quiescent-read only.
+// closeWindow folds the span since the previous close into one
+// weather-map record and evaluates the anomaly triggers. Quiescent-read
+// only.
 func (cs *congState) closeWindow(now sim.Time) {
-	dt := now - cs.lastClose
+	prev := &cs.prev.LinkTable
+	dt := now - sim.Time(prev.AtNs)
 	if dt <= 0 {
 		return
 	}
-	net := cs.sim.Net
-	snap := net.CongSnapshotAt(now)
-	links := net.CongLinkStats(now)
-	if cs.prevBusy == nil {
-		cs.prevBusy = make([]int64, len(links))
-	}
-	util := make([]float64, network.NumLinkClasses)
-	for c := 0; c < network.NumLinkClasses; c++ {
-		cl := snap.Classes[c]
+	cur := cs.links(now)
+	w := telemetry.CongWindowStatus{EndNs: int64(now)}
+	for c, cl := range cur.Classes {
 		if cl.Links > 0 {
-			util[c] = float64(cl.BusyNs-cs.prevClassBusy[c]) / (float64(cl.Links) * float64(dt))
+			w.Util[c] = float64(cl.BusyNs-prev.Classes[c].BusyNs) / (float64(cl.Links) * float64(dt))
 		}
-		cs.prevClassBusy[c] = cl.BusyNs
+		w.StallNs += cl.StallNs - prev.Classes[c].StallNs
 	}
-	maxUtil, maxLink := 0.0, ""
-	for i := range links {
-		u := float64(links[i].BusyNs-cs.prevBusy[i]) / float64(dt)
-		if u > maxUtil {
-			maxUtil, maxLink = u, linkLabel(links[i])
+	hot := -1
+	for i := range cur.Links {
+		busy := cur.Links[i].BusyNs
+		if i < len(prev.Links) {
+			busy -= prev.Links[i].BusyNs
 		}
-		cs.prevBusy[i] = links[i].BusyNs
+		if u := float64(busy) / float64(dt); u > w.MaxLinkUtil {
+			w.MaxLinkUtil, hot = u, i
+		}
 	}
-	var stall int64
-	for _, v := range snap.VCStallNs {
-		stall += v
+	if hot >= 0 {
+		w.MaxLink = linkLabel(&cur.Links[hot])
 	}
-	stallDelta := stall - cs.prevStall
-	cs.prevStall = stall
-	drops := net.DroppedPkts()
-	dropDelta := drops - cs.prevDrops
+	drops := cs.sim.Net.DroppedPkts()
+	w.Drops = drops - cs.prevDrops
 	cs.prevDrops = drops
-	cs.windows = append(cs.windows, telemetry.CongWindowStatus{
-		EndNs: int64(now), Util: util,
-		MaxLinkUtil: maxUtil, MaxLink: maxLink,
-		Drops: dropDelta, StallNs: stallDelta,
-	})
+	prevMaxUtil := 0.0
+	if len(cs.windows) > 0 {
+		prevMaxUtil = cs.windows[len(cs.windows)-1].MaxLinkUtil
+	}
+	cs.windows = append(cs.windows, w)
 	// At most one dump per window: triggers in severity order.
 	switch {
-	case dropDelta >= dropBurstTrigger:
-		cs.dump(now, "drop_burst", fmt.Sprintf("%d drops in window ending at %dns", dropDelta, now))
-	case stallDelta >= int64(dt):
-		cs.dump(now, "credit_stall", fmt.Sprintf("%dns credit-stall in a %dns window", stallDelta, dt))
-	case maxUtil >= satUtilThreshold && cs.prevMaxUtil < satUtilThreshold:
-		cs.dump(now, "saturation_onset", fmt.Sprintf("link %s at %.3f utilization", maxLink, maxUtil))
+	case w.Drops >= dropBurstTrigger:
+		cs.dump(now, "drop_burst", fmt.Sprintf("%d drops in window ending at %dns", w.Drops, now))
+	case w.StallNs >= int64(dt):
+		cs.dump(now, "credit_stall", fmt.Sprintf("%dns credit-stall in a %dns window", w.StallNs, dt))
+	case w.MaxLinkUtil >= satUtilThreshold && prevMaxUtil < satUtilThreshold:
+		cs.dump(now, "saturation_onset", fmt.Sprintf("link %s at %.3f utilization", w.MaxLink, w.MaxLinkUtil))
 	}
-	cs.prevMaxUtil = maxUtil
-	cs.lastClose = now
+	// The walk just closed on (cs.cur: prev was taken before now) becomes
+	// the next baseline; the old baseline's storage takes the next walk.
+	cs.cur, cs.prev = cs.prev, cs.cur
 }
 
 // dump snapshots every shard's flight-recorder rings into one
@@ -192,34 +211,32 @@ func (cs *congState) publish(now sim.Time) {
 	if cs.board == nil {
 		return
 	}
-	cs.board.PublishCongestion(cs.sim.congStatus(now, cs))
+	cs.board.PublishCongestion(cs.status(now))
 }
 
-// congStatus evaluates the full congestion snapshot. Quiescent-read only.
-func (s *Sim) congStatus(now sim.Time, cs *congState) telemetry.CongestionStatus {
-	snap := s.Net.CongSnapshotAt(now)
+// status evaluates the full congestion snapshot. Quiescent-read only.
+func (cs *congState) status(now sim.Time) telemetry.CongestionStatus {
+	s, t := cs.sim, cs.links(now)
 	st := telemetry.CongestionStatus{
-		AtNs:        int64(now),
-		WindowNs:    int64(cs.window),
-		Windows:     len(cs.windows),
-		VCBusyNs:    snap.VCBusyNs,
-		VCStallNs:   snap.VCStallNs,
-		AckBusyNs:   snap.AckBusyNs,
+		AtNs:     int64(now),
+		WindowNs: int64(cs.window),
+		Windows:  len(cs.windows),
+		// Copied: the table's storage takes a later walk.
+		VCBusyNs:    append([]int64(nil), t.VCBusyNs...),
+		VCStallNs:   append([]int64(nil), t.VCStallNs...),
+		AckBusyNs:   t.AckBusyNs,
 		FlightDumps: len(cs.dumps),
 	}
-	elapsed := float64(now)
-	if elapsed <= 0 {
-		elapsed = 1
-	}
-	for c := 0; c < network.NumLinkClasses; c++ {
-		st.Classes = append(st.Classes, classStatus(c, snap.Classes[c], elapsed))
+	elapsed := max(float64(now), 1) // now is whole nanoseconds
+	for c, cl := range t.Classes {
+		st.Classes = append(st.Classes, classStatus(c, cl, elapsed))
 	}
 	for _, r := range s.Net.FlightRecorders() {
 		st.FlightEvents += r.Events()
 	}
 	s.refresh()
 	st.FCT = fctStatus(s.Collector.FCT)
-	st.Attribution = attribStatus(s.Collector.Attrib, snap.AckBusyNs)
+	st.Attribution = attribStatus(s.Collector.Attrib, t.AckBusyNs)
 	tail := cs.windows
 	if len(tail) > congRecentWindows {
 		tail = tail[len(tail)-congRecentWindows:]
@@ -229,7 +246,7 @@ func (s *Sim) congStatus(now sim.Time, cs *congState) telemetry.CongestionStatus
 }
 
 // classStatus renders one link class's cumulative aggregate.
-func classStatus(class int, cl network.CongClassTotals, elapsedNs float64) telemetry.CongClassStatus {
+func classStatus(class int, cl network.ClassStat, elapsedNs float64) telemetry.CongClassStatus {
 	cc := telemetry.CongClassStatus{
 		Class: network.LinkClassNames[class], Links: cl.Links,
 		TxBytes: cl.TxBytes, StallNs: cl.StallNs, QueuedBytes: cl.QueuedBytes,
@@ -373,7 +390,7 @@ func (s *Sim) CongestionArtifact() (*CongArtifact, error) {
 	if now == 0 {
 		now = s.Now()
 	}
-	st := s.congStatus(now, cs)
+	st := cs.status(now)
 	a := &CongArtifact{
 		Schema: CongArtifactSchema,
 		Policy: string(s.Exp.Policy),
@@ -393,11 +410,10 @@ func (s *Sim) CongestionArtifact() (*CongArtifact, error) {
 		FlightDumps:  len(cs.dumps),
 		FlightEvents: st.FlightEvents,
 	}
-	elapsed := float64(now)
-	if elapsed <= 0 {
-		elapsed = 1
-	}
-	for _, ls := range s.Net.CongLinkStats(now) {
+	elapsed := max(float64(now), 1) // now is whole nanoseconds
+	links := cs.links(now).Links
+	for i := range links {
+		ls := &links[i]
 		lr := CongLinkReport{
 			Link: linkLabel(ls), Class: network.LinkClassNames[ls.Class],
 			Utilization:   float64(ls.BusyNs) / elapsed,

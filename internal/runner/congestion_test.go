@@ -7,10 +7,12 @@ import (
 	"encoding/json"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"prdrb/internal/sim"
 	"prdrb/internal/telemetry"
+	"prdrb/internal/topology"
 )
 
 const congTestHorizon = sim.Time(500_000)
@@ -197,32 +199,128 @@ func TestCongestionStatusPublished(t *testing.T) {
 	}
 }
 
-// TestCongestionArtifactPinned pins the window-close rule across the move
-// into sampleEvery: the artifact `prdrbsim -congestion-out` writes for the
-// scripts/verify.sh congestion cell (ft-4-3, pr-drb, websearch capped at
-// 64 KiB, 300 Mb/s for 300µs, seed 1) hashes to what it did before the
-// move, serial and on 2 shards. A change that means to alter when windows
-// close re-records these from that command's output.
+// TestCongestionArtifactPinned pins the artifact `prdrbsim -congestion-out`
+// writes, serial and on 2 shards, for two cells under pr-drb (websearch
+// capped at 64 KiB, 300 Mb/s for 300µs, seed 1): the smoke gate's ft-4-3,
+// which has no global links, and df-4-9-2-2, which has all four link
+// classes. The hashes were recorded before the fabric's per-link tables
+// were merged into one walk; a change that means to alter when windows
+// close or what they fold re-records them from that command's output.
 func TestCongestionArtifactPinned(t *testing.T) {
-	want := map[int]string{
-		1: "0d95e2476296c5dce031cc43ad7c2a48c9901a845728e125db97366888480e87",
-		2: "ee6374bf38fcd5a9784edbd326570e04f23c3602ccaf4f46926f554ddbcfb7e7",
+	for _, c := range []struct {
+		topo string
+		want map[int]string
+	}{
+		{"ft-4-3", map[int]string{
+			1: "0d95e2476296c5dce031cc43ad7c2a48c9901a845728e125db97366888480e87",
+			2: "ee6374bf38fcd5a9784edbd326570e04f23c3602ccaf4f46926f554ddbcfb7e7",
+		}},
+		{"df-4-9-2-2", map[int]string{
+			1: "839e451b20b9eb5e93e832faa933e7973f6e26191f8e8f2b6e7d5a9262a944d7",
+			2: "6733ca3f56b174dfd1f30b86dc62ba17de8dcfce7aa7b32935bee97e3fa4469a",
+		}},
+	} {
+		for _, shards := range []int{1, 2} {
+			got := sha256.Sum256(append(artifactJSON(t, pinnedCongSim(t, c.topo, shards)), '\n'))
+			if hex.EncodeToString(got[:]) != c.want[shards] {
+				t.Errorf("%s shards=%d: congestion artifact sha256 %x, want %s", c.topo, shards, got, c.want[shards])
+			}
+		}
 	}
-	for shards, sum := range want {
-		s := MustNew(Experiment{
-			Policy: PolicyPRDRB, Seed: 1, Shards: shards,
-			Congestion: true, CongestionWindow: 10_000,
-		})
-		if err := s.InstallHeavyTail(HeavyTailSpec{
-			CDF: "websearch", MaxFlowBytes: 64 << 10, Pattern: "uniform", PLocal: 0.5,
-			LoadMbps: 300, OnMean: 200_000, End: 300_000,
-		}); err != nil {
+}
+
+// pinnedCongSim runs one TestCongestionArtifactPinned cell to its drained end.
+func pinnedCongSim(t *testing.T, topo string, shards int) *Sim {
+	t.Helper()
+	tp, err := topology.ByName(topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := MustNew(Experiment{
+		Topology: tp, Policy: PolicyPRDRB, Seed: 1, Shards: shards,
+		Congestion: true, CongestionWindow: 10_000,
+	})
+	if err := s.InstallHeavyTail(HeavyTailSpec{
+		CDF: "websearch", MaxFlowBytes: 64 << 10, Pattern: "uniform", PLocal: 0.5,
+		LoadMbps: 300, OnMean: 200_000, End: 300_000,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	s.Execute(300_000 + sim.Second)
+	return s
+}
+
+// TestCongestionWindowCostFlat closes windows on idle fabrics, where no
+// anomaly trigger fires, and counts what one close allocates: the same
+// on the 64-node fat tree as on the 4096-node dragonfly, and well under a
+// kilobyte — a close folds the fabric in place rather than building a
+// per-link table.
+func TestCongestionWindowCostFlat(t *testing.T) {
+	const windows = 50
+	allocs := map[string]float64{}
+	for _, topo := range []string{"ft-4-3", "df-16-32-8-8"} {
+		tp, err := topology.ByName(topo)
+		if err != nil {
 			t.Fatal(err)
 		}
-		s.Execute(300_000 + sim.Second)
-		got := sha256.Sum256(append(artifactJSON(t, s), '\n'))
-		if hex.EncodeToString(got[:]) != sum {
-			t.Errorf("shards=%d: congestion artifact sha256 %x, want %s", shards, got, sum)
+		s := MustNew(Experiment{Topology: tp, Policy: PolicyPRDRB, Seed: 1, Congestion: true, CongestionWindow: 10_000})
+		cs := s.cong
+		now := sim.Time(0)
+		closeNext := func() {
+			now += cs.window
+			cs.closeWindow(now)
 		}
+		closeNext() // the first two closes size the tables later closes reuse
+		closeNext()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		allocs[topo] = testing.AllocsPerRun(windows, closeNext)
+		runtime.ReadMemStats(&after)
+		perWindow := float64(after.TotalAlloc-before.TotalAlloc) / (windows + 1)
+		t.Logf("%s: %.0f allocs, %.0f B per window", topo, allocs[topo], perWindow)
+		if topo == "df-16-32-8-8" && perWindow >= 1024 {
+			t.Errorf("%s: a window close allocates %.0f B, want < 1 KiB", topo, perWindow)
+		}
+		if len(cs.windows) != windows+3 {
+			t.Fatalf("%s: %d windows closed, want %d", topo, len(cs.windows), windows+3)
+		}
+	}
+	if allocs["ft-4-3"] != allocs["df-16-32-8-8"] {
+		t.Errorf("allocations per window grow with the fabric: %v", allocs)
+	}
+}
+
+// TestCongestionReadersShareOneWalk: a window close walks the fabric's
+// links once, and every reader at the same quiescent point — the
+// /congestion snapshot, the 13 cong.* gauges of a registry snapshot, the
+// artifact — reads that walk rather than walking again. A value planted in
+// the kept table after the walk shows through each reader; a fresh walk
+// would have replaced it.
+func TestCongestionReadersShareOneWalk(t *testing.T) {
+	tel := telemetry.New(telemetry.Options{})
+	s := MustNew(Experiment{Policy: PolicyPRDRB, Seed: 1, Congestion: true, CongestionWindow: 10_000, Telemetry: tel})
+	cs := s.cong
+	cs.board = telemetry.NewBoard()
+	s.Eng.AdvanceTo(10_000)
+	cs.closeWindow(10_000)
+	cs.prev.AckBusyNs = 777 // the closed-on walk
+	cs.publish(10_000)
+	if st, _ := cs.board.Congestion(); st.AckBusyNs != 777 {
+		t.Errorf("/congestion read ack_busy_ns %d, want the close's walk (777)", st.AckBusyNs)
+	}
+	if got := tel.Registry.Snapshot()["cong.ack_busy_ns"]; got != 777 {
+		t.Errorf("cong.ack_busy_ns = %d at the close's point, want the close's walk (777)", got)
+	}
+	if a, err := s.CongestionArtifact(); err != nil || a.AckBusyNs != 777 {
+		t.Errorf("artifact ack_busy_ns %v (err %v), want the close's walk (777)", a.AckBusyNs, err)
+	}
+	// Between closes, one registry snapshot walks once for all its gauges.
+	s.Eng.AdvanceTo(15_000)
+	if got := tel.Registry.Snapshot()["cong.ack_busy_ns"]; got != 0 {
+		t.Fatalf("cong.ack_busy_ns = %d on an idle fabric", got)
+	}
+	cs.cur.AckBusyNs = 888
+	if got := tel.Registry.Snapshot()["cong.ack_busy_ns"]; got != 888 {
+		t.Errorf("a second snapshot at the same point walked again (cong.ack_busy_ns = %d, want 888)", got)
 	}
 }

@@ -95,7 +95,8 @@ type Experiment struct {
 	// disabled run allocates none of it and stays byte-identical to
 	// historical behaviour.
 	Congestion bool
-	// CongestionWindow is the weather-map sampling window (0 = 10µs).
+	// CongestionWindow is the weather-map sampling window (0 = 10µs;
+	// negative is an error).
 	CongestionWindow sim.Time
 }
 
@@ -380,18 +381,18 @@ func (s *Sim) registerStandardMetrics(r *telemetry.Registry) {
 	r.Gauge("net.predictive_acks_dropped", net.PredictiveAcksDropped)
 	r.Gauge("net.detoured_acks", net.DetouredAcks)
 	if net.CongestionEnabled() {
-		// cong.* gauges evaluate the fabric weather map at snapshot time —
+		// cong.* gauges read the fabric weather map at snapshot time —
 		// registry snapshots happen only at quiescent points (sampler
-		// events / barriers), so the O(ports) walks are race-free and off
-		// the hot path.
-		for c := 0; c < network.NumLinkClasses; c++ {
-			c := c
+		// events / barriers), so the O(ports) walk is race-free and off the
+		// hot path, and the gauges of one snapshot share it.
+		links := func() *network.LinkTable { return s.cong.links(s.Now()) }
+		for c := range network.NumLinkClasses {
 			name := network.LinkClassNames[c]
-			r.Gauge("cong."+name+".busy_ns", func() int64 { return s.Net.CongSnapshotAt(s.Now()).Classes[c].BusyNs })
-			r.Gauge("cong."+name+".stall_ns", func() int64 { return s.Net.CongSnapshotAt(s.Now()).Classes[c].StallNs })
-			r.Gauge("cong."+name+".queued_bytes", func() int64 { return s.Net.CongSnapshotAt(s.Now()).Classes[c].QueuedBytes })
+			r.Gauge("cong."+name+".busy_ns", func() int64 { return links().Classes[c].BusyNs })
+			r.Gauge("cong."+name+".stall_ns", func() int64 { return links().Classes[c].StallNs })
+			r.Gauge("cong."+name+".queued_bytes", func() int64 { return links().Classes[c].QueuedBytes })
 		}
-		r.Gauge("cong.ack_busy_ns", func() int64 { return s.Net.CongSnapshotAt(s.Now()).AckBusyNs })
+		r.Gauge("cong.ack_busy_ns", func() int64 { return links().AckBusyNs })
 		r.Gauge("cong.flight_events", func() int64 {
 			var t int64
 			for _, rec := range net.FlightRecorders() {
@@ -403,8 +404,7 @@ func (s *Sim) registerStandardMetrics(r *telemetry.Registry) {
 		r.Gauge("cong.attrib_queue_ns", s.attribGauge(func(a *metrics.Attribution) int64 { return a.QueueNs }))
 		r.Gauge("cong.attrib_ser_ns", s.attribGauge(func(a *metrics.Attribution) int64 { return a.SerNs }))
 		r.Gauge("cong.attrib_detour_pkts", s.attribGauge(func(a *metrics.Attribution) int64 { return a.DetourPkts }))
-		for i := 0; i < metrics.NumFlowClasses; i++ {
-			i := i
+		for i := range metrics.NumFlowClasses {
 			name := metrics.FlowClassNames[i]
 			r.Gauge("fct."+name+".count", func() int64 {
 				var t int64
@@ -452,6 +452,9 @@ func (s *Sim) registerStandardMetrics(r *telemetry.Registry) {
 // New builds the network, installs the routing policy and, for the DRB
 // family, one source controller per node.
 func New(exp Experiment) (*Sim, error) {
+	if exp.CongestionWindow < 0 {
+		return nil, fmt.Errorf("prdrb: congestion window %v is negative (0 selects the default)", exp.CongestionWindow)
+	}
 	b := newBuilder(exp)
 	if err := b.resolvePolicy(); err != nil {
 		return nil, err
@@ -1052,7 +1055,9 @@ func (s *Sim) MapSurface() string {
 // Energy converts this run's measured link occupancy into an energy
 // estimate and the savings an idle-gating policy would reach.
 func (s *Sim) Energy(m provision.EnergyModel) provision.EnergyReport {
-	return provision.Energy(s.Net.LinkStats(), s.Now(), m)
+	var links network.LinkTable
+	s.Net.ReadLinks(s.Now(), &links)
+	return provision.Energy(links.Links, s.Now(), m)
 }
 
 // String renders a one-line result summary.

@@ -130,6 +130,29 @@ func TestHostileTrafficSpecs(t *testing.T) {
 	}
 }
 
+// TestHostileExperiments: a negative congestion window was silently
+// replaced by the 10µs default. New refuses it; 0 still selects the
+// default.
+func TestHostileExperiments(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		exp  Experiment
+		ok   bool
+	}{
+		{"congestion-window-default", Experiment{Congestion: true}, true},
+		{"congestion-window-negative", Experiment{Congestion: true, CongestionWindow: -sim.Microsecond}, false},
+		{"congestion-window-negative-off", Experiment{CongestionWindow: -1}, false},
+	} {
+		s, err := New(c.exp)
+		if c.ok != (err == nil) {
+			t.Errorf("%s: err = %v, want ok=%v", c.name, err, c.ok)
+		}
+		if c.ok && s.Exp.CongestionWindow != defaultCongestionWindow {
+			t.Errorf("%s: window %v, want the default %v", c.name, s.Exp.CongestionWindow, defaultCongestionWindow)
+		}
+	}
+}
+
 // decodeBurstSpec reads a BurstSpec from fuzz input: a pattern selector,
 // the rate as raw float64 bits (so NaN and the infinities occur), Len, Gap
 // and Start as raw int64s, a 16-bit count (the count cap itself is

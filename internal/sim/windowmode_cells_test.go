@@ -7,6 +7,7 @@ import (
 
 	"prdrb"
 	"prdrb/internal/faults"
+	"prdrb/internal/network"
 	"prdrb/internal/sim"
 )
 
@@ -95,8 +96,10 @@ func runModeCell(t *testing.T, c modeCell, shards int, force func(uint64) bool) 
 	// every field, not the summary line.
 	type allFields prdrb.Results
 	fp := fmt.Sprintf("seq=%v results=%+v links=", seqs, allFields(res))
-	for _, l := range s.Net.LinkStats() {
-		fp += fmt.Sprintf("%d.%d:%d,%d;", l.Router, l.Port, l.BusyNs, l.Bytes)
+	var links network.LinkTable
+	s.Net.ReadLinks(s.Now(), &links)
+	for _, l := range links.Links {
+		fp += fmt.Sprintf("%d.%d:%d,%d;", l.Router, l.Port, l.BusyNs, l.TxBytes)
 	}
 	return fp, g.WindowModes()
 }

@@ -33,9 +33,10 @@ type CongClassStatus struct {
 // CongWindowStatus is one completed sampling window of the weather map.
 type CongWindowStatus struct {
 	EndNs int64 `json:"end_ns"`
-	// Util is mean utilization over the window per link class, indexed like
-	// the Classes list of the parent status.
-	Util []float64 `json:"util"`
+	// Util is mean utilization over the window per link class (local,
+	// global, terminal, injection), indexed like the Classes list of the
+	// parent status.
+	Util [4]float64 `json:"util"`
 	// MaxLinkUtil is the single hottest link's utilization this window;
 	// MaxLink names it ("r12.p3" or "nic7").
 	MaxLinkUtil float64 `json:"max_link_util"`
@@ -133,12 +134,7 @@ func (b *Board) Congestion() (CongestionStatus, bool) {
 		a := *c.Attribution
 		c.Attribution = &a
 	}
-	recent := make([]CongWindowStatus, len(c.Recent))
-	for i, w := range c.Recent {
-		w.Util = append([]float64(nil), w.Util...)
-		recent[i] = w
-	}
-	c.Recent = recent
+	c.Recent = append([]CongWindowStatus(nil), c.Recent...)
 	return c, b.haveCong
 }
 

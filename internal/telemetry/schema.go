@@ -26,9 +26,6 @@ var runManifestSchemaJSON []byte
 // TraceEventSchema returns the JSON Schema for one JSONL trace line.
 func TraceEventSchema() []byte { return traceEventSchemaJSON }
 
-// RunManifestSchema returns the JSON Schema for run-manifest.json.
-func RunManifestSchema() []byte { return runManifestSchemaJSON }
-
 // ValidateAgainstSchema checks decoded JSON doc against schemaJSON. The
 // validator supports the draft-07 subset the embedded schemas use: type,
 // enum, required, properties, additionalProperties (false or a schema),

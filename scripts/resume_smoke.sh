@@ -67,7 +67,7 @@ cat > "$TMP/camp.json" <<'MANIFEST'
 MANIFEST
 
 "$TMP/experiments" -campaign "$TMP/camp.json" -campaign-dir "$TMP/camps" \
-    -campaign-workers 1 > "$TMP/camp1.log" 2>&1 &
+    -procs 1 > "$TMP/camp1.log" 2>&1 &
 CPID=$!
 # Wait until at least one cell result is committed, then interrupt. If the
 # campaign finishes first that is fine too — every cell is then committed.
@@ -87,7 +87,7 @@ committed=$(find "$TMP/camps" -name '*__*.json' | wc -l)
 find "$TMP/camps" -name '*.tmp*' | grep -q . && echo "    (leftover temp files present — restart must sweep them)"
 
 "$TMP/experiments" -campaign "$TMP/camp.json" -campaign-dir "$TMP/camps" \
-    -campaign-workers 1 > "$TMP/camp2.log" 2>&1 || {
+    -procs 1 > "$TMP/camp2.log" 2>&1 || {
     echo "FAIL: campaign restart failed"; cat "$TMP/camp2.log"; exit 1
 }
 skipped=$(grep -c "skipped (already done)" "$TMP/camp2.log" || true)

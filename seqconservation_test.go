@@ -3,9 +3,12 @@ package prdrb
 import (
 	"fmt"
 	"hash/fnv"
+	"io"
 	"testing"
 
 	"prdrb/internal/faults"
+	"prdrb/internal/network"
+	"prdrb/internal/topology"
 )
 
 // seqCell is one pinned cell of the sequence-conservation suite.
@@ -123,9 +126,7 @@ func TestSeqConservation(t *testing.T) {
 					seqs = append(seqs, s.Eng.Seq())
 				}
 				links := fnv.New64a()
-				for _, l := range s.Net.LinkStats() {
-					fmt.Fprintf(links, "%d.%d:%d,%d;", l.Router, l.Port, l.BusyNs, l.Bytes)
-				}
+				writeLinkFingerprint(links, s)
 				// Results is a Stringer; the conversion strips the method so
 				// %+v prints every field, not the summary line.
 				type allFields Results
@@ -141,5 +142,26 @@ func TestSeqConservation(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// writeLinkFingerprint writes every output port's busy time and bytes in
+// the fabric's port order — router ports, then NIC injection ports — with
+// an unwired router port, which the link table leaves out, as zeros.
+func writeLinkFingerprint(w io.Writer, s *Sim) {
+	var links network.LinkTable
+	s.Net.ReadLinks(s.Now(), &links)
+	rows := links.Links
+	for r := range s.Net.Routers {
+		for p := 0; p < s.Net.Topo.Radix(topology.RouterID(r)); p++ {
+			var busy, bytes int64
+			if len(rows) > 0 && int(rows[0].Router) == r && rows[0].Port == p {
+				busy, bytes, rows = rows[0].BusyNs, rows[0].TxBytes, rows[1:]
+			}
+			fmt.Fprintf(w, "%d.%d:%d,%d;", r, p, busy, bytes)
+		}
+	}
+	for _, l := range rows {
+		fmt.Fprintf(w, "%d.%d:%d,%d;", l.Router, l.Port, l.BusyNs, l.TxBytes)
 	}
 }
