@@ -1,11 +1,11 @@
 package prdrb
 
-// One benchmark per table and figure of the paper's evaluation (see
-// DESIGN.md §5 for the mapping). Each bench executes a scaled-down version
-// of the corresponding experiment per iteration and reports the domain
-// metrics (latencies in us, gains in percent) via b.ReportMetric, so
-// `go test -bench=. -benchmem` regenerates the whole result set. The
-// full-scale renditions live in cmd/experiments.
+// One benchmark per table and figure of the paper's evaluation, named after
+// it (EXPERIMENTS.md's per-artifact index says what each measures). Each
+// bench executes a scaled-down version of the corresponding experiment per
+// iteration and reports the domain metrics (latencies in us, gains in
+// percent) via b.ReportMetric, so `go test -bench=. -benchmem` regenerates
+// the whole result set. The full-scale renditions live in cmd/experiments.
 
 import (
 	"testing"

@@ -161,3 +161,30 @@ func TestTableSanity(t *testing.T) {
 		t.Errorf("race gate runs %q, want the extra arguments before ./...", race)
 	}
 }
+
+func TestDocFlags(t *testing.T) {
+	flags := map[string][]string{"prdrbsim": {"policy", "bursts"}, "experiments": {"run"}, "prdrbtrace perf": {"report", "det"}}
+	flagsOf := func(cmd string) []string {
+		if _, ok := flags[cmd]; !ok {
+			t.Fatalf("looked up %q", cmd)
+		}
+		return flags[cmd]
+	}
+	doc := "Run `prdrbsim -policy pr-drb -bursts=0 -h` or `experiments -run x | grep -v -q`.\n" +
+		"```\n" +
+		"go run ./cmd/prdrbsim -policy drb \\\n" +
+		"    -bogus 3   # -comment is no flag\n" +
+		"go run ./cmd/prdrbtrace perf -report p.json [-det] -bursts > out\n" +
+		"```\n" +
+		"`cmd/experiments -procs 2` and `-seeds` alone; `prdrbsim\n-nodes 4 -bogus` spans two lines.\n"
+	want := []string{
+		"doc.md:3: prdrbsim has no flag -bogus",
+		"doc.md:5: prdrbtrace perf has no flag -bursts",
+		"doc.md:7: experiments has no flag -procs",
+		"doc.md:8: prdrbsim has no flag -nodes",
+		"doc.md:8: prdrbsim has no flag -bogus",
+	}
+	if got := docFlags("doc.md", doc, flagsOf); !slices.Equal(got, want) {
+		t.Errorf("docFlags:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}

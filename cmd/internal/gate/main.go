@@ -48,6 +48,12 @@ func table(raceArgs []string, fuzztime time.Duration) []gate {
 		{name: "gofmt", group: "static", check: gofmt, unit: "files"},
 		{name: "vet", group: "static", cmd: []string{"go", "vet", "./..."}},
 		{name: "changes-lines", group: "static", check: func() float64 { return longestLine("CHANGES.md") }, bound: 1024, unit: "B", why: "a CHANGES.md entry is one line of at most 1 KB"},
+		budget("go-lines", 26372, "lines", "non-test Go outside benchmark/ (repo.nontest_go_loc)", func() float64 { return lineCount(goFiles(".")...) }),
+		budget("design-bytes", 42573, "B", "DESIGN.md", func() float64 { return fileSize("DESIGN.md") }),
+		budget("readme-bytes", 10796, "B", "README.md", func() float64 { return fileSize("README.md") }),
+		budget("experiments-bytes", 19859, "B", "EXPERIMENTS.md", func() float64 { return fileSize("EXPERIMENTS.md") }),
+		budget("roadmap-lines", 446, "lines", "ROADMAP.md", func() float64 { return lineCount("ROADMAP.md") }),
+		{name: "docs-flags", group: "static", check: docsFlags, unit: "flags", why: "every -flag README.md and EXPERIMENTS.md show on a prdrbsim, experiments or prdrbtrace <subcommand> command line is one of that command's flags"},
 		{name: "closure-scan", group: "static", check: func() float64 { return closureScan(".") }, unit: "calls", why: "model components are typed actors; closure scheduling stays in internal/sim, the fabric's ScheduleControl and the frozen benchmark"},
 		{name: "build", group: "test", cmd: []string{"go", "build", "./..."}},
 		{name: "test", group: "test", cmd: []string{"go", "test", "./..."}, why: "the suite without -race, where internal/topology's exact allocation pins run"},
@@ -150,7 +156,7 @@ func runGate(g gate) (err error) {
 	expect(v <= g.bound, "measured %g %s, over the bound of %g %s", v, g.unit, g.bound, g.unit)
 	measured := ""
 	if g.unit != "" {
-		measured = fmt.Sprintf(" measured %.4g %s,", v, g.unit)
+		measured = fmt.Sprintf(" measured %.6g %s,", v, g.unit)
 	}
 	fmt.Printf("    ok %s:%s %.1fs\n", g.name, measured, time.Since(t0).Seconds())
 	return nil
@@ -240,27 +246,140 @@ func longestLine(path string) float64 {
 	return float64(longest)
 }
 
+// budget bounds a size of the tree at the value it last reached, so it
+// cannot grow unnoticed; a change that raises a bound says so in CHANGES.md.
+func budget(name string, bound float64, unit, what string, measure func() float64) gate {
+	return gate{name: name, group: "static", check: measure, bound: bound, unit: unit, why: what + " stays within its budget; a change that raises the bound says so in CHANGES.md"}
+}
+
+func fileSize(path string) float64 { return float64(must(os.Stat(path)).Size()) }
+
+// lineCount counts the lines of the files at paths.
+func lineCount(paths ...string) (n float64) {
+	for _, p := range paths {
+		n += float64(bytes.Count(must(os.ReadFile(p)), []byte("\n")))
+	}
+	return n
+}
+
+// goFiles returns the non-test Go files under root, outside benchmark/
+// and hidden directories, as slash-separated paths relative to root.
+func goFiles(root string) (files []string) {
+	must(0, filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && path != root && (d.Name() == "benchmark" || strings.HasPrefix(d.Name(), ".")):
+			return filepath.SkipDir
+		case !d.IsDir() && strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go"):
+			files = append(files, filepath.ToSlash(must(filepath.Rel(root, path))))
+		}
+		return nil
+	}))
+	return files
+}
+
+var (
+	flagToken = regexp.MustCompile(`^\[?--?([a-zA-Z][\w-]*)`)
+	helpFlag  = regexp.MustCompile(`(?m)^  -(\S+)`)
+)
+
+// docFlags returns a problem for each -flag that a document shows on a
+// prdrbsim, experiments or prdrbtrace <subcommand> command line, in a
+// fenced block or an inline code span, and that flagsOf(command) lacks.
+func docFlags(doc, text string, flagsOf func(cmd string) []string) (bad []string) {
+	lines, fenced, inline, span := strings.Split(text, "\n"), false, false, ""
+	for i := 0; i < len(lines); i++ {
+		at, line, spans := i+1, lines[i], []string(nil)
+		switch {
+		case strings.HasPrefix(line, "```"):
+			fenced = !fenced
+		case fenced:
+			for strings.HasSuffix(line, "\\") && i+1 < len(lines) {
+				i++
+				line = strings.TrimSuffix(line, "\\") + " " + lines[i]
+			}
+			line, _, _ = strings.Cut(line, " #")
+			spans = []string{line}
+		case line == "":
+			inline, span = false, ""
+		default: // an inline span may go on over the next line
+			for k, s := range strings.Split(line, "`") {
+				if k > 0 {
+					if inline = !inline; !inline {
+						spans, span = append(spans, span), ""
+					}
+				}
+				if inline {
+					span += s + " "
+				}
+			}
+		}
+		for _, span := range spans {
+			toks := strings.Fields(span)
+			for j := 0; j < len(toks); j++ {
+				cmd := filepath.Base(toks[j])
+				if cmd != "prdrbsim" && cmd != "experiments" && cmd != "prdrbtrace" {
+					continue
+				}
+				if cmd == "prdrbtrace" {
+					if j++; j == len(toks) || strings.HasPrefix(toks[j], "-") {
+						continue
+					}
+					cmd += " " + toks[j]
+				}
+				for j++; j < len(toks) && !slices.Contains([]string{"|", "&&", ";"}, toks[j]) && !strings.Contains(toks[j], ">"); j++ {
+					if m := flagToken.FindStringSubmatch(toks[j]); m != nil && m[1] != "h" && m[1] != "help" && !slices.Contains(flagsOf(cmd), m[1]) {
+						bad = append(bad, fmt.Sprintf("%s:%d: %s has no flag -%s", doc, at, cmd, m[1]))
+					}
+				}
+			}
+		}
+	}
+	return bad
+}
+
+// docsFlags checks README.md and EXPERIMENTS.md against each command's
+// -help, which lists its flags.
+func docsFlags() float64 {
+	known := map[string][]string{}
+	flagsOf := func(cmd string) []string {
+		if _, ok := known[cmd]; !ok {
+			f := strings.Fields(cmd)
+			out, _ := exec.Command(bin("./cmd/"+f[0]), append(f[1:], "-help")...).CombinedOutput() // -help exits non-zero
+			for _, m := range helpFlag.FindAllStringSubmatch(string(out), -1) {
+				known[cmd] = append(known[cmd], m[1])
+			}
+		}
+		return known[cmd]
+	}
+	bad := 0
+	for _, doc := range []string{"README.md", "EXPERIMENTS.md"} {
+		for _, p := range docFlags(doc, string(must(os.ReadFile(doc))), flagsOf) {
+			fmt.Println("   ", p)
+			bad++
+		}
+	}
+	return float64(bad)
+}
+
 var closureCall = regexp.MustCompile(`\.(Schedule|After)\(`)
 
-// closureScan counts closure-scheduling calls in non-test Go files under
-// root, outside the code allowed to keep them.
+// closureScan counts closure-scheduling calls in goFiles(root) outside
+// the code allowed to keep them.
 func closureScan(root string) float64 {
 	n := 0
-	must(0, filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		rel := filepath.ToSlash(strings.TrimPrefix(path, root+string(filepath.Separator)))
-		if err != nil || d.IsDir() || !strings.HasSuffix(rel, ".go") || strings.HasSuffix(rel, "_test.go") ||
-			strings.HasPrefix(rel, "internal/sim/") || rel == "internal/network/shard.go" || strings.HasPrefix(rel, "benchmark/") {
-			return err
+	for _, rel := range goFiles(root) {
+		if strings.HasPrefix(rel, "internal/sim/") || rel == "internal/network/shard.go" {
+			continue
 		}
-		data, err := os.ReadFile(path)
-		for i, l := range bytes.Split(data, []byte("\n")) {
+		for i, l := range bytes.Split(must(os.ReadFile(filepath.Join(root, rel))), []byte("\n")) {
 			if closureCall.Match(l) {
 				fmt.Printf("    %s:%d: %s\n", rel, i+1, l)
 				n++
 			}
 		}
-		return err
-	}))
+	}
 	return float64(n)
 }
 

@@ -87,8 +87,8 @@ func main() {
 	obs := obsflags.Register(flag.CommandLine, "prdrbsim")
 	flag.Parse()
 
-	if *seeds < 1 {
-		fmt.Fprintf(os.Stderr, "prdrbsim: -seeds %d, want at least 1\n", *seeds)
+	if *seeds < 1 || *bursts < 0 {
+		fmt.Fprintf(os.Stderr, "prdrbsim: -seeds %d -bursts %d, want at least 1 seed and 0 bursts\n", *seeds, *bursts)
 		os.Exit(2)
 	}
 	if err := obs.Start(); err != nil {
@@ -180,7 +180,7 @@ func main() {
 		tr := loadedTrace
 		if tr == nil {
 			if *workload == "" {
-				fatal(fmt.Errorf("-provision needs -workload or -trace"))
+				fatal(fmt.Errorf("-provision needs -workload or -replay"))
 			}
 			var err error
 			tr, err = prdrb.Workload(*workload, prdrb.WorkloadOptions{Iterations: *iters})

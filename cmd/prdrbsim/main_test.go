@@ -147,23 +147,25 @@ func TestSeedsBelowOneRejected(t *testing.T) {
 	cmd.Stderr = &stderr
 	err := cmd.Run()
 	var exit *exec.ExitError
-	if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(stderr.String(), "want at least 1") {
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(stderr.String(), "want at least 1 seed") {
 		t.Errorf("-seeds 0: err %v, stderr %q; want exit 2 naming the bound", err, stderr.String())
 	}
 }
 
 // TestNegativeWindowsRejected: -congestion-window -1us once wrote
-// "window_ns": 10000 and -status-interval -1us sampled every 100µs. Both
-// exit non-zero naming the flag's value now.
+// "window_ns": 10000, -status-interval -1us sampled every 100µs and
+// -bursts -7 ran continuous traffic. Each exits non-zero naming the flag's
+// value now.
 func TestNegativeWindowsRejected(t *testing.T) {
 	bin := buildSim(t)
 	run := []string{"-topology", "mesh-4x4", "-duration", "10us", "-bursts", "0", "-pattern", "uniform"}
 	for _, c := range []struct{ args, want string }{
 		{"-congestion -congestion-window -1us", "congestion window -1.000us is negative"},
 		{"-status 127.0.0.1:0 -status-interval -1us", "-status-interval -1µs is negative"},
+		{"-bursts -7", "-bursts -7, want"},
 	} {
 		var stderr strings.Builder
-		cmd := exec.Command(bin, append(strings.Fields(c.args), run...)...)
+		cmd := exec.Command(bin, append(run, strings.Fields(c.args)...)...)
 		cmd.Stderr = &stderr
 		err := cmd.Run()
 		var exit *exec.ExitError

@@ -52,38 +52,15 @@ func Identity(n int) []topology.NodeID {
 	return m
 }
 
-// Options tunes the optimizer.
-type Options struct {
-	// Iterations bounds the pairwise-swap search (default 20 * ranks^2 is
-	// capped at 200k).
-	Iterations int
-	// Restarts runs the search from several random permutations and keeps
-	// the best (default 2).
-	Restarts int
-}
-
-func (o Options) iterations(ranks int) int {
-	if o.Iterations > 0 {
-		return o.Iterations
-	}
-	it := 20 * ranks * ranks
-	if it > 200_000 {
-		it = 200_000
-	}
-	return it
-}
-
-func (o Options) restarts() int {
-	if o.Restarts > 0 {
-		return o.Restarts
-	}
-	return 2
-}
+// restarts is how many searches Optimize runs, the first from identity and
+// the rest from random permutations; maxIterations caps each search's
+// pairwise swaps at 20 * ranks^2.
+const restarts, maxIterations = 2, 200_000
 
 // Optimize searches for a low-cost mapping by randomized pairwise swaps
 // (hill climbing with random restarts). The returned mapping always costs
 // no more than the identity mapping.
-func Optimize(topo topology.Topology, matrix [][]int64, opt Options, rng *sim.RNG) ([]topology.NodeID, int64, error) {
+func Optimize(topo topology.Topology, matrix [][]int64, rng *sim.RNG) ([]topology.NodeID, int64, error) {
 	n := len(matrix)
 	if n == 0 {
 		return nil, 0, fmt.Errorf("placement: empty matrix")
@@ -103,8 +80,8 @@ func Optimize(topo topology.Topology, matrix [][]int64, opt Options, rng *sim.RN
 		return nil, 0, err
 	}
 
-	iters := opt.iterations(n)
-	for restart := 0; restart < opt.restarts(); restart++ {
+	iters := min(20*n*n, maxIterations)
+	for restart := 0; restart < restarts; restart++ {
 		cur := Identity(n)
 		if restart > 0 {
 			rng.Shuffle(n, func(i, j int) { cur[i], cur[j] = cur[j], cur[i] })

@@ -51,7 +51,7 @@ func TestOptimizePullsHeavyPairTogether(t *testing.T) {
 	}
 	m4[0][3] = 1 << 20
 	m4[3][0] = 1 << 20
-	best, bestCost, err := Optimize(topo, m4, Options{}, sim.NewRNG(1))
+	best, bestCost, err := Optimize(topo, m4, sim.NewRNG(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestOptimizePermutationProperty(t *testing.T) {
 				m[src][dst] += int64(weights[i])
 			}
 		}
-		best, bestCost, err := Optimize(topo, m, Options{Iterations: 2000, Restarts: 1}, sim.NewRNG(seed))
+		best, bestCost, err := Optimize(topo, m, sim.NewRNG(seed))
 		if err != nil {
 			return false
 		}
@@ -135,18 +135,18 @@ func TestSwapDeltaExact(t *testing.T) {
 
 func TestOptimizeErrors(t *testing.T) {
 	topo := topology.NewMesh(2, 2)
-	if _, _, err := Optimize(topo, nil, Options{}, sim.NewRNG(1)); err == nil {
+	if _, _, err := Optimize(topo, nil, sim.NewRNG(1)); err == nil {
 		t.Fatal("empty matrix accepted")
 	}
 	big := make([][]int64, 9)
 	for i := range big {
 		big[i] = make([]int64, 9)
 	}
-	if _, _, err := Optimize(topo, big, Options{}, sim.NewRNG(1)); err == nil {
+	if _, _, err := Optimize(topo, big, sim.NewRNG(1)); err == nil {
 		t.Fatal("oversized matrix accepted")
 	}
 	ragged := [][]int64{{0, 1}, {1}}
-	if _, _, err := Optimize(topo, ragged, Options{}, sim.NewRNG(1)); err == nil {
+	if _, _, err := Optimize(topo, ragged, sim.NewRNG(1)); err == nil {
 		t.Fatal("ragged matrix accepted")
 	}
 }
@@ -160,7 +160,7 @@ func TestOptimizeRealWorkload(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := phase.CommMatrix(tr)
-	best, bestCost, err := Optimize(topo, m, Options{Iterations: 30000, Restarts: 2}, sim.NewRNG(7))
+	best, bestCost, err := Optimize(topo, m, sim.NewRNG(7))
 	if err != nil {
 		t.Fatal(err)
 	}

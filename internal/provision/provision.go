@@ -51,17 +51,9 @@ type Demand struct {
 // topology's deterministic minimal paths (mapping rank i to node i when
 // mapping is nil) and accumulates per-link demand.
 func Analyze(topo topology.Topology, tr *trace.Trace, mapping []topology.NodeID) (*Demand, error) {
-	if mapping != nil && len(mapping) != tr.Ranks {
-		return nil, fmt.Errorf("provision: mapping has %d entries for %d ranks", len(mapping), tr.Ranks)
-	}
-	if tr.Ranks > topo.NumTerminals() {
-		return nil, fmt.Errorf("provision: %d ranks exceed %d terminals", tr.Ranks, topo.NumTerminals())
-	}
-	node := func(rank int) topology.NodeID {
-		if mapping != nil {
-			return mapping[rank]
-		}
-		return topology.NodeID(rank)
+	nodes, _, err := trace.Placement("provision", topo.NumTerminals(), tr.Ranks, mapping)
+	if err != nil {
+		return nil, err
 	}
 	m := phase.CommMatrix(tr)
 	// Include collective-lowered traffic too: provisioning must cover the
@@ -86,7 +78,7 @@ func Analyze(topo topology.Topology, tr *trace.Trace, mapping []topology.NodeID)
 			if bytes == 0 {
 				continue
 			}
-			src, dst := node(srcRank), node(dstRank)
+			src, dst := nodes[srcRank], nodes[dstRank]
 			if src == dst {
 				continue
 			}

@@ -72,6 +72,29 @@ func TestAnalyzeWithMapping(t *testing.T) {
 	}
 }
 
+// A mapping off the fabric once panicked, and one that put two ranks on a
+// node was accepted; each is an error now, as in a replay.
+func TestAnalyzeHostileMapping(t *testing.T) {
+	topo := topology.NewKAryNTree(4, 2)
+	lu, err := workloads.ByName("nas-lu", workloads.Options{Ranks: 4, Iterations: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		mapping []topology.NodeID
+		want    string
+	}{
+		{[]topology.NodeID{0, 1, 2, 99}, "rank 3 mapped to node 99"},
+		{[]topology.NodeID{0, 1, 2, -1}, "rank 3 mapped to node -1"},
+		{[]topology.NodeID{0, 0, 1, 2}, "ranks 0 and 1 both mapped to node 0"},
+		{[]topology.NodeID{0, 1}, "mapping has 2 entries for 4 ranks"},
+	} {
+		if _, err := Analyze(topo, lu, c.mapping); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("mapping %v: err %v, want %q", c.mapping, err, c.want)
+		}
+	}
+}
+
 func TestBottlenecksAndFootprint(t *testing.T) {
 	topo := topology.NewKAryNTree(4, 3)
 	tr, err := workloads.ByName("pop", workloads.Options{Iterations: 4})

@@ -18,11 +18,11 @@ import (
 type GoalReplay struct {
 	Net  *network.Network
 	Goal *Goal
-	// Mapping maps rank -> terminal node; nil means identity placement.
-	Mapping []topology.NodeID
 
 	ranks []*goalRankState
-	// rankOf maps a terminal to the rank placed on it, -1 for none.
+	// nodes maps a rank to its terminal; rankOf a terminal to the rank
+	// placed on it, -1 for none.
+	nodes     []topology.NodeID
 	rankOf    []int32
 	sendOwner map[uint64]goalSendRef
 
@@ -69,14 +69,14 @@ func NewGoalReplay(net *network.Network, g *Goal, mapping []topology.NodeID) (*G
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	rankOf, err := placement("goal", net.Topo.NumTerminals(), g.Ranks, mapping)
+	nodes, rankOf, err := Placement("goal", net.Topo.NumTerminals(), g.Ranks, mapping)
 	if err != nil {
 		return nil, err
 	}
 	r := &GoalReplay{
 		Net:       net,
 		Goal:      g,
-		Mapping:   mapping,
+		nodes:     nodes,
 		rankOf:    rankOf,
 		sendOwner: make(map[uint64]goalSendRef),
 	}
@@ -103,17 +103,9 @@ func NewGoalReplay(net *network.Network, g *Goal, mapping []topology.NodeID) (*G
 		r.ranks[i] = rs
 	}
 	for i := 0; i < g.Ranks; i++ {
-		net.NICs[r.node(i)].OnMessage = r.makeOnMessage(i)
+		net.NICs[nodes[i]].OnMessage = r.makeOnMessage(i)
 	}
 	return r, nil
-}
-
-// node maps a rank to its terminal.
-func (r *GoalReplay) node(rank int) topology.NodeID {
-	if r.Mapping != nil {
-		return r.Mapping[rank]
-	}
-	return topology.NodeID(rank)
 }
 
 // Start begins replay at time at: every node with no dependencies fires.
@@ -205,7 +197,7 @@ func (r *GoalReplay) fire(e *sim.Engine, rs *goalRankState, id int) {
 		e.AfterEvent(nd.Dur, rs, goalDone, uint64(id))
 
 	case GoalSend:
-		msgID := r.Net.NICs[r.node(rs.rank)].Send(e, r.node(nd.Peer), nd.Bytes, nd.MPIType, uint32(nd.Tag))
+		msgID := r.Net.NICs[r.nodes[rs.rank]].Send(e, r.nodes[nd.Peer], nd.Bytes, nd.MPIType, uint32(nd.Tag))
 		r.sendOwner[msgID] = goalSendRef{rank: rs.rank, id: id}
 
 	case GoalRecv:

@@ -64,11 +64,11 @@ type rankState struct {
 type Replay struct {
 	Net   *network.Network
 	Trace *Trace
-	// Mapping maps rank -> terminal node; nil means identity placement.
-	Mapping []topology.NodeID
 
 	ranks []rankState
-	// rankOf maps a terminal to the rank placed on it, -1 for none.
+	// nodes maps a rank to its terminal; rankOf a terminal to the rank
+	// placed on it, -1 for none.
+	nodes  []topology.NodeID
 	rankOf []int32
 
 	startAt       sim.Time
@@ -80,7 +80,7 @@ type Replay struct {
 // (Trace.Validate), its rank count must not exceed the network's terminals,
 // and a mapping must place every rank on a terminal of its own.
 func NewReplay(net *network.Network, tr *Trace, mapping []topology.NodeID) (*Replay, error) {
-	rankOf, err := placement("trace", net.Topo.NumTerminals(), tr.Ranks, mapping)
+	nodes, rankOf, err := Placement("trace", net.Topo.NumTerminals(), tr.Ranks, mapping)
 	if err != nil {
 		return nil, err
 	}
@@ -88,57 +88,50 @@ func NewReplay(net *network.Network, tr *Trace, mapping []topology.NodeID) (*Rep
 		return nil, err
 	}
 	r := &Replay{
-		Net:     net,
-		Trace:   tr,
-		Mapping: mapping,
-		ranks:   make([]rankState, tr.Ranks),
-		rankOf:  rankOf,
+		Net:    net,
+		Trace:  tr,
+		ranks:  make([]rankState, tr.Ranks),
+		nodes:  nodes,
+		rankOf: rankOf,
 	}
 	for i := range r.ranks {
 		rs := &r.ranks[i]
 		*rs = rankState{replay: r, rank: i, prog: tr.Cursor(i)}
 		// Hook message delivery on the rank's NIC.
-		net.NICs[r.node(i)].OnMessage = rs.onMessage
+		net.NICs[nodes[i]].OnMessage = rs.onMessage
 	}
 	return r, nil
 }
 
-// placement checks that ranks fit the fabric and that mapping (nil =
-// identity) puts every rank on a terminal of its own, and returns the
-// inverse: the rank on each terminal, -1 for none. who prefixes the errors.
-func placement(who string, terminals, ranks int, mapping []topology.NodeID) ([]int32, error) {
+// Placement checks that ranks fit a fabric of terminals and that mapping
+// (nil = identity) puts every rank on a terminal of its own. It returns the
+// terminal of each rank and the inverse, the rank on each terminal (-1 for
+// none). who prefixes the errors.
+func Placement(who string, terminals, ranks int, mapping []topology.NodeID) (nodes []topology.NodeID, rankOf []int32, err error) {
 	if ranks > terminals {
-		return nil, fmt.Errorf("%s: %d ranks exceed %d terminals", who, ranks, terminals)
+		return nil, nil, fmt.Errorf("%s: %d ranks exceed %d terminals", who, ranks, terminals)
 	}
 	if mapping != nil && len(mapping) != ranks {
-		return nil, fmt.Errorf("%s: mapping has %d entries for %d ranks", who, len(mapping), ranks)
+		return nil, nil, fmt.Errorf("%s: mapping has %d entries for %d ranks", who, len(mapping), ranks)
 	}
-	rankOf := make([]int32, terminals)
+	nodes, rankOf = make([]topology.NodeID, ranks), make([]int32, terminals)
 	for i := range rankOf {
 		rankOf[i] = -1
 	}
-	for i := 0; i < ranks; i++ {
+	for i := range nodes {
 		node := topology.NodeID(i)
 		if mapping != nil {
 			node = mapping[i]
 		}
 		if node < 0 || int(node) >= terminals {
-			return nil, fmt.Errorf("%s: rank %d mapped to node %d, outside the fabric's %d terminals", who, i, node, terminals)
+			return nil, nil, fmt.Errorf("%s: rank %d mapped to node %d, outside the fabric's %d terminals", who, i, node, terminals)
 		}
 		if other := rankOf[node]; other >= 0 {
-			return nil, fmt.Errorf("%s: ranks %d and %d both mapped to node %d", who, other, i, node)
+			return nil, nil, fmt.Errorf("%s: ranks %d and %d both mapped to node %d", who, other, i, node)
 		}
-		rankOf[node] = int32(i)
+		nodes[i], rankOf[node] = node, int32(i)
 	}
-	return rankOf, nil
-}
-
-// node maps a rank to its terminal.
-func (r *Replay) node(rank int) topology.NodeID {
-	if r.Mapping != nil {
-		return r.Mapping[rank]
-	}
-	return topology.NodeID(rank)
+	return nodes, rankOf, nil
 }
 
 // Start begins replay at time at (schedules every rank's first step).
@@ -308,7 +301,7 @@ func (rs *rankState) inject(e *sim.Engine, ev Event) {
 	r := rs.replay
 	rs.mpiSeq++
 	rs.put(request{seq: rs.mpiSeq})
-	r.Net.NICs[r.node(rs.rank)].Send(e, r.node(ev.Peer), ev.Bytes, ev.MPIType, rs.mpiSeq)
+	r.Net.NICs[r.nodes[rs.rank]].Send(e, r.nodes[ev.Peer], ev.Bytes, ev.MPIType, rs.mpiSeq)
 }
 
 // onMessage is the delivery hook of the rank's NIC: it completes the

@@ -194,6 +194,9 @@ func NewBuilder(name string, ranks int) *Builder {
 // times — a pure function of its inputs, which every generator in
 // internal/workloads is.
 func Build(name string, ranks int, body func(b *Builder) error) (*Trace, error) {
+	if ranks < 2 {
+		return nil, fmt.Errorf("trace: %s needs >= 2 ranks, got %d", name, ranks)
+	}
 	b := NewBuilder(name, ranks)
 	counts := make([]int, ranks)
 	b.counts = counts

@@ -73,7 +73,7 @@ func TestByNameUnknown(t *testing.T) {
 // A negative option once read as a real value: -iters -1 ran one
 // truncated pass and exited 0. Only 0 selects a default.
 func TestNegativeOptionsRejected(t *testing.T) {
-	for _, opt := range []Options{{Iterations: -1}, {Ranks: -64}, {MsgBytes: -1}, {ComputeNs: -1}} {
+	for _, opt := range []Options{{Iterations: -1}, {Ranks: -64}, {Ranks: 1}, {MsgBytes: -1}, {ComputeNs: -1}} {
 		for _, name := range Names() {
 			if _, err := ByName(name, opt); err == nil {
 				t.Errorf("%s accepted %+v", name, opt)

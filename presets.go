@@ -147,7 +147,7 @@ func AnalyzeDemand(topo Topology, tr *Trace, mapping []NodeID) (*Demand, error) 
 // mapping and the percent cost reduction versus identity placement.
 func OptimizePlacement(topo Topology, tr *Trace, seed uint64) ([]NodeID, float64, error) {
 	m := phase.CommMatrix(tr)
-	best, bestCost, err := placement.Optimize(topo, m, placement.Options{}, sim.NewRNG(seed))
+	best, bestCost, err := placement.Optimize(topo, m, sim.NewRNG(seed))
 	if err != nil {
 		return nil, 0, err
 	}
