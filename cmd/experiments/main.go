@@ -102,6 +102,10 @@ func run(args []string) int {
 		fmt.Fprintf(os.Stderr, "experiments: -seeds %d, want at least 1\n", *nSeeds)
 		return 2
 	}
+	if err := obs.Validate(*shards); err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
+		return 2
+	}
 	re, err := regexp.Compile(*runPat)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "bad -run pattern: %v\n", err)

@@ -127,20 +127,21 @@ func TestNegativeStatusIntervalRejected(t *testing.T) {
 }
 
 // TestSeedsBelowOneRejected: -seeds 0 once panicked with an index out of
-// range and -seeds -1 with a bad slice length. Both exit 2 with a message.
+// range and -seeds -1 with a bad slice length; -shards -1 ran serial and
+// -trace-sample -5 traced every packet. Each exits 2 with a message.
 func TestSeedsBelowOneRejected(t *testing.T) {
 	bin := filepath.Join(t.TempDir(), "experiments")
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
-	for _, n := range []string{"0", "-1"} {
+	for _, arg := range []string{"-seeds 0", "-seeds -1", "-shards 0", "-shards -1", "-trace-sample -5"} {
 		var stderr strings.Builder
-		cmd := exec.Command(bin, "-seeds", n, "-run", "^table2.1$", "-out", t.TempDir())
+		cmd := exec.Command(bin, append(strings.Fields(arg), "-run", "^table2.1$", "-out", t.TempDir())...)
 		cmd.Stderr = &stderr
 		err := cmd.Run()
 		var exit *exec.ExitError
-		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(stderr.String(), "want at least 1") {
-			t.Errorf("-seeds %s: err %v, stderr %q; want exit 2 naming the bound", n, err, stderr.String())
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(stderr.String(), arg+", want at least 1") {
+			t.Errorf("%s: err %v, stderr %q; want exit 2 naming the value", arg, err, stderr.String())
 		}
 	}
 }

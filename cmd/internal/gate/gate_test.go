@@ -154,8 +154,8 @@ func TestTableSanity(t *testing.T) {
 			guards += len(strings.Split(g.cmd[slices.Index(g.cmd, "-run")+1], "|"))
 		}
 	}
-	if guards != 32 {
-		t.Errorf("%d guard names run at -cpu 1,2,4, want 32", guards)
+	if guards != 30 {
+		t.Errorf("%d guard names run at -cpu 1,2,4, want 30", guards)
 	}
 	if race != "go test -race -run X ./..." {
 		t.Errorf("race gate runs %q, want the extra arguments before ./...", race)

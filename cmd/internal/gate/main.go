@@ -48,20 +48,21 @@ func table(raceArgs []string, fuzztime time.Duration) []gate {
 		{name: "gofmt", group: "static", check: gofmt, unit: "files"},
 		{name: "vet", group: "static", cmd: []string{"go", "vet", "./..."}},
 		{name: "changes-lines", group: "static", check: func() float64 { return longestLine("CHANGES.md") }, bound: 1024, unit: "B", why: "a CHANGES.md entry is one line of at most 1 KB"},
-		budget("go-lines", 26372, "lines", "non-test Go outside benchmark/ (repo.nontest_go_loc)", func() float64 { return lineCount(goFiles(".")...) }),
+		budget("go-lines", 26460, "lines", "non-test Go outside benchmark/ (repo.nontest_go_loc)", func() float64 { return lineCount(goFiles(".")...) }),
 		budget("design-bytes", 42573, "B", "DESIGN.md", func() float64 { return fileSize("DESIGN.md") }),
 		budget("readme-bytes", 10796, "B", "README.md", func() float64 { return fileSize("README.md") }),
 		budget("experiments-bytes", 19859, "B", "EXPERIMENTS.md", func() float64 { return fileSize("EXPERIMENTS.md") }),
 		budget("roadmap-lines", 446, "lines", "ROADMAP.md", func() float64 { return lineCount("ROADMAP.md") }),
 		{name: "docs-flags", group: "static", check: docsFlags, unit: "flags", why: "every -flag README.md and EXPERIMENTS.md show on a prdrbsim, experiments or prdrbtrace <subcommand> command line is one of that command's flags"},
+		{name: "guard-names", group: "static", check: func() float64 { return staleGuards(table(nil, 0)) }, unit: "names", why: "every alternative of the -run pattern of barrier-stress, hop-guards, window-guards and zero-alloc matches a test go test -list finds in that row's packages, so a retired or renamed test cannot leave a guard that runs nothing"},
 		{name: "closure-scan", group: "static", check: func() float64 { return closureScan(".") }, unit: "calls", why: "model components are typed actors; closure scheduling stays in internal/sim, the fabric's ScheduleControl and the frozen benchmark"},
 		{name: "build", group: "test", cmd: []string{"go", "build", "./..."}},
 		{name: "test", group: "test", cmd: []string{"go", "test", "./..."}, why: "the suite without -race, where internal/topology's exact allocation pins run"},
 		{name: "race", group: "race", cmd: append(append([]string{"go", "test", "-race"}, raceArgs...), "./...")},
 		{name: "barrier-stress", group: "race", cmd: []string{"go", "test", "-race", "-count=10", "-cpu", "1,2,4", "-timeout", "5m", "-run", "ShardGroup|GroupProbe", "./internal/sim"}, why: "the shard group's hand-rolled barrier at fewer workers than shards, over enough interleavings to trust it"},
 		{name: "hop-guards", group: "race", cmd: guards("Reserved|LazyFree|SeqConservation|RouteMemo|EventsPerHop", "./internal/sim ./internal/network ./internal/routing ."), why: "reserved sequence numbers, lazy link-free ports, sequence conservation, the route memo, events per packet"},
-		{name: "window-guards", group: "race", cmd: guards("ShardGroup|WindowMode|ShardedDeterminism|ContendingFlows|AlternativePaths|ShardedStatus|SampleEvery|ReplayMatchesClosures|PatternSourceMatchesClosures|BurstTrain|HostileTrafficSpecs|SaveStoresValues|BuildMatchesAppend|BuildOneExactArray|ProgramsGolden|TraceBytesPerEvent|RecordLen|GenerateAllocs|ReplayAllocs|WatchdogEvent|FlowEvidenceOnlyPredictive|VCQueueMatchesSlice|VCQueueBytes|PortInvariants|ContendingStorage|LayoutSizes|BuildBytesLadder",
-			"./internal/sim ./internal/network ./internal/topology ./internal/runner ./internal/trace ./internal/traffic ./internal/workloads ./internal/core ."), why: "window modes, sharded determinism, the CFD tally, path enumerations, the sampler, typed actors vs closures, hostile specs, trace pins, port layout"},
+		{name: "window-guards", group: "race", cmd: guards("ShardGroup|WindowMode|ShardedDeterminism|ContendingFlows|AlternativePaths|ShardedStatus|SampleEvery|BurstTrain|HostileTrafficSpecs|SaveStoresValues|BuildMatchesAppend|BuildOneExactArray|ProgramsGolden|TraceBytesPerEvent|RecordLen|GenerateAllocs|ReplayAllocs|WatchdogEvent|FlowEvidenceOnlyPredictive|VCQueueMatchesSlice|VCQueueBytes|PortInvariants|ContendingStorage|LayoutSizes|BuildBytesLadder",
+			"./internal/sim ./internal/network ./internal/topology ./internal/runner ./internal/trace ./internal/traffic ./internal/workloads ./internal/core ."), why: "window modes, sharded determinism, the CFD tally, path enumerations, the sampler, burst-train openers, hostile specs, trace pins, port layout"},
 		{name: "zero-alloc", group: "alloc", cmd: []string{"go", "test", "-run", "TestHotPathZeroAlloc(PRDRB)?$", "-count=1", "-v", "."}, why: "the adaptive hot path, PR-DRB's steady state and the CFD notification path allocate nothing; -v prints the pinned cold-open bill"},
 		allocGate("df4096-heavytail-serial", 330, "~301 B at 64-byte metapaths and 152-byte controllers"),
 		allocGate("ft64-uniform-serial", 9.5, "~8.2 B with 128-byte packet records"),
@@ -72,6 +73,9 @@ func table(raceArgs []string, fuzztime time.Duration) []gate {
 			hint: "run `go test -v -run SeqConservation .` first: it names the cell and shard count that moved and prints every Results field; a change that means to alter simulated behaviour regenerates the file with `go run ./benchmark -smoke | grep '^sim_digest' > results/bench.smoke.digests.txt`"},
 		{name: "results", group: "results", check: regenerateResults, unit: "files", why: "every file the experiments harness writes is committed under results/ and regenerates byte for byte",
 			hint: "a change that means to move a report regenerates results/ with `go run ./cmd/experiments -procs 2`"},
+		{name: "history", group: "results", check: historyCheck, unit: "configs",
+			why:  "prdrbsim -v stdout and its 1-in-16 JSONL trace equal those at results/reference.commit on 500 drawn configurations (topology families, policies, pattern, burst, heavy-tail, trace and GOAL traffic, faults, shards, -map, -energy); left out, as their output changed on purpose: -seeds > 1 (the Student-t CI95 column), -congestion-out (the sampler's window cadence), -save-knowledge (the sorted export), -perf (elided link-free events) and the checkpoint flags",
+			hint: "only a change that means to alter simulated output moves results/reference.commit, to its own commit, and says so in CHANGES.md"},
 		{name: "smoke-telemetry", group: "smoke", check: telemetrySmoke, why: "a traced run's trace and manifest validate"},
 		{name: "smoke-parallel", group: "smoke", check: parallelSmoke, why: "on a lossless fabric -shards 4 delivers the packets -shards 1 delivers (latency may drift a hair)"},
 		{name: "smoke-datacenter", group: "smoke", check: datacenterSmoke, why: "the 4096-node dragonfly runs lossless in CI memory"},
@@ -361,6 +365,26 @@ func docsFlags() float64 {
 		}
 	}
 	return float64(bad)
+}
+
+// staleGuards counts the alternatives of the guard rows' -run patterns that
+// match no test `go test -list` finds in the row's packages.
+func staleGuards(gates []gate) (stale float64) {
+	for _, g := range gates {
+		i := slices.Index(g.cmd, "-run")
+		if !slices.Contains([]string{"barrier-stress", "hop-guards", "window-guards", "zero-alloc"}, g.name) || i < 0 {
+			continue
+		}
+		pkgs := slices.DeleteFunc(slices.Clone(g.cmd[i+2:]), func(a string) bool { return !strings.HasPrefix(a, ".") })
+		listed := output(append([]string{"go", "test", "-list", "."}, pkgs...)...) // one name a line
+		for _, alt := range strings.Split(g.cmd[i+1], "|") {
+			if !regexp.MustCompile(`(?m)^\w*(?:` + alt + `)`).MatchString(listed) {
+				fmt.Printf("    %s: -run alternative %q matches no test in %s\n", g.name, alt, strings.Join(pkgs, " "))
+				stale++
+			}
+		}
+	}
+	return stale
 }
 
 var closureCall = regexp.MustCompile(`\.(Schedule|After)\(`)

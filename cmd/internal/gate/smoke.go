@@ -40,7 +40,7 @@ func parallelSmoke() float64 {
 }
 
 func datacenterSmoke() float64 {
-	out := sim("-topo", "df-16-32-8-8", "-policy", "pr-drb", "-heavytail", "cache", "-ht-pattern", "grouplocal",
+	out := sim("-topology", "df-16-32-8-8", "-policy", "pr-drb", "-heavytail", "cache", "-ht-pattern", "grouplocal",
 		"-ht-plocal", "0.7", "-rate", "100", "-duration", "50us", "-shards", "4", "-bursts", "0")
 	expect(strings.Contains(out, "accepted=1.000"), "4096-node dragonfly run lost traffic: %s", out)
 	fmt.Print("    ", out)
@@ -140,7 +140,7 @@ func congestionSmoke() float64 {
 	// The 4096-node dragonfly: every link class, and a window close that
 	// folds ~20k links in place.
 	df := func(out string) {
-		sim("-topo", "df-16-32-8-8", "-policy", "pr-drb", "-heavytail", "cache", "-ht-pattern", "grouplocal",
+		sim("-topology", "df-16-32-8-8", "-policy", "pr-drb", "-heavytail", "cache", "-ht-pattern", "grouplocal",
 			"-ht-plocal", "0.7", "-rate", "100", "-duration", "50us", "-shards", "2", "-bursts", "0", "-congestion-out", tmp(out))
 	}
 	df("cong-df-a.json")

@@ -76,6 +76,18 @@ func (f *Flags) SharedRecorder() string {
 	return ""
 }
 
+// Validate rejects a -shards or -trace-sample below 1, which would
+// otherwise run serial or trace every packet without a word.
+func (f *Flags) Validate(shards int) error {
+	if shards < 1 {
+		return fmt.Errorf("-shards %d, want at least 1", shards)
+	}
+	if f.traceSample < 1 {
+		return fmt.Errorf("-trace-sample %d, want at least 1", f.traceSample)
+	}
+	return nil
+}
+
 // DefaultShards selects the conservative-parallel engine for every
 // simulation built without an explicit shard count (experiments -shards).
 func DefaultShards(n int) {

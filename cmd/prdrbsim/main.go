@@ -83,12 +83,15 @@ func main() {
 		htOff     = flag.Duration("ht-off", 0, "mean OFF silence duration (0 = always on)")
 		htMaxFlow = flag.Int("ht-maxflow", 0, "truncate the flow-size CDF at this many bytes (0 = no cap)")
 	)
-	flag.StringVar(topoSpec, "topo", "ft-4-3", "alias for -topology")
 	obs := obsflags.Register(flag.CommandLine, "prdrbsim")
 	flag.Parse()
 
 	if *seeds < 1 || *bursts < 0 {
 		fmt.Fprintf(os.Stderr, "prdrbsim: -seeds %d -bursts %d, want at least 1 seed and 0 bursts\n", *seeds, *bursts)
+		os.Exit(2)
+	}
+	if err := obs.Validate(*shards); err != nil {
+		fmt.Fprintln(os.Stderr, "prdrbsim:", err)
 		os.Exit(2)
 	}
 	if err := obs.Start(); err != nil {

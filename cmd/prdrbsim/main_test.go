@@ -154,8 +154,9 @@ func TestSeedsBelowOneRejected(t *testing.T) {
 
 // TestNegativeWindowsRejected: -congestion-window -1us once wrote
 // "window_ns": 10000, -status-interval -1us sampled every 100µs and
-// -bursts -7 ran continuous traffic. Each exits non-zero naming the flag's
-// value now.
+// -bursts -7 ran continuous traffic; -shards -1 ran serial and
+// -trace-sample -5 traced every packet. Each exits non-zero naming the
+// flag's value now.
 func TestNegativeWindowsRejected(t *testing.T) {
 	bin := buildSim(t)
 	run := []string{"-topology", "mesh-4x4", "-duration", "10us", "-bursts", "0", "-pattern", "uniform"}
@@ -163,6 +164,9 @@ func TestNegativeWindowsRejected(t *testing.T) {
 		{"-congestion -congestion-window -1us", "congestion window -1.000us is negative"},
 		{"-status 127.0.0.1:0 -status-interval -1us", "-status-interval -1µs is negative"},
 		{"-bursts -7", "-bursts -7, want"},
+		{"-shards -1", "-shards -1, want at least 1"},
+		{"-shards 0", "-shards 0, want at least 1"},
+		{"-trace-sample -5", "-trace-sample -5, want at least 1"},
 	} {
 		var stderr strings.Builder
 		cmd := exec.Command(bin, append(run, strings.Fields(c.args)...)...)

@@ -34,10 +34,6 @@ func TestHotPathZeroAlloc(t *testing.T) {
 			t.Fatal("flight recorder attached without Experiment.Congestion")
 		}
 	}
-	// The guard must cover the scheduler production runs use.
-	if !s.Eng.WheelEnabled() {
-		t.Fatal("runner built a serial engine off the windowed wheel")
-	}
 	// Sustained load, stable queues: the measurement runs against this.
 	if err := s.InstallPattern(PatternSpec{Pattern: "uniform", RateMbps: 400, Start: 0, End: Second}); err != nil {
 		t.Fatal(err)

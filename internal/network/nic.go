@@ -248,6 +248,3 @@ func (n *NIC) reassemble(e *sim.Engine, pkt *Packet) {
 		n.OnMessage(e, pkt.Src, pkt.MsgID, ra.bytes, pkt.MPIType, pkt.MPISeq)
 	}
 }
-
-// QueuedBytes reports the NIC injection-queue occupancy (all VCs).
-func (n *NIC) QueuedBytes() int { return int(n.out.queued) }

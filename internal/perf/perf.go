@@ -181,9 +181,6 @@ func (p *Profiler) BindSerial(statsFn func() []sim.EngineStats) {
 // Bound reports whether the profiler has a simulation attached.
 func (p *Profiler) Bound() bool { return p != nil && p.statsFn != nil }
 
-// Sharded reports whether the current bind is a shard group.
-func (p *Profiler) Sharded() bool { return p != nil && p.sharded }
-
 // RunStart opens a wall-clock segment around an Execute call. Nested or
 // repeated opens are idempotent.
 func (p *Profiler) RunStart() {

@@ -305,7 +305,7 @@ func TestNilProfilerIsInert(t *testing.T) {
 	if p.Snapshot() != nil {
 		t.Fatal("nil profiler produced a snapshot")
 	}
-	if p.Bound() || p.Sharded() {
+	if p.Bound() {
 		t.Fatal("nil profiler claims state")
 	}
 	r := p.Report()

@@ -141,22 +141,6 @@ func collective(mpiType uint8) bool {
 	return false
 }
 
-// Bottlenecks returns the links whose demand is at least frac of the
-// hottest link's — the candidates for dedicated provisioning.
-func (d *Demand) Bottlenecks(frac float64) []LinkDemand {
-	if len(d.Links) == 0 {
-		return nil
-	}
-	peak := d.Links[0].Bytes
-	var out []LinkDemand
-	for _, l := range d.Links {
-		if float64(l.Bytes) >= frac*float64(peak) {
-			out = append(out, l)
-		}
-	}
-	return out
-}
-
 // FootprintShare is the fraction of wired links the application touches —
 // the "smaller network footprint" measure of §4.8.5.
 func (d *Demand) FootprintShare() float64 {

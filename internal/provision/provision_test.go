@@ -105,14 +105,6 @@ func TestBottlenecksAndFootprint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	all := d.Bottlenecks(0)
-	if len(all) != d.UsedLinks {
-		t.Fatalf("Bottlenecks(0) = %d links, want all %d", len(all), d.UsedLinks)
-	}
-	hot := d.Bottlenecks(0.9)
-	if len(hot) == 0 || len(hot) > len(all) {
-		t.Fatalf("Bottlenecks(0.9) = %d links", len(hot))
-	}
 	fs := d.FootprintShare()
 	if fs <= 0 || fs > 1 {
 		t.Fatalf("footprint share = %v", fs)

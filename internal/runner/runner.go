@@ -253,7 +253,7 @@ func (b *builder) build() (*Sim, error) {
 		// Open the run scope before any tracer handles are resolved (shard
 		// forks inherit it), so packet IDs stay unambiguous when one tracer
 		// spans a sweep of runs.
-		tel.Tracer.BeginRun(fmt.Sprintf("%s/seed%d", b.exp.Policy, b.exp.Seed))
+		tel.Tracer.BeginRun()
 	}
 	s := &Sim{
 		Exp:       b.exp,
@@ -454,6 +454,9 @@ func (s *Sim) registerStandardMetrics(r *telemetry.Registry) {
 func New(exp Experiment) (*Sim, error) {
 	if exp.CongestionWindow < 0 {
 		return nil, fmt.Errorf("prdrb: congestion window %v is negative (0 selects the default)", exp.CongestionWindow)
+	}
+	if exp.Shards < 0 {
+		return nil, fmt.Errorf("prdrb: %d shards is negative (0 selects the default)", exp.Shards)
 	}
 	b := newBuilder(exp)
 	if err := b.resolvePolicy(); err != nil {

@@ -131,8 +131,8 @@ func TestHostileTrafficSpecs(t *testing.T) {
 }
 
 // TestHostileExperiments: a negative congestion window was silently
-// replaced by the 10µs default. New refuses it; 0 still selects the
-// default.
+// replaced by the 10µs default, and negative shards ran serial. New refuses
+// both; 0 still selects the default.
 func TestHostileExperiments(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -142,6 +142,7 @@ func TestHostileExperiments(t *testing.T) {
 		{"congestion-window-default", Experiment{Congestion: true}, true},
 		{"congestion-window-negative", Experiment{Congestion: true, CongestionWindow: -sim.Microsecond}, false},
 		{"congestion-window-negative-off", Experiment{CongestionWindow: -1}, false},
+		{"shards-negative", Experiment{Shards: -1}, false},
 	} {
 		s, err := New(c.exp)
 		if c.ok != (err == nil) {

@@ -96,10 +96,6 @@ func (e *Engine) EnableWheel() {
 	e.wheel = &wheel{}
 }
 
-// WheelEnabled reports whether the engine runs the windowed-wheel
-// scheduler.
-func (e *Engine) WheelEnabled() bool { return e.wheel != nil }
-
 // FarStats reports the wheel's far-heap traffic: events that overflowed
 // past the ring span into the binary heap, and those migrated back into
 // ring slots as the clock advanced. Always (0, 0) in heap mode.

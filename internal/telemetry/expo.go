@@ -69,8 +69,7 @@ func expoFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-// WriteExposition renders scalar metrics (counters and gauges, exposed as
-// gauges — registry counters reset per process, not per scrape) and
+// WriteExposition renders scalar metrics (exposed as gauges) and
 // histogram snapshots in Prometheus text format. Both maps are iterated in
 // sorted raw-name order, so output is deterministic.
 func WriteExposition(w io.Writer, scalars map[string]int64, hists map[string]HistSnapshot) error {

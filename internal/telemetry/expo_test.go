@@ -145,26 +145,12 @@ h_count 4
 	}
 }
 
-// TestRegistryHistograms covers the registry's histogram reader plumbing
-// and Names() dedup.
+// TestRegistryHistograms covers the registry's histogram reader plumbing.
 func TestRegistryHistograms(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("x").Add(3)
-	r.Gauge("g", func() int64 { return 7 })
 	r.Histogram("h", func() HistSnapshot {
 		return HistSnapshot{Bounds: []float64{10}, Counts: []int64{2}, Count: 2, Sum: 11}
 	})
-	r.Histogram("g", func() HistSnapshot { return HistSnapshot{} }) // name clash with gauge
-	names := r.Names()
-	want := []string{"g", "h", "x"}
-	if len(names) != len(want) {
-		t.Fatalf("Names() = %v, want %v", names, want)
-	}
-	for i := range want {
-		if names[i] != want[i] {
-			t.Fatalf("Names() = %v, want %v", names, want)
-		}
-	}
 	hs := r.SnapshotHistograms()
 	if hs["h"].Count != 2 || hs["h"].Sum != 11 {
 		t.Errorf("SnapshotHistograms[h] = %+v", hs["h"])

@@ -1,23 +1,5 @@
 package telemetry
 
-import "sort"
-
-// Counter is a monotonically increasing named metric. Holders keep the
-// *Counter resolved at wiring time; incrementing is one add, no map
-// lookup.
-type Counter struct {
-	v int64
-}
-
-// Inc adds one.
-func (c *Counter) Inc() { c.v++ }
-
-// Add folds d in.
-func (c *Counter) Add(d int64) { c.v += d }
-
-// Value returns the current count.
-func (c *Counter) Value() int64 { return c.v }
-
 // HistSnapshot is a point-in-time histogram state for exposition:
 // cumulative sample counts at ascending upper bounds, plus the total count
 // and the sum of all samples. Bounds may cover any subset of the source
@@ -34,37 +16,24 @@ type HistSnapshot struct {
 	Sum   float64
 }
 
-// Registry is a wiring-time metrics registry: named counters owned by the
-// registry, and gauges and histograms read through callbacks at snapshot
-// time. Gauges make existing state (engine counters, pool high-water
-// marks, controller stats) observable with zero hot-path cost — nothing is
-// recorded until a snapshot is taken.
+// Registry is a wiring-time metrics registry: gauges and histograms read
+// through callbacks at snapshot time. Gauges make existing state (engine
+// counters, pool high-water marks, controller stats) observable with zero
+// hot-path cost — nothing is recorded until a snapshot is taken.
 //
 // The registry is not safe for concurrent use: each simulation wires its
 // own, and a sweep sharing one must snapshot between runs.
 type Registry struct {
-	counters map[string]*Counter
-	gauges   map[string]func() int64
-	hists    map[string]func() HistSnapshot
+	gauges map[string]func() int64
+	hists  map[string]func() HistSnapshot
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters: make(map[string]*Counter),
-		gauges:   make(map[string]func() int64),
-		hists:    make(map[string]func() HistSnapshot),
+		gauges: make(map[string]func() int64),
+		hists:  make(map[string]func() HistSnapshot),
 	}
-}
-
-// Counter returns the named counter, creating it on first use.
-func (r *Registry) Counter(name string) *Counter {
-	if c, ok := r.counters[name]; ok {
-		return c
-	}
-	c := &Counter{}
-	r.counters[name] = c
-	return c
 }
 
 // Gauge registers fn as the reader of the named gauge. Re-registering a
@@ -93,40 +62,11 @@ func (r *Registry) SnapshotHistograms() map[string]HistSnapshot {
 	return out
 }
 
-// Names returns every registered metric name, sorted.
-func (r *Registry) Names() []string {
-	names := make([]string, 0, len(r.counters)+len(r.gauges))
-	for n := range r.counters {
-		names = append(names, n)
-	}
-	for n := range r.gauges {
-		if _, dup := r.counters[n]; !dup {
-			names = append(names, n)
-		}
-	}
-	for n := range r.hists {
-		if _, dupC := r.counters[n]; dupC {
-			continue
-		}
-		if _, dupG := r.gauges[n]; dupG {
-			continue
-		}
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Snapshot evaluates every counter and gauge into a name -> value map.
-// A name registered both ways reports the counter (counters are explicit
-// state; a clashing gauge is a wiring bug not worth panicking over).
+// Snapshot evaluates every gauge into a name -> value map.
 func (r *Registry) Snapshot() map[string]int64 {
-	out := make(map[string]int64, len(r.counters)+len(r.gauges))
+	out := make(map[string]int64, len(r.gauges))
 	for n, fn := range r.gauges {
 		out[n] = fn()
-	}
-	for n, c := range r.counters {
-		out[n] = c.Value()
 	}
 	return out
 }

@@ -23,9 +23,6 @@ var traceEventSchemaJSON []byte
 //go:embed schema/run-manifest.schema.json
 var runManifestSchemaJSON []byte
 
-// TraceEventSchema returns the JSON Schema for one JSONL trace line.
-func TraceEventSchema() []byte { return traceEventSchemaJSON }
-
 // ValidateAgainstSchema checks decoded JSON doc against schemaJSON. The
 // validator supports the draft-07 subset the embedded schemas use: type,
 // enum, required, properties, additionalProperties (false or a schema),

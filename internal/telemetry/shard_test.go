@@ -7,8 +7,8 @@ import "testing"
 // shard index.
 func TestForkAbsorbMerge(t *testing.T) {
 	parent := NewTracer(1)
-	parent.BeginRun("run0")
-	parent.BeginRun("run1") // events below belong to run index 1
+	parent.BeginRun()
+	parent.BeginRun() // events below belong to run index 1
 	a := parent.Fork()
 	b := parent.Fork()
 	a.PacketInjected(10, 1, 0, 1, 64)

@@ -34,7 +34,7 @@ type Options struct {
 type Telemetry struct {
 	// Tracer records packet and control events; nil when tracing is off.
 	Tracer *Tracer
-	// Registry holds the named counters and gauges snapshotted into the
+	// Registry holds the named gauges snapshotted into the
 	// run manifest. Always non-nil.
 	Registry *Registry
 }

@@ -19,7 +19,6 @@ import (
 type Tracer struct {
 	sample uint64
 	run    int
-	labels []string // one label per run
 	events []Event
 }
 
@@ -29,7 +28,7 @@ func NewTracer(sample int) *Tracer {
 	if sample < 1 {
 		sample = 1
 	}
-	return &Tracer{sample: uint64(sample), run: -1, labels: []string{}}
+	return &Tracer{sample: uint64(sample), run: -1}
 }
 
 // Sample returns the tracer's 1-in-N packet sampling divisor (1 = all).
@@ -42,12 +41,11 @@ func (t *Tracer) Sample() int {
 
 // BeginRun opens a new run scope: subsequent events carry the next run
 // index. Call once per simulation sharing this tracer.
-func (t *Tracer) BeginRun(label string) {
+func (t *Tracer) BeginRun() {
 	if t == nil {
 		return
 	}
 	t.run++
-	t.labels = append(t.labels, label)
 }
 
 // Sampled reports whether packet id is in the trace sample. False on a nil
@@ -70,14 +68,6 @@ func (t *Tracer) Events() []Event {
 		return nil
 	}
 	return t.events
-}
-
-// RunLabels returns the label of every run scope opened with BeginRun.
-func (t *Tracer) RunLabels() []string {
-	if t == nil {
-		return nil
-	}
-	return t.labels
 }
 
 func (t *Tracer) emit(ev Event) {

@@ -140,37 +140,3 @@ func checkSize(spec string, counts ...int) error {
 func SpecForms() []string {
 	return []string{"mesh-WxH", "torus-WxH", "mesh3d-XxYxZ", "torus3d-XxYxZ", "ft-K-N", "clos-K", "df-A-G-H-P"}
 }
-
-// CatalogueEntry describes one registry family for the docs/CLI catalogue.
-type CatalogueEntry struct {
-	Spec    string // example spec
-	Nodes   int
-	Routers int
-	Radix   int // maximum router radix
-	// Diameter is the maximum router-to-router minimal distance.
-	Diameter int
-}
-
-// Describe builds the catalogue row for an already-constructed topology.
-// Diameter is measured (BFS from every router), so keep it to catalogue
-// and test use, not hot paths.
-func Describe(spec string, t Topology) CatalogueEntry {
-	e := CatalogueEntry{
-		Spec:    spec,
-		Nodes:   t.NumTerminals(),
-		Routers: t.NumRouters(),
-	}
-	for r := RouterID(0); int(r) < t.NumRouters(); r++ {
-		if rad := t.Radix(r); rad > e.Radix {
-			e.Radix = rad
-		}
-	}
-	for r := RouterID(0); int(r) < t.NumRouters(); r++ {
-		for o := RouterID(0); int(o) < t.NumRouters(); o++ {
-			if d := t.Distance(r, o); d > e.Diameter {
-				e.Diameter = d
-			}
-		}
-	}
-	return e
-}

@@ -78,8 +78,13 @@ func FuzzTopologyByName(f *testing.F) {
 		if err := Validate(topo); err != nil {
 			t.Fatalf("ByName(%q): %v", spec, err)
 		}
-		if topo.NumRouters() <= 128 {
-			Describe(spec, topo)
+		if n := topo.NumRouters(); n <= 128 {
+			for r := RouterID(0); int(r) < n; r++ {
+				topo.Radix(r)
+				for o := RouterID(0); int(o) < n; o++ {
+					topo.Distance(r, o)
+				}
+			}
 		}
 	})
 }
@@ -93,23 +98,6 @@ func TestByNameErrorListsForms(t *testing.T) {
 		if !strings.Contains(err.Error(), form) {
 			t.Errorf("error %q does not mention form %q", err, form)
 		}
-	}
-}
-
-func TestDescribe(t *testing.T) {
-	topo, err := ByName("df-4-5-1-2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := Describe("df-4-5-1-2", topo)
-	if e.Nodes != 40 || e.Routers != 20 {
-		t.Fatalf("catalogue sizes: %+v", e)
-	}
-	if e.Radix != 6 { // (A-1)+H+P = 3+1+2
-		t.Fatalf("radix = %d, want 6", e.Radix)
-	}
-	if e.Diameter != 3 {
-		t.Fatalf("diameter = %d, want 3", e.Diameter)
 	}
 }
 

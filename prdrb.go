@@ -142,7 +142,7 @@ type (
 	TraceEvent = telemetry.Event
 	// Tracer records packet-lifecycle and PR-DRB control events.
 	Tracer = telemetry.Tracer
-	// MetricsRegistry holds named counters and gauges snapshotted into run
+	// MetricsRegistry holds named gauges snapshotted into run
 	// manifests.
 	MetricsRegistry = telemetry.Registry
 	// RunManifest is the reproducibility record written beside a run's

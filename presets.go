@@ -99,15 +99,6 @@ type Summary = stats.Summary
 // Summarize folds raw per-seed values into a Summary.
 func Summarize(values []float64) Summary { return stats.Summarize(values) }
 
-// MultiSeedLatency runs build+workload once per seed and returns the mean
-// and 95% CI of the global average latency in microseconds. The run
-// function receives a fresh Sim per seed, installs its workload, executes,
-// and returns the measurement.
-func MultiSeedLatency(seeds []uint64, run func(seed uint64) float64) (mean, ci95 float64) {
-	s := stats.MultiSeed(seeds, run)
-	return s.Mean, s.CI95
-}
-
 // WriteTrace serializes a logical trace in the text format of the
 // application-characterization framework (Fig 4.19).
 func WriteTrace(w io.Writer, tr *Trace) error { return trace.WriteTrace(w, tr) }
