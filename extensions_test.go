@@ -5,6 +5,9 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"prdrb/internal/core"
+	"prdrb/internal/topology"
 )
 
 // The §5.2 static variation through the facade: train, export, import into
@@ -337,13 +340,13 @@ func TestVariableBursts(t *testing.T) {
 }
 
 func TestFacadeSmallCoverage(t *testing.T) {
-	if Mesh3D(2, 2, 2).NumTerminals() != 8 {
+	if topology.NewMesh3D(2, 2, 2).NumTerminals() != 8 {
 		t.Fatal("Mesh3D wrong")
 	}
 	if Grid([]int{3, 3}, true).NumRouters() != 9 {
 		t.Fatal("Grid wrong")
 	}
-	if DRBPolicyConfig().Predictive || !PRFRDRBPolicyConfig().Predictive {
+	if core.DRBConfig().Predictive || !core.PRFRDRBConfig().Predictive {
 		t.Fatal("policy config presets wrong")
 	}
 	if len(WorkloadNames()) < 10 {

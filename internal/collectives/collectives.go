@@ -58,17 +58,39 @@ type Step struct {
 // through a group mapping for subgroup collectives.
 type Schedule struct {
 	Ranks int
+	// Steps[r] is rank r's program, an exactly sized window of one array.
 	Steps [][]Step
+	// counts is non-nil during build's counting pass: add only counts.
+	counts []int
 }
 
-func newSchedule(n int) *Schedule {
+// build runs gen twice over one schedule of n ranks, the two-pass pattern
+// of trace.Build: the first pass counts each rank's steps, the second
+// fills them into place. gen must add the same steps both times.
+func build(n int, gen func(s *Schedule)) *Schedule {
 	if n < 2 {
 		panic(fmt.Sprintf("collectives: need >= 2 ranks, got %d", n))
 	}
-	return &Schedule{Ranks: n, Steps: make([][]Step, n)}
+	s := &Schedule{Ranks: n, Steps: make([][]Step, n), counts: make([]int, n)}
+	gen(s)
+	total := 0
+	for _, c := range s.counts {
+		total += c
+	}
+	flat := make([]Step, total)
+	for r, c := range s.counts {
+		s.Steps[r], flat = flat[:0:c], flat[c:]
+	}
+	s.counts = nil
+	gen(s)
+	return s
 }
 
 func (s *Schedule) add(rank int, st Step) {
+	if s.counts != nil {
+		s.counts[rank]++
+		return
+	}
 	s.Steps[rank] = append(s.Steps[rank], st)
 }
 
@@ -99,7 +121,11 @@ func ceilDiv(a, b int) int { return (a + b - 1) / b }
 // mask, every rank already holding the data forwards it mask ranks ahead
 // (virtual ranks are renumbered relative to root). log2(n) rounds.
 func BinomialBcast(n, root, bytes int) *Schedule {
-	s := newSchedule(n)
+	return build(n, func(s *Schedule) { binomialBcast(s, root, bytes) })
+}
+
+func binomialBcast(s *Schedule, root, bytes int) {
+	n := s.Ranks
 	root = ((root % n) + n) % n
 	abs := func(v int) int { return (v + root) % n }
 	for mask := 1; mask < n; mask <<= 1 {
@@ -117,13 +143,16 @@ func BinomialBcast(n, root, bytes int) *Schedule {
 			}
 		}
 	}
-	return s
 }
 
 // BinomialReduce folds bytes toward root with the mirror binomial tree
 // (largest round first — the exact reverse of BinomialBcast).
 func BinomialReduce(n, root, bytes int) *Schedule {
-	s := newSchedule(n)
+	return build(n, func(s *Schedule) { binomialReduce(s, root, bytes) })
+}
+
+func binomialReduce(s *Schedule, root, bytes int) {
+	n := s.Ranks
 	root = ((root % n) + n) % n
 	abs := func(v int) int { return (v + root) % n }
 	top := 1
@@ -143,7 +172,6 @@ func BinomialReduce(n, root, bytes int) *Schedule {
 			s.add(abs(v), Step{Op: OpRecv, Peer: abs(peer)})
 		}
 	}
-	return s
 }
 
 // foldIn emits the non-power-of-two preamble shared by the recursive
@@ -172,22 +200,22 @@ func foldOut(s *Schedule, p, n, bytes int) {
 // their vectors into the largest power-of-two core first and receive the
 // result back afterwards (two extra message rounds).
 func RecursiveDoubling(n, bytes int) *Schedule {
-	s := newSchedule(n)
-	p := floorPow2(n)
-	if p < n {
-		foldIn(s, p, n, bytes)
-	}
-	for mask := 1; mask < p; mask <<= 1 {
-		for v := 0; v < p; v++ {
-			peer := v ^ mask
-			// Symmetric exchange, overlapped in both directions.
-			s.exchange(v, peer, peer, bytes)
+	return build(n, func(s *Schedule) {
+		p := floorPow2(n)
+		if p < n {
+			foldIn(s, p, n, bytes)
 		}
-	}
-	if p < n {
-		foldOut(s, p, n, bytes)
-	}
-	return s
+		for mask := 1; mask < p; mask <<= 1 {
+			for v := 0; v < p; v++ {
+				peer := v ^ mask
+				// Symmetric exchange, overlapped in both directions.
+				s.exchange(v, peer, peer, bytes)
+			}
+		}
+		if p < n {
+			foldOut(s, p, n, bytes)
+		}
+	})
 }
 
 // RingAllreduce is the bandwidth-optimal chunked ring: a reduce-scatter
@@ -197,11 +225,11 @@ func RecursiveDoubling(n, bytes int) *Schedule {
 // bottleneck, which is why it replaces the old reduce+bcast fallback on
 // non-power-of-two communicators.
 func RingAllreduce(n, bytes int) *Schedule {
-	s := newSchedule(n)
-	chunk := ceilDiv(bytes, n)
-	ringSteps(s, chunk) // reduce-scatter phase
-	ringSteps(s, chunk) // allgather phase
-	return s
+	return build(n, func(s *Schedule) {
+		chunk := ceilDiv(bytes, n)
+		ringSteps(s, chunk) // reduce-scatter phase
+		ringSteps(s, chunk) // allgather phase
+	})
 }
 
 // ringSteps appends one ring pass (n-1 steps of chunk bytes to the
@@ -222,65 +250,54 @@ func ringSteps(s *Schedule, chunk int) {
 // round count with bandwidth-optimal volume on power-of-two cores;
 // non-power-of-two communicators fold the excess ranks in and out.
 func HalvingDoubling(n, bytes int) *Schedule {
-	s := newSchedule(n)
-	p := floorPow2(n)
-	if p < n {
-		foldIn(s, p, n, bytes)
-	}
-	// Reduce-scatter: distance p/2, p/4, ..., 1; size halves from bytes/2.
-	sz := bytes
-	for mask := p >> 1; mask >= 1; mask >>= 1 {
-		sz /= 2
-		for v := 0; v < p; v++ {
-			peer := v ^ mask
-			s.exchange(v, peer, peer, sz)
+	return build(n, func(s *Schedule) {
+		p := floorPow2(n)
+		if p < n {
+			foldIn(s, p, n, bytes)
 		}
-	}
-	// Allgather: distance 1, 2, ..., p/2; size doubles back up.
-	for mask := 1; mask < p; mask <<= 1 {
-		for v := 0; v < p; v++ {
-			peer := v ^ mask
-			s.exchange(v, peer, peer, sz)
+		// Reduce-scatter: distance p/2, p/4, ..., 1; size halves from bytes/2.
+		sz := bytes
+		for mask := p >> 1; mask >= 1; mask >>= 1 {
+			sz /= 2
+			for v := 0; v < p; v++ {
+				peer := v ^ mask
+				s.exchange(v, peer, peer, sz)
+			}
 		}
-		sz *= 2
-	}
-	if p < n {
-		foldOut(s, p, n, bytes)
-	}
-	return s
+		// Allgather: distance 1, 2, ..., p/2; size doubles back up.
+		for mask := 1; mask < p; mask <<= 1 {
+			for v := 0; v < p; v++ {
+				peer := v ^ mask
+				s.exchange(v, peer, peer, sz)
+			}
+			sz *= 2
+		}
+		if p < n {
+			foldOut(s, p, n, bytes)
+		}
+	})
 }
 
 // ReduceBcast is the historical non-power-of-two allreduce fallback —
 // a binomial reduce to rank 0 followed by a binomial bcast from rank 0.
 // Kept selectable so its root bottleneck can be measured against the ring.
 func ReduceBcast(n, bytes int) *Schedule {
-	s := newSchedule(n)
-	appendSchedule(s, BinomialReduce(n, 0, bytes))
-	appendSchedule(s, BinomialBcast(n, 0, bytes))
-	return s
-}
-
-// appendSchedule concatenates src's per-rank steps onto dst.
-func appendSchedule(dst, src *Schedule) {
-	for r, steps := range src.Steps {
-		dst.Steps[r] = append(dst.Steps[r], steps...)
-	}
+	return build(n, func(s *Schedule) {
+		binomialReduce(s, 0, bytes)
+		binomialBcast(s, 0, bytes)
+	})
 }
 
 // RingReduceScatter scatters the reduction of a bytes-sized vector so each
 // rank ends with one 1/n chunk: n-1 ring steps of one chunk each.
 func RingReduceScatter(n, bytes int) *Schedule {
-	s := newSchedule(n)
-	ringSteps(s, ceilDiv(bytes, n))
-	return s
+	return build(n, func(s *Schedule) { ringSteps(s, ceilDiv(bytes, n)) })
 }
 
 // RingAllgather gathers every rank's blockBytes-sized block onto all
 // ranks: n-1 ring steps, each forwarding one block clockwise.
 func RingAllgather(n, blockBytes int) *Schedule {
-	s := newSchedule(n)
-	ringSteps(s, blockBytes)
-	return s
+	return build(n, func(s *Schedule) { ringSteps(s, blockBytes) })
 }
 
 // PairwiseAlltoall is the n-1-step pairwise exchange: at step s every rank
@@ -288,32 +305,23 @@ func RingAllgather(n, blockBytes int) *Schedule {
 // (rank+s) mod n while receiving from (rank-s+n) mod n (ring shifts).
 // This is the historical Alltoall lowering, reproduced byte-for-byte.
 func PairwiseAlltoall(n, bytesPerPair int) *Schedule {
-	sch := newSchedule(n)
 	pow2 := isPow2(n)
-	for s := 1; s < n; s++ {
-		for r := 0; r < n; r++ {
-			var peer int
-			if pow2 {
-				peer = r ^ s
-			} else {
-				peer = (r + s) % n
+	return build(n, func(sch *Schedule) {
+		for s := 1; s < n; s++ {
+			for r := 0; r < n; r++ {
+				// XOR pairing is symmetric; a ring shift receives from the
+				// rank whose step-s send targets r.
+				peer, from := r^s, r^s
+				if !pow2 {
+					peer, from = (r+s)%n, (r-s+n)%n
+				}
+				if peer == r {
+					continue
+				}
+				sch.exchange(r, peer, from, bytesPerPair)
 			}
-			if peer == r {
-				continue
-			}
-			sch.exchange(r, peer, pairwiseRecvPeer(r, s, n, pow2), bytesPerPair)
 		}
-	}
-	return sch
-}
-
-// pairwiseRecvPeer is the rank whose step-s send targets r: with XOR
-// pairing it is r^s (symmetric); with ring shifts it is (r-s+n) mod n.
-func pairwiseRecvPeer(r, s, n int, pow2 bool) int {
-	if pow2 {
-		return r ^ s
-	}
-	return (r - s + n) % n
+	})
 }
 
 // BruckAlltoall is the log2(n)-round store-and-forward alltoall: in round
@@ -322,20 +330,20 @@ func pairwiseRecvPeer(r, s, n int, pow2 bool) int {
 // rank-mask. ceil(log2 n) larger messages instead of n-1 small ones —
 // the latency-optimal choice for small blocks.
 func BruckAlltoall(n, bytesPerPair int) *Schedule {
-	s := newSchedule(n)
-	for mask := 1; mask < n; mask <<= 1 {
-		blocks := 0
-		for j := 1; j < n; j++ {
-			if j&mask != 0 {
-				blocks++
+	return build(n, func(s *Schedule) {
+		for mask := 1; mask < n; mask <<= 1 {
+			blocks := 0
+			for j := 1; j < n; j++ {
+				if j&mask != 0 {
+					blocks++
+				}
+			}
+			sz := blocks * bytesPerPair
+			for r := 0; r < n; r++ {
+				s.exchange(r, (r+mask)%n, (r-mask+n)%n, sz)
 			}
 		}
-		sz := blocks * bytesPerPair
-		for r := 0; r < n; r++ {
-			s.exchange(r, (r+mask)%n, (r-mask+n)%n, sz)
-		}
-	}
-	return s
+	})
 }
 
 // Algorithm names.
@@ -395,36 +403,4 @@ func Alltoall(alg string, n, bytesPerPair int) (*Schedule, error) {
 		return BruckAlltoall(n, bytesPerPair), nil
 	}
 	return nil, fmt.Errorf("collectives: unknown alltoall algorithm %q (want %v)", alg, AlltoallAlgorithms())
-}
-
-// TotalSendBytes sums the bytes every rank sends — the volume figure the
-// algorithm-comparison tests assert on.
-func (s *Schedule) TotalSendBytes() int64 {
-	var total int64
-	for _, steps := range s.Steps {
-		for _, st := range steps {
-			if st.Op == OpSend || st.Op == OpIsend {
-				total += int64(st.Bytes)
-			}
-		}
-	}
-	return total
-}
-
-// MaxRankSendBytes returns the largest per-rank send volume — the root
-// bottleneck measure that separates reduce-bcast from the ring.
-func (s *Schedule) MaxRankSendBytes() int64 {
-	var max int64
-	for _, steps := range s.Steps {
-		var v int64
-		for _, st := range steps {
-			if st.Op == OpSend || st.Op == OpIsend {
-				v += int64(st.Bytes)
-			}
-		}
-		if v > max {
-			max = v
-		}
-	}
-	return max
 }

@@ -3,6 +3,7 @@ package collectives
 import (
 	"fmt"
 	"testing"
+	"unsafe"
 )
 
 var rankCounts = []int{2, 3, 4, 5, 7, 8, 12, 16, 64}
@@ -105,10 +106,10 @@ func TestRingVolume(t *testing.T) {
 		s := RingAllreduce(n, bytes)
 		chunk := int64(ceilDiv(bytes, n))
 		wantPerRank := 2 * int64(n-1) * chunk
-		if got := s.MaxRankSendBytes(); got != wantPerRank {
+		if got := maxRankSendBytes(s); got != wantPerRank {
 			t.Fatalf("n=%d: max per-rank send %d, want %d", n, got, wantPerRank)
 		}
-		if got := s.TotalSendBytes(); got != wantPerRank*int64(n) {
+		if got := totalSendBytes(s); got != wantPerRank*int64(n) {
 			t.Fatalf("n=%d: total %d, want %d (balanced)", n, got, wantPerRank*int64(n))
 		}
 	}
@@ -124,7 +125,7 @@ func TestRingBeatsReduceBcastBottleneck(t *testing.T) {
 	for _, n := range []int{3, 5, 7, 12, 24, 60} {
 		legacy := ReduceBcast(n, bytes)
 		ring := RingAllreduce(n, bytes)
-		if lb, rb := legacy.MaxRankSendBytes(), ring.MaxRankSendBytes(); lb <= rb {
+		if lb, rb := maxRankSendBytes(legacy), maxRankSendBytes(ring); lb <= rb {
 			t.Fatalf("n=%d: reduce-bcast bottleneck %d not above ring %d", n, lb, rb)
 		}
 	}
@@ -182,5 +183,79 @@ func TestAlltoallStepCounts(t *testing.T) {
 		if waits != logn {
 			t.Fatalf("n=%d: bruck has %d rounds, want %d", n, waits, logn)
 		}
+	}
+}
+
+// totalSendBytes sums the bytes every rank sends — the volume figure the
+// algorithm-comparison tests assert on.
+func totalSendBytes(s *Schedule) int64 {
+	var total int64
+	for _, steps := range s.Steps {
+		for _, st := range steps {
+			if st.Op == OpSend || st.Op == OpIsend {
+				total += int64(st.Bytes)
+			}
+		}
+	}
+	return total
+}
+
+// maxRankSendBytes returns the largest per-rank send volume — the root
+// bottleneck measure that separates reduce-bcast from the ring.
+func maxRankSendBytes(s *Schedule) int64 {
+	var max int64
+	for _, steps := range s.Steps {
+		var v int64
+		for _, st := range steps {
+			if st.Op == OpSend || st.Op == OpIsend {
+				v += int64(st.Bytes)
+			}
+		}
+		if v > max {
+			max = v
+		}
+	}
+	return max
+}
+
+// everySchedule generates one schedule of every algorithm over n ranks.
+func everySchedule(n int) []*Schedule {
+	out := []*Schedule{BinomialBcast(n, 1, 512), BinomialReduce(n, n-1, 512), RingReduceScatter(n, 4096), RingAllgather(n, 64)}
+	for _, alg := range AllreduceAlgorithms() {
+		s, _ := Allreduce(alg, n, 4096)
+		out = append(out, s)
+	}
+	for _, alg := range AlltoallAlgorithms() {
+		s, _ := Alltoall(alg, n, 256)
+		out = append(out, s)
+	}
+	return out
+}
+
+// A schedule's per-rank programs are exactly sized windows, in rank order,
+// of one step array, so generating one costs the same few allocations at
+// every rank count: nothing grows by append.
+func TestScheduleOneExactArray(t *testing.T) {
+	for _, n := range rankCounts {
+		for i, s := range everySchedule(n) {
+			var next unsafe.Pointer
+			for r, steps := range s.Steps {
+				if len(steps) != cap(steps) {
+					t.Fatalf("n=%d schedule %d rank %d: %d steps in room for %d", n, i, r, len(steps), cap(steps))
+				}
+				if len(steps) == 0 {
+					continue
+				}
+				if next != nil && unsafe.Pointer(&steps[0]) != next {
+					t.Fatalf("n=%d schedule %d: rank %d's steps do not follow the previous rank's", n, i, r)
+				}
+				next = unsafe.Add(unsafe.Pointer(&steps[0]), len(steps)*int(unsafe.Sizeof(Step{})))
+			}
+		}
+	}
+	small := testing.AllocsPerRun(10, func() { PairwiseAlltoall(4, 64) })
+	large := testing.AllocsPerRun(10, func() { PairwiseAlltoall(64, 64) })
+	if small != large || large > 4 {
+		t.Fatalf("PairwiseAlltoall allocates %v times at 4 ranks and %v at 64, want the same few", small, large)
 	}
 }

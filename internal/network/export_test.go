@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"slices"
 	"unsafe"
+
+	"prdrb/internal/sim"
 )
 
 // PortCensus counts where a quiescent fabric's packet records are, how
@@ -150,3 +152,29 @@ func (o *outPort) checkInvariants(c *PortCensus, claim func(*Packet, string) err
 // busy and lazyFree read the port's transmission flags.
 func (o *outPort) busy() bool     { return o.flags&portBusy != 0 }
 func (o *outPort) lazyFree() bool { return o.flags&portLazyFree != 0 }
+
+// TapArrivals wraps every link into a terminal so arrive observes each data
+// packet as it reaches its NIC, before reassembly. arrive runs on the NIC's
+// shard.
+func TapArrivals(n *Network, arrive func(pkt *Packet)) {
+	for ri := range n.Routers {
+		for p := range n.Routers[ri].out {
+			o := &n.Routers[ri].out[p]
+			if nic, ok := o.peer.(*NIC); ok {
+				o.peer = arrivalTap{nic, arrive}
+			}
+		}
+	}
+}
+
+type arrivalTap struct {
+	nic    *NIC
+	arrive func(pkt *Packet)
+}
+
+func (a arrivalTap) accept(e *sim.Engine, pkt *Packet, o *outPort, vc int) bool {
+	if pkt.Type == DataPacket {
+		a.arrive(pkt)
+	}
+	return a.nic.accept(e, pkt, o, vc)
+}

@@ -48,20 +48,12 @@ type NIC struct {
 	// FR-DRB watchdog).
 	OnAck func(e *sim.Engine, ack *Packet)
 
-	reasm map[uint64]*reassembly // keyed by MsgID; made by the first fragmented message
-
 	// Delivered counts complete messages received.
 	Delivered int64
 
 	// deliv is the pre-resolved latency/throughput handle for this node
 	// (invalid when no collector is attached).
 	deliv metrics.DeliveryObserver
-}
-
-type reassembly struct {
-	got   int
-	total int
-	bytes int
 }
 
 // Send fragments a message of the given byte size into packets and injects
@@ -223,20 +215,17 @@ func (n *NIC) reassemble(e *sim.Engine, pkt *Packet) {
 		}
 		return
 	}
-	ra := n.reasm[pkt.MsgID]
-	if ra == nil {
-		ra = &reassembly{total: int(pkt.FragCount)}
-		if n.reasm == nil {
-			n.reasm = make(map[uint64]*reassembly)
-		}
-		n.reasm[pkt.MsgID] = ra
-	}
+	ra := n.sh.reasm[pkt.MsgID]
 	ra.got++
 	ra.bytes += pkt.SizeBytes
-	if ra.got < ra.total {
+	if ra.got < int(pkt.FragCount) {
+		if n.sh.reasm == nil {
+			n.sh.reasm = make(map[uint64]fragTally)
+		}
+		n.sh.reasm[pkt.MsgID] = ra
 		return
 	}
-	delete(n.reasm, pkt.MsgID)
+	delete(n.sh.reasm, pkt.MsgID)
 	n.Delivered++
 	if n.deliv.CongestionOn() {
 		// All fragments share CreatedAt (Send stamps them in one event),

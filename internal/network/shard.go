@@ -95,7 +95,15 @@ type Shard struct {
 	reachSets      map[topology.RouterID][]bool
 	ackDetourEpoch uint64
 	ackDetours     map[flowPair]topology.Path
+
+	// reasm tallies the fragments of every multi-fragment message the
+	// shard's NICs are reassembling, by MsgID (unique across shards); made
+	// by the first one.
+	reasm map[uint64]fragTally
 }
+
+// fragTally is a message's fragments and bytes arrived so far.
+type fragTally struct{ got, bytes int }
 
 // remoteLink is the peer of a boundary output port: the far end of the
 // link lives on another shard, so pump hands deliveries to the cross-shard

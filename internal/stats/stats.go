@@ -73,15 +73,6 @@ func Summarize(values []float64) Summary {
 	return s
 }
 
-// MultiSeed runs fn once per seed and summarizes the results.
-func MultiSeed(seeds []uint64, fn func(seed uint64) float64) Summary {
-	values := make([]float64, len(seeds))
-	for i, s := range seeds {
-		values[i] = fn(s)
-	}
-	return Summarize(values)
-}
-
 // String renders "mean ± ci".
 func (s Summary) String() string {
 	return fmt.Sprintf("%.3f ± %.3f (n=%d)", s.Mean, s.CI95, s.N)

@@ -74,15 +74,6 @@ func TestSummarizeUsesStudentT(t *testing.T) {
 	}
 }
 
-func TestMultiSeed(t *testing.T) {
-	s := MultiSeed(Seeds(5, 1), func(seed uint64) float64 {
-		return float64(seed % 100)
-	})
-	if s.N != 5 {
-		t.Fatalf("N = %d", s.N)
-	}
-}
-
 func TestGainPct(t *testing.T) {
 	if GainPct(100, 80) != 20 {
 		t.Fatal("20% gain wrong")

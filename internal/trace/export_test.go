@@ -7,6 +7,7 @@ import "fmt"
 func (t *Trace) appendRaw(rank int, rec ...byte) {
 	t.progs[rank] = append(t.progs[rank], rec...)
 	t.events++
+	t.checked = false
 }
 
 // diffPrograms compares two traces' programs event by event through their

@@ -71,6 +71,9 @@ type Trace struct {
 	progs [][]byte
 	// events counts the events of every rank.
 	events int
+	// checked is set by Build on a trace whose every event it checked as
+	// it counted, so NewReplay need not walk it again.
+	checked bool
 	// CallMix counts the *logical* MPI calls the application made (Table
 	// 2.1's breakdown), before collective lowering.
 	CallMix map[uint8]int64
@@ -99,10 +102,9 @@ const (
 )
 
 // Validate checks what a replay relies on and a parsed or hand-edited trace
-// can violate: one event list per rank, every send and receive naming
-// another rank of the trace, sizes and durations neither negative nor
-// beyond the limits above, no unknown operation. NewReplay calls it, so a
-// bad trace is an error there and not a panic in the middle of a run.
+// can violate: one event list per rank, every event passing checkEvent.
+// NewReplay calls it on every trace Build did not check, so a bad trace is
+// an error there and not a panic in the middle of a run.
 func (t *Trace) Validate() error {
 	if len(t.progs) != t.Ranks {
 		return fmt.Errorf("trace: %d event lists for %d ranks", len(t.progs), t.Ranks)
@@ -111,31 +113,43 @@ func (t *Trace) Validate() error {
 	for r := range t.progs {
 		c := t.Cursor(r)
 		for ev, ok := c.Next(); ok; ev, ok = c.Next() {
-			pc := c.PC() - 1
-			switch ev.Op {
-			case OpCompute:
-				if ev.Dur < 0 {
-					return fmt.Errorf("trace: rank %d pc %d: negative compute duration %d", r, pc, int64(ev.Dur))
-				}
-				if ev.Dur > maxTotalCompute-compute {
-					return fmt.Errorf("trace: rank %d pc %d: compute time adds up to more than %v", r, pc, maxTotalCompute)
-				}
-				compute += ev.Dur
-			case OpSend, OpIsend, OpRecv, OpIrecv:
-				if ev.Peer < 0 || ev.Peer >= t.Ranks {
-					return fmt.Errorf("trace: rank %d pc %d: %v peer %d out of range [0,%d)", r, pc, ev.Op, ev.Peer, t.Ranks)
-				}
-				if ev.Peer == r {
-					return fmt.Errorf("trace: rank %d pc %d: %v to itself", r, pc, ev.Op)
-				}
-				if ev.Bytes < 0 || ev.Bytes > maxMessageBytes {
-					return fmt.Errorf("trace: rank %d pc %d: message size %d out of range [0,%d]", r, pc, ev.Bytes, maxMessageBytes)
-				}
-			case OpWait, OpWaitall:
-			default:
-				return fmt.Errorf("trace: rank %d pc %d: unknown op %d", r, pc, uint8(ev.Op))
+			if err := checkEvent(ev, r, t.Ranks, &compute); err != nil {
+				return fmt.Errorf("trace: rank %d pc %d: %w", r, c.PC()-1, err)
 			}
 		}
+	}
+	return nil
+}
+
+// checkEvent is the rule every event of rank r in a trace of ranks ranks
+// must keep: a send or receive names another rank of the trace, a send's
+// size and a compute duration are neither negative nor beyond the limits
+// above, the op is known. compute is the compute time of the events
+// checked before, in any order; checkEvent adds ev's. It looks only at the
+// fields ev's op stores.
+func checkEvent(ev Event, r, ranks int, compute *sim.Time) error {
+	switch ev.Op {
+	case OpCompute:
+		if ev.Dur < 0 {
+			return fmt.Errorf("negative compute duration %d", int64(ev.Dur))
+		}
+		if ev.Dur > maxTotalCompute-*compute {
+			return fmt.Errorf("compute time adds up to more than %v", maxTotalCompute)
+		}
+		*compute += ev.Dur
+	case OpSend, OpIsend, OpRecv, OpIrecv:
+		if ev.Peer < 0 || ev.Peer >= ranks {
+			return fmt.Errorf("%v peer %d out of range [0,%d)", ev.Op, ev.Peer, ranks)
+		}
+		if ev.Peer == r {
+			return fmt.Errorf("%v to itself", ev.Op)
+		}
+		if (ev.Op == OpSend || ev.Op == OpIsend) && (ev.Bytes < 0 || ev.Bytes > maxMessageBytes) {
+			return fmt.Errorf("message size %d out of range [0,%d]", ev.Bytes, maxMessageBytes)
+		}
+	case OpWait, OpWaitall:
+	default:
+		return fmt.Errorf("unknown op %d", uint8(ev.Op))
 	}
 	return nil
 }
@@ -161,8 +175,8 @@ func (t *Trace) CallShare(mpiType uint8) float64 {
 // Build; NewBuilder is the plain appending form for hand-built traces.
 type Builder struct {
 	tr *Trace
-	// counts is non-nil during Build's counting pass: push then only adds
-	// up each rank's encoded bytes and the call mix is left alone.
+	// counts is non-nil during Build's counting pass: push then adds up
+	// each rank's encoded bytes and checks the event, and stores neither.
 	counts []int
 	// mix counts the logical calls by MPI type; Build copies it into the
 	// trace's CallMix (a map update per emitted call would cost a fifth of
@@ -172,6 +186,10 @@ type Builder struct {
 	// collective repeated each iteration is generated and encoded once. It
 	// lives and dies with the builder.
 	memo map[schedKey]*lowering
+	// compute and bad are the counting pass's checkEvent state: the
+	// compute time seen, and whether any event failed.
+	compute sim.Time
+	bad     bool
 }
 
 // NewBuilder starts a trace for the given number of ranks.
@@ -189,10 +207,12 @@ func NewBuilder(name string, ranks int) *Builder {
 
 // Build runs body twice over one builder and returns the trace it emits,
 // every rank's program an exactly sized window of one shared byte array:
-// the first pass only adds up each rank's encoded bytes, the second encodes
-// the events into place. The body must therefore emit the same events both
-// times — a pure function of its inputs, which every generator in
-// internal/workloads is.
+// the first pass adds up each rank's encoded bytes and checks each event
+// (checkEvent), the second encodes the events into place. The body must
+// therefore emit the same events both times — a pure function of its
+// inputs, which every generator in internal/workloads is. A trace whose
+// events all passed is marked checked; otherwise Build returns Validate's
+// error, which names the first bad event in rank order.
 func Build(name string, ranks int, body func(b *Builder) error) (*Trace, error) {
 	if ranks < 2 {
 		return nil, fmt.Errorf("trace: %s needs >= 2 ranks, got %d", name, ranks)
@@ -224,7 +244,13 @@ func Build(name string, ranks int, body func(b *Builder) error) (*Trace, error) 
 			panic(fmt.Sprintf("trace: body emitted %d bytes for rank %d after counting %d", len(b.tr.progs[r]), r, n))
 		}
 	}
-	return b.Build(), nil
+	tr := b.Build()
+	if tr.checked = !b.bad; b.bad {
+		if err := tr.Validate(); err != nil {
+			return nil, err
+		}
+	}
+	return tr, nil
 }
 
 // Build returns the trace as emitted so far.
@@ -246,10 +272,18 @@ func (b *Builder) push(rank int, ev Event) {
 	}
 	if b.counts != nil {
 		b.counts[rank] += recordLen(ev)
+		b.check(rank, ev)
 		return
 	}
 	b.tr.progs[rank] = appendEvent(b.tr.progs[rank], ev)
 	b.tr.events++
+}
+
+// check applies checkEvent to an event of rank during the counting pass.
+func (b *Builder) check(rank int, ev Event) {
+	if b.counts != nil && !b.bad && checkEvent(ev, rank, b.tr.Ranks, &b.compute) != nil {
+		b.bad = true
+	}
 }
 
 // pushEncoded appends n events already encoded as recs to rank's program.

@@ -150,9 +150,6 @@ type (
 	RunManifest = telemetry.Manifest
 )
 
-// NewTelemetry builds a telemetry bundle from opts.
-func NewTelemetry(opts TelemetryOptions) *Telemetry { return telemetry.New(opts) }
-
 // The seven policies of the paper's evaluation (§4.8.4) plus minimal
 // adaptive.
 const (
@@ -178,9 +175,6 @@ func Torus(w, h int) Topology { return topology.NewTorus(w, h) }
 // FatTree returns a k-ary n-tree: k^n terminals, n levels of switches
 // (FatTree(4, 3) is the paper's 64-node fat-tree).
 func FatTree(k, n int) Topology { return topology.NewKAryNTree(k, n) }
-
-// Mesh3D returns an x*y*z 3-D mesh (§2.1.1's "2D or 3D configuration").
-func Mesh3D(x, y, z int) Topology { return topology.NewMesh3D(x, y, z) }
 
 // Torus3D returns an x*y*z 3-D torus (k-ary n-cube) with dateline virtual
 // channels on every ring.

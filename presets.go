@@ -21,12 +21,10 @@ import (
 // cut-through with credit backpressure.
 func DefaultNetworkConfig() NetworkConfig { return network.DefaultConfig() }
 
-// DRBPolicyConfig / PRDRBPolicyConfig / FRDRBPolicyConfig /
-// PRFRDRBPolicyConfig return the per-variant policy defaults.
-func DRBPolicyConfig() PolicyConfig     { return core.DRBConfig() }
-func PRDRBPolicyConfig() PolicyConfig   { return core.PRDRBConfig() }
-func FRDRBPolicyConfig() PolicyConfig   { return core.FRDRBConfig() }
-func PRFRDRBPolicyConfig() PolicyConfig { return core.PRFRDRBConfig() }
+// PRDRBPolicyConfig / FRDRBPolicyConfig return the per-variant policy
+// defaults.
+func PRDRBPolicyConfig() PolicyConfig { return core.PRDRBConfig() }
+func FRDRBPolicyConfig() PolicyConfig { return core.FRDRBConfig() }
 
 // TracePolicyConfig returns the named DRB-family configuration tuned for
 // application-trace workloads (§4.8): thresholds scaled to the trace

@@ -115,7 +115,7 @@ func TestShardedDeterminismAcrossGOMAXPROCS(t *testing.T) {
 		for _, procs := range []int{1, 4} {
 			var summary string
 			var flows flowCount
-			tel := NewTelemetry(TelemetryOptions{Trace: true})
+			tel := telemetry.New(TelemetryOptions{Trace: true})
 			withGOMAXPROCS(procs, func() {
 				summary, flows, _ = runShardScenario(t, sc, shards, tel)
 			})

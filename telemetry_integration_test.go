@@ -12,7 +12,7 @@ import (
 // traffic) with tracing attached, and returns the telemetry bundle.
 func runTracedResilience(t *testing.T, seed uint64) *Telemetry {
 	t.Helper()
-	tel := NewTelemetry(TelemetryOptions{Trace: true, Sample: 1})
+	tel := telemetry.New(TelemetryOptions{Trace: true, Sample: 1})
 	topo := Mesh(8, 8)
 	s := MustNewSim(Experiment{Topology: topo, Policy: PolicyPRDRB, Seed: seed, Telemetry: tel})
 	plan := RandomLinkFaults(topo, seed, 4, 200*Microsecond, 100*Microsecond, 400*Microsecond)
