@@ -48,7 +48,7 @@ func table(raceArgs []string, fuzztime time.Duration) []gate {
 		{name: "gofmt", group: "static", check: gofmt, unit: "files"},
 		{name: "vet", group: "static", cmd: []string{"go", "vet", "./..."}},
 		{name: "changes-lines", group: "static", check: func() float64 { return longestLine("CHANGES.md") }, bound: 1024, unit: "B", why: "a CHANGES.md entry is one line of at most 1 KB"},
-		budget("go-lines", 26455, "lines", "non-test Go outside benchmark/ (repo.nontest_go_loc)", func() float64 { return lineCount(goFiles(".")...) }),
+		budget("go-lines", 26114, "lines", "non-test Go outside benchmark/ (repo.nontest_go_loc)", func() float64 { return lineCount(goFiles(".")...) }),
 		budget("design-bytes", 42573, "B", "DESIGN.md", func() float64 { return fileSize("DESIGN.md") }),
 		budget("readme-bytes", 10796, "B", "README.md", func() float64 { return fileSize("README.md") }),
 		budget("experiments-bytes", 19859, "B", "EXPERIMENTS.md", func() float64 { return fileSize("EXPERIMENTS.md") }),
@@ -67,7 +67,7 @@ func table(raceArgs []string, fuzztime time.Duration) []gate {
 		allocGate("df4096-heavytail-serial", 300, "~285 B with one fragment table per shard"),
 		allocGate("ft64-uniform-serial", 9.5, "~8.2 B with 128-byte packet records"),
 		allocGate("ft64-apps-replay", 30, "~25 B with exact-size schedules and one fragment table per shard"),
-		allocGate("ft64-bursts-drbfamily", 12, "~7.1 B with one burst built at a time"),
+		allocGate("ft64-bursts-drbfamily", 7, "~6.1 B with closed-form fat-tree distance"),
 		allocGate("grid64-policy-sweep", 147, "~140 B with compact DRB-family records"),
 		{name: "smoke-digests", group: "alloc", check: smokeDigests, unit: "files", why: "benchmark -smoke's sim_digest lines equal results/bench.smoke.digests.txt: simulated output unchanged",
 			hint: "run `go test -v -run SeqConservation .` first: it names the cell and shard count that moved and prints every Results field; a change that means to alter simulated behaviour regenerates the file with `go run ./benchmark -smoke | grep '^sim_digest' > results/bench.smoke.digests.txt`"},

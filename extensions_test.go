@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"prdrb/internal/core"
-	"prdrb/internal/topology"
 )
 
 // The §5.2 static variation through the facade: train, export, import into
@@ -340,9 +339,6 @@ func TestVariableBursts(t *testing.T) {
 }
 
 func TestFacadeSmallCoverage(t *testing.T) {
-	if topology.NewMesh3D(2, 2, 2).NumTerminals() != 8 {
-		t.Fatal("Mesh3D wrong")
-	}
 	if Grid([]int{3, 3}, true).NumRouters() != 9 {
 		t.Fatal("Grid wrong")
 	}

@@ -69,15 +69,6 @@ func (nl *NodeLatency) Global() float64 {
 	return sum / float64(n)
 }
 
-// TotalPackets returns the number of packets observed across destinations.
-func (nl *NodeLatency) TotalPackets() int64 {
-	var t int64
-	for i := range nl.perDst {
-		t += nl.perDst[i].Count()
-	}
-	return t
-}
-
 // Sample is one point of a windowed time series.
 type Sample struct {
 	At  sim.Time // window end

@@ -20,7 +20,7 @@ func TestDeadlockFreedomAllTopologies(t *testing.T) {
 		topology.NewKAryNTree(2, 2),
 		topology.NewKAryNTree(2, 3),
 		topology.NewKAryNTree(4, 3),
-		topology.NewMesh3D(3, 3, 3),
+		topology.NewGrid([]int{3, 3, 3}, false),
 		topology.NewTorus3D(3, 3, 3),
 		topology.NewTorus3D(4, 3, 5),
 		// Dragonfly's two-VC scheme rides the dateline machinery: global
@@ -31,7 +31,7 @@ func TestDeadlockFreedomAllTopologies(t *testing.T) {
 		topology.NewDragonfly(4, 4, 1, 1),
 		topology.NewDragonfly(4, 9, 2, 2),
 	} {
-		if err := CheckDeadlockFreedom(topo, 6); err != nil {
+		if err := checkDeadlockFreedom(topo, 6); err != nil {
 			t.Errorf("%s: %v", topo.Name(), err)
 		}
 	}
@@ -54,7 +54,7 @@ func TestCheckerCatchesTorusRingCycle(t *testing.T) {
 		{topology.NewTorus(5, 5)},
 		{topology.NewTorus(8, 8)},
 	} {
-		if err := CheckDeadlockFreedom(tor, 0); err == nil {
+		if err := checkDeadlockFreedom(tor, 0); err == nil {
 			t.Fatalf("single-VC %s passed the deadlock check; the checker is blind", tor.Name())
 		}
 	}

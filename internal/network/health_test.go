@@ -190,8 +190,8 @@ func TestDeadLinkHoldsCreditsNoFalseDeadlock(t *testing.T) {
 	// Engine went quiet with packets parked on credits at the dead port —
 	// exactly the state a naive deadlock detector would flag. The formal
 	// channel-dependency check must still pass for this topology.
-	if err := CheckDeadlockFreedom(topo, 4); err != nil {
-		t.Fatalf("CheckDeadlockFreedom reported a cycle on a faulted-but-sound config: %v", err)
+	if err := checkDeadlockFreedom(topo, 4); err != nil {
+		t.Fatalf("checkDeadlockFreedom reported a cycle on a faulted-but-sound config: %v", err)
 	}
 	if n.DroppedPkts() != 0 {
 		t.Fatalf("parked packets were dropped (%d); credits must hold them", n.DroppedPkts())

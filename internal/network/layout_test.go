@@ -179,6 +179,53 @@ func TestVCQueueBytes(t *testing.T) {
 	}
 }
 
+// TestFitsMatchesFree: the admission test that reads the port's queued total
+// first gives free's answer on random queue states, on both sides of the
+// shortcut.
+func TestFitsMatchesFree(t *testing.T) {
+	n := testNet(t, topology.NewTorus(4, 4), nil)
+	o := &n.Routers[5].out[0]
+	vcCap := n.vcCap
+	rng := sim.NewRNG(45)
+	var short, long int
+	for trial := 0; trial < 5000; trial++ {
+		// Half the states hold bytes in the asked VC alone, where the
+		// shortcut's bound is tight.
+		vc, alone := rng.Intn(n.numVC), rng.Intn(2) == 0
+		perVC := make([][]*Packet, n.numVC)
+		queued := 0
+		for v := range perVC {
+			for k := rng.Intn(4); k > 0 && (!alone || v == vc); k-- {
+				p := &Packet{SizeBytes: 1 + rng.Intn(vcCap/2)}
+				perVC[v] = append(perVC[v], p)
+				queued += p.SizeBytes
+			}
+		}
+		fillPort(o, perVC)
+		o.queued = int32(queued)
+		// Sizes at random and within a byte of both edges: the shortcut's
+		// (vcCap - queued) and free's.
+		size := 1 + rng.Intn(vcCap)
+		switch rng.Intn(3) {
+		case 1:
+			size = max(1, vcCap-queued+rng.Intn(3)-1)
+		case 2:
+			size = max(1, o.free(vc)+rng.Intn(3)-1)
+		}
+		if queued+size <= vcCap {
+			short++
+		} else {
+			long++
+		}
+		if got, want := o.fits(vc, size), o.free(vc) >= size; got != want {
+			t.Fatalf("trial %d: fits(%d, %d) = %v with %d queued, free %d", trial, vc, size, got, queued, o.free(vc))
+		}
+	}
+	if short == 0 || long == 0 {
+		t.Fatalf("the shortcut was taken %d times and skipped %d times; want both", short, long)
+	}
+}
+
 // ladderRow is one fabric of TestBuildBytesLadder.
 type ladderRow struct {
 	routers, ports, vcs int
@@ -220,7 +267,7 @@ func buildLadderRow(t *testing.T, spec string, shards int) ladderRow {
 	r := ladderRow{routers: len(n.Routers), ports: len(n.NICs), vcs: n.numVC,
 		bytes: after.TotalAlloc - before.TotalAlloc, objects: after.Mallocs - before.Mallocs}
 	for _, rt := range n.Routers {
-		r.ports += rt.Ports()
+		r.ports += len(rt.out)
 	}
 	return r
 }

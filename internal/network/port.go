@@ -300,6 +300,13 @@ func (o *outPort) HandleEvent(e *sim.Engine, kind uint8, arg uint64) {
 // saturation shows up as latency (§4.2's open-loop sources).
 func (o *outPort) free(vc int) int { return o.sh.net.vcCap - o.vcs[vc].bytes() }
 
+// fits reports whether VC vc of a router port can admit size bytes, as
+// free(vc) >= size does. A VC never holds more than the port's queued
+// total, so while that total leaves room no packet stamp is read.
+func (o *outPort) fits(vc, size int) bool {
+	return int(o.queued)+size <= o.sh.net.vcCap || o.free(vc) >= size
+}
+
 // txExtra is the link's fixed post-serialization delay.
 func (o *outPort) txExtra() sim.Time {
 	if o.link&linkToNIC != 0 {
@@ -814,7 +821,7 @@ func (o *outPort) admitParked(e *sim.Engine) {
 		return
 	}
 	for vc := range o.sh.net.numVC {
-		for len(c.parked[vc]) > 0 && o.free(vc) >= c.parked[vc][0].pkt.SizeBytes {
+		for len(c.parked[vc]) > 0 && o.fits(vc, c.parked[vc][0].pkt.SizeBytes) {
 			pd := c.parked[vc][0]
 			copy(c.parked[vc], c.parked[vc][1:])
 			c.parked[vc] = c.parked[vc][:len(c.parked[vc])-1]

@@ -123,9 +123,6 @@ next:
 // the status of the network").
 func (r *Router) OutLoad(p int) int { return r.out[p].load() }
 
-// Ports returns the router's port count.
-func (r *Router) Ports() int { return len(r.out) }
-
 // accept implements receiver: HDP header advance, routing decision, then
 // admission into the chosen output buffer or parking with backpressure.
 func (r *Router) accept(e *sim.Engine, pkt *Packet, from *outPort, fromVC int) bool {
@@ -137,7 +134,7 @@ func (r *Router) accept(e *sim.Engine, pkt *Packet, from *outPort, fromVC int) b
 	}
 	op := &r.out[port]
 	vc := r.net.prepareVC(op, pkt)
-	if op.free(vc) >= pkt.SizeBytes {
+	if op.fits(vc, pkt.SizeBytes) {
 		op.enqueue(e, pkt, vc)
 		return true
 	}
@@ -157,7 +154,7 @@ func (r *Router) injectAck(e *sim.Engine, ack *Packet) bool {
 	}
 	op := &r.out[port]
 	vc := r.net.prepareVC(op, ack)
-	if op.free(vc) < ack.SizeBytes {
+	if !op.fits(vc, ack.SizeBytes) {
 		return false
 	}
 	op.enqueue(e, ack, vc)

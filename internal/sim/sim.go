@@ -122,8 +122,12 @@ type Engine struct {
 	// curSeq is the sequence number of the event being (or last) executed
 	// at now — with now, the position the firing order has reached. Zero
 	// when no event has fired at now (fresh engine, after AdvanceTo).
-	curSeq  uint64
-	queue   []*event
+	curSeq uint64
+	queue  []*event
+	// farAt is queue[0].at while the heap is non-empty, kept by heapPush
+	// and heapPop so that the wheel's per-event migrateFar check reads no
+	// event record.
+	farAt   Time
 	stopped bool
 	// pending counts scheduled, not-yet-fired, not-cancelled events; the
 	// queue itself may additionally hold cancelled records awaiting pop.
@@ -191,6 +195,9 @@ func (e *Engine) heapPush(ev *event) {
 	q[i] = ev
 	ev.index = int32(i)
 	e.queue = q
+	if i == 0 {
+		e.farAt = ev.at
+	}
 	if len(q) > e.peakQueue {
 		e.peakQueue = len(q)
 	}
@@ -208,6 +215,7 @@ func (e *Engine) heapPop() *event {
 	top.index = -1
 	if n > 0 {
 		e.siftDown(last, 0)
+		e.farAt = q[0].at
 	}
 	return top
 }

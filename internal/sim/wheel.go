@@ -175,7 +175,7 @@ func (e *Engine) wheelPush(ev *event) {
 // into their sorted slot positions. Called whenever the clock advances.
 func (e *Engine) migrateFar() {
 	nowSlot := e.now >> wheelSlotShift
-	for len(e.queue) > 0 && (e.queue[0].at>>wheelSlotShift)-nowSlot < wheelSlots {
+	for len(e.queue) > 0 && (e.farAt>>wheelSlotShift)-nowSlot < wheelSlots {
 		ev := e.heapPop()
 		if ev.cancelled {
 			e.recycle(ev)

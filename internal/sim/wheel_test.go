@@ -15,9 +15,19 @@ type stormActor struct {
 	log   *[]string
 	depth int
 	held  EventID
+	// check, when set, inspects the engine as each event starts (after
+	// fire's pop and far-heap migration) and after each push and cancel.
+	check func(e *Engine)
+}
+
+func (s *stormActor) checked(e *Engine) {
+	if s.check != nil {
+		s.check(e)
+	}
 }
 
 func (s *stormActor) HandleEvent(e *Engine, kind uint8, arg uint64) {
+	s.checked(e)
 	*s.log = append(*s.log, fmt.Sprintf("%d@%d k%d a%d", s.id, e.Now(), kind, arg))
 	if s.depth <= 0 {
 		return
@@ -27,15 +37,18 @@ func (s *stormActor) HandleEvent(e *Engine, kind uint8, arg uint64) {
 	for i := 0; i < 2; i++ {
 		d := Time(s.rng.Intn(500))
 		e.AfterEvent(d, s, uint8(i), arg+1)
+		s.checked(e)
 	}
 	// Same-time burst: exercises intra-slot FIFO order.
 	if s.rng.Intn(4) == 0 {
 		e.AfterEvent(0, s, 7, arg)
+		s.checked(e)
 	}
 	// Far event: beyond the wheel span, must overflow to the heap and
 	// migrate back in order.
 	if s.rng.Intn(3) == 0 {
 		e.AfterEvent(Time(9000+s.rng.Intn(40000)), s, 9, arg)
+		s.checked(e)
 	}
 	// Cancellation churn: arm an event and cancel it half the time.
 	if s.held.Valid() && s.rng.Intn(2) == 0 {
@@ -44,6 +57,7 @@ func (s *stormActor) HandleEvent(e *Engine, kind uint8, arg uint64) {
 	} else {
 		s.held = e.AfterEvent(Time(s.rng.Intn(2000)), s, 8, arg)
 	}
+	s.checked(e)
 	// Closure events interleave with typed ones.
 	if s.rng.Intn(5) == 0 {
 		at := e.Now() + Time(s.rng.Intn(300))
@@ -51,18 +65,20 @@ func (s *stormActor) HandleEvent(e *Engine, kind uint8, arg uint64) {
 		e.Schedule(at, func(e *Engine) {
 			*s.log = append(*s.log, fmt.Sprintf("fn%d@%d", id, e.Now()))
 		})
+		s.checked(e)
 	}
 }
 
 // newStorm returns a heap- or wheel-mode engine seeded with the storm's
-// initial events; log receives the firing order.
-func newStorm(wheelMode bool, seed uint64, log *[]string) *Engine {
+// initial events; log receives the firing order and check, which may be
+// nil, is the actors' stormActor.check.
+func newStorm(wheelMode bool, seed uint64, log *[]string, check func(*Engine)) *Engine {
 	e := NewEngine()
 	if wheelMode {
 		e.EnableWheel()
 	}
 	for i := 0; i < 8; i++ {
-		a := &stormActor{id: i, rng: NewRNG(seed + uint64(i)), log: log, depth: 40}
+		a := &stormActor{id: i, rng: NewRNG(seed + uint64(i)), log: log, depth: 40, check: check}
 		e.ScheduleEvent(Time(i*13), a, 0, 0)
 	}
 	return e
@@ -71,7 +87,7 @@ func newStorm(wheelMode bool, seed uint64, log *[]string) *Engine {
 func runStorm(t *testing.T, wheelMode bool, seed uint64) []string {
 	t.Helper()
 	var log []string
-	newStorm(wheelMode, seed, &log).Run(Infinity)
+	newStorm(wheelMode, seed, &log, nil).Run(Infinity)
 	return log
 }
 
@@ -120,26 +136,31 @@ var slicedHorizons = []Time{
 // firing order, and after every slice Run's count, Now, Len and
 // NextEventTime. Between slices it schedules at Now(), Now()+1 and past
 // the ring span, and cancels a ring-resident, a far-heap and an
-// already-fired ID, recording what Cancel reported.
-func runSliced(wheelMode bool, seed uint64) []string {
+// already-fired ID, recording what Cancel reported. check runs as in the
+// storm's actors, and after each slice, schedule and cancel here.
+func runSliced(wheelMode bool, seed uint64, check func(*Engine)) []string {
 	var log []string
-	e := newStorm(wheelMode, seed, &log)
-	probe := &stormActor{id: 99, log: &log}
+	e := newStorm(wheelMode, seed, &log, check)
+	probe := &stormActor{id: 99, log: &log, check: check}
+	after := func(id EventID) EventID { probe.checked(e); return id }
+	cancel := func(id EventID) bool { ok := e.Cancel(id); probe.checked(e); return ok }
 	var firedID EventID
 	for i, h := range slicedHorizons {
 		n := e.Run(h)
+		probe.checked(e)
 		log = append(log, fmt.Sprintf("slice %d: ran=%d now=%d len=%d next=%d", h, n, e.Now(), e.Len(), e.NextEventTime()))
 		arg := uint64(i)
-		atNow := e.ScheduleEvent(e.Now(), probe, 20, arg)
-		e.ScheduleEvent(e.Now()+1, probe, 21, arg)
-		e.ScheduleEvent(e.Now()+wheelSpan+5, probe, 22, arg)
-		ring := e.ScheduleEvent(e.Now()+40, probe, 23, arg)
-		far := e.ScheduleEvent(e.Now()+3*wheelSpan, probe, 24, arg)
+		atNow := after(e.ScheduleEvent(e.Now(), probe, 20, arg))
+		after(e.ScheduleEvent(e.Now()+1, probe, 21, arg))
+		after(e.ScheduleEvent(e.Now()+wheelSpan+5, probe, 22, arg))
+		ring := after(e.ScheduleEvent(e.Now()+40, probe, 23, arg))
+		far := after(e.ScheduleEvent(e.Now()+3*wheelSpan, probe, 24, arg))
 		log = append(log, fmt.Sprintf("cancel ring=%v far=%v fired=%v again=%v len=%d next=%d",
-			e.Cancel(ring), e.Cancel(far), e.Cancel(firedID), e.Cancel(ring), e.Len(), e.NextEventTime()))
+			cancel(ring), cancel(far), cancel(firedID), cancel(ring), e.Len(), e.NextEventTime()))
 		firedID = atNow
 	}
 	e.RunAll()
+	probe.checked(e)
 	log = append(log, fmt.Sprintf("drained: now=%d len=%d next=%d", e.Now(), e.Len(), e.NextEventTime()))
 	return log
 }
@@ -148,10 +169,29 @@ func runSliced(wheelMode bool, seed uint64) []string {
 // only event order: run in slices, the wheel must report the same clock
 // (the last executed event, never the horizon), pending count and next
 // event time as the heap, and must accept scheduling at any time >= Now()
-// between slices — including after a full drain.
+// between slices — including after a full drain. In both modes farAt must
+// be the far heap's earliest time whenever the heap holds an event, and
+// the heap must have held one at some check.
 func TestWheelMatchesHeapSliced(t *testing.T) {
 	for seed := uint64(1); seed <= 5; seed++ {
-		diffLogs(t, fmt.Sprintf("seed %d", seed), runSliced(false, seed), runSliced(true, seed))
+		logs := [2][]string{}
+		for i, wheelMode := range []bool{false, true} {
+			drift, held := "", 0
+			check := func(e *Engine) {
+				if len(e.queue) == 0 {
+					return
+				}
+				held++
+				if drift == "" && e.farAt != e.queue[0].at {
+					drift = fmt.Sprintf("now %d: farAt %d, heap top at %d of %d", e.Now(), e.farAt, e.queue[0].at, len(e.queue))
+				}
+			}
+			logs[i] = runSliced(wheelMode, seed, check)
+			if drift != "" || held == 0 {
+				t.Fatalf("seed %d wheel=%v: %q after %d checks with a non-empty heap", seed, wheelMode, drift, held)
+			}
+		}
+		diffLogs(t, fmt.Sprintf("seed %d", seed), logs[0], logs[1])
 	}
 }
 
@@ -184,7 +224,7 @@ func (s *stepActor) HandleEvent(e *Engine, kind uint8, arg uint64) {
 func TestStepMatchesRun(t *testing.T) {
 	drive := func(wheelMode, step bool) []string {
 		var log []string
-		e := newStorm(wheelMode, 3, &log)
+		e := newStorm(wheelMode, 3, &log, nil)
 		e.ScheduleEvent(slotNs, &stepActor{log: &log, depth: 30}, 0, 0)
 		if step {
 			for e.Step() {

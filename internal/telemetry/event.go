@@ -69,18 +69,6 @@ const (
 	KindLinkDegrade Kind = "link-degrade"
 )
 
-// Kinds lists every event kind (the schema's enum is generated from the
-// same set the validator checks).
-func Kinds() []Kind {
-	return []Kind{
-		KindInject, KindHop, KindDeliver, KindDrop, KindUnreachable,
-		KindSaturation, KindMetapathOpen, KindMetapathClose,
-		KindSolDBHit, KindSolDBMiss, KindSolDBSave,
-		KindRecovery, KindPathFail, KindWatchdog, KindPredAck,
-		KindLinkDown, KindLinkUp, KindLinkDegrade,
-	}
-}
-
 // Event is one trace record. Every field is always serialized (no
 // omitempty): node 0 and router 0 are valid identities, and a fixed shape
 // keeps the JSONL schema trivial and the byte stream deterministic.

@@ -22,7 +22,7 @@ import (
 // class exactly when it crosses a global channel. Local channels before
 // the global hop (VC0) only ever wait on global channels, and local
 // channels after it (VC1) only on terminals — the dependency graph per
-// class is acyclic (see internal/network/deadlock.go, which checks this).
+// class is acyclic (internal/network/deadlockcheck_test.go checks this).
 //
 // All wiring state is O(total ports): the per-router global peer table
 // and the per-group-pair link lists together store each global link a

@@ -90,9 +90,6 @@ func NewMesh(w, h int) *Grid { return NewGrid([]int{w, h}, false) }
 // at least 3.
 func NewTorus(w, h int) *Grid { return NewGrid([]int{w, h}, true) }
 
-// NewMesh3D returns an x*y*z mesh.
-func NewMesh3D(x, y, z int) *Grid { return NewGrid([]int{x, y, z}, false) }
-
 // NewTorus3D returns an x*y*z torus (3-D k-ary n-cube).
 func NewTorus3D(x, y, z int) *Grid { return NewGrid([]int{x, y, z}, true) }
 

@@ -124,7 +124,7 @@ func TestGridAlternativePathsMatchReference(t *testing.T) {
 	for _, g := range []*Grid{
 		NewMesh(8, 8), NewTorus(8, 8),
 		NewMesh(2, 1), NewMesh(5, 3), NewTorus(3, 3), NewTorus(4, 5),
-		NewMesh3D(3, 2, 4), NewTorus3D(3, 3, 4), NewGrid([]int{2, 2, 2, 2}, false), NewGrid([]int{7}, true),
+		NewGrid([]int{3, 2, 4}, false), NewTorus3D(3, 3, 4), NewGrid([]int{2, 2, 2, 2}, false), NewGrid([]int{7}, true),
 	} {
 		for r := RouterID(0); int(r) < g.NumRouters(); r++ {
 			for dist := 0; dist <= g.rings+1; dist++ {

@@ -13,7 +13,7 @@ func gridTopologies() []*Grid {
 		NewGrid([]int{5}, true),
 		NewGrid([]int{4, 4}, false),
 		NewGrid([]int{3, 3}, true),
-		NewMesh3D(3, 3, 3),
+		NewGrid([]int{3, 3, 3}, false),
 		NewTorus3D(3, 4, 3),
 		NewGrid([]int{2, 2, 2, 2}, false), // 4-D hypercube mesh
 	}
@@ -47,7 +47,7 @@ func TestGridRoutingDelivers(t *testing.T) {
 }
 
 func TestGridWaypointsDeliver(t *testing.T) {
-	for _, g := range []*Grid{NewMesh3D(3, 3, 3), NewTorus3D(3, 3, 3)} {
+	for _, g := range []*Grid{NewGrid([]int{3, 3, 3}, false), NewTorus3D(3, 3, 3)} {
 		n := g.NumTerminals()
 		for s := 0; s < n; s += 3 {
 			for d := 1; d < n; d += 5 {
@@ -65,7 +65,7 @@ func TestGridWaypointsDeliver(t *testing.T) {
 }
 
 func TestGridCoordRoundTrip(t *testing.T) {
-	g := NewMesh3D(3, 4, 5)
+	g := NewGrid([]int{3, 4, 5}, false)
 	f := func(raw uint16) bool {
 		r := RouterID(int(raw) % g.NumRouters())
 		return g.At(g.CoordOf(r)) == r
@@ -76,7 +76,7 @@ func TestGridCoordRoundTrip(t *testing.T) {
 }
 
 func TestGridRing3D(t *testing.T) {
-	g := NewMesh3D(5, 5, 5)
+	g := NewGrid([]int{5, 5, 5}, false)
 	center := g.At([]int{2, 2, 2})
 	// Ring 1 in 3-D: 6 face neighbours.
 	if got := len(g.ring(nil, center, 1)); got != 6 {
@@ -103,7 +103,7 @@ func TestGridDatelines(t *testing.T) {
 	if wraps != 54 {
 		t.Fatalf("torus3d wrap links = %d, want 54", wraps)
 	}
-	m := NewMesh3D(3, 3, 3)
+	m := NewGrid([]int{3, 3, 3}, false)
 	for r := RouterID(0); int(r) < m.NumRouters(); r++ {
 		for p := 0; p < m.Radix(r); p++ {
 			if _, w := m.LinkDim(r, p); w {

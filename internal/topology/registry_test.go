@@ -63,7 +63,7 @@ func TestByNameErrors(t *testing.T) {
 
 // FuzzTopologyByName: no spec panics ByName, and what it accepts is wired
 // consistently. The checks are bounded to keep each input cheap: Validate
-// walks every port, and Describe on a tree runs one BFS per router.
+// walks every port.
 func FuzzTopologyByName(f *testing.F) {
 	for _, spec := range append([]string{
 		"mesh-8x8", "torus-4x4", "mesh3d-2x3x4", "torus3d-4x4x4", "ft-4-3", "clos-8", "df-4-5-1-2",
@@ -153,16 +153,34 @@ func TestPathCacheEvicts(t *testing.T) {
 	}
 }
 
-func TestTreeLazyDistance(t *testing.T) {
-	// Lazy rows must agree with BFS ground truth, including after
-	// concurrent first queries.
-	ft := NewKAryNTree(4, 3)
-	for src := RouterID(0); int(src) < ft.NumRouters(); src += 7 {
-		want := bfsFrom(ft, src)
-		for o := RouterID(0); int(o) < ft.NumRouters(); o++ {
-			if got := ft.Distance(src, o); got != want[o] {
-				t.Fatalf("tree Distance(%d,%d) = %d, BFS %d", src, o, got, want[o])
+// TestTreeDistanceMatchesBFS pins the closed-form tree distance to BFS
+// ground truth on every switch pair of shapes from the smallest tree to
+// clos-32, with n up to 5.
+func TestTreeDistanceMatchesBFS(t *testing.T) {
+	for _, kn := range [][2]int{{2, 2}, {2, 5}, {3, 3}, {4, 3}, {4, 4}, {5, 4}, {8, 3}, {16, 3}} {
+		ft := NewKAryNTree(kn[0], kn[1])
+		for src := RouterID(0); int(src) < ft.NumRouters(); src++ {
+			want := bfsFrom(ft, src)
+			for o := RouterID(0); int(o) < ft.NumRouters(); o++ {
+				if got := ft.Distance(src, o); got != want[o] {
+					t.Fatalf("%s: Distance(%s, %s) = %d, BFS %d", ft.Name(), ft.RouterLabel(src), ft.RouterLabel(o), got, want[o])
+				}
 			}
 		}
 	}
+}
+
+// TestTreeDistanceZeroAlloc: tree distance is digit arithmetic, with no
+// per-source state to build on first use.
+func TestTreeDistanceZeroAlloc(t *testing.T) {
+	ft := NewKAryNTree(16, 3)
+	last := RouterID(ft.NumRouters() - 1)
+	sink := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		sink += ft.Distance(0, last) + ft.Distance(last, 1)
+	})
+	if allocs != 0 {
+		t.Errorf("%s: %v allocations per Distance pair, want 0", ft.Name(), allocs)
+	}
+	_ = sink
 }

@@ -104,10 +104,10 @@ func TestTreeRoutingIsMinimal(t *testing.T) {
 				continue
 			}
 			hops := walk(ft, NodeID(s), NodeID(d))
-			// Minimal = 2 * NCA level.
-			ncas := ft.CommonAncestors(NodeID(s), NodeID(d))
-			want := 2 * ft.Level(ncas[0])
-			if hops != want {
+			// Minimal = the leaf switches' distance, 2 * NCA level.
+			rs, _ := ft.TerminalAttach(NodeID(s))
+			rd, _ := ft.TerminalAttach(NodeID(d))
+			if want := ft.Distance(rs, rd); hops != want {
 				t.Fatalf("tree %d->%d: %d hops, want %d", s, d, hops, want)
 			}
 		}
@@ -245,22 +245,22 @@ func TestAlternativePathsBounded(t *testing.T) {
 	}
 }
 
+// TestTreeCommonAncestors pins the nearest common ancestors AlternativePaths
+// draws from: ancestorsAt at ncaLevel.
 func TestTreeCommonAncestors(t *testing.T) {
 	ft := NewKAryNTree(4, 3)
-	// Terminals 0 and 1 share the leaf switch: NCA level 0, exactly 1.
-	ncas := ft.CommonAncestors(0, 1)
-	if len(ncas) != 1 || ft.Level(ncas[0]) != 0 {
-		t.Fatalf("NCA(0,1) = %v", ncas)
-	}
-	// Terminals 0 and 5: differ in digit 1 -> level 1, 4 ancestors.
-	ncas = ft.CommonAncestors(0, 5)
-	if len(ncas) != 4 || ft.Level(ncas[0]) != 1 {
-		t.Fatalf("NCA(0,5) = %v (levels)", ncas)
-	}
-	// Terminals 0 and 63: top level, 16 root switches.
-	ncas = ft.CommonAncestors(0, 63)
-	if len(ncas) != 16 || ft.Level(ncas[0]) != 2 {
-		t.Fatalf("NCA(0,63) = %d ancestors at level %d", len(ncas), ft.Level(ncas[0]))
+	for _, c := range []struct {
+		src, dst     NodeID
+		level, count int
+	}{
+		{0, 1, 0, 1},   // one leaf switch
+		{0, 5, 1, 4},   // leaf words differ in digit 0
+		{0, 63, 2, 16}, // every root
+	} {
+		first, count := ft.ancestorsAt(c.src, ft.ncaLevel(c.src, c.dst))
+		if count != c.count || ft.Level(first) != c.level {
+			t.Fatalf("NCAs of %d and %d: %d from %s, want %d at level %d", c.src, c.dst, count, ft.RouterLabel(first), c.count, c.level)
+		}
 	}
 }
 

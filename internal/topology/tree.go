@@ -1,9 +1,6 @@
 package topology
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "fmt"
 
 // KAryNTree is the k-ary n-tree fat-tree of §2.1.5 (after Petrini &
 // Vanneschi): k^n terminals, n levels of k^(n-1) switches, each switch with
@@ -28,14 +25,6 @@ type KAryNTree struct {
 	// pow[i] = K^i for i in [0, N): digit arithmetic without a division
 	// loop (IsAncestor runs on every adaptive routing decision).
 	pow []int
-	// dist caches per-source router-distance rows, BFS-computed on first
-	// use. Routing never consults it — only Distance() does (metapath cost
-	// accounting, provisioning reports) — so at datacenter scale (clos-32
-	// has 3072 switches) memory stays O(R) per *queried* source instead of
-	// an eager O(R^2) all-pairs table. Rows are immutable once published;
-	// concurrent first queries race benignly (both compute the identical
-	// row, one wins the CompareAndSwap).
-	dist []atomic.Pointer[[]int16]
 	// upPorts is the precomputed all-up-ports answer of MinimalPorts
 	// (identical for every below-ancestor query). It is written once at
 	// construction and read-only afterwards, so returning it from
@@ -60,7 +49,6 @@ func NewKAryNTree(k, n int) *KAryNTree {
 	for i := range t.upPorts {
 		t.upPorts[i] = k + i
 	}
-	t.dist = make([]atomic.Pointer[[]int16], t.NumRouters())
 	return t
 }
 
@@ -70,42 +58,6 @@ func checkTree(k, n int) error {
 		return fmt.Errorf("topology: invalid %d-ary %d-tree (need k >= 2, n >= 2)", k, n)
 	}
 	return nil
-}
-
-// distRow returns the BFS distance row from src, computing and caching it
-// on first use. Tree distances are not a simple closed form once both
-// endpoints sit above the nearest common level (e.g. two distinct roots
-// are 2 apart via any shared level-(n-2) switch), so we take the exact
-// graph metric — but lazily, one source row at a time.
-func (t *KAryNTree) distRow(src RouterID) []int16 {
-	if row := t.dist[src].Load(); row != nil {
-		return *row
-	}
-	nr := t.NumRouters()
-	row := make([]int16, nr)
-	for i := range row {
-		row[i] = -1
-	}
-	row[src] = 0
-	queue := []RouterID{src}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for p := 0; p < t.Radix(cur); p++ {
-			peer := t.PortPeer(cur, p)
-			if !peer.IsRouter() {
-				continue
-			}
-			if row[peer.Router] < 0 {
-				row[peer.Router] = row[cur] + 1
-				queue = append(queue, peer.Router)
-			}
-		}
-	}
-	if !t.dist[src].CompareAndSwap(nil, &row) {
-		return *t.dist[src].Load() // a concurrent query published first
-	}
-	return row
 }
 
 // Name implements Topology.
@@ -257,30 +209,29 @@ func (t *KAryNTree) NextHopToRouter(r, target RouterID) int {
 }
 
 // Distance implements Topology: the exact hop count in the switch graph,
-// BFS-computed per source row on first use.
+// from the words' digits. A hop between levels l and l+1 is the only move
+// that changes digit l, and it may set it to any value, so a shortest walk
+// from a to b covers the level range [lo, hi] holding both their levels and,
+// for every digit i where their words differ, levels i and i+1. It goes
+// down to lo and up to hi once: 2·(hi−lo) − |level(a)−level(b)| hops.
 func (t *KAryNTree) Distance(a, b RouterID) int {
-	return int(t.distRow(a)[b])
+	la, lb := t.Level(a), t.Level(b)
+	lo, hi := min(la, lb), max(la, lb)
+	wa, wb := t.Word(a), t.Word(b)
+	for i := 0; wa != wb; i++ {
+		if wa%t.K != wb%t.K {
+			lo, hi = min(lo, i), max(hi, i+1)
+		}
+		wa, wb = wa/t.K, wb/t.K
+	}
+	return 2*(hi-lo) - (max(la, lb) - min(la, lb))
 }
 
-// CommonAncestors returns the NCA switches of terminals src and dst: all
-// switches at the NCA level whose upper digits match, ordered by word. The
-// deterministic baseline uses exactly one of them; the others are the
-// natural DRB alternatives (§3.2.3 applied to k-ary n-trees).
-func (t *KAryNTree) CommonAncestors(src, dst NodeID) []RouterID {
-	if src == dst {
-		return nil
-	}
-	first, count := t.ancestorsAt(src, t.ncaLevel(src, dst))
-	out := make([]RouterID, count)
-	for i := range out {
-		out[i] = first + RouterID(i)
-	}
-	return out
-}
-
-// ncaLevel is the level of the nearest common ancestors of two distinct
-// terminals: one above the highest digit in which their leaf switches
-// differ, 0 when they share a leaf switch.
+// ncaLevel is the level of the nearest common ancestors (NCAs) of two
+// distinct terminals: one above the highest digit in which their leaf
+// switches differ, 0 when they share a leaf switch. The deterministic
+// baseline ascends to exactly one NCA; the others are the natural DRB
+// alternatives (§3.2.3 applied to k-ary n-trees).
 func (t *KAryNTree) ncaLevel(src, dst NodeID) int {
 	sw, dw := int(src)/t.K, int(dst)/t.K
 	for i := t.N - 2; i >= 0; i-- {

@@ -69,7 +69,7 @@ func TestBuildChecksEachRule(t *testing.T) {
 			b.Wait(2)
 			b.Send(2, 4, 8)
 		}, "rank 2 pc 1: send peer 4 out of range [0,4)"},
-		{"negative peer", func(b *Builder) { b.Irecv(0, -1) }, "rank 0 pc 0: irecv peer -1 out of range"},
+		{"negative peer", func(b *Builder) { b.IrecvQuiet(0, -1) }, "rank 0 pc 0: irecv peer -1 out of range"},
 		{"self-send", func(b *Builder) { b.Isend(2, 2, 8) }, "rank 2 pc 0: isend to itself"},
 		{"oversized message", func(b *Builder) {
 			b.Send(0, 1, maxMessageBytes+1)

@@ -10,7 +10,9 @@ import (
 
 // TestCollectiveAlgorithmsReplay replays every selectable algorithm at a
 // power-of-two and a non-power-of-two rank count: each schedule must drain
-// without deadlock under the rendezvous replay semantics.
+// without deadlock under the rendezvous replay semantics. Alltoall by a
+// named algorithm, Reduce-scatter and Allgather have no Builder method and
+// go in through lowerWith.
 func TestCollectiveAlgorithmsReplay(t *testing.T) {
 	for _, n := range []int{6, 8, 12, 16} {
 		for _, alg := range collectives.AllreduceAlgorithms() {
@@ -26,10 +28,12 @@ func TestCollectiveAlgorithmsReplay(t *testing.T) {
 		}
 		for _, alg := range collectives.AlltoallAlgorithms() {
 			t.Run(fmt.Sprintf("alltoall-%s-n%d", alg, n), func(t *testing.T) {
-				b := NewBuilder("coll", n)
-				if err := b.AlltoallAlg(alg, 256); err != nil {
+				s, err := collectives.Alltoall(alg, n, 256)
+				if err != nil {
 					t.Fatal(err)
 				}
+				b := NewBuilder("coll", n)
+				b.lowerWith(schedKey{mpiType: network.MPIAlltoall, alg: alg, n: n, bytes: 256}, s)
 				if !runReplay(t, newNet(t, n), b.Build()).Finished() {
 					t.Fatal("deadlocked")
 				}
@@ -37,8 +41,8 @@ func TestCollectiveAlgorithmsReplay(t *testing.T) {
 		}
 		t.Run(fmt.Sprintf("reduce-scatter+allgather-n%d", n), func(t *testing.T) {
 			b := NewBuilder("coll", n)
-			b.ReduceScatter(4096)
-			b.Allgather(4096 / n)
+			b.lowerWith(schedKey{mpiType: network.MPIReduceScatter, n: n, bytes: 4096}, collectives.RingReduceScatter(n, 4096))
+			b.lowerWith(schedKey{mpiType: network.MPIAllgather, n: n, bytes: 4096 / n}, collectives.RingAllgather(n, 4096/n))
 			if !runReplay(t, newNet(t, n), b.Build()).Finished() {
 				t.Fatal("deadlocked")
 			}
@@ -152,8 +156,5 @@ func TestAllreduceGroup(t *testing.T) {
 	}
 	if err := b.AllreduceAlg("bogus", 64); err == nil {
 		t.Error("unknown allreduce algorithm accepted")
-	}
-	if err := b.AlltoallAlg("bogus", 64); err == nil {
-		t.Error("unknown alltoall algorithm accepted")
 	}
 }

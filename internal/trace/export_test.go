@@ -1,6 +1,30 @@
 package trace
 
-import "fmt"
+import (
+	"fmt"
+
+	"prdrb/internal/collectives"
+)
+
+// lowerWith lowers collective k over every rank along schedule s, for the
+// collectives no Builder method emits: s is memoised as k's lowering, which
+// lower then finds.
+func (b *Builder) lowerWith(k schedKey, s *collectives.Schedule) {
+	if b.memo == nil {
+		b.memo = make(map[schedKey]*lowering)
+	}
+	b.memo[k] = &lowering{s: s}
+	b.mustLower(k)
+}
+
+// ProgramBytes is the storage the encoded programs of every rank take.
+func (t *Trace) ProgramBytes() int {
+	n := 0
+	for _, p := range t.progs {
+		n += len(p)
+	}
+	return n
+}
 
 // appendRaw appends raw bytes to rank's program as one more event, for
 // records no Builder writes (an unknown op) in the tests of Validate.

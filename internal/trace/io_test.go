@@ -16,7 +16,7 @@ func TestTraceRoundTrip(t *testing.T) {
 	b.Send(0, 1, 2048)
 	b.Recv(1, 0)
 	b.Isend(2, 3, 512)
-	b.Irecv(3, 2)
+	b.IrecvQuiet(3, 2)
 	b.Wait(3)
 	b.Waitall(2)
 	b.Allreduce(64)

@@ -50,3 +50,24 @@ func TestReplayAllocs(t *testing.T) {
 		t.Fatalf("a replay allocated %.0f objects, want <= %.0f (set-up only)", long, limit)
 	}
 }
+
+// TestTraceBytesPerEvent pins what a stored event costs: a few bytes of
+// encoded record on every generator, where a decoded Event is 32.
+func TestTraceBytesPerEvent(t *testing.T) {
+	var sum float64
+	for _, name := range workloads.Names() {
+		tr, err := workloads.ByName(name, workloads.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		per := float64(tr.ProgramBytes()) / float64(tr.TotalEvents())
+		t.Logf("%-16s %7d events %8d B %.2f B/event", name, tr.TotalEvents(), tr.ProgramBytes(), per)
+		if per > 5 {
+			t.Errorf("%s stores %.2f B per event, want <= 5", name, per)
+		}
+		sum += per
+	}
+	if mean := sum / float64(len(workloads.Names())); mean > 4 {
+		t.Errorf("the generators store %.2f B per event on average, want <= 4", mean)
+	}
+}

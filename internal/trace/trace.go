@@ -84,15 +84,6 @@ type Trace struct {
 // TotalEvents sums the lowered event counts across ranks.
 func (t *Trace) TotalEvents() int { return t.events }
 
-// ProgramBytes is the storage the encoded programs of every rank take.
-func (t *Trace) ProgramBytes() int {
-	n := 0
-	for _, p := range t.progs {
-		n += len(p)
-	}
-	return n
-}
-
 // Limits Validate puts on a trace so that replaying it cannot overflow: the
 // virtual clock stays clear of sim.Infinity however the compute phases
 // chain across ranks, and a message's fragment count fits an int.
@@ -326,12 +317,6 @@ func (b *Builder) Recv(rank, from int) {
 func (b *Builder) Isend(rank, to, bytes int) {
 	b.count(network.MPIIsend, 1)
 	b.push(rank, Event{Op: OpIsend, Peer: to, Bytes: bytes, MPIType: network.MPIIsend})
-}
-
-// Irecv appends a nonblocking receive (MPI_Irecv); pair with Wait/Waitall.
-func (b *Builder) Irecv(rank, from int) {
-	b.count(network.MPIIrecv, 1)
-	b.push(rank, Event{Op: OpIrecv, Peer: from, MPIType: network.MPIIrecv})
 }
 
 // IrecvQuiet appends a nonblocking receive without counting a logical

