@@ -10,6 +10,7 @@ package prdrb
 import (
 	"testing"
 
+	"prdrb/internal/network"
 	"prdrb/internal/phase"
 	"prdrb/internal/sim"
 )
@@ -284,9 +285,9 @@ func BenchmarkTable2_1_MPICallMix(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		popIsend = 100 * pop.CallShare(MPIIsend)
-		popAllreduce = 100 * pop.CallShare(MPIAllreduce)
-		luSend = 100 * lu.CallShare(MPISend)
+		popIsend = 100 * pop.CallShare(network.MPIIsend)
+		popAllreduce = 100 * pop.CallShare(network.MPIAllreduce)
+		luSend = 100 * lu.CallShare(network.MPISend)
 	}
 	b.ReportMetric(popIsend, "pop_isend_%")
 	b.ReportMetric(popAllreduce, "pop_allreduce_%")

@@ -161,7 +161,7 @@ func TestCheckpointResumeMidRepair(t *testing.T) {
 		name: "faulted-mid-repair",
 		build: func(t *testing.T) *Sim {
 			s := MustNewSim(Experiment{Topology: Mesh(4, 4), Policy: PolicyPRDRB, Seed: 23})
-			plan := RandomLinkFaults(s.Net.Topo, 23, 3, 50*Microsecond, 100*Microsecond, 300*Microsecond)
+			plan := faults.RandomLinkFaults(s.Net.Topo, 23, 3, 50*Microsecond, 100*Microsecond, 300*Microsecond)
 			if _, err := s.InstallFaults(plan); err != nil {
 				t.Fatal(err)
 			}
@@ -183,7 +183,7 @@ func TestCheckpointResumeShardedFaulted(t *testing.T) {
 		name: "sharded-faulted",
 		build: func(t *testing.T) *Sim {
 			s := MustNewSim(Experiment{Topology: Mesh(4, 4), Policy: PolicyPRDRB, Seed: 23, Shards: 2})
-			plan := RandomLinkFaults(s.Net.Topo, 23, 2, 50*Microsecond, 100*Microsecond, 300*Microsecond)
+			plan := faults.RandomLinkFaults(s.Net.Topo, 23, 2, 50*Microsecond, 100*Microsecond, 300*Microsecond)
 			if _, err := s.InstallFaults(plan); err != nil {
 				t.Fatal(err)
 			}

@@ -58,7 +58,7 @@ func TestHistoryDraws(t *testing.T) {
 }
 
 // copyTree copies the module at root to dir, leaving out hidden
-// directories, results/ and benchmark/.
+// directories and results/.
 func copyTree(t *testing.T, root, dir string) {
 	t.Helper()
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
@@ -67,7 +67,7 @@ func copyTree(t *testing.T, root, dir string) {
 		}
 		rel, _ := filepath.Rel(root, path)
 		switch {
-		case d.IsDir() && rel != "." && (strings.HasPrefix(d.Name(), ".") || rel == "results" || rel == "benchmark"):
+		case d.IsDir() && rel != "." && (strings.HasPrefix(d.Name(), ".") || rel == "results"):
 			return filepath.SkipDir
 		case d.IsDir():
 			return os.MkdirAll(filepath.Join(dir, rel), 0o755)

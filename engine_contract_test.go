@@ -21,12 +21,13 @@ func loadedSim(t *testing.T) *Sim {
 
 // TestExecuteElapsedIsLastEvent pins that a horizon-limited Execute
 // reports the time of the last event it ran — found independently by
-// stepping a twin simulation up to the same horizon — not the horizon.
+// running a twin simulation one timestamp at a time up to the same
+// horizon — not the horizon.
 func TestExecuteElapsedIsLastEvent(t *testing.T) {
 	const horizon = 50 * Microsecond
 	twin := loadedSim(t)
-	for twin.Eng.NextEventTime() < horizon {
-		twin.Eng.Step()
+	for at := twin.Eng.NextEventTime(); at < horizon; at = twin.Eng.NextEventTime() {
+		twin.Eng.Run(at + 1)
 	}
 	want := twin.Eng.Now()
 	if want <= 0 || want >= horizon {

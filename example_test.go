@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"prdrb"
+	"prdrb/internal/network"
 )
 
 // The minimal experiment: deterministic routing, uniform traffic, one
@@ -89,7 +90,7 @@ func ExampleWorkload() {
 		panic(err)
 	}
 	fmt.Println("ranks:", tr.Ranks)
-	fmt.Println("allreduce-heavy:", tr.CallShare(prdrb.MPIAllreduce) > 0.2)
+	fmt.Println("allreduce-heavy:", tr.CallShare(network.MPIAllreduce) > 0.2)
 	// Output:
 	// ranks: 64
 	// allreduce-heavy: true

@@ -55,5 +55,5 @@ func main() {
 		}
 	}
 	fmt.Println("\nThe default lowering picks recursive doubling on power-of-two")
-	fmt.Println("communicators and the ring otherwise (see prdrb.DefaultAllreduceAlgorithm).")
+	fmt.Println("communicators and the ring otherwise (see prdrb.TraceBuilder.Allreduce).")
 }

@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"prdrb/internal/core"
+	"prdrb/internal/provision"
+	"prdrb/internal/topology"
 )
 
 // The §5.2 static variation through the facade: train, export, import into
@@ -110,7 +112,7 @@ func TestEnergyPinned(t *testing.T) {
 	}
 	// The line rounds to a millijoule; the fields pin every bit. The
 	// conversion strips String so %+v prints them.
-	type fields EnergyReport
+	type fields provision.EnergyReport
 	const wantFields = "{Elapsed:220.098us TotalJoules:0.09901849599999998 ActiveJoules:0.02900172799999997 GatedJoules:0.02900172799999997 IdleLinks:143 Links:384}"
 	if got := fmt.Sprintf("%+v", fields(rep)); got != wantFields {
 		t.Errorf("energy fields\n got: %s\nwant: %s", got, wantFields)
@@ -339,7 +341,7 @@ func TestVariableBursts(t *testing.T) {
 }
 
 func TestFacadeSmallCoverage(t *testing.T) {
-	if Grid([]int{3, 3}, true).NumRouters() != 9 {
+	if topology.NewGrid([]int{3, 3}, true).NumRouters() != 9 {
 		t.Fatal("Grid wrong")
 	}
 	if core.DRBConfig().Predictive || !core.PRFRDRBConfig().Predictive {

@@ -5,6 +5,8 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"prdrb/internal/faults"
 )
 
 // goldenPath is the committed reference output of goldenSummaries. It is the
@@ -40,7 +42,7 @@ func goldenSummaries(t testing.TB) string {
 	// packet-drop, loss-notification and recovery machinery.
 	for _, p := range []Policy{PolicyDeterministic, PolicyDRB, PolicyPRDRB} {
 		s := MustNewSim(Experiment{Topology: Mesh(4, 4), Policy: p, Seed: 23})
-		plan := RandomLinkFaults(s.Net.Topo, 23, 3, 50*Microsecond, 100*Microsecond, 300*Microsecond)
+		plan := faults.RandomLinkFaults(s.Net.Topo, 23, 3, 50*Microsecond, 100*Microsecond, 300*Microsecond)
 		if _, err := s.InstallFaults(plan); err != nil {
 			t.Fatal(err)
 		}

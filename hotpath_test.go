@@ -21,7 +21,7 @@ import (
 // to one pointer comparison and the zero-alloc bound covers them all.
 func TestHotPathZeroAlloc(t *testing.T) {
 	s := MustNewSim(Experiment{Topology: FatTree(4, 3), Policy: PolicyAdaptive, Seed: 7})
-	if s.Telemetry != nil || s.Net.Tracer() != nil {
+	if s.Telemetry != nil || s.Net.Shards[0].Tracer != nil {
 		t.Fatal("telemetry must stay detached unless the experiment asks for it")
 	}
 	// Same contract for the congestion observability plane: off by default,
@@ -52,11 +52,7 @@ func TestHotPathZeroAlloc(t *testing.T) {
 		t.Fatal("queue drained during warmup; workload no longer saturates the engine")
 	}
 	avg := testing.AllocsPerRun(5, func() {
-		for i := 0; i < 20000; i++ {
-			if !s.Eng.Step() {
-				t.Fatal("engine drained mid-measurement")
-			}
-		}
+		runEvents(t, s.Eng, 20000)
 	})
 	if avg != 0 {
 		t.Fatalf("hot path allocates %.2f allocs per 20k events, want 0", avg)
@@ -102,11 +98,7 @@ func TestHotPathZeroAllocPRDRB(t *testing.T) {
 				primed.PathsOpened, primed.ReuseApplications)
 		}
 		avg := testing.AllocsPerRun(5, func() {
-			for i := 0; i < 20000; i++ {
-				if !s.Eng.Step() {
-					t.Fatal("engine drained mid-measurement")
-				}
-			}
+			runEvents(t, s.Eng, 20000)
 		})
 		after := core.AggregateStats(s.Controllers)
 		if open, _ := core.OpenPathCounts(s.Controllers); open == 0 || after.AcksSeen-primed.AcksSeen < 5000 {
@@ -174,22 +166,17 @@ func TestHotPathZeroAllocPRDRB(t *testing.T) {
 		}
 		s.Eng.Run(8*550*Microsecond + 100*Microsecond)
 		flagged = 0
-		start := s.Eng.Now()
+		stored := func() (n int) {
+			for _, c := range s.Controllers {
+				n += c.DB().Size()
+			}
+			return n
+		}
+		created := -stored() // solutions first saved in the window; none is evicted at this size
 		before := allocsByFunction()
-		for i := 0; i < 20000; i++ {
-			if !s.Eng.Step() {
-				t.Fatal("engine drained mid-measurement")
-			}
-		}
+		runEvents(t, s.Eng, 20000)
 		after := allocsByFunction()
-		created := 0 // solutions first saved in the window
-		for _, c := range s.Controllers {
-			for _, sol := range c.DB().Patterns() {
-				if sol.SavedAt >= start {
-					created++
-				}
-			}
-		}
+		created += stored()
 		if flagged < 100 {
 			t.Fatalf("the measured window delivered %d ACKs carrying contending flows; it no longer exercises the notification path", flagged)
 		}
@@ -265,6 +252,16 @@ func TestEventsPerHop(t *testing.T) {
 			t.Errorf("%s: %d events for %d packets (%.3f per packet), want %d for %d (%.3f)",
 				c.name, got, res.DeliveredPkts, float64(got)/float64(res.DeliveredPkts),
 				c.events, c.pkts, float64(c.events)/float64(c.pkts))
+		}
+	}
+}
+
+// runEvents executes at least n events, one timestamp at a time, and fails
+// if the engine drains first.
+func runEvents(t *testing.T, e *sim.Engine, n uint64) {
+	for done := uint64(0); done < n; done += e.Run(e.NextEventTime() + 1) {
+		if e.Len() == 0 {
+			t.Fatal("engine drained mid-measurement")
 		}
 	}
 }

@@ -288,18 +288,6 @@ func ReduceBcast(n, bytes int) *Schedule {
 	})
 }
 
-// RingReduceScatter scatters the reduction of a bytes-sized vector so each
-// rank ends with one 1/n chunk: n-1 ring steps of one chunk each.
-func RingReduceScatter(n, bytes int) *Schedule {
-	return build(n, func(s *Schedule) { ringSteps(s, ceilDiv(bytes, n)) })
-}
-
-// RingAllgather gathers every rank's blockBytes-sized block onto all
-// ranks: n-1 ring steps, each forwarding one block clockwise.
-func RingAllgather(n, blockBytes int) *Schedule {
-	return build(n, func(s *Schedule) { ringSteps(s, blockBytes) })
-}
-
 // PairwiseAlltoall is the n-1-step pairwise exchange: at step s every rank
 // swaps its block with rank^s (power-of-two, perfect pairing) or sends to
 // (rank+s) mod n while receiving from (rank-s+n) mod n (ring shifts).
@@ -324,45 +312,18 @@ func PairwiseAlltoall(n, bytesPerPair int) *Schedule {
 	})
 }
 
-// BruckAlltoall is the log2(n)-round store-and-forward alltoall: in round
-// mask every rank ships all blocks whose (virtual) destination index has
-// the mask bit set to rank+mask, receiving the mirror bundle from
-// rank-mask. ceil(log2 n) larger messages instead of n-1 small ones —
-// the latency-optimal choice for small blocks.
-func BruckAlltoall(n, bytesPerPair int) *Schedule {
-	return build(n, func(s *Schedule) {
-		for mask := 1; mask < n; mask <<= 1 {
-			blocks := 0
-			for j := 1; j < n; j++ {
-				if j&mask != 0 {
-					blocks++
-				}
-			}
-			sz := blocks * bytesPerPair
-			for r := 0; r < n; r++ {
-				s.exchange(r, (r+mask)%n, (r-mask+n)%n, sz)
-			}
-		}
-	})
-}
-
 // Algorithm names.
 const (
 	AlgRecursiveDoubling = "recursive-doubling"
 	AlgRing              = "ring"
 	AlgHalvingDoubling   = "halving-doubling"
 	AlgReduceBcast       = "reduce-bcast"
-	AlgPairwise          = "pairwise"
-	AlgBruck             = "bruck"
 )
 
 // AllreduceAlgorithms lists the selectable allreduce algorithm names.
 func AllreduceAlgorithms() []string {
 	return []string{AlgRecursiveDoubling, AlgRing, AlgHalvingDoubling, AlgReduceBcast}
 }
-
-// AlltoallAlgorithms lists the selectable alltoall algorithm names.
-func AlltoallAlgorithms() []string { return []string{AlgPairwise, AlgBruck} }
 
 // DefaultAllreduce names the allreduce the trace builder lowers to when no
 // algorithm is requested: recursive doubling on power-of-two communicators
@@ -373,9 +334,6 @@ func DefaultAllreduce(n int) string {
 	}
 	return AlgRing
 }
-
-// DefaultAlltoall names the default alltoall algorithm.
-func DefaultAlltoall(n int) string { return AlgPairwise }
 
 // Allreduce builds the named allreduce schedule over n ranks reducing a
 // bytes-sized vector.
@@ -391,16 +349,4 @@ func Allreduce(alg string, n, bytes int) (*Schedule, error) {
 		return ReduceBcast(n, bytes), nil
 	}
 	return nil, fmt.Errorf("collectives: unknown allreduce algorithm %q (want %v)", alg, AllreduceAlgorithms())
-}
-
-// Alltoall builds the named alltoall schedule over n ranks exchanging
-// bytesPerPair-sized blocks between every pair.
-func Alltoall(alg string, n, bytesPerPair int) (*Schedule, error) {
-	switch alg {
-	case AlgPairwise:
-		return PairwiseAlltoall(n, bytesPerPair), nil
-	case AlgBruck:
-		return BruckAlltoall(n, bytesPerPair), nil
-	}
-	return nil, fmt.Errorf("collectives: unknown alltoall algorithm %q (want %v)", alg, AlltoallAlgorithms())
 }

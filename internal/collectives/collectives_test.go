@@ -55,19 +55,11 @@ func TestAllAlgorithmsMatched(t *testing.T) {
 				}
 				checkMatched(t, s)
 			}
-			for _, alg := range AlltoallAlgorithms() {
-				s, err := Alltoall(alg, n, 256)
-				if err != nil {
-					t.Fatal(err)
-				}
-				checkMatched(t, s)
-			}
+			checkMatched(t, PairwiseAlltoall(n, 256))
 			for _, root := range []int{0, 1, n - 1} {
 				checkMatched(t, BinomialBcast(n, root, 512))
 				checkMatched(t, BinomialReduce(n, root, 512))
 			}
-			checkMatched(t, RingReduceScatter(n, 4096))
-			checkMatched(t, RingAllgather(n, 4096/n))
 		})
 	}
 }
@@ -136,9 +128,6 @@ func TestUnknownAlgorithm(t *testing.T) {
 	if _, err := Allreduce("bogus", 8, 64); err == nil {
 		t.Error("unknown allreduce accepted")
 	}
-	if _, err := Alltoall("bogus", 8, 64); err == nil {
-		t.Error("unknown alltoall accepted")
-	}
 }
 
 // TestDefaults pins the default selection: the historical recursive
@@ -150,13 +139,10 @@ func TestDefaults(t *testing.T) {
 	if DefaultAllreduce(12) != AlgRing {
 		t.Error("non-pow2 default is not ring")
 	}
-	if DefaultAlltoall(12) != AlgPairwise {
-		t.Error("alltoall default is not pairwise")
-	}
 }
 
 // TestAlltoallStepCounts pins the round structure: pairwise needs n-1
-// exchange steps per rank, Bruck ceil(log2 n).
+// exchange steps per rank.
 func TestAlltoallStepCounts(t *testing.T) {
 	for _, n := range rankCounts {
 		pw := PairwiseAlltoall(n, 64)
@@ -168,20 +154,6 @@ func TestAlltoallStepCounts(t *testing.T) {
 		}
 		if waits != n-1 {
 			t.Fatalf("n=%d: pairwise has %d rounds on rank 0, want %d", n, waits, n-1)
-		}
-		br := BruckAlltoall(n, 64)
-		waits = 0
-		for _, st := range br.Steps[0] {
-			if st.Op == OpWaitall {
-				waits++
-			}
-		}
-		logn := 0
-		for m := 1; m < n; m <<= 1 {
-			logn++
-		}
-		if waits != logn {
-			t.Fatalf("n=%d: bruck has %d rounds, want %d", n, waits, logn)
 		}
 	}
 }
@@ -220,13 +192,9 @@ func maxRankSendBytes(s *Schedule) int64 {
 
 // everySchedule generates one schedule of every algorithm over n ranks.
 func everySchedule(n int) []*Schedule {
-	out := []*Schedule{BinomialBcast(n, 1, 512), BinomialReduce(n, n-1, 512), RingReduceScatter(n, 4096), RingAllgather(n, 64)}
+	out := []*Schedule{BinomialBcast(n, 1, 512), BinomialReduce(n, n-1, 512), PairwiseAlltoall(n, 256)}
 	for _, alg := range AllreduceAlgorithms() {
 		s, _ := Allreduce(alg, n, 4096)
-		out = append(out, s)
-	}
-	for _, alg := range AlltoallAlgorithms() {
-		s, _ := Alltoall(alg, n, 256)
 		out = append(out, s)
 	}
 	return out

@@ -43,7 +43,7 @@ func TestWaypointsAliasImmutablePaths(t *testing.T) {
 		}
 		eng.Schedule(0, tick)
 	}
-	eng.RunAll()
+	eng.Run(sim.Infinity)
 
 	open, aliased := 0, 0
 	for _, mp := range ctls[0].sh.index.slots {

@@ -91,20 +91,6 @@ type shardState struct {
 	sigBuf []network.FlowKey
 }
 
-// New builds a controller for one source node with a shard context of its
-// own and a copy of rng's state. It panics on an invalid configuration (a
-// policy bug, not an input condition).
-func New(node topology.NodeID, topo topology.Topology, eng *sim.Engine, cfg Config, rng *sim.RNG) *Controller {
-	if err := cfg.Validate(); err != nil {
-		panic(err)
-	}
-	c := &Controller{Node: node, sh: &shardState{cfg: cfg, topo: topo, eng: eng}, rng: *rng}
-	if cfg.Predictive {
-		c.db = NewSolutionDB()
-	}
-	return c
-}
-
 // Name implements network.SourceController.
 func (c *Controller) Name() string {
 	switch cfg := &c.sh.cfg; {

@@ -10,6 +10,20 @@ import (
 	"prdrb/internal/topology"
 )
 
+// newController builds a controller for one source node with a shard
+// context of its own and a copy of rng's state. It panics on an invalid
+// configuration (a policy bug, not an input condition).
+func newController(node topology.NodeID, topo topology.Topology, eng *sim.Engine, cfg Config, rng *sim.RNG) *Controller {
+	if err := cfg.Validate(); err != nil {
+		panic(err)
+	}
+	c := &Controller{Node: node, sh: &shardState{cfg: cfg, topo: topo, eng: eng}, rng: *rng}
+	if cfg.Predictive {
+		c.db = NewSolutionDB()
+	}
+	return c
+}
+
 func TestConfigValidation(t *testing.T) {
 	for name, cfg := range map[string]Config{
 		"drb": DRBConfig(), "pr-drb": PRDRBConfig(), "fr-drb": FRDRBConfig(), "pr-fr-drb": PRFRDRBConfig(),
@@ -48,7 +62,7 @@ func TestControllerNames(t *testing.T) {
 	for want, cfg := range map[string]Config{
 		"drb": DRBConfig(), "pr-drb": PRDRBConfig(), "fr-drb": FRDRBConfig(), "pr-fr-drb": PRFRDRBConfig(),
 	} {
-		if got := New(0, topo, eng, cfg, rng).Name(); got != want {
+		if got := newController(0, topo, eng, cfg, rng).Name(); got != want {
 			t.Errorf("Name() = %q, want %q", got, want)
 		}
 		if named, ok := ConfigByName(want); !ok || named != cfg {
@@ -86,7 +100,7 @@ func TestSelectionPDF(t *testing.T) {
 	mp.latNs = 10000
 	mp.spill()
 	mp.paths = append(mp.paths, pathState{id: 1, latNs: 30000})
-	c := New(0, topology.NewMesh(4, 4), sim.NewEngine(), cfg, sim.NewRNG(42))
+	c := newController(0, topology.NewMesh(4, 4), sim.NewEngine(), cfg, sim.NewRNG(42))
 	counts := map[int32]int{}
 	const n = 30000
 	for i := 0; i < n; i++ {
@@ -107,7 +121,7 @@ func TestSelectionPrefersShorterPaths(t *testing.T) {
 	// Same latency but 4 extra hops: must be picked less often.
 	mp.spill()
 	mp.paths = append(mp.paths, pathState{id: 1, latNs: 5000, extraHops: 4})
-	c := New(0, topology.NewMesh(4, 4), sim.NewEngine(), cfg, sim.NewRNG(7))
+	c := newController(0, topology.NewMesh(4, 4), sim.NewEngine(), cfg, sim.NewRNG(7))
 	counts := map[int32]int{}
 	for i := 0; i < 20000; i++ {
 		_, id := c.selectPath(mp)
@@ -217,9 +231,6 @@ func TestSolutionDBSaveLookupUpdate(t *testing.T) {
 	if db.Size() != 2 {
 		t.Fatal("disjoint save did not add")
 	}
-	if len(db.Patterns()) != 2 {
-		t.Fatal("Patterns() incomplete")
-	}
 }
 
 func TestSolutionDBEviction(t *testing.T) {
@@ -259,7 +270,7 @@ func TestMetapathRestoreAssignsFreshIDs(t *testing.T) {
 }
 
 func TestZoneClassification(t *testing.T) {
-	c := New(0, topology.NewMesh(4, 4), sim.NewEngine(), DRBConfig(), sim.NewRNG(1))
+	c := newController(0, topology.NewMesh(4, 4), sim.NewEngine(), DRBConfig(), sim.NewRNG(1))
 	if c.zoneOf(float64(sim.Microsecond)) != ZoneLow {
 		t.Fatal("1us should be Low")
 	}
@@ -287,14 +298,14 @@ func TestFSMOpensAndClosesPaths(t *testing.T) {
 	eng := sim.NewEngine()
 	cfg := DRBConfig()
 	cfg.OpenInterval = 0
-	ctl := New(0, topo, eng, cfg, sim.NewRNG(3))
+	ctl := newController(0, topo, eng, cfg, sim.NewRNG(3))
 
 	ack := func(lat sim.Time, mspID int) *network.Packet {
 		return &network.Packet{Type: network.AckPacket, Src: 63, Dst: 0, MSPIndex: int32(mspID), PathLatency: lat}
 	}
 	advance := func() {
 		eng.Schedule(eng.Now()+sim.Microsecond, func(*sim.Engine) {})
-		eng.RunAll()
+		eng.Run(sim.Infinity)
 	}
 	// Congest the direct path: repeated high-latency ACKs.
 	for i := 0; i < 6; i++ {
@@ -327,7 +338,7 @@ func TestMaxPathsOneNeverOpens(t *testing.T) {
 	eng := sim.NewEngine()
 	cfg := DRBConfig()
 	cfg.OpenInterval, cfg.MaxPaths = 0, 1
-	ctl := New(0, topology.NewMesh(8, 8), eng, cfg, sim.NewRNG(3))
+	ctl := newController(0, topology.NewMesh(8, 8), eng, cfg, sim.NewRNG(3))
 	for i := 0; i < 6; i++ {
 		ctl.HandleAck(eng, &network.Packet{Type: network.AckPacket, Src: 63, Dst: 0, MSPIndex: 0, PathLatency: 100 * sim.Microsecond})
 	}
@@ -353,7 +364,7 @@ func TestPredictiveSaveAndReuse(t *testing.T) {
 	eng := sim.NewEngine()
 	cfg := PRDRBConfig()
 	cfg.OpenInterval = 0
-	ctl := New(0, topo, eng, cfg, sim.NewRNG(3))
+	ctl := newController(0, topo, eng, cfg, sim.NewRNG(3))
 	pattern := []network.FlowKey{{Src: 0, Dst: 63}, {Src: 7, Dst: 63}, {Src: 56, Dst: 63}}
 
 	ack := func(lat sim.Time, mspID int, flows []network.FlowKey) *network.Packet {
@@ -362,7 +373,7 @@ func TestPredictiveSaveAndReuse(t *testing.T) {
 	}
 	advance := func() {
 		eng.Schedule(eng.Now()+sim.Microsecond, func(*sim.Engine) {})
-		eng.RunAll()
+		eng.Run(sim.Infinity)
 	}
 	// Burst 1: congestion with the pattern, gradual opening.
 	for i := 0; i < 6; i++ {
@@ -406,7 +417,7 @@ func TestNonPredictiveDoesNotReuse(t *testing.T) {
 	eng := sim.NewEngine()
 	cfg := DRBConfig()
 	cfg.OpenInterval = 0
-	ctl := New(0, topo, eng, cfg, sim.NewRNG(3))
+	ctl := newController(0, topo, eng, cfg, sim.NewRNG(3))
 	if ctl.DB() != nil {
 		t.Fatal("DRB has a solution DB")
 	}
@@ -424,7 +435,7 @@ func TestWatchdogFastResponse(t *testing.T) {
 	eng := sim.NewEngine()
 	cfg := FRDRBConfig()
 	cfg.OpenInterval = 0
-	ctl := New(0, topo, eng, cfg, sim.NewRNG(3))
+	ctl := newController(0, topo, eng, cfg, sim.NewRNG(3))
 	pkt := &network.Packet{Type: network.DataPacket, Src: 0, Dst: 63}
 	eng.Schedule(0, func(e *sim.Engine) { ctl.PrepareInjection(e, pkt) })
 	// The watchdog re-arms while packets stay outstanding, so run to a
@@ -439,7 +450,7 @@ func TestWatchdogFastResponse(t *testing.T) {
 	// ACK arrival must disarm the watchdog when nothing is outstanding.
 	ctl.HandleAck(eng, &network.Packet{Type: network.AckPacket, Src: 63, Dst: 0, MSPIndex: 0, PathLatency: 100})
 	fired := ctl.Stats.WatchdogFirings
-	eng.RunAll()
+	eng.Run(sim.Infinity)
 	if ctl.Stats.WatchdogFirings != fired {
 		t.Fatal("watchdog fired with no outstanding packets")
 	}
@@ -453,7 +464,7 @@ func TestWatchdogEvent(t *testing.T) {
 	topo := topology.NewMesh(8, 8)
 	eng := sim.NewEngine()
 	cfg := FRDRBConfig()
-	ctl := New(0, topo, eng, cfg, sim.NewRNG(3))
+	ctl := newController(0, topo, eng, cfg, sim.NewRNG(3))
 	ack := &network.Packet{Type: network.AckPacket, Src: 63, Dst: 0, MSPIndex: 0, PathLatency: 100}
 	send := func() { ctl.PrepareInjection(eng, &network.Packet{Type: network.DataPacket, Src: 0, Dst: 63}) }
 	send()
@@ -499,7 +510,7 @@ func TestFlowEvidenceOnlyPredictive(t *testing.T) {
 	flows := []network.FlowKey{{Src: 0, Dst: 63}, {Src: 5, Dst: 63}}
 	for _, cfg := range []Config{DRBConfig(), PRDRBConfig()} {
 		eng := sim.NewEngine()
-		ctl := New(0, topo, eng, cfg, sim.NewRNG(3))
+		ctl := newController(0, topo, eng, cfg, sim.NewRNG(3))
 		ctl.HandleAck(eng, withFlows(&network.Packet{Type: network.AckPacket, Src: 63, Dst: 0,
 			MSPIndex: 0, PathLatency: 100}, flows))
 		cd := ctl.find(63).cold
@@ -517,13 +528,13 @@ func TestPrepareInjectionSetsWaypoints(t *testing.T) {
 	eng := sim.NewEngine()
 	cfg := DRBConfig()
 	cfg.OpenInterval = 0
-	ctl := New(0, topo, eng, cfg, sim.NewRNG(3))
+	ctl := newController(0, topo, eng, cfg, sim.NewRNG(3))
 	// Open paths first.
 	for i := 0; i < 6; i++ {
 		ctl.HandleAck(eng, &network.Packet{Type: network.AckPacket, Src: 63, Dst: 0,
 			MSPIndex: 0, PathLatency: 100 * sim.Microsecond})
 		eng.Schedule(eng.Now()+sim.Microsecond, func(*sim.Engine) {})
-		eng.RunAll()
+		eng.Run(sim.Infinity)
 	}
 	sawWaypoints := false
 	for i := 0; i < 50; i++ {
@@ -546,7 +557,7 @@ func TestRouterBasedPredictiveAckTriggersHigh(t *testing.T) {
 	eng := sim.NewEngine()
 	cfg := DRBConfig()
 	cfg.OpenInterval = 0
-	ctl := New(0, topo, eng, cfg, sim.NewRNG(3))
+	ctl := newController(0, topo, eng, cfg, sim.NewRNG(3))
 	// Predictive ACK (MSPIndex = -1) signals congestion without latency.
 	ctl.HandleAck(eng, withFlows(&network.Packet{Type: network.AckPacket, Src: 63, Dst: 0,
 		MSPIndex: -1, Predictive: true, PathLatency: 50 * sim.Microsecond},

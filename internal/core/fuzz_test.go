@@ -20,7 +20,7 @@ func TestControllerInvariantsUnderRandomAcks(t *testing.T) {
 		cfg.OpenInterval = 0
 		cfg.Watchdog = 50 * sim.Microsecond
 		cfg.TrendHorizon = 100 * sim.Microsecond
-		ctl := New(0, topo, eng, cfg, sim.NewRNG(seed))
+		ctl := newController(0, topo, eng, cfg, sim.NewRNG(seed))
 		rng := sim.NewRNG(seed ^ 0xfeed)
 
 		for _, op := range script {

@@ -59,7 +59,7 @@ func TestControllerRecoversFromLinkFailure(t *testing.T) {
 			t.Errorf("FailLink: %v", err)
 		}
 	})
-	eng.RunAll()
+	eng.Run(sim.Infinity)
 
 	stats := core.AggregateStats(ctls)
 	if stats.PathFailures == 0 {

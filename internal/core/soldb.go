@@ -169,12 +169,3 @@ func (db *SolutionDB) Size() int {
 	}
 	return n
 }
-
-// Patterns returns every stored solution (for reporting).
-func (db *SolutionDB) Patterns() []*Solution {
-	var out []*Solution
-	for _, lst := range db.perDst {
-		out = append(out, lst...)
-	}
-	return out
-}

@@ -83,7 +83,7 @@ func TestTrendTriggersEarlyOpening(t *testing.T) {
 	cfg := DRBConfig()
 	cfg.OpenInterval = 0
 	cfg.TrendHorizon = 200 * sim.Microsecond
-	ctl := New(0, topo, eng, cfg, sim.NewRNG(3))
+	ctl := newController(0, topo, eng, cfg, sim.NewRNG(3))
 
 	// Ramp: 2,3,4,5,6 us — all below ThresholdHigh (10us), rising ~1us per
 	// ack. EWMA smoothing keeps L(MP) below threshold throughout.
@@ -92,7 +92,7 @@ func TestTrendTriggersEarlyOpening(t *testing.T) {
 		ctl.HandleAck(eng, &network.Packet{Type: network.AckPacket, Src: 63, Dst: 0,
 			MSPIndex: 0, PathLatency: lat})
 		eng.Schedule(eng.Now()+10*sim.Microsecond, func(*sim.Engine) {})
-		eng.RunAll()
+		eng.Run(sim.Infinity)
 	}
 	if ctl.Stats.TrendFirings == 0 {
 		t.Fatal("trend predictor never fired on a rising ramp")
@@ -104,7 +104,7 @@ func TestTrendTriggersEarlyOpening(t *testing.T) {
 	cfg2 := DRBConfig()
 	cfg2.OpenInterval = 0
 	eng2 := sim.NewEngine()
-	ctl2 := New(0, topo, eng2, cfg2, sim.NewRNG(3))
+	ctl2 := newController(0, topo, eng2, cfg2, sim.NewRNG(3))
 	for i := 0; i < 5; i++ {
 		lat := sim.Time(2+i) * sim.Microsecond
 		ctl2.HandleAck(eng2, &network.Packet{Type: network.AckPacket, Src: 63, Dst: 0,
@@ -120,14 +120,14 @@ func TestKnowledgeExportImportRoundTrip(t *testing.T) {
 	eng := sim.NewEngine()
 	cfg := PRDRBConfig()
 	cfg.OpenInterval = 0
-	trained := New(0, topo, eng, cfg, sim.NewRNG(3))
+	trained := newController(0, topo, eng, cfg, sim.NewRNG(3))
 	pattern := []network.FlowKey{{Src: 0, Dst: 63}, {Src: 7, Dst: 63}}
 	// Train: force H then save on H->M.
 	for i := 0; i < 6; i++ {
 		trained.HandleAck(eng, withFlows(&network.Packet{Type: network.AckPacket, Src: 63, Dst: 0,
 			MSPIndex: 0, PathLatency: 100 * sim.Microsecond}, pattern))
 		eng.Schedule(eng.Now()+sim.Microsecond, func(*sim.Engine) {})
-		eng.RunAll()
+		eng.Run(sim.Infinity)
 	}
 	for _, id := range openPathIDs(trained, 63) {
 		trained.HandleAck(eng, withFlows(&network.Packet{Type: network.AckPacket, Src: 63, Dst: 0,
@@ -156,7 +156,7 @@ func TestKnowledgeExportImportRoundTrip(t *testing.T) {
 	// Import into a fresh controller: the first congestion with the known
 	// pattern must reuse immediately (no gradual opening).
 	eng3 := sim.NewEngine()
-	fresh := New(0, topo, eng3, cfg, sim.NewRNG(4))
+	fresh := newController(0, topo, eng3, cfg, sim.NewRNG(4))
 	if err := ImportKnowledge([]*Controller{fresh}, k2); err != nil {
 		t.Fatal(err)
 	}
@@ -174,11 +174,11 @@ func TestImportKnowledgeErrors(t *testing.T) {
 	topo := topology.NewMesh(4, 4)
 	eng := sim.NewEngine()
 	k := &Knowledge{Nodes: []exportNode{{Node: 99, Solutions: []exportSolution{{Dst: 1}}}}}
-	c := New(0, topo, eng, PRDRBConfig(), sim.NewRNG(1))
+	c := newController(0, topo, eng, PRDRBConfig(), sim.NewRNG(1))
 	if err := ImportKnowledge([]*Controller{c}, k); err == nil {
 		t.Fatal("unknown node accepted")
 	}
-	plain := New(0, topo, eng, DRBConfig(), sim.NewRNG(1))
+	plain := newController(0, topo, eng, DRBConfig(), sim.NewRNG(1))
 	k2 := &Knowledge{Nodes: []exportNode{{Node: 0, Solutions: []exportSolution{{Dst: 1}}}}}
 	if err := ImportKnowledge([]*Controller{plain}, k2); err == nil {
 		t.Fatal("non-predictive controller accepted knowledge")

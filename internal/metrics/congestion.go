@@ -143,9 +143,6 @@ func (c *Collector) EnableCongestion(miceMax, elephantMin int64) {
 	c.FCT = NewFCTStats(miceMax, elephantMin)
 }
 
-// CongestionEnabled reports whether FCT/attribution collection is on.
-func (c *Collector) CongestionEnabled() bool { return c != nil && c.FCT != nil }
-
 // CongestionOn reports whether the handle's collector records FCT and
 // attribution — the gate observation sites check before computing
 // arguments for MessageCompleted/PacketAttributed.

@@ -111,9 +111,6 @@ func (h *Histogram) Observe(v sim.Time) {
 // Count returns the number of recorded samples.
 func (h *Histogram) Count() int64 { return h.total }
 
-// Sum returns the sum of all recorded samples in nanoseconds.
-func (h *Histogram) Sum() float64 { return h.sum }
-
 // Export snapshots the histogram for exposition: parallel slices of bucket
 // upper bounds (ns, ascending) and the cumulative count of samples at or
 // below each bound, plus the total count and sample sum. Empty buckets are

@@ -51,8 +51,8 @@ func TestMergeDisjointExact(t *testing.T) {
 		t.Fatalf("throughput %+v != %+v", got.Throughput, ref.Throughput)
 	}
 	for d := 0; d < nodes; d++ {
-		if got.Latency.Dst(d) != ref.Latency.Dst(d) {
-			t.Fatalf("dst %d latency %v != %v", d, got.Latency.Dst(d), ref.Latency.Dst(d))
+		if got.Latency.perDst[d].Mean() != ref.Latency.perDst[d].Mean() {
+			t.Fatalf("dst %d latency %v != %v", d, got.Latency.perDst[d].Mean(), ref.Latency.perDst[d].Mean())
 		}
 	}
 	if got.Latency.Global() != ref.Latency.Global() {
@@ -92,7 +92,7 @@ func TestMergeOverlapWeighted(t *testing.T) {
 	b.PacketDelivered(0, 10, 200, 0)
 	b.PacketDelivered(0, 10, 300, 0)
 	got := MergeCollectors([]*Collector{a, b})
-	if want := (100.0 + 200.0 + 300.0) / 3; math.Abs(got.Latency.Dst(0)-want) > 1e-9 {
-		t.Fatalf("weighted mean %v, want %v", got.Latency.Dst(0), want)
+	if want := (100.0 + 200.0 + 300.0) / 3; math.Abs(got.Latency.perDst[0].Mean()-want) > 1e-9 {
+		t.Fatalf("weighted mean %v, want %v", got.Latency.perDst[0].Mean(), want)
 	}
 }

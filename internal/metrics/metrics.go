@@ -49,9 +49,6 @@ func (nl *NodeLatency) Observe(dst int, latency sim.Time) {
 	nl.perDst[dst].Add(float64(latency))
 }
 
-// Dst returns the running average latency (ns) at destination dst.
-func (nl *NodeLatency) Dst(dst int) float64 { return nl.perDst[dst].Mean() }
-
 // Global returns the global average latency of Eq 4.2 in nanoseconds:
 // the mean over destinations that received traffic of their per-destination
 // running averages.
@@ -184,9 +181,6 @@ func (c *Contention) Observer(r int) RouterObserver {
 	return RouterObserver{st: &c.routers[r]}
 }
 
-// Valid reports whether the handle is attached to a router's stats.
-func (o RouterObserver) Valid() bool { return o.st != nil }
-
 // Observe records a queue wait at the handle's router at time now. It is
 // equivalent to Contention.Observe on the router the handle was built for.
 func (o RouterObserver) Observe(wait, now sim.Time) {
@@ -199,15 +193,6 @@ func (o RouterObserver) Observe(wait, now sim.Time) {
 		o.st.Series.Add(now, v)
 	}
 }
-
-// Avg returns the mean contention latency (ns) at router r.
-func (c *Contention) Avg(r int) float64 { return c.routers[r].Wait.Mean() }
-
-// Max returns the maximum single contention latency (ns) seen at router r.
-func (c *Contention) Max(r int) float64 { return c.routers[r].MaxNs }
-
-// Count returns the number of waits observed at router r.
-func (c *Contention) Count(r int) int64 { return c.routers[r].Wait.Count() }
 
 // SeriesOf returns the time series of router r (nil when disabled).
 func (c *Contention) SeriesOf(r int) *Series { return c.routers[r].Series }
@@ -347,14 +332,6 @@ func (t *Throughput) AcceptedRatio() float64 {
 		return 1
 	}
 	return float64(t.AcceptedPkts) / float64(t.OfferedPkts)
-}
-
-// Mbps returns the accepted data rate over the elapsed sim time.
-func (t *Throughput) Mbps(elapsed sim.Time) float64 {
-	if elapsed <= 0 {
-		return 0
-	}
-	return float64(t.AcceptedBytes) * 8 / elapsed.Seconds() / 1e6
 }
 
 // Collector bundles every per-run metric the experiments record.

@@ -172,12 +172,6 @@ func (n *Network) eachWiredPort(r topology.RouterID, f func(p int) error) error 
 	return nil
 }
 
-// LinkUp reports whether the link at router r, port p is in service.
-func (n *Network) LinkUp(r topology.RouterID, p int) bool {
-	op, err := n.portAt(r, p)
-	return err == nil && !op.isDown()
-}
-
 // PortUp reports whether the router's output port p has a live link — the
 // link-health predicate adaptive routing policies consult.
 func (r *Router) PortUp(p int) bool { return !r.out[p].isDown() }

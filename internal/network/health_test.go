@@ -22,7 +22,7 @@ func sendAll(t *testing.T, n *Network, pairs [][2]topology.NodeID) int {
 			n.NICs[pr[0]].Send(e, pr[1], 256, MPISend, 0)
 		}
 	})
-	n.Eng.RunAll()
+	n.Eng.Run(sim.Infinity)
 	return delivered
 }
 
@@ -122,7 +122,7 @@ func TestInFlightDropAndRepair(t *testing.T) {
 			t.Errorf("RestoreLink: %v", err)
 		}
 	})
-	e.RunAll()
+	e.Run(sim.Infinity)
 	if n.DroppedPkts() == 0 {
 		t.Fatalf("no packet dropped despite mid-flight failure")
 	}
@@ -155,7 +155,7 @@ func TestDegradedLinkSlowsButDelivers(t *testing.T) {
 			delivered++
 		}
 		n.Eng.Schedule(0, func(e *sim.Engine) { n.NICs[0].Send(e, 1, 4096, MPISend, 0) })
-		n.Eng.RunAll()
+		n.Eng.Run(sim.Infinity)
 		return delivered, n.Eng.Now()
 	}
 	gotFull, tFull := run(1)

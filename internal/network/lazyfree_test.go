@@ -89,7 +89,7 @@ func TestLazyFreeAtItsOwnInstant(t *testing.T) {
 				aheadChecked = true
 			})
 		})
-		n.Eng.RunAll()
+		n.Eng.Run(sim.Infinity)
 		if !aheadChecked || o.txBytes != 2048 || o.busyNs != 2*n.serPacket {
 			t.Fatalf("wheel=%v: second packet did not leave at the first one's serEnd: txBytes=%d busyNs=%v", wheel, o.txBytes, o.busyNs)
 		}
@@ -110,7 +110,7 @@ func TestLazyFreeAtItsOwnInstant(t *testing.T) {
 				})
 			})
 		})
-		n.Eng.RunAll()
+		n.Eng.Run(sim.Infinity)
 		if !behindChecked {
 			t.Fatalf("wheel=%v: behind-the-key probe never ran", wheel)
 		}
@@ -167,7 +167,7 @@ func TestLazyFreeAcrossLinkFailure(t *testing.T) {
 		if n.serPacket != 4096 || n.serHeader+o.txExtra() != hop {
 			t.Fatalf("test timings assume a 4096 ns packet and a %d ns hop, have %v and %v", hop, n.serPacket, n.serHeader+o.txExtra())
 		}
-		n.Eng.RunAll()
+		n.Eng.Run(sim.Infinity)
 		if o.txBytes != 2048 || o.serEnd != tc.leaves+8192 {
 			t.Errorf("%s: queued packet left at %v (txBytes %d), want %v",
 				tc.name, o.serEnd-8192, o.txBytes, tc.leaves)

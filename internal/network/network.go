@@ -356,15 +356,6 @@ func (n *Network) SetTracer(t *telemetry.Tracer) {
 	n.Shards[0].Tracer = t
 }
 
-// Tracer returns the serial-mode trace sink (nil when disabled or
-// sharded).
-func (n *Network) Tracer() *telemetry.Tracer {
-	if n.group != nil {
-		return nil
-	}
-	return n.Shards[0].Tracer
-}
-
 // SetSourceController installs the same controller constructor on every
 // NIC. build receives the node and must return that node's controller (or
 // nil for direct injection).

@@ -54,8 +54,6 @@ const (
 	MPIBarrier
 	MPISendrecv
 	MPIAlltoall
-	MPIReduceScatter
-	MPIAllgather
 )
 
 // MPITypeName names an MPI_type header value for reports ("?" for values
@@ -88,10 +86,6 @@ func MPITypeName(t uint8) string {
 		return "sendrecv"
 	case MPIAlltoall:
 		return "alltoall"
-	case MPIReduceScatter:
-		return "reduce-scatter"
-	case MPIAllgather:
-		return "allgather"
 	}
 	return "?"
 }

@@ -114,7 +114,7 @@ func TestDropReleasedPacketDoesNotAlias(t *testing.T) {
 			t.Errorf("RestoreLink: %v", err)
 		}
 	})
-	e.RunAll()
+	e.Run(sim.Infinity)
 
 	if len(spy.dropped) == 0 {
 		t.Fatalf("no drop observed; scenario no longer exercises the drop path")
@@ -178,7 +178,7 @@ func TestPoolRecycleKeepsDeliveryIdentity(t *testing.T) {
 		at := sim.Time(i) * 10 * sim.Microsecond
 		e.Schedule(at, func(e *sim.Engine) { n.NICs[0].Send(e, 1, 1024, MPISend, 0) })
 	}
-	e.RunAll()
+	e.Run(sim.Infinity)
 	if got != msgs {
 		t.Fatalf("delivered %d/%d messages", got, msgs)
 	}

@@ -150,3 +150,22 @@ func TestWireRoundTripProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestMPITypeName pins the names reports print for the MPI_type header
+// field: one per call of the block, "?" past MPIAlltoall, where the
+// reduce-scatter and allgather values (13, 14) stood.
+func TestMPITypeName(t *testing.T) {
+	want := []string{"none", "send", "isend", "recv", "irecv", "wait", "waitall", "bcast", "reduce", "allreduce", "barrier", "sendrecv", "alltoall"}
+	if len(want) != int(MPIAlltoall)+1 {
+		t.Fatalf("the MPI_type block ends at %d, want %d names", MPIAlltoall, len(want))
+	}
+	for v := 0; v < 256; v++ {
+		name := "?"
+		if v < len(want) {
+			name = want[v]
+		}
+		if got := MPITypeName(uint8(v)); got != name {
+			t.Errorf("MPITypeName(%d) = %q, want %q", v, got, name)
+		}
+	}
+}

@@ -178,9 +178,6 @@ func (p *Profiler) BindSerial(statsFn func() []sim.EngineStats) {
 	p.modesFn = nil
 }
 
-// Bound reports whether the profiler has a simulation attached.
-func (p *Profiler) Bound() bool { return p != nil && p.statsFn != nil }
-
 // RunStart opens a wall-clock segment around an Execute call. Nested or
 // repeated opens are idempotent.
 func (p *Profiler) RunStart() {

@@ -8,7 +8,6 @@
 package phase
 
 import (
-	"fmt"
 	"sort"
 	"strings"
 
@@ -252,11 +251,4 @@ func (a *Analysis) RepetitionWeight(minWeight int) int {
 		total += c.Weight
 	}
 	return total
-}
-
-// Summary renders a Table 2.2-style row.
-func (a *Analysis) Summary(name string, minWeight int) string {
-	rel := a.Relevant(minWeight)
-	return fmt.Sprintf("%-18s total_phases=%-4d relevant=%-3d weight=%d",
-		name, a.TotalPhases(), len(rel), a.RepetitionWeight(minWeight))
 }

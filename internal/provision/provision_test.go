@@ -158,7 +158,7 @@ func TestEnergyFromRun(t *testing.T) {
 			net.NICs[0].Send(e, 15, 1024, network.MPISend, 0)
 		}
 	})
-	eng.RunAll()
+	eng.Run(sim.Infinity)
 	var links network.LinkTable
 	net.ReadLinks(eng.Now(), &links)
 	rep := Energy(links.Links, eng.Now(), DefaultEnergyModel())
@@ -192,7 +192,7 @@ func TestLinkStatsAccounting(t *testing.T) {
 	col := metrics.NewCollector(16, 16, 0)
 	net := network.MustNew(eng, topo, cfg, detPolicy{}, col)
 	eng.Schedule(0, func(e *sim.Engine) { net.NICs[0].Send(e, 3, 2048, network.MPISend, 0) })
-	eng.RunAll()
+	eng.Run(sim.Infinity)
 	var links network.LinkTable
 	net.ReadLinks(eng.Now(), &links)
 	var bytes int64

@@ -42,7 +42,7 @@ func TestAllPoliciesDeliver(t *testing.T) {
 					}
 				}
 			})
-			net.Eng.RunAll()
+			net.Eng.Run(sim.Infinity)
 			got := net.Collector.Throughput.AcceptedPkts
 			if got != int64(sent) {
 				t.Fatalf("%s on %s: delivered %d/%d", pol.Name(), topo.Name(), got, sent)
@@ -66,7 +66,7 @@ func TestPoliciesHonorWaypoints(t *testing.T) {
 		net.Eng.Schedule(0, func(e *sim.Engine) {
 			net.NICs[0].Send(e, 63, 1024, network.MPISend, 0)
 		})
-		net.Eng.RunAll()
+		net.Eng.Run(sim.Infinity)
 		if !delivered {
 			t.Fatalf("%s did not deliver via waypoint", pol.Name())
 		}
@@ -96,7 +96,7 @@ func TestAdaptiveSpreadsLoad(t *testing.T) {
 				}
 			})
 		}
-		net.Eng.RunAll()
+		net.Eng.Run(sim.Infinity)
 		_, peak := net.Collector.Contention.Peak()
 		return peak
 	}

@@ -28,7 +28,7 @@ func TestTypedEventDelivery(t *testing.T) {
 	e.ScheduleEvent(30, r, 2, 99)
 	e.ScheduleEvent(10, r, 1, 7)
 	e.AfterEvent(20, r, 3, 1<<40)
-	e.RunAll()
+	e.Run(Infinity)
 	want := []struct {
 		at   Time
 		kind uint8
@@ -57,7 +57,7 @@ func TestTypedAndClosureInterleave(t *testing.T) {
 	e.ScheduleEvent(5, r, 0, 1)
 	e.Schedule(5, func(e *Engine) { order = append(order, 2) })
 	e.ScheduleEvent(5, r, 0, 3)
-	e.RunAll()
+	e.Run(Infinity)
 	for i, v := range order {
 		if v != i {
 			t.Fatalf("order = %v, want [0 1 2 3]", order)
@@ -81,7 +81,7 @@ func TestCancelTypedEvent(t *testing.T) {
 	if !e.Cancel(id) {
 		t.Fatal("Cancel reported not pending")
 	}
-	e.RunAll()
+	e.Run(Infinity)
 	if len(r.got) != 1 || r.got[0].kind != 2 {
 		t.Fatalf("got %+v, want only kind-2 delivery", r.got)
 	}
@@ -108,12 +108,12 @@ func TestTypedSchedulingZeroAlloc(t *testing.T) {
 	// Warm-up: grow the free list and the heap's backing array.
 	p := &ping{left: 64}
 	e.ScheduleEvent(e.Now(), p, 0, 0)
-	e.RunAll()
+	e.Run(Infinity)
 
 	avg := testing.AllocsPerRun(100, func() {
 		p.left = 100
 		e.ScheduleEvent(e.Now(), p, 0, 0)
-		e.RunAll()
+		e.Run(Infinity)
 	})
 	if avg != 0 {
 		t.Fatalf("typed-event path allocates: %.2f allocs/run, want 0", avg)
@@ -142,7 +142,7 @@ func TestLenExcludesCancelled(t *testing.T) {
 	if e.Len() != 3 {
 		t.Fatalf("Len after double cancel = %d, want 3", e.Len())
 	}
-	e.RunAll()
+	e.Run(Infinity)
 	if e.Len() != 0 {
 		t.Fatalf("Len after drain = %d, want 0", e.Len())
 	}
@@ -179,7 +179,7 @@ func TestFreelistTracksQueueDepth(t *testing.T) {
 	for i := 0; i < depth; i++ {
 		e.ScheduleEvent(Time(i), r, 0, 0)
 	}
-	e.RunAll()
+	e.Run(Infinity)
 	if e.freeN != depth {
 		t.Fatalf("free list kept %d of %d records, want all (cap should track peak depth %d)", e.freeN, depth, depth)
 	}
@@ -195,7 +195,7 @@ func TestFreelistTracksQueueDepth(t *testing.T) {
 		for i := 0; i < depth; i++ {
 			e.ScheduleEvent(e.Now()+Time(i), r, 0, 0)
 		}
-		e.RunAll()
+		e.Run(Infinity)
 	})
 	if avg != 0 {
 		t.Fatalf("warmed deep run allocates %.2f/run, want 0", avg)

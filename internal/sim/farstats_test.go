@@ -37,7 +37,7 @@ func TestFarStatsOverflowAndMigration(t *testing.T) {
 	if !e.Cancel(cancelID) {
 		t.Fatal("cancel failed")
 	}
-	e.RunAll()
+	e.Run(Infinity)
 	ov, mig := e.FarStats()
 	if ov != 10 || mig != 9 {
 		t.Fatalf("after drain: overflows=%d migrations=%d, want 10, 9", ov, mig)
@@ -60,7 +60,7 @@ func TestFarStatsHeapMode(t *testing.T) {
 	e := NewEngine()
 	c := &countActor{}
 	e.ScheduleEvent(Time(wheelSpan*4), c, 0, 0)
-	e.RunAll()
+	e.Run(Infinity)
 	if ov, mig := e.FarStats(); ov != 0 || mig != 0 {
 		t.Fatalf("heap mode counted far traffic: %d, %d", ov, mig)
 	}

@@ -115,7 +115,7 @@ func TestGroupProbeSequencing(t *testing.T) {
 			b := &pingActor{g: g, shard: last, latency: 150, log: &log, hops: 20}
 			a.peer, b.peer = b, a
 			g.Engines[0].ScheduleEvent(0, a, 0, 0)
-			g.RunAll()
+			g.Run(Infinity)
 			if probe.windows == 0 {
 				t.Fatal("probe saw no windows")
 			}
@@ -148,7 +148,7 @@ func TestShardGroupStats(t *testing.T) {
 	b := &pingActor{g: g, shard: 1, latency: 150, log: &log, hops: 10}
 	a.peer, b.peer = b, a
 	g.Engines[0].ScheduleEvent(0, a, 0, 0)
-	g.RunAll()
+	g.Run(Infinity)
 	stats := g.Stats()
 	if len(stats) != 2 {
 		t.Fatalf("got %d shard stats", len(stats))

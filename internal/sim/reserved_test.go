@@ -106,7 +106,7 @@ func runLazyWorld(wheelMode, reserve bool, seed uint64, horizons []Time) []strin
 	for _, h := range horizons {
 		e.Run(h)
 	}
-	e.RunAll()
+	e.Run(Infinity)
 	return append(w.log, fmt.Sprintf("seq=%d pending=%d unmaterialised=%d", e.Seq(), e.Len(), len(w.pending)))
 }
 
@@ -193,7 +193,7 @@ func TestScheduleReservedPassedPanics(t *testing.T) {
 		}
 		early := e.ReserveSeq()
 		e.ScheduleEvent(10, probeActor(func(*Engine) {}), 0, 0)
-		e.RunAll()
+		e.Run(Infinity)
 		for _, key := range []struct {
 			at  Time
 			seq uint64

@@ -690,6 +690,3 @@ func (g *ShardGroup) runShard(i int) {
 		g.probe.ShardDone(i, e.Processed-before)
 	}
 }
-
-// RunAll executes until the group fully drains.
-func (g *ShardGroup) RunAll() uint64 { return g.Run(Infinity) }

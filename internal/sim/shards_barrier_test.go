@@ -142,7 +142,7 @@ func runStress(t *testing.T, shards, procs, hops int, horizons []Time, force fun
 		g.Run(h)
 		waitGoroutines(t, baseline)
 	}
-	g.RunAll()
+	g.Run(Infinity)
 	waitGoroutines(t, baseline)
 	if probe.windows != res.windows || probe.windows != probe.ends {
 		t.Errorf("probe saw %d windows (%d ends), hook saw %d", probe.windows, probe.ends, res.windows)
@@ -266,7 +266,7 @@ func (b *bomb) HandleEvent(*Engine, uint8, uint64) { panic(b.msg) }
 func TestShardGroupWorkerPanic(t *testing.T) {
 	runAndRecover := func(g *ShardGroup) (msg string) {
 		defer func() { msg = fmt.Sprint(recover()) }()
-		g.RunAll()
+		g.Run(Infinity)
 		return "Run returned"
 	}
 	for _, procs := range []int{1, 2, 4} {

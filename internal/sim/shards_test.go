@@ -39,7 +39,7 @@ func runPingPong(t *testing.T, procs int) []string {
 	b := &pingActor{g: g, shard: 1, latency: 150, log: &log, hops: 20}
 	a.peer, b.peer = b, a
 	g.Engines[0].ScheduleEvent(0, a, 0, 0)
-	g.RunAll()
+	g.Run(Infinity)
 	return log
 }
 
@@ -77,7 +77,7 @@ func TestShardGroupLookaheadViolation(t *testing.T) {
 			t.Fatal("expected lookahead-violation panic")
 		}
 	}()
-	g.RunAll()
+	g.Run(Infinity)
 }
 
 // TestShardGroupBarrierTasks pins barrier-task quantization: a task runs
@@ -93,7 +93,7 @@ func TestShardGroupBarrierTasks(t *testing.T) {
 	// An event on shard 1 far later keeps the group alive past the tasks.
 	fired := Time(0)
 	g.Engines[1].Schedule(1000, func(e *Engine) { fired = e.Now() })
-	g.RunAll()
+	g.Run(Infinity)
 	if got := fmt.Sprint(order); got != "[a b c]" {
 		t.Fatalf("task order %v", order)
 	}

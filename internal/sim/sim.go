@@ -7,7 +7,7 @@
 // finite-state-machine processes.
 //
 // The queue has two interchangeable schedulers with one contract (same
-// (time, seq) firing order, same Now/Len/Step/Run/Cancel behaviour): the
+// (time, seq) firing order, same Now/Len/Run/Cancel behaviour): the
 // windowed wheel (wheel.go, EnableWheel), which every engine built by the
 // runner uses, and the plain binary heap of a bare NewEngine, kept as the
 // wheel's reference implementation and far-overflow store.
@@ -127,8 +127,7 @@ type Engine struct {
 	// farAt is queue[0].at while the heap is non-empty, kept by heapPush
 	// and heapPop so that the wheel's per-event migrateFar check reads no
 	// event record.
-	farAt   Time
-	stopped bool
+	farAt Time
 	// pending counts scheduled, not-yet-fired, not-cancelled events; the
 	// queue itself may additionally hold cancelled records awaiting pop.
 	pending int
@@ -358,9 +357,6 @@ func (e *Engine) Cancel(id EventID) bool {
 	return true
 }
 
-// Stop halts the run loop after the current event completes.
-func (e *Engine) Stop() { e.stopped = true }
-
 // heapPeek returns the heap's earliest live event without removing it,
 // recycling the cancelled records above it; nil when the heap is empty.
 // Recycle, not just pop: cancel-heavy runs (watchdog timers, fault repair)
@@ -408,17 +404,6 @@ func (e *Engine) fire(ev *event) {
 	a.HandleEvent(e, kind, arg)
 }
 
-// Step executes the single next event, leaving the clock at its time. It
-// returns false when nothing is pending.
-func (e *Engine) Step() bool {
-	ev := e.peek()
-	if ev == nil {
-		return false
-	}
-	e.fire(ev)
-	return true
-}
-
 // recycle returns a popped event record to the free list. Outstanding
 // EventIDs referring to it become stale, which Cancel tolerates: a fired
 // event has index -1 only transiently — after reuse it may be live again,
@@ -444,23 +429,15 @@ func (e *Engine) recycle(ev *event) {
 	}
 }
 
-// Run executes events until the queue drains, Stop is called, or the next
-// event lies at or past horizon (exclusive: events scheduled at exactly
-// horizon do not run). The clock is left at the last executed event, so
-// anything at or after Now() may still be scheduled before the next Run.
-// It returns the number of events executed.
+// Run executes events until the queue drains or the next event lies at or
+// past horizon (exclusive: events scheduled at exactly horizon do not
+// run). The clock is left at the last executed event, so anything at or
+// after Now() may still be scheduled before the next Run. It returns the
+// number of events executed.
 func (e *Engine) Run(horizon Time) uint64 {
 	start := e.Processed
-	e.stopped = false
-	for !e.stopped {
-		ev := e.peek()
-		if ev == nil || ev.at >= horizon {
-			break
-		}
+	for ev := e.peek(); ev != nil && ev.at < horizon; ev = e.peek() {
 		e.fire(ev)
 	}
 	return e.Processed - start
 }
-
-// RunAll executes events until the queue drains or Stop is called.
-func (e *Engine) RunAll() uint64 { return e.Run(Infinity) }

@@ -14,7 +14,7 @@ func TestEngineOrdering(t *testing.T) {
 		at := at
 		e.Schedule(at, func(*Engine) { got = append(got, at) })
 	}
-	e.RunAll()
+	e.Run(Infinity)
 	if !sort.SliceIsSorted(got, func(i, j int) bool { return got[i] < got[j] }) {
 		t.Fatalf("events fired out of order: %v", got)
 	}
@@ -30,7 +30,7 @@ func TestEngineFIFOAtSameTime(t *testing.T) {
 		i := i
 		e.Schedule(42, func(*Engine) { got = append(got, i) })
 	}
-	e.RunAll()
+	e.Run(Infinity)
 	for i, v := range got {
 		if v != i {
 			t.Fatalf("same-time events not FIFO: position %d has %d", i, v)
@@ -50,7 +50,7 @@ func TestEngineClockAdvances(t *testing.T) {
 			}
 		})
 	})
-	e.RunAll()
+	e.Run(Infinity)
 	if e.Now() != 150 {
 		t.Fatalf("final Now() = %v, want 150", e.Now())
 	}
@@ -66,7 +66,7 @@ func TestEngineSchedulePastPanics(t *testing.T) {
 		}()
 		e.Schedule(50, func(*Engine) {})
 	})
-	e.RunAll()
+	e.Run(Infinity)
 }
 
 func TestEngineNilHandlerPanics(t *testing.T) {
@@ -99,7 +99,7 @@ func TestEngineCancel(t *testing.T) {
 	if e.Cancel(id) {
 		t.Fatal("second Cancel returned true")
 	}
-	e.RunAll()
+	e.Run(Infinity)
 	if fired {
 		t.Fatal("cancelled event fired")
 	}
@@ -108,7 +108,7 @@ func TestEngineCancel(t *testing.T) {
 func TestEngineCancelAfterFire(t *testing.T) {
 	e := NewEngine()
 	id := e.Schedule(10, func(*Engine) {})
-	e.RunAll()
+	e.Run(Infinity)
 	if e.Cancel(id) {
 		t.Fatal("Cancel of already-fired event returned true")
 	}
@@ -125,26 +125,9 @@ func TestEngineRunHorizon(t *testing.T) {
 	if n != 2 || len(fired) != 2 {
 		t.Fatalf("Run(30) executed %d events (%v), want 2", n, fired)
 	}
-	e.RunAll()
+	e.Run(Infinity)
 	if len(fired) != 4 {
 		t.Fatalf("RunAll did not finish the rest: %v", fired)
-	}
-}
-
-func TestEngineStop(t *testing.T) {
-	e := NewEngine()
-	count := 0
-	for i := Time(1); i <= 10; i++ {
-		e.Schedule(i, func(e *Engine) {
-			count++
-			if count == 3 {
-				e.Stop()
-			}
-		})
-	}
-	e.RunAll()
-	if count != 3 {
-		t.Fatalf("Stop did not halt the loop: %d events ran", count)
 	}
 }
 
@@ -158,7 +141,7 @@ func TestEngineOrderingProperty(t *testing.T) {
 			at := Time(d)
 			e.Schedule(at, func(*Engine) { fired = append(fired, at) })
 		}
-		e.RunAll()
+		e.Run(Infinity)
 		if len(fired) != len(delays) {
 			return false
 		}
@@ -284,13 +267,13 @@ func TestTimeString(t *testing.T) {
 func TestStaleEventIDCannotCancelRecycledEvent(t *testing.T) {
 	e := NewEngine()
 	stale := e.Schedule(1, func(*Engine) {})
-	e.RunAll() // fires and recycles the record
+	e.Run(Infinity) // fires and recycles the record
 	fired := false
 	fresh := e.Schedule(5, func(*Engine) { fired = true })
 	if e.Cancel(stale) {
 		t.Fatal("stale ID cancelled something")
 	}
-	e.RunAll()
+	e.Run(Infinity)
 	if !fired {
 		t.Fatal("recycled event was suppressed by a stale ID")
 	}
@@ -311,7 +294,7 @@ func TestRecyclingStress(t *testing.T) {
 		}
 	}
 	e.Schedule(0, chain)
-	e.RunAll()
+	e.Run(Infinity)
 	if count != 5000 {
 		t.Fatalf("chain ran %d times", count)
 	}

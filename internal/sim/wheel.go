@@ -26,8 +26,8 @@ import "math/bits"
 // when an event fires or the owner calls AdvanceTo. Peeking (Run's
 // horizon check, NextEventTime) therefore never moves anything, which is
 // what keeps the engine contract identical to heap mode: Now() is the
-// time of the last executed event, Step works, and scheduling at any time
-// >= Now() is legal between Run calls.
+// time of the last executed event, and scheduling at any time >= Now() is
+// legal between Run calls.
 //
 // Ordering is identical to heap mode: every slot is (time, seq)-sorted,
 // the sequence counter is monotonic, and events fire in exactly

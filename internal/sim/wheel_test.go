@@ -159,7 +159,7 @@ func runSliced(wheelMode bool, seed uint64, check func(*Engine)) []string {
 			cancel(ring), cancel(far), cancel(firedID), cancel(ring), e.Len(), e.NextEventTime()))
 		firedID = atNow
 	}
-	e.RunAll()
+	e.Run(Infinity)
 	probe.checked(e)
 	log = append(log, fmt.Sprintf("drained: now=%d len=%d next=%d", e.Now(), e.Len(), e.NextEventTime()))
 	return log
@@ -195,10 +195,10 @@ func TestWheelMatchesHeapSliced(t *testing.T) {
 	}
 }
 
-// stepActor exercises the corners Step and Run must agree on: events
-// inserted into the slot being drained (same time, and 3 ns ahead — the
-// chain starts on a slot boundary, so that lands inside the same slot),
-// and Stop called from a handler.
+// stepActor exercises the corners a stepped and a whole Run must agree
+// on: events inserted into the slot being drained (same time, and 3 ns
+// ahead — the chain starts on a slot boundary, so that lands inside the
+// same slot).
 type stepActor struct {
 	log   *[]string
 	depth int
@@ -213,26 +213,23 @@ func (s *stepActor) HandleEvent(e *Engine, kind uint8, arg uint64) {
 	e.AfterEvent(0, s, 1, arg+1)
 	e.AfterEvent(3, s, 2, arg+1)
 	e.AfterEvent(Time(wheelSpan+arg), s, 3, arg+1)
-	if arg%3 == 0 {
-		e.Stop()
-	}
 }
 
-// TestStepMatchesRun pins that a wheel engine stepped event by event
-// executes exactly what the same engine does under Run (re-entered after
-// every Stop), and that both match the heap.
+// TestStepMatchesRun pins that a wheel engine stepped one timestamp at a
+// time, Run re-entered with a horizon just past the next event, executes
+// exactly what the same engine does under one Run, and that both match the
+// heap.
 func TestStepMatchesRun(t *testing.T) {
 	drive := func(wheelMode, step bool) []string {
 		var log []string
 		e := newStorm(wheelMode, 3, &log, nil)
 		e.ScheduleEvent(slotNs, &stepActor{log: &log, depth: 30}, 0, 0)
 		if step {
-			for e.Step() {
+			for e.Len() > 0 {
+				e.Run(e.NextEventTime() + 1)
 			}
 		} else {
-			for e.Len() > 0 {
-				e.Run(Infinity)
-			}
+			e.Run(Infinity)
 		}
 		return append(log, fmt.Sprintf("end: now=%d processed=%d len=%d", e.Now(), e.Processed, e.Len()))
 	}

@@ -52,7 +52,7 @@ var modeCells = []modeCell{
 		name: "mesh-4x4/deterministic/down-repair",
 		topo: func() prdrb.Topology { return prdrb.Mesh(4, 4) }, policy: prdrb.PolicyDeterministic,
 		install: func(t *testing.T, s *prdrb.Sim) prdrb.Time {
-			plan := prdrb.RandomLinkFaults(s.Net.Topo, 23, 6, 40*prdrb.Microsecond, 80*prdrb.Microsecond, 60*prdrb.Microsecond)
+			plan := faults.RandomLinkFaults(s.Net.Topo, 23, 6, 40*prdrb.Microsecond, 80*prdrb.Microsecond, 60*prdrb.Microsecond)
 			down := 0
 			for _, ev := range plan.Events {
 				if ev.Kind == faults.LinkDown {

@@ -67,7 +67,7 @@ func runBursts(t *testing.T, procs int, sizes []int) ([]bool, WindowModes) {
 	g.Engines[0].ScheduleEvent(0, b, 0, 0)
 	var seq []bool
 	g.OnBarrier(func(Time) { seq = append(seq, g.released) })
-	g.RunAll()
+	g.Run(Infinity)
 	want := 0
 	for _, n := range sizes {
 		want += n
@@ -178,7 +178,7 @@ func TestWindowModeInlineStartsNothing(t *testing.T) {
 	peak := 0
 	g.OnBarrier(func(Time) { peak = max(peak, runtime.NumGoroutine()) })
 	g.Engines[0].ScheduleEvent(0, &burstActor{sizes: make([]int, 500)}, 0, 0) // one event a window
-	g.RunAll()
+	g.Run(Infinity)
 	if m := g.WindowModes(); m.Released != 0 || m.Inline != 500 {
 		t.Fatalf("modes %+v, want 500 inline windows", m)
 	}
@@ -207,7 +207,7 @@ func TestWindowModeInlineStartsNothing(t *testing.T) {
 		asleep = true
 	})
 	g.Engines[0].ScheduleEvent(0, &burstActor{sizes: make([]int, 100)}, 0, 0)
-	g.RunAll()
+	g.Run(Infinity)
 	if !asleep {
 		t.Fatal("no inline window followed the released stretch")
 	}

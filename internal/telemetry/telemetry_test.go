@@ -9,6 +9,14 @@ import (
 	"prdrb/internal/sim"
 )
 
+// Events returns the recorded event log (the tracer retains ownership).
+func (t *Tracer) Events() []Event {
+	if t == nil {
+		return nil
+	}
+	return t.events
+}
+
 func TestNilTracerIsSafeAndFree(t *testing.T) {
 	var tr *Tracer
 	tr.BeginRun()

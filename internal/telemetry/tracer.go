@@ -62,14 +62,6 @@ func (t *Tracer) Len() int {
 	return len(t.events)
 }
 
-// Events returns the recorded event log (the tracer retains ownership).
-func (t *Tracer) Events() []Event {
-	if t == nil {
-		return nil
-	}
-	return t.events
-}
-
 func (t *Tracer) emit(ev Event) {
 	if t.run > 0 {
 		ev.Run = t.run

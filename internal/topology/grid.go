@@ -129,15 +129,6 @@ func (g *Grid) CoordOf(r RouterID) []int {
 	return c
 }
 
-// At returns the router at the given coordinates.
-func (g *Grid) At(c []int) RouterID {
-	v := 0
-	for d, x := range c {
-		v += x * g.stride[d]
-	}
-	return RouterID(v)
-}
-
 // RouterLabel implements Topology.
 func (g *Grid) RouterLabel(r RouterID) string {
 	c := g.CoordOf(r)

@@ -19,6 +19,15 @@ func gridTopologies() []*Grid {
 	}
 }
 
+// At returns the router at the given coordinates.
+func (g *Grid) At(c []int) RouterID {
+	v := 0
+	for d, x := range c {
+		v += x * g.stride[d]
+	}
+	return RouterID(v)
+}
+
 func TestGridWiring(t *testing.T) {
 	for _, g := range gridTopologies() {
 		if err := Validate(g); err != nil {

@@ -66,9 +66,6 @@ func (c *PathCache) Paths(src, dst NodeID) []Path {
 	return e.paths
 }
 
-// Len reports the resident pair count.
-func (c *PathCache) Len() int { return len(c.entries) }
-
 func (c *PathCache) pushFront(e *pathEntry) {
 	e.prev = nil
 	e.next = c.head

@@ -136,12 +136,12 @@ func TestPathCacheEvicts(t *testing.T) {
 	pc := NewPathCache(topo, 4, 8)
 	for dst := 1; dst < 20; dst++ {
 		pc.Paths(0, NodeID(dst))
-		if pc.Len() > 8 {
-			t.Fatalf("cache grew to %d entries past capacity 8", pc.Len())
+		if len(pc.entries) > 8 {
+			t.Fatalf("cache grew to %d entries past capacity 8", len(pc.entries))
 		}
 	}
-	if pc.Len() != 8 {
-		t.Fatalf("cache has %d entries, want 8", pc.Len())
+	if len(pc.entries) != 8 {
+		t.Fatalf("cache has %d entries, want 8", len(pc.entries))
 	}
 	// LRU: the most recently used pair survives a fill.
 	keep := pc.Paths(0, 19)

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -20,6 +21,41 @@ func allTopologies() []Topology {
 		NewDragonfly(4, 5, 1, 2),
 		NewDragonfly(4, 9, 2, 2),
 	}
+}
+
+// Validate walks every port of every router and checks that the wiring is
+// symmetric (if a.port -> b then b's peer port points back at a) and that
+// every terminal attaches exactly once. It returns an error describing the
+// first inconsistency. Every topology constructor is checked by it.
+func Validate(t Topology) error {
+	seen := make(map[NodeID]int)
+	for r := RouterID(0); int(r) < t.NumRouters(); r++ {
+		for p := 0; p < t.Radix(r); p++ {
+			peer := t.PortPeer(r, p)
+			switch {
+			case peer.Unwired():
+				continue
+			case peer.IsTerminal():
+				seen[peer.Terminal]++
+				ar, ap := t.TerminalAttach(peer.Terminal)
+				if ar != r || ap != p {
+					return fmt.Errorf("terminal %d attach mismatch: port says r%d.p%d, attach says r%d.p%d",
+						peer.Terminal, r, p, ar, ap)
+				}
+			default:
+				back := t.PortPeer(peer.Router, peer.Port)
+				if !back.IsRouter() || back.Router != r || back.Port != p {
+					return fmt.Errorf("asymmetric link r%d.p%d -> r%d.p%d", r, p, peer.Router, peer.Port)
+				}
+			}
+		}
+	}
+	for n := 0; n < t.NumTerminals(); n++ {
+		if seen[NodeID(n)] != 1 {
+			return fmt.Errorf("terminal %d attached %d times", n, seen[NodeID(n)])
+		}
+	}
+	return nil
 }
 
 func TestValidateWiring(t *testing.T) {

@@ -59,7 +59,7 @@ func (b *Builder) schedule(k schedKey) (*lowering, error) {
 	case network.MPIAllreduce, network.MPIBarrier: // a barrier is a zero-byte Allreduce
 		s, err = collectives.Allreduce(k.alg, k.n, k.bytes)
 	case network.MPIAlltoall:
-		s, err = collectives.Alltoall(k.alg, k.n, k.bytes)
+		s = collectives.PairwiseAlltoall(k.n, k.bytes)
 	default:
 		panic(fmt.Sprintf("trace: no lowering for MPI type %d", k.mpiType))
 	}
@@ -206,6 +206,5 @@ func (b *Builder) Barrier() {
 // FT) with the pairwise-exchange algorithm. bytesPerPair is the block each
 // pair swaps.
 func (b *Builder) Alltoall(bytesPerPair int) {
-	n := b.tr.Ranks
-	b.mustLower(schedKey{mpiType: network.MPIAlltoall, alg: collectives.DefaultAlltoall(n), n: n, bytes: bytesPerPair})
+	b.mustLower(schedKey{mpiType: network.MPIAlltoall, n: b.tr.Ranks, bytes: bytesPerPair})
 }

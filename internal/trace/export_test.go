@@ -1,21 +1,6 @@
 package trace
 
-import (
-	"fmt"
-
-	"prdrb/internal/collectives"
-)
-
-// lowerWith lowers collective k over every rank along schedule s, for the
-// collectives no Builder method emits: s is memoised as k's lowering, which
-// lower then finds.
-func (b *Builder) lowerWith(k schedKey, s *collectives.Schedule) {
-	if b.memo == nil {
-		b.memo = make(map[schedKey]*lowering)
-	}
-	b.memo[k] = &lowering{s: s}
-	b.mustLower(k)
-}
+import "fmt"
 
 // ProgramBytes is the storage the encoded programs of every rank take.
 func (t *Trace) ProgramBytes() int {

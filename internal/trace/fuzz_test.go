@@ -66,9 +66,7 @@ func FuzzReadTrace(f *testing.F) {
 		if tr.TotalEvents() > 1<<14 || bytes > 1<<22 {
 			return
 		}
-		cfg := network.DefaultConfig()
-		cfg.GenerateAcks = false
-		net := network.MustNew(sim.NewEngine(), topology.NewKAryNTree(4, 3), cfg, detPolicy{}, nil)
+		net := fuzzFabric()
 		rep, err := NewReplay(net, tr, nil)
 		if err != nil {
 			return
@@ -79,4 +77,12 @@ func FuzzReadTrace(f *testing.F) {
 			t.Fatalf("finished=%v but Err()=%v", rep.Finished(), rep.Err())
 		}
 	})
+}
+
+// fuzzFabric is the fabric the fuzz targets replay accepted inputs on:
+// ft-4-3 without ACKs.
+func fuzzFabric() *network.Network {
+	cfg := network.DefaultConfig()
+	cfg.GenerateAcks = false
+	return network.MustNew(sim.NewEngine(), topology.NewKAryNTree(4, 3), cfg, detPolicy{}, nil)
 }

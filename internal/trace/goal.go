@@ -94,7 +94,8 @@ func (g *Goal) TotalNodes() int {
 }
 
 // Validate checks the structural invariants every consumer relies on:
-// rank/peer ranges, tag and size sanity, in-range acyclic dependency
+// rank/peer ranges and tags, the trace's bounds on message size and on
+// compute time over all ranks (checkEvent), in-range acyclic dependency
 // edges. ReadGOAL validates automatically; call this on hand-built Goals
 // before replaying them.
 func (g *Goal) Validate() error {
@@ -104,28 +105,11 @@ func (g *Goal) Validate() error {
 	if len(g.Progs) != g.Ranks {
 		return fmt.Errorf("goal: %d rank programs for %d ranks", len(g.Progs), g.Ranks)
 	}
+	var compute sim.Time
 	for r, prog := range g.Progs {
 		for id, nd := range prog {
-			switch nd.Op {
-			case GoalCalc:
-				if nd.Dur < 0 {
-					return fmt.Errorf("goal: rank %d node %d: negative calc duration", r, id)
-				}
-			case GoalSend, GoalRecv:
-				if nd.Peer < 0 || nd.Peer >= g.Ranks {
-					return fmt.Errorf("goal: rank %d node %d: peer %d out of range [0,%d)", r, id, nd.Peer, g.Ranks)
-				}
-				if nd.Peer == r {
-					return fmt.Errorf("goal: rank %d node %d: self-message", r, id)
-				}
-				if nd.Bytes < 0 {
-					return fmt.Errorf("goal: rank %d node %d: negative size", r, id)
-				}
-				if nd.Tag < 0 || nd.Tag >= maxGoalTag {
-					return fmt.Errorf("goal: rank %d node %d: tag %d out of range", r, id, nd.Tag)
-				}
-			default:
-				return fmt.Errorf("goal: rank %d node %d: unknown op %d", r, id, nd.Op)
+			if err := g.checkNode(nd, r, &compute); err != nil {
+				return fmt.Errorf("goal: rank %d node %d: %w", r, id, err)
 			}
 			seen := make(map[int]bool, len(nd.Requires))
 			for _, dep := range nd.Requires {
@@ -146,6 +130,30 @@ func (g *Goal) Validate() error {
 		}
 	}
 	return nil
+}
+
+// checkNode holds node nd of rank r to checkEvent, the rule of the trace
+// event it stands for, with compute the calc time of the nodes checked
+// before it on every rank, as a trace counts it. A receive's size, which a
+// trace receive does not carry, is held to a send's bounds.
+func (g *Goal) checkNode(nd GoalNode, r int, compute *sim.Time) error {
+	ev := Event{Op: OpSend, Peer: nd.Peer, Bytes: nd.Bytes}
+	switch nd.Op {
+	case GoalCalc:
+		ev = Event{Op: OpCompute, Dur: nd.Dur}
+	case GoalRecv:
+		if nd.Bytes < 0 || nd.Bytes > maxMessageBytes {
+			return fmt.Errorf("message size %d out of range [0,%d]", nd.Bytes, maxMessageBytes)
+		}
+		ev.Op = OpRecv
+	case GoalSend:
+	default:
+		return fmt.Errorf("unknown op %d", nd.Op)
+	}
+	if nd.Op != GoalCalc && (nd.Tag < 0 || nd.Tag >= maxGoalTag) {
+		return fmt.Errorf("tag %d out of range", nd.Tag)
+	}
+	return checkEvent(ev, r, g.Ranks, compute)
 }
 
 // checkAcyclic runs Kahn's algorithm over one rank's dependency graph.
@@ -239,7 +247,8 @@ type goalEdge struct {
 
 // ReadGOAL parses and validates a serialized dependency-graph schedule.
 // Rejected inputs include duplicate or dangling labels, out-of-range
-// ranks and peers, self-messages, and dependency cycles.
+// ranks and peers, self-messages, sizes and calc totals past the trace's
+// bounds, and dependency cycles.
 func ReadGOAL(r io.Reader) (*Goal, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<24)

@@ -2,11 +2,13 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
 	"prdrb/internal/collectives"
 	"prdrb/internal/network"
+	"prdrb/internal/sim"
 )
 
 // buildTestGoal assembles a small hand-written graph: rank 0 computes,
@@ -47,7 +49,7 @@ func runGoalReplay(t *testing.T, net *network.Network, g *Goal) *GoalReplay {
 		t.Fatal(err)
 	}
 	rep.Start(0)
-	net.Eng.RunAll()
+	net.Eng.Run(sim.Infinity)
 	return rep
 }
 
@@ -224,6 +226,38 @@ func TestReadGOALRejects(t *testing.T) {
 	}
 }
 
+// TestReadGOALRefusesTraceBounds: a GOAL schedule is held to the bounds a
+// trace is, a send of at most 1 GiB and compute time summed over every
+// rank of at most maxTotalCompute, and the error names the rank and the
+// node. Unbounded,
+// the 1 TiB send fragments into packets until memory runs out, and the
+// long calc stalls the replay as if a rank were stuck.
+func TestReadGOALRefusesTraceBounds(t *testing.T) {
+	for _, c := range []struct{ name, src, want string }{
+		{"1TiB send", "prdrb-goal 1\nranks 2\nrank 0\nl0: send 1099511627776b to 1\nrank 1\nl0: recv 1099511627776b from 0\n",
+			"goal: rank 0 node 0: message size 1099511627776 out of range"},
+		{"1TiB recv", "prdrb-goal 1\nranks 2\nrank 1\nl0: calc 5\nl1: recv 1099511627776b from 0\n",
+			"goal: rank 1 node 1: message size 1099511627776 out of range"},
+		{"long calc", "prdrb-goal 1\nranks 2\nrank 0\nl0: calc 9223372036854775800\n",
+			"goal: rank 0 node 0: compute time adds up to more than"},
+		{"calc total", "prdrb-goal 1\nranks 2\nrank 1\nl0: calc 4611686018427387000\nl1: calc 4611686018427387000\n",
+			"goal: rank 1 node 1: compute time adds up to more than"},
+		{"calc over ranks", "prdrb-goal 1\nranks 2\nrank 0\nl0: calc 4611686018427387000\nrank 1\nl0: calc 4611686018427387000\n",
+			"goal: rank 1 node 0: compute time adds up to more than"},
+		{"self send", "prdrb-goal 1\nranks 2\nrank 1\nl0: send 8b to 1\n", "goal: rank 1 node 0: send to itself"},
+	} {
+		if _, err := ReadGOAL(strings.NewReader(c.src)); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want %q", c.name, err, c.want)
+		}
+	}
+	// At the bounds: accepted.
+	src := fmt.Sprintf("prdrb-goal 1\nranks 2\nrank 0\nl0: send %db to 1\nl1: calc %d\nrank 1\nl0: recv %db from 0\nl1: calc 5\n",
+		maxMessageBytes, maxTotalCompute-5, maxMessageBytes)
+	if _, err := ReadGOAL(strings.NewReader(src)); err != nil {
+		t.Errorf("a schedule at the bounds: %v", err)
+	}
+}
+
 func TestReadGOALForwardEdgeAndComments(t *testing.T) {
 	src := `# comment
 prdrb-goal 1
@@ -296,8 +330,10 @@ func TestGoalValidateRejectsHandBuilt(t *testing.T) {
 	}
 }
 
-// FuzzReadGOAL: the GOAL parser must never panic, and any schedule it
-// accepts must serialize canonically and re-parse to the same bytes.
+// FuzzReadGOAL: the GOAL parser must never panic, any schedule it accepts
+// must serialize canonically and re-parse to the same bytes, and replaying
+// an accepted schedule ends in an error or a finished replay, never a
+// panic, within FuzzReadTrace's budget and horizon.
 func FuzzReadGOAL(f *testing.F) {
 	b := NewBuilder("seed", 4)
 	b.Compute(0, 100)
@@ -338,6 +374,25 @@ func FuzzReadGOAL(f *testing.F) {
 		}
 		if out.String() != out2.String() {
 			t.Fatalf("unstable goal round trip:\n--- first\n%s--- second\n%s", out.String(), out2.String())
+		}
+		volume := 0
+		for _, prog := range g.Progs {
+			for _, nd := range prog {
+				volume += min(nd.Bytes, 1<<22)
+			}
+		}
+		if g.TotalNodes() > 1<<14 || volume > 1<<22 {
+			return
+		}
+		net := fuzzFabric()
+		rep, err := NewGoalReplay(net, g, nil)
+		if err != nil {
+			return
+		}
+		rep.Start(0)
+		net.Eng.Run(50 * sim.Millisecond)
+		if rep.Finished() != (rep.Err() == nil) {
+			t.Fatalf("finished=%v but Err()=%v", rep.Finished(), rep.Err())
 		}
 	})
 }

@@ -30,7 +30,7 @@ func TestReplayAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 			rep.Start(net.Eng.Now())
-			net.Eng.RunAll()
+			net.Eng.Run(sim.Infinity)
 			if err := rep.Err(); err != nil {
 				t.Fatal(err)
 			}

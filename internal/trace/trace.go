@@ -254,9 +254,6 @@ func (b *Builder) Build() *Trace {
 	return b.tr
 }
 
-// Ranks returns the trace's rank count.
-func (b *Builder) Ranks() int { return b.tr.Ranks }
-
 func (b *Builder) push(rank int, ev Event) {
 	if rank < 0 || rank >= b.tr.Ranks {
 		panic(fmt.Sprintf("trace: rank %d out of range", rank))

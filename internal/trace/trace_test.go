@@ -46,7 +46,7 @@ func runReplay(t *testing.T, net *network.Network, tr *Trace) *Replay {
 		t.Fatal(err)
 	}
 	rep.Start(0)
-	net.Eng.RunAll()
+	net.Eng.Run(sim.Infinity)
 	if err := rep.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestComputeDelaysExecution(t *testing.T) {
 			t.Fatal(err)
 		}
 		rep.Start(0)
-		net.Eng.RunAll()
+		net.Eng.Run(sim.Infinity)
 		if err := rep.Err(); err != nil {
 			t.Fatal(err)
 		}
@@ -264,7 +264,7 @@ func TestDeadlockDetection(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep.Start(0)
-	net.Eng.RunAll()
+	net.Eng.Run(sim.Infinity)
 	if rep.Err() == nil {
 		t.Fatal("stuck rank not reported")
 	}
@@ -281,11 +281,11 @@ func TestCustomMapping(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep.Start(0)
-	net.Eng.RunAll()
+	net.Eng.Run(sim.Infinity)
 	if err := rep.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if net.Collector.Latency.Dst(10) == 0 {
+	if net.NICs[10].Delivered == 0 {
 		t.Fatal("mapped traffic did not reach node 10")
 	}
 }

@@ -128,24 +128,6 @@ func (p *HotSpot) Destination(src topology.NodeID, _ *sim.RNG) topology.NodeID {
 	return -1
 }
 
-// Fixed is a full explicit permutation table (used by trace-derived
-// patterns and tests). Entries of -1 keep a source silent.
-type Fixed struct {
-	Label string
-	Dst   []topology.NodeID
-}
-
-// Name implements Pattern.
-func (p *Fixed) Name() string { return p.Label }
-
-// Destination implements Pattern.
-func (p *Fixed) Destination(src topology.NodeID, _ *sim.RNG) topology.NodeID {
-	if int(src) >= len(p.Dst) {
-		return -1
-	}
-	return p.Dst[src]
-}
-
 // ByName builds a Table 4.1 pattern for the given node count:
 // "shuffle", "bitreversal", "transpose", "uniform". The three bit
 // permutations need a power-of-two node count.

@@ -121,13 +121,6 @@ func TestHotSpotSilence(t *testing.T) {
 	}
 }
 
-func TestFixedPattern(t *testing.T) {
-	p := &Fixed{Label: "x", Dst: []topology.NodeID{5, -1}}
-	if p.Destination(0, nil) != 5 || p.Destination(1, nil) != -1 || p.Destination(9, nil) != -1 {
-		t.Fatal("fixed pattern wrong")
-	}
-}
-
 func TestByNameUnknown(t *testing.T) {
 	if _, err := ByName("nope", 16); err == nil {
 		t.Fatal("unknown pattern accepted")
@@ -196,7 +189,7 @@ func TestInstallInjectsAtRate(t *testing.T) {
 		Start:       0,
 		End:         200 * sim.Microsecond,
 	}, sim.NewRNG(1))
-	net.Eng.RunAll()
+	net.Eng.Run(sim.Infinity)
 	got := net.Collector.Throughput.OfferedPkts
 	want := int64(16 * 10)
 	if got < want-20 || got > want+20 {
@@ -217,16 +210,16 @@ func TestInstallRestrictedNodes(t *testing.T) {
 		End:         50 * sim.Microsecond,
 		Nodes:       []topology.NodeID{0, 1},
 	}, sim.NewRNG(1))
-	net.Eng.RunAll()
+	net.Eng.Run(sim.Infinity)
 	// Node 1 is not in the hot-spot flow table: silent. Only node 0 sends.
 	if net.Collector.Throughput.OfferedPkts == 0 {
 		t.Fatal("no packets offered")
 	}
-	if got := net.Collector.Latency.Dst(15); got <= 0 {
+	if net.NICs[15].Delivered == 0 {
 		t.Fatal("hot-spot destination saw nothing")
 	}
 	for d := 0; d < 15; d++ {
-		if net.Collector.Latency.Dst(d) != 0 {
+		if net.NICs[d].Delivered != 0 {
 			t.Fatalf("unexpected traffic to %d", d)
 		}
 	}
@@ -243,7 +236,7 @@ func TestInstallBursts(t *testing.T) {
 	if end != 600*sim.Microsecond {
 		t.Fatalf("burst end = %v", end)
 	}
-	net.Eng.RunAll()
+	net.Eng.Run(sim.Infinity)
 	if net.Collector.Throughput.OfferedPkts == 0 {
 		t.Fatal("bursts injected nothing")
 	}

@@ -25,7 +25,7 @@ func newCell(t *testing.T, shards int) (*network.Network, []*sim.Engine, func())
 		eng := sim.NewEngine()
 		col := metrics.NewCollector(topo.NumTerminals(), topo.NumRouters(), 0)
 		net := network.MustNew(eng, topo, cfg, directPolicy{}, col)
-		return net, []*sim.Engine{eng}, func() { eng.RunAll() }
+		return net, []*sim.Engine{eng}, func() { eng.Run(sim.Infinity) }
 	}
 	assign, err := topology.Partition(topo, shards)
 	if err != nil {
@@ -40,7 +40,7 @@ func newCell(t *testing.T, shards int) (*network.Network, []*sim.Engine, func())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return net, group.Engines, func() { group.RunAll() }
+	return net, group.Engines, func() { group.Run(sim.Infinity) }
 }
 
 // trainInstallBursts is InstallBursts with the phases' jitter set as asked.

@@ -33,7 +33,7 @@ func replayOn64(t *testing.T, tr *trace.Trace) (*trace.Replay, *network.Network)
 		t.Fatal(err)
 	}
 	rep.Start(0)
-	eng.RunAll()
+	eng.Run(sim.Infinity)
 	if err := rep.Err(); err != nil {
 		t.Fatal(err)
 	}

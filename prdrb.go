@@ -39,19 +39,15 @@ package prdrb
 
 import (
 	"prdrb/internal/core"
-	"prdrb/internal/faults"
-	"prdrb/internal/metrics"
 	"prdrb/internal/network"
 	"prdrb/internal/runner"
 	"prdrb/internal/sim"
-	"prdrb/internal/telemetry"
 	"prdrb/internal/topology"
 	"prdrb/internal/trace"
 )
 
 // Re-exported time units (nanosecond-based virtual time).
 const (
-	Nanosecond  = sim.Nanosecond
 	Microsecond = sim.Microsecond
 	Millisecond = sim.Millisecond
 	Second      = sim.Second
@@ -66,8 +62,6 @@ type (
 	Topology = topology.Topology
 	// NodeID identifies a terminal (processing) node.
 	NodeID = topology.NodeID
-	// RouterID identifies a switch.
-	RouterID = topology.RouterID
 	// NetworkConfig carries the physical parameters (Tables 4.2/4.3).
 	NetworkConfig = network.Config
 	// PolicyConfig carries the DRB/PR-DRB knobs (thresholds, similarity,
@@ -81,25 +75,6 @@ type (
 	Replay = trace.Replay
 	// Goal is a GOAL-style per-rank dependency-graph schedule.
 	Goal = trace.Goal
-	// GoalNode is one send/recv/calc node of a Goal graph.
-	GoalNode = trace.GoalNode
-	// GoalReplay drives the network from a dependency graph.
-	GoalReplay = trace.GoalReplay
-	// Collector aggregates the run's metrics.
-	Collector = metrics.Collector
-	// LatencyMap is the latency surface map of §4.2.
-	LatencyMap = metrics.LatencyMap
-	// ControllerStats counts DRB/PR-DRB decisions (paths opened, patterns
-	// saved/reused, ...).
-	ControllerStats = core.Stats
-	// FlowKey identifies a source/destination traffic flow.
-	FlowKey = network.FlowKey
-	// FaultPlan is a time-ordered schedule of link/switch fault events.
-	FaultPlan = faults.Plan
-	// FaultEvent is one timed fault (link down/up/degrade, router down/up).
-	FaultEvent = faults.Event
-	// FaultInjector executes a FaultPlan against a running simulation.
-	FaultInjector = faults.Injector
 
 	// Policy names the routing policy under test.
 	Policy = runner.Policy
@@ -130,24 +105,6 @@ type (
 	// import into a fresh simulation so patterns are recognized from their
 	// first occurrence.
 	Knowledge = core.Knowledge
-
-	// Telemetry bundles the event tracer and metrics registry a simulation
-	// is wired with (Experiment.Telemetry); nil disables observability for
-	// free.
-	Telemetry = telemetry.Telemetry
-	// TelemetryOptions configures a telemetry bundle (tracing on/off,
-	// 1-in-N packet sampling).
-	TelemetryOptions = telemetry.Options
-	// TraceEvent is one recorded telemetry event (a JSONL trace line).
-	TraceEvent = telemetry.Event
-	// Tracer records packet-lifecycle and PR-DRB control events.
-	Tracer = telemetry.Tracer
-	// MetricsRegistry holds named gauges snapshotted into run
-	// manifests.
-	MetricsRegistry = telemetry.Registry
-	// RunManifest is the reproducibility record written beside a run's
-	// outputs (config, seed, code version, wall time, metrics snapshot).
-	RunManifest = telemetry.Manifest
 )
 
 // The seven policies of the paper's evaluation (§4.8.4) plus minimal
@@ -180,9 +137,6 @@ func FatTree(k, n int) Topology { return topology.NewKAryNTree(k, n) }
 // channels on every ring.
 func Torus3D(x, y, z int) Topology { return topology.NewTorus3D(x, y, z) }
 
-// Grid returns an arbitrary n-dimensional mesh or torus.
-func Grid(dims []int, wrap bool) Topology { return topology.NewGrid(dims, wrap) }
-
 // Dragonfly returns a Dragonfly(a, g, h) with p terminals per router: g
 // groups of a fully connected routers, h global channels per router
 // (Dragonfly(16, 32, 8, 8) is the 4096-node datacenter shape).
@@ -206,10 +160,3 @@ func NewSim(exp Experiment) (*Sim, error) { return runner.New(exp) }
 
 // MustNewSim is NewSim that panics on error (examples, tests).
 func MustNewSim(exp Experiment) *Sim { return runner.MustNew(exp) }
-
-// RandomLinkFaults generates a reproducible plan failing n distinct
-// inter-router links at seeded-uniform times in [start, start+spread], each
-// repaired mttr later (mttr 0 = permanent).
-func RandomLinkFaults(topo Topology, seed uint64, n int, start, spread, mttr Time) FaultPlan {
-	return faults.RandomLinkFaults(topo, seed, n, start, spread, mttr)
-}

@@ -222,7 +222,7 @@ func TestPatternNodesRestriction(t *testing.T) {
 	}
 	// Destinations must stay within the 32-node space.
 	for d := 32; d < 64; d++ {
-		if s.Collector.Latency.Dst(d) != 0 {
+		if s.Net.NICs[d].Delivered != 0 {
 			t.Fatalf("32-node pattern reached node %d", d)
 		}
 	}

@@ -32,25 +32,6 @@ func FRDRBPolicyConfig() PolicyConfig { return core.FRDRBConfig() }
 // non-DRB policy names.
 func TracePolicyConfig(p Policy) (PolicyConfig, bool) { return runner.TracePolicyConfig(p) }
 
-// MPI call identifiers for Trace.CallShare and packet MPI_type fields.
-const (
-	MPISend      = network.MPISend
-	MPIIsend     = network.MPIIsend
-	MPIRecv      = network.MPIRecv
-	MPIIrecv     = network.MPIIrecv
-	MPIWait      = network.MPIWait
-	MPIWaitall   = network.MPIWaitall
-	MPIBcast     = network.MPIBcast
-	MPIReduce    = network.MPIReduce
-	MPIAllreduce = network.MPIAllreduce
-	MPIBarrier   = network.MPIBarrier
-	MPISendrecv  = network.MPISendrecv
-	MPIAlltoall  = network.MPIAlltoall
-
-	MPIReduceScatter = network.MPIReduceScatter
-	MPIAllgather     = network.MPIAllgather
-)
-
 // NewTraceBuilder starts an MPI-style logical trace for the given number
 // of ranks.
 func NewTraceBuilder(name string, ranks int) *TraceBuilder {
@@ -72,10 +53,6 @@ func WorkloadNames() []string { return workloads.Names() }
 // AllreduceAlgorithms lists the selectable MPI_Allreduce lowerings for
 // TraceBuilder.AllreduceAlg and WorkloadOptions.Collective.
 func AllreduceAlgorithms() []string { return collectives.AllreduceAlgorithms() }
-
-// DefaultAllreduceAlgorithm names the algorithm Allreduce lowers to for an
-// n-rank communicator when none is requested.
-func DefaultAllreduceAlgorithm(n int) string { return collectives.DefaultAllreduce(n) }
 
 // Seeds derives n reproducible seeds from a base, for the §4.3 multi-seed
 // methodology.
@@ -143,11 +120,9 @@ func OptimizePlacement(topo Topology, tr *Trace, seed uint64) ([]NodeID, float64
 	return best, GainPct(float64(idCost), float64(bestCost)), nil
 }
 
-// EnergyModel / EnergyReport implement the §5.2 energy-aware analysis.
-type (
-	EnergyModel  = provision.EnergyModel
-	EnergyReport = provision.EnergyReport
-)
+// EnergyModel holds the per-link power figures of the §5.2 energy-aware
+// analysis.
+type EnergyModel = provision.EnergyModel
 
 // DefaultEnergyModel returns QDR-class per-link power figures.
 func DefaultEnergyModel() EnergyModel { return provision.DefaultEnergyModel() }

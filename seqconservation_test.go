@@ -49,10 +49,10 @@ func seqBursts(pattern string) func(*testing.T, *Sim) Time {
 // still serializing, comes back with a backlog, and changes serialization
 // time under load.
 func seqFaulted(t *testing.T, s *Sim) Time {
-	plan := RandomLinkFaults(s.Net.Topo, 23, 10, 40*Microsecond, 80*Microsecond, 60*Microsecond)
-	for _, ev := range append([]FaultEvent(nil), plan.Events...) {
+	plan := faults.RandomLinkFaults(s.Net.Topo, 23, 10, 40*Microsecond, 80*Microsecond, 60*Microsecond)
+	for _, ev := range append([]faults.Event(nil), plan.Events...) {
 		if ev.Kind == faults.LinkUp {
-			plan.Add(FaultEvent{At: ev.At + 30*Microsecond, Kind: faults.LinkDegrade, Router: ev.Router, Port: ev.Port, Factor: 0.5})
+			plan.Add(faults.Event{At: ev.At + 30*Microsecond, Kind: faults.LinkDegrade, Router: ev.Router, Port: ev.Port, Factor: 0.5})
 		}
 	}
 	if _, err := s.InstallFaults(plan); err != nil {

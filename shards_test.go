@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"prdrb/internal/faults"
 	"prdrb/internal/sim"
 	"prdrb/internal/telemetry"
 	"prdrb/internal/topology"
@@ -46,7 +47,7 @@ type shardScenario struct {
 
 // runShardScenario executes one preset at the given shard count and returns
 // a full deterministic summary string plus the delivered-flow fingerprint.
-func runShardScenario(t *testing.T, sc shardScenario, shards int, tel *Telemetry) (string, flowCount, Results) {
+func runShardScenario(t *testing.T, sc shardScenario, shards int, tel *telemetry.Telemetry) (string, flowCount, Results) {
 	t.Helper()
 	s := MustNewSim(Experiment{Topology: sc.topo(), Policy: sc.policy, Seed: 42, Shards: shards, Telemetry: tel})
 	// One tally map per destination NIC: a NIC's OnMessage always fires on
@@ -62,7 +63,7 @@ func runShardScenario(t *testing.T, sc shardScenario, shards int, tel *Telemetry
 		}
 	}
 	if sc.faulted {
-		plan := RandomLinkFaults(s.Net.Topo, 23, 3, 50*Microsecond, 100*Microsecond, 300*Microsecond)
+		plan := faults.RandomLinkFaults(s.Net.Topo, 23, 3, 50*Microsecond, 100*Microsecond, 300*Microsecond)
 		if _, err := s.InstallFaults(plan); err != nil {
 			t.Fatal(err)
 		}
@@ -115,7 +116,7 @@ func TestShardedDeterminismAcrossGOMAXPROCS(t *testing.T) {
 		for _, procs := range []int{1, 4} {
 			var summary string
 			var flows flowCount
-			tel := telemetry.New(TelemetryOptions{Trace: true})
+			tel := telemetry.New(telemetry.Options{Trace: true})
 			withGOMAXPROCS(procs, func() {
 				summary, flows, _ = runShardScenario(t, sc, shards, tel)
 			})

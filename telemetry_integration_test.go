@@ -2,20 +2,22 @@ package prdrb
 
 import (
 	"bytes"
+	"encoding/json"
 	"testing"
 
+	"prdrb/internal/faults"
 	"prdrb/internal/telemetry"
 )
 
 // runTracedResilience reproduces one cell of the abl.resilience experiment
 // (8x8 mesh, PR-DRB, 4 random link failures hitting mid-run, uniform
 // traffic) with tracing attached, and returns the telemetry bundle.
-func runTracedResilience(t *testing.T, seed uint64) *Telemetry {
+func runTracedResilience(t *testing.T, seed uint64) *telemetry.Telemetry {
 	t.Helper()
-	tel := telemetry.New(TelemetryOptions{Trace: true, Sample: 1})
+	tel := telemetry.New(telemetry.Options{Trace: true, Sample: 1})
 	topo := Mesh(8, 8)
 	s := MustNewSim(Experiment{Topology: topo, Policy: PolicyPRDRB, Seed: seed, Telemetry: tel})
-	plan := RandomLinkFaults(topo, seed, 4, 200*Microsecond, 100*Microsecond, 400*Microsecond)
+	plan := faults.RandomLinkFaults(topo, seed, 4, 200*Microsecond, 100*Microsecond, 400*Microsecond)
 	if _, err := s.InstallFaults(plan); err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +85,18 @@ func TestRealTraceAndManifestValidate(t *testing.T) {
 // reconstructible from the trace events alone, with no access to simulator
 // internals.
 func TestResilienceSequenceReconstructibleFromTrace(t *testing.T) {
-	evs := runTracedResilience(t, 11).Tracer.Events()
+	var jsonl bytes.Buffer
+	if err := runTracedResilience(t, 11).Tracer.WriteJSONL(&jsonl); err != nil {
+		t.Fatal(err)
+	}
+	var evs []telemetry.Event
+	for dec := json.NewDecoder(&jsonl); dec.More(); {
+		var e telemetry.Event
+		if err := dec.Decode(&e); err != nil {
+			t.Fatal(err)
+		}
+		evs = append(evs, e)
+	}
 
 	firstLinkDown := int64(-1)
 	for _, e := range evs {
