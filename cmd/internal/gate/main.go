@@ -48,7 +48,7 @@ func table(raceArgs []string, fuzztime time.Duration) []gate {
 		{name: "gofmt", group: "static", check: gofmt, unit: "files"},
 		{name: "vet", group: "static", cmd: []string{"go", "vet", "./..."}},
 		{name: "changes-lines", group: "static", check: func() float64 { return longestLine("CHANGES.md") }, bound: 1024, unit: "B", why: "a CHANGES.md entry is one line of at most 1 KB"},
-		budget("go-lines", 26000, "lines", "non-test Go outside benchmark/ (repo.nontest_go_loc; 26,000 with the dead-api row in and the exported names nothing used gone)", func() float64 { return lineCount(goFiles(".")...) }),
+		budget("go-lines", 26184, "lines", "non-test Go outside benchmark/ (repo.nontest_go_loc; 26,184 with the coarse wheel tier and its cascade counter in, the per-router NextHop memo gone, and prdrb.MPICallType)", func() float64 { return lineCount(goFiles(".")...) }),
 		budget("design-bytes", 42573, "B", "DESIGN.md", func() float64 { return fileSize("DESIGN.md") }),
 		budget("readme-bytes", 10796, "B", "README.md", func() float64 { return fileSize("README.md") }),
 		budget("experiments-bytes", 19859, "B", "EXPERIMENTS.md", func() float64 { return fileSize("EXPERIMENTS.md") }),
@@ -66,7 +66,8 @@ func table(raceArgs []string, fuzztime time.Duration) []gate {
 		{name: "window-guards", group: "race", cmd: guards("ShardGroup|WindowMode|ShardedDeterminism|ContendingFlows|AlternativePaths|ShardedStatus|SampleEvery|BurstTrain|HostileTrafficSpecs|SaveStoresValues|BuildMatchesAppend|BuildOneExactArray|ProgramsGolden|TraceBytesPerEvent|RecordLen|GenerateAllocs|ReplayAllocs|WatchdogEvent|FlowEvidenceOnlyPredictive|VCQueueMatchesSlice|VCQueueBytes|PortInvariants|ContendingStorage|LayoutSizes|BuildBytesLadder",
 			"./internal/sim ./internal/network ./internal/topology ./internal/runner ./internal/trace ./internal/traffic ./internal/workloads ./internal/core ."), why: "window modes, sharded determinism, the CFD tally, path enumerations, the sampler, burst-train openers, hostile specs, trace pins, port layout"},
 		{name: "zero-alloc", group: "alloc", cmd: []string{"go", "test", "-run", "TestHotPathZeroAlloc(PRDRB)?$", "-count=1", "-v", "."}, why: "the adaptive hot path, PR-DRB's steady state and the CFD notification path allocate nothing; -v prints the pinned cold-open bill"},
-		allocGate("df4096-heavytail-serial", 300, "~285 B with one fragment table per shard"),
+		allocGate("df4096-heavytail-serial", 260, "~248 B with the coarse wheel tier, no per-router NextHop memo and the path set in the metapath's cold record"),
+		allocGate("df4096-heavytail-shards2", 275, "~261 B, the same cell on 2 shards, with the same three changes"),
 		allocGate("ft64-uniform-serial", 9.5, "~8.2 B with 128-byte packet records"),
 		allocGate("ft64-apps-replay", 30, "~25 B with exact-size schedules and one fragment table per shard"),
 		allocGate("ft64-bursts-drbfamily", 7, "~6.1 B with closed-form fat-tree distance"),

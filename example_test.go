@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"prdrb"
-	"prdrb/internal/network"
 )
 
 // The minimal experiment: deterministic routing, uniform traffic, one
@@ -89,8 +88,9 @@ func ExampleWorkload() {
 	if err != nil {
 		panic(err)
 	}
+	allreduce, _ := prdrb.MPICallType("allreduce")
 	fmt.Println("ranks:", tr.Ranks)
-	fmt.Println("allreduce-heavy:", tr.CallShare(network.MPIAllreduce) > 0.2)
+	fmt.Println("allreduce-heavy:", tr.CallShare(allreduce) > 0.2)
 	// Output:
 	// ranks: 64
 	// allreduce-heavy: true

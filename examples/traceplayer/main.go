@@ -19,6 +19,16 @@ func main() {
 
 func popComparison() {
 	fmt.Println("POP (64 ranks) on a 4-ary 3-tree — the 7-policy comparison of Fig 4.27")
+	tr, err := prdrb.Workload("pop", prdrb.WorkloadOptions{Iterations: 10})
+	if err != nil {
+		panic(err)
+	}
+	fmt.Print("call mix (Table 2.1):")
+	for _, call := range []string{"allreduce", "isend", "waitall"} {
+		t, _ := prdrb.MPICallType(call)
+		fmt.Printf(" %s %.1f%%", call, 100*tr.CallShare(t))
+	}
+	fmt.Println()
 	fmt.Printf("\n%-15s %14s %14s %10s\n", "policy", "latency (us)", "exec (us)", "reused")
 	for _, policy := range prdrb.Policies() {
 		tr, err := prdrb.Workload("pop", prdrb.WorkloadOptions{Iterations: 10})

@@ -69,7 +69,7 @@ func TestWaypointsAliasImmutablePaths(t *testing.T) {
 		if tail := fresh[len(fresh)-len(pool):]; !slices.EqualFunc(pool, tail, topology.Path.Equal) {
 			t.Fatalf("%d->%d: pool %v, want the enumeration's tail %v", c.Node, dst, pool, tail)
 		}
-		for try := 0; try < 64 && len(mp.paths) > 1; try++ {
+		for try := 0; try < 64 && len(mp.pathSet()) > 1; try++ {
 			pkt := &network.Packet{Dst: dst}
 			c.PrepareInjection(eng, pkt)
 			if len(pkt.Waypoints) == 0 {

@@ -272,7 +272,7 @@ func (c *Controller) evaluate(e *sim.Engine, mp *metapath) {
 	case z == ZoneLow && old != ZoneLow:
 		// M->L: the network absorbs the traffic; shrink the metapath.
 		c.maybeClose(mp)
-	case z == ZoneLow && len(mp.paths) > 1:
+	case z == ZoneLow && len(mp.pathSet()) > 1:
 		c.maybeClose(mp)
 	}
 }
@@ -315,31 +315,32 @@ func (c *Controller) usable(mp *metapath, p topology.Path) bool {
 // loss notification drives reconfiguration), and returns its waypoints
 // and identifier.
 func (c *Controller) selectPath(mp *metapath) (topology.Path, int32) {
-	if len(mp.paths) <= 1 {
+	paths := mp.pathSet()
+	if len(paths) <= 1 {
 		return nil, 0 // the direct path
 	}
 	cfg, filter := &c.sh.cfg, c.sh.pathCheck != nil
 	total, feasible := 0.0, 0
-	for i := range mp.paths {
-		if filter && !c.usable(mp, mp.paths[i].path) {
+	for i := range paths {
+		if filter && !c.usable(mp, paths[i].path) {
 			continue
 		}
 		feasible++
-		total += mp.paths[i].weight(cfg)
+		total += paths[i].weight(cfg)
 	}
 	if feasible == 0 {
 		filter = false
-		for i := range mp.paths {
-			total += mp.paths[i].weight(cfg)
+		for i := range paths {
+			total += paths[i].weight(cfg)
 		}
 	}
 	x := c.rng.Float64() * total
-	last := &mp.paths[0]
-	for i := range mp.paths {
-		if filter && !c.usable(mp, mp.paths[i].path) {
+	last := &paths[0]
+	for i := range paths {
+		if filter && !c.usable(mp, paths[i].path) {
 			continue
 		}
-		last = &mp.paths[i]
+		last = &paths[i]
 		if x -= last.weight(cfg); x <= 0 {
 			break
 		}
@@ -394,12 +395,13 @@ func (c *Controller) pathLost(e *sim.Engine, mp *metapath) {
 // link. The direct path (index 0) is structural and never removed; when
 // infeasible it is simply excluded from selection.
 func (c *Controller) pruneDeadPaths(mp *metapath) {
-	if c.sh.pathCheck == nil || len(mp.paths) <= 1 {
+	if c.sh.pathCheck == nil || len(mp.pathSet()) <= 1 {
 		return
 	}
-	kept := mp.paths[:1]
+	cd := mp.cold
+	kept := cd.paths[:1]
 	pruned := 0
-	for _, p := range mp.paths[1:] {
+	for _, p := range cd.paths[1:] {
 		if c.usable(mp, p.path) {
 			kept = append(kept, p)
 		} else {
@@ -407,10 +409,10 @@ func (c *Controller) pruneDeadPaths(mp *metapath) {
 			pruned++
 		}
 	}
-	mp.paths = kept
+	cd.paths = kept
 	if pruned > 0 {
-		c.sh.trace.Control(c.sh.eng.Now(), telemetry.KindMetapathClose, int(c.Node), int(mp.dst), 0, int64(len(mp.paths)))
-		c.recordFlight(telemetry.FlightPathClose, mp.dst, len(mp.paths))
+		c.sh.trace.Control(c.sh.eng.Now(), telemetry.KindMetapathClose, int(c.Node), int(mp.dst), 0, int64(len(cd.paths)))
+		c.recordFlight(telemetry.FlightPathClose, mp.dst, len(cd.paths))
 	}
 }
 
@@ -431,7 +433,7 @@ func (c *Controller) recordFlight(kind string, dst int32, paths int) {
 // congestion signal in lockstep and thrash the load from one region to
 // another in synchronized waves.
 func (c *Controller) maybeOpen(e *sim.Engine, mp *metapath) {
-	if max(1, len(mp.paths)) >= c.sh.cfg.MaxPaths {
+	if max(1, len(mp.pathSet())) >= c.sh.cfg.MaxPaths {
 		return
 	}
 	cd := c.sh.coldState(mp)
@@ -454,8 +456,8 @@ func (c *Controller) maybeOpen(e *sim.Engine, mp *metapath) {
 		if mp.hasPath(cand) || !c.usable(mp, cand) {
 			continue
 		}
-		mp.spill()
-		mp.paths = append(mp.paths, pathState{
+		mp.spill(c.sh)
+		cd.paths = append(cd.paths, pathState{
 			id:        cd.nextPathID,
 			path:      cand,
 			latNs:     mp.currentBest(), // optimistic: probe the new path
@@ -464,8 +466,8 @@ func (c *Controller) maybeOpen(e *sim.Engine, mp *metapath) {
 		cd.nextPathID++
 		cd.lastOpen = e.Now()
 		c.Stats.PathsOpened++
-		c.sh.trace.Control(e.Now(), telemetry.KindMetapathOpen, int(c.Node), int(mp.dst), 0, int64(len(mp.paths)))
-		c.recordFlight(telemetry.FlightPathOpen, mp.dst, len(mp.paths))
+		c.sh.trace.Control(e.Now(), telemetry.KindMetapathOpen, int(c.Node), int(mp.dst), 0, int64(len(cd.paths)))
+		c.recordFlight(telemetry.FlightPathOpen, mp.dst, len(cd.paths))
 		return
 	}
 }
@@ -485,12 +487,12 @@ func (c *Controller) enumeratePaths(dst topology.NodeID) []topology.Path {
 // currentBest returns the lowest path latency of a metapath holding its
 // paths, the optimistic initial estimate for a newly opened path.
 func (mp *metapath) currentBest() float64 {
-	return slices.MinFunc(mp.paths, func(a, b pathState) int { return cmp.Compare(a.latNs, b.latNs) }).latNs
+	return slices.MinFunc(mp.pathSet(), func(a, b pathState) int { return cmp.Compare(a.latNs, b.latNs) }).latNs
 }
 
 // hasPath reports whether p is open; the direct path always is.
 func (mp *metapath) hasPath(p topology.Path) bool {
-	return len(p) == 0 || slices.ContainsFunc(mp.paths, func(s pathState) bool { return s.path.Equal(p) })
+	return len(p) == 0 || slices.ContainsFunc(mp.pathSet(), func(s pathState) bool { return s.path.Equal(p) })
 }
 
 // relax closes every alternative path and forgets the transient latency
@@ -498,17 +500,17 @@ func (mp *metapath) hasPath(p topology.Path) bool {
 // M->L closing procedures have fully run (Fig 3.9). The alternative-path
 // pool is regenerated so the next congestion can expand again.
 func (c *Controller) relax(mp *metapath) {
-	if n := len(mp.paths); n > 1 {
+	if n := len(mp.pathSet()); n > 1 {
 		c.Stats.PathsClosed += int64(n - 1)
 		c.sh.trace.Control(c.sh.eng.Now(), telemetry.KindMetapathClose, int(c.Node), int(mp.dst), 0, 1)
 		c.recordFlight(telemetry.FlightPathClose, mp.dst, 1)
 	}
-	mp.paths = mp.paths[:0]
 	mp.latNs = float64(c.sh.cfg.LatencyFloor)
 	mp.observed = false
 	mp.zone = ZoneLow
 	mp.outstanding = 0
 	if cd := mp.cold; cd != nil {
+		cd.paths = cd.paths[:0]
 		cd.pool = nil
 		cd.poolInit = false
 		cd.lastOpen = 0
@@ -522,13 +524,14 @@ func (c *Controller) relax(mp *metapath) {
 // maybeClose removes the worst-latency alternative path (never the direct
 // path), shrinking toward the original route as traffic relaxes.
 func (c *Controller) maybeClose(mp *metapath) {
-	if len(mp.paths) <= 1 {
+	if len(mp.pathSet()) <= 1 {
 		return
 	}
+	cd := mp.cold
 	worst, worstLat := -1, -1.0
-	for i := 1; i < len(mp.paths); i++ {
-		if mp.paths[i].latNs > worstLat {
-			worst, worstLat = i, mp.paths[i].latNs
+	for i := 1; i < len(cd.paths); i++ {
+		if cd.paths[i].latNs > worstLat {
+			worst, worstLat = i, cd.paths[i].latNs
 		}
 	}
 	// Never strand the metapath: with the direct path dead, the relaxation
@@ -536,8 +539,8 @@ func (c *Controller) maybeClose(mp *metapath) {
 	// detour and re-fail on the next injection, forever.
 	if c.sh.pathCheck != nil {
 		usableLeft := 0
-		for i := range mp.paths {
-			if i != worst && c.usable(mp, mp.paths[i].path) {
+		for i := range cd.paths {
+			if i != worst && c.usable(mp, cd.paths[i].path) {
 				usableLeft++
 			}
 		}
@@ -545,10 +548,10 @@ func (c *Controller) maybeClose(mp *metapath) {
 			return
 		}
 	}
-	mp.paths = append(mp.paths[:worst], mp.paths[worst+1:]...)
+	cd.paths = append(cd.paths[:worst], cd.paths[worst+1:]...)
 	c.Stats.PathsClosed++
-	c.sh.trace.Control(c.sh.eng.Now(), telemetry.KindMetapathClose, int(c.Node), int(mp.dst), 0, int64(len(mp.paths)))
-	c.recordFlight(telemetry.FlightPathClose, mp.dst, len(mp.paths))
+	c.sh.trace.Control(c.sh.eng.Now(), telemetry.KindMetapathClose, int(c.Node), int(mp.dst), 0, int64(len(cd.paths)))
+	c.recordFlight(telemetry.FlightPathClose, mp.dst, len(cd.paths))
 }
 
 // evidence builds the current contending-flow signature for a destination
@@ -615,7 +618,7 @@ func (c *Controller) saveSolution(e *sim.Engine, mp *metapath) {
 // only). Used by tests and the path-opening walkthrough example.
 func (c *Controller) PathCount(dst topology.NodeID) int {
 	if mp := c.find(dst); mp != nil {
-		return max(1, len(mp.paths))
+		return max(1, len(mp.pathSet()))
 	}
 	return 1
 }
@@ -714,9 +717,12 @@ func OpenPathCounts(ctls []*Controller) (openMetapaths, extraPaths int) {
 		}
 		seen = append(seen, c.sh)
 		for _, mp := range c.sh.index.slots {
-			if mp != nil && len(mp.paths) > 1 {
+			if mp == nil {
+				continue
+			}
+			if n := len(mp.pathSet()); n > 1 {
 				openMetapaths++
-				extraPaths += len(mp.paths) - 1
+				extraPaths += n - 1
 			}
 		}
 	}

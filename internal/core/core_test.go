@@ -79,13 +79,13 @@ func TestMetapathLatencyEq34(t *testing.T) {
 		t.Fatalf("L(MP) single = %v", got)
 	}
 	// Two paths 1000 and 1000: harmonic aggregate = 500.
-	mp.spill()
-	mp.paths = append(mp.paths, pathState{id: 1, latNs: 1000})
+	cd := mp.spill(new(shardState))
+	cd.paths = append(cd.paths, pathState{id: 1, latNs: 1000})
 	if got := mp.latency(500); math.Abs(got-500) > 1e-9 {
 		t.Fatalf("L(MP) double = %v, want 500", got)
 	}
 	// 1000 and 3000: 1/(1/1000+1/3000) = 750.
-	mp.paths[1].latNs = 3000
+	cd.paths[1].latNs = 3000
 	if got := mp.latency(500); math.Abs(got-750) > 1e-9 {
 		t.Fatalf("L(MP) = %v, want 750", got)
 	}
@@ -98,8 +98,8 @@ func TestSelectionPDF(t *testing.T) {
 	cfg.HopPenalty = 0
 	mp := newMetapath(1, cfg.LatencyFloor)
 	mp.latNs = 10000
-	mp.spill()
-	mp.paths = append(mp.paths, pathState{id: 1, latNs: 30000})
+	cd := mp.spill(new(shardState))
+	cd.paths = append(cd.paths, pathState{id: 1, latNs: 30000})
 	c := newController(0, topology.NewMesh(4, 4), sim.NewEngine(), cfg, sim.NewRNG(42))
 	counts := map[int32]int{}
 	const n = 30000
@@ -119,8 +119,8 @@ func TestSelectionPrefersShorterPaths(t *testing.T) {
 	mp := newMetapath(1, cfg.LatencyFloor)
 	mp.latNs = 5000
 	// Same latency but 4 extra hops: must be picked less often.
-	mp.spill()
-	mp.paths = append(mp.paths, pathState{id: 1, latNs: 5000, extraHops: 4})
+	cd := mp.spill(new(shardState))
+	cd.paths = append(cd.paths, pathState{id: 1, latNs: 5000, extraHops: 4})
 	c := newController(0, topology.NewMesh(4, 4), sim.NewEngine(), cfg, sim.NewRNG(7))
 	counts := map[int32]int{}
 	for i := 0; i < 20000; i++ {
@@ -252,19 +252,20 @@ func TestMetapathRestoreAssignsFreshIDs(t *testing.T) {
 		{id: 7, path: topology.Path{4}, latNs: 2000, observed: true},
 	}
 	mp.restore(new(shardState), saved)
-	if len(mp.paths) != 2 {
+	paths := mp.pathSet()
+	if len(paths) != 2 {
 		t.Fatal("restore lost paths")
 	}
-	if mp.paths[0].id != 0 || len(mp.paths[0].path) != 0 {
+	if paths[0].id != 0 || len(paths[0].path) != 0 {
 		t.Fatal("direct path mangled")
 	}
-	if mp.paths[1].id == 7 || mp.paths[1].observed {
+	if paths[1].id == 7 || paths[1].observed {
 		t.Fatal("restored path kept stale identity")
 	}
-	if mp.paths[1].latNs != 2000 {
+	if paths[1].latNs != 2000 {
 		t.Fatal("restored path lost its saved latency weight")
 	}
-	if &mp.paths[1].path[0] != &saved[1].path[0] {
+	if &paths[1].path[0] != &saved[1].path[0] {
 		t.Fatal("restore copied the immutable waypoints")
 	}
 }

@@ -58,25 +58,27 @@ type pathState struct {
 // chunks and index, keyed by their own (src, dst), and are never copied.
 // Most never open an alternative, so the direct path's state lives inline
 // until one opens or a solution is restored. What a destination needs only
-// once it opens a path, is reported or is watched lives in cold.
+// once it opens a path, is reported or is watched lives in cold, the path
+// set among it: a direct-only destination carries no slice header.
 type metapath struct {
 	src, dst int32
 	// outstanding data packets without ACK, for the FR-DRB watchdog.
 	outstanding int32
 	zone        Zone
-	// observed and latNs are the direct path's state while paths is empty.
+	// observed and latNs are the direct path's state while the path set
+	// (cold.paths) is empty.
 	observed   bool
 	latNs      float64
 	lastInject sim.Time
-	// paths is empty while only the direct path is open; otherwise index
-	// 0 is the direct path. The solution database copies these values in
-	// (Save) and restore copies them back out; neither copies waypoints.
-	paths []pathState
-	cold  *metapathCold
+	cold       *metapathCold
 }
 
 // metapathCold is the part of a metapath made on first need (coldState).
 type metapathCold struct {
+	// paths is empty while only the direct path is open; otherwise index
+	// 0 is the direct path. The solution database copies these values in
+	// (Save) and restore copies them back out; neither copies waypoints.
+	paths []pathState
 	// pool holds the topology's alternative-path candidates not yet opened.
 	pool []topology.Path
 	// flowSeen holds the contending flows reported (the evidence, §3.2.7).
@@ -181,22 +183,34 @@ func (x *metapathIndex) add(mp *metapath) {
 	x.n++
 }
 
+// pathSet returns the open path states, direct path first; empty while
+// only the direct path is open.
+func (mp *metapath) pathSet() []pathState {
+	if mp.cold == nil {
+		return nil
+	}
+	return mp.cold.paths
+}
+
 // states returns the path states, direct path first. A direct-only
 // metapath's state is copied into *one, for reading.
 func (mp *metapath) states(one *[1]pathState) []pathState {
-	if len(mp.paths) > 0 {
-		return mp.paths
+	if paths := mp.pathSet(); len(paths) > 0 {
+		return paths
 	}
 	one[0] = pathState{latNs: mp.latNs, observed: mp.observed}
 	return one[:]
 }
 
-// spill moves the inline direct-path state into paths, before the first
-// alternative opens.
-func (mp *metapath) spill() {
-	if len(mp.paths) == 0 {
-		mp.paths = append(slices.Grow(mp.paths, 2), pathState{latNs: mp.latNs, observed: mp.observed})
+// spill moves the inline direct-path state into the path set, before the
+// first alternative opens, and returns the cold record holding the set,
+// made from sh if need be.
+func (mp *metapath) spill(sh *shardState) *metapathCold {
+	cd := sh.coldState(mp)
+	if len(cd.paths) == 0 {
+		cd.paths = append(slices.Grow(cd.paths, 2), pathState{latNs: mp.latNs, observed: mp.observed})
 	}
+	return cd
 }
 
 // latency returns the metapath latency L(MP) of Eq 3.4 in ns: the inverse
@@ -232,9 +246,10 @@ func (p *pathState) weight(cfg *Config) float64 {
 // byID finds a path of paths by its stable identifier; nil if it has been
 // closed.
 func (mp *metapath) byID(id int32) *pathState {
-	for i := range mp.paths {
-		if mp.paths[i].id == id {
-			return &mp.paths[i]
+	paths := mp.pathSet()
+	for i := range paths {
+		if paths[i].id == id {
+			return &paths[i]
 		}
 	}
 	return nil
@@ -243,7 +258,7 @@ func (mp *metapath) byID(id int32) *pathState {
 // observe folds an ACK's path latency into the identified path (EWMA).
 func (mp *metapath) observe(cfg *Config, id int32, lat sim.Time) {
 	latNs, observed := &mp.latNs, &mp.observed
-	if len(mp.paths) > 0 {
+	if len(mp.pathSet()) > 0 {
 		p := mp.byID(id)
 		if p == nil {
 			return
@@ -270,9 +285,9 @@ func (mp *metapath) observe(cfg *Config, id int32, lat sim.Time) {
 // waypoints: those are immutable and already shared (pathState.path).
 func (mp *metapath) restore(sh *shardState, saved []pathState) {
 	cd := sh.coldState(mp)
-	mp.paths = append(mp.paths[:0], saved...)
-	for i := range mp.paths {
-		p := &mp.paths[i]
+	cd.paths = append(cd.paths[:0], saved...)
+	for i := range cd.paths {
+		p := &cd.paths[i]
 		p.id = 0
 		if len(p.path) > 0 {
 			p.id = cd.nextPathID

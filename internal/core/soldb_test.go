@@ -219,13 +219,13 @@ func TestSaveStoresValues(t *testing.T) {
 	cfg := PRDRBConfig()
 	db := NewSolutionDB()
 	mp := newMetapath(9, cfg.LatencyFloor)
-	mp.spill()
-	mp.paths = append(mp.paths,
+	cd := mp.spill(new(shardState))
+	cd.paths = append(cd.paths,
 		pathState{id: 1, path: topology.Path{4, 5}, latNs: 2000, extraHops: 2, observed: true},
 		pathState{id: 2, path: topology.Path{6}, latNs: 3000, extraHops: 1, observed: true})
 	sig := NewSignature([]network.FlowKey{{Src: 1, Dst: 9}, {Src: 2, Dst: 9}}, 0)
-	s := db.Save(9, sig, mp.paths, 0.8, 100)
-	want := slices.Clone(mp.paths)
+	s := db.Save(9, sig, cd.paths, 0.8, 100)
+	want := slices.Clone(cd.paths)
 	samePaths := func(a, b []pathState) bool {
 		return slices.EqualFunc(a, b, func(x, y pathState) bool {
 			return x.id == y.id && x.path.Equal(y.path) && x.latNs == y.latNs && x.extraHops == y.extraHops && x.observed == y.observed
@@ -234,8 +234,8 @@ func TestSaveStoresValues(t *testing.T) {
 
 	mp.observe(&cfg, 1, 9000)
 	mp.observe(&cfg, 2, 7000)
-	mp.paths = append(mp.paths[:1], mp.paths[2:]...) // path 1 closes
-	mp.paths = append(mp.paths, pathState{id: 3, path: topology.Path{7, 8}, latNs: 4000})
+	cd.paths = append(cd.paths[:1], cd.paths[2:]...) // path 1 closes
+	cd.paths = append(cd.paths, pathState{id: 3, path: topology.Path{7, 8}, latNs: 4000})
 	if !samePaths(s.paths, want) {
 		t.Fatalf("the saved solution followed the metapath: %+v, saved %+v", s.paths, want)
 	}
@@ -246,17 +246,17 @@ func TestSaveStoresValues(t *testing.T) {
 	}
 
 	allocs := testing.AllocsPerRun(50, func() {
-		if db.Save(9, sig, mp.paths, 0.8, 200) != s {
+		if db.Save(9, sig, cd.paths, 0.8, 200) != s {
 			t.Fatal("matching save did not refresh the entry")
 		}
 	})
 	if allocs != 0 {
 		t.Fatalf("refreshing a solution allocates %.1f times, want 0", allocs)
 	}
-	if !samePaths(s.paths, mp.paths) {
-		t.Fatalf("the refreshed solution holds %+v, want the metapath's %+v", s.paths, mp.paths)
+	if !samePaths(s.paths, cd.paths) {
+		t.Fatalf("the refreshed solution holds %+v, want the metapath's %+v", s.paths, cd.paths)
 	}
-	if &s.paths[0] == &mp.paths[0] {
+	if &s.paths[0] == &cd.paths[0] {
 		t.Fatal("the refreshed solution shares the metapath's path array")
 	}
 }

@@ -130,6 +130,11 @@ func TestLayoutSizes(t *testing.T) {
 	if s := unsafe.Sizeof(vcQueue{}); s != 8 {
 		t.Errorf("vcQueue is %d bytes, want 8", s)
 	}
+	// A router keeps no NextHop row: the topologies compute it in closed
+	// form, and only the MinimalPorts memo is per destination router.
+	if s := unsafe.Sizeof(Router{}); s > 120 {
+		t.Errorf("Router is %d bytes, want at most 120", s)
+	}
 }
 
 // TestVCQueueBytes checks a queue's byte count, read through its packets'

@@ -32,19 +32,17 @@ type Router struct {
 	// the per-decision call allocation-free.
 	mpBuf []int
 
-	// Route memo. The topology's NextHop and MinimalPorts are pure, and at
-	// any router other than the destination's own they depend on the
+	// MinimalPorts memo. The topology's MinimalPorts is pure, and at any
+	// router other than the destination's own it depends on the
 	// destination only through its attach router (the Topology contract),
 	// so one entry per destination router answers for all its terminals;
 	// at the attach router itself the answer is the terminal's port, read
-	// from Network.attach. Rows are indexed by destination router, made on
-	// the router's first decision (a router that never routes, or a policy
-	// that never asks for port sets, pays nothing) and filled on first
-	// visit. Like mpBuf they are touched only from the owning shard.
+	// from Network.attach. The row is indexed by destination router, made
+	// on the router's first port-set query (a router that never routes, or
+	// a policy that never asks for port sets, pays nothing) and filled on
+	// first visit. Like mpBuf it is touched only from the owning shard.
+	// NextHop has no memo: every topology computes it in closed form.
 	//
-	// nextHop[d] is the baseline port toward router d, plus one (0 =
-	// unknown).
-	nextHop []int16
 	// minPorts[d] indexes portSets, plus one (0 = unknown); portSets are
 	// the distinct minimal-port sets seen at this router, shared by every
 	// destination with the same answer.
@@ -63,21 +61,9 @@ type attachPoint struct {
 func (r *Router) Net() *Network { return r.net }
 
 // NextHop returns the topology's baseline deterministic output port at r
-// toward terminal dst, memoised.
+// toward terminal dst.
 func (r *Router) NextHop(dst topology.NodeID) int {
-	at := r.net.attach[dst]
-	if topology.RouterID(at.router) == r.ID {
-		return int(at.port)
-	}
-	if r.nextHop == nil {
-		r.nextHop = make([]int16, len(r.net.Routers))
-	}
-	p := r.nextHop[at.router]
-	if p == 0 {
-		p = int16(r.net.Topo.NextHop(r.ID, dst)) + 1
-		r.nextHop[at.router] = p
-	}
-	return int(p) - 1
+	return r.net.Topo.NextHop(r.ID, dst)
 }
 
 // MinimalPorts returns the minimal output ports at r toward dst, memoised.

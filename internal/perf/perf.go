@@ -116,6 +116,7 @@ type Profiler struct {
 	events                  []uint64
 	farOverflows            []uint64
 	farMigrations           []uint64
+	cascades                []uint64
 	winHist                 []*metrics.Histogram
 
 	spans        []WindowSpan
@@ -137,6 +138,7 @@ func (p *Profiler) grow(n int) {
 		p.events = append(p.events, 0)
 		p.farOverflows = append(p.farOverflows, 0)
 		p.farMigrations = append(p.farMigrations, 0)
+		p.cascades = append(p.cascades, 0)
 		p.winHist = append(p.winHist, metrics.NewHistogram())
 	}
 	for len(p.doneWall) < n {
@@ -212,6 +214,7 @@ func (p *Profiler) RunEnd() {
 			}
 			p.farOverflows[i] += st.FarOverflows - last.FarOverflows
 			p.farMigrations[i] += st.FarMigrations - last.FarMigrations
+			p.cascades[i] += st.Cascades - last.Cascades
 			if !p.sharded {
 				// Sharded event counts arrive per window via ShardDone;
 				// serial ones only exist as the engine's cumulative counter.

@@ -16,9 +16,10 @@ type ShardReport struct {
 	Shard  int    `json:"shard"`
 	Events uint64 `json:"events"`
 	// FarOverflows/FarMigrations are the shard wheel's far-heap traffic
-	// (see sim.EngineStats).
+	// and Cascades its coarse-to-fine traffic (see sim.EngineStats).
 	FarOverflows  uint64 `json:"far_overflows"`
 	FarMigrations uint64 `json:"far_migrations"`
+	Cascades      uint64 `json:"cascades"`
 	BusyNs        int64  `json:"busy_ns"`
 	IdleNs        int64  `json:"idle_ns"`
 	// IdleFraction is IdleNs / (BusyNs + IdleNs): the share of the
@@ -115,6 +116,7 @@ func (p *Profiler) Report() Report {
 			Events:        p.events[i],
 			FarOverflows:  p.farOverflows[i],
 			FarMigrations: p.farMigrations[i],
+			Cascades:      p.cascades[i],
 			BusyNs:        p.busyNs[i],
 			IdleNs:        p.idleNs[i],
 			EventsPerSec:  rate(p.events[i], p.busyNs[i]),
@@ -185,14 +187,19 @@ func (r Report) WriteText(w io.Writer, detOnly bool) {
 	fmt.Fprintf(w, "%6s %12s %14s %14s\n", "shard", "events", "far_overflows", "far_migrations")
 	shards := append([]ShardReport(nil), r.PerShard...)
 	sort.Slice(shards, func(i, j int) bool { return shards[i].Shard < shards[j].Shard })
-	var evSum, ovSum, migSum uint64
+	var evSum, ovSum, migSum, casSum uint64
 	for _, s := range shards {
 		fmt.Fprintf(w, "%6d %12d %14d %14d\n", s.Shard, s.Events, s.FarOverflows, s.FarMigrations)
 		evSum += s.Events
 		ovSum += s.FarOverflows
 		migSum += s.FarMigrations
+		casSum += s.Cascades
 	}
 	fmt.Fprintf(w, "%6s %12d %14d %14d\n", "total", evSum, ovSum, migSum)
+	if casSum > 0 {
+		// Reports written before the coarse tier existed carry none.
+		fmt.Fprintf(w, "cascades=%d\n", casSum)
+	}
 	if detOnly {
 		return
 	}

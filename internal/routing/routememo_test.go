@@ -24,7 +24,7 @@ func upFilter(r *network.Router, ports []int) []int {
 	return up
 }
 
-// TestRouteMemoMatchesTopology pins the router's memoised NextHop and
+// TestRouteMemoMatchesTopology pins the router's NextHop and memoised
 // MinimalPorts to the topology's own answers — asked twice, so both the
 // filling and the memoised read are covered — for every (router,
 // destination) pair of the 64-node shapes and 10 000 sampled pairs of the

@@ -203,10 +203,15 @@ func TestFreelistTracksQueueDepth(t *testing.T) {
 }
 
 // TestLayoutSizes pins the event record at one cache line: every hop of a
-// packet moves one, and the wheel slots and the free list link the records
-// themselves through event.next.
+// packet moves one, and the wheel slots, tick lists and the free list link
+// the records themselves through event.next. It also pins the wheel (fine
+// ring, coarse ticks, bitmaps, counters) within the 10,880-byte size class
+// each engine pays for, so a 64-node cell's engines do not grow a class.
 func TestLayoutSizes(t *testing.T) {
 	if s := unsafe.Sizeof(event{}); s > 64 {
 		t.Errorf("event is %d bytes, want at most 64", s)
+	}
+	if s := unsafe.Sizeof(wheel{}); s > 10880 {
+		t.Errorf("wheel is %d bytes, want at most 10880", s)
 	}
 }

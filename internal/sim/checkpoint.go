@@ -29,8 +29,9 @@ type PendingEvent struct {
 }
 
 // PendingEvents snapshots every scheduled, non-cancelled event in
-// deterministic (time, seq) order. In wheel mode this walks the slot
-// lists and the far-overflow heap; in heap mode the queue alone.
+// deterministic (time, seq) order. In wheel mode this walks the fine
+// slots, the coarse ticks and the far-overflow heap; in heap mode the
+// queue alone.
 func (e *Engine) PendingEvents() []PendingEvent {
 	out := make([]PendingEvent, 0, e.pending)
 	add := func(ev *event) {
@@ -47,14 +48,16 @@ func (e *Engine) PendingEvents() []PendingEvent {
 		add(ev)
 	}
 	if w := e.wheel; w != nil {
-		for _, tail := range w.slots {
-			if tail == nil {
-				continue
-			}
-			for ev := tail.next; ; ev = ev.next {
-				add(ev)
-				if ev == tail {
-					break
+		for _, tails := range [][]*event{w.slots[:], w.ticks[:]} {
+			for _, tail := range tails {
+				if tail == nil {
+					continue
+				}
+				for ev := tail.next; ; ev = ev.next {
+					add(ev)
+					if ev == tail {
+						break
+					}
 				}
 			}
 		}

@@ -75,13 +75,15 @@ type EngineStats struct {
 	// FreeListLen).
 	PeakQueue int
 	FreeList  int
-	// FarOverflows counts events scheduled beyond the wheel span that
-	// overflowed into the far heap; FarMigrations counts the ones that
-	// later migrated back into a ring slot (cancelled far events are
-	// recycled without migrating, so migrations ≤ overflows). Both are
-	// zero on heap-mode (serial) engines.
+	// FarOverflows counts events scheduled beyond the wheel's coarse span
+	// that overflowed into the far heap; FarMigrations counts the ones
+	// that later migrated back into a nearer tier (cancelled far events
+	// are recycled without migrating, so migrations ≤ overflows);
+	// Cascades counts the live records moved from coarse ticks into fine
+	// slots. All three are zero on heap-mode engines.
 	FarOverflows  uint64
 	FarMigrations uint64
+	Cascades      uint64
 }
 
 // Stats snapshots the engine's counters. Safe only while the engine is
@@ -95,6 +97,9 @@ func (e *Engine) Stats() EngineStats {
 		FreeList:  e.freeN,
 	}
 	st.FarOverflows, st.FarMigrations = e.FarStats()
+	if e.wheel != nil {
+		st.Cascades = e.wheel.cascades
+	}
 	return st
 }
 

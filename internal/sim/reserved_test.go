@@ -44,14 +44,16 @@ func (a *lazyActor) HandleEvent(e *Engine, kind uint8, arg uint64) {
 	for i, n := 0, 1+w.plan.Intn(3); i < n && w.budget > 0; i++ {
 		w.budget--
 		var d Time
-		switch w.plan.Intn(4) {
+		switch w.plan.Intn(5) {
 		case 0: // same timestamp: lands behind the head of the slot being drained
 		case 1:
 			d = Time(w.plan.Intn(int(slotNs)))
 		case 2:
 			d = Time(w.plan.Intn(3000))
-		case 3: // beyond the ring: through the far heap
+		case 3: // beyond the ring: through a coarse tick
 			d = wheelSpan + Time(w.plan.Intn(30_000))
+		case 4: // beyond the coarse span: through the far heap
+			d = coarseSpan + Time(w.plan.Intn(30_000))
 		}
 		w.schedule(e, e.now+d, w.actors[w.plan.Intn(len(w.actors))], uint8(i), arg+1)
 	}
@@ -206,6 +208,32 @@ func TestScheduleReservedPassedPanics(t *testing.T) {
 				}()
 				e.ScheduleReserved(key.at, key.seq, probeActor(func(*Engine) {}), 0, 0)
 			}()
+		}
+	}
+}
+
+// TestReservedBehindHeadEveryTier materialises a reserved key after a
+// later-numbered event at the same instant is already filed, in each of
+// the wheel's tiers: the reserved record must fire first wherever it lands.
+func TestReservedBehindHeadEveryTier(t *testing.T) {
+	for _, at := range []Time{5, 3*tickNs + 7, coarseSpan + 3*tickNs} {
+		for _, wheelMode := range []bool{false, true} {
+			e := NewEngine()
+			if wheelMode {
+				e.EnableWheel()
+			}
+			var order []string
+			mark := func(name string) probeActor {
+				return func(*Engine) { order = append(order, name) }
+			}
+			early := e.ReserveSeq()
+			e.ScheduleEvent(at, mark("later"), 0, 0)
+			e.ScheduleEvent(at+1, mark("after"), 0, 0)
+			e.ScheduleReserved(at, early, mark("reserved"), 0, 0)
+			e.Run(Infinity)
+			if got := fmt.Sprint(order); got != "[reserved later after]" {
+				t.Errorf("wheel=%v at %d: fired %s, want [reserved later after]", wheelMode, at, got)
+			}
 		}
 	}
 }

@@ -125,8 +125,8 @@ type Engine struct {
 	curSeq uint64
 	queue  []*event
 	// farAt is queue[0].at while the heap is non-empty, kept by heapPush
-	// and heapPop so that the wheel's per-event migrateFar check reads no
-	// event record.
+	// and heapPop so that the wheel's migration check reads no event
+	// record.
 	farAt Time
 	// pending counts scheduled, not-yet-fired, not-cancelled events; the
 	// queue itself may additionally hold cancelled records awaiting pop.
@@ -384,14 +384,16 @@ func (e *Engine) peek() *event {
 // fire executes ev, which must be the event peek just returned: the clock
 // moves to it, the record is removed and recycled, and its actor runs.
 func (e *Engine) fire(ev *event) {
+	from := e.now
 	e.now = ev.at
 	e.curSeq = ev.seq
 	if w := e.wheel; w != nil {
-		// The clock moved, so the ring span did: pull far events in. When
-		// ev itself was the far top the ring was empty, so it lands at the
-		// head of its slot like any ring-resident earliest event.
-		if len(e.queue) > 0 {
-			e.migrateFar()
+		// A new tick moves the tiers: cascade and migrate. When ev itself
+		// came from a coarse tick or the far heap, the fine ring held
+		// nothing live, so it lands at the head of its slot like any
+		// ring-resident earliest event.
+		if tickOf(ev.at) != tickOf(from) {
+			e.advance(tickOf(from))
 		}
 		w.slotPop(slotFor(ev.at))
 	} else {

@@ -6,9 +6,10 @@ import (
 )
 
 // storm drives an engine through a randomized self-rescheduling event
-// storm and records the exact firing order. The workload mixes near and
-// far delays (exercising ring slots and the overflow heap), same-time
-// bursts (exercising FIFO tie-break), closure events, and cancellations.
+// storm and records the exact firing order. The workload mixes delays in
+// each of the wheel's tiers (fine slots, coarse ticks, the far heap),
+// same-time bursts (exercising FIFO tie-break), closure events, and
+// cancellations in every tier.
 type stormActor struct {
 	id    int
 	rng   *RNG
@@ -44,18 +45,32 @@ func (s *stormActor) HandleEvent(e *Engine, kind uint8, arg uint64) {
 		e.AfterEvent(0, s, 7, arg)
 		s.checked(e)
 	}
-	// Far event: beyond the wheel span, must overflow to the heap and
-	// migrate back in order.
+	// Coarse event: beyond the fine ring, filed in a coarse tick and
+	// cascaded back in order.
 	if s.rng.Intn(3) == 0 {
 		e.AfterEvent(Time(9000+s.rng.Intn(40000)), s, 9, arg)
 		s.checked(e)
 	}
-	// Cancellation churn: arm an event and cancel it half the time.
+	// Far event: beyond the coarse span, must overflow to the heap and
+	// migrate back in order.
+	if s.rng.Intn(8) == 0 {
+		e.AfterEvent(coarseSpan+Time(s.rng.Intn(coarseSpan)), s, 10, arg)
+		s.checked(e)
+	}
+	// Cancellation churn: arm an event in one of the three tiers and
+	// cancel it half the time.
 	if s.held.Valid() && s.rng.Intn(2) == 0 {
 		e.Cancel(s.held)
 		s.held = EventID{}
 	} else {
-		s.held = e.AfterEvent(Time(s.rng.Intn(2000)), s, 8, arg)
+		d := Time(s.rng.Intn(2000))
+		switch s.rng.Intn(4) {
+		case 0:
+			d += 2 * wheelSpan
+		case 1:
+			d += coarseSpan
+		}
+		s.held = e.AfterEvent(d, s, 8, arg)
 	}
 	s.checked(e)
 	// Closure events interleave with typed ones.
@@ -84,11 +99,44 @@ func newStorm(wheelMode bool, seed uint64, log *[]string, check func(*Engine)) *
 	return e
 }
 
-func runStorm(t *testing.T, wheelMode bool, seed uint64) []string {
+func runStorm(t *testing.T, wheelMode bool, seed uint64, check func(*Engine)) ([]string, EngineStats) {
 	t.Helper()
 	var log []string
-	newStorm(wheelMode, seed, &log, nil).Run(Infinity)
-	return log
+	e := newStorm(wheelMode, seed, &log, check)
+	e.Run(Infinity)
+	return log, e.Stats()
+}
+
+// tierCensus counts, over the checks it is called from, the cancelled
+// records seen waiting in each tier of a wheel engine: fine slots, coarse
+// ticks and the far heap.
+type tierCensus struct{ fine, coarse, far int }
+
+func (c *tierCensus) check(e *Engine) {
+	w := e.wheel
+	walk := func(tails []*event) (n int) {
+		for _, tail := range tails {
+			if tail == nil {
+				continue
+			}
+			for ev := tail.next; ; ev = ev.next {
+				if ev.cancelled {
+					n++
+				}
+				if ev == tail {
+					break
+				}
+			}
+		}
+		return n
+	}
+	c.fine += walk(w.slots[:])
+	c.coarse += walk(w.ticks[:])
+	for _, ev := range e.queue {
+		if ev.cancelled {
+			c.far++
+		}
+	}
 }
 
 // diffLogs fails the test at the first line where two transcripts differ.
@@ -106,38 +154,54 @@ func diffLogs(t *testing.T, what string, want, got []string) {
 
 // TestWheelMatchesHeap pins that the windowed-wheel scheduler fires
 // events in exactly the heap's (time, seq) order, including same-time
-// bursts, far-heap migration, and cancellations.
+// bursts, coarse-tick cascades, far-heap migration, and cancellations in
+// every tier.
 func TestWheelMatchesHeap(t *testing.T) {
 	for seed := uint64(1); seed <= 5; seed++ {
-		heapLog := runStorm(t, false, seed)
-		wheelLog := runStorm(t, true, seed)
+		heapLog, _ := runStorm(t, false, seed, nil)
+		var census tierCensus
+		wheelLog, st := runStorm(t, true, seed, census.check)
 		diffLogs(t, fmt.Sprintf("seed %d", seed), heapLog, wheelLog)
 		if len(heapLog) < 100 {
 			t.Fatalf("seed %d: storm too small to be meaningful (%d events)", seed, len(heapLog))
 		}
+		// Every tier must have held live and cancelled records.
+		if st.Cascades == 0 || st.FarOverflows == 0 || st.FarMigrations == 0 {
+			t.Fatalf("seed %d: storm missed a tier: %+v", seed, st)
+		}
+		if census.fine == 0 || census.coarse == 0 || census.far == 0 {
+			t.Fatalf("seed %d: no cancelled record waited in some tier: %+v", seed, census)
+		}
 	}
 }
 
-// slotNs is the ring's slot width; the contract tests place their corner
-// cases relative to it so they stay on the corners if the geometry moves.
-const slotNs = Time(1) << wheelSlotShift
+// slotNs and tickNs are the fine slot and coarse tick widths; the
+// contract tests place their corner cases relative to them so they stay on
+// the corners if the geometry moves.
+const (
+	slotNs = Time(1) << wheelSlotShift
+	tickNs = Time(1) << tickShift
+)
 
 // slicedHorizons chops the storm into Run calls whose horizons land
-// mid-slot, exactly on slot boundaries, inside regions the storm leaves
-// empty, one ring span apart, and — the last three — past a full drain.
+// mid-slot, exactly on slot and tick boundaries, inside regions the storm
+// leaves empty, one ring span apart, at the coarse span's edge, and — the
+// last three — past a full drain.
 var slicedHorizons = []Time{
-	slotNs - 1, slotNs, slotNs + 1, 100, 32 * slotNs, 64*slotNs + 3, 128 * slotNs, 129 * slotNs, 5000,
-	wheelSpan, wheelSpan + 1, 2*wheelSpan - 1, 20_000, 20_000 + slotNs, 60_000, 100_000,
-	1_000_000, 1_000_001, 50_000_000,
+	slotNs - 1, slotNs, slotNs + 1, 100, 32 * slotNs, 64*slotNs + 3, 128 * slotNs, 129 * slotNs,
+	tickNs - 1, tickNs, tickNs + 1, 5000, wheelSpan, wheelSpan + 1, 2*wheelSpan - 1, 3 * tickNs,
+	20_000, 20_000 + slotNs, 60_000, 100_000, coarseSpan - 1, coarseSpan, coarseSpan + tickNs + 1,
+	2 * coarseSpan, 5*coarseSpan + 3, 50_000_000, 50_000_001, 200_000_000,
 }
 
 // runSliced drives the storm through slicedHorizons and returns a
 // transcript of everything the engine contract makes observable: the
 // firing order, and after every slice Run's count, Now, Len and
-// NextEventTime. Between slices it schedules at Now(), Now()+1 and past
-// the ring span, and cancels a ring-resident, a far-heap and an
-// already-fired ID, recording what Cancel reported. check runs as in the
-// storm's actors, and after each slice, schedule and cancel here.
+// NextEventTime. Between slices it schedules at Now(), Now()+1, past the
+// fine ring and past the coarse span, and cancels a fine-slot, a
+// coarse-tick, a far-heap and an already-fired ID, recording what Cancel
+// reported. check runs as in the storm's actors, and after each slice,
+// schedule and cancel here.
 func runSliced(wheelMode bool, seed uint64, check func(*Engine)) []string {
 	var log []string
 	e := newStorm(wheelMode, seed, &log, check)
@@ -153,10 +217,12 @@ func runSliced(wheelMode bool, seed uint64, check func(*Engine)) []string {
 		atNow := after(e.ScheduleEvent(e.Now(), probe, 20, arg))
 		after(e.ScheduleEvent(e.Now()+1, probe, 21, arg))
 		after(e.ScheduleEvent(e.Now()+wheelSpan+5, probe, 22, arg))
+		after(e.ScheduleEvent(e.Now()+coarseSpan+5, probe, 25, arg))
 		ring := after(e.ScheduleEvent(e.Now()+40, probe, 23, arg))
-		far := after(e.ScheduleEvent(e.Now()+3*wheelSpan, probe, 24, arg))
-		log = append(log, fmt.Sprintf("cancel ring=%v far=%v fired=%v again=%v len=%d next=%d",
-			cancel(ring), cancel(far), cancel(firedID), cancel(ring), e.Len(), e.NextEventTime()))
+		coarse := after(e.ScheduleEvent(e.Now()+3*wheelSpan, probe, 24, arg))
+		far := after(e.ScheduleEvent(e.Now()+2*coarseSpan, probe, 26, arg))
+		log = append(log, fmt.Sprintf("cancel ring=%v coarse=%v far=%v fired=%v again=%v len=%d next=%d",
+			cancel(ring), cancel(coarse), cancel(far), cancel(firedID), cancel(ring), e.Len(), e.NextEventTime()))
 		firedID = atNow
 	}
 	e.Run(Infinity)
@@ -316,5 +382,93 @@ func TestWheelCancel(t *testing.T) {
 	}
 	if e.Len() != 0 {
 		t.Fatalf("pending = %d", e.Len())
+	}
+}
+
+// TestWheelAdvanceToMatchesHeap drives the storm the way the shard group
+// does at barriers: before each step the clock jumps by one tick, by
+// several ticks or by more than the coarse span — capped at the next
+// event, which AdvanceTo's contract requires — and fresh events are filed
+// in every tier from the new position. The wheel must report the same
+// clock, pending count, next event time and firing order as the heap, and
+// must have made each kind of jump.
+func TestWheelAdvanceToMatchesHeap(t *testing.T) {
+	jumps := []Time{tickNs, 5*tickNs + 3, 1, tickNs - 1, 2 * tickNs}
+	drive := func(wheelMode bool, seed uint64) ([]string, [3]int) {
+		var log []string
+		var made [3]int // jumps of one tick, of 2 to coarseTicks-1, of more
+		e := newStorm(wheelMode, seed, &log, nil)
+		probe := &stormActor{id: 99, log: &log}
+		for i := 0; e.Len() > 0; i++ {
+			next := e.NextEventTime()
+			from := e.Now()
+			jump := jumps[i%len(jumps)]
+			if next-from > coarseSpan+tickNs {
+				jump = coarseSpan + tickNs // a gap past the span: cross it
+			}
+			e.AdvanceTo(min(next, from+jump))
+			switch d := tickOf(e.Now()) - tickOf(from); {
+			case d == 1:
+				made[0]++
+			case d > 1 && d < coarseTicks:
+				made[1]++
+			case d >= coarseTicks:
+				made[2]++
+			}
+			log = append(log, fmt.Sprintf("advanced %d -> %d: len=%d next=%d", from, e.Now(), e.Len(), e.NextEventTime()))
+			if i < 40 && i%4 == 0 {
+				arg := uint64(i)
+				e.ScheduleEvent(e.Now(), probe, 20, arg)
+				e.ScheduleEvent(e.Now()+tickNs, probe, 21, arg)
+				e.ScheduleEvent(e.Now()+7*tickNs+1, probe, 22, arg)
+				e.ScheduleEvent(e.Now()+5*coarseSpan, probe, 23, arg)
+			}
+			e.Run(e.NextEventTime() + 1)
+		}
+		return append(log, fmt.Sprintf("end: now=%d processed=%d", e.Now(), e.Processed)), made
+	}
+	for seed := uint64(1); seed <= 3; seed++ {
+		want, _ := drive(false, seed)
+		got, made := drive(true, seed)
+		diffLogs(t, fmt.Sprintf("seed %d", seed), want, got)
+		if made[0] == 0 || made[1] == 0 || made[2] == 0 {
+			t.Fatalf("seed %d: jumps of one tick, several ticks and past the span: %v, want each", seed, made)
+		}
+	}
+}
+
+// coarsePing keeps n events in flight, each rescheduling itself a few
+// ticks ahead: every event is filed in a coarse tick and cascaded into the
+// fine ring before it fires.
+type coarsePing struct{ left int }
+
+func (p *coarsePing) HandleEvent(e *Engine, kind uint8, arg uint64) {
+	if p.left > 0 {
+		p.left--
+		e.AfterEvent(3*tickNs+Time(arg%64), p, 0, arg+1)
+	}
+}
+
+// TestCoarseTierZeroAlloc is the coarse tier's zero-alloc guard: once the
+// free list is warm, scheduling through coarse ticks and cascading them
+// allocates nothing.
+func TestCoarseTierZeroAlloc(t *testing.T) {
+	e := NewEngine()
+	e.EnableWheel()
+	p := &coarsePing{}
+	round := func() {
+		p.left = 2000
+		for i := uint64(0); i < 16; i++ {
+			e.ScheduleEvent(e.Now(), p, 0, i*5)
+		}
+		e.Run(Infinity)
+	}
+	round() // warm-up: grow the free list
+	before := e.Stats().Cascades
+	if avg := testing.AllocsPerRun(20, round); avg != 0 {
+		t.Fatalf("coarse-tier scheduling allocates %.2f times per round, want 0", avg)
+	}
+	if e.Stats().Cascades-before < 20*2000 {
+		t.Fatalf("only %d records cascaded: the rounds missed the coarse tier", e.Stats().Cascades-before)
 	}
 }

@@ -100,47 +100,49 @@ func (d *Dragonfly) linkCount(i, j int) int {
 
 // wireGlobals assigns every group's a*h global endpoints to its link list
 // (peer groups in ring order from the group, link copies in order) and
-// wires the k-th link of each pair end to end.
+// wires the k-th link of each pair end to end. Peer tables and link lists
+// are carved from one slab each, at their exact sizes.
 func (d *Dragonfly) wireGlobals() {
 	routers := d.A * d.G
+	peers := make([]Peer, routers*d.H)
 	d.globalPeer = make([][]Peer, routers)
 	for r := range d.globalPeer {
-		d.globalPeer[r] = make([]Peer, d.H)
+		d.globalPeer[r] = peers[r*d.H : (r+1)*d.H : (r+1)*d.H]
 	}
+	links := make([]dfLink, 0, routers*d.H)
 	d.pair = make([][]dfLink, d.G*d.G)
 
 	// endpoint e of group i lives on router i*A + e/H, global channel e%H.
 	endpoint := func(group, e int) (RouterID, int) {
 		return RouterID(group*d.A + e/d.H), e % d.H
 	}
-	// Enumerate each group's links in deterministic order and record the
-	// endpoint index each link consumes.
-	type linkRef struct{ peer, copy int }
-	order := make([][]linkRef, d.G)
-	// first[i*G+j] is where group i's links to group j start in order[i];
-	// the copies follow contiguously.
+	// first[i*G+j] is the endpoint index where group i's links to group j
+	// start; the copies follow contiguously.
 	first := make([]int, d.G*d.G)
 	for i := 0; i < d.G; i++ {
+		e := 0
 		for diff := 1; diff < d.G; diff++ {
 			j := (i + diff) % d.G
-			first[i*d.G+j] = len(order[i])
-			for c := 0; c < d.linkCount(i, j); c++ {
-				order[i] = append(order[i], linkRef{peer: j, copy: c})
-			}
+			n := d.linkCount(i, j)
+			first[i*d.G+j] = e
+			d.pair[i*d.G+j] = links[len(links) : len(links) : len(links)+n]
+			links = links[:len(links)+n]
+			e += n
 		}
-		if len(order[i]) != d.A*d.H {
-			panic(fmt.Sprintf("topology: dragonfly group %d wired %d endpoints, want %d", i, len(order[i]), d.A*d.H))
+		if e != d.A*d.H {
+			panic(fmt.Sprintf("topology: dragonfly group %d wired %d endpoints, want %d", i, e, d.A*d.H))
 		}
 	}
 	// Match the c-th link of pair (i, j) on both sides.
 	for i := 0; i < d.G; i++ {
-		for e, ref := range order[i] {
-			r, c := endpoint(i, e)
-			pe := first[ref.peer*d.G+i] + ref.copy
-			pr, pc := endpoint(ref.peer, pe)
-			d.globalPeer[r][c] = Peer{Router: pr, Port: d.globalPort(pc), Terminal: -1}
-			d.pair[i*d.G+ref.peer] = append(d.pair[i*d.G+ref.peer],
-				dfLink{src: r, port: d.globalPort(c), dst: pr})
+		for diff := 1; diff < d.G; diff++ {
+			j := (i + diff) % d.G
+			for c := 0; c < cap(d.pair[i*d.G+j]); c++ {
+				r, rc := endpoint(i, first[i*d.G+j]+c)
+				pr, pc := endpoint(j, first[j*d.G+i]+c)
+				d.globalPeer[r][rc] = Peer{Router: pr, Port: d.globalPort(pc), Terminal: -1}
+				d.pair[i*d.G+j] = append(d.pair[i*d.G+j], dfLink{src: r, port: d.globalPort(rc), dst: pr})
+			}
 		}
 	}
 }

@@ -264,7 +264,8 @@ func InstallHeavyTail(net *network.Network, spec HeavyTail, rng *sim.RNG) {
 			node = spec.Nodes[i]
 		}
 		s := &sources[i]
-		*s = heavyTailSource{g: g, node: node, rng: sim.NewRNG(base ^ (uint64(node)+1)*0x9e3779b97f4a7c15)}
+		*s = heavyTailSource{g: g, node: node}
+		s.rng.Seed(base ^ (uint64(node)+1)*0x9e3779b97f4a7c15)
 		// Spread cycle phases across one mean flow interval so sources do
 		// not all burst in lockstep at Start.
 		first := spec.Start + sim.Time(s.rng.Float64()*g.ivf)
@@ -287,7 +288,7 @@ type heavyTailGen struct {
 type heavyTailSource struct {
 	g     *heavyTailGen
 	node  topology.NodeID
-	rng   *sim.RNG
+	rng   sim.RNG  // by value: the slab holds every source's stream
 	onEnd sim.Time // end of the current ON period
 }
 
@@ -329,9 +330,9 @@ func (s *heavyTailSource) flow(e *sim.Engine) {
 	if e.Now() >= s.onEnd {
 		return
 	}
-	dst := g.spec.Pattern.Destination(s.node, s.rng)
+	dst := g.spec.Pattern.Destination(s.node, &s.rng)
 	if dst >= 0 && dst != s.node {
-		g.net.NICs[s.node].Send(e, dst, g.spec.Sizes.Sample(s.rng), g.spec.MPIType, 0)
+		g.net.NICs[s.node].Send(e, dst, g.spec.Sizes.Sample(&s.rng), g.spec.MPIType, 0)
 	}
 	e.AfterEvent(s.expTime(g.ivf), s, htFlow, 0)
 }

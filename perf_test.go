@@ -48,7 +48,7 @@ func TestProfilerDoesNotPerturbResults(t *testing.T) {
 
 // TestProfilerDeterministicCountersStable pins that the deterministic
 // section of the report (events, windows and their modes, remote records,
-// far-heap counters) is identical across two runs of the same
+// far-heap and cascade counters) is identical across two runs of the same
 // configuration, whatever GOMAXPROCS — the byte-stability `prdrbtrace perf
 // -det` relies on.
 func TestProfilerDeterministicCountersStable(t *testing.T) {
@@ -68,8 +68,12 @@ func TestProfilerDeterministicCountersStable(t *testing.T) {
 	}
 	for i := range a.PerShard {
 		x, y := a.PerShard[i], b.PerShard[i]
-		if x.Events != y.Events || x.FarOverflows != y.FarOverflows || x.FarMigrations != y.FarMigrations {
+		if x.Events != y.Events || x.FarOverflows != y.FarOverflows || x.FarMigrations != y.FarMigrations ||
+			x.Cascades != y.Cascades {
 			t.Fatalf("shard %d deterministic counters drifted: %+v vs %+v", i, x, y)
+		}
+		if x.Cascades == 0 {
+			t.Fatalf("shard %d reported no coarse-to-fine cascades: %+v", i, x)
 		}
 	}
 }

@@ -2,6 +2,8 @@ package prdrb
 
 import (
 	"testing"
+
+	"prdrb/internal/network"
 )
 
 // burstRun executes the canonical repeated-burst experiment (Fig 3.1's
@@ -283,5 +285,27 @@ func TestResultsString(t *testing.T) {
 	r := Results{Policy: PolicyDRB, GlobalLatencyUs: 12.5}
 	if r.String() == "" {
 		t.Fatal("empty Results rendering")
+	}
+}
+
+// TestMPICallType pins the facade's call-name lookup as the inverse of
+// the reports' naming: every named MPI_type round-trips, and "?" (the name
+// of every value past the block) and unknown names are refused.
+func TestMPICallType(t *testing.T) {
+	for v := 0; v <= 255; v++ {
+		name := network.MPITypeName(uint8(v))
+		got, ok := MPICallType(name)
+		if name == "?" {
+			if ok {
+				t.Fatalf("MPICallType(%q) = %d, want refused", name, got)
+			}
+			continue
+		}
+		if !ok || got != uint8(v) {
+			t.Fatalf("MPICallType(%q) = %d, %v; want %d", name, got, ok, v)
+		}
+	}
+	if _, ok := MPICallType("allgather"); ok {
+		t.Fatal("MPICallType accepted a call type the simulator does not have")
 	}
 }

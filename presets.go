@@ -38,6 +38,18 @@ func NewTraceBuilder(name string, ranks int) *TraceBuilder {
 	return trace.NewBuilder(name, ranks)
 }
 
+// MPICallType returns the MPI_type header value of a call named as the
+// trace reports name it ("send", "allreduce", "alltoall", ...), the key
+// Trace.CallShare and Trace.CallMix take; ok is false for an unknown name.
+func MPICallType(name string) (t uint8, ok bool) {
+	for v := 0; v <= 255; v++ {
+		if n := network.MPITypeName(uint8(v)); n == name && n != "?" {
+			return uint8(v), true
+		}
+	}
+	return 0, false
+}
+
 // WorkloadOptions tunes the application-trace generators.
 type WorkloadOptions = workloads.Options
 
