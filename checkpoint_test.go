@@ -42,6 +42,21 @@ func deliveredVector(s *Sim) []int64 {
 	return out
 }
 
+// writeCheckpoint captures s's state and writes it atomically to path, as
+// the benchmark's checkpoint probe does; it returns the file's size.
+func writeCheckpoint(t *testing.T, s *Sim, path string) int {
+	t.Helper()
+	f, err := s.CaptureCheckpoint()
+	if err != nil {
+		t.Fatalf("CaptureCheckpoint: %v", err)
+	}
+	data := ckpt.Encode(f)
+	if err := ckpt.WriteFileAtomic(path, data); err != nil {
+		t.Fatal(err)
+	}
+	return len(data)
+}
+
 func runCkptScenario(t *testing.T, sc ckptScenario) {
 	t.Helper()
 
@@ -57,11 +72,7 @@ func runCkptScenario(t *testing.T, sc ckptScenario) {
 	at := writer.AlignCheckpoint(sc.at)
 	writer.Execute(at)
 	path := filepath.Join(t.TempDir(), "run.ckpt")
-	n, err := writer.WriteCheckpoint(path)
-	if err != nil {
-		t.Fatalf("WriteCheckpoint: %v", err)
-	}
-	if n == 0 {
+	if n := writeCheckpoint(t, writer, path); n == 0 {
 		t.Fatalf("empty checkpoint")
 	}
 	wRes := writer.Execute(sc.horizon)
@@ -127,6 +138,30 @@ func TestCheckpointResumeSharded(t *testing.T) {
 		},
 		horizon: 5 * Millisecond,
 		at:      200 * Microsecond,
+	})
+}
+
+// TestCheckpointResumeHeavyTail checkpoints a sharded heavy-tail run on a
+// dragonfly: cache flow sizes, group-local destinations, on 2 shards.
+func TestCheckpointResumeHeavyTail(t *testing.T) {
+	runCkptScenario(t, ckptScenario{
+		name: "sharded-heavytail",
+		build: func(t *testing.T) *Sim {
+			topo, err := TopologyByName("df-4-8-2-2")
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := MustNewSim(Experiment{Topology: topo, Policy: PolicyPRDRB, Seed: 1, Shards: 2})
+			if err := s.InstallHeavyTail(HeavyTailSpec{
+				CDF: "cache", Pattern: "grouplocal", PLocal: 0.5, LoadMbps: 300,
+				OnMean: 200 * Microsecond, End: 300 * Microsecond,
+			}); err != nil {
+				t.Fatal(err)
+			}
+			return s
+		},
+		horizon: 5 * Millisecond,
+		at:      150 * Microsecond,
 	})
 }
 
@@ -240,9 +275,7 @@ func TestResumeRefusesMismatch(t *testing.T) {
 	checkpoint := func(topo Topology) {
 		w := build(topo, 42, 1)
 		w.Execute(w.AlignCheckpoint(100 * Microsecond))
-		if _, err := w.WriteCheckpoint(path); err != nil {
-			t.Fatal(err)
-		}
+		writeCheckpoint(t, w, path)
 	}
 
 	checkpoint(FatTree(4, 3))
@@ -318,9 +351,7 @@ func TestResumeDetectsDivergence(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "run.ckpt")
 			w := build()
 			w.Execute(w.AlignCheckpoint(100 * Microsecond))
-			if _, err := w.WriteCheckpoint(path); err != nil {
-				t.Fatal(err)
-			}
+			writeCheckpoint(t, w, path)
 			if _, err := build().Resume(path); err != nil {
 				t.Fatalf("unperturbed resume: %v", err)
 			}

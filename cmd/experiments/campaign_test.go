@@ -3,9 +3,11 @@ package main
 import (
 	"encoding/json"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"prdrb/internal/runner"
 	"prdrb/internal/telemetry"
@@ -144,6 +146,55 @@ func TestCampaignResumeSkipsCommittedCells(t *testing.T) {
 	}
 	if len(cellFiles(t, root)) != 4 {
 		t.Fatalf("third run left %d cell files, want 4", len(cellFiles(t, root)))
+	}
+}
+
+// An interrupted campaign restarts where it stopped: a child process (this
+// test binary, re-executed as experiments -campaign -procs 1) gets SIGINT
+// once a cell is committed and exits 130; the restart skips exactly the
+// committed cells, runs the rest without a failure and leaves no
+// temporary file.
+func TestCampaignInterruptRestart(t *testing.T) {
+	const manifest = `{"topologies":["ft-4-3"],"policies":["pr-drb"],"patterns":["shuffle","uniform"],
+		"rates_mbps":[600],"seeds":[1,2,3],"duration":"400us"}`
+	if root := os.Getenv("PRDRB_CAMPAIGN_CHILD"); root != "" {
+		os.Exit(run([]string{"-campaign", filepath.Join(root, "manifest.json"), "-campaign-dir", filepath.Join(root, "camps"), "-procs", "1"}))
+	}
+	root := t.TempDir()
+	if err := os.WriteFile(filepath.Join(root, "manifest.json"), []byte(manifest), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	child := exec.Command(os.Args[0], "-test.run=^TestCampaignInterruptRestart$")
+	child.Env = append(os.Environ(), "PRDRB_CAMPAIGN_CHILD="+root)
+	if err := child.Start(); err != nil {
+		t.Fatal(err)
+	}
+	exited := make(chan error, 1)
+	go func() { exited <- child.Wait() }()
+	// Interrupt once a cell is committed; the campaign may end first.
+	var err error
+	for deadline := time.Now().Add(2 * time.Minute); ; time.Sleep(20 * time.Millisecond) {
+		select {
+		case err = <-exited:
+		default:
+			if len(cellFiles(t, root)) == 0 && time.Now().Before(deadline) {
+				continue
+			}
+			child.Process.Signal(os.Interrupt)
+			err = <-exited
+		}
+		break
+	}
+	committed := len(cellFiles(t, root))
+	if code := child.ProcessState.ExitCode(); code != 130 && (code != 0 || committed != 6) {
+		t.Errorf("interrupted campaign ended with %v and %d cells, want exit status 130, or 0 with all 6", err, committed)
+	}
+	if committed == 0 {
+		t.Fatal("no cell committed before the interrupt")
+	}
+	failed, fleet := campaignRun(t, root, manifest)
+	if failed != 0 || fleet.Skipped != committed || fleet.Done != 6-committed {
+		t.Fatalf("restart after %d committed cells: failed=%d skipped=%d done=%d", committed, failed, fleet.Skipped, fleet.Done)
 	}
 }
 

@@ -8,13 +8,20 @@ import (
 	"go/token"
 	"go/types"
 	"path/filepath"
+	"regexp"
 	"slices"
 	"strings"
 )
 
-// keepAPI lists the names the dead-api row lets stand although no
-// non-test code uses them; at most five, each with its reason.
-var keepAPI = []keep{}
+// keepAPI lists the names and fields the dead-api row lets stand although
+// no non-test code uses them (for a field: writes it, or reads it); at
+// most five, each with its reason.
+var keepAPI = []keep{
+	{"prdrb/internal/sim.ShardGroup.forceMode", "the window-mode test seam: tests force a window released or inline"},
+	{"prdrb/internal/sim.PendingEvent.Actor", "network and traffic tests identify event owners by it"},
+	{"prdrb/internal/core.Solution.SavedAt", "it holds SolutionDB.Save's now argument, whose signature benchmark/probes.go fixes"},
+	{"prdrb/internal/runner.BurstSpec.Start", "benchmark/cell.go and benchmark/ladder.go read it"},
+}
 
 type keep struct{ name, why string }
 
@@ -47,7 +54,8 @@ func (f importFunc) Import(path string) (*types.Package, error) { return f(path)
 // "pkg.Type.Method". A method is also used when its type, or a pointer to
 // it, satisfies an interface type that non-test code names or spells out
 // in a signature it uses (as fmt.Fprintf does io.Writer), or fmt.Stringer,
-// which fmt asserts on every value it formats.
+// which fmt asserts on every value it formats. It also returns the fields
+// deadFields names.
 func deadAPI(root string) []string {
 	fset, pkgs := token.NewFileSet(), map[string]*types.Package{}
 	std := importer.ForCompiler(fset, "source", nil)
@@ -57,7 +65,7 @@ func deadAPI(root string) []string {
 		}
 		return std.Import(path)
 	})}
-	info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}, Types: map[ast.Expr]types.TypeAndValue{}}
+	info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}, Types: map[ast.Expr]types.TypeAndValue{}, Selections: map[*ast.SelectorExpr]*types.Selection{}}
 	var files []*ast.File
 	// -deps lists each package after those it imports.
 	list := output("go", "-C", root, "list", "-deps", "-f", `{{if not .Standard}}{{.ImportPath}} {{.Dir}} {{join .GoFiles " "}}{{end}}`, "./...")
@@ -122,6 +130,7 @@ func deadAPI(root string) []string {
 			dead = append(dead, name)
 		}
 	}
+	dead = append(dead, deadFields(files, info)...)
 	slices.Sort(dead)
 	return dead
 }
@@ -187,4 +196,130 @@ func collectInterfaces(t types.Type, seen map[types.Type]bool, out *[]*types.Int
 	for _, it := range inner {
 		collectInterfaces(it, seen, out)
 	}
+}
+
+// deadFields returns, as pkg.Owner.field with Owner the type or function
+// declaring it, each struct field declared in files outside benchmark/
+// that no code in files writes, or none reads. Assigning (also through
+// value fields and array elements), inc/dec and composite literals write;
+// &x.f, slicing an array field and a pointer-method call on a value field
+// write and read; other uses read. Decoding into a value writes all it
+// reaches, passing it to fmt, encoding/json or a ...any parameter reads
+// all it reaches, and comparing it or keying a map with it reads its own.
+func deadFields(files []*ast.File, info *types.Info) (dead []string) {
+	formatCall := regexp.MustCompile(`^func \(?\*?(fmt|encoding/json|encoding/binary)\.`)
+	decodeCall := regexp.MustCompile(`^func (encoding/json\.Unmarshal|\(\*encoding/json\.Decoder\)\.Decode|encoding/binary\.Read)\(`)
+	names, wrote, read := map[*types.Var]string{}, map[*types.Var]bool{}, map[*types.Var]bool{}
+	var reach func(t types.Type, mark map[*types.Var]bool, deep bool, seen map[types.Type]bool)
+	reach = func(t types.Type, mark map[*types.Var]bool, deep bool, seen map[types.Type]bool) {
+		if st, ok := t.Underlying().(*types.Struct); ok && !seen[t] {
+			seen[t] = true
+			for i := range st.NumFields() {
+				mark[st.Field(i).Origin()] = true
+				reach(st.Field(i).Type(), mark, deep, seen)
+			}
+		} else if c, ok := t.Underlying().(interface{ Elem() types.Type }); ok && (deep || is[*types.Array](t)) && !seen[t] {
+			seen[t] = true
+			reach(c.Elem(), mark, deep, seen) // array, pointer, slice, map value, chan
+		}
+	}
+	counted := map[ast.Expr]bool{} // field selections a write counted, read or not
+	var write func(e ast.Expr, reads bool)
+	write = func(e ast.Expr, reads bool) {
+		sel, _ := ast.Unparen(e).(*ast.SelectorExpr)
+		if ix, ok := ast.Unparen(e).(*ast.IndexExpr); ok && is[*types.Array](info.TypeOf(ix.X)) {
+			write(ix.X, reads)
+		} else if s := info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
+			wrote[s.Obj().(*types.Var).Origin()], counted[sel] = true, !reads
+			if !is[*types.Pointer](info.TypeOf(sel.X)) {
+				write(sel.X, reads)
+			}
+		}
+	}
+	for _, f := range files {
+		owner := ""
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				owner = n.Name.Name
+			case *ast.TypeSpec:
+				owner = n.Name.Name
+			case *ast.Field:
+				for _, id := range n.Names {
+					if v, ok := info.Defs[id].(*types.Var); ok && v.IsField() && id.Name != "_" && !strings.HasSuffix(v.Pkg().Path(), "/benchmark") {
+						names[v] = v.Pkg().Path() + "." + owner + "." + id.Name
+					}
+				}
+			case *ast.AssignStmt:
+				for _, l := range n.Lhs {
+					write(l, false)
+				}
+			case *ast.IncDecStmt:
+				write(n.X, false)
+			case *ast.UnaryExpr:
+				if n.Op == token.AND {
+					write(n.X, true)
+				}
+			case *ast.SliceExpr:
+				if is[*types.Array](info.TypeOf(n.X)) {
+					write(n.X, true)
+				}
+			case *ast.SelectorExpr:
+				if s := info.Selections[n]; s != nil && s.Kind() == types.FieldVal && !counted[n] {
+					read[s.Obj().(*types.Var).Origin()] = true
+				} else if s != nil && s.Kind() == types.MethodVal && is[*types.Pointer](s.Obj().Type().(*types.Signature).Recv().Type()) && !is[*types.Pointer](info.TypeOf(n.X)) {
+					write(n.X, true)
+				}
+			case *ast.CompositeLit:
+				for i, e := range n.Elts {
+					if kv, ok := e.(*ast.KeyValueExpr); ok && is[*types.Struct](info.TypeOf(n)) {
+						wrote[info.Uses[kv.Key.(*ast.Ident)].(*types.Var).Origin()] = true
+					} else if st, ok := info.TypeOf(n).Underlying().(*types.Struct); ok {
+						wrote[st.Field(i).Origin()] = true
+					}
+				}
+			case *ast.BinaryExpr:
+				if n.Op == token.EQL || n.Op == token.NEQ {
+					reach(info.TypeOf(n.X), read, false, map[types.Type]bool{})
+				}
+			case *ast.MapType:
+				reach(info.TypeOf(n.Key), read, false, map[types.Type]bool{})
+			case *ast.CallExpr:
+				sig, _ := info.TypeOf(n.Fun).Underlying().(*types.Signature)
+				fn := ""
+				if sel, ok := n.Fun.(*ast.SelectorExpr); ok {
+					fn = types.ObjectString(info.Uses[sel.Sel], nil)
+				}
+				for i := 0; sig != nil && i < len(n.Args); i++ {
+					last := sig.Params().Len() - 1
+					p := sig.Params().At(min(i, last)).Type()
+					if sig.Variadic() && i >= last && !n.Ellipsis.IsValid() {
+						p = p.(*types.Slice).Elem()
+					} else if !formatCall.MatchString(fn) {
+						continue
+					}
+					if it, ok := p.Underlying().(*types.Interface); ok && it.Empty() {
+						mark := read
+						if i == last && decodeCall.MatchString(fn) {
+							mark = wrote
+						}
+						reach(info.TypeOf(n.Args[i]), mark, true, map[types.Type]bool{})
+					}
+				}
+			}
+			return true
+		})
+	}
+	for v, name := range names {
+		if !wrote[v] || !read[v] {
+			dead = append(dead, name)
+		}
+	}
+	return dead
+}
+
+// is reports whether t's underlying type is a T.
+func is[T types.Type](t types.Type) bool {
+	_, ok := t.Underlying().(T)
+	return ok
 }

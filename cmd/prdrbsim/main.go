@@ -53,10 +53,6 @@ func main() {
 
 		faultSpec = flag.String("faults", "", "fault plan, e.g. 'link@500us:3.1+2ms, rand2@1ms+500us~2ms' (link@T:R.P[+repair], router@T:R[+repair], degrade@T:R.P*F[+dur], flap@T:R.P*N/period, randN@T[+spread][~mttr])")
 
-		ckptPath   = flag.String("checkpoint", "", "write a checkpoint (a determinism seal of the state) at mid-run to this file (atomic)")
-		ckptExit   = flag.Bool("checkpoint-exit", false, "exit after writing the checkpoint (for resume testing)")
-		resumePath = flag.String("resume", "", "resume from a checkpoint file; the invocation must repeat the writing run's configuration exactly")
-
 		traceIn   = flag.String("replay", "", "replay a serialized workload trace file instead of -workload/-pattern")
 		traceOut  = flag.String("save-trace", "", "write the generated workload trace to this file and exit")
 		goalIn    = flag.String("goal", "", "replay a GOAL dependency-graph schedule file")
@@ -208,19 +204,6 @@ func main() {
 	if haveWork != 1 {
 		fatal(fmt.Errorf("choose exactly one of -pattern, -workload, -replay, -goal or -heavytail"))
 	}
-	if *ckptPath != "" || *resumePath != "" {
-		// A checkpoint identifies one run; resume rebuilds the identical
-		// simulation. Closed-loop replay (-workload/-replay/-goal) and
-		// preloaded knowledge hold host-side state the checkpoint does not
-		// capture, so only the open-loop synthetic workloads qualify.
-		if strings.Contains(*policies, ",") || *seeds != 1 {
-			fatal(fmt.Errorf("-checkpoint/-resume need a single policy and a single seed"))
-		}
-		if *workload != "" || loadedTrace != nil || loadedGoal != nil || *knowIn != "" {
-			fatal(fmt.Errorf("-checkpoint/-resume support synthetic workloads only (-pattern or -heavytail)"))
-		}
-	}
-
 	if *congOut != "" || *flightOut != "" {
 		*congestion = true
 	}
@@ -278,7 +261,6 @@ func main() {
 	if sc.Goal != nil || sc.Traces != nil {
 		sc.Drain = 10 * prdrb.Second * prdrb.Time(1+*iters/10)
 	}
-	ck := checkpointing{path: *ckptPath, exit: *ckptExit, resume: *resumePath}
 
 	for _, polName := range strings.Split(*policies, ",") {
 		sc.Policy = prdrb.Policy(strings.TrimSpace(polName))
@@ -287,15 +269,15 @@ func main() {
 		var lastRes prdrb.Results
 		for i := 0; i < *seeds; i++ {
 			sc.Seed = *seed + uint64(i)
-			s, res, exec, err := runOnce(sc, ck)
+			o, err := sc.Run()
 			if err != nil {
 				fatal(err)
 			}
-			latencies = append(latencies, res.GlobalLatencyUs)
-			if exec > 0 {
-				execs = append(execs, exec.Micros())
+			latencies = append(latencies, o.Res.GlobalLatencyUs)
+			if o.Exec > 0 {
+				execs = append(execs, o.Exec.Micros())
 			}
-			last, lastRes = s, res
+			last, lastRes = o.Sim, o.Res
 		}
 		lat := stats.Summarize(latencies)
 		fmt.Printf("%-14s globalLatency=%8.2fus", sc.Policy, lat.Mean)
@@ -366,14 +348,6 @@ func main() {
 	}
 }
 
-// checkpointing carries the -checkpoint, -checkpoint-exit and -resume
-// flags.
-type checkpointing struct {
-	path   string
-	exit   bool
-	resume string
-}
-
 // writeCongestionArtifact serializes the run's congestion artifact as
 // indented JSON. Field order is fixed by the struct, so identical-seed
 // runs write byte-identical files.
@@ -403,50 +377,6 @@ func writeFlightDumps(s *prdrb.Sim, path string) error {
 	}
 	fmt.Fprintf(os.Stderr, "prdrbsim: wrote %d flight dumps to %s\n", len(dumps), path)
 	return nil
-}
-
-// runToHorizon executes the simulation to horizon, first resuming from a
-// checkpoint and/or writing one at mid-run when requested. Every resume
-// replays from t = 0, so a second, later checkpoint would save no work.
-func runToHorizon(s *prdrb.Sim, horizon prdrb.Time, ck checkpointing) (prdrb.Results, error) {
-	start := prdrb.Time(0)
-	if ck.resume != "" {
-		m, err := s.Resume(ck.resume)
-		if err != nil {
-			return prdrb.Results{}, err
-		}
-		start = m.At
-		fmt.Fprintf(os.Stderr, "prdrbsim: resumed %s at t=%dns (replay verified)\n", ck.resume, start)
-	}
-	if ck.path != "" && start < horizon {
-		t := min(s.AlignCheckpoint(start+horizon/2), horizon)
-		s.Execute(t)
-		n, err := s.WriteCheckpoint(ck.path)
-		if err != nil {
-			return prdrb.Results{}, err
-		}
-		fmt.Fprintf(os.Stderr, "prdrbsim: checkpoint t=%dns -> %s (%d bytes)\n", t, ck.path, n)
-		if ck.exit {
-			fmt.Fprintln(os.Stderr, "prdrbsim: exiting after checkpoint (-checkpoint-exit)")
-			os.Exit(0)
-		}
-	}
-	return s.Execute(horizon), nil
-}
-
-// runOnce runs one policy and seed of the invocation: straight to the
-// scenario's horizon, or through its Execute steps when checkpointing.
-func runOnce(sc prdrb.Scenario, ck checkpointing) (*prdrb.Sim, prdrb.Results, prdrb.Time, error) {
-	if ck == (checkpointing{}) {
-		o, err := sc.Run()
-		return o.Sim, o.Res, o.Exec, err
-	}
-	s, _, horizon, err := sc.Build()
-	if err != nil {
-		return nil, prdrb.Results{}, 0, err
-	}
-	res, err := runToHorizon(s, horizon, ck)
-	return s, res, 0, err
 }
 
 func fatal(err error) {

@@ -52,23 +52,23 @@ func TestRunOnceSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, res, _, err := runOnce(bursts(topo, "drb", 2, 100_000), checkpointing{})
+	o, err := bursts(topo, "drb", 2, 100_000).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.DeliveredPkts == 0 || res.AcceptedRatio != 1 {
-		t.Fatalf("smoke run broken: %+v", res)
+	if o.Res.DeliveredPkts == 0 || o.Res.AcceptedRatio != 1 {
+		t.Fatalf("smoke run broken: %+v", o.Res)
 	}
 	// Continuous (non-burst) mode.
-	_, res2, _, err := runOnce(prdrb.Scenario{
+	o2, err := prdrb.Scenario{
 		Experiment: prdrb.Experiment{Topology: topo, Policy: "adaptive", Seed: 1},
 		Pattern:    &prdrb.PatternSpec{Pattern: "uniform", RateMbps: 300, End: 200_000},
 		Drain:      prdrb.Second,
-	}, checkpointing{})
+	}.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res2.DeliveredPkts == 0 {
+	if o2.Res.DeliveredPkts == 0 {
 		t.Fatal("continuous mode delivered nothing")
 	}
 	// Workload mode with execution time.
@@ -80,15 +80,15 @@ func TestRunOnceSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, res3, exec, err := runOnce(prdrb.Scenario{
+	o3, err := prdrb.Scenario{
 		Experiment: prdrb.Experiment{Topology: ft, Policy: "pr-drb", Seed: 1},
 		Traces:     []prdrb.MappedTrace{{Trace: tr}},
 		Drain:      10 * prdrb.Second,
-	}, checkpointing{})
+	}.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if exec <= 0 || res3.DeliveredPkts == 0 {
+	if o3.Exec <= 0 || o3.Res.DeliveredPkts == 0 {
 		t.Fatal("workload mode broken")
 	}
 	// -nodes beyond the fabric is an error in both traffic modes, not
@@ -99,12 +99,12 @@ func TestRunOnceSmoke(t *testing.T) {
 		Experiment: burst.Experiment,
 		Pattern:    &prdrb.PatternSpec{Pattern: "shuffle", RateMbps: 300, End: 1000, PatternNodes: 32},
 	}} {
-		if _, _, _, err := runOnce(sc, checkpointing{}); err == nil {
+		if _, err := sc.Run(); err == nil {
 			t.Fatalf("a 32-node pattern space on a 16-terminal mesh was accepted (%+v)", sc)
 		}
 	}
 	// Unknown policy errors.
-	if _, _, _, err := runOnce(bursts(topo, "bogus", 1, 1000), checkpointing{}); err == nil {
+	if _, err := bursts(topo, "bogus", 1, 1000).Run(); err == nil {
 		t.Fatal("unknown policy accepted")
 	}
 }
@@ -127,10 +127,11 @@ func TestReplayIgnoresShards(t *testing.T) {
 			sc := replay
 			sc.Experiment = prdrb.Experiment{Topology: prdrb.FatTree(4, 3), Policy: prdrb.PolicyPRDRB, Seed: 1, Shards: shards}
 			sc.Drain = 10 * prdrb.Second
-			var err error
-			if _, res[i], exec[i], err = runOnce(sc, checkpointing{}); err != nil {
+			o, err := sc.Run()
+			if err != nil {
 				t.Fatalf("shards=%d: %v", shards, err)
 			}
+			res[i], exec[i] = o.Res, o.Exec
 		}
 		if res[0] != res[1] || exec[0] != exec[1] || exec[0] == 0 {
 			t.Errorf("-shards 2 replay differs from -shards 1:\n%+v exec %d\n%+v exec %d", res[1], exec[1], res[0], exec[0])

@@ -158,11 +158,7 @@ func TestHotPathZeroAllocPRDRB(t *testing.T) {
 		}
 		flagged := 0
 		for _, nic := range s.Net.NICs {
-			nic.OnAck = func(_ *sim.Engine, ack *network.Packet) {
-				if len(ack.Contending()) > 0 {
-					flagged++
-				}
-			}
+			nic.Source = ackCounter{nic.Source, &flagged}
 		}
 		s.Eng.Run(8*550*Microsecond + 100*Microsecond)
 		flagged = 0
@@ -197,6 +193,20 @@ func TestHotPathZeroAllocPRDRB(t *testing.T) {
 			}
 		}
 	})
+}
+
+// ackCounter wraps a NIC's source controller and counts the ACKs it
+// handles that carry contending flows.
+type ackCounter struct {
+	network.SourceController
+	flagged *int
+}
+
+func (a ackCounter) HandleAck(e *sim.Engine, ack *network.Packet) {
+	a.SourceController.HandleAck(e, ack)
+	if len(ack.Contending()) > 0 {
+		*a.flagged++
+	}
 }
 
 // allocsByFunction returns the objects allocated so far by each function of

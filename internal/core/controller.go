@@ -72,11 +72,11 @@ type shardState struct {
 	cfg  Config
 	topo topology.Topology
 	eng  *sim.Engine
-	// pathCheck, when set, reports whether a multistep path crosses only
-	// live links; selection, opening and reuse filter through it.
+	// pathCheck reports whether a multistep path crosses only live links;
+	// selection, opening and reuse filter through it.
 	pathCheck func(src, dst topology.NodeID, p topology.Path) bool
-	// pathCache, when set, enumerates alternative paths for all the shard's
-	// sources; its per-pair budget must be the 2 × cfg.MaxPaths they use.
+	// pathCache enumerates alternative paths for all the shard's sources;
+	// its per-pair budget must be the 2 × cfg.MaxPaths they use.
 	pathCache *topology.PathCache
 	// onRecovery, when set, observes each loss-to-next-ACK recovery latency.
 	onRecovery func(d sim.Time)
@@ -133,7 +133,7 @@ func (c *Controller) PrepareInjection(e *sim.Engine, pkt *network.Packet) {
 	}
 	mp.lastInject = e.Now()
 	path, id := c.selectPath(mp)
-	if c.sh.pathCheck != nil && !c.sh.pathCheck(c.Node, pkt.Dst, path) {
+	if !c.sh.pathCheck(c.Node, pkt.Dst, path) {
 		// Every open path crosses a failed link: the transport can see the
 		// injection is doomed before the fabric drops anything. React now —
 		// same actions as a loss notification — then reselect, which finds
@@ -307,7 +307,7 @@ func (c *Controller) watchdogExpired(e *sim.Engine, mp *metapath) {
 
 // usable reports whether p toward mp's destination crosses only live links.
 func (c *Controller) usable(mp *metapath, p topology.Path) bool {
-	return c.sh.pathCheck == nil || c.sh.pathCheck(c.Node, topology.NodeID(mp.dst), p)
+	return c.sh.pathCheck(c.Node, topology.NodeID(mp.dst), p)
 }
 
 // selectPath draws a path of mp from the Eq 3.6 density, excluding paths
@@ -319,7 +319,7 @@ func (c *Controller) selectPath(mp *metapath) (topology.Path, int32) {
 	if len(paths) <= 1 {
 		return nil, 0 // the direct path
 	}
-	cfg, filter := &c.sh.cfg, c.sh.pathCheck != nil
+	cfg, filter := &c.sh.cfg, true
 	total, feasible := 0.0, 0
 	for i := range paths {
 		if filter && !c.usable(mp, paths[i].path) {
@@ -395,7 +395,7 @@ func (c *Controller) pathLost(e *sim.Engine, mp *metapath) {
 // link. The direct path (index 0) is structural and never removed; when
 // infeasible it is simply excluded from selection.
 func (c *Controller) pruneDeadPaths(mp *metapath) {
-	if c.sh.pathCheck == nil || len(mp.pathSet()) <= 1 {
+	if len(mp.pathSet()) <= 1 {
 		return
 	}
 	cd := mp.cold
@@ -472,15 +472,11 @@ func (c *Controller) maybeOpen(e *sim.Engine, mp *metapath) {
 	}
 }
 
-// enumeratePaths fetches the alternative-path pool for dst, through the
-// shared PathCache when one is wired, else straight from the topology.
-// Both return shared immutable slices: the pool is consumed by re-slicing
-// (pool[1:]) and an opened path is only ever read, so aliasing the
-// cache's storage is safe.
+// enumeratePaths fetches the alternative-path pool for dst through the
+// shard's PathCache. It returns shared immutable slices: the pool is
+// consumed by re-slicing (pool[1:]) and an opened path is only ever read,
+// so aliasing the cache's storage is safe.
 func (c *Controller) enumeratePaths(dst topology.NodeID) []topology.Path {
-	if c.sh.pathCache == nil {
-		return c.sh.topo.AlternativePaths(c.Node, dst, 2*c.sh.cfg.MaxPaths)
-	}
 	return c.sh.pathCache.Paths(c.Node, dst)
 }
 
@@ -537,16 +533,14 @@ func (c *Controller) maybeClose(mp *metapath) {
 	// Never strand the metapath: with the direct path dead, the relaxation
 	// that follows each recovered ACK would otherwise close the one feasible
 	// detour and re-fail on the next injection, forever.
-	if c.sh.pathCheck != nil {
-		usableLeft := 0
-		for i := range cd.paths {
-			if i != worst && c.usable(mp, cd.paths[i].path) {
-				usableLeft++
-			}
+	usableLeft := 0
+	for i := range cd.paths {
+		if i != worst && c.usable(mp, cd.paths[i].path) {
+			usableLeft++
 		}
-		if usableLeft == 0 {
-			return
-		}
+	}
+	if usableLeft == 0 {
+		return
 	}
 	cd.paths = append(cd.paths[:worst], cd.paths[worst+1:]...)
 	c.Stats.PathsClosed++

@@ -62,7 +62,6 @@ type Solution struct {
 	Sig     Signature
 	paths   []pathState
 	Hits    int64 // times re-applied
-	Updates int64 // times refreshed by a better/later H->M transition
 	SavedAt sim.Time
 }
 
@@ -115,7 +114,6 @@ func (db *SolutionDB) Save(dst int, sig Signature, paths []pathState, minSim flo
 	if existing := db.Lookup(dst, sig, minSim); existing != nil {
 		existing.paths = append(existing.paths[:0], paths...)
 		existing.Sig = append(existing.Sig[:0], sig...)
-		existing.Updates++
 		return existing
 	}
 	if db.perDst == nil {

@@ -131,7 +131,7 @@ func TestInFlightDropAndRepair(t *testing.T) {
 	}
 	// The queue must have drained after repair: everything that was not on
 	// the wire at failure time is accepted downstream.
-	acc := n.Collector.Throughput.AcceptedPkts
+	acc := n.Shards[0].Collector.Throughput.AcceptedPkts
 	if acc+n.DroppedPkts() != 8 {
 		t.Fatalf("accepted %d + dropped %d != 8 injected", acc, n.DroppedPkts())
 	}

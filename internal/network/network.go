@@ -22,9 +22,6 @@ type Network struct {
 	Topo   topology.Topology
 	Cfg    Config
 	Policy RouterPolicy
-	// Collector is the serial-mode collector handle; nil when sharded
-	// (each shard records into its own, merged by the runner).
-	Collector *metrics.Collector
 
 	Routers []*Router
 	NICs    []*NIC
@@ -80,7 +77,6 @@ func New(eng *sim.Engine, topo topology.Topology, cfg Config, policy RouterPolic
 		return nil, err
 	}
 	n.Eng = eng
-	n.Collector = collector
 	return n, nil
 }
 

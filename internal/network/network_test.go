@@ -51,8 +51,8 @@ func TestSingleMessageDelivery(t *testing.T) {
 	if gotSrc != 0 || gotBytes != 1024 {
 		t.Fatalf("message not delivered: src=%d bytes=%d", gotSrc, gotBytes)
 	}
-	if n.Collector.Throughput.AcceptedPkts != 1 {
-		t.Fatalf("accepted %d packets", n.Collector.Throughput.AcceptedPkts)
+	if n.Shards[0].Collector.Throughput.AcceptedPkts != 1 {
+		t.Fatalf("accepted %d packets", n.Shards[0].Collector.Throughput.AcceptedPkts)
 	}
 }
 
@@ -72,8 +72,8 @@ func TestMultiFragmentReassembly(t *testing.T) {
 		t.Fatalf("message completed %d times", done)
 	}
 	// 5000 bytes at 1024/packet = 5 fragments.
-	if n.Collector.Throughput.AcceptedPkts != 5 {
-		t.Fatalf("accepted %d packets, want 5", n.Collector.Throughput.AcceptedPkts)
+	if n.Shards[0].Collector.Throughput.AcceptedPkts != 5 {
+		t.Fatalf("accepted %d packets, want 5", n.Shards[0].Collector.Throughput.AcceptedPkts)
 	}
 }
 
@@ -103,7 +103,6 @@ func TestLatencyReflectsDistance(t *testing.T) {
 		nic := n.NICs[dst]
 		nic.OnMessage = func(e *sim.Engine, _ topology.NodeID, _ uint64, _ int, _ uint8, _ uint32) {}
 		_ = nic
-		n.Collector = metrics.NewCollector(64, 64, 0)
 		start := e.Now()
 		doneAt := sim.Time(-1)
 		n.NICs[dst].OnMessage = func(e *sim.Engine, _ topology.NodeID, _ uint64, _ int, _ uint8, _ uint32) {
@@ -121,12 +120,20 @@ func TestLatencyReflectsDistance(t *testing.T) {
 	}
 }
 
+// ackTap is a SourceController that injects directly and hands every ACK
+// arriving at its NIC to itself.
+type ackTap func(e *sim.Engine, ack *Packet)
+
+func (ackTap) Name() string                           { return "ack-tap" }
+func (ackTap) PrepareInjection(*sim.Engine, *Packet)  {}
+func (f ackTap) HandleAck(e *sim.Engine, ack *Packet) { f(e, ack) }
+
 func TestAckReturnsWithPathLatency(t *testing.T) {
 	n := testNet(t, topology.NewMesh(4, 4), nil)
 	e := n.Eng
 	// ACK records return to the pool after the callback: copy, don't retain.
 	var acks []Packet
-	n.NICs[0].OnAck = func(_ *sim.Engine, ack *Packet) { acks = append(acks, *ack) }
+	n.NICs[0].Source = ackTap(func(_ *sim.Engine, ack *Packet) { acks = append(acks, *ack) })
 	e.Schedule(0, func(e *sim.Engine) { n.NICs[0].Send(e, 15, 2048, MPISend, 3) })
 	e.Run(sim.Infinity)
 	if len(acks) != 2 {
@@ -149,7 +156,7 @@ func TestNoAcksWhenDisabled(t *testing.T) {
 	n := testNet(t, topology.NewMesh(4, 4), func(c *Config) { c.GenerateAcks = false })
 	e := n.Eng
 	got := 0
-	n.NICs[0].OnAck = func(*sim.Engine, *Packet) { got++ }
+	n.NICs[0].Source = ackTap(func(*sim.Engine, *Packet) { got++ })
 	e.Schedule(0, func(e *sim.Engine) { n.NICs[0].Send(e, 15, 1024, MPISend, 0) })
 	e.Run(sim.Infinity)
 	if got != 0 {
@@ -173,7 +180,7 @@ func TestWaypointRoutingFollowsMSP(t *testing.T) {
 	// The waypoint route 0->3->15 visits routers 1,2,3 (east edge). Check
 	// some contention was observed along the east edge, none along the
 	// direct XY route's column routers (e.g. router 12).
-	for _, c := range metrics.BuildLatencyMap(n.Collector.Contention, func(int) string { return "" }).Cells {
+	for _, c := range metrics.BuildLatencyMap(n.Shards[0].Collector.Contention, func(int) string { return "" }).Cells {
 		if c.Router == 12 {
 			t.Fatal("packet visited router 12 off the MSP")
 		}
@@ -209,14 +216,14 @@ func TestLosslessUnderHotspot(t *testing.T) {
 	}
 	e.Run(sim.Infinity)
 	want := int64(len(sources) * perSource)
-	if n.Collector.Throughput.AcceptedPkts != want {
-		t.Fatalf("accepted %d/%d packets", n.Collector.Throughput.AcceptedPkts, want)
+	if n.Shards[0].Collector.Throughput.AcceptedPkts != want {
+		t.Fatalf("accepted %d/%d packets", n.Shards[0].Collector.Throughput.AcceptedPkts, want)
 	}
 	if n.TotalQueuedBytes() != 0 {
 		t.Fatalf("%d bytes still queued after drain", n.TotalQueuedBytes())
 	}
 	// The hotspot's attach router (15) or its feeders must show contention.
-	if n.Collector.Contention.GlobalAvg() <= 0 {
+	if n.Shards[0].Collector.Contention.GlobalAvg() <= 0 {
 		t.Fatal("hotspot produced no contention at all")
 	}
 }
@@ -227,11 +234,11 @@ func TestContendingFlowsDetected(t *testing.T) {
 	})
 	e := n.Eng
 	seen := map[FlowKey]bool{}
-	n.NICs[3].OnAck = func(_ *sim.Engine, ack *Packet) {
+	n.NICs[3].Source = ackTap(func(_ *sim.Engine, ack *Packet) {
 		for _, f := range ack.Contending() {
 			seen[f] = true
 		}
-	}
+	})
 	// Two flows colliding at column x=3: 3->15 and 7->15 share router path.
 	for i := 0; i < 30; i++ {
 		at := sim.Time(i) * sim.Microsecond
@@ -259,14 +266,14 @@ func TestRouterBasedNotification(t *testing.T) {
 	// Copy the first predictive ACK, its contending set included: the record
 	// and the set's storage go back to the pool after the callback.
 	var predictive *Packet
-	n.NICs[3].OnAck = func(_ *sim.Engine, ack *Packet) {
+	n.NICs[3].Source = ackTap(func(_ *sim.Engine, ack *Packet) {
 		if ack.Predictive && predictive == nil {
 			cp := *ack
 			cp.cold = nil
 			cp.SetPredictiveHeader(ack.cold.reportRouter, ack.Contending())
 			predictive = &cp
 		}
-	}
+	})
 	for i := 0; i < 30; i++ {
 		at := sim.Time(i) * sim.Microsecond
 		e.Schedule(at, func(e *sim.Engine) {

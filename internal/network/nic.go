@@ -43,10 +43,6 @@ type NIC struct {
 	Source SourceController
 	// OnMessage, if set, is called when a complete message has arrived.
 	OnMessage MessageHandler
-	// OnAck, if set, observes every ACK arriving back at this node after
-	// the source controller has processed it (used by tests and the
-	// FR-DRB watchdog).
-	OnAck func(e *sim.Engine, ack *Packet)
 
 	// Delivered counts complete messages received.
 	Delivered int64
@@ -132,16 +128,13 @@ func (n *NIC) Send(e *sim.Engine, dst topology.NodeID, bytes int, mpiType uint8,
 // accept implements receiver: the sink FSM. Terminals always have space
 // (the paper's destination consumes at line rate, Fig 4.3). The NIC is the
 // packet's final owner: once the handlers return, the record goes back to
-// the pool — handlers (controllers, OnAck/OnMessage hooks) must not retain
+// the pool — handlers (controllers, OnMessage hooks) must not retain
 // the *Packet beyond the callback.
 func (n *NIC) accept(e *sim.Engine, pkt *Packet, _ *outPort, _ int) bool {
 	switch pkt.Type {
 	case AckPacket:
 		if n.Source != nil {
 			n.Source.HandleAck(e, pkt)
-		}
-		if n.OnAck != nil {
-			n.OnAck(e, pkt)
 		}
 		n.sh.releasePacket(pkt)
 	case DataPacket:

@@ -35,7 +35,7 @@ package network
 //     does not copy; detoured ACKs share the cached detour path). Nobody
 //     writes through it: the waypoint array of a packet is immutable for
 //     its whole life.
-//   - Callbacks that receive a *Packet (HandleAck, OnAck, HandlePacketLoss)
+//   - Callbacks that receive a *Packet (HandleAck, HandlePacketLoss)
 //     must copy what they need and not retain the pointer.
 //   - A packet that crosses a shard boundary changes pools: the receiving
 //     shard becomes its final owner and releases it into its own freelist.

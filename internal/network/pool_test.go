@@ -150,7 +150,7 @@ func TestDropReleasedPacketDoesNotAlias(t *testing.T) {
 			t.Fatalf("drop snapshot %d corrupted: %+v", i, s)
 		}
 	}
-	if acc := n.Collector.Throughput.AcceptedPkts; acc+n.DroppedPkts() != 8 {
+	if acc := n.Shards[0].Collector.Throughput.AcceptedPkts; acc+n.DroppedPkts() != 8 {
 		t.Fatalf("accepted %d + dropped %d != 8 injected", acc, n.DroppedPkts())
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"prdrb/internal/runner"
 	"prdrb/internal/sim"
 	"prdrb/internal/topology"
+	"prdrb/internal/traffic"
 )
 
 // msgLog is what one destination NIC saw of one message: its fragments'
@@ -68,10 +69,8 @@ func TestReassemblyOutOfOrder(t *testing.T) {
 				open[i]--
 			}
 		}
-		if err := s.InstallPattern(runner.PatternSpec{Pattern: "uniform", RateMbps: 1600,
-			End: 400 * sim.Microsecond, PacketBytes: 5*1024 + 300}); err != nil {
-			t.Fatal(err)
-		}
+		traffic.Install(s.Net, traffic.Spec{Pattern: traffic.Uniform{Nodes: topo.NumTerminals()}, RateBps: 1600e6,
+			PacketBytes: 5*1024 + 300, End: 400 * sim.Microsecond}, sim.NewRNG(7))
 		s.Execute(10 * sim.Millisecond)
 		msgs, reordered, most := 0, 0, 0
 		for i := range logs {

@@ -113,7 +113,6 @@ type Phase struct {
 // Class groups identical phases: the paper's "relevant phase" with its
 // weight (# of repetitions, Table 2.2).
 type Class struct {
-	Sig    uint64
 	Weight int
 	First  int // index of the first occurrence
 	Bytes  int64
@@ -223,7 +222,7 @@ func (a *Analysis) classify() {
 			continue
 		}
 		idx[p.Sig] = len(a.Classes)
-		a.Classes = append(a.Classes, Class{Sig: p.Sig, Weight: 1, First: p.Index, Bytes: p.Bytes})
+		a.Classes = append(a.Classes, Class{Weight: 1, First: p.Index, Bytes: p.Bytes})
 	}
 	sort.SliceStable(a.Classes, func(i, j int) bool { return a.Classes[i].Weight > a.Classes[j].Weight })
 }

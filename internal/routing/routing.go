@@ -97,19 +97,14 @@ func (p *Random) OutputPort(r *network.Router, pkt *network.Packet) int {
 
 // Cyclic is the cyclic-priority policy of §4.8.4: minimal ports are used in
 // round-robin order per router, spreading successive packets regardless of
-// load. State is one counter per router, indexed by router ID; counters
-// start at zero either way, so the lazily-grown (serial) and presized
-// (sharded) variants produce identical port sequences.
+// load. State is one counter per router, indexed by router ID, so routers
+// on different shards never touch the same counter.
 type Cyclic struct {
 	next []int
 }
 
-// NewCyclic builds a Cyclic policy whose per-router counters grow lazily.
-func NewCyclic() *Cyclic { return &Cyclic{} }
-
-// NewCyclicSized builds a Cyclic policy with all per-router counters
-// preallocated. Sharded runs need this: lazy growth would be a data race
-// when routers on different shards first touch the policy concurrently.
+// NewCyclicSized builds a Cyclic policy with a zeroed counter for each of
+// the fabric's routers.
 func NewCyclicSized(routers int) *Cyclic { return &Cyclic{next: make([]int, routers)} }
 
 // Name implements network.RouterPolicy.
@@ -119,11 +114,6 @@ func (p *Cyclic) Name() string { return "cyclic" }
 func (p *Cyclic) OutputPort(r *network.Router, pkt *network.Packet) int {
 	if port, ok := waypointPort(r, pkt); ok {
 		return port
-	}
-	if int(r.ID) >= len(p.next) {
-		grown := make([]int, r.Net().Topo.NumRouters())
-		copy(grown, p.next)
-		p.next = grown
 	}
 	ports := HealthyMinimalPorts(r, pkt.Dst)
 	i := p.next[r.ID] % len(ports)
@@ -193,34 +183,24 @@ func (p *RandomPerRouter) OutputPort(r *network.Router, pkt *network.Packet) int
 	return ports[p.rngs[r.ID].Intn(len(ports))]
 }
 
-// ByName returns the named baseline policy, or nil for an unknown name.
-// seed feeds the stochastic policies.
-func ByName(name string, seed uint64) network.RouterPolicy {
+// ByName returns the named baseline policy for a fabric of the given
+// router count, or nil for an unknown name; seed feeds the stochastic
+// policies. Only random's state is not per-router: sharded gives it a
+// stream per router, while serial runs keep one stream, so historical RNG
+// consumption (and with it the committed goldens) is untouched.
+func ByName(name string, seed uint64, routers int, sharded bool) network.RouterPolicy {
 	switch name {
 	case "deterministic":
 		return Deterministic{}
 	case "random":
+		if sharded {
+			return NewRandomPerRouter(seed, routers)
+		}
 		return NewRandom(seed)
 	case "cyclic":
-		return NewCyclic()
+		return NewCyclicSized(routers)
 	case "adaptive":
 		return Adaptive{}
 	}
 	return nil
-}
-
-// ByNameSharded returns the named policy in its shard-safe form: all policy
-// state is either absent, per-router, or preallocated, so routers on
-// different shards can consult the policy concurrently without races.
-// Deterministic and Adaptive are stateless and shared as-is. Serial runs
-// keep ByName so historical RNG consumption (one global stream) — and with
-// it the committed goldens — is untouched.
-func ByNameSharded(name string, seed uint64, routers int) network.RouterPolicy {
-	switch name {
-	case "random":
-		return NewRandomPerRouter(seed, routers)
-	case "cyclic":
-		return NewCyclicSized(routers)
-	}
-	return ByName(name, seed)
 }

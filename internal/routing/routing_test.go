@@ -20,14 +20,14 @@ func buildNet(t *testing.T, topo topology.Topology, pol network.RouterPolicy) *n
 
 // Every policy must deliver all-to-all traffic on both topology families.
 func TestAllPoliciesDeliver(t *testing.T) {
-	for _, mk := range []func() network.RouterPolicy{
-		func() network.RouterPolicy { return Deterministic{} },
-		func() network.RouterPolicy { return NewRandom(1) },
-		func() network.RouterPolicy { return NewCyclic() },
-		func() network.RouterPolicy { return Adaptive{} },
+	for _, mk := range []func(routers int) network.RouterPolicy{
+		func(int) network.RouterPolicy { return Deterministic{} },
+		func(int) network.RouterPolicy { return NewRandom(1) },
+		func(routers int) network.RouterPolicy { return NewCyclicSized(routers) },
+		func(int) network.RouterPolicy { return Adaptive{} },
 	} {
 		for _, topo := range []topology.Topology{topology.NewMesh(4, 4), topology.NewKAryNTree(4, 3)} {
-			pol := mk()
+			pol := mk(topo.NumRouters())
 			net := buildNet(t, topo, pol)
 			n := topo.NumTerminals()
 			sent := 0
@@ -43,7 +43,7 @@ func TestAllPoliciesDeliver(t *testing.T) {
 				}
 			})
 			net.Eng.Run(sim.Infinity)
-			got := net.Collector.Throughput.AcceptedPkts
+			got := net.Shards[0].Collector.Throughput.AcceptedPkts
 			if got != int64(sent) {
 				t.Fatalf("%s on %s: delivered %d/%d", pol.Name(), topo.Name(), got, sent)
 			}
@@ -54,7 +54,7 @@ func TestAllPoliciesDeliver(t *testing.T) {
 // Policies must follow MSP waypoints before resuming their own logic.
 func TestPoliciesHonorWaypoints(t *testing.T) {
 	topo := topology.NewKAryNTree(4, 3)
-	for _, pol := range []network.RouterPolicy{Deterministic{}, NewRandom(2), NewCyclic(), Adaptive{}} {
+	for _, pol := range []network.RouterPolicy{Deterministic{}, NewRandom(2), NewCyclicSized(topo.NumRouters()), Adaptive{}} {
 		net := buildNet(t, topo, pol)
 		// Waypoint: a specific root switch (level 2).
 		root := topo.Switch(2, 7)
@@ -97,7 +97,7 @@ func TestAdaptiveSpreadsLoad(t *testing.T) {
 			})
 		}
 		net.Eng.Run(sim.Infinity)
-		_, peak := net.Collector.Contention.Peak()
+		_, peak := net.Shards[0].Collector.Contention.Peak()
 		return peak
 	}
 	det := run(Deterministic{})
@@ -110,7 +110,7 @@ func TestAdaptiveSpreadsLoad(t *testing.T) {
 // Cyclic must rotate among the minimal ports.
 func TestCyclicRotates(t *testing.T) {
 	topo := topology.NewKAryNTree(2, 3)
-	net := buildNet(t, topo, NewCyclic())
+	net := buildNet(t, topo, NewCyclicSized(topo.NumRouters()))
 	r := net.Routers[0] // a leaf switch with 2 up ports
 	pkt := &network.Packet{Src: 0, Dst: 7, Type: network.DataPacket}
 	p1 := net.Policy.OutputPort(r, pkt)
@@ -126,11 +126,11 @@ func TestCyclicRotates(t *testing.T) {
 
 func TestByName(t *testing.T) {
 	for _, name := range []string{"deterministic", "random", "cyclic", "adaptive"} {
-		if ByName(name, 1) == nil {
+		if ByName(name, 1, 16, false) == nil {
 			t.Errorf("ByName(%q) = nil", name)
 		}
 	}
-	if ByName("bogus", 1) != nil {
+	if ByName("bogus", 1, 16, false) != nil {
 		t.Error("unknown policy accepted")
 	}
 }

@@ -174,20 +174,6 @@ func (s *Sim) CaptureCheckpoint() (*ckpt.File, error) {
 	}}, nil
 }
 
-// WriteCheckpoint captures the current state and writes it atomically
-// (temp file + rename). It returns the checkpoint size in bytes.
-func (s *Sim) WriteCheckpoint(path string) (int, error) {
-	f, err := s.CaptureCheckpoint()
-	if err != nil {
-		return 0, err
-	}
-	data := ckpt.Encode(f)
-	if err := ckpt.WriteFileAtomic(path, data); err != nil {
-		return 0, err
-	}
-	return len(data), nil
-}
-
 // readCheckpoint parses a checkpoint file into its identity header and its
 // seal payload.
 func readCheckpoint(data []byte) (CheckpointMeta, *ckpt.Dec, error) {

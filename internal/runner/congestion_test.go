@@ -10,6 +10,7 @@ import (
 	"runtime"
 	"testing"
 
+	"prdrb/internal/ckpt"
 	"prdrb/internal/sim"
 	"prdrb/internal/telemetry"
 	"prdrb/internal/topology"
@@ -157,7 +158,11 @@ func TestCongestionCheckpointRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cong.ckpt")
 	s := congTestSim(t, 1)
 	s.Execute(200_000)
-	if _, err := s.WriteCheckpoint(path); err != nil {
+	f, err := s.CaptureCheckpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ckpt.WriteFileAtomic(path, ckpt.Encode(f)); err != nil {
 		t.Fatal(err)
 	}
 	s.Execute(congTestHorizon)

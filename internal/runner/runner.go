@@ -226,13 +226,7 @@ func (b *builder) resolvePolicy() error {
 		b.drbCfg = drbCfg
 		return nil
 	}
-	if b.exp.Shards > 1 {
-		// Parallel shards consult the policy concurrently: use the
-		// shard-safe variants (per-router RNG streams, presized state).
-		b.rp = routing.ByNameSharded(string(b.exp.Policy), b.exp.Seed, b.exp.Topology.NumRouters())
-	} else {
-		b.rp = routing.ByName(string(b.exp.Policy), b.exp.Seed)
-	}
+	b.rp = routing.ByName(string(b.exp.Policy), b.exp.Seed, b.exp.Topology.NumRouters(), b.exp.Shards > 1)
 	if b.rp == nil {
 		return fmt.Errorf("prdrb: unknown policy %q", b.exp.Policy)
 	}
@@ -504,8 +498,6 @@ type PatternSpec struct {
 	// terminal count. The paper's "32 communicating nodes" fat-tree runs
 	// use PatternNodes=32 with Nodes 0..31 on the 64-terminal tree.
 	PatternNodes int
-	// PacketBytes defaults to the network's packet size.
-	PacketBytes int
 }
 
 // patternSpace resolves a PatternNodes field: 0 means every terminal, and a
@@ -582,11 +574,7 @@ func (s *Sim) InstallPattern(spec PatternSpec) error {
 	if err != nil {
 		return err
 	}
-	pkt := spec.PacketBytes
-	if pkt == 0 {
-		pkt = s.Net.Cfg.PacketBytes
-	}
-	if err := checkRate(spec.RateMbps, pkt); err != nil {
+	if err := checkRate(spec.RateMbps, s.Net.Cfg.PacketBytes); err != nil {
 		return err
 	}
 	if err := s.checkWindow(spec.Start, spec.End); err != nil {
@@ -605,7 +593,7 @@ func (s *Sim) InstallPattern(spec PatternSpec) error {
 	traffic.Install(s.Net, traffic.Spec{
 		Pattern:     p,
 		RateBps:     spec.RateMbps * 1e6,
-		PacketBytes: pkt,
+		PacketBytes: s.Net.Cfg.PacketBytes,
 		Start:       spec.Start,
 		End:         spec.End,
 		Nodes:       spec.Nodes,

@@ -53,7 +53,6 @@ func TestHostileTrafficSpecs(t *testing.T) {
 		{name: "pattern/rate-tiny", pattern: func(p *PatternSpec) { p.RateMbps = 1e-300 }},
 		{name: "pattern/rate-inf", pattern: func(p *PatternSpec) { p.RateMbps = math.Inf(1) }},
 		{name: "pattern/rate-nan", pattern: func(p *PatternSpec) { p.RateMbps = math.NaN() }},
-		{name: "pattern/packet-negative", pattern: func(p *PatternSpec) { p.PacketBytes = -8 }},
 		{name: "pattern/start-negative", pattern: func(p *PatternSpec) { p.Start = -us }},
 		{name: "pattern/end-huge", pattern: func(p *PatternSpec) { p.End = math.MaxInt64 }},
 		{name: "pattern/node-outside", pattern: func(p *PatternSpec) { p.Nodes = []topology.NodeID{3, 16} }},

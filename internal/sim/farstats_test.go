@@ -64,7 +64,7 @@ func TestFarStatsOverflowAndMigration(t *testing.T) {
 	if st.Cascades != 4+1+9 {
 		t.Fatalf("cascaded %d records, want 14", st.Cascades)
 	}
-	if st.Processed != uint64(c.fired) || st.Pending != 0 {
+	if st.Processed != uint64(c.fired) || e.Len() != 0 {
 		t.Fatalf("Stats counters wrong: %+v", st)
 	}
 }

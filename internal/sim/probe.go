@@ -67,14 +67,10 @@ func (g *ShardGroup) SetProbe(p GroupProbe) {
 // EngineStats is a point-in-time snapshot of one engine's counters,
 // taken while the engine is quiescent.
 type EngineStats struct {
-	// Processed counts events executed so far; Pending counts scheduled,
-	// live, not-yet-fired events.
+	// Processed counts events executed so far; PeakQueue is the event-record
+	// pool's high-water mark (see Engine.PeakQueue).
 	Processed uint64
-	Pending   int
-	// PeakQueue/FreeList describe the event-record pool (see PeakQueue,
-	// FreeListLen).
 	PeakQueue int
-	FreeList  int
 	// FarOverflows counts events scheduled beyond the wheel's coarse span
 	// that overflowed into the far heap; FarMigrations counts the ones
 	// that later migrated back into a nearer tier (cancelled far events
@@ -92,9 +88,7 @@ type EngineStats struct {
 func (e *Engine) Stats() EngineStats {
 	st := EngineStats{
 		Processed: e.Processed,
-		Pending:   e.pending,
 		PeakQueue: e.peakQueue,
-		FreeList:  e.freeN,
 	}
 	st.FarOverflows, st.FarMigrations = e.FarStats()
 	if e.wheel != nil {

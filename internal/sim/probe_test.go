@@ -158,8 +158,8 @@ func TestShardGroupStats(t *testing.T) {
 		if st.Processed != g.Engines[i].Processed {
 			t.Fatalf("shard %d: stats processed %d, engine %d", i, st.Processed, g.Engines[i].Processed)
 		}
-		if st.Pending != 0 {
-			t.Fatalf("shard %d: %d pending after drain", i, st.Pending)
+		if n := g.Engines[i].Len(); n != 0 {
+			t.Fatalf("shard %d: %d pending after drain", i, n)
 		}
 		sum += st.Processed
 	}

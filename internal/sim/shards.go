@@ -218,9 +218,8 @@ func (m *mailbox) HandleEvent(e *Engine, _ uint8, arg uint64) {
 // barriers, where all shards are synchronized and mutating shared wiring
 // state is race-free.
 type barrierTask struct {
-	at  Time
-	seq int
-	fn  func()
+	at Time
+	fn func()
 }
 
 // ShardGroup coordinates N shard engines through window barriers.
@@ -237,7 +236,6 @@ type ShardGroup struct {
 	ringStride int
 	boxes      []*mailbox
 	ctrl       []barrierTask
-	ctrlSeq    int
 	sorted     bool
 	// winStart/winEnd bound the window currently (or last) executed. The
 	// coordinator writes them before it bumps epoch, and a worker reads them
@@ -368,8 +366,7 @@ func (g *ShardGroup) Send(src, dst int, ev RemoteEvent) {
 // never late). Barrier tasks run single-threaded with all shards
 // synchronized, so they may touch state owned by any shard.
 func (g *ShardGroup) ScheduleBarrier(at Time, fn func()) {
-	g.ctrl = append(g.ctrl, barrierTask{at: at, seq: g.ctrlSeq, fn: fn})
-	g.ctrlSeq++
+	g.ctrl = append(g.ctrl, barrierTask{at: at, fn: fn})
 	g.sorted = false
 }
 

@@ -26,10 +26,9 @@ func Seeds(n int, base uint64) []uint64 {
 // Summary is a multi-seed measurement: mean and 95% confidence
 // half-interval (Student-t on n-1 degrees of freedom).
 type Summary struct {
-	Mean   float64
-	CI95   float64
-	N      int
-	Values []float64
+	Mean float64
+	CI95 float64
+	N    int
 }
 
 // tCrit95 holds two-sided 95% Student-t critical values for 1..10
@@ -54,7 +53,7 @@ func TCrit95(dof int) float64 {
 
 // Summarize folds raw per-seed values into a Summary.
 func Summarize(values []float64) Summary {
-	s := Summary{N: len(values), Values: values}
+	s := Summary{N: len(values)}
 	if s.N == 0 {
 		return s
 	}

@@ -16,8 +16,7 @@ import (
 // network latency end to end. Receives match arrivals by (source rank,
 // tag), with out-of-order arrivals parked in an eager inbox.
 type GoalReplay struct {
-	Net  *network.Network
-	Goal *Goal
+	Net *network.Network
 
 	ranks []*goalRankState
 	// nodes maps a rank to its terminal; rankOf a terminal to the rank
@@ -75,7 +74,6 @@ func NewGoalReplay(net *network.Network, g *Goal, mapping []topology.NodeID) (*G
 	}
 	r := &GoalReplay{
 		Net:       net,
-		Goal:      g,
 		nodes:     nodes,
 		rankOf:    rankOf,
 		sendOwner: make(map[uint64]goalSendRef),

@@ -62,8 +62,7 @@ type rankState struct {
 // execution time directly reflects network latency — the coupling behind
 // the paper's execution-time results (Figs 4.21b, 4.25b, 4.27b).
 type Replay struct {
-	Net   *network.Network
-	Trace *Trace
+	Net *network.Network
 
 	ranks []rankState
 	// nodes maps a rank to its terminal; rankOf a terminal to the rank
@@ -92,7 +91,6 @@ func NewReplay(net *network.Network, tr *Trace, mapping []topology.NodeID) (*Rep
 	}
 	r := &Replay{
 		Net:    net,
-		Trace:  tr,
 		ranks:  make([]rankState, tr.Ranks),
 		nodes:  nodes,
 		rankOf: rankOf,

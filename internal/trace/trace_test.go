@@ -176,7 +176,7 @@ func TestBcastReachesEveryRank(t *testing.T) {
 		t.Fatal("bcast deadlocked")
 	}
 	// Binomial tree over 8 ranks: 7 point-to-point transfers.
-	if got := net.Collector.Throughput.AcceptedPkts; got < 7*2 { // 2048B = 2 pkts
+	if got := net.Shards[0].Collector.Throughput.AcceptedPkts; got < 7*2 { // 2048B = 2 pkts
 		t.Fatalf("bcast moved only %d packets", got)
 	}
 }
@@ -198,7 +198,7 @@ func TestAllreducePowerOfTwo(t *testing.T) {
 		t.Fatal("recursive-doubling allreduce deadlocked")
 	}
 	// log2(8)=3 rounds x 8 ranks, one message each direction = 24 messages.
-	if got := net.Collector.Throughput.AcceptedPkts; got != 24 {
+	if got := net.Shards[0].Collector.Throughput.AcceptedPkts; got != 24 {
 		t.Fatalf("allreduce moved %d packets, want 24", got)
 	}
 }
@@ -405,7 +405,7 @@ func TestAlltoallPowerOfTwo(t *testing.T) {
 		t.Fatal("pairwise alltoall deadlocked")
 	}
 	// n-1 steps, each rank sends one block: 8*7 = 56 messages.
-	if got := net.Collector.Throughput.AcceptedPkts; got != 56 {
+	if got := net.Shards[0].Collector.Throughput.AcceptedPkts; got != 56 {
 		t.Fatalf("alltoall moved %d packets, want 56", got)
 	}
 }
@@ -417,7 +417,7 @@ func TestAlltoallNonPowerOfTwo(t *testing.T) {
 	if !runReplay(t, net, b.Build()).Finished() {
 		t.Fatal("ring alltoall deadlocked")
 	}
-	if got := net.Collector.Throughput.AcceptedPkts; got != 30 {
+	if got := net.Shards[0].Collector.Throughput.AcceptedPkts; got != 30 {
 		t.Fatalf("alltoall moved %d packets, want 30", got)
 	}
 }

@@ -224,8 +224,6 @@ type HeavyTail struct {
 	// sources always on (pure Poisson flow arrivals).
 	OnMean, OffMean sim.Time
 	Start, End      sim.Time
-	// Nodes restricts the injecting sources; nil = all terminals.
-	Nodes []topology.NodeID
 	// MPIType tags the injected messages (defaults to MPISend).
 	MPIType uint8
 }
@@ -251,18 +249,11 @@ func InstallHeavyTail(net *network.Network, spec HeavyTail, rng *sim.RNG) {
 	if spec.MPIType == 0 {
 		spec.MPIType = network.MPISend
 	}
-	n := len(spec.Nodes)
-	if spec.Nodes == nil {
-		n = net.Topo.NumTerminals()
-	}
 	g := &heavyTailGen{net: net, spec: spec, ivf: 1e9 / spec.FlowRate}
 	base := rng.Uint64()
-	sources := make([]heavyTailSource, n)
+	sources := make([]heavyTailSource, net.Topo.NumTerminals())
 	for i := range sources {
 		node := topology.NodeID(i)
-		if spec.Nodes != nil {
-			node = spec.Nodes[i]
-		}
 		s := &sources[i]
 		*s = heavyTailSource{g: g, node: node}
 		s.rng.Seed(base ^ (uint64(node)+1)*0x9e3779b97f4a7c15)

@@ -161,9 +161,6 @@ type Spec struct {
 	Start, End  sim.Time
 	// Nodes restricts the injecting sources; nil = all terminals.
 	Nodes []topology.NodeID
-	// Jitter adds exponential spacing noise (Poisson-like arrivals) instead
-	// of a fixed interval.
-	Jitter bool
 	// MPIType tags the injected messages (defaults to MPISend).
 	MPIType uint8
 }
@@ -450,9 +447,5 @@ func (s *patternSource) HandleEvent(e *sim.Engine, _ uint8, _ uint64) {
 	if dst >= 0 && dst != s.node {
 		g.net.NICs[s.node].Send(e, dst, g.spec.PacketBytes, g.spec.MPIType, 0)
 	}
-	next := g.iv
-	if g.spec.Jitter {
-		next = max(1, sim.Time(s.rng.Exp(float64(g.iv))))
-	}
-	e.AfterEvent(next, s, 0, 0)
+	e.AfterEvent(g.iv, s, 0, 0)
 }

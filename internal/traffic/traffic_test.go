@@ -190,13 +190,13 @@ func TestInstallInjectsAtRate(t *testing.T) {
 		End:         200 * sim.Microsecond,
 	}, sim.NewRNG(1))
 	net.Eng.Run(sim.Infinity)
-	got := net.Collector.Throughput.OfferedPkts
+	got := net.Shards[0].Collector.Throughput.OfferedPkts
 	want := int64(16 * 10)
 	if got < want-20 || got > want+20 {
 		t.Fatalf("offered %d packets, want ~%d", got, want)
 	}
-	if net.Collector.Throughput.AcceptedPkts != got {
-		t.Fatalf("lost packets: %d offered, %d accepted", got, net.Collector.Throughput.AcceptedPkts)
+	if net.Shards[0].Collector.Throughput.AcceptedPkts != got {
+		t.Fatalf("lost packets: %d offered, %d accepted", got, net.Shards[0].Collector.Throughput.AcceptedPkts)
 	}
 }
 
@@ -212,7 +212,7 @@ func TestInstallRestrictedNodes(t *testing.T) {
 	}, sim.NewRNG(1))
 	net.Eng.Run(sim.Infinity)
 	// Node 1 is not in the hot-spot flow table: silent. Only node 0 sends.
-	if net.Collector.Throughput.OfferedPkts == 0 {
+	if net.Shards[0].Collector.Throughput.OfferedPkts == 0 {
 		t.Fatal("no packets offered")
 	}
 	if net.NICs[15].Delivered == 0 {
@@ -237,12 +237,12 @@ func TestInstallBursts(t *testing.T) {
 		t.Fatalf("burst end = %v", end)
 	}
 	net.Eng.Run(sim.Infinity)
-	if net.Collector.Throughput.OfferedPkts == 0 {
+	if net.Shards[0].Collector.Throughput.OfferedPkts == 0 {
 		t.Fatal("bursts injected nothing")
 	}
 	// All offered packets are delivered (lossless network).
-	if net.Collector.Throughput.AcceptedRatio() != 1 {
-		t.Fatalf("accepted ratio %v", net.Collector.Throughput.AcceptedRatio())
+	if net.Shards[0].Collector.Throughput.AcceptedRatio() != 1 {
+		t.Fatalf("accepted ratio %v", net.Shards[0].Collector.Throughput.AcceptedRatio())
 	}
 }
 

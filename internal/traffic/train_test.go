@@ -43,19 +43,6 @@ func newCell(t *testing.T, shards int) (*network.Network, []*sim.Engine, func())
 	return net, group.Engines, func() { group.Run(sim.Infinity) }
 }
 
-// trainInstallBursts is InstallBursts with the phases' jitter set as asked.
-func trainInstallBursts(net *network.Network, bursts []Burst, start sim.Time, count, packetBytes int, jitter bool, rng *sim.RNG) {
-	if !jitter {
-		InstallBursts(net, bursts, start, count, packetBytes, rng)
-		return
-	}
-	phases, _ := burstPhases(bursts, start, count, packetBytes, rng)
-	for i := range phases {
-		phases[i].spec.Jitter = true
-	}
-	installTrain(net, phases)
-}
-
 // phaseLogPattern keeps the stream each phase's source of each node
 // injected with. The phase of a call is the one whose window holds it:
 // windows are disjoint and a source injects only inside its own.
@@ -73,7 +60,7 @@ func (p phaseLogPattern) Destination(src topology.NodeID, rng *sim.RNG) topology
 }
 
 // TestBurstTrainOpenersAndSlabs checks what no run's output shows, on
-// burst cells serial and on 2 and 4 shards, with and without jitter:
+// burst cells serial and on 2 and 4 shards:
 // right after installation each engine holds at most one pending event,
 // its first phase opener, and a later phase reuses an earlier phase's slab
 // only once that phase's sources are done (fixed and variable bursts
@@ -95,7 +82,7 @@ func TestBurstTrainOpenersAndSlabs(t *testing.T) {
 	}
 	// At 600 Mbps a 1 KiB packet takes 13.65 us.
 	const (
-		reuse   = iota // later phases must reuse earlier slabs (without jitter)
+		reuse   = iota // later phases must reuse earlier slabs
 		noReuse        // no phase may reuse another's slab
 		either
 	)
@@ -116,44 +103,42 @@ func TestBurstTrainOpenersAndSlabs(t *testing.T) {
 		{"still-live", []Burst{uniform(600e6, 3*us, 0)}, 5, noReuse},
 	} {
 		for _, shards := range []int{1, 2, 4} {
-			for _, jitter := range []bool{false, true} {
-				t.Run(fmt.Sprintf("%s/shards%d/jitter=%v", c.name, shards, jitter), func(t *testing.T) {
-					net, engines, run := newCell(t, shards)
-					const start = 5 * sim.Microsecond
-					starts, streams := make([]sim.Time, c.count), make([][]*sim.RNG, c.count)
-					for rep, at := 0, start; rep < c.count; rep++ {
-						starts[rep], streams[rep] = at, make([]*sim.RNG, 64)
-						at += c.bursts[rep%len(c.bursts)].Len + c.bursts[rep%len(c.bursts)].Gap
-					}
-					logged := slices.Clone(c.bursts)
-					for i := range logged {
-						logged[i].Pattern = phaseLogPattern{Pattern: logged[i].Pattern, net: net, starts: starts, streams: streams}
-					}
-					trainInstallBursts(net, logged, start, c.count, 1024, jitter, sim.NewRNG(23))
-					requireOpeners(t, engines, false)
-					run()
-					seen, reused, injected := map[*sim.RNG]bool{}, 0, 0
-					for _, phase := range streams {
-						for _, r := range phase {
-							if r != nil {
-								injected++
-								if seen[r] {
-									reused++
-								}
-								seen[r] = true
+			t.Run(fmt.Sprintf("%s/shards%d/jitter=false", c.name, shards), func(t *testing.T) {
+				net, engines, run := newCell(t, shards)
+				const start = 5 * sim.Microsecond
+				starts, streams := make([]sim.Time, c.count), make([][]*sim.RNG, c.count)
+				for rep, at := 0, start; rep < c.count; rep++ {
+					starts[rep], streams[rep] = at, make([]*sim.RNG, 64)
+					at += c.bursts[rep%len(c.bursts)].Len + c.bursts[rep%len(c.bursts)].Gap
+				}
+				logged := slices.Clone(c.bursts)
+				for i := range logged {
+					logged[i].Pattern = phaseLogPattern{Pattern: logged[i].Pattern, net: net, starts: starts, streams: streams}
+				}
+				InstallBursts(net, logged, start, c.count, 1024, sim.NewRNG(23))
+				requireOpeners(t, engines, false)
+				run()
+				seen, reused, injected := map[*sim.RNG]bool{}, 0, 0
+				for _, phase := range streams {
+					for _, r := range phase {
+						if r != nil {
+							injected++
+							if seen[r] {
+								reused++
 							}
+							seen[r] = true
 						}
 					}
-					switch {
-					case injected < 64:
-						t.Fatalf("only %d phase sources injected", injected)
-					case c.slabs == reuse && !jitter && reused == 0:
-						t.Fatal("no phase reused an earlier phase's slab")
-					case c.slabs == noReuse && reused != 0:
-						t.Fatalf("%d streams were handed to a later phase while their sources were live", reused)
-					}
-				})
-			}
+				}
+				switch {
+				case injected < 64:
+					t.Fatalf("only %d phase sources injected", injected)
+				case c.slabs == reuse && reused == 0:
+					t.Fatal("no phase reused an earlier phase's slab")
+				case c.slabs == noReuse && reused != 0:
+					t.Fatalf("%d streams were handed to a later phase while their sources were live", reused)
+				}
+			})
 		}
 	}
 	for _, shards := range []int{1, 2} {

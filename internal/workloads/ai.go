@@ -27,18 +27,8 @@ import (
 //     stage's replica group (an MPI sub-communicator per stage).
 //
 // Options mapping: MsgBytes is the per-bucket gradient size (dp) or the
-// per-microbatch activation size (pp); Iterations is training steps;
-// Collective picks the Allreduce algorithm (ring, recursive-doubling,
-// halving-doubling, reduce-bcast).
-
-// aiAllreduceAlg resolves the Allreduce algorithm for an n-rank
-// communicator, honoring Options.Collective.
-func (o Options) aiAllreduceAlg(n int) string {
-	if o.Collective == "" {
-		return collectives.DefaultAllreduce(n)
-	}
-	return o.Collective
-}
+// per-microbatch activation size (pp); Iterations is training steps. The
+// Allreduce algorithm is the communicator size's default.
 
 // aiBuckets is the gradient bucket count per backprop pass: the model's
 // layers are flushed top-down in this many Allreduce-sized chunks.
@@ -56,7 +46,7 @@ func aiDPAllreduce(opt Options) (generator, error) {
 	if n < 2 {
 		return generator{}, fmt.Errorf("workloads: data parallelism needs >= 2 ranks, got %d", n)
 	}
-	alg := opt.aiAllreduceAlg(n)
+	alg := collectives.DefaultAllreduce(n)
 	iters := opt.iters(4)
 	bucketBytes := opt.bytes(64 * 1024)
 	comp := opt.compute(80 * sim.Microsecond)
@@ -159,7 +149,7 @@ func aiDPPP(opt Options) (generator, error) {
 		rank := func(d, s int) int { return d*aiStages + s }
 		// Each stage's dp group: the sub-communicator its gradients reduce
 		// over.
-		alg := opt.aiAllreduceAlg(dp)
+		alg := collectives.DefaultAllreduce(dp)
 		var groups [aiStages][]int
 		for s := range groups {
 			groups[s] = make([]int, dp)

@@ -38,32 +38,6 @@ func TestAICallMixShapes(t *testing.T) {
 	}
 }
 
-// Options.Collective must select the algorithm: ring and recursive
-// doubling lower to different step counts, and an unknown name errors.
-func TestAICollectiveSelection(t *testing.T) {
-	ring, err := ByName("ai-dp-allreduce", Options{Ranks: 16, Iterations: 1, Collective: "ring"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rd, err := ByName("ai-dp-allreduce", Options{Ranks: 16, Iterations: 1, Collective: "recursive-doubling"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ring.TotalEvents() <= rd.TotalEvents() {
-		t.Errorf("ring events %d not > recursive-doubling events %d (2(n-1) vs log2 n rounds)",
-			ring.TotalEvents(), rd.TotalEvents())
-	}
-	if ring.Name == rd.Name {
-		t.Error("algorithm not reflected in the trace name")
-	}
-	if _, err := ByName("ai-dp-allreduce", Options{Collective: "quantum"}); err == nil {
-		t.Error("unknown collective algorithm accepted")
-	}
-	if _, err := ByName("ai-dp-pp", Options{Collective: "quantum"}); err == nil {
-		t.Error("unknown collective algorithm accepted by the hybrid")
-	}
-}
-
 // The dp job must work on non-power-of-two and non-square rank counts —
 // the whole point of the ring fallback.
 func TestAIDPNonPow2Ranks(t *testing.T) {

@@ -38,11 +38,6 @@ type Options struct {
 	// ComputeNs overrides the per-iteration compute time separating the
 	// communication bursts (what makes the traffic bursty, §2.2.3).
 	ComputeNs sim.Time
-	// Collective selects the MPI_Allreduce lowering algorithm for the
-	// workloads that let it vary (the ai-* generators):
-	// "ring", "recursive-doubling", "halving-doubling" or "reduce-bcast".
-	// Empty picks the communicator-size default.
-	Collective string
 }
 
 func (o Options) ranks() int {

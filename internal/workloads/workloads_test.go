@@ -57,7 +57,7 @@ func TestAllWorkloadsReplay(t *testing.T) {
 			if rep.ExecutionTime() <= 0 {
 				t.Fatal("no execution time")
 			}
-			if net.Collector.Throughput.AcceptedPkts == 0 {
+			if net.Shards[0].Collector.Throughput.AcceptedPkts == 0 {
 				t.Fatal("workload moved no packets")
 			}
 		})

@@ -63,7 +63,7 @@ func Workload(name string, opt WorkloadOptions) (*Trace, error) {
 func WorkloadNames() []string { return workloads.Names() }
 
 // AllreduceAlgorithms lists the selectable MPI_Allreduce lowerings for
-// TraceBuilder.AllreduceAlg and WorkloadOptions.Collective.
+// TraceBuilder.AllreduceAlg.
 func AllreduceAlgorithms() []string { return collectives.AllreduceAlgorithms() }
 
 // Seeds derives n reproducible seeds from a base, for the §4.3 multi-seed
