@@ -79,7 +79,7 @@ func TestBuildChecksEachRule(t *testing.T) {
 			b.push(0, Event{Op: 42, MPIType: 3})
 		}, "rank 0 pc 1: unknown op 42"},
 		// The first Allreduce lowering is checked when the memo encodes
-		// it; the repetition copies its records and adds nothing to check.
+		// it; the repetition calls its records and adds nothing to check.
 		{"bad collective step", func(b *Builder) {
 			b.Compute(0, 5)
 			b.Allreduce(-64)

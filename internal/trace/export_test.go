@@ -2,14 +2,40 @@ package trace
 
 import "fmt"
 
-// ProgramBytes is the storage the encoded programs of every rank take.
+// ProgramBytes is the storage the encoded programs of every rank and the
+// call store take.
 func (t *Trace) ProgramBytes() int {
 	n := 0
-	for _, p := range t.progs {
+	for _, p := range append(t.progs[:len(t.progs):len(t.progs)], t.calls...) {
 		n += len(p)
 	}
 	return n
 }
+
+// CallRuns is the number of runs in the call store: one per rank of each
+// full-communicator collective the trace's builder lowered.
+func (t *Trace) CallRuns() int { return len(t.calls) }
+
+// CallRecords counts the call records in the programs of every rank.
+func (t *Trace) CallRecords() int {
+	n := 0
+	for r := range t.progs {
+		c := t.Cursor(r)
+		for ok := true; ok; _, ok = c.Next() {
+			next := c.prog // the record Next reads next
+			if len(next) == 0 {
+				next = c.ret
+			}
+			if len(next) > 0 && next[0] == opCall {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// DiffPrograms is diffPrograms for the external tests.
+var DiffPrograms = diffPrograms
 
 // appendRaw appends raw bytes to rank's program as one more event, for
 // records no Builder writes (an unknown op) in the tests of Validate.

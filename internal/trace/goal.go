@@ -250,28 +250,11 @@ type goalEdge struct {
 // ranks and peers, self-messages, sizes and calc totals past the trace's
 // bounds, and dependency cycles.
 func ReadGOAL(r io.Reader) (*Goal, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<16), 1<<24)
-	lineNo := 0
-	next := func() (string, bool) {
-		for sc.Scan() {
-			lineNo++
-			line := strings.TrimSpace(sc.Text())
-			if line == "" || strings.HasPrefix(line, "#") {
-				continue
-			}
-			return line, true
-		}
-		return "", false
+	lr, err := newLineReader(r, "goal", goalMagic)
+	if err != nil {
+		return nil, err
 	}
-	fail := func(format string, args ...any) error {
-		return fmt.Errorf("goal: line %d: %s", lineNo, fmt.Sprintf(format, args...))
-	}
-
-	line, ok := next()
-	if !ok || line != goalMagic {
-		return nil, fail("missing %q header", goalMagic)
-	}
+	fail := lr.fail
 	g := &Goal{}
 	cur := -1
 	// labels maps each rank's declared labels to node indices.
@@ -290,7 +273,7 @@ func ReadGOAL(r io.Reader) (*Goal, error) {
 	}
 
 	for {
-		line, ok := next()
+		line, ok := lr.next()
 		if !ok {
 			break
 		}
@@ -342,7 +325,7 @@ func ReadGOAL(r io.Reader) (*Goal, error) {
 			if err != nil {
 				return nil, err
 			}
-			edges = append(edges, goalEdge{rank: cur, from: from, to: to, lineNo: lineNo})
+			edges = append(edges, goalEdge{rank: cur, from: from, to: to, lineNo: lr.lineNo})
 			continue
 		}
 
@@ -365,7 +348,7 @@ func ReadGOAL(r io.Reader) (*Goal, error) {
 		labels[cur][label] = len(g.Progs[cur])
 		g.Progs[cur] = append(g.Progs[cur], nd)
 	}
-	if err := sc.Err(); err != nil {
+	if err := lr.sc.Err(); err != nil {
 		return nil, err
 	}
 	if g.Ranks == 0 {

@@ -71,30 +71,50 @@ func WriteTrace(w io.Writer, tr *Trace) error {
 	return bw.Flush()
 }
 
+// lineReader reads the trace and GOAL text formats: it yields their
+// non-blank, non-comment lines trimmed, and numbers errors by line.
+type lineReader struct {
+	sc     *bufio.Scanner
+	lineNo int
+	prefix string
+}
+
+// newLineReader starts reading r and checks its first line is magic;
+// prefix ("trace", "goal") leads every error.
+func newLineReader(r io.Reader, prefix, magic string) (*lineReader, error) {
+	lr := &lineReader{sc: bufio.NewScanner(r), prefix: prefix}
+	lr.sc.Buffer(make([]byte, 1<<16), 1<<24)
+	if line, ok := lr.next(); !ok || line != magic {
+		return nil, lr.fail("missing %q header", magic)
+	}
+	return lr, nil
+}
+
+// next returns the next line that is neither blank nor a comment.
+func (lr *lineReader) next() (string, bool) {
+	for lr.sc.Scan() {
+		lr.lineNo++
+		line := strings.TrimSpace(lr.sc.Text())
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		return line, true
+	}
+	return "", false
+}
+
+// fail returns an error at the current line.
+func (lr *lineReader) fail(format string, args ...any) error {
+	return fmt.Errorf("%s: line %d: %s", lr.prefix, lr.lineNo, fmt.Sprintf(format, args...))
+}
+
 // ReadTrace parses a serialized trace.
 func ReadTrace(r io.Reader) (*Trace, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<16), 1<<24)
-	lineNo := 0
-	next := func() (string, bool) {
-		for sc.Scan() {
-			lineNo++
-			line := strings.TrimSpace(sc.Text())
-			if line == "" || strings.HasPrefix(line, "#") {
-				continue
-			}
-			return line, true
-		}
-		return "", false
+	lr, err := newLineReader(r, "trace", traceMagic)
+	if err != nil {
+		return nil, err
 	}
-	fail := func(format string, args ...any) error {
-		return fmt.Errorf("trace: line %d: %s", lineNo, fmt.Sprintf(format, args...))
-	}
-
-	line, ok := next()
-	if !ok || line != traceMagic {
-		return nil, fail("missing %q header", traceMagic)
-	}
+	fail := lr.fail
 	tr := &Trace{CallMix: make(map[uint8]int64)}
 	cur := -1
 	ints := func(fields []string, want int) ([]int64, error) {
@@ -127,7 +147,7 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 	}
 
 	for {
-		line, ok := next()
+		line, ok := lr.next()
 		if !ok {
 			break
 		}
@@ -218,7 +238,7 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 			return nil, fail("unknown directive %q", op)
 		}
 	}
-	if err := sc.Err(); err != nil {
+	if err := lr.sc.Err(); err != nil {
 		return nil, err
 	}
 	if tr.Ranks == 0 {

@@ -108,10 +108,11 @@ func TestSerializedWorkloadReplays(t *testing.T) {
 }
 
 // recordLen, which sizes Build's windows, must agree with the encoder on
-// every op and at every varint length boundary, negative values included.
+// every op, the call record's included, and at every varint length
+// boundary, negative values included.
 func TestRecordLen(t *testing.T) {
-	vals := []int64{0, 1, -1, 63, -64, 64, -65, 8191, 8192, 1 << 40, math.MaxInt64, math.MinInt64}
-	for op := OpCompute; op <= OpWaitall+1; op++ {
+	vals := []int64{0, 1, -1, 63, -64, 64, -65, 127, 128, 8191, 8192, 16383, 16384, 1 << 40, math.MaxInt64, math.MinInt64}
+	for _, op := range []Op{OpCompute, OpSend, OpIsend, OpRecv, OpIrecv, OpWait, OpWaitall, OpWaitall + 1, opCall} {
 		for _, mpi := range []uint8{0, 9} {
 			for _, v := range vals {
 				ev := Event{Op: op, MPIType: mpi, Peer: int(v), Bytes: int(-v), Dur: sim.Time(v)}

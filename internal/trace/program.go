@@ -14,13 +14,25 @@ import (
 // of a decoded Event. The varints are signed and 64-bit, so every value
 // ReadTrace accepts (a negative size, a peer outside the trace, a MaxInt64
 // duration) is stored as read and reaches Validate.
+//
+// A call record stands for a run of records kept once in the trace's call
+// store (Trace.calls): the op byte opCall, then the uvarint index of the
+// run. Build emits one for each rank of each full-communicator collective,
+// so a lowering repeated every iteration is stored once and called from
+// then on. The Cursor follows a call and returns; runs hold no calls.
 
 // typeFlag marks an op byte followed by an MPI-type byte.
 const typeFlag = 0x80
 
+// opCall is the op byte of a call record. An event's op byte is its Op,
+// with typeFlag when an MPI type follows: the seven ops are below 7 and
+// the unknown ops the tests store (42, and op%8 in the fuzz bodies) below
+// 64, so no event's op byte is 0x7f.
+const opCall = 0x7f
+
 // appendEvent appends ev's record to p. Fields its op does not use are not
 // stored and decode as zero; NewBuilder, Build and ReadTrace all store
-// through it.
+// through it. An Event of Op opCall is the call record of run ev.Peer.
 func appendEvent(p []byte, ev Event) []byte {
 	if ev.MPIType != 0 {
 		p = append(p, byte(ev.Op)|typeFlag, ev.MPIType)
@@ -35,6 +47,8 @@ func appendEvent(p []byte, ev Event) []byte {
 		p = binary.AppendVarint(p, int64(ev.Bytes))
 	case OpRecv, OpIrecv:
 		p = binary.AppendVarint(p, int64(ev.Peer))
+	case opCall:
+		p = binary.AppendUvarint(p, uint64(ev.Peer))
 	}
 	return p
 }
@@ -53,25 +67,34 @@ func recordLen(ev Event) int {
 		n += varintLen(int64(ev.Peer)) + varintLen(int64(ev.Bytes))
 	case OpRecv, OpIrecv:
 		n += varintLen(int64(ev.Peer))
+	case opCall:
+		n += uvarintLen(uint64(ev.Peer))
 	}
 	return n
 }
 
-// varintLen is the length of v's zigzag varint: seven bits a byte.
+// varintLen is the length of v's zigzag varint.
 func varintLen(v int64) int {
-	zz := uint64(v)<<1 ^ uint64(v>>63)
-	return (bits.Len64(zz|1) + 6) / 7
+	return uvarintLen(uint64(v)<<1 ^ uint64(v>>63))
+}
+
+// uvarintLen is the length of v's uvarint: seven bits a byte.
+func uvarintLen(v uint64) int {
+	return (bits.Len64(v|1) + 6) / 7
 }
 
 // Cursor reads one rank's program event by event. It is a value: a copy
-// resumes where the original stood.
+// resumes where the original stood, inside a call too.
 type Cursor struct {
-	prog []byte
-	pc   int
+	// prog is what is left of the program, or of the called run while
+	// ret holds what is left of the program after the call.
+	prog, ret []byte
+	calls     [][]byte
+	pc        int
 }
 
 // Cursor returns a cursor at the start of rank's program.
-func (t *Trace) Cursor(rank int) Cursor { return Cursor{prog: t.progs[rank]} }
+func (t *Trace) Cursor(rank int) Cursor { return Cursor{prog: t.progs[rank], calls: t.calls} }
 
 // PC returns how many events Next has returned.
 func (c *Cursor) PC() int { return c.pc }
@@ -80,7 +103,13 @@ func (c *Cursor) PC() int { return c.pc }
 func (c *Cursor) Next() (ev Event, ok bool) {
 	p := c.prog
 	if len(p) == 0 {
-		return ev, false
+		if len(c.ret) == 0 {
+			return ev, false
+		}
+		p, c.ret = c.ret, nil
+	}
+	if p[0] == opCall {
+		p = c.call(p)
 	}
 	op, i := p[0], 1
 	if op&typeFlag != 0 {
@@ -106,6 +135,17 @@ func (c *Cursor) Next() (ev Event, ok bool) {
 	c.prog = p[i:]
 	c.pc++
 	return ev, true
+}
+
+// call enters the run the call record at p[0] names, keeping what follows
+// the record to return to.
+func (c *Cursor) call(p []byte) []byte {
+	k, n := binary.Uvarint(p[1:])
+	if n <= 0 || k >= uint64(len(c.calls)) || len(c.calls[k]) == 0 {
+		panic("trace: corrupt program record")
+	}
+	c.ret = p[1+n:]
+	return c.calls[k]
 }
 
 // varintAt decodes the zigzag varint at p[i:] and returns it with the

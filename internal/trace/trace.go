@@ -69,6 +69,10 @@ type Trace struct {
 	Ranks int
 	// progs holds each rank's encoded program; read it with Cursor.
 	progs [][]byte
+	// calls is the call store: the runs of records the programs' call
+	// records name, one per rank of each full-communicator collective
+	// the builder lowered (program.go).
+	calls [][]byte
 	// events counts the events of every rank.
 	events int
 	// checked is set by Build on a trace whose every event it checked as
@@ -174,8 +178,8 @@ type Builder struct {
 	// a generator's time).
 	mix [256]int64
 	// memo holds every collective this builder has lowered, so a
-	// collective repeated each iteration is generated and encoded once. It
-	// lives and dies with the builder.
+	// collective repeated each iteration is generated and encoded once;
+	// the encodings outlive it as the trace's call store.
 	memo map[schedKey]*lowering
 	// compute and bad are the counting pass's checkEvent state: the
 	// compute time seen, and whether any event failed.
@@ -263,8 +267,18 @@ func (b *Builder) push(rank int, ev Event) {
 		b.check(rank, ev)
 		return
 	}
+	b.store(rank, ev, 1)
+}
+
+// store appends the record of ev, which stands for n events, to rank's
+// program; during the counting pass it only adds up the record's length.
+func (b *Builder) store(rank int, ev Event, n int) {
+	if b.counts != nil {
+		b.counts[rank] += recordLen(ev)
+		return
+	}
 	b.tr.progs[rank] = appendEvent(b.tr.progs[rank], ev)
-	b.tr.events++
+	b.tr.events += n
 }
 
 // check applies checkEvent to an event of rank during the counting pass.
@@ -272,16 +286,6 @@ func (b *Builder) check(rank int, ev Event) {
 	if b.counts != nil && !b.bad && checkEvent(ev, rank, b.tr.Ranks, &b.compute) != nil {
 		b.bad = true
 	}
-}
-
-// pushEncoded appends n events already encoded as recs to rank's program.
-func (b *Builder) pushEncoded(rank int, recs []byte, n int) {
-	if b.counts != nil {
-		b.counts[rank] += len(recs)
-		return
-	}
-	b.tr.progs[rank] = append(b.tr.progs[rank], recs...)
-	b.tr.events += n
 }
 
 func (b *Builder) count(mpiType uint8, n int64) {
