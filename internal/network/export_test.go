@@ -19,7 +19,8 @@ type PortCensus struct {
 // CheckPortInvariants verifies the port-state layout of a quiescent
 // network: every port's queued equals the sum of its VC bytes, each VC's
 // byte count read through its packets' stamps (vcQueue.bytes) the sum of
-// its list, nonEmpty bit vc is set exactly when VC vc has a tail, every
+// its list, nonEmpty bit vc is set exactly when VC vc has a tail, the
+// queues past Network.numVC have no tail and no nonEmpty bit, every
 // list is circular — the walk from the head, tail.qnext, reaches the tail
 // (a walk that loops short of it meets a packet twice) —
 // parkedN counts the parked deliveries, each freelist holds as many
@@ -92,8 +93,14 @@ func CheckPortInvariants(n *Network) (PortCensus, error) {
 
 func (o *outPort) checkInvariants(c *PortCensus, claim func(*Packet, string) error) error {
 	name := fmt.Sprintf("port r%d.p%d", o.router, o.port)
+	numVC := o.sh.net.numVC
+	for vc := numVC; vc < maxVCs; vc++ {
+		if q := &o.vcs[vc]; q.tail != nil || o.nonEmpty&(1<<uint(vc)) != 0 {
+			return fmt.Errorf("%s vc%d: past the fabric's %d VCs, tail %p and nonEmpty %08b", name, vc, numVC, q.tail, o.nonEmpty)
+		}
+	}
 	total := 0
-	for vc := range o.sh.net.numVC {
+	for vc := range numVC {
 		q := &o.vcs[vc]
 		at := fmt.Sprintf("%s vc%d", name, vc)
 		if set := o.nonEmpty&(1<<uint(vc)) != 0; set != (q.tail != nil) {

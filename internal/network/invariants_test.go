@@ -9,56 +9,72 @@ import (
 	"prdrb/internal/topology"
 )
 
-// TestPortInvariants runs a congested, flapping dragonfly under pr-drb and
-// checks the port-state layout (network.CheckPortInvariants) at several
-// quiescent horizons, serial and on two shards: byte counts, the nonEmpty
-// mask, the circular lists, parked counts, and that every packet record is
-// in at most one queue, in-flight slot, parked list or freelist.
+// TestPortInvariants runs a congested, flapping dragonfly (eight VCs) and
+// fat tree (four) under pr-drb and checks the port-state layout
+// (network.CheckPortInvariants) at several quiescent horizons, serial and
+// on two shards: byte counts, the nonEmpty mask, the circular lists, parked
+// counts, that every packet record is in at most one queue, in-flight slot,
+// parked list or freelist, and that the inline VC queues past the fabric's
+// VC count stay empty.
 func TestPortInvariants(t *testing.T) {
-	topo, err := topology.ByName("df-4-8-2-2")
+	for _, tc := range []struct{ spec, faults string }{
+		// A local (1.0) and a global (0.3) link next to the incast.
+		{"df-4-8-2-2", "flap@20us:1.0*12/20us,flap@35us:0.3*8/30us"},
+		// A down link into the incast's leaf (16.0) and that leaf's first
+		// up link (0.4).
+		{"ft-4-3", "flap@20us:16.0*12/20us,flap@35us:0.4*8/30us"},
+	} {
+		topo, err := topology.ByName(tc.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, shards := range []int{1, 2} {
+			checkPortInvariantsRun(t, topo, tc.spec, tc.faults, shards)
+		}
+	}
+}
+
+// checkPortInvariantsRun drives one TestPortInvariants run: incast from
+// nodes 8-63 onto nodes 0-3 parks deliveries, uniform traffic from nodes
+// 0-7 keeps the other queues busy, and the two links of faults flap under
+// it.
+func checkPortInvariantsRun(t *testing.T, topo topology.Topology, spec, faults string, shards int) {
+	t.Helper()
+	s, err := runner.New(runner.Experiment{Topology: topo, Policy: runner.PolicyPRDRB, Seed: 3, Shards: shards})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, shards := range []int{1, 2} {
-		s, err := runner.New(runner.Experiment{Topology: topo, Policy: runner.PolicyPRDRB, Seed: 3, Shards: shards})
+	flows := make(map[topology.NodeID]topology.NodeID)
+	for src := 8; src < 64; src++ {
+		flows[topology.NodeID(src)] = topology.NodeID(src % 4)
+	}
+	s.InstallHotSpot(flows, 1900, 0, 300*sim.Microsecond)
+	if err := s.InstallPattern(runner.PatternSpec{Pattern: "uniform", RateMbps: 800, End: 300 * sim.Microsecond,
+		Nodes: []topology.NodeID{0, 1, 2, 3, 4, 5, 6, 7}}); err != nil {
+		t.Fatal(err)
+	}
+	plan, err := s.ParseFaults(faults)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.InstallFaults(plan); err != nil {
+		t.Fatal(err)
+	}
+	var seen network.PortCensus
+	for _, h := range []sim.Time{25, 40, 60, 90, 130, 180, 250, 2000} {
+		s.Execute(h * sim.Microsecond)
+		c, err := network.CheckPortInvariants(s.Net)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s, shards=%d at %dus: %v", spec, shards, h, err)
 		}
-		// Incast from nodes 8-63 onto nodes 0-3 parks deliveries, uniform
-		// traffic from nodes 0-7 keeps the other queues busy, and a local
-		// (1.0) and a global (0.3) link next to the incast flap under it.
-		flows := make(map[topology.NodeID]topology.NodeID)
-		for src := 8; src < 64; src++ {
-			flows[topology.NodeID(src)] = topology.NodeID(src % 4)
-		}
-		s.InstallHotSpot(flows, 1900, 0, 300*sim.Microsecond)
-		if err := s.InstallPattern(runner.PatternSpec{Pattern: "uniform", RateMbps: 800, End: 300 * sim.Microsecond,
-			Nodes: []topology.NodeID{0, 1, 2, 3, 4, 5, 6, 7}}); err != nil {
-			t.Fatal(err)
-		}
-		plan, err := s.ParseFaults("flap@20us:1.0*12/20us,flap@35us:0.3*8/30us")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.InstallFaults(plan); err != nil {
-			t.Fatal(err)
-		}
-		var seen network.PortCensus
-		for _, h := range []sim.Time{25, 40, 60, 90, 130, 180, 250, 2000} {
-			s.Execute(h * sim.Microsecond)
-			c, err := network.CheckPortInvariants(s.Net)
-			if err != nil {
-				t.Fatalf("shards=%d at %dus: %v", shards, h, err)
-			}
-			seen.Queued = max(seen.Queued, c.Queued)
-			seen.Parked = max(seen.Parked, c.Parked)
-			seen.InFlight = max(seen.InFlight, c.InFlight)
-			seen.Free = max(seen.Free, c.Free)
-		}
-		if seen.Queued == 0 || seen.Parked == 0 || seen.Free == 0 || s.Net.DroppedPkts() == 0 {
-			t.Fatalf("shards=%d: the run never queued, parked, pooled and dropped at once (%+v, %d drops)",
-				shards, seen, s.Net.DroppedPkts())
-		}
+		seen.Queued = max(seen.Queued, c.Queued)
+		seen.Parked = max(seen.Parked, c.Parked)
+		seen.InFlight = max(seen.InFlight, c.InFlight)
+		seen.Free = max(seen.Free, c.Free)
+	}
+	if seen.Queued == 0 || seen.Parked == 0 || seen.Free == 0 || s.Net.DroppedPkts() == 0 {
+		t.Fatalf("%s, shards=%d: the run never queued, parked, pooled and dropped at once (%+v, %d drops)",
+			spec, shards, seen, s.Net.DroppedPkts())
 	}
 }
 

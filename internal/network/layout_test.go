@@ -97,9 +97,9 @@ func TestVCQueueMatchesSlice(t *testing.T) {
 // TestLayoutSizes pins the record sizes the port layout is sized around:
 // a Packet stays in the 128-byte size class — whose objects are 128-aligned,
 // so its first 64 bytes are one cache line, holding what the queues, the
-// routing decision and the VC choice read every hop — and ports × VCs, the
-// largest state of a 4096-node fabric, stays at 96 bytes a port plus one
-// word a VC.
+// routing decision and the VC choice read every hop — and a port, the
+// largest state of a 4096-node fabric, is 88 bytes plus its maxVCs
+// one-word VC queues, held inline.
 func TestLayoutSizes(t *testing.T) {
 	if s := unsafe.Sizeof(Packet{}); s <= 112 || s > 128 {
 		t.Errorf("Packet is %d bytes, want the 128-byte size class (113 to 128)", s)
@@ -124,8 +124,8 @@ func TestLayoutSizes(t *testing.T) {
 			t.Errorf("Packet.%s spans bytes %d to %d, want it in the first 64", f.name, f.off, f.off+f.width)
 		}
 	}
-	if s := unsafe.Sizeof(outPort{}); s > 96 {
-		t.Errorf("outPort is %d bytes, want at most 96", s)
+	if s := unsafe.Sizeof(outPort{}); s > 88+8*maxVCs {
+		t.Errorf("outPort is %d bytes, want at most %d", s, 88+8*maxVCs)
 	}
 	if s := unsafe.Sizeof(vcQueue{}); s != 8 {
 		t.Errorf("vcQueue is %d bytes, want 8", s)
@@ -279,13 +279,12 @@ func buildLadderRow(t *testing.T, spec string, shards int) ladderRow {
 
 // TestBuildBytesLadder builds dragonflies and fat trees of about 64, 256,
 // 1024 and 4096 nodes, serial and on two shards, and pins what building
-// allocates: per port (router and NIC ports; the routers' and NICs' own
-// records included) at most 136 bytes plus 8 per VC at every size, plus
-// 32 KiB per shard of fixed cost and measurement noise that only small
-// fabrics notice (so the 4096-node dragonfly stays under 300 bytes a
-// port), and a number of objects that depends on the shard count alone —
-// every port, VC queue, router and NIC comes from a slab. With -v it
-// prints the table.
+// allocates: per port (router and NIC ports, each with its VC queues; the
+// routers' and NICs' own records included) at most 192 bytes at every size,
+// plus 32 KiB per shard of fixed cost and measurement noise that only small
+// fabrics notice, and a number of objects that depends on the shard count
+// alone — every port, router and NIC comes from a slab. With -v it prints
+// the table.
 func TestBuildBytesLadder(t *testing.T) {
 	t.Logf("%-13s %6s %7s %6s %4s %9s %7s %7s", "fabric", "shards", "routers", "ports", "vcs", "bytes", "B/port", "objects")
 	for _, spec := range []string{
@@ -296,10 +295,10 @@ func TestBuildBytesLadder(t *testing.T) {
 			r := buildLadderRow(t, spec, shards)
 			perPort := float64(r.bytes) / float64(r.ports)
 			t.Logf("%-13s %6d %7d %6d %4d %9d %7.1f %7d", spec, shards, r.routers, r.ports, r.vcs, r.bytes, perPort, r.objects)
-			if budget := r.ports*(136+8*r.vcs) + 32<<10*shards; r.bytes > uint64(budget) {
+			if budget := r.ports*192 + 32<<10*shards; r.bytes > uint64(budget) {
 				t.Errorf("%s on %d shards: %d bytes for %d ports, budget %d", spec, shards, r.bytes, r.ports, budget)
 			}
-			if budget := 16 + 8*shards; r.objects > uint64(budget) {
+			if budget := 16 + 7*shards; r.objects > uint64(budget) {
 				t.Errorf("%s on %d shards: %d objects for %d routers and %d ports, budget %d",
 					spec, shards, r.objects, r.routers, r.ports, budget)
 			}

@@ -130,11 +130,11 @@ const (
 
 // outPort is an output port with per-VC buffering, round-robin VC
 // arbitration (Fig 4.6) and a single serializing link. Ports live in their
-// shard's port slab and their VC queues in its queue arena (build); state
-// that most ports never touch sits behind cold. What is fixed at build time
-// and shared — the VC count, the per-VC capacity, the link delays, the
-// router's contention-metrics handle — lives in the Network or Shard, so a
-// port is 96 bytes.
+// shard's port slab (build), each holding its VC queues; state that most
+// ports never touch sits behind cold. What is fixed at build time and
+// shared — the VC count, the per-VC capacity, the link delays, the router's
+// contention-metrics handle — lives in the Network or Shard, so a port is
+// 152 bytes.
 type outPort struct {
 	sh *Shard // owning shard (the serial network's only one)
 	// peer is the downstream end of the link: a *Router, a *NIC, or — for
@@ -142,10 +142,9 @@ type outPort struct {
 	// whose deliveries travel the cross-shard protocol (pump, shard.go).
 	// Nil for an unwired port.
 	peer receiver
-	// vcs are the port's VC queues in the shard arena; only the first
-	// Network.numVC are the port's (the rest belong to the next port or
-	// are the arena's slack).
-	vcs *[maxVCs]vcQueue
+	// vcs are the port's VC queues; only the first Network.numVC are used,
+	// and the tails past them stay nil.
+	vcs [maxVCs]vcQueue
 	// serEnd is when the link frees: the in-flight packet's tail has left
 	// it (and, on a boundary link, its header has landed — see
 	// sendRemote). The port cannot start the next packet before it even if
