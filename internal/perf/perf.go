@@ -117,6 +117,7 @@ type Profiler struct {
 	farOverflows            []uint64
 	farMigrations           []uint64
 	cascades                []uint64
+	slotWalks               []uint64
 	winHist                 []*metrics.Histogram
 
 	spans        []WindowSpan
@@ -139,6 +140,7 @@ func (p *Profiler) grow(n int) {
 		p.farOverflows = append(p.farOverflows, 0)
 		p.farMigrations = append(p.farMigrations, 0)
 		p.cascades = append(p.cascades, 0)
+		p.slotWalks = append(p.slotWalks, 0)
 		p.winHist = append(p.winHist, metrics.NewHistogram())
 	}
 	for len(p.doneWall) < n {
@@ -215,6 +217,7 @@ func (p *Profiler) RunEnd() {
 			p.farOverflows[i] += st.FarOverflows - last.FarOverflows
 			p.farMigrations[i] += st.FarMigrations - last.FarMigrations
 			p.cascades[i] += st.Cascades - last.Cascades
+			p.slotWalks[i] += st.SlotWalks - last.SlotWalks
 			if !p.sharded {
 				// Sharded event counts arrive per window via ShardDone;
 				// serial ones only exist as the engine's cumulative counter.

@@ -16,10 +16,12 @@ type ShardReport struct {
 	Shard  int    `json:"shard"`
 	Events uint64 `json:"events"`
 	// FarOverflows/FarMigrations are the shard wheel's far-heap traffic
-	// and Cascades its coarse-to-fine traffic (see sim.EngineStats).
+	// and Cascades its coarse-to-fine traffic, SlotWalks the records its
+	// fine-slot inserts walked past (see sim.EngineStats).
 	FarOverflows  uint64 `json:"far_overflows"`
 	FarMigrations uint64 `json:"far_migrations"`
 	Cascades      uint64 `json:"cascades"`
+	SlotWalks     uint64 `json:"slot_walks"`
 	BusyNs        int64  `json:"busy_ns"`
 	IdleNs        int64  `json:"idle_ns"`
 	// IdleFraction is IdleNs / (BusyNs + IdleNs): the share of the
@@ -117,6 +119,7 @@ func (p *Profiler) Report() Report {
 			FarOverflows:  p.farOverflows[i],
 			FarMigrations: p.farMigrations[i],
 			Cascades:      p.cascades[i],
+			SlotWalks:     p.slotWalks[i],
 			BusyNs:        p.busyNs[i],
 			IdleNs:        p.idleNs[i],
 			EventsPerSec:  rate(p.events[i], p.busyNs[i]),
@@ -187,18 +190,22 @@ func (r Report) WriteText(w io.Writer, detOnly bool) {
 	fmt.Fprintf(w, "%6s %12s %14s %14s\n", "shard", "events", "far_overflows", "far_migrations")
 	shards := append([]ShardReport(nil), r.PerShard...)
 	sort.Slice(shards, func(i, j int) bool { return shards[i].Shard < shards[j].Shard })
-	var evSum, ovSum, migSum, casSum uint64
+	var evSum, ovSum, migSum, casSum, walkSum uint64
 	for _, s := range shards {
 		fmt.Fprintf(w, "%6d %12d %14d %14d\n", s.Shard, s.Events, s.FarOverflows, s.FarMigrations)
 		evSum += s.Events
 		ovSum += s.FarOverflows
 		migSum += s.FarMigrations
 		casSum += s.Cascades
+		walkSum += s.SlotWalks
 	}
 	fmt.Fprintf(w, "%6s %12d %14d %14d\n", "total", evSum, ovSum, migSum)
 	if casSum > 0 {
 		// Reports written before the coarse tier existed carry none.
 		fmt.Fprintf(w, "cascades=%d\n", casSum)
+	}
+	if walkSum > 0 {
+		fmt.Fprintf(w, "slot_walks=%d\n", walkSum)
 	}
 	if detOnly {
 		return

@@ -76,10 +76,13 @@ type EngineStats struct {
 	// that later migrated back into a nearer tier (cancelled far events
 	// are recycled without migrating, so migrations ≤ overflows);
 	// Cascades counts the live records moved from coarse ticks into fine
-	// slots. All three are zero on heap-mode engines.
+	// slots; SlotWalks counts the records a fine-slot insert walked past
+	// to its sorted place (a tail append walks none). All four are zero
+	// on heap-mode engines.
 	FarOverflows  uint64
 	FarMigrations uint64
 	Cascades      uint64
+	SlotWalks     uint64
 }
 
 // Stats snapshots the engine's counters. Safe only while the engine is
@@ -92,7 +95,7 @@ func (e *Engine) Stats() EngineStats {
 	}
 	st.FarOverflows, st.FarMigrations = e.FarStats()
 	if e.wheel != nil {
-		st.Cascades = e.wheel.cascades
+		st.Cascades, st.SlotWalks = e.wheel.cascades, e.wheel.slotWalks
 	}
 	return st
 }

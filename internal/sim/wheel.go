@@ -111,12 +111,14 @@ type wheel struct {
 	// far heap; farMigrations counts the ones migrated back into a nearer
 	// tier as the clock advanced (cancelled far events recycle without
 	// migrating, so farMigrations <= farOverflows); cascades counts the
-	// live records moved from coarse ticks into fine slots. Deterministic:
-	// all three are functions of the event schedule, not of wall time or
-	// GOMAXPROCS.
+	// live records moved from coarse ticks into fine slots; slotWalks
+	// counts the records slotInsert's sorted walk stepped over.
+	// Deterministic: all four are functions of the event schedule, not of
+	// wall time or GOMAXPROCS.
 	farOverflows  uint64
 	farMigrations uint64
 	cascades      uint64
+	slotWalks     uint64
 }
 
 // EnableWheel switches the engine's scheduler into windowed-wheel mode.
@@ -163,12 +165,14 @@ func (e *Engine) slotInsert(ev *event) {
 	default:
 		// ev < tail: the walk stops before running off the list. Starting
 		// at the tail makes its first comparison the head's.
-		p := tail
+		p, n := tail, uint64(0)
 		for !eventLess(ev, p.next) {
 			p = p.next
+			n++
 		}
 		ev.next = p.next
 		p.next = ev
+		w.slotWalks += n
 	}
 }
 

@@ -9,11 +9,11 @@ import (
 )
 
 // TestCallsMatchRoundTrip: every generator's trace, whose full-communicator
-// collectives are call records into the call store, reads event for event
-// as its WriteTrace→ReadTrace round trip, which stores every event inline.
-// Where a collective repeats, the trace stores fewer bytes than the round
-// trip; where each is lowered once, its call records are all it adds, at
-// most 3 B each.
+// collectives and point-to-point blocks are call records into the call
+// store, reads event for event as its WriteTrace→ReadTrace round trip,
+// which stores every event inline. Where a collective or a block repeats,
+// the trace stores fewer bytes than the round trip; where each is used
+// once, its call records are all it adds, at most 3 B each.
 func TestCallsMatchRoundTrip(t *testing.T) {
 	for _, name := range workloads.Names() {
 		for _, iters := range []int{1, 3, 20} {

@@ -85,6 +85,19 @@ func TestBuildChecksEachRule(t *testing.T) {
 			b.Allreduce(-64)
 			b.Allreduce(-64)
 		}, "rank 0 pc 1: message size -64 out of range"},
+		// A block's events are checked at capture; each later use adds
+		// its compute time, so the total trips where its computes would.
+		{"bad block event", func(b *Builder) {
+			for i := 0; i < 2; i++ {
+				Block(b, "k", func() { b.Compute(0, 5); b.Send(1, 1, 8) })
+			}
+		}, "rank 1 pc 0: send to itself"},
+		{"compute overflow through block uses", func(b *Builder) {
+			for i := 0; i < 3; i++ {
+				Block(b, 7, func() { b.Compute(2, maxTotalCompute/2); b.Send(2, 0, 8) })
+				b.Recv(0, 2)
+			}
+		}, "rank 2 pc 4: compute time adds up to more than"},
 		{"bad group step", func(b *Builder) {
 			if err := b.AllreduceGroup([]int{3, 1}, collectives.AlgRing, maxMessageBytes*4); err != nil {
 				panic(err)

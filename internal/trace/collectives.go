@@ -159,6 +159,9 @@ func (b *Builder) checkGroup(group []int) error {
 // lower emits collective k over group (nil = every rank), its events tagged
 // with k's MPI type, and counts one logical call per participating rank.
 func (b *Builder) lower(k schedKey, group []int) error {
+	if b.open != nil {
+		panic(fmt.Sprintf("trace: %s collective inside block %v", network.MPITypeName(k.mpiType), b.open.key))
+	}
 	l, err := b.schedule(k)
 	if err != nil {
 		return err

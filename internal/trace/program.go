@@ -17,9 +17,10 @@ import (
 //
 // A call record stands for a run of records kept once in the trace's call
 // store (Trace.calls): the op byte opCall, then the uvarint index of the
-// run. Build emits one for each rank of each full-communicator collective,
-// so a lowering repeated every iteration is stored once and called from
-// then on. The Cursor follows a call and returns; runs hold no calls.
+// run. Build emits one for each rank of each full-communicator collective
+// and of each Block use, so a lowering or a point-to-point block repeated
+// every iteration is stored once and called from then on. The Cursor
+// follows a call and returns; runs hold no calls.
 
 // typeFlag marks an op byte followed by an MPI-type byte.
 const typeFlag = 0x80

@@ -52,9 +52,10 @@ func TestReplayAllocs(t *testing.T) {
 }
 
 // TestTraceBytesPerEvent pins what a stored event costs, the call store
-// counted: a few bytes of encoded record on every generator, where a
-// decoded Event is 32, and less than one where a collective's records are
-// called each iteration instead of stored again.
+// counted: at most a few bytes of encoded record on every generator, where
+// a decoded Event is 32, and less than one where the records of a
+// collective or a point-to-point block are called each iteration instead
+// of stored again.
 func TestTraceBytesPerEvent(t *testing.T) {
 	var sum float64
 	for _, name := range workloads.Names() {
@@ -64,12 +65,12 @@ func TestTraceBytesPerEvent(t *testing.T) {
 		}
 		per := float64(tr.ProgramBytes()) / float64(tr.TotalEvents())
 		t.Logf("%-16s %7d events %8d B %.2f B/event", name, tr.TotalEvents(), tr.ProgramBytes(), per)
-		if per > 4 {
-			t.Errorf("%s stores %.2f B per event, want <= 4", name, per)
+		if per > 2.5 {
+			t.Errorf("%s stores %.2f B per event, want <= 2.5", name, per)
 		}
 		sum += per
 	}
-	if mean := sum / float64(len(workloads.Names())); mean > 2.25 {
-		t.Errorf("the generators store %.2f B per event on average, want <= 2.25", mean)
+	if mean := sum / float64(len(workloads.Names())); mean > 1 {
+		t.Errorf("the generators store %.2f B per event on average, want <= 1", mean)
 	}
 }

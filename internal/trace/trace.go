@@ -9,6 +9,7 @@
 package trace
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"prdrb/internal/network"
@@ -71,7 +72,7 @@ type Trace struct {
 	progs [][]byte
 	// calls is the call store: the runs of records the programs' call
 	// records name, one per rank of each full-communicator collective
-	// the builder lowered (program.go).
+	// the builder lowered and of each block it memoised (program.go).
 	calls [][]byte
 	// events counts the events of every rank.
 	events int
@@ -181,6 +182,16 @@ type Builder struct {
 	// collective repeated each iteration is generated and encoded once;
 	// the encodings outlive it as the trace's call store.
 	memo map[schedKey]*lowering
+	// blocks memoises the point-to-point blocks Build's body opens
+	// (Block); nil on a plain builder, which runs every block inline.
+	blocks map[any]*block
+	// open is the block whose body is running, nil outside one. While a
+	// first use captures it, scratch holds its records in emission order,
+	// each after its rank (uvarint) and its length (a byte), and ends adds
+	// up each rank's bytes.
+	open    *block
+	scratch []byte
+	ends    []int
 	// compute and bad are the counting pass's checkEvent state: the
 	// compute time seen, and whether any event failed.
 	compute sim.Time
@@ -215,6 +226,7 @@ func Build(name string, ranks int, body func(b *Builder) error) (*Trace, error) 
 	b := NewBuilder(name, ranks)
 	counts := make([]int, ranks)
 	b.counts = counts
+	b.blocks = make(map[any]*block)
 	if err := body(b); err != nil {
 		return nil, err
 	}
@@ -262,6 +274,14 @@ func (b *Builder) push(rank int, ev Event) {
 	if rank < 0 || rank >= b.tr.Ranks {
 		panic(fmt.Sprintf("trace: rank %d out of range", rank))
 	}
+	if b.capturing() {
+		n := recordLen(ev)
+		b.scratch = appendEvent(append(binary.AppendUvarint(b.scratch, uint64(rank)), byte(n)), ev)
+		b.ends[rank] += n
+		b.open.events[rank]++
+		b.check(rank, ev)
+		return
+	}
 	if b.counts != nil {
 		b.counts[rank] += recordLen(ev)
 		b.check(rank, ev)
@@ -288,10 +308,123 @@ func (b *Builder) check(rank int, ev Event) {
 	}
 }
 
+// count adds n logical calls of mpiType to the call mix in the fill pass.
+// A capture adds them too, in the counting pass, where mix is otherwise
+// all zero, and moves them into its block.
 func (b *Builder) count(mpiType uint8, n int64) {
-	if b.counts == nil {
+	if b.counts == nil || b.capturing() {
 		b.mix[mpiType] += n
 	}
+}
+
+// block is one memoised point-to-point block: rank r's events[r] records
+// are run first+r of the call store, and each use adds the block's
+// compute time and its logical calls.
+type block struct {
+	key     any
+	first   int
+	events  []int
+	compute sim.Time
+	mix     []callCount
+}
+
+// callCount is n logical calls of one MPI type.
+type callCount struct {
+	mpiType uint8
+	n       int64
+}
+
+// capturing reports whether a first use of a block is capturing its body.
+func (b *Builder) capturing() bool { return b.open != nil && b.blocks != nil }
+
+// Block emits what body emits, point-to-point events and computes only,
+// memoised under key. In Build the first use of key runs body once, checks
+// its events and stores each rank's records as one run of the call store;
+// every use, the first included, emits one call record per rank that has
+// events, and later uses never run body, in either pass. key must
+// therefore name exactly the inputs that shape body's events: two bodies
+// under one key emit the first one's events both times. A plain builder
+// runs body on every use. A collective or a block inside a block panics.
+// Block is a function, not a method, so that a use found in the memo
+// boxes no key.
+func Block[K comparable](b *Builder, key K, body func()) {
+	if b.open != nil {
+		panic(fmt.Sprintf("trace: block %v opened inside block %v", key, b.open.key))
+	}
+	bl := b.blocks[key]
+	switch {
+	case b.blocks == nil:
+		b.open = &block{key: key}
+		body()
+		b.open = nil
+		return
+	case bl == nil:
+		bl = b.capture(key, body)
+	case b.counts != nil && !b.bad:
+		// Capture checked the events; a later use can only take the
+		// compute total past its limit, as its computes would have.
+		if bl.compute > maxTotalCompute-b.compute {
+			b.bad = true
+		}
+		b.compute += bl.compute
+	}
+	for r, n := range bl.events {
+		if n > 0 {
+			b.store(r, Event{Op: opCall, Peer: bl.first + r}, n)
+		}
+	}
+	if b.counts == nil {
+		for _, c := range bl.mix {
+			b.mix[c.mpiType] += c.n
+		}
+	}
+}
+
+// capture runs body as the first use of key in Build's counting pass and
+// stores its records in the call store, one run per rank, all in one
+// exactly sized array.
+func (b *Builder) capture(key any, body func()) *block {
+	if b.counts == nil {
+		panic(fmt.Sprintf("trace: block %v first opened in Build's fill pass", key))
+	}
+	if b.ends == nil {
+		b.ends = make([]int, b.tr.Ranks)
+	}
+	bl := &block{key: key, events: make([]int, b.tr.Ranks)}
+	compute := b.compute
+	b.open = bl
+	body()
+	b.open = nil
+	bl.compute = b.compute - compute
+	for ty, n := range b.mix {
+		if n != 0 {
+			bl.mix = append(bl.mix, callCount{uint8(ty), n})
+			b.mix[ty] = 0
+		}
+	}
+	// Lay the records out rank by rank: ends[r], made cumulative, is where
+	// rank r's next record goes.
+	size := 0
+	for r, n := range b.ends {
+		b.ends[r] = size
+		size += n
+	}
+	enc := make([]byte, size)
+	for p := b.scratch; len(p) > 0; {
+		r, k := binary.Uvarint(p)
+		n := k + 1 + int(p[k])
+		b.ends[r] += copy(enc[b.ends[r]:], p[k+1:n])
+		p = p[n:]
+	}
+	bl.first = len(b.tr.calls)
+	start := 0
+	for r, end := range b.ends {
+		b.tr.calls = append(b.tr.calls, enc[start:end:end])
+		start, b.ends[r] = end, 0
+	}
+	b.scratch = b.scratch[:0]
+	b.blocks[key] = bl
+	return bl
 }
 
 // Compute appends a local computation of duration d on rank.

@@ -97,29 +97,33 @@ func aiPPPipeline(opt Options) (generator, error) {
 	return generator{name: fmt.Sprintf("ai-pp-pipeline-%d", n), ranks: n, emit: func(b *trace.Builder) error {
 		for it := 0; it < iters; it++ {
 			// Forward: activations flow stage r -> r+1 per microbatch.
-			for m := 0; m < aiMicrobatches; m++ {
-				for r := 0; r < n; r++ {
-					if r > 0 {
-						b.Recv(r, r-1)
-					}
-					b.Compute(r, comp)
-					if r < n-1 {
-						b.Send(r, r+1, bytes)
+			trace.Block(b, "forward", func() {
+				for m := 0; m < aiMicrobatches; m++ {
+					for r := 0; r < n; r++ {
+						if r > 0 {
+							b.Recv(r, r-1)
+						}
+						b.Compute(r, comp)
+						if r < n-1 {
+							b.Send(r, r+1, bytes)
+						}
 					}
 				}
-			}
+			})
 			// Backward: gradients flow stage r -> r-1, ~2x the compute.
-			for m := 0; m < aiMicrobatches; m++ {
-				for r := n - 1; r >= 0; r-- {
-					if r < n-1 {
-						b.Recv(r, r+1)
-					}
-					b.Compute(r, 2*comp)
-					if r > 0 {
-						b.Send(r, r-1, bytes)
+			trace.Block(b, "backward", func() {
+				for m := 0; m < aiMicrobatches; m++ {
+					for r := n - 1; r >= 0; r-- {
+						if r < n-1 {
+							b.Recv(r, r+1)
+						}
+						b.Compute(r, 2*comp)
+						if r > 0 {
+							b.Send(r, r-1, bytes)
+						}
 					}
 				}
-			}
+			})
 			b.Barrier() // synchronous optimizer step
 		}
 		return nil
@@ -159,34 +163,38 @@ func aiDPPP(opt Options) (generator, error) {
 		}
 		for it := 0; it < iters; it++ {
 			// All replicas pipeline their microbatches concurrently.
-			for m := 0; m < aiMicrobatches/2; m++ {
-				for d := 0; d < dp; d++ {
-					for s := 0; s < aiStages; s++ {
-						r := rank(d, s)
-						if s > 0 {
-							b.Recv(r, rank(d, s-1))
-						}
-						b.Compute(r, comp)
-						if s < aiStages-1 {
-							b.Send(r, rank(d, s+1), bytes)
-						}
-					}
-				}
-			}
-			for m := 0; m < aiMicrobatches/2; m++ {
-				for d := 0; d < dp; d++ {
-					for s := aiStages - 1; s >= 0; s-- {
-						r := rank(d, s)
-						if s < aiStages-1 {
-							b.Recv(r, rank(d, s+1))
-						}
-						b.Compute(r, 2*comp)
-						if s > 0 {
-							b.Send(r, rank(d, s-1), bytes)
+			trace.Block(b, "forward", func() {
+				for m := 0; m < aiMicrobatches/2; m++ {
+					for d := 0; d < dp; d++ {
+						for s := 0; s < aiStages; s++ {
+							r := rank(d, s)
+							if s > 0 {
+								b.Recv(r, rank(d, s-1))
+							}
+							b.Compute(r, comp)
+							if s < aiStages-1 {
+								b.Send(r, rank(d, s+1), bytes)
+							}
 						}
 					}
 				}
-			}
+			})
+			trace.Block(b, "backward", func() {
+				for m := 0; m < aiMicrobatches/2; m++ {
+					for d := 0; d < dp; d++ {
+						for s := aiStages - 1; s >= 0; s-- {
+							r := rank(d, s)
+							if s < aiStages-1 {
+								b.Recv(r, rank(d, s+1))
+							}
+							b.Compute(r, 2*comp)
+							if s > 0 {
+								b.Send(r, rank(d, s-1), bytes)
+							}
+						}
+					}
+				}
+			})
 			// Gradient sync: each stage's shard reduces across its dp group.
 			for _, group := range groups {
 				if err := b.AllreduceGroup(group, alg, opt.bytes(64*1024)); err != nil {

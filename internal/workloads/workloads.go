@@ -115,26 +115,28 @@ func nasLU(opt Options) (generator, error) {
 			// computes, then sends downstream. Diagonal order emerges from the
 			// blocking dependencies; emission order per rank is recv, recv,
 			// send, send.
-			for r := 0; r < n; r++ {
-				x, y := g.at(r)
-				dx, dy := 1, 1
-				if reverse {
-					dx, dy = -1, -1
+			trace.Block(b, reverse, func() {
+				for r := 0; r < n; r++ {
+					x, y := g.at(r)
+					dx, dy := 1, 1
+					if reverse {
+						dx, dy = -1, -1
+					}
+					if ux := x - dx; ux >= 0 && ux < w {
+						b.Recv(r, g.id(ux, y))
+					}
+					if uy := y - dy; uy >= 0 && uy < w {
+						b.Recv(r, g.id(x, uy))
+					}
+					b.Compute(r, comp/4)
+					if sx := x + dx; sx >= 0 && sx < w {
+						b.Send(r, g.id(sx, y), bytes)
+					}
+					if sy := y + dy; sy >= 0 && sy < w {
+						b.Send(r, g.id(x, sy), bytes)
+					}
 				}
-				if ux := x - dx; ux >= 0 && ux < w {
-					b.Recv(r, g.id(ux, y))
-				}
-				if uy := y - dy; uy >= 0 && uy < w {
-					b.Recv(r, g.id(x, uy))
-				}
-				b.Compute(r, comp/4)
-				if sx := x + dx; sx >= 0 && sx < w {
-					b.Send(r, g.id(sx, y), bytes)
-				}
-				if sy := y + dy; sy >= 0 && sy < w {
-					b.Send(r, g.id(x, sy), bytes)
-				}
-			}
+			})
 		}
 		for it := 0; it < iters; it++ {
 			for r := 0; r < n; r++ {
@@ -180,31 +182,33 @@ func nasMG(class byte, opt Options) (generator, error) {
 		halo := func(dist, sz int) {
 			// Exchange with the +/- neighbours at the given distance in both
 			// grid dimensions (wrapped: MG uses periodic boundaries).
-			for r := 0; r < n; r++ {
-				x, y := g.at(r)
-				peers := []int{
-					g.id((x+dist)%w, y), g.id((x-dist+w*dist)%w, y),
-					g.id(x, (y+dist)%w), g.id(x, (y-dist+w*dist)%w),
-				}
-				for _, p := range peers {
-					if p == r {
-						continue
+			trace.Block(b, [2]int{dist, sz}, func() {
+				for r := 0; r < n; r++ {
+					x, y := g.at(r)
+					peers := []int{
+						g.id((x+dist)%w, y), g.id((x-dist+w*dist)%w, y),
+						g.id(x, (y+dist)%w), g.id(x, (y-dist+w*dist)%w),
 					}
-					b.IrecvQuiet(r, p)
-				}
-				for _, p := range peers {
-					if p == r {
-						continue
+					for _, p := range peers {
+						if p == r {
+							continue
+						}
+						b.IrecvQuiet(r, p)
 					}
-					b.Send(r, p, sz)
-				}
-				for _, p := range peers {
-					if p == r {
-						continue
+					for _, p := range peers {
+						if p == r {
+							continue
+						}
+						b.Send(r, p, sz)
 					}
-					b.Wait(r)
+					for _, p := range peers {
+						if p == r {
+							continue
+						}
+						b.Wait(r)
+					}
 				}
-			}
+			})
 		}
 		for it := 0; it < iters; it++ {
 			for r := 0; r < n; r++ {
@@ -284,25 +288,27 @@ func lammpsChain(opt Options) (generator, error) {
 			for r := 0; r < n; r++ {
 				b.Compute(r, comp)
 			}
-			for r := 0; r < n; r++ {
-				for _, p := range neighbors(r) {
-					b.IrecvQuiet(r, p)
-				}
-			}
-			for r := 0; r < n; r++ {
-				for _, p := range neighbors(r) {
-					sz := bytes
-					if p == (r+n/2)%n {
-						sz = bytes / 4 // long-range partners move less data
+			trace.Block(b, "exchange", func() {
+				for r := 0; r < n; r++ {
+					for _, p := range neighbors(r) {
+						b.IrecvQuiet(r, p)
 					}
-					b.Send(r, p, sz)
 				}
-			}
-			for r := 0; r < n; r++ {
-				for range neighbors(r) {
-					b.Wait(r)
+				for r := 0; r < n; r++ {
+					for _, p := range neighbors(r) {
+						sz := bytes
+						if p == (r+n/2)%n {
+							sz = bytes / 4 // long-range partners move less data
+						}
+						b.Send(r, p, sz)
+					}
 				}
-			}
+				for r := 0; r < n; r++ {
+					for range neighbors(r) {
+						b.Wait(r)
+					}
+				}
+			})
 			// Thermodynamics + neighbour-list reductions: ~2 Allreduce per
 			// step keeps the ~10.8% share of Table 2.1.
 			b.Allreduce(128)
@@ -335,25 +341,27 @@ func lammpsComb(opt Options) (generator, error) {
 				b.Compute(r, comp)
 			}
 			// Phase 1: diagonal-band halo.
-			for r := 0; r < n; r++ {
-				x, y := g.at(r)
-				peers := []int{g.id((x+1)%w, y), g.id((x-1+w)%w, y), g.id(x, (y+1)%w), g.id(x, (y-1+w)%w)}
-				for _, p := range peers {
-					if p != r {
-						b.IrecvQuiet(r, p)
+			trace.Block(b, "halo", func() {
+				for r := 0; r < n; r++ {
+					x, y := g.at(r)
+					peers := []int{g.id((x+1)%w, y), g.id((x-1+w)%w, y), g.id(x, (y+1)%w), g.id(x, (y-1+w)%w)}
+					for _, p := range peers {
+						if p != r {
+							b.IrecvQuiet(r, p)
+						}
+					}
+					for _, p := range peers {
+						if p != r {
+							b.Send(r, p, bytes)
+						}
+					}
+					for _, p := range peers {
+						if p != r {
+							b.Wait(r)
+						}
 					}
 				}
-				for _, p := range peers {
-					if p != r {
-						b.Send(r, p, bytes)
-					}
-				}
-				for _, p := range peers {
-					if p != r {
-						b.Wait(r)
-					}
-				}
-			}
+			})
 			// Phase 2: the heavy collective phase (charge equilibration).
 			for sub := 0; sub < 2; sub++ {
 				b.Allreduce(512)
@@ -390,33 +398,35 @@ func pop(opt Options) (generator, error) {
 			// 34.9%/34.9% pairing of Table 2.1. Edge-colored even/odd phases
 			// keep the per-exchange completion deadlock-free: both endpoints
 			// of every grid edge handle that edge in the same phase.
-			for dim := 0; dim < 2; dim++ {
-				for phase := 0; phase < 2; phase++ {
-					for r := 0; r < n; r++ {
-						x, y := g.at(r)
-						coord := x
-						if dim == 1 {
-							coord = y
+			trace.Block(b, "halo", func() {
+				for dim := 0; dim < 2; dim++ {
+					for phase := 0; phase < 2; phase++ {
+						for r := 0; r < n; r++ {
+							x, y := g.at(r)
+							coord := x
+							if dim == 1 {
+								coord = y
+							}
+							dir := 1
+							if coord%2 != phase {
+								dir = -1
+							}
+							var p int
+							if dim == 0 {
+								p = g.id((x+dir+w)%w, y)
+							} else {
+								p = g.id(x, (y+dir+w)%w)
+							}
+							if p == r {
+								continue
+							}
+							b.IrecvQuiet(r, p)
+							b.Isend(r, p, bytes)
+							b.Waitall(r)
 						}
-						dir := 1
-						if coord%2 != phase {
-							dir = -1
-						}
-						var p int
-						if dim == 0 {
-							p = g.id((x+dir+w)%w, y)
-						} else {
-							p = g.id(x, (y+dir+w)%w)
-						}
-						if p == r {
-							continue
-						}
-						b.IrecvQuiet(r, p)
-						b.Isend(r, p, bytes)
-						b.Waitall(r)
 					}
 				}
-			}
+			})
 			// Scattered remote exchanges (the off-diagonal dots of Fig 2.13):
 			// every 3rd step, ranks swap small fields with a set of distant
 			// partners — land-mask neighbours and gather/scatter mates that
@@ -424,31 +434,33 @@ func pop(opt Options) (generator, error) {
 			// an involution (r -> n-1-r, and XOR masks), so exchanges pair up
 			// exactly.
 			if it%3 == 1 {
-				partner := func(r, variant int) int {
-					switch variant {
-					case 0:
-						return n - 1 - r
-					case 1:
-						return r ^ (n / 2)
-					case 2:
-						return r ^ (n / 4)
-					case 3:
-						return r ^ (n/2 + n/8)
-					default:
-						return r ^ (n/2 + n/4)
-					}
-				}
-				for variant := 0; variant < 5; variant++ {
-					for r := 0; r < n; r++ {
-						p := partner(r, variant)
-						if p == r || p < 0 || p >= n {
-							continue
+				trace.Block(b, "remote", func() {
+					partner := func(r, variant int) int {
+						switch variant {
+						case 0:
+							return n - 1 - r
+						case 1:
+							return r ^ (n / 2)
+						case 2:
+							return r ^ (n / 4)
+						case 3:
+							return r ^ (n/2 + n/8)
+						default:
+							return r ^ (n/2 + n/4)
 						}
-						b.IrecvQuiet(r, p)
-						b.Isend(r, p, bytes/2)
-						b.Waitall(r)
 					}
-				}
+					for variant := 0; variant < 5; variant++ {
+						for r := 0; r < n; r++ {
+							p := partner(r, variant)
+							if p == r || p < 0 || p >= n {
+								continue
+							}
+							b.IrecvQuiet(r, p)
+							b.Isend(r, p, bytes/2)
+							b.Waitall(r)
+						}
+					}
+				})
 			}
 			// Barotropic solver: several small Allreduces per step.
 			for s := 0; s < 3; s++ {
@@ -482,22 +494,24 @@ func sweep3D(opt Options) (generator, error) {
 	comp := opt.compute(25 * sim.Microsecond)
 	return generator{name: fmt.Sprintf("sweep3d-%d", n), ranks: n, emit: func(b *trace.Builder) error {
 		sweep := func(dx, dy int) {
-			for r := 0; r < n; r++ {
-				x, y := g.at(r)
-				if ux := x - dx; ux >= 0 && ux < w {
-					b.Recv(r, g.id(ux, y))
+			trace.Block(b, [2]int{dx, dy}, func() {
+				for r := 0; r < n; r++ {
+					x, y := g.at(r)
+					if ux := x - dx; ux >= 0 && ux < w {
+						b.Recv(r, g.id(ux, y))
+					}
+					if uy := y - dy; uy >= 0 && uy < w {
+						b.Recv(r, g.id(x, uy))
+					}
+					b.Compute(r, comp/8)
+					if sx := x + dx; sx >= 0 && sx < w {
+						b.Send(r, g.id(sx, y), bytes)
+					}
+					if sy := y + dy; sy >= 0 && sy < w {
+						b.Send(r, g.id(x, sy), bytes)
+					}
 				}
-				if uy := y - dy; uy >= 0 && uy < w {
-					b.Recv(r, g.id(x, uy))
-				}
-				b.Compute(r, comp/8)
-				if sx := x + dx; sx >= 0 && sx < w {
-					b.Send(r, g.id(sx, y), bytes)
-				}
-				if sy := y + dy; sy >= 0 && sy < w {
-					b.Send(r, g.id(x, sy), bytes)
-				}
-			}
+			})
 		}
 		for it := 0; it < iters; it++ {
 			for r := 0; r < n; r++ {
@@ -574,31 +588,33 @@ func smg2000(opt Options) (generator, error) {
 	comp := opt.compute(35 * sim.Microsecond)
 	return generator{name: fmt.Sprintf("smg2000-%d", n), ranks: n, emit: func(b *trace.Builder) error {
 		halo := func(dx, dy, sz int) {
-			for r := 0; r < n; r++ {
-				x, y := g.at(r)
-				peers := make([]int, 0, 4)
-				if dx > 0 {
-					peers = append(peers, g.id((x+dx)%w, y), g.id((x-dx+w*dx)%w, y))
-				}
-				if dy > 0 {
-					peers = append(peers, g.id(x, (y+dy)%w), g.id(x, (y-dy+w*dy)%w))
-				}
-				for _, p := range peers {
-					if p != r {
-						b.IrecvQuiet(r, p)
+			trace.Block(b, [3]int{dx, dy, sz}, func() {
+				for r := 0; r < n; r++ {
+					x, y := g.at(r)
+					peers := make([]int, 0, 4)
+					if dx > 0 {
+						peers = append(peers, g.id((x+dx)%w, y), g.id((x-dx+w*dx)%w, y))
+					}
+					if dy > 0 {
+						peers = append(peers, g.id(x, (y+dy)%w), g.id(x, (y-dy+w*dy)%w))
+					}
+					for _, p := range peers {
+						if p != r {
+							b.IrecvQuiet(r, p)
+						}
+					}
+					for _, p := range peers {
+						if p != r {
+							b.Send(r, p, sz)
+						}
+					}
+					for _, p := range peers {
+						if p != r {
+							b.Wait(r)
+						}
 					}
 				}
-				for _, p := range peers {
-					if p != r {
-						b.Send(r, p, sz)
-					}
-				}
-				for _, p := range peers {
-					if p != r {
-						b.Wait(r)
-					}
-				}
-			}
+			})
 		}
 		for it := 0; it < iters; it++ {
 			for r := 0; r < n; r++ {
