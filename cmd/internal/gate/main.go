@@ -70,7 +70,7 @@ func table(raceArgs []string, fuzztime time.Duration) []gate {
 		allocGate("df4096-heavytail-serial", 260, "~244 B with the coarse wheel tier, no per-router NextHop memo, the path set in the metapath's cold record and each port holding its VC queues"),
 		allocGate("df4096-heavytail-shards2", 275, "~257 B, the same cell on 2 shards, with the same four changes"),
 		allocGate("ft64-uniform-serial", 9.5, "~8.2 B with 128-byte packet records"),
-		allocGate("ft64-apps-replay", 20.5, "~18.9 B since rank programs call each memoised collective's and each repeated point-to-point block's records in the trace's call store instead of copying them every repetition"),
+		allocGate("ft64-apps-replay", 20.5, "~19.1 B since rank programs call each memoised collective's and each repeated point-to-point block's records in the trace's call store instead of copying them every repetition"),
 		allocGate("ft64-bursts-drbfamily", 7, "~6.2 B with closed-form fat-tree distance and 152-byte ports"),
 		allocGate("grid64-policy-sweep", 147, "~136 B with compact DRB-family records"),
 		{name: "smoke-digests", group: "alloc", check: smokeDigests, unit: "files", why: "benchmark -smoke's sim_digest lines equal results/bench.smoke.digests.txt: simulated output unchanged",
